@@ -19,6 +19,7 @@ from .losses import (
     FusionLevel,
     InfoNCEResult,
     WeightScheme,
+    contrastive_batch,
     cross_entropy,
     cross_entropy_batch,
     fused_contrastive,

@@ -9,8 +9,7 @@ Subcommands:
 
 Exit codes: 0 success, 2 bad or missing config, 3 I/O or file-format
 failure, 4 numeric abort.  Every artifact embeds the resolved config and
-seed.  DTG_THREADS caps worker threads (default 1; results are identical
-either way).
+seed.
 """
 
 from __future__ import annotations

@@ -128,7 +128,7 @@ def split_videos(corpus: Corpus, train_frac: float, seed: int) -> tuple[Corpus, 
     Per class, a seeded permutation sends round(train_frac * n) videos to the
     train side, clamped so both sides keep at least one video.  The halves
     share the parent's spec and bases; they are in-memory views for held-out
-    evaluation, not intended for save_corpus (counts no longer match spec).
+    evaluation, and save_corpus rejects them (counts no longer match spec).
     """
     if not 0.0 < train_frac < 1.0:
         raise ValueError("train_frac must be in (0, 1)")
@@ -153,6 +153,8 @@ def split_videos(corpus: Corpus, train_frac: float, seed: int) -> tuple[Corpus, 
 
 def save_corpus(corpus: Corpus, path) -> None:
     spec = corpus.spec
+    if corpus.num_videos != spec.num_classes * spec.videos_per_class:
+        raise ValueError("the video count differs from the spec's; the file would not load back")
     w = RecordWriter(CORPUS_HEADER)
     w.u32(spec.num_classes)
     w.u32(spec.videos_per_class)

@@ -45,32 +45,19 @@ class InfoNCEResult:
 
 def info_nce(anchor: np.ndarray, positive: np.ndarray, negatives: np.ndarray,
              tau: float) -> InfoNCEResult:
-    """Contrastive loss for one anchor.
+    """Contrastive loss for one anchor: ``contrastive_batch`` with B = N = 1.
 
     ``loss = -log softmax([a.p/tau, a.n_1/tau, ..., a.n_K/tau])[0]`` and the
     analytic anchor gradient is ``((p_0 - 1) p + sum_i p_i n_i) / tau``.
     """
-    if tau <= 0:
-        raise ValueError("temperature must be positive")
-    a = as_vector(anchor, "anchor")
-    p = as_vector(positive, "positive")
-    n = as_matrix(negatives, "negatives")
-    if p.shape != a.shape:
-        raise ValueError("anchor and positive dimensions differ")
-    if n.shape[1] != a.shape[0]:
-        raise ValueError("negatives have the wrong feature dimension")
-    logits = np.concatenate(([p @ a], n @ a)) / tau
-    m = logits.max()
-    # sorted reduction: the loss is bit-identical under any negative ordering
-    lse = m + np.log(np.sort(np.exp(logits - m)).sum())
-    probs = np.exp(logits - lse)
-    grad = ((probs[0] - 1.0) * p + probs[1:] @ n) / tau
-    return InfoNCEResult(loss=float(lse - logits[0]), grad_anchor=grad, probs=probs)
+    out = fused_contrastive(anchor, as_vector(positive, "positive")[None],
+                            as_matrix(negatives, "negatives")[None], tau, WeightScheme.UNIFORM)
+    return InfoNCEResult(loss=out.loss, grad_anchor=out.grad_anchor, probs=out.probs[0])
 
 
 def teacher_weights(scheme: WeightScheme, num_teachers: int, *,
                     accuracies=None, pos_sims=None, neg_sims=None) -> np.ndarray:
-    """Nonnegative per-teacher weights summing to one.
+    """Nonnegative per-teacher weights summing to one along the last axis.
 
     uniform   1/N each.
     offline   supplied accuracies, renormalized.
@@ -78,6 +65,10 @@ def teacher_weights(scheme: WeightScheme, num_teachers: int, *,
               teacher's positive.
     online2   positive ranked against that teacher's negatives, ties favoring
               the positive; rank r maps to score K + 2 - r.
+
+    ``pos_sims`` is (..., N) and ``neg_sims`` (..., N, K) for any leading batch
+    shape; the online schemes return weights of ``pos_sims``' shape, the fixed
+    schemes one (N,) vector.
     """
     if num_teachers < 1:
         raise ValueError("need at least one teacher")
@@ -98,85 +89,122 @@ def teacher_weights(scheme: WeightScheme, num_teachers: int, *,
         return acc / total
     if pos_sims is None:
         raise ValueError(f"{scheme.value} weighting needs positive similarities")
-    s = as_vector(np.asarray(pos_sims, dtype=np.float64), "pos_sims")
-    if s.shape[0] != n:
-        raise ValueError(f"expected {n} positive similarities, got {s.shape[0]}")
+    s = np.asarray(pos_sims, dtype=np.float64)
+    if s.ndim == 0 or s.shape[-1] != n:
+        raise ValueError(f"expected {n} positive similarities, got shape {s.shape}")
     if scheme is WeightScheme.ONLINE1:
         return softmax(s)
     # online2
     if neg_sims is None:
         raise ValueError("online2 weighting needs negative similarities")
-    ns = as_matrix(np.asarray(neg_sims, dtype=np.float64), "neg_sims")
-    if ns.shape[0] != n:
-        raise ValueError(f"expected {n} rows of negative similarities, got {ns.shape[0]}")
-    k = ns.shape[1]
-    ranks = 1 + (ns > s[:, None]).sum(axis=1)       # 1 = beat every negative
-    scores = (k + 2 - ranks).astype(np.float64)      # in [1, K + 1]
-    return scores / scores.sum()
+    ns = np.asarray(neg_sims, dtype=np.float64)
+    if ns.shape[:-1] != s.shape or ns.shape[-1] == 0:
+        raise ValueError(f"expected neg_sims of shape {s.shape} + (K,), got {ns.shape}")
+    if not (np.isfinite(s).all() and np.isfinite(ns).all()):
+        raise ValueError("similarities contain a non-finite entry")
+    ranks = 1 + (ns > s[..., None]).sum(axis=-1)     # 1 = beat every negative
+    scores = (ns.shape[-1] + 2 - ranks).astype(np.float64)   # in [1, K + 1]
+    return scores / scores.sum(axis=-1, keepdims=True)
 
 
 @dataclass(frozen=True)
 class ContrastiveOutcome:
+    """One anchor's result; ``contrastive_batch`` adds a leading batch axis to each field."""
+
     loss: float
-    grad_anchor: np.ndarray
+    grad_anchor: np.ndarray               # (d,)
     weights: np.ndarray                   # (N,), sums to one
     pos_sims: np.ndarray                  # (N,), anchor . positive per teacher
     teacher_losses: np.ndarray | None     # per-teacher losses; None for feature fusion
+    probs: np.ndarray                     # per scored positive, softmax over (it, its queue):
+                                          # (N, 1 + K) loss fusion, (1, 1 + N*K) feature fusion
+
+
+def contrastive_batch(anchors: np.ndarray, positives: np.ndarray, negatives: np.ndarray,
+                      tau: float, scheme: WeightScheme,
+                      fusion: FusionLevel = FusionLevel.LOSS,
+                      accuracies=None) -> ContrastiveOutcome:
+    """Multi-teacher contrastive loss of every anchor in a batch and the exact
+    gradient of each anchor's loss with respect to that anchor.
+
+    ``anchors`` is (B, d); ``positives`` is (B, N, d), one guidance feature per
+    anchor and teacher; ``negatives`` is (N, K, d), one queue snapshot per
+    teacher shared by the batch.  Loss fusion takes the weighted sum of
+    per-teacher losses.  Feature fusion renormalizes the weighted positive and
+    scores it against all N*K negatives pooled.
+
+    For ``online1`` the weights are a softmax in the anchor, so the gradient
+    includes the corresponding chain term; the other schemes contribute none
+    (constants, or piecewise constant ranks).
+    """
+    if tau <= 0:
+        raise ValueError("temperature must be positive")
+    a = np.asarray(anchors, dtype=np.float64)
+    pos = np.asarray(positives, dtype=np.float64)
+    neg = np.asarray(negatives, dtype=np.float64)
+    if neg.ndim != 3:
+        raise ValueError(f"negatives must be (N, K, d), got shape {neg.shape}")
+    n_teachers, k, dim = neg.shape
+    if a.ndim != 2 or a.shape[1] != dim or pos.shape != (len(a), n_teachers, dim):
+        raise ValueError("positives, negatives and anchors disagree on shape")
+    b = len(a)
+
+    pos_sims = np.einsum("bnd,bd->bn", pos, a)
+    neg_sims = (a @ neg.reshape(-1, dim).T).reshape(b, n_teachers, k)
+    weights = np.broadcast_to(
+        teacher_weights(scheme, n_teachers, accuracies=accuracies,
+                        pos_sims=pos_sims, neg_sims=neg_sims), (b, n_teachers))
+
+    # Score each anchor against M positives, each with its own queue, and mix
+    # the M losses: the N teachers under loss fusion, one fused positive
+    # against the pooled queues under feature fusion.
+    if fusion is FusionLevel.LOSS:
+        scored, queue, mix = pos, neg, weights
+        scored_sims, queue_sims = pos_sims, neg_sims
+    else:
+        y = np.einsum("bn,bnd->bd", weights, pos)
+        ny = np.linalg.norm(y, axis=1, keepdims=True)
+        if np.any(ny <= EPS_NORM):
+            raise DegenerateInputError("weighted positive collapsed to near-zero norm")
+        g_fused = y / ny
+        scored, queue, mix = g_fused[:, None], neg.reshape(1, -1, dim), np.ones((b, 1))
+        scored_sims, queue_sims = (g_fused * a).sum(axis=1)[:, None], neg_sims.reshape(b, 1, -1)
+
+    logits = np.concatenate((scored_sims[..., None], queue_sims), axis=-1) / tau
+    m = logits.max(axis=-1, keepdims=True)
+    # sorted reduction: the loss is bit-identical under any negative ordering
+    lse = m + np.log(np.sort(np.exp(logits - m), axis=-1).sum(axis=-1, keepdims=True))
+    probs = np.exp(logits - lse)
+    losses = lse[..., 0] - logits[..., 0]
+    loss = (mix * losses).sum(axis=1)
+    coef = mix[..., None] * probs / tau
+    grad = (np.einsum("bm,bmd->bd", coef[..., 0] - mix / tau, scored)
+            + coef[..., 1:].reshape(b, -1) @ queue.reshape(-1, dim))
+    if scheme is WeightScheme.ONLINE1:
+        # d w_i / da = w_i (pos_i - sum_m w_m pos_m); contracting with
+        # c_i = dL/dw_i gives sum_i w_i (c_i - sum_m w_m c_m) pos_i
+        if fusion is FusionLevel.LOSS:
+            c = losses
+        else:
+            d_gf = (probs[:, 0, :1] - 1.0) * a / tau                          # dL/d g_fused
+            v = (d_gf - (d_gf * g_fused).sum(axis=1, keepdims=True) * g_fused) / ny  # dL/dy
+            c = np.einsum("bnd,bd->bn", pos, v)
+        c = c - (weights * c).sum(axis=1, keepdims=True)
+        grad = grad + np.einsum("bn,bnd->bd", weights * c, pos)
+    teacher_losses = losses if fusion is FusionLevel.LOSS else None
+    return ContrastiveOutcome(loss, grad, weights, pos_sims, teacher_losses, probs)
 
 
 def fused_contrastive(anchor: np.ndarray, positives: np.ndarray, negatives: np.ndarray,
                       tau: float, scheme: WeightScheme,
                       fusion: FusionLevel = FusionLevel.LOSS,
                       accuracies=None) -> ContrastiveOutcome:
-    """Multi-teacher contrastive loss and its exact anchor gradient.
-
-    ``positives`` is (N, d), one guidance feature per teacher; ``negatives``
-    is (N, K, d), one queue snapshot per teacher.  Loss fusion takes the
-    weighted sum of per-teacher losses.  Feature fusion renormalizes the
-    weighted positive and scores it against all N*K negatives pooled.
-
-    For ``online1`` the weights are a softmax in the anchor, so the gradient
-    includes the corresponding chain term; the other schemes contribute none
-    (constants, or piecewise constant ranks).
-    """
-    a = as_vector(anchor, "anchor")
-    pos = as_matrix(positives, "positives")
-    neg = np.asarray(negatives, dtype=np.float64)
-    if neg.ndim != 3:
-        raise ValueError(f"negatives must be (N, K, d), got shape {neg.shape}")
-    n_teachers, k, dim = neg.shape
-    if pos.shape != (n_teachers, dim) or dim != a.shape[0]:
-        raise ValueError("positives, negatives and anchor disagree on shape")
-
-    pos_sims = pos @ a
-    weights = teacher_weights(scheme, n_teachers, accuracies=accuracies,
-                              pos_sims=pos_sims, neg_sims=neg @ a)
-
-    if fusion is FusionLevel.LOSS:
-        per = [info_nce(a, pos[i], neg[i], tau) for i in range(n_teachers)]
-        losses = np.array([r.loss for r in per])
-        loss = float(weights @ losses)
-        grad = np.einsum("i,id->d", weights, np.stack([r.grad_anchor for r in per]))
-        if scheme is WeightScheme.ONLINE1:
-            # d w_i / da = w_i (pos_i - sum_m w_m pos_m); contracting with the
-            # per-teacher losses gives sum_i w_i (L_i - L̄) pos_i
-            grad = grad + (weights * (losses - loss)) @ pos
-        return ContrastiveOutcome(loss, grad, weights, pos_sims, losses)
-
-    # feature fusion
-    y = weights @ pos
-    ny = float(np.linalg.norm(y))
-    if ny <= EPS_NORM:
-        raise DegenerateInputError("weighted positive collapsed to near-zero norm")
-    g_fused = y / ny
-    r = info_nce(a, g_fused, neg.reshape(n_teachers * k, dim), tau)
-    grad = r.grad_anchor
-    if scheme is WeightScheme.ONLINE1:
-        d_gf = (r.probs[0] - 1.0) * a / tau                  # dL/d g_fused
-        v = (d_gf - (d_gf @ g_fused) * g_fused) / ny         # dL/dy
-        c = pos @ v
-        grad = grad + (weights * (c - weights @ c)) @ pos
-    return ContrastiveOutcome(r.loss, grad, weights, pos_sims, None)
+    """Multi-teacher contrastive loss for one anchor: ``contrastive_batch``
+    with B = 1.  ``positives`` is (N, d) and ``negatives`` (N, K, d)."""
+    out = contrastive_batch(as_vector(anchor, "anchor")[None],
+                            as_matrix(positives, "positives")[None], negatives, tau,
+                            scheme, fusion, accuracies)
+    return ContrastiveOutcome(**{f: None if v is None else v[0] for f, v in vars(out).items()})
 
 
 def joint_loss(contrastive: float, ce: float, alpha: float, beta: float) -> float:
@@ -188,15 +216,8 @@ def joint_loss(contrastive: float, ce: float, alpha: float, beta: float) -> floa
 
 def cross_entropy(logits: np.ndarray, label: int) -> tuple[float, np.ndarray]:
     """Softmax cross-entropy for one example; returns (loss, grad wrt logits)."""
-    z = as_vector(logits, "logits")
-    if not 0 <= label < z.shape[0]:
-        raise ValueError(f"label {label} out of range for {z.shape[0]} classes")
-    m = z.max()
-    lse = m + np.log(np.exp(z - m).sum())
-    g = np.exp(z - lse)
-    loss = float(lse - z[label])
-    g[label] -= 1.0
-    return loss, g
+    loss, grad = cross_entropy_batch(as_vector(logits, "logits")[None], np.array([label]))
+    return loss, grad[0]
 
 
 def cross_entropy_batch(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:

@@ -39,11 +39,13 @@ def as_matrix(x, name: str = "input") -> np.ndarray:
 
 
 def softmax(logits) -> np.ndarray:
-    """Probability vector from logits, shifted by the max so any finite input
-    is overflow-free."""
-    z = as_vector(logits)
-    e = np.exp(z - z.max())
-    return e / e.sum()
+    """Probabilities along the last axis of the logits, shifted by the max so
+    any finite input is overflow-free."""
+    z = np.asarray(logits, dtype=np.float64)
+    if z.ndim == 0 or z.size == 0 or not np.all(np.isfinite(z)):
+        raise ValueError(f"softmax needs a nonempty finite array, got shape {z.shape}")
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def l2_normalize(v, eps: float = EPS_NORM) -> np.ndarray:

@@ -3,8 +3,8 @@
 Every random draw in a run descends from one 64-bit seed through substreams
 keyed by (seed, tag, *indices).  Independent pipeline stages (corpus,
 teachers, student init, sampling, probe split) therefore never perturb each
-other, and per-sample streams make parallel evaluation bit-identical to
-serial execution.
+other, and per-sample streams make the sampled pair independent of batch
+composition.
 """
 
 from __future__ import annotations

@@ -11,18 +11,15 @@ Queues start cold.  Until every queue has seen K features the loss and the
 parameter update are skipped; guidance features are still enqueued each
 step, so training proper begins within the first epoch (K is smaller than
 the video count).  Per-sample randomness is keyed by (seed, video_id,
-epoch); with DTG_THREADS > 1 the per-sample loss work fans out across a
-thread pool but results are reduced in sample order, keeping runs
-bit-identical to serial execution.
+epoch), so the pair sampled for a video does not depend on which batch it
+lands in or on the other videos beside it.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -33,8 +30,9 @@ from .losses import (
     ContrastiveOutcome,
     FusionLevel,
     WeightScheme,
+    contrastive_batch,
     cross_entropy_batch,
-    fused_contrastive,
+    joint_loss,
 )
 from .model import (
     ClassifierHead,
@@ -152,10 +150,6 @@ def sgd_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     return new_p, new_v
 
 
-def _worker_count() -> int:
-    return max(1, int(os.environ.get("DTG_THREADS", "1")))
-
-
 def _validate_run(config: TrainConfig, corpus: Corpus, bank: TeacherBank) -> None:
     if config.K >= corpus.num_videos:
         raise ValueError(
@@ -179,22 +173,6 @@ def _sample_batch(config: TrainConfig, corpus: Corpus, order: np.ndarray, epoch:
     return pairs
 
 
-def _contrastive_pass(config: TrainConfig, feats: np.ndarray, guidance: np.ndarray,
-                      negatives: np.ndarray, pool: ThreadPoolExecutor | None
-                      ) -> list[ContrastiveOutcome]:
-    def one(i: int) -> ContrastiveOutcome:
-        return fused_contrastive(
-            feats[i], guidance[:, i, :], negatives, config.tau,
-            config.weight_scheme, config.fusion_level,
-            accuracies=config.offline_accuracies,
-        )
-
-    idx = range(feats.shape[0])
-    if pool is None:
-        return [one(i) for i in idx]
-    return list(pool.map(one, idx))  # map preserves order: reduction stays serial
-
-
 @dataclass
 class _EpochStats:
     ct_sum: float = 0.0
@@ -202,17 +180,17 @@ class _EpochStats:
     count: int = 0
     weights: list = field(default_factory=list)
 
-    def record(self, outcomes, ce_loss=None):
-        self.ct_sum += sum(o.loss for o in outcomes)
-        self.count += len(outcomes)
-        self.weights.extend(o.weights for o in outcomes)
+    def record(self, out: ContrastiveOutcome, ce_loss=None):
+        self.ct_sum += float(out.loss.sum())
+        self.count += len(out.loss)
+        self.weights.append(out.weights)
         if ce_loss is not None:
-            self.ce_sum += ce_loss * len(outcomes)
+            self.ce_sum += ce_loss * len(out.loss)
 
     def close(self, epoch: int, lr: float, joint: bool) -> EpochRecord:
         if self.count == 0:  # every batch this epoch hit a cold queue
             return EpochRecord(epoch, lr, None, None, (), ())
-        w = np.stack(self.weights)
+        w = np.concatenate(self.weights)
         std = w.std(axis=0)
         std[(w == w[0]).all(axis=0)] = 0.0  # constant schemes log exactly zero
         return EpochRecord(
@@ -220,8 +198,8 @@ class _EpochStats:
             lr=lr,
             contrastive_loss=self.ct_sum / self.count,
             ce_loss=(self.ce_sum / self.count) if joint else None,
-            mean_weights=tuple(w.mean(axis=0)),
-            std_weights=tuple(std),
+            mean_weights=tuple(w.mean(axis=0).tolist()),
+            std_weights=tuple(std.tolist()),
         )
 
 
@@ -235,69 +213,65 @@ def _run_loop(config: TrainConfig, corpus: Corpus, bank: TeacherBank,
         params.update(head.parameters())
     velocity = {k: np.zeros_like(v) for k, v in params.items()}
     labels_all = corpus.labels()
-    workers = _worker_count()
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
     records = []
-    try:
-        for epoch in range(config.epochs):
-            lr = lr_at(config, epoch)
-            order = substream(config.seed, "epoch-order", epoch).permutation(corpus.num_videos)
-            stats = _EpochStats()
-            for b0 in range(0, corpus.num_videos, config.batch_size):
-                batch_idx = order[b0:b0 + config.batch_size]
-                pairs = _sample_batch(config, corpus, batch_idx, epoch)
-                n = len(pairs)
-                pooled_guid = np.stack([pool_frames(p.guidance_input) for p in pairs])
-                guidance = np.stack([teacher_features(t, pooled_guid) for t in bank.teachers])
+    for epoch in range(config.epochs):
+        lr = lr_at(config, epoch)
+        order = substream(config.seed, "epoch-order", epoch).permutation(corpus.num_videos)
+        stats = _EpochStats()
+        for b0 in range(0, corpus.num_videos, config.batch_size):
+            batch_idx = order[b0:b0 + config.batch_size]
+            pairs = _sample_batch(config, corpus, batch_idx, epoch)
+            n = len(pairs)
+            pooled_guid = np.stack([pool_frames(p.guidance_input) for p in pairs])
+            guidance = np.stack([teacher_features(t, pooled_guid) for t in bank.teachers])
 
-                if not all(q.warm for q in queues):
-                    # Cold start: no loss, no update; just feed the queues.
-                    for k, q in enumerate(queues):
-                        enqueue_batch(q, guidance[k])
-                    continue
-
-                pooled_anchor = np.stack([pool_frames(p.anchor_input) for p in pairs])
-                feats, cache = forward_batch(enc, pooled_anchor, normalize=config.normalize)
-                negs = np.stack([negatives(q) for q in queues])
-
-                outcomes = _contrastive_pass(config, feats, guidance, negs, pool)
-                ct_loss = sum(o.loss for o in outcomes) / n
-                d_feats = np.stack([o.grad_anchor for o in outcomes]) / n
-
-                ce_loss = None
-                if joint:
-                    logits = head.logits(feats)
-                    ce_loss, d_logits = cross_entropy_batch(logits, labels_all[batch_idx])
-                    d_feats = config.alpha * d_feats + config.beta * (d_logits @ head.W)
-                    head_grads = {
-                        "head.W": config.beta * (d_logits.T @ feats),
-                        "head.b": config.beta * d_logits.sum(axis=0),
-                    }
-                    step_loss = config.alpha * ct_loss + config.beta * ce_loss
-                else:
-                    step_loss = ct_loss
-                if not np.isfinite(step_loss):
-                    raise NumericAbortError(
-                        f"non-finite loss at epoch {epoch}, batch {b0 // config.batch_size}"
-                    )
-
-                grads = backward_batch(enc, cache, d_feats)
-                if joint:
-                    grads.update(head_grads)
-                params, velocity = sgd_step(params, grads, velocity, lr,
-                                            config.momentum, config.weight_decay)
-                enc.set_parameters([params[k] for k, _ in enc.parameters()])
-                if joint:
-                    head.W = params["head.W"]
-                    head.b = params["head.b"]
-
+            if not all(q.warm for q in queues):
+                # Cold start: no loss, no update; just feed the queues.
                 for k, q in enumerate(queues):
                     enqueue_batch(q, guidance[k])
-                stats.record(outcomes, ce_loss)
-            records.append(stats.close(epoch, lr, joint))
-    finally:
-        if pool is not None:
-            pool.shutdown()
+                continue
+
+            pooled_anchor = np.stack([pool_frames(p.anchor_input) for p in pairs])
+            feats, cache = forward_batch(enc, pooled_anchor, normalize=config.normalize)
+            negs = np.stack([negatives(q) for q in queues])
+
+            out = contrastive_batch(feats, guidance.transpose(1, 0, 2), negs, config.tau,
+                                    config.weight_scheme, config.fusion_level,
+                                    accuracies=config.offline_accuracies)
+            ct_loss = float(out.loss.mean())
+            d_feats = out.grad_anchor / n
+
+            ce_loss = None
+            if joint:
+                logits = head.logits(feats)
+                ce_loss, d_logits = cross_entropy_batch(logits, labels_all[batch_idx])
+                d_feats = config.alpha * d_feats + config.beta * (d_logits @ head.W)
+                head_grads = {
+                    "head.W": config.beta * (d_logits.T @ feats),
+                    "head.b": config.beta * d_logits.sum(axis=0),
+                }
+                step_loss = joint_loss(ct_loss, ce_loss, config.alpha, config.beta)
+            else:
+                step_loss = ct_loss
+            if not np.isfinite(step_loss):
+                raise NumericAbortError(
+                    f"non-finite loss at epoch {epoch}, batch {b0 // config.batch_size}"
+                )
+
+            grads = backward_batch(enc, cache, d_feats)
+            if joint:
+                grads.update(head_grads)
+            params, velocity = sgd_step(params, grads, velocity, lr,
+                                        config.momentum, config.weight_decay)
+            enc.set_parameters([params[k] for k, _ in enc.parameters()])
+            if joint:
+                head.W = params["head.W"]
+                head.b = params["head.b"]
+
+            for k, q in enumerate(queues):
+                enqueue_batch(q, guidance[k])
+            stats.record(out, ce_loss)
+        records.append(stats.close(epoch, lr, joint))
     report = RunReport(seed=config.seed, records=tuple(records),
                        wall_time_s=time.perf_counter() - start)
     return enc, head, report

@@ -95,6 +95,14 @@ def test_save_is_byte_deterministic(tmp_path, tiny_corpus):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_save_rejects_split_whose_count_disagrees_with_spec(tmp_path, tiny_corpus):
+    # the header carries the spec's counts, so such a file could not be read back
+    path = tmp_path / "half.dtgc"
+    with pytest.raises(ValueError):
+        save_corpus(split_videos(tiny_corpus, 0.5, 0)[0], path)
+    assert not path.exists()
+
+
 def test_truncated_file_raises_format_error(tmp_path, tiny_corpus):
     path = tmp_path / "c.dtgc"
     save_corpus(tiny_corpus, path)

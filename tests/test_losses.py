@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dtg.losses import (ContrastiveOutcome, FusionLevel, WeightScheme,
-                        cross_entropy, cross_entropy_batch, fused_contrastive,
-                        info_nce, joint_loss, teacher_weights)
+                        contrastive_batch, cross_entropy, cross_entropy_batch,
+                        fused_contrastive, info_nce, joint_loss, teacher_weights)
 from dtg.numerics import finite_diff_check, l2_normalize
 
 from conftest import unit_rows
@@ -25,6 +25,11 @@ def _instance(rng, d, k):
     pos = l2_normalize(rng.standard_normal(d))
     negs = unit_rows(rng, k, d)
     return a, pos, negs
+
+
+def _batch_instance(rng, b, n, k, d):
+    return (unit_rows(rng, b, d), unit_rows(rng, b * n, d).reshape(b, n, d),
+            unit_rows(rng, n * k, d).reshape(n, k, d))
 
 
 def test_info_nce_uniform_logits_is_log_k_plus_1():
@@ -72,6 +77,18 @@ def test_info_nce_permutation_of_negatives_exact():
     for _ in range(20):
         perm = rng.permutation(8)
         assert info_nce(a, pos, negs[perm], tau=0.07).loss == base
+    # the batched loss under every scheme and fusion level, each teacher's
+    # queue shuffled independently
+    anchors, positives, queues = _batch_instance(rng, 5, 3, 8, 6)
+    for scheme in WeightScheme:
+        for fusion in FusionLevel:
+            def batch_loss(q):
+                return contrastive_batch(anchors, positives, q, 0.07, scheme, fusion,
+                                         accuracies=(0.5, 0.3, 0.2)).loss
+            base = batch_loss(queues)
+            for _ in range(20):
+                shuffled = np.stack([q[rng.permutation(8)] for q in queues])
+                assert np.array_equal(batch_loss(shuffled), base), (scheme, fusion)
 
 
 def test_info_nce_monotone_in_positive_similarity():
@@ -260,6 +277,38 @@ def test_fused_gradient_finite_diff(scheme, fusion):
 
     out = fused_contrastive(a, pos, negs, 0.07, scheme, fusion, accuracies=acc)
     rep = finite_diff_check(loss_of, {"a": a}, {"a": out.grad_anchor})
+    assert rep.max_rel_error < 1e-5, f"{scheme} {fusion}: {rep.max_rel_error}"
+
+
+@pytest.mark.parametrize("scheme", list(WeightScheme))
+@pytest.mark.parametrize("fusion", list(FusionLevel))
+def test_batch_rows_match_single_anchor(scheme, fusion):
+    anchors, positives, negs = _batch_instance(np.random.default_rng(14), 7, 3, 5, 6)
+    acc = (0.5, 0.3, 0.2)
+    out = contrastive_batch(anchors, positives, negs, 0.07, scheme, fusion, accuracies=acc)
+    assert out.loss.shape == (7,) and out.grad_anchor.shape == (7, 6)
+    for i in range(7):
+        one = fused_contrastive(anchors[i], positives[i], negs, 0.07, scheme, fusion,
+                                accuracies=acc)
+        assert abs(out.loss[i] - one.loss) < 1e-12
+        assert np.allclose(out.grad_anchor[i], one.grad_anchor, rtol=0, atol=1e-12)
+        assert np.allclose(out.weights[i], one.weights, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("scheme", list(WeightScheme))
+@pytest.mark.parametrize("fusion", list(FusionLevel))
+def test_batch_gradient_finite_diff(scheme, fusion):
+    # each row's loss depends on its own anchor only, so the gradient of the
+    # summed loss with respect to the (B, d) anchors is grad_anchor itself
+    anchors, positives, negs = _batch_instance(np.random.default_rng(15), 4, 3, 5, 6)
+    acc = (0.5, 0.3, 0.2)
+
+    def loss_of(p):
+        return contrastive_batch(p["a"], positives, negs, 0.07, scheme, fusion,
+                                 accuracies=acc).loss.sum()
+
+    out = contrastive_batch(anchors, positives, negs, 0.07, scheme, fusion, accuracies=acc)
+    rep = finite_diff_check(loss_of, {"a": anchors}, {"a": out.grad_anchor})
     assert rep.max_rel_error < 1e-5, f"{scheme} {fusion}: {rep.max_rel_error}"
 
 

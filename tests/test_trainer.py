@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 
@@ -235,21 +236,6 @@ def test_joint_deterministic():
     assert report_to_dict(r1) == report_to_dict(r2)
 
 
-# --- threading ---
-
-def test_thread_pool_bit_identical_to_serial(monkeypatch):
-    corpus = _corpus()
-    cfg = _config(epochs=2, weight_scheme=WeightScheme.ONLINE1)
-    bank = _bank(corpus, rhos=(0.9, 0.3))
-    monkeypatch.delenv("DTG_THREADS", raising=False)
-    enc_serial, rep_serial = pretrain(cfg, corpus, bank)
-    monkeypatch.setenv("DTG_THREADS", "4")
-    enc_pool, rep_pool = pretrain(cfg, corpus, bank)
-    for (k, v1), (_, v2) in zip(enc_serial.parameters(), enc_pool.parameters()):
-        assert np.array_equal(v1, v2), k
-    assert report_to_dict(rep_serial) == report_to_dict(rep_pool)
-
-
 # --- report serialization ---
 
 def test_write_report_artifacts(tmp_path):
@@ -268,6 +254,8 @@ def test_write_report_artifacts(tmp_path):
     assert lines[0].startswith(f"# seed={cfg.seed}")
     assert lines[1].split(",")[:4] == ["epoch", "lr", "contrastive_loss", "ce_loss"]
     assert len(lines) == 2 + 2
+    for cell in (c for row in csv.reader(lines[2:]) for c in row if c):
+        float(cell)  # raises on a numpy repr such as "np.float64(1.0)"
 
 
 def test_write_report_blank_cells_for_cold_epoch(tmp_path):
