@@ -41,7 +41,7 @@ from .model import (
 )
 from .numerics import DegenerateInputError, GradReport, finite_diff_check, l2_normalize, softmax
 from .queues import ColdQueueError, GuidanceQueue
-from .sampling import ContrastivePair, FrameSequence, PairMode, make_pair, sample_sequence
+from .sampling import PairMode, sample_pairs
 from .seeding import derive_seed, substream
 from .trainer import (
     EpochRecord,

@@ -79,6 +79,10 @@ class Corpus:
     def labels(self) -> np.ndarray:
         return np.array([v.label for v in self.videos], dtype=np.int64)
 
+    def frames(self) -> np.ndarray:
+        """Every video's frames stacked into one (V, L, D) array."""
+        return np.stack([v.frames for v in self.videos])
+
 
 def _orthonormal_bases(rng: np.random.Generator, dim: int, signal_dim: int):
     q, r = np.linalg.qr(rng.standard_normal((dim, dim)))

@@ -28,8 +28,10 @@ from .model import (
     teacher_features,
 )
 from .numerics import DegenerateInputError, as_matrix
-from .sampling import PairMode, make_pair
+from .sampling import PairMode, sample_pairs
 from .seeding import substream
+
+_OVERLAP_ROWS = 64  # distance-matrix rows per chunk in class_overlap
 
 
 @dataclass(frozen=True)
@@ -48,14 +50,12 @@ class ProbeResult:
 
 def video_features(enc: StudentEncoder, corpus: Corpus, normalize: bool = True) -> np.ndarray:
     """One feature per video, from its full frame stack (no sampling)."""
-    pooled = np.stack([pool_frames(v.frames) for v in corpus.videos])
-    out, _ = forward_batch(enc, pooled, normalize=normalize)
+    out, _ = forward_batch(enc, pool_frames(corpus.frames()), normalize=normalize)
     return out
 
 
 def teacher_video_features(teacher: Teacher, corpus: Corpus) -> np.ndarray:
-    pooled = np.stack([pool_frames(v.frames) for v in corpus.videos])
-    return teacher_features(teacher, pooled)
+    return teacher_features(teacher, pool_frames(corpus.frames()))
 
 
 def teacher_view_accuracies(corpus: Corpus, bank: TeacherBank, seed: int = 0,
@@ -67,12 +67,9 @@ def teacher_view_accuracies(corpus: Corpus, bank: TeacherBank, seed: int = 0,
     noisy teachers look as good as clean ones.  These scores are the natural
     source for offline fusion weights."""
     y = corpus.labels()
-    pooled = []
-    for v in corpus.videos:
-        rng = substream(seed, "teacher-acc", v.video_id)
-        pair = make_pair(v, mode, segments, rng)
-        pooled.append(pool_frames(pair.guidance_input))
-    pooled = np.stack(pooled)
+    rngs = [substream(seed, "teacher-acc", v.video_id) for v in corpus.videos]
+    _, guidance = sample_pairs(corpus.frames(), mode, segments, rngs)
+    pooled = pool_frames(guidance)
     return tuple(
         knn_top1(teacher_features(t, pooled), y, k) for t in bank.teachers
     )
@@ -163,8 +160,14 @@ def class_overlap(features: np.ndarray, labels: np.ndarray) -> float:
         raise ValueError("need at least 2 classes")
     if counts.min() < 2:
         raise ValueError("every class needs at least 2 points")
-    diff = x[:, None, :] - x[None, :, :]
-    dist = np.sqrt((diff ** 2).sum(axis=2))
+    # rows of the (N, N) distance matrix a chunk at a time, so no (N, N, D)
+    # difference tensor is ever held; each entry is computed as the full
+    # tensor would compute it
+    n = x.shape[0]
+    dist = np.empty((n, n))
+    for r0 in range(0, n, _OVERLAP_ROWS):
+        diff = x[r0:r0 + _OVERLAP_ROWS, None, :] - x[None, :, :]
+        dist[r0:r0 + _OVERLAP_ROWS] = np.sqrt((diff ** 2).sum(axis=2))
     same = y[:, None] == y[None, :]
     upper = np.triu(np.ones_like(same), k=1).astype(bool)
     intra = dist[same & upper]

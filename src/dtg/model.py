@@ -17,17 +17,9 @@ import numpy as np
 
 from .binio import RecordReader, RecordWriter
 from .numerics import EPS_NORM, DegenerateInputError
-from .sampling import FrameSequence
 from .seeding import substream
 
 CHECKPOINT_HEADER = "DTGM v1"
-
-
-def _as_frames(seq) -> np.ndarray:
-    x = seq.features if isinstance(seq, FrameSequence) else np.asarray(seq, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError(f"expected a (T, D) frame array, got shape {x.shape}")
-    return x
 
 
 @dataclass
@@ -129,17 +121,23 @@ def backward_batch(enc: StudentEncoder, cache, d_out: np.ndarray) -> dict[str, n
     return grads
 
 
-def pool_frames(seq) -> np.ndarray:
-    # per-column sorted reduction: the mean is bit-identical under any
-    # reordering of the frames
-    return np.sort(_as_frames(seq), axis=0).mean(axis=0)
+def pool_frames(frames) -> np.ndarray:
+    """Mean over the frame axis of a (..., T, D) array -> (..., D).
+
+    The frames are sorted per column first, so the mean is bit-identical
+    under any reordering of the frames, and a batch pools exactly as its
+    rows pool one at a time."""
+    x = np.asarray(frames, dtype=np.float64)
+    if x.ndim < 2:
+        raise ValueError(f"expected a (..., T, D) frame array, got shape {x.shape}")
+    return np.sort(x, axis=-2).mean(axis=-2)
 
 
 def embed_student(enc: StudentEncoder, seq, normalize: bool = True) -> np.ndarray:
     """Anchor feature of one frame sequence (unit norm unless disabled)."""
     x = pool_frames(seq)
-    if x.shape[0] != enc.frame_dim:
-        raise ValueError(f"frame width {x.shape[0]} does not match encoder dim {enc.frame_dim}")
+    if x.shape != (enc.frame_dim,):
+        raise ValueError(f"expected a (T, {enc.frame_dim}) frame array, got shape {np.shape(seq)}")
     out, _ = forward_batch(enc, x[None, :], normalize=normalize)
     return out[0]
 
@@ -216,7 +214,10 @@ def embed_teacher(bank: TeacherBank, k: int, seq) -> np.ndarray:
     """Guidance feature g_k for one sequence; teachers receive no gradients."""
     if not 0 <= k < len(bank):
         raise IndexError(f"teacher index {k} out of range for bank of {len(bank)}")
-    return teacher_features(bank.teachers[k], pool_frames(seq)[None, :])[0]
+    x = pool_frames(seq)
+    if x.ndim != 1:
+        raise ValueError(f"expected a (T, D) frame array, got shape {np.shape(seq)}")
+    return teacher_features(bank.teachers[k], x[None, :])[0]
 
 
 @dataclass

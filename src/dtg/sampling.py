@@ -1,24 +1,26 @@
-"""Segment-based sparse frame sampling and contrastive pair construction.
+"""Segment-based sparse frame sampling of contrastive pairs, a batch at a time.
 
-Both members of a pair come from the same video; they differ by which frames
+Both views of a pair come from the same video; they differ by which frames
 were sampled and by per-view augmentation (feature jitter plus a contiguous
-coordinate mask, the feature-space analog of a random crop).  Four input
-modes are supported:
+coordinate mask, the feature-space analog of a random crop).  Each view
+draws one uniformly random frame per temporal segment of its window (TSN
+sampling).  Four input modes are supported:
 
   img-img           two distinct single frames
-  img-seq           a single guidance frame plus a T-segment anchor sequence
+  img-seq           a T-segment anchor sequence plus a single guidance frame
   seq-seq-overlap   two independent T-segment sequences over the full video
   seq-seq-disjoint  anchor from the first half, guidance from the second
+
+``sample_pairs`` works on a (B, L, D) stack of videos and draws row b only
+from its own generator, so a row's pair does not depend on the rest of the
+batch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-
-from .corpus import Video
 
 
 class PairMode(Enum):
@@ -26,26 +28,6 @@ class PairMode(Enum):
     IMG_SEQ = "img-seq"
     SEQ_SEQ_OVERLAP = "seq-seq-overlap"
     SEQ_SEQ_DISJOINT = "seq-seq-disjoint"
-
-
-@dataclass(frozen=True)
-class FrameSequence:
-    frame_indices: tuple[int, ...]
-    features: np.ndarray  # (T, D), copied from the source video
-
-    def __post_init__(self):
-        if any(b <= a for a, b in zip(self.frame_indices, self.frame_indices[1:])):
-            raise ValueError("frame indices must be strictly increasing")
-        if self.features.shape[0] != len(self.frame_indices):
-            raise ValueError("one feature row per frame index required")
-
-
-@dataclass(frozen=True)
-class ContrastivePair:
-    anchor_input: FrameSequence
-    guidance_input: FrameSequence
-    video_id: int
-    label: int
 
 
 def segment_bounds(num_frames: int, segments: int) -> list[tuple[int, int]]:
@@ -59,99 +41,68 @@ def segment_bounds(num_frames: int, segments: int) -> list[tuple[int, int]]:
     ]
 
 
-def _gather(video: Video, indices) -> FrameSequence:
-    idx = tuple(int(i) for i in indices)
-    return FrameSequence(frame_indices=idx, features=video.frames[list(idx)].copy())
+def _window(lo: int, hi: int, segments: int) -> tuple[np.ndarray, np.ndarray]:
+    """Start and width of each segment of the frame window [lo, hi)."""
+    bounds = np.array(segment_bounds(hi - lo, segments))
+    return lo + bounds[:, 0], bounds[:, 1] - bounds[:, 0]
 
 
-def augment(
-    seq: FrameSequence,
-    rng: np.random.Generator,
-    jitter: float = 0.0,
-    mask_frac: float = 0.0,
-) -> FrameSequence:
-    """Add isotropic noise of scale ``jitter``, then zero a random contiguous
-    block of floor(mask_frac * D) coordinates shared across the sequence."""
-    if not 0 <= mask_frac < 1:
-        raise ValueError("mask_frac must lie in [0, 1)")
-    feats = seq.features.copy()
-    if jitter > 0:
-        feats += jitter * rng.standard_normal(feats.shape)
-    dim = feats.shape[1]
+def augment(x: np.ndarray, rng: np.random.Generator, jitter: float = 0.0,
+            mask_frac: float = 0.0) -> np.ndarray:
+    """A copy of the (T, D) view ``x`` with isotropic noise of scale ``jitter``
+    added, then a random contiguous block of floor(mask_frac * D) coordinates
+    zeroed across all frames."""
+    out = x + jitter * rng.standard_normal(x.shape) if jitter > 0 else x.copy()
+    dim = out.shape[-1]
     width = int(mask_frac * dim)
     if width > 0:
         start = int(rng.integers(dim - width + 1))
-        feats[:, start:start + width] = 0.0
-    return FrameSequence(frame_indices=seq.frame_indices, features=feats)
+        out[..., start:start + width] = 0.0
+    return out
 
 
-def sample_sequence(
-    video: Video,
-    segments: int,
-    window: range,
-    rng: np.random.Generator,
-    jitter: float = 0.0,
-    mask_frac: float = 0.0,
-) -> FrameSequence:
-    """One uniformly random frame per segment of ``window``, then augment."""
-    if window.step != 1:
-        raise ValueError("window must have unit step")
-    lo, hi = window.start, window.stop
-    length = hi - lo
-    if lo < 0 or hi > video.frames.shape[0] or length < segments:
-        raise ValueError(f"window {window} too small for {segments} segments")
-    indices = [
-        lo + a + int(rng.integers(b - a)) for a, b in segment_bounds(length, segments)
-    ]
-    return augment(_gather(video, indices), rng, jitter, mask_frac)
+def sample_pairs(frames: np.ndarray, mode: PairMode, segments: int, rngs,
+                 jitter: float = 0.0, mask_frac: float = 0.0
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """(anchor (B, T, D), guidance (B, T', D)) views of the videos ``frames``
+    (B, L, D), row b drawn from ``rngs[b]`` alone.
 
-
-def make_pair(
-    video: Video,
-    mode: PairMode,
-    segments: int,
-    rng: np.random.Generator,
-    jitter: float = 0.0,
-    mask_frac: float = 0.0,
-) -> ContrastivePair:
-    """Sample an (anchor, guidance) pair from one video.
-
-    The anchor is the student-side input.  Draw order is fixed (anchor first)
-    so a given rng state always yields the same pair.
+    The anchor is the student-side input.  Per row, the anchor's frames are
+    drawn and augmented first, then the guidance's; img-img draws both frames
+    before augmenting either.
     """
-    num_frames = video.frames.shape[0]
-
+    x = np.asarray(frames, dtype=np.float64)
+    if x.ndim != 3:
+        raise ValueError(f"expected a (B, L, D) frame stack, got shape {x.shape}")
+    if len(rngs) != x.shape[0]:
+        raise ValueError(f"need one generator per video, got {len(rngs)} for {x.shape[0]}")
+    length = x.shape[1]
     if mode is PairMode.IMG_IMG:
-        if num_frames < 2:
+        if length < 2:
             raise ValueError("img-img needs at least 2 frames")
-        i = int(rng.integers(num_frames))
-        j = int(rng.integers(num_frames - 1))
-        if j >= i:
-            j += 1
-        anchor = augment(_gather(video, [i]), rng, jitter, mask_frac)
-        guidance = augment(_gather(video, [j]), rng, jitter, mask_frac)
+        # the guidance frame is drawn below, distinct from the anchor's
+        anchor_win = guide_win = _window(0, length, 1)
     elif mode is PairMode.IMG_SEQ:
-        if num_frames < segments:
-            raise ValueError("img-seq needs at least `segments` frames")
-        anchor = sample_sequence(video, segments, range(0, num_frames), rng, jitter, mask_frac)
-        guidance = sample_sequence(video, 1, range(0, num_frames), rng, jitter, mask_frac)
+        anchor_win, guide_win = _window(0, length, segments), _window(0, length, 1)
     elif mode is PairMode.SEQ_SEQ_OVERLAP:
-        if num_frames < segments:
-            raise ValueError("seq-seq-overlap needs at least `segments` frames")
-        anchor = sample_sequence(video, segments, range(0, num_frames), rng, jitter, mask_frac)
-        guidance = sample_sequence(video, segments, range(0, num_frames), rng, jitter, mask_frac)
+        anchor_win = guide_win = _window(0, length, segments)
     elif mode is PairMode.SEQ_SEQ_DISJOINT:
-        if num_frames < 2 * segments:
-            raise ValueError("seq-seq-disjoint needs at least 2 * segments frames")
-        half = num_frames // 2
-        anchor = sample_sequence(video, segments, range(0, half), rng, jitter, mask_frac)
-        guidance = sample_sequence(video, segments, range(half, num_frames), rng, jitter, mask_frac)
+        half = length // 2
+        anchor_win, guide_win = _window(0, half, segments), _window(half, length, segments)
     else:
         raise ValueError(f"unknown pair mode {mode!r}")
 
-    return ContrastivePair(
-        anchor_input=anchor,
-        guidance_input=guidance,
-        video_id=video.video_id,
-        label=video.label,
-    )
+    (a_lo, a_width), (g_lo, g_width) = anchor_win, guide_win
+    anchor = np.empty((x.shape[0], a_lo.size, x.shape[2]))
+    guidance = np.empty((x.shape[0], g_lo.size, x.shape[2]))
+    for b, rng in enumerate(rngs):
+        ia = a_lo + rng.integers(a_width)
+        if mode is PairMode.IMG_IMG:
+            j = int(rng.integers(length - 1))
+            ig = [j + (j >= ia[0])]
+            anchor[b] = augment(x[b, ia], rng, jitter, mask_frac)
+        else:
+            anchor[b] = augment(x[b, ia], rng, jitter, mask_frac)
+            ig = g_lo + rng.integers(g_width)
+        guidance[b] = augment(x[b, ig], rng, jitter, mask_frac)
+    return anchor, guidance

@@ -46,7 +46,7 @@ from .model import (
     teacher_features,
 )
 from .queues import GuidanceQueue, enqueue_batch, negatives
-from .sampling import PairMode, make_pair
+from .sampling import PairMode, sample_pairs
 from .seeding import substream
 
 
@@ -97,6 +97,10 @@ class TrainConfig:
             raise ValueError("milestones must be < epochs")
         if min(self.d, self.h, self.segments) < 1:
             raise ValueError("d, h and segments must be >= 1")
+        if not self.jitter >= 0:  # written so that NaN fails too
+            raise ValueError("jitter must be nonnegative")
+        if not 0 <= self.mask_frac < 1:
+            raise ValueError("mask_frac must lie in [0, 1)")
         if self.weight_scheme is WeightScheme.OFFLINE and self.offline_accuracies is None:
             raise ValueError("offline weighting requires offline_accuracies")
 
@@ -163,16 +167,6 @@ def _validate_run(config: TrainConfig, corpus: Corpus, bank: TeacherBank) -> Non
         raise ValueError(f"expected {len(bank)} offline accuracies, got {len(acc)}")
 
 
-def _sample_batch(config: TrainConfig, corpus: Corpus, order: np.ndarray, epoch: int):
-    pairs = []
-    for vid_index in order:
-        video = corpus.videos[vid_index]
-        rng = substream(config.seed, "pair", video.video_id, epoch)
-        pairs.append(make_pair(video, config.pair_mode, config.segments, rng,
-                               jitter=config.jitter, mask_frac=config.mask_frac))
-    return pairs
-
-
 @dataclass
 class _EpochStats:
     ct_sum: float = 0.0
@@ -213,6 +207,8 @@ def _run_loop(config: TrainConfig, corpus: Corpus, bank: TeacherBank,
         params.update(head.parameters())
     velocity = {k: np.zeros_like(v) for k, v in params.items()}
     labels_all = corpus.labels()
+    frames_all = corpus.frames()
+    ids = [v.video_id for v in corpus.videos]
     records = []
     for epoch in range(config.epochs):
         lr = lr_at(config, epoch)
@@ -220,9 +216,12 @@ def _run_loop(config: TrainConfig, corpus: Corpus, bank: TeacherBank,
         stats = _EpochStats()
         for b0 in range(0, corpus.num_videos, config.batch_size):
             batch_idx = order[b0:b0 + config.batch_size]
-            pairs = _sample_batch(config, corpus, batch_idx, epoch)
-            n = len(pairs)
-            pooled_guid = np.stack([pool_frames(p.guidance_input) for p in pairs])
+            rngs = [substream(config.seed, "pair", ids[i], epoch) for i in batch_idx]
+            anchors, guides = sample_pairs(frames_all[batch_idx], config.pair_mode,
+                                           config.segments, rngs, config.jitter,
+                                           config.mask_frac)
+            n = len(batch_idx)
+            pooled_guid = pool_frames(guides)
             guidance = np.stack([teacher_features(t, pooled_guid) for t in bank.teachers])
 
             if not all(q.warm for q in queues):
@@ -231,7 +230,7 @@ def _run_loop(config: TrainConfig, corpus: Corpus, bank: TeacherBank,
                     enqueue_batch(q, guidance[k])
                 continue
 
-            pooled_anchor = np.stack([pool_frames(p.anchor_input) for p in pairs])
+            pooled_anchor = pool_frames(anchors)
             feats, cache = forward_batch(enc, pooled_anchor, normalize=config.normalize)
             negs = np.stack([negatives(q) for q in queues])
 

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from dtg.cli import main as cli_main
-from dtg.corpus import CorpusSpec, Video, generate_corpus
+from dtg.corpus import CorpusSpec, generate_corpus
 from dtg.evaluation import (class_overlap, linear_probe,
                             teacher_view_accuracies, video_features)
 from dtg.losses import (FusionLevel, WeightScheme, cross_entropy,
@@ -28,7 +28,7 @@ from dtg.presets import (four_teacher_bank, joint_experiment_setup,
                          reference_bank, reference_corpus,
                          reference_train_config)
 from dtg.queues import GuidanceQueue, enqueue_batch, negatives
-from dtg.sampling import PairMode, make_pair
+from dtg.sampling import PairMode, sample_pairs
 from dtg.seeding import substream
 from dtg.trainer import pretrain, train_joint
 
@@ -351,15 +351,18 @@ def test_c10_input_mode_harness():
                                           labels).top1
     sweep_ok = all(0.0 <= v <= 1.0 for v in scores.values())
 
-    rng = np.random.default_rng(110)
+    # pair i comes from a video of lengths[i % 5] whose frame t is filled
+    # with the value t, so each view's frame indices are its first column
     violations = 0
-    videos = [Video(frames=rng.standard_normal((length, 5)), label=0, video_id=i)
-              for i, length in enumerate((4, 5, 8, 9, 16))]
-    for i in range(10_000):
-        pair = make_pair(videos[i % len(videos)], PairMode.SEQ_SEQ_DISJOINT, 2,
-                         substream(i, "disjoint-check"))
-        if set(pair.anchor_input.frame_indices) & set(pair.guidance_input.frame_indices):
-            violations += 1
+    lengths = (4, 5, 8, 9, 16)
+    for j, length in enumerate(lengths):
+        rows = range(j, 10_000, len(lengths))
+        frames = np.broadcast_to(np.arange(length, dtype=np.float64)[None, :, None],
+                                 (len(rows), length, 5))
+        anchor, guidance = sample_pairs(frames, PairMode.SEQ_SEQ_DISJOINT, 2,
+                                        [substream(i, "disjoint-check") for i in rows])
+        shared = anchor[:, :, None, 0] == guidance[:, None, :, 0]
+        violations += int(shared.any(axis=(1, 2)).sum())
     _verdict("criterion 10 (input modes)",
              sweep_ok and violations == 0,
              f"probe top1 per mode {({k: round(v, 3) for k, v in scores.items()})}; "

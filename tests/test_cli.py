@@ -45,6 +45,12 @@ def test_unknown_config_key_exits_2(tmp_path):
     assert main(["pretrain", "--config", _write_config(tmp_path, doc)]) == 2
 
 
+def test_negative_jitter_exits_2_before_training(tmp_path):
+    doc = _config_doc(tmp_path / "run", jitter=-1.0)
+    assert main(["pretrain", "--config", _write_config(tmp_path, doc), "--quiet"]) == 2
+    assert not (tmp_path / "run").exists()
+
+
 def test_missing_corpus_file_exits_3(tmp_path):
     doc = _config_doc(tmp_path / "run")
     doc["corpus"] = str(tmp_path / "absent.dtgc")

@@ -83,6 +83,11 @@ def test_invalid_train_values_are_config_errors():
         config_from_dict(_minimal(train={"epochs": 2, "K": 0, "milestones": []}))
     with pytest.raises(ConfigError):
         config_from_dict(_minimal(seed=-3))
+    # augmentation ranges are checked at load, NaN included
+    for bad in ({"jitter": -1.0}, {"jitter": float("nan")}, {"jitter": float("-inf")},
+                {"mask_frac": 1.0}, {"mask_frac": -0.1}, {"mask_frac": float("nan")}):
+        with pytest.raises(ConfigError):
+            config_from_dict(_minimal(train={"epochs": 2, "K": 4, "milestones": [], **bad}))
 
 
 def test_corpus_path_variant():

@@ -17,6 +17,15 @@ def test_shapes_counts_and_labels():
     assert len({v.video_id for v in corpus.videos}) == 6
 
 
+def test_frames_stack_videos_in_order():
+    corpus = generate_corpus(CorpusSpec(2, 3, 4, 8, 4, seed=7))
+    for part in (corpus, split_videos(corpus, 0.5, seed=1)[1]):
+        frames = part.frames()
+        assert frames.shape == (part.num_videos, 4, 8)
+        for row, video in zip(frames, part.videos):
+            assert np.array_equal(row, video.frames)
+
+
 def test_same_seed_bit_identical():
     spec = CorpusSpec(2, 3, 4, 8, 4, seed=7)
     a, b = generate_corpus(spec), generate_corpus(spec)

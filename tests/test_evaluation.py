@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from dtg import evaluation
 from dtg.corpus import CorpusSpec, generate_corpus
 from dtg.evaluation import (ProbeConfig, class_overlap, knn_top1, linear_probe,
                             project_2d, stratified_split,
@@ -141,6 +142,19 @@ def test_overlap_near_one_under_label_shuffling():
     for _ in range(30):
         ratios.append(class_overlap(feats, rng.permutation(labels)))
     assert abs(np.mean(ratios) - 1.0) < 0.05
+
+
+def test_overlap_chunked_distances_equal_full_difference_tensor():
+    rng = np.random.default_rng(12)
+    n = 3 * evaluation._OVERLAP_ROWS + 17  # several chunks and a partial one
+    feats = rng.standard_normal((n, 6))
+    labels = rng.permutation(np.repeat(np.arange(4), [20, 41, 60, n - 121]))
+    diff = feats[:, None, :] - feats[None, :, :]
+    dist = np.sqrt((diff ** 2).sum(axis=2))
+    same = labels[:, None] == labels[None, :]
+    upper = np.triu(np.ones_like(same), k=1).astype(bool)
+    expected = float(dist[same & upper].mean() / dist[~same & upper].mean())
+    assert class_overlap(feats, labels) == expected
 
 
 def test_overlap_below_one_for_separated_gaussians():

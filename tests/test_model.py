@@ -100,6 +100,16 @@ def test_pool_frames_is_mean():
     assert np.array_equal(pool_frames(seq), seq.mean(axis=0))
 
 
+def test_pool_frames_batch_matches_rows():
+    x = np.random.default_rng(3).standard_normal((5, 2, 7, 4))
+    pooled = pool_frames(x)
+    assert pooled.shape == (5, 2, 4)
+    rows = np.stack([np.stack([pool_frames(seq) for seq in group]) for group in x])
+    assert np.array_equal(pooled, rows)
+    with pytest.raises(ValueError):
+        pool_frames(np.zeros(4))
+
+
 def test_teacher_deterministic_and_frozen_shape(tiny_corpus):
     t1 = build_teacher(tiny_corpus, 0.5, embed_dim=6, seed=9)
     t2 = build_teacher(tiny_corpus, 0.5, embed_dim=6, seed=9)
@@ -120,6 +130,14 @@ def test_teacher_output_unit_norm(tiny_corpus, tiny_bank):
 def test_embed_teacher_index_error(tiny_bank):
     with pytest.raises(IndexError):
         embed_teacher(tiny_bank, 99, np.zeros((2, 8)))
+
+
+def test_single_sequence_embeddings_reject_batches(tiny_bank):
+    batch = np.random.default_rng(6).standard_normal((3, 4, 8))
+    with pytest.raises(ValueError):
+        embed_student(build_student(8, 8, 6, seed=0), batch)
+    with pytest.raises(ValueError):
+        embed_teacher(tiny_bank, 0, batch)
 
 
 def test_rho_one_zero_noise_collapses_classes():

@@ -1,16 +1,60 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
-from dtg.corpus import CorpusSpec, Video, generate_corpus
-from dtg.sampling import (ContrastivePair, FrameSequence, PairMode, augment,
-                          make_pair, sample_sequence, segment_bounds)
+from dtg.sampling import PairMode, augment, sample_pairs, segment_bounds
 from dtg.seeding import substream
 
 
-def _video(num_frames=8, dim=6, seed=0):
-    rng = np.random.default_rng(seed)
-    return Video(frames=rng.standard_normal((num_frames, dim)), label=0, video_id=0)
+def _ramp(num_frames, dim=4, batch=1):
+    """(batch, L, D) videos whose frame t is filled with the value t, so a
+    view's frame indices can be read off its first column."""
+    frames = np.arange(num_frames, dtype=np.float64)[None, :, None]
+    return np.broadcast_to(frames, (batch, num_frames, dim))
+
+
+def _indices(view):
+    return view[..., 0].astype(np.int64)
+
+
+# Pairs drawn from _ramp(10) with substream(7, "golden-pair") and 3 segments,
+# recorded from the earlier one-video-at-a-time sampler.  Without augmentation
+# the frame indices of (anchor, guidance):
+RECORDED_INDICES = {
+    PairMode.IMG_IMG: ([7], [5]),
+    PairMode.IMG_SEQ: ([2, 4, 6], [1]),
+    PairMode.SEQ_SEQ_OVERLAP: ([2, 4, 6], [0, 4, 9]),
+    PairMode.SEQ_SEQ_DISJOINT: ([0, 2, 4], [5, 6, 8]),
+}
+# With jitter=0.2 and mask_frac=0.25 the (anchor, guidance) frames:
+RECORDED_AUGMENTED = {
+    PairMode.IMG_IMG: (
+        [[7.143415882225905, 6.814042276828202, 6.929022093887442, 0.0]],
+        [[4.664863248637886, 5.07014654484612, 0.0, 5.179054103394781]],
+    ),
+    PairMode.IMG_SEQ: (
+        [[0.0, 1.9290220938874416, 2.3390586685111243, 1.8341314503615964],
+         [0.0, 4.07014654484612, 3.7122063024515044, 4.179054103394781],
+         [0.0, 5.621859912237034, 6.354815885757574, 5.998779008500939]],
+        [[0.0, 1.1054212470483866, 0.7687215671060382, 1.136231505223463]],
+    ),
+    PairMode.SEQ_SEQ_OVERLAP: (
+        [[0.0, 1.9290220938874416, 2.3390586685111243, 1.8341314503615964],
+         [0.0, 4.07014654484612, 3.7122063024515044, 4.179054103394781],
+         [0.0, 5.621859912237034, 6.354815885757574, 5.998779008500939]],
+        [[0.10542124704838658, 0.0, 0.1362315052234631, 0.2940548309796141],
+         [2.9300181709080815, 0.0, 3.1057918973405827, 2.935934086399094],
+         [8.663006580449519, 0.0, 8.97212044866964, 8.767800404404436]],
+    ),
+    PairMode.SEQ_SEQ_DISJOINT: (
+        [[0.14341588222590504, -0.1859577231717986, -0.07097790611255844, 0.0],
+         [1.8341314503615964, 1.6648632486378856, 2.070146544846119, 0.0],
+         [4.179054103394781, 3.8619391691315292, 3.621859912237034, 0.0]],
+        [[0.0, 5.105421247048387, 4.768721567106038, 5.1362315052234635],
+         [0.0, 6.930018170908082, 6.930915333120918, 7.105791897340583],
+         [0.0, 7.663006580449518, 8.171967834717556, 7.97212044866964]],
+    ),
+}
 
 
 def test_segment_bounds_even():
@@ -41,49 +85,71 @@ def test_segment_bounds_cover_range_without_overlap(num_frames, segments):
     assert bounds[-1][0] < bounds[-1][1]
 
 
-def test_frame_sequence_requires_increasing_indices():
-    feats = np.zeros((2, 3))
-    with pytest.raises(ValueError):
-        FrameSequence(frame_indices=(2, 2), features=feats)
-    with pytest.raises(ValueError):
-        FrameSequence(frame_indices=(3, 1), features=feats)
-    with pytest.raises(ValueError):
-        FrameSequence(frame_indices=(0,), features=feats)  # row count mismatch
+@pytest.mark.parametrize("mode", list(PairMode))
+def test_sample_pairs_matches_recorded_pairs(mode):
+    anchor, guidance = sample_pairs(_ramp(10), mode, 3, [substream(7, "golden-pair")])
+    assert _indices(anchor[0]).tolist() == RECORDED_INDICES[mode][0]
+    assert _indices(guidance[0]).tolist() == RECORDED_INDICES[mode][1]
+    assert np.array_equal(anchor, _ramp(10)[:, RECORDED_INDICES[mode][0]])
+    assert np.array_equal(guidance, _ramp(10)[:, RECORDED_INDICES[mode][1]])
+
+    anchor, guidance = sample_pairs(_ramp(10), mode, 3, [substream(7, "golden-pair")],
+                                    jitter=0.2, mask_frac=0.25)
+    assert np.array_equal(anchor[0], np.array(RECORDED_AUGMENTED[mode][0]))
+    assert np.array_equal(guidance[0], np.array(RECORDED_AUGMENTED[mode][1]))
 
 
-def test_sample_sequence_one_frame_per_segment():
-    video = _video(num_frames=12)
-    seq = sample_sequence(video, 4, range(0, 12), substream(0, "s"))
-    assert len(seq.frame_indices) == 4
+@pytest.mark.parametrize("mode", list(PairMode))
+def test_rows_independent_of_batch_composition(mode):
+    frames = np.random.default_rng(5).standard_normal((6, 12, 5))
+    streams = lambda: [substream(3, "batch", b) for b in range(6)]
+    anchor, guidance = sample_pairs(frames, mode, 3, streams(), jitter=0.2, mask_frac=0.4)
+    for b, rng in enumerate(streams()):
+        one_a, one_g = sample_pairs(frames[b:b + 1], mode, 3, [rng], jitter=0.2, mask_frac=0.4)
+        assert np.array_equal(anchor[b], one_a[0])
+        assert np.array_equal(guidance[b], one_g[0])
+    order = [4, 1, 5, 0, 3, 2]
+    perm_a, perm_g = sample_pairs(frames[order], mode, 3, [streams()[b] for b in order],
+                                  jitter=0.2, mask_frac=0.4)
+    assert np.array_equal(perm_a, anchor[order])
+    assert np.array_equal(perm_g, guidance[order])
+
+
+def test_sampled_views_take_one_frame_per_segment():
+    anchor, guidance = sample_pairs(_ramp(12), PairMode.SEQ_SEQ_OVERLAP, 4,
+                                    [substream(0, "s")])
     bounds = segment_bounds(12, 4)
-    for idx, (lo, hi) in zip(seq.frame_indices, bounds):
-        assert lo <= idx < hi
-    for row, idx in zip(seq.features, seq.frame_indices):
-        assert np.array_equal(row, video.frames[idx])
+    for view in (anchor[0], guidance[0]):
+        idx = _indices(view)
+        assert len(idx) == 4
+        for i, (lo, hi) in zip(idx, bounds):
+            assert lo <= i < hi
+        assert np.array_equal(view, _ramp(12)[0, idx])
 
 
-def test_sample_sequence_respects_window():
-    video = _video(num_frames=12)
-    for trial in range(50):
-        seq = sample_sequence(video, 2, range(3, 9), substream(trial, "w"))
-        assert all(3 <= i < 9 for i in seq.frame_indices)
+def test_sampled_views_respect_their_windows():
+    anchor, guidance = sample_pairs(_ramp(12, batch=50), PairMode.SEQ_SEQ_DISJOINT, 2,
+                                    [substream(trial, "w") for trial in range(50)])
+    a, g = _indices(anchor), _indices(guidance)
+    assert ((0 <= a[:, 0]) & (a[:, 0] < 3) & (3 <= a[:, 1]) & (a[:, 1] < 6)).all()
+    assert ((6 <= g[:, 0]) & (g[:, 0] < 9) & (9 <= g[:, 1]) & (g[:, 1] < 12)).all()
 
 
 def test_augment_jitter_zero_is_identity():
-    video = _video()
-    seq = sample_sequence(video, 2, range(0, 8), substream(0, "a"))
-    out = augment(seq, substream(1, "b"), jitter=0.0, mask_frac=0.0)
-    assert np.array_equal(out.features, seq.features)
+    x = np.random.default_rng(0).standard_normal((2, 8))
+    out = augment(x, substream(1, "b"), jitter=0.0, mask_frac=0.0)
+    assert np.array_equal(out, x) and out is not x
 
 
 def test_augment_mask_zeroes_contiguous_block():
-    feats = np.ones((3, 8))
-    seq = FrameSequence(frame_indices=(0, 1, 2), features=feats)
-    out = augment(seq, substream(0, "m"), jitter=0.0, mask_frac=0.5)
-    for row in out.features:
+    x = np.ones((3, 8))
+    out = augment(x, substream(0, "m"), jitter=0.0, mask_frac=0.5)
+    assert np.array_equal(x, np.ones((3, 8)))  # the input is left alone
+    for row in out:
         zeros = np.flatnonzero(row == 0.0)
         assert zeros.size == 4  # int(0.5 * 8) coordinates
         assert np.array_equal(zeros, np.arange(zeros[0], zeros[0] + 4))
+    assert np.array_equal(out, np.broadcast_to(out[0], out.shape))  # shared across frames
 
 
 def test_pair_mode_config_names():
@@ -94,50 +160,52 @@ def test_pair_mode_config_names():
 
 
 def test_img_img_single_distinct_frames():
-    video = _video(num_frames=8)
-    for trial in range(200):
-        pair = make_pair(video, PairMode.IMG_IMG, 4, substream(trial, "ii"))
-        assert len(pair.anchor_input.frame_indices) == 1
-        assert len(pair.guidance_input.frame_indices) == 1
-        assert pair.anchor_input.frame_indices != pair.guidance_input.frame_indices
+    anchor, guidance = sample_pairs(_ramp(8, batch=200), PairMode.IMG_IMG, 4,
+                                    [substream(trial, "ii") for trial in range(200)])
+    assert anchor.shape == guidance.shape == (200, 1, 4)
+    assert (_indices(anchor) != _indices(guidance)).all()
 
 
 def test_img_seq_shapes():
-    video = _video(num_frames=8)
-    pair = make_pair(video, PairMode.IMG_SEQ, 4, substream(0, "is"))
-    assert len(pair.anchor_input.frame_indices) == 4
-    assert len(pair.guidance_input.frame_indices) == 1
+    anchor, guidance = sample_pairs(_ramp(8), PairMode.IMG_SEQ, 4, [substream(0, "is")])
+    assert anchor.shape == (1, 4, 4)
+    assert guidance.shape == (1, 1, 4)
 
 
 def test_seq_seq_overlap_draws_from_full_window():
-    video = _video(num_frames=8)
-    pair = make_pair(video, PairMode.SEQ_SEQ_OVERLAP, 2, substream(0, "so"))
+    anchor, guidance = sample_pairs(_ramp(8), PairMode.SEQ_SEQ_OVERLAP, 2,
+                                    [substream(0, "so")])
     bounds = segment_bounds(8, 2)
-    for seq in (pair.anchor_input, pair.guidance_input):
-        for idx, (lo, hi) in zip(seq.frame_indices, bounds):
-            assert lo <= idx < hi
+    for view in (anchor[0], guidance[0]):
+        for i, (lo, hi) in zip(_indices(view), bounds):
+            assert lo <= i < hi
 
 
 def test_seq_seq_disjoint_halves():
-    video = _video(num_frames=8)
-    for trial in range(200):
-        pair = make_pair(video, PairMode.SEQ_SEQ_DISJOINT, 2, substream(trial, "sd"))
-        assert all(i < 4 for i in pair.anchor_input.frame_indices)
-        assert all(i >= 4 for i in pair.guidance_input.frame_indices)
+    anchor, guidance = sample_pairs(_ramp(8, batch=200), PairMode.SEQ_SEQ_DISJOINT, 2,
+                                    [substream(trial, "sd") for trial in range(200)])
+    assert (_indices(anchor) < 4).all()
+    assert (_indices(guidance) >= 4).all()
 
 
-@settings(max_examples=60)
-@given(st.integers(0, 2 ** 32), st.sampled_from(list(PairMode)))
-def test_make_pair_carries_video_identity(seed, mode):
-    video = Video(frames=np.random.default_rng(3).standard_normal((8, 6)),
-                  label=2, video_id=17)
-    pair = make_pair(video, mode, 2, substream(seed, "id"))
-    assert pair.video_id == 17 and pair.label == 2
+def test_sample_pairs_deterministic_given_stream():
+    frames = np.random.default_rng(1).standard_normal((1, 10, 6))
+    a1, g1 = sample_pairs(frames, PairMode.SEQ_SEQ_OVERLAP, 3, [substream(5, "det")])
+    a2, g2 = sample_pairs(frames, PairMode.SEQ_SEQ_OVERLAP, 3, [substream(5, "det")])
+    assert np.array_equal(a1, a2)
+    assert np.array_equal(g1, g2)
 
 
-def test_make_pair_deterministic_given_stream():
-    video = _video(num_frames=10)
-    p1 = make_pair(video, PairMode.SEQ_SEQ_OVERLAP, 3, substream(5, "det"))
-    p2 = make_pair(video, PairMode.SEQ_SEQ_OVERLAP, 3, substream(5, "det"))
-    assert p1.anchor_input.frame_indices == p2.anchor_input.frame_indices
-    assert np.array_equal(p1.guidance_input.features, p2.guidance_input.features)
+def test_sample_pairs_rejects_bad_inputs():
+    rng = [substream(0, "bad")]
+    with pytest.raises(ValueError):
+        sample_pairs(_ramp(1), PairMode.IMG_IMG, 1, rng)
+    for mode in (PairMode.IMG_SEQ, PairMode.SEQ_SEQ_OVERLAP):
+        with pytest.raises(ValueError):
+            sample_pairs(_ramp(3), mode, 4, rng)
+    with pytest.raises(ValueError):
+        sample_pairs(_ramp(7), PairMode.SEQ_SEQ_DISJOINT, 4, rng)
+    with pytest.raises(ValueError):
+        sample_pairs(_ramp(8, batch=2), PairMode.IMG_IMG, 1, rng)  # one stream, two videos
+    with pytest.raises(ValueError):
+        sample_pairs(_ramp(8)[0], PairMode.IMG_IMG, 1, rng)  # (L, D), not (B, L, D)
