@@ -1,19 +1,23 @@
-"""Little-endian binary records with an FNV-1a trailer checksum.
+"""Little-endian binary records with a BLAKE2b trailer checksum.
 
 The corpus and checkpoint file formats share these conventions: an ASCII
-header line, fixed-width little-endian fields, row-major float64 arrays,
-and a trailing u64 FNV-1a checksum over every preceding byte.
+header line, ``struct``-packed little-endian fields, whole row-major arrays
+of a stated little-endian dtype, and a trailing 8-byte
+``blake2b(digest_size=8)`` digest of every preceding byte.  Zero bytes pad
+each array to an offset that is a multiple of its item size, so the reader's
+views into the file buffer are aligned: numpy computes on unaligned arrays
+through other loops, whose results can differ in the last bits.
 """
 
 from __future__ import annotations
 
+import hashlib
+import math
 import struct
 
 import numpy as np
 
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-_MASK64 = (1 << 64) - 1
+_DIGEST = 8
 
 
 class FormatError(ValueError):
@@ -28,50 +32,46 @@ class ChecksumMismatchError(FormatError):
     """Stored checksum does not match the file contents."""
 
 
-def fnv1a64(data: bytes, state: int = _FNV_OFFSET) -> int:
-    """64-bit FNV-1a hash of ``data``; pass a previous result to resume."""
-    h = state
-    for b in data:
-        h = ((h ^ b) * _FNV_PRIME) & _MASK64
-    return h
-
-
 class RecordWriter:
-    """Accumulates fields in order; ``finish`` appends the checksum."""
+    """Accumulates fields in order; ``finish`` appends the checksum.
+
+    Arrays are referenced, not copied, until ``finish`` joins the record.
+    """
 
     def __init__(self, header: str):
-        self._parts: list[bytes] = [header.encode("ascii") + b"\n"]
+        self._parts: list = []
+        self._size = 0
+        self._add(header.encode("ascii") + b"\n")
 
-    def raw(self, data: bytes) -> None:
+    def _add(self, data) -> None:
         self._parts.append(data)
+        self._size += len(data)
 
-    def u8(self, value: int) -> None:
-        self.raw(struct.pack("<B", value))
+    def pack(self, fmt: str, *values) -> None:
+        self._add(struct.pack(fmt, *values))
 
-    def u32(self, value: int) -> None:
-        self.raw(struct.pack("<I", value))
-
-    def u64(self, value: int) -> None:
-        self.raw(struct.pack("<Q", value))
-
-    def f64(self, value: float) -> None:
-        self.raw(struct.pack("<d", float(value)))
-
-    def array(self, a: np.ndarray) -> None:
-        self.raw(np.ascontiguousarray(a).astype("<f8", copy=False).tobytes())
+    def array(self, a: np.ndarray, dtype: str = "<f8") -> None:
+        data = np.ascontiguousarray(a, dtype=dtype)
+        self._add(bytes(-self._size % data.itemsize))
+        self._add(data.reshape(-1).view(np.uint8))
 
     def finish(self) -> bytes:
-        body = b"".join(self._parts)
-        return body + struct.pack("<Q", fnv1a64(body))
+        h = hashlib.blake2b(digest_size=_DIGEST)
+        for part in self._parts:
+            h.update(part)
+        return b"".join([*self._parts, h.digest()])
 
 
 class RecordReader:
-    """Validates header and checksum up front, then reads fields in order."""
+    """Validates header and checksum up front, then reads fields in order.
+
+    Arrays come back as read-only views into ``data``; nothing is copied.
+    """
 
     def __init__(self, data: bytes, header: str):
         expected = header.encode("ascii")
         newline = data.find(b"\n")
-        if newline < 0 or len(data) < newline + 1 + 8:
+        if newline < 0 or len(data) < newline + 1 + _DIGEST:
             raise FormatError("file truncated before record body")
         found = data[:newline]
         if found != expected:
@@ -82,17 +82,17 @@ class RecordReader:
                     f"expected {header!r}"
                 )
             raise FormatError(f"unrecognized header {found[:32]!r}, expected {header!r}")
-        body, trailer = data[:-8], data[-8:]
-        stored = struct.unpack("<Q", trailer)[0]
-        computed = fnv1a64(body)
+        view = memoryview(data)
+        body, stored = view[:-_DIGEST], bytes(view[-_DIGEST:])
+        computed = hashlib.blake2b(body, digest_size=_DIGEST).digest()
         if stored != computed:
             raise ChecksumMismatchError(
-                f"checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
+                f"checksum mismatch: stored {stored.hex()}, computed {computed.hex()}"
             )
         self._buf = body
         self._pos = newline + 1
 
-    def _take(self, n: int) -> bytes:
+    def _take(self, n: int) -> memoryview:
         end = self._pos + n
         if end > len(self._buf):
             raise FormatError("record truncated")
@@ -100,22 +100,15 @@ class RecordReader:
         self._pos = end
         return out
 
-    def u8(self) -> int:
-        return struct.unpack("<B", self._take(1))[0]
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self._take(struct.calcsize(fmt)))
 
-    def u32(self) -> int:
-        return struct.unpack("<I", self._take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self._take(8))[0]
-
-    def f64(self) -> float:
-        return struct.unpack("<d", self._take(8))[0]
-
-    def array(self, shape: tuple[int, ...]) -> np.ndarray:
-        count = int(np.prod(shape, dtype=np.int64))
-        raw = self._take(count * 8)
-        return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+    def array(self, shape: tuple[int, ...], dtype: str = "<f8") -> np.ndarray:
+        dt = np.dtype(dtype)
+        self._take(-self._pos % dt.itemsize)
+        # Python ints: a huge count from a crafted header fails here, not in numpy
+        raw = self._take(math.prod(int(n) for n in shape) * dt.itemsize)
+        return np.frombuffer(raw, dtype=dt).reshape(shape)
 
     def expect_end(self) -> None:
         if self._pos != len(self._buf):

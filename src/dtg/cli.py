@@ -163,8 +163,7 @@ def cmd_probe(args) -> int:
     write_overlap_json(overlap, out / "overlap.json", doc, seed=cfg.seed)
     if cfg.eval.projection:
         coords = project_2d(feats)
-        write_projection_csv(out / "projection.csv",
-                             [v.video_id for v in corpus.videos], labels, coords,
+        write_projection_csv(out / "projection.csv", corpus.ids(), labels, coords,
                              seed=cfg.seed)
     _write_config(cfg, out)
     _say(args, f"top1 {result.top1:.4f}, knn {knn:.4f}, overlap {overlap:.4f}")

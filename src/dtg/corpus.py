@@ -13,10 +13,15 @@ add a slow linear drift along a random direction plus per-frame noise:
 The signal/nuisance bases are exposed so frozen teachers with a controllable
 task alignment can be built on the same corpus.
 
-File format (``save_corpus``/``load_corpus``): header line ``DTGC v1``, then
-little-endian u32 counts (C, V, L, D, Ds), f64 spread/noise/drift, u64 seed,
-the two bases row-major, then per video u32 label, u64 id, row-major frames,
-and finally a u64 FNV-1a checksum of all preceding bytes.
+File format (``save_corpus``/``load_corpus``, conventions in ``binio``):
+header line ``DTGC v2``, then one little-endian record ``<5I3dQQ`` holding
+the spec (u32 C, videos per class, L, D, Ds; f64 spread, noise, drift; u64
+seed) and the actual video count V, which differs from C * videos-per-class
+for a ``split_videos`` half.  Then whole row-major arrays, each zero-padded
+to a multiple of its item size: the two bases (Ds, D) and (D - Ds, D) f8,
+labels (V,) u4, ids (V,) u8 and frames (V, L, D) f8; last, the 8-byte
+BLAKE2b digest of all preceding bytes.  There is no v1 reader: a ``DTGC v1``
+file is rejected as an unsupported version.
 """
 
 from __future__ import annotations
@@ -27,10 +32,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .binio import RecordReader, RecordWriter
+from .binio import FormatError, RecordReader, RecordWriter
 from .seeding import substream
 
-CORPUS_HEADER = "DTGC v1"
+CORPUS_HEADER = "DTGC v2"
+_SPEC_RECORD = "<5I3dQQ"  # CorpusSpec fields in declaration order, then V
 
 
 @dataclass(frozen=True)
@@ -78,6 +84,9 @@ class Corpus:
 
     def labels(self) -> np.ndarray:
         return np.array([v.label for v in self.videos], dtype=np.int64)
+
+    def ids(self) -> np.ndarray:
+        return np.array([v.video_id for v in self.videos], dtype=np.uint64)
 
     def frames(self) -> np.ndarray:
         """Every video's frames stacked into one (V, L, D) array."""
@@ -132,7 +141,8 @@ def split_videos(corpus: Corpus, train_frac: float, seed: int) -> tuple[Corpus, 
     Per class, a seeded permutation sends round(train_frac * n) videos to the
     train side, clamped so both sides keep at least one video.  The halves
     share the parent's spec and bases; they are in-memory views for held-out
-    evaluation, and save_corpus rejects them (counts no longer match spec).
+    evaluation, and save_corpus/load_corpus round-trip them (the file stores
+    the actual video count).
     """
     if not 0.0 < train_frac < 1.0:
         raise ValueError("train_frac must be in (0, 1)")
@@ -156,54 +166,36 @@ def split_videos(corpus: Corpus, train_frac: float, seed: int) -> tuple[Corpus, 
 
 
 def save_corpus(corpus: Corpus, path) -> None:
-    spec = corpus.spec
-    if corpus.num_videos != spec.num_classes * spec.videos_per_class:
-        raise ValueError("the video count differs from the spec's; the file would not load back")
     w = RecordWriter(CORPUS_HEADER)
-    w.u32(spec.num_classes)
-    w.u32(spec.videos_per_class)
-    w.u32(spec.frames_per_video)
-    w.u32(spec.frame_dim)
-    w.u32(spec.signal_dim)
-    w.f64(spec.video_spread)
-    w.f64(spec.frame_noise)
-    w.f64(spec.drift)
-    w.u64(spec.seed)
+    w.pack(_SPEC_RECORD, *dataclasses.astuple(corpus.spec), corpus.num_videos)
     w.array(corpus.signal_basis)
     w.array(corpus.nuisance_basis)
-    for v in corpus.videos:
-        w.u32(v.label)
-        w.u64(v.video_id)
-        w.array(v.frames)
+    w.array(corpus.labels(), "<u4")
+    w.array(corpus.ids(), "<u8")
+    w.array(corpus.frames())
     Path(path).write_bytes(w.finish())
 
 
 def load_corpus(path) -> Corpus:
+    """Read a ``DTGC v2`` file; any malformed content raises ``FormatError``."""
     r = RecordReader(Path(path).read_bytes(), CORPUS_HEADER)
-    spec = CorpusSpec(
-        num_classes=r.u32(),
-        videos_per_class=r.u32(),
-        frames_per_video=r.u32(),
-        frame_dim=r.u32(),
-        signal_dim=r.u32(),
-        video_spread=r.f64(),
-        frame_noise=r.f64(),
-        drift=r.f64(),
-        seed=r.u64(),
-    )
+    *fields, count = r.unpack(_SPEC_RECORD)
+    try:
+        spec = CorpusSpec(*fields)
+    except ValueError as exc:
+        raise FormatError(f"invalid corpus spec: {exc}") from exc
     d, ds = spec.frame_dim, spec.signal_dim
     signal_basis = r.array((ds, d))
     nuisance_basis = r.array((d - ds, d))
-    videos = []
-    for _ in range(spec.num_classes * spec.videos_per_class):
-        label = r.u32()
-        vid = r.u64()
-        frames = r.array((spec.frames_per_video, d))
-        videos.append(Video(frames=frames, label=label, video_id=vid))
+    labels = r.array((count,), "<u4")
+    ids = r.array((count,), "<u8")
+    frames = r.array((count, spec.frames_per_video, d))
     r.expect_end()
+    if count and labels.max() >= spec.num_classes:
+        raise FormatError(f"label {labels.max()} out of range for {spec.num_classes} classes")
     return Corpus(
         spec=spec,
-        videos=tuple(videos),
+        videos=tuple(map(Video, frames, labels.tolist(), ids.tolist())),
         signal_basis=signal_basis,
         nuisance_basis=nuisance_basis,
     )

@@ -67,7 +67,7 @@ def teacher_view_accuracies(corpus: Corpus, bank: TeacherBank, seed: int = 0,
     noisy teachers look as good as clean ones.  These scores are the natural
     source for offline fusion weights."""
     y = corpus.labels()
-    rngs = [substream(seed, "teacher-acc", v.video_id) for v in corpus.videos]
+    rngs = [substream(seed, "teacher-acc", vid) for vid in corpus.ids()]
     _, guidance = sample_pairs(corpus.frames(), mode, segments, rngs)
     pooled = pool_frames(guidance)
     return tuple(

@@ -19,7 +19,7 @@ from .binio import RecordReader, RecordWriter
 from .numerics import EPS_NORM, DegenerateInputError
 from .seeding import substream
 
-CHECKPOINT_HEADER = "DTGM v1"
+CHECKPOINT_HEADER = "DTGM v2"
 
 
 @dataclass
@@ -248,17 +248,16 @@ def build_head(embed_dim: int, num_classes: int, seed: int) -> ClassifierHead:
 
 
 def save_student(path, enc: StudentEncoder, head: ClassifierHead | None = None) -> None:
-    """Checkpoint: ``DTGM v1`` header, layer dims, row-major float64 weights,
-    optional classifier head, FNV-1a checksum."""
+    """Checkpoint: ``DTGM v2`` header, u32 layer dims (D, h, d), row-major
+    float64 weights, a u8 head flag and, with a head, u32 class count and its
+    weights, then the 8-byte BLAKE2b digest of all preceding bytes."""
     w = RecordWriter(CHECKPOINT_HEADER)
-    w.u32(enc.frame_dim)
-    w.u32(enc.hidden_dim)
-    w.u32(enc.embed_dim)
+    w.pack("<3I", enc.frame_dim, enc.hidden_dim, enc.embed_dim)
     for _, p in enc.parameters():
         w.array(p)
-    w.u8(0 if head is None else 1)
+    w.pack("<B", head is not None)
     if head is not None:
-        w.u32(head.num_classes)
+        w.pack("<I", head.num_classes)
         w.array(head.W)
         w.array(head.b)
     Path(path).write_bytes(w.finish())
@@ -266,7 +265,7 @@ def save_student(path, enc: StudentEncoder, head: ClassifierHead | None = None) 
 
 def load_student(path) -> tuple[StudentEncoder, ClassifierHead | None]:
     r = RecordReader(Path(path).read_bytes(), CHECKPOINT_HEADER)
-    dim, hidden, embed = r.u32(), r.u32(), r.u32()
+    dim, hidden, embed = r.unpack("<3I")
     enc = StudentEncoder(
         W1=r.array((hidden, dim)),
         b1=r.array((hidden,)),
@@ -276,8 +275,8 @@ def load_student(path) -> tuple[StudentEncoder, ClassifierHead | None]:
         b3=r.array((embed,)),
     )
     head = None
-    if r.u8():
-        classes = r.u32()
+    if r.unpack("<B")[0]:
+        (classes,) = r.unpack("<I")
         head = ClassifierHead(W=r.array((classes, embed)), b=r.array((classes,)))
     r.expect_end()
     return enc, head

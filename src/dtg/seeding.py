@@ -11,21 +11,31 @@ from __future__ import annotations
 
 import numpy as np
 
-from .binio import fnv1a64
-
+_FNV_OFFSET = 0xCBF29CE484222325
+_FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
+
+
+def fnv1a64(data: bytes) -> int:
+    """64-bit FNV-1a hash of ``data``; keys each stream by its tag."""
+    h = _FNV_OFFSET
+    for b in data:
+        h = ((h ^ b) * _FNV_PRIME) & _MASK64
+    return h
+
+
+def _sequence(seed: int, tag: str, indices) -> np.random.SeedSequence:
+    keys = [int(seed) & _MASK64, fnv1a64(tag.encode("utf-8"))]
+    keys.extend(int(i) & _MASK64 for i in indices)
+    return np.random.SeedSequence(keys)
 
 
 def substream(seed: int, tag: str, *indices: int) -> np.random.Generator:
     """Generator for the (seed, tag, *indices) stream."""
-    keys = [int(seed) & _MASK64, fnv1a64(tag.encode("utf-8"))]
-    keys.extend(int(i) & _MASK64 for i in indices)
-    return np.random.default_rng(np.random.SeedSequence(keys))
+    return np.random.default_rng(_sequence(seed, tag, indices))
 
 
 def derive_seed(seed: int, tag: str, *indices: int) -> int:
     """A fresh 64-bit seed for a child component (e.g. the k-th teacher)."""
-    keys = [int(seed) & _MASK64, fnv1a64(tag.encode("utf-8"))]
-    keys.extend(int(i) & _MASK64 for i in indices)
-    state = np.random.SeedSequence(keys).generate_state(2, np.uint32)
+    state = _sequence(seed, tag, indices).generate_state(2, np.uint32)
     return int(state[0]) << 32 | int(state[1])

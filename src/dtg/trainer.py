@@ -208,7 +208,7 @@ def _run_loop(config: TrainConfig, corpus: Corpus, bank: TeacherBank,
     velocity = {k: np.zeros_like(v) for k, v in params.items()}
     labels_all = corpus.labels()
     frames_all = corpus.frames()
-    ids = [v.video_id for v in corpus.videos]
+    ids = corpus.ids()
     records = []
     for epoch in range(config.epochs):
         lr = lr_at(config, epoch)

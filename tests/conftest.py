@@ -1,7 +1,11 @@
+import dataclasses
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 
-from dtg.corpus import CorpusSpec, generate_corpus
+from dtg.corpus import CORPUS_HEADER, CorpusSpec, generate_corpus
 from dtg.model import TeacherBank, build_teacher
 
 
@@ -27,3 +31,18 @@ def tiny_bank(tiny_corpus):
 def unit_rows(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     x = rng.standard_normal((n, d))
     return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+SPEC_RECORD = "<5I3dQQ"  # the documented DTGC v2 spec record
+SPEC_FIELDS = [f.name for f in dataclasses.fields(CorpusSpec)] + ["num_videos"]
+
+
+def crafted(blob: bytes, **values) -> bytes:
+    """A copy of the ``.dtgc`` ``blob`` with fields of its spec record
+    (``SPEC_FIELDS``) replaced, under a recomputed, valid checksum."""
+    start = len(CORPUS_HEADER) + 1
+    end = start + struct.calcsize(SPEC_RECORD)
+    fields = dict(zip(SPEC_FIELDS, struct.unpack(SPEC_RECORD, blob[start:end])))
+    fields.update(values)
+    body = blob[:start] + struct.pack(SPEC_RECORD, *fields.values()) + blob[end:-8]
+    return body + hashlib.blake2b(body, digest_size=8).digest()

@@ -3,38 +3,46 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dtg.binio import (ChecksumMismatchError, FormatError, RecordReader,
-                       RecordWriter, VersionMismatchError, fnv1a64)
-
-
-def test_fnv1a64_known_values():
-    # reference values of the standard FNV-1a 64-bit parameters
-    assert fnv1a64(b"") == 0xCBF29CE484222325
-    assert fnv1a64(b"a") == 0xAF63DC4C8601EC8C
-    assert fnv1a64(b"foobar") == 0x85944171F73967E8
+                       RecordWriter, VersionMismatchError)
 
 
 def test_round_trip_scalars_and_array():
     w = RecordWriter("DTGX v1")
-    w.u8(3)
-    w.u32(70000)
-    w.u64(2 ** 40)
-    w.f64(-1.5)
+    w.pack("<BIQd", 3, 70000, 2 ** 40, -1.5)
     arr = np.arange(6, dtype=np.float64).reshape(2, 3)
     w.array(arr)
+    ids = np.array([0, 2 ** 63 + 5, 7], dtype=np.uint64)
+    w.array(ids, "<u8")
+    w.array(np.zeros((0, 3)))
     blob = w.finish()
 
     r = RecordReader(blob, "DTGX v1")
-    assert r.u8() == 3
-    assert r.u32() == 70000
-    assert r.u64() == 2 ** 40
-    assert r.f64() == -1.5
-    assert np.array_equal(r.array((2, 3)), arr)
+    assert r.unpack("<BIQd") == (3, 70000, 2 ** 40, -1.5)
+    back = r.array((2, 3))
+    assert back.dtype == np.float64 and np.array_equal(back, arr)
+    assert np.array_equal(r.array((3,), "<u8"), ids)
+    assert r.array((0, 3)).shape == (0, 3)
     r.expect_end()
+
+
+def test_arrays_are_aligned_read_only_views_of_the_file():
+    w = RecordWriter("DTGX v1")
+    w.pack("<B", 1)
+    w.array(np.arange(3), "<u4")
+    w.array(np.ones((4, 4)))
+    blob = w.finish()
+    r = RecordReader(blob, "DTGX v1")
+    r.unpack("<B")
+    arrays = [r.array((3,), "<u4"), r.array((4, 4))]
+    r.expect_end()
+    for a in arrays:
+        assert a.flags.aligned and not a.flags.writeable
+        assert np.shares_memory(a, np.frombuffer(blob, dtype=np.uint8))
 
 
 def test_checksum_detects_corruption():
     w = RecordWriter("DTGX v1")
-    w.f64(1.0)
+    w.pack("<d", 1.0)
     blob = bytearray(w.finish())
     blob[len(b"DTGX v1\n") + 2] ^= 0xFF
     with pytest.raises(ChecksumMismatchError):
@@ -56,23 +64,26 @@ def test_wrong_family_is_generic_format_error():
 
 def test_truncated_file_rejected():
     w = RecordWriter("DTGX v1")
-    w.u64(5)
+    w.pack("<Q", 5)
     blob = w.finish()
     with pytest.raises(FormatError):
         RecordReader(blob[:-3], "DTGX v1")
 
 
+def test_huge_array_shape_is_record_truncated():
+    w = RecordWriter("DTGX v1")
+    w.pack("<d", 1.0)
+    r = RecordReader(w.finish(), "DTGX v1")
+    with pytest.raises(FormatError, match="record truncated"):
+        r.array((2 ** 64 - 1, 2 ** 32 - 1, 2 ** 32 - 1))
+
+
 def test_trailing_bytes_rejected():
     w = RecordWriter("DTGX v1")
-    w.u8(1)
+    w.pack("<B", 1)
     r = RecordReader(w.finish(), "DTGX v1")
     with pytest.raises(FormatError):
         r.expect_end()  # the u8 was never consumed
-
-
-@given(st.binary(max_size=64))
-def test_fnv1a64_in_range(data):
-    assert 0 <= fnv1a64(data) < 2 ** 64
 
 
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64),
@@ -80,8 +91,8 @@ def test_fnv1a64_in_range(data):
 def test_f64_round_trip_exact(values):
     w = RecordWriter("DTGX v1")
     for v in values:
-        w.f64(v)
+        w.pack("<d", v)
     r = RecordReader(w.finish(), "DTGX v1")
     for v in values:
-        assert r.f64() == v
+        assert r.unpack("<d") == (v,)
     r.expect_end()

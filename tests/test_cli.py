@@ -5,8 +5,11 @@ import pytest
 
 import dtg.cli
 from dtg.cli import main
+from dtg.corpus import CORPUS_HEADER
 from dtg.model import StudentEncoder, save_student
 from dtg.trainer import NumericAbortError
+
+from conftest import crafted
 
 
 def _config_doc(out_dir, **train_overrides):
@@ -70,6 +73,36 @@ def test_corrupted_corpus_exits_3(tmp_path):
     doc2["corpus"] = str(corpus_file)
     assert main(["pretrain", "--config", _write_config(tmp_path, doc2, "c2.json"),
                  "--quiet"]) == 3
+
+
+def _generated_corpus_bytes(tmp_path) -> bytes:
+    cfg = _write_config(tmp_path, _config_doc(tmp_path / "gen"))
+    assert main(["gen-data", "--config", cfg, "--quiet"]) == 0
+    return (tmp_path / "gen" / "corpus.dtgc").read_bytes()
+
+
+def _probe_exit(tmp_path, corpus_blob) -> int:
+    corpus_file = tmp_path / "crafted.dtgc"
+    corpus_file.write_bytes(corpus_blob)
+    doc = _config_doc(tmp_path / "probe")
+    doc["corpus"] = str(corpus_file)
+    return main(["probe", "--config", _write_config(tmp_path, doc, "probe.json"), "--quiet"])
+
+
+@pytest.mark.parametrize("values, message", [
+    ({"signal_dim": 9}, "signal_dim must not exceed frame_dim"),
+    ({"num_videos": 2 ** 64 - 1}, "record truncated"),
+])
+def test_checksum_valid_bad_header_exits_3(tmp_path, capsys, values, message):
+    blob = crafted(_generated_corpus_bytes(tmp_path), **values)
+    assert _probe_exit(tmp_path, blob) == 3
+    assert message in capsys.readouterr().err
+
+
+def test_v1_corpus_exits_3_unsupported_version(tmp_path, capsys):
+    blob = _generated_corpus_bytes(tmp_path).replace(CORPUS_HEADER.encode(), b"DTGC v1", 1)
+    assert _probe_exit(tmp_path, blob) == 3
+    assert "unsupported version 'DTGC v1'" in capsys.readouterr().err
 
 
 def test_numeric_abort_exits_4(tmp_path, monkeypatch):

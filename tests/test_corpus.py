@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from dtg.binio import ChecksumMismatchError, FormatError, VersionMismatchError
-from dtg.corpus import Corpus, CorpusSpec, generate_corpus, load_corpus, save_corpus, split_videos
+from dtg.corpus import (CORPUS_HEADER, Corpus, CorpusSpec, generate_corpus, load_corpus,
+                        save_corpus, split_videos)
+
+from conftest import crafted
 
 
 def test_shapes_counts_and_labels():
@@ -104,12 +107,23 @@ def test_save_is_byte_deterministic(tmp_path, tiny_corpus):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_save_rejects_split_whose_count_disagrees_with_spec(tmp_path, tiny_corpus):
-    # the header carries the spec's counts, so such a file could not be read back
-    path = tmp_path / "half.dtgc"
-    with pytest.raises(ValueError):
-        save_corpus(split_videos(tiny_corpus, 0.5, 0)[0], path)
-    assert not path.exists()
+def assert_same_corpus(a, b):
+    assert a.spec == b.spec and a.num_videos == b.num_videos
+    assert np.array_equal(a.signal_basis, b.signal_basis)
+    assert np.array_equal(a.nuisance_basis, b.nuisance_basis)
+    assert np.array_equal(a.frames(), b.frames())
+    assert np.array_equal(a.labels(), b.labels()) and np.array_equal(a.ids(), b.ids())
+    assert [type(v.label) for v in b.videos] == [int] * b.num_videos
+    assert [type(v.video_id) for v in b.videos] == [int] * b.num_videos
+
+
+def test_split_halves_round_trip(tmp_path, tiny_corpus):
+    # the file stores the actual video count, not the spec's
+    for i, half in enumerate(split_videos(tiny_corpus, 0.5, 0)):
+        assert half.num_videos < tiny_corpus.num_videos
+        path = tmp_path / f"half{i}.dtgc"
+        save_corpus(half, path)
+        assert_same_corpus(load_corpus(path), half)
 
 
 def test_truncated_file_raises_format_error(tmp_path, tiny_corpus):
@@ -130,12 +144,47 @@ def test_corrupted_byte_raises_checksum_error(tmp_path, tiny_corpus):
         load_corpus(path)
 
 
+def _with_version(path, version):
+    family = CORPUS_HEADER.split()[0]
+    path.write_bytes(path.read_bytes().replace(CORPUS_HEADER.encode(),
+                                               f"{family} {version}".encode(), 1))
+
+
 def test_version_mismatch_raises_version_error(tmp_path, tiny_corpus):
     path = tmp_path / "c.dtgc"
     save_corpus(tiny_corpus, path)
-    blob = path.read_bytes().replace(b"DTGC v1", b"DTGC v9", 1)
-    path.write_bytes(blob)
+    _with_version(path, "v9")
     with pytest.raises(VersionMismatchError):
+        load_corpus(path)
+
+
+def test_v1_file_is_an_unsupported_version(tmp_path, tiny_corpus):
+    path = tmp_path / "c.dtgc"
+    save_corpus(tiny_corpus, path)
+    _with_version(path, "v1")
+    with pytest.raises(VersionMismatchError, match="unsupported version 'DTGC v1'"):
+        load_corpus(path)
+
+
+@pytest.mark.parametrize("values, message", [
+    ({"signal_dim": 9}, "signal_dim must not exceed frame_dim"),
+    ({"num_classes": 0}, "num_classes must be >= 1"),
+    ({"num_videos": 2 ** 64 - 1}, "record truncated"),
+    ({"num_videos": 5}, "unexpected trailing bytes"),
+])
+def test_checksum_valid_bad_header_raises_format_error(tmp_path, tiny_corpus, values, message):
+    path = tmp_path / "c.dtgc"
+    save_corpus(tiny_corpus, path)
+    path.write_bytes(crafted(path.read_bytes(), **values))
+    with pytest.raises(FormatError, match=message):
+        load_corpus(path)
+
+
+def test_label_outside_the_spec_raises_format_error(tmp_path, tiny_corpus):
+    path = tmp_path / "c.dtgc"
+    first = dataclasses.replace(tiny_corpus.videos[0], label=tiny_corpus.spec.num_classes)
+    save_corpus(dataclasses.replace(tiny_corpus, videos=(first, *tiny_corpus.videos[1:])), path)
+    with pytest.raises(FormatError, match="out of range"):
         load_corpus(path)
 
 

@@ -3,10 +3,10 @@ import pytest
 
 from dtg.binio import VersionMismatchError
 from dtg.corpus import CorpusSpec, generate_corpus
-from dtg.model import (StudentEncoder, TeacherBank, backward_batch, build_head,
-                       build_student, build_teacher, embed_student,
-                       embed_teacher, forward_batch, load_student, pool_frames,
-                       save_student, teacher_features)
+from dtg.model import (CHECKPOINT_HEADER, StudentEncoder, TeacherBank,
+                       backward_batch, build_head, build_student, build_teacher,
+                       embed_student, embed_teacher, forward_batch, load_student,
+                       pool_frames, save_student, teacher_features)
 from dtg.numerics import DegenerateInputError, finite_diff_check
 from dtg.evaluation import knn_top1, teacher_video_features
 
@@ -219,10 +219,22 @@ def test_checkpoint_without_head(tmp_path):
     assert np.array_equal(enc.W3, enc2.W3)
 
 
+def _saved_with_version(path, version):
+    save_student(path, build_student(4, 4, 3, seed=0))
+    family = CHECKPOINT_HEADER.split()[0]
+    path.write_bytes(path.read_bytes().replace(CHECKPOINT_HEADER.encode(),
+                                               f"{family} {version}".encode(), 1))
+
+
 def test_checkpoint_version_error(tmp_path):
-    enc = build_student(4, 4, 3, seed=0)
     path = tmp_path / "m.dtgm"
-    save_student(path, enc)
-    path.write_bytes(path.read_bytes().replace(b"DTGM v1", b"DTGM v3", 1))
+    _saved_with_version(path, "v3")
     with pytest.raises(VersionMismatchError):
+        load_student(path)
+
+
+def test_v1_checkpoint_is_an_unsupported_version(tmp_path):
+    path = tmp_path / "m.dtgm"
+    _saved_with_version(path, "v1")
+    with pytest.raises(VersionMismatchError, match="unsupported version 'DTGM v1'"):
         load_student(path)
