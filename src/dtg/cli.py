@@ -161,10 +161,8 @@ def cmd_probe(args) -> int:
     write_probe_json(result, out / "probe.json", doc, seed=cfg.seed,
                      extras={"knn_top1": knn})
     write_overlap_json(overlap, out / "overlap.json", doc, seed=cfg.seed)
-    if cfg.eval.projection:
-        coords = project_2d(feats)
-        write_projection_csv(out / "projection.csv", corpus.ids(), labels, coords,
-                             seed=cfg.seed)
+    write_projection_csv(out / "projection.csv", corpus.ids(), labels, project_2d(feats),
+                         seed=cfg.seed)
     _write_config(cfg, out)
     _say(args, f"top1 {result.top1:.4f}, knn {knn:.4f}, overlap {overlap:.4f}")
     return 0
@@ -177,22 +175,39 @@ _METRIC_SOURCES = (
 )
 
 
+def _json_object(path: Path) -> dict:
+    try:
+        doc = json.loads(path.read_text())
+    except ValueError as exc:  # undecodable bytes or malformed JSON
+        raise FormatError(f"{path}: not a JSON document: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise FormatError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def _number(value, path: Path, key: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise FormatError(f"{path}: {key} must be a number, got {value!r}")
+    return float(value)
+
+
 def _run_metrics(run_dir: Path) -> dict[str, float]:
     found = {}
     for fname, key, metric in _METRIC_SOURCES:
         path = run_dir / fname
         if path.is_file():
-            value = json.loads(path.read_text()).get(key)
+            value = _json_object(path).get(key)
             if value is not None:
-                found[metric] = float(value)
+                found[metric] = _number(value, path, key)
     report = run_dir / "report.json"
     if report.is_file():
-        epochs = json.loads(report.read_text()).get("epochs", [])
+        epochs = _json_object(report).get("epochs", [])
+        if not isinstance(epochs, list) or not all(isinstance(e, dict) for e in epochs):
+            raise FormatError(f"{report}: epochs must be a list of objects")
         if epochs:
-            if epochs[-1].get("contrastive_loss") is not None:
-                found["final_contrastive_loss"] = float(epochs[-1]["contrastive_loss"])
-            if epochs[-1].get("ce_loss") is not None:
-                found["final_ce_loss"] = float(epochs[-1]["ce_loss"])
+            for key in ("contrastive_loss", "ce_loss"):
+                if epochs[-1].get(key) is not None:
+                    found[f"final_{key}"] = _number(epochs[-1][key], report, key)
     return found
 
 

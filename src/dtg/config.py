@@ -12,7 +12,7 @@ Schema (all keys optional unless noted):
       "corpus": { ...CorpusSpec fields... } | "path/to/corpus.dtgc",
       "teachers": [{"rho": 0.9, "seed": ..., "name": ..., "weight": ...}, ...],
       "train":  { ...TrainConfig fields except seed/offline_accuracies... },
-      "eval":   {"split_frac", "probe_epochs", "probe_lr", "knn_k", "projection"},
+      "eval":   {"split_frac", "probe_epochs", "probe_lr", "knn_k"},
       "out_dir": "runs/exp1"
     }
 
@@ -53,7 +53,14 @@ class EvalConfig:
     probe_epochs: int = 100
     probe_lr: float = 0.01
     knn_k: int = 5
-    projection: bool = True
+
+    def __post_init__(self):
+        # a value of the wrong type makes these comparisons raise TypeError,
+        # which _build reports as a ConfigError
+        if not 0 < self.split_frac < 1:
+            raise ValueError("split_frac must lie strictly between 0 and 1")
+        if self.probe_epochs < 0 or not self.probe_lr > 0 or self.knn_k < 1:
+            raise ValueError("need probe_epochs >= 0, probe_lr > 0 and knn_k >= 1")
 
 
 @dataclass(frozen=True)
@@ -80,9 +87,15 @@ def _check_keys(doc: dict, allowed, where: str) -> None:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
 
 
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be an object, got {type(value).__name__}")
+    return value
+
+
 def _build(cls, doc: dict, where: str):
     fields = {f.name: f for f in dataclasses.fields(cls)}
-    _check_keys(doc, fields, where)
+    _check_keys(_object(doc, where), fields, where)
     kwargs = {}
     for key, value in doc.items():
         if key in _ENUM_FIELDS:
@@ -93,6 +106,8 @@ def _build(cls, doc: dict, where: str):
                 valid = ", ".join(repr(e.value) for e in enum_cls)
                 raise ConfigError(f"{where}.{key}: {value!r} is not one of {valid}") from None
         elif key == "milestones":
+            if not isinstance(value, list):
+                raise ConfigError(f"{where}.milestones must be a list")
             value = tuple(value)
         kwargs[key] = value
     try:
@@ -125,10 +140,10 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     teachers = tuple(_build(TeacherSpec, t, f"teachers[{i}]")
                      for i, t in enumerate(raw_teachers))
     for i, t in enumerate(teachers):
-        if not 0 <= t.rho <= 1:
-            raise ConfigError(f"teachers[{i}].rho must lie in [0, 1]")
+        if not isinstance(t.rho, (int, float)) or not 0 <= t.rho <= 1:
+            raise ConfigError(f"teachers[{i}].rho must be a number in [0, 1]")
 
-    raw_train = dict(doc.get("train", {}))
+    raw_train = dict(_object(doc.get("train", {}), "train"))
     for reserved in ("seed", "offline_accuracies"):
         if reserved in raw_train:
             raise ConfigError(
@@ -146,8 +161,6 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     train = _build(TrainConfig, train_doc, "train")
 
     eval_cfg = _build(EvalConfig, doc.get("eval", {}), "eval")
-    if not 0 < eval_cfg.split_frac < 1:
-        raise ConfigError("eval.split_frac must lie strictly between 0 and 1")
 
     out_dir = doc.get("out_dir")
     if out_dir is not None and not isinstance(out_dir, str):

@@ -135,34 +135,41 @@ def generate_corpus(spec: CorpusSpec) -> Corpus:
     )
 
 
-def split_videos(corpus: Corpus, train_frac: float, seed: int) -> tuple[Corpus, Corpus]:
-    """Stratified video-level split into (train, held_out) corpora.
+def stratified_split(labels: np.ndarray, frac: float, seed: int, tag: str = "probe-split"
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Stratified split of example indices into sorted (train, held_out).
 
-    Per class, a seeded permutation sends round(train_frac * n) videos to the
-    train side, clamped so both sides keep at least one video.  The halves
-    share the parent's spec and bases; they are in-memory views for held-out
-    evaluation, and save_corpus/load_corpus round-trip them (the file stores
-    the actual video count).
+    Per class, the permutation of ``substream(seed, tag, class)`` sends
+    round(frac * n) examples to the train side, clamped so both sides keep
+    at least one.  ``tag`` keeps the linear probe's split ("probe-split")
+    and ``split_videos`` ("video-split") on separate streams.
     """
-    if not 0.0 < train_frac < 1.0:
-        raise ValueError("train_frac must be in (0, 1)")
-    by_class: dict[int, list[int]] = {}
-    for i, v in enumerate(corpus.videos):
-        by_class.setdefault(v.label, []).append(i)
-    train_idx, held_idx = [], []
-    for label in sorted(by_class):
-        idx = np.array(by_class[label])
-        n = len(idx)
-        if n < 2:
-            raise ValueError(f"class {label} needs >= 2 videos to split")
-        n_train = min(max(int(round(train_frac * n)), 1), n - 1)
-        perm = substream(seed, "video-split", label).permutation(n)
-        train_idx.extend(idx[perm[:n_train]])
-        held_idx.extend(idx[perm[n_train:]])
-    pick = lambda ids: tuple(corpus.videos[i] for i in sorted(ids))
-    train = dataclasses.replace(corpus, videos=pick(train_idx))
-    held = dataclasses.replace(corpus, videos=pick(held_idx))
-    return train, held
+    if not 0 < frac < 1:
+        raise ValueError("split fraction must lie strictly between 0 and 1")
+    y = np.asarray(labels)
+    train, held = [], []
+    for c in np.unique(y):
+        idx = np.flatnonzero(y == c)
+        if idx.size < 2:
+            raise ValueError(f"class {c} has fewer than 2 examples; cannot split")
+        perm = substream(seed, tag, int(c)).permutation(idx.size)
+        n_train = min(max(int(round(frac * idx.size)), 1), idx.size - 1)
+        train.append(idx[perm[:n_train]])
+        held.append(idx[perm[n_train:]])
+    return np.sort(np.concatenate(train)), np.sort(np.concatenate(held))
+
+
+def split_videos(corpus: Corpus, train_frac: float, seed: int) -> tuple[Corpus, Corpus]:
+    """Stratified video-level split into (train, held_out) corpora: the
+    ``stratified_split`` of the labels on the "video-split" stream.
+
+    The halves share the parent's spec and bases; they are in-memory views
+    for held-out evaluation, and save_corpus/load_corpus round-trip them (the
+    file stores the actual video count).
+    """
+    train, held = stratified_split(corpus.labels(), train_frac, seed, "video-split")
+    pick = lambda idx: dataclasses.replace(corpus, videos=tuple(corpus.videos[i] for i in idx))
+    return pick(train), pick(held)
 
 
 def save_corpus(corpus: Corpus, path) -> None:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import Corpus, stratified_split
 from .losses import cross_entropy_batch
 from .model import (
     StudentEncoder,
@@ -48,9 +48,9 @@ class ProbeResult:
     split_seed: int
 
 
-def video_features(enc: StudentEncoder, corpus: Corpus, normalize: bool = True) -> np.ndarray:
-    """One feature per video, from its full frame stack (no sampling)."""
-    out, _ = forward_batch(enc, pool_frames(corpus.frames()), normalize=normalize)
+def video_features(enc: StudentEncoder, corpus: Corpus) -> np.ndarray:
+    """One unit-norm feature per video, from its full frame stack (no sampling)."""
+    out, _ = forward_batch(enc, pool_frames(corpus.frames()))
     return out
 
 
@@ -73,25 +73,6 @@ def teacher_view_accuracies(corpus: Corpus, bank: TeacherBank, seed: int = 0,
     return tuple(
         knn_top1(teacher_features(t, pooled), y, k) for t in bank.teachers
     )
-
-
-def stratified_split(labels: np.ndarray, split_frac: float, seed: int
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-class shuffled split; every class keeps at least one example on
-    each side."""
-    if not 0 < split_frac < 1:
-        raise ValueError("split_frac must lie strictly between 0 and 1")
-    y = np.asarray(labels)
-    train, test = [], []
-    for c in np.unique(y):
-        idx = np.flatnonzero(y == c)
-        if idx.size < 2:
-            raise ValueError(f"class {c} has fewer than 2 examples; cannot split")
-        perm = substream(seed, "probe-split", int(c)).permutation(idx.size)
-        n_train = min(max(int(round(split_frac * idx.size)), 1), idx.size - 1)
-        train.append(idx[perm[:n_train]])
-        test.append(idx[perm[n_train:]])
-    return np.sort(np.concatenate(train)), np.sort(np.concatenate(test))
 
 
 def linear_probe(features: np.ndarray, labels: np.ndarray, split_frac: float = 0.8,
@@ -139,12 +120,17 @@ def knn_top1(features: np.ndarray, labels: np.ndarray, k: int) -> float:
     u = x / norms
     sims = u @ u.T
     np.fill_diagonal(sims, -np.inf)
-    neighbors = np.argsort(-sims, axis=1, kind="stable")[:, :k]
-    correct = 0
+    # the k neighbours are the first k of a stable descending sort: every
+    # similarity above the row's k-th largest, then the lowest-index ties
+    kth = np.partition(sims, m - k, axis=1)[:, [m - k]]  # a copy: frees the partition
+    above = sims > kth
+    ties = sims == kth
+    neighbors = above | (ties & (np.cumsum(ties, axis=1, dtype=np.int32)
+                                 <= k - above.sum(axis=1, keepdims=True)))
+    rows, cols = np.nonzero(neighbors)
     n_cls = int(y.max()) + 1
-    for i in range(m):
-        votes = np.bincount(y[neighbors[i]], minlength=n_cls)
-        correct += int(np.argmax(votes) == y[i])  # argmax breaks ties low
+    votes = np.bincount(rows * n_cls + y[cols], minlength=m * n_cls).reshape(m, n_cls)
+    correct = int(np.count_nonzero(votes.argmax(axis=1) == y))  # argmax breaks ties low
     return correct / m
 
 

@@ -46,9 +46,6 @@ class StudentEncoder:
     def parameters(self) -> list[tuple[str, np.ndarray]]:
         return [(n, getattr(self, n)) for n in ("W1", "b1", "W2", "b2", "W3", "b3")]
 
-    def param_count(self) -> int:
-        return sum(p.size for _, p in self.parameters())
-
     def set_parameters(self, arrays) -> None:
         for (name, old), new in zip(self.parameters(), arrays):
             if new.shape != old.shape:

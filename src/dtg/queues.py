@@ -72,10 +72,10 @@ def enqueue_batch(q: GuidanceQueue, feats: np.ndarray) -> GuidanceQueue:
     # Only the last `capacity` rows of an oversized batch can survive.
     if f.shape[0] > q.capacity:
         f = f[-q.capacity:]
-    for row in f:
-        q._buf[q._head] = row
-        q._head = (q._head + 1) % q.capacity
-        q._count = min(q._count + 1, q.capacity)
+    n = f.shape[0]
+    q._buf[(q._head + np.arange(n)) % q.capacity] = f
+    q._head = (q._head + n) % q.capacity
+    q._count = min(q._count + n, q.capacity)
     return q
 
 

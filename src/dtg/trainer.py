@@ -76,7 +76,6 @@ class TrainConfig:
     segments: int = 4
     jitter: float = 0.0
     mask_frac: float = 0.0
-    normalize: bool = True  # L2-normalize anchor features (cosine logits)
     offline_accuracies: tuple[float, ...] | None = None
 
     def __post_init__(self):
@@ -162,6 +161,10 @@ def _validate_run(config: TrainConfig, corpus: Corpus, bank: TeacherBank) -> Non
         )
     if corpus.spec.frames_per_video < config.segments:
         raise ValueError("segments exceed frames per video")
+    if bank.embed_dim != config.d:
+        raise ValueError(
+            f"teacher dimension {bank.embed_dim} differs from the student's d = {config.d}"
+        )
     acc = config.offline_accuracies
     if acc is not None and len(acc) != len(bank):
         raise ValueError(f"expected {len(bank)} offline accuracies, got {len(acc)}")
@@ -231,7 +234,7 @@ def _run_loop(config: TrainConfig, corpus: Corpus, bank: TeacherBank,
                 continue
 
             pooled_anchor = pool_frames(anchors)
-            feats, cache = forward_batch(enc, pooled_anchor, normalize=config.normalize)
+            feats, cache = forward_batch(enc, pooled_anchor)
             negs = np.stack([negatives(q) for q in queues])
 
             out = contrastive_batch(feats, guidance.transpose(1, 0, 2), negs, config.tau,

@@ -48,6 +48,19 @@ def test_unknown_config_key_exits_2(tmp_path):
     assert main(["pretrain", "--config", _write_config(tmp_path, doc)]) == 2
 
 
+@pytest.mark.parametrize("section", [
+    {"train": 5},
+    {"eval": 5},
+    {"teachers": [5]},
+    {"train": {"milestones": 5}},
+    {"teachers": [{"rho": "a"}]},
+])
+def test_config_section_of_wrong_type_exits_2(tmp_path, capsys, section):
+    doc = {**_config_doc(tmp_path / "run"), **section}
+    assert main(["probe", "--config", _write_config(tmp_path, doc), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_negative_jitter_exits_2_before_training(tmp_path):
     doc = _config_doc(tmp_path / "run", jitter=-1.0)
     assert main(["pretrain", "--config", _write_config(tmp_path, doc), "--quiet"]) == 2
@@ -216,3 +229,17 @@ def test_report_aggregates_runs(tmp_path):
 
 def test_report_missing_run_dir_exits_3(tmp_path):
     assert main(["report", "--runs", str(tmp_path / "ghost"), "--quiet"]) == 3
+
+
+@pytest.mark.parametrize("fname, text", [
+    ("probe.json", '{"top1": 0.5, "knn'),
+    ("probe.json", '{"top1": "abc"}'),
+    ("probe.json", "[]"),
+    ("report.json", '{"epochs": 3}'),
+])
+def test_report_corrupt_run_file_exits_3(tmp_path, capsys, fname, text):
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / fname).write_text(text)
+    assert main(["report", "--runs", str(run), "--out", str(tmp_path), "--quiet"]) == 3
+    assert capsys.readouterr().err.startswith("error: ")

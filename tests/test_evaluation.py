@@ -117,6 +117,34 @@ def test_knn_random_features_near_chance():
     assert abs(acc - 1 / 3) < 0.1
 
 
+def _knn_top1_stable_argsort(features, labels, k):
+    """Reference: per-row votes over the first k of a stable argsort."""
+    u = features / np.linalg.norm(features, axis=1, keepdims=True)
+    sims = u @ u.T
+    np.fill_diagonal(sims, -np.inf)
+    neighbors = np.argsort(-sims, axis=1, kind="stable")[:, :k]
+    n_cls = int(labels.max()) + 1
+    correct = 0
+    for i in range(len(labels)):
+        votes = np.bincount(labels[neighbors[i]], minlength=n_cls)
+        correct += int(np.argmax(votes) == labels[i])
+    return correct / len(labels)
+
+
+def test_knn_matches_stable_argsort_reference_on_ties():
+    # small integer coordinates and duplicated rows make many exactly equal
+    # similarities, so neighbour selection and vote ties both decide results
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        m = int(rng.integers(3, 30))
+        feats = rng.integers(-2, 3, (m, int(rng.integers(1, 4)))).astype(float)
+        feats[~feats.any(axis=1)] = 1.0
+        feats[rng.integers(0, m, m // 2)] = feats[rng.integers(0, m, m // 2)]
+        labels = rng.integers(0, int(rng.integers(1, 5)), m)
+        k = int(rng.integers(1, m))
+        assert knn_top1(feats, labels, k) == _knn_top1_stable_argsort(feats, labels, k)
+
+
 def test_knn_validates_k():
     feats = np.eye(4)
     labels = np.array([0, 0, 1, 1])

@@ -110,6 +110,12 @@ def test_k_must_be_below_video_count():
         pretrain(cfg, corpus, _bank(corpus))
 
 
+def test_teacher_dimension_must_match_student():
+    corpus = _corpus()
+    with pytest.raises(ValueError, match="teacher dimension 8"):
+        pretrain(_config(d=6), corpus, _bank(corpus, embed_dim=8))
+
+
 # --- pretraining ---
 
 def test_epochs_zero_returns_initial_encoder():
