@@ -116,13 +116,17 @@ def _build(cls, doc: dict, where: str):
         raise ConfigError(f"invalid {where}: {exc}") from exc
 
 
+def _is_seed(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < 2 ** 64
+
+
 def config_from_dict(doc: dict) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError("experiment config must be a JSON object")
     _check_keys(doc, ("seed", "corpus", "teachers", "train", "eval", "out_dir"),
                 "config")
     seed = doc.get("seed", 0)
-    if not isinstance(seed, int) or not 0 <= seed < 2 ** 64:
+    if not _is_seed(seed):
         raise ConfigError("seed must be an integer in [0, 2^64)")
 
     corpus = corpus_path = None
@@ -142,6 +146,10 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     for i, t in enumerate(teachers):
         if not isinstance(t.rho, (int, float)) or not 0 <= t.rho <= 1:
             raise ConfigError(f"teachers[{i}].rho must be a number in [0, 1]")
+        if t.seed is not None and not _is_seed(t.seed):
+            raise ConfigError(f"teachers[{i}].seed must be an integer in [0, 2^64)")
+        if t.name is not None and not isinstance(t.name, str):
+            raise ConfigError(f"teachers[{i}].name must be a string")
 
     raw_train = dict(_object(doc.get("train", {}), "train"))
     for reserved in ("seed", "offline_accuracies"):

@@ -29,7 +29,7 @@ from .model import (
 )
 from .numerics import DegenerateInputError, as_matrix
 from .sampling import PairMode, sample_pairs
-from .seeding import substream
+from .seeding import substreams
 
 _OVERLAP_ROWS = 64  # distance-matrix rows per chunk in class_overlap
 
@@ -67,8 +67,8 @@ def teacher_view_accuracies(corpus: Corpus, bank: TeacherBank, seed: int = 0,
     noisy teachers look as good as clean ones.  These scores are the natural
     source for offline fusion weights."""
     y = corpus.labels()
-    rngs = [substream(seed, "teacher-acc", vid) for vid in corpus.ids()]
-    _, guidance = sample_pairs(corpus.frames(), mode, segments, rngs)
+    streams = substreams(seed, "teacher-acc", corpus.ids())
+    _, guidance = sample_pairs(corpus.frames(), mode, segments, streams)
     pooled = pool_frames(guidance)
     return tuple(
         knn_top1(teacher_features(t, pooled), y, k) for t in bank.teachers

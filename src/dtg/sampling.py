@@ -1,19 +1,21 @@
 """Segment-based sparse frame sampling of contrastive pairs, a batch at a time.
 
 Both views of a pair come from the same video; they differ by which frames
-were sampled and by per-view augmentation (feature jitter plus a contiguous
-coordinate mask, the feature-space analog of a random crop).  Each view
-draws one uniformly random frame per temporal segment of its window (TSN
-sampling).  Four input modes are supported:
+were sampled and by a per-view contiguous coordinate mask (the feature-space
+analog of a random crop).  Each view draws one uniformly random frame per
+temporal segment of its window (TSN sampling).  Four input modes are
+supported:
 
   img-img           two distinct single frames
   img-seq           a T-segment anchor sequence plus a single guidance frame
   seq-seq-overlap   two independent T-segment sequences over the full video
   seq-seq-disjoint  anchor from the first half, guidance from the second
 
-``sample_pairs`` works on a (B, L, D) stack of videos and draws row b only
-from its own generator, so a row's pair does not depend on the rest of the
-batch.
+``sample_pairs`` works on a (B, L, D) stack of videos with one random stream
+per video, held as a ``seeding.Substreams``.  Every draw is one array
+operation over all rows, and row b draws only from its own stream, so a
+row's pair does not depend on the rest of the batch: the trainer samples a
+whole epoch in one call and slices batches out of it.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from __future__ import annotations
 from enum import Enum
 
 import numpy as np
+
+from .seeding import Substreams
 
 
 class PairMode(Enum):
@@ -47,35 +51,32 @@ def _window(lo: int, hi: int, segments: int) -> tuple[np.ndarray, np.ndarray]:
     return lo + bounds[:, 0], bounds[:, 1] - bounds[:, 0]
 
 
-def augment(x: np.ndarray, rng: np.random.Generator, jitter: float = 0.0,
-            mask_frac: float = 0.0) -> np.ndarray:
-    """A copy of the (T, D) view ``x`` with isotropic noise of scale ``jitter``
-    added, then a random contiguous block of floor(mask_frac * D) coordinates
-    zeroed across all frames."""
-    out = x + jitter * rng.standard_normal(x.shape) if jitter > 0 else x.copy()
-    dim = out.shape[-1]
+def augment(views: np.ndarray, streams: Substreams, mask_frac: float = 0.0) -> np.ndarray:
+    """Zero, in place, a random contiguous block of floor(mask_frac * D)
+    coordinates across all frames of each row of the (B, T, D) ``views``, row
+    b's block start drawn from row b of ``streams``; returns ``views``."""
+    dim = views.shape[-1]
     width = int(mask_frac * dim)
     if width > 0:
-        start = int(rng.integers(dim - width + 1))
-        out[..., start:start + width] = 0.0
-    return out
+        offset = np.arange(dim) - streams.integers(dim - width + 1)[:, None]
+        np.copyto(views, 0.0, where=((offset >= 0) & (offset < width))[:, None, :])
+    return views
 
 
-def sample_pairs(frames: np.ndarray, mode: PairMode, segments: int, rngs,
-                 jitter: float = 0.0, mask_frac: float = 0.0
-                 ) -> tuple[np.ndarray, np.ndarray]:
+def sample_pairs(frames: np.ndarray, mode: PairMode, segments: int, streams: Substreams,
+                 mask_frac: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """(anchor (B, T, D), guidance (B, T', D)) views of the videos ``frames``
-    (B, L, D), row b drawn from ``rngs[b]`` alone.
+    (B, L, D), row b drawn from row b of ``streams`` alone.
 
     The anchor is the student-side input.  Per row, the anchor's frames are
-    drawn and augmented first, then the guidance's; img-img draws both frames
-    before augmenting either.
+    drawn and masked first, then the guidance's; img-img draws both frames
+    before masking either.
     """
     x = np.asarray(frames, dtype=np.float64)
     if x.ndim != 3:
         raise ValueError(f"expected a (B, L, D) frame stack, got shape {x.shape}")
-    if len(rngs) != x.shape[0]:
-        raise ValueError(f"need one generator per video, got {len(rngs)} for {x.shape[0]}")
+    if len(streams) != x.shape[0]:
+        raise ValueError(f"need one stream per video, got {len(streams)} for {x.shape[0]}")
     length = x.shape[1]
     if mode is PairMode.IMG_IMG:
         if length < 2:
@@ -93,16 +94,13 @@ def sample_pairs(frames: np.ndarray, mode: PairMode, segments: int, rngs,
         raise ValueError(f"unknown pair mode {mode!r}")
 
     (a_lo, a_width), (g_lo, g_width) = anchor_win, guide_win
-    anchor = np.empty((x.shape[0], a_lo.size, x.shape[2]))
-    guidance = np.empty((x.shape[0], g_lo.size, x.shape[2]))
-    for b, rng in enumerate(rngs):
-        ia = a_lo + rng.integers(a_width)
-        if mode is PairMode.IMG_IMG:
-            j = int(rng.integers(length - 1))
-            ig = [j + (j >= ia[0])]
-            anchor[b] = augment(x[b, ia], rng, jitter, mask_frac)
-        else:
-            anchor[b] = augment(x[b, ia], rng, jitter, mask_frac)
-            ig = g_lo + rng.integers(g_width)
-        guidance[b] = augment(x[b, ig], rng, jitter, mask_frac)
-    return anchor, guidance
+    rows = np.arange(x.shape[0])[:, None]
+    ia = a_lo + streams.integers(a_width)
+    if mode is PairMode.IMG_IMG:
+        j = streams.integers(length - 1)[:, None]
+        ig = j + (j >= ia)
+        anchor = augment(x[rows, ia], streams, mask_frac)
+    else:
+        anchor = augment(x[rows, ia], streams, mask_frac)
+        ig = g_lo + streams.integers(g_width)
+    return anchor, augment(x[rows, ig], streams, mask_frac)

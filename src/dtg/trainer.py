@@ -12,7 +12,10 @@ parameter update are skipped; guidance features are still enqueued each
 step, so training proper begins within the first epoch (K is smaller than
 the video count).  Per-sample randomness is keyed by (seed, video_id,
 epoch), so the pair sampled for a video does not depend on which batch it
-lands in or on the other videos beside it.
+lands in or on the other videos beside it.  That lets each epoch draw every
+video's pair in one ``sample_pairs`` call over one ``substreams`` batch of
+streams, pool both views once, and slice its batches out of the pooled
+arrays in the epoch's shuffled order.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from .model import (
 )
 from .queues import GuidanceQueue, enqueue_batch, negatives
 from .sampling import PairMode, sample_pairs
-from .seeding import substream
+from .seeding import substream, substreams
 
 
 class NumericAbortError(RuntimeError):
@@ -74,7 +77,6 @@ class TrainConfig:
     h: int = 32
     seed: int = 0
     segments: int = 4
-    jitter: float = 0.0
     mask_frac: float = 0.0
     offline_accuracies: tuple[float, ...] | None = None
 
@@ -96,8 +98,6 @@ class TrainConfig:
             raise ValueError("milestones must be < epochs")
         if min(self.d, self.h, self.segments) < 1:
             raise ValueError("d, h and segments must be >= 1")
-        if not self.jitter >= 0:  # written so that NaN fails too
-            raise ValueError("jitter must be nonnegative")
         if not 0 <= self.mask_frac < 1:
             raise ValueError("mask_frac must lie in [0, 1)")
         if self.weight_scheme is WeightScheme.OFFLINE and self.offline_accuracies is None:
@@ -216,15 +216,15 @@ def _run_loop(config: TrainConfig, corpus: Corpus, bank: TeacherBank,
     for epoch in range(config.epochs):
         lr = lr_at(config, epoch)
         order = substream(config.seed, "epoch-order", epoch).permutation(corpus.num_videos)
+        anchors, guides = sample_pairs(frames_all, config.pair_mode, config.segments,
+                                       substreams(config.seed, "pair", ids, epoch),
+                                       config.mask_frac)
+        pooled_anchors, pooled_guides = pool_frames(anchors), pool_frames(guides)
         stats = _EpochStats()
         for b0 in range(0, corpus.num_videos, config.batch_size):
             batch_idx = order[b0:b0 + config.batch_size]
-            rngs = [substream(config.seed, "pair", ids[i], epoch) for i in batch_idx]
-            anchors, guides = sample_pairs(frames_all[batch_idx], config.pair_mode,
-                                           config.segments, rngs, config.jitter,
-                                           config.mask_frac)
             n = len(batch_idx)
-            pooled_guid = pool_frames(guides)
+            pooled_guid = pooled_guides[batch_idx]
             guidance = np.stack([teacher_features(t, pooled_guid) for t in bank.teachers])
 
             if not all(q.warm for q in queues):
@@ -233,8 +233,7 @@ def _run_loop(config: TrainConfig, corpus: Corpus, bank: TeacherBank,
                     enqueue_batch(q, guidance[k])
                 continue
 
-            pooled_anchor = pool_frames(anchors)
-            feats, cache = forward_batch(enc, pooled_anchor)
+            feats, cache = forward_batch(enc, pooled_anchors[batch_idx])
             negs = np.stack([negatives(q) for q in queues])
 
             out = contrastive_batch(feats, guidance.transpose(1, 0, 2), negs, config.tau,

@@ -29,7 +29,7 @@ from dtg.presets import (four_teacher_bank, joint_experiment_setup,
                          reference_train_config)
 from dtg.queues import GuidanceQueue, enqueue_batch, negatives
 from dtg.sampling import PairMode, sample_pairs
-from dtg.seeding import substream
+from dtg.seeding import substreams
 from dtg.trainer import pretrain, train_joint
 
 from conftest import unit_rows
@@ -360,7 +360,7 @@ def test_c10_input_mode_harness():
         frames = np.broadcast_to(np.arange(length, dtype=np.float64)[None, :, None],
                                  (len(rows), length, 5))
         anchor, guidance = sample_pairs(frames, PairMode.SEQ_SEQ_DISJOINT, 2,
-                                        [substream(i, "disjoint-check") for i in rows])
+                                        substreams(np.asarray(rows), "disjoint-check"))
         shared = anchor[:, :, None, 0] == guidance[:, None, :, 0]
         violations += int(shared.any(axis=(1, 2)).sum())
     _verdict("criterion 10 (input modes)",

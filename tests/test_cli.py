@@ -61,9 +61,24 @@ def test_config_section_of_wrong_type_exits_2(tmp_path, capsys, section):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_negative_jitter_exits_2_before_training(tmp_path):
-    doc = _config_doc(tmp_path / "run", jitter=-1.0)
+def test_retired_jitter_key_exits_2_before_training(tmp_path, capsys):
+    doc = _config_doc(tmp_path / "run", jitter=0.2)
     assert main(["pretrain", "--config", _write_config(tmp_path, doc), "--quiet"]) == 2
+    assert "unknown key(s) in train: jitter" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("teacher", [
+    {"rho": 0.5, "seed": -1},
+    {"rho": 0.5, "seed": 2 ** 64},
+    {"rho": 0.5, "seed": 1.5},
+    {"rho": 0.5, "seed": True},
+    {"rho": 0.5, "name": 5},
+])
+def test_bad_teacher_seed_or_name_exits_2_before_training(tmp_path, capsys, teacher):
+    doc = {**_config_doc(tmp_path / "run"), "teachers": [teacher]}
+    assert main(["pretrain", "--config", _write_config(tmp_path, doc), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "run").exists()
 
 

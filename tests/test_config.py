@@ -78,16 +78,45 @@ def test_rho_range_checked():
         config_from_dict(_minimal(teachers=[{"rho": 1.5}]))
 
 
+@pytest.mark.parametrize("teacher", [
+    {"rho": 0.5, "seed": -1},
+    {"rho": 0.5, "seed": 2 ** 64},
+    {"rho": 0.5, "seed": 1.5},
+    {"rho": 0.5, "seed": True},
+    {"rho": 0.5, "seed": "7"},
+    {"rho": 0.5, "name": 5},
+    {"rho": 0.5, "name": ["a"]},
+])
+def test_teacher_seed_and_name_checked(teacher):
+    with pytest.raises(ConfigError, match=r"teachers\[1\]\.(seed|name)"):
+        config_from_dict(_minimal(teachers=[{"rho": 0.9}, teacher]))
+
+
+def test_teacher_seed_range_ends_accepted():
+    cfg = config_from_dict(_minimal(teachers=[{"rho": 0.9, "seed": 0, "name": "a"},
+                                              {"rho": 0.1, "seed": 2 ** 64 - 1}]))
+    assert [t.seed for t in cfg.teachers] == [0, 2 ** 64 - 1]
+
+
+def test_bool_top_level_seed_rejected():
+    with pytest.raises(ConfigError, match="seed"):
+        config_from_dict(_minimal(seed=True))
+
+
 def test_invalid_train_values_are_config_errors():
     with pytest.raises(ConfigError):
         config_from_dict(_minimal(train={"epochs": 2, "K": 0, "milestones": []}))
     with pytest.raises(ConfigError):
         config_from_dict(_minimal(seed=-3))
-    # augmentation ranges are checked at load, NaN included
-    for bad in ({"jitter": -1.0}, {"jitter": float("nan")}, {"jitter": float("-inf")},
-                {"mask_frac": 1.0}, {"mask_frac": -0.1}, {"mask_frac": float("nan")}):
+    # the mask range is checked at load, NaN included
+    for bad in ({"mask_frac": 1.0}, {"mask_frac": -0.1}, {"mask_frac": float("nan")}):
         with pytest.raises(ConfigError):
             config_from_dict(_minimal(train={"epochs": 2, "K": 4, "milestones": [], **bad}))
+    # feature jitter is retired: any value is an unknown key
+    for jitter in (0.0, 0.2, -1.0):
+        with pytest.raises(ConfigError, match="unknown key.*jitter"):
+            config_from_dict(_minimal(train={"epochs": 2, "K": 4, "milestones": [],
+                                             "jitter": jitter}))
 
 
 def test_corpus_path_variant():

@@ -1,7 +1,14 @@
 import numpy as np
-from hypothesis import given, strategies as st
+import pytest
+from hypothesis import given, settings, strategies as st
 
-from dtg.seeding import derive_seed, fnv1a64, substream
+from dtg.seeding import derive_seed, fnv1a64, substream, substreams
+
+# keys of every SeedSequence word count: zero, one 32-bit word, two
+KEYS = st.one_of(st.just(0), st.integers(1, 2 ** 32 - 1), st.integers(2 ** 32, 2 ** 64 - 1))
+# widths that consume nothing (1), never reject (powers of two up to 2^32), and
+# reject about half of all draws (just above 2^31)
+WIDTHS = st.sampled_from([1, 2, 3, 7, 16, 2 ** 31 - 1, 2 ** 31 + 1, 3 * 2 ** 30, 2 ** 32])
 
 
 def test_substream_reproducible():
@@ -60,3 +67,40 @@ def test_streams_match_recorded_values():
     assert derive_seed(0, "teacher", 3) == 2583076296466077120
     assert derive_seed(2 ** 64 - 1, "head-init", 1, 2) == 11350490784238239875
     assert derive_seed(-3, "neg", -1) == 14992813107374635009
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=KEYS, ids=st.lists(KEYS, min_size=1, max_size=8), epoch=KEYS,
+       widths=st.lists(WIDTHS, min_size=1, max_size=5), scalars=st.lists(WIDTHS, max_size=3))
+def test_substreams_rows_match_substream(seed, ids, epoch, widths, scalars):
+    """Row r draws what substream(seed, tag, ids[r], epoch) draws: a vector of
+    bounds, then scalar bounds, across buffer parities, rejection-heavy widths
+    and rows of mixed key word counts in one batch."""
+    streams = substreams(seed, "pair", np.array(ids, dtype=np.uint64), epoch)
+    assert len(streams) == len(ids)
+    vector = streams.integers(widths)
+    singles = [streams.integers(w) for w in scalars]
+    for r, vid in enumerate(ids):
+        rng = substream(seed, "pair", vid, epoch)
+        assert vector[r].tolist() == rng.integers(widths).tolist()
+        assert [int(s[r]) for s in singles] == [int(rng.integers(w)) for w in scalars]
+
+
+def test_substreams_fold_negative_and_array_keys():
+    ids = np.array([-1, 0, 5, -(2 ** 40)])
+    draws = substreams(-3, "neg", ids).integers([2 ** 31 + 1] * 6)
+    for r, vid in enumerate(ids):
+        assert draws[r].tolist() == substream(-3, "neg", int(vid)).integers([2 ** 31 + 1] * 6).tolist()
+    seeds = substreams(np.arange(4), "per-seed").integers(10)
+    assert seeds.tolist() == [int(substream(s, "per-seed").integers(10)) for s in range(4)]
+
+
+def test_substreams_reject_bad_keys_and_bounds():
+    streams = substreams(0, "x", np.arange(3))
+    for bad in (0, 2 ** 32 + 1, [4, 0]):
+        with pytest.raises(ValueError):
+            streams.integers(bad)
+    with pytest.raises(TypeError):
+        substreams(0, "x", np.array([1.5]))
+    with pytest.raises(ValueError):
+        substreams(0, "x", np.zeros((2, 2), dtype=np.int64))
