@@ -106,9 +106,11 @@ def _build(cls, doc: dict, where: str):
                 valid = ", ".join(repr(e.value) for e in enum_cls)
                 raise ConfigError(f"{where}.{key}: {value!r} is not one of {valid}") from None
         elif key == "milestones":
-            if not isinstance(value, list):
-                raise ConfigError(f"{where}.milestones must be a list")
+            if not isinstance(value, list) or not all(map(_is_int, value)):
+                raise ConfigError(f"{where}.milestones must be a list of integers")
             value = tuple(value)
+        elif fields[key].type in (int, "int") and not _is_int(value):
+            raise ConfigError(f"{where}.{key} must be an integer, got {value!r}")
         kwargs[key] = value
     try:
         return cls(**kwargs)
@@ -116,8 +118,13 @@ def _build(cls, doc: dict, where: str):
         raise ConfigError(f"invalid {where}: {exc}") from exc
 
 
+def _is_int(value) -> bool:
+    # JSON true/false arrive as bool, a subclass of int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _is_seed(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < 2 ** 64
+    return _is_int(value) and 0 <= value < 2 ** 64
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:

@@ -31,7 +31,8 @@ from .numerics import DegenerateInputError, as_matrix
 from .sampling import PairMode, sample_pairs
 from .seeding import substreams
 
-_OVERLAP_ROWS = 64  # distance-matrix rows per chunk in class_overlap
+_OVERLAP_ROWS = 64  # distance-matrix rows per block in class_overlap
+_KNN_ROWS = 256  # similarity-matrix rows per block in knn_top1
 
 
 @dataclass(frozen=True)
@@ -118,19 +119,29 @@ def knn_top1(features: np.ndarray, labels: np.ndarray, k: int) -> float:
     if np.any(norms == 0):
         raise DegenerateInputError("zero-norm feature row")
     u = x / norms
-    sims = u @ u.T
-    np.fill_diagonal(sims, -np.inf)
-    # the k neighbours are the first k of a stable descending sort: every
-    # similarity above the row's k-th largest, then the lowest-index ties
-    kth = np.partition(sims, m - k, axis=1)[:, [m - k]]  # a copy: frees the partition
-    above = sims > kth
-    ties = sims == kth
-    neighbors = above | (ties & (np.cumsum(ties, axis=1, dtype=np.int32)
-                                 <= k - above.sum(axis=1, keepdims=True)))
-    rows, cols = np.nonzero(neighbors)
     n_cls = int(y.max()) + 1
-    votes = np.bincount(rows * n_cls + y[cols], minlength=m * n_cls).reshape(m, n_cls)
-    correct = int(np.count_nonzero(votes.argmax(axis=1) == y))  # argmax breaks ties low
+    correct = 0
+    # every step below is row-wise, so the similarity matrix is taken
+    # _KNN_ROWS rows at a time and no (m, m) array is held.  A block is a
+    # general matmul where the whole u @ u.T is numpy's symmetric product;
+    # the two may round a similarity apart in its last bit, which can move a
+    # vote only when that similarity ties the row's k-th largest
+    for r0 in range(0, m, _KNN_ROWS):
+        sims = u[r0:r0 + _KNN_ROWS] @ u.T
+        rb = sims.shape[0]
+        sims[np.arange(rb), np.arange(r0, r0 + rb)] = -np.inf
+        # the k neighbours are the first k of a stable descending sort: every
+        # similarity above the row's k-th largest, then the lowest-index ties
+        kth = np.partition(sims, m - k, axis=1)[:, [m - k]]  # a copy: frees the partition
+        above = sims > kth
+        ties = sims == kth
+        neighbors = above | (ties & (np.cumsum(ties, axis=1, dtype=np.int32)
+                                     <= k - above.sum(axis=1, keepdims=True)))
+        rows, cols = np.nonzero(neighbors)
+        votes = np.bincount(rows * n_cls + y[cols],
+                            minlength=rb * n_cls).reshape(rb, n_cls)
+        # argmax breaks vote ties low
+        correct += int(np.count_nonzero(votes.argmax(axis=1) == y[r0:r0 + rb]))
     return correct / m
 
 
@@ -146,18 +157,33 @@ def class_overlap(features: np.ndarray, labels: np.ndarray) -> float:
         raise ValueError("need at least 2 classes")
     if counts.min() < 2:
         raise ValueError("every class needs at least 2 points")
-    # rows of the (N, N) distance matrix a chunk at a time, so no (N, N, D)
-    # difference tensor is ever held; each entry is computed as the full
-    # tensor would compute it
-    n = x.shape[0]
-    dist = np.empty((n, n))
+    # the upper triangle of the distance matrix, _OVERLAP_ROWS rows at a time
+    # through one reused difference buffer: each distance is computed as the
+    # full (N, N, D) tensor would compute it, and intra/inter receive the
+    # entries of dist[same & upper] and dist[~same & upper] in the same
+    # row-major order, so both means are exactly the full formula's
+    n, d = x.shape
+    n_intra = int((counts * (counts - 1) // 2).sum())
+    intra = np.empty(n_intra)
+    inter = np.empty(n * (n - 1) // 2 - n_intra)
+    buf = np.empty(min(_OVERLAP_ROWS, n) * n * d)
+    i_at = e_at = 0
     for r0 in range(0, n, _OVERLAP_ROWS):
-        diff = x[r0:r0 + _OVERLAP_ROWS, None, :] - x[None, :, :]
-        dist[r0:r0 + _OVERLAP_ROWS] = np.sqrt((diff ** 2).sum(axis=2))
-    same = y[:, None] == y[None, :]
-    upper = np.triu(np.ones_like(same), k=1).astype(bool)
-    intra = dist[same & upper]
-    inter = dist[~same & upper]
+        r1 = min(r0 + _OVERLAP_ROWS, n)
+        diff = buf[:(r1 - r0) * (n - r0 - 1) * d].reshape(r1 - r0, n - r0 - 1, d)
+        np.subtract(x[r0:r1, None, :], x[None, r0 + 1:, :], out=diff)
+        np.square(diff, out=diff)
+        dist = np.sqrt(diff.sum(axis=-1))
+        # block column c is matrix column r0 + 1 + c, above the diagonal for
+        # block row a when c >= a
+        upper = np.arange(n - r0 - 1)[None, :] >= np.arange(r1 - r0)[:, None]
+        same = y[r0:r1, None] == y[None, r0 + 1:]
+        block = dist[same & upper]
+        intra[i_at:i_at + block.size] = block
+        i_at += block.size
+        block = dist[~same & upper]
+        inter[e_at:e_at + block.size] = block
+        e_at += block.size
     denom = inter.mean()
     if denom == 0:
         raise DegenerateInputError("all points identical; overlap undefined")

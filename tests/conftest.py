@@ -33,6 +33,23 @@ def unit_rows(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
+# (config section, integer field, value that is not an integer); JSON
+# true/false must not pass as 1/0
+NON_INTEGER_FIELDS = [
+    ("train", "K", 2.5),
+    ("train", "segments", 2.5),
+    ("train", "batch_size", 2.5),
+    ("train", "d", 2.5),
+    ("train", "epochs", True),
+    ("eval", "knn_k", 2.5),
+    ("eval", "knn_k", True),
+    ("eval", "probe_epochs", 1.5),
+    ("corpus", "num_classes", 2.5),
+    ("corpus", "frames_per_video", 8.0),
+    ("corpus", "videos_per_class", True),
+]
+
+
 SPEC_RECORD = "<5I3dQQ"  # the documented DTGC v2 spec record
 SPEC_FIELDS = [f.name for f in dataclasses.fields(CorpusSpec)] + ["num_videos"]
 

@@ -9,7 +9,7 @@ from dtg.corpus import CORPUS_HEADER
 from dtg.model import StudentEncoder, save_student
 from dtg.trainer import NumericAbortError
 
-from conftest import crafted
+from conftest import NON_INTEGER_FIELDS, crafted
 
 
 def _config_doc(out_dir, **train_overrides):
@@ -59,6 +59,16 @@ def test_config_section_of_wrong_type_exits_2(tmp_path, capsys, section):
     doc = {**_config_doc(tmp_path / "run"), **section}
     assert main(["probe", "--config", _write_config(tmp_path, doc), "--quiet"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("section,key,value",
+                         NON_INTEGER_FIELDS + [("train", "milestones", [1.5])])
+def test_non_integer_count_exits_2_before_training(tmp_path, capsys, section, key, value):
+    doc = _config_doc(tmp_path / "run")
+    doc[section] = {**doc.get(section, {}), key: value}
+    assert main(["pretrain", "--config", _write_config(tmp_path, doc), "--quiet"]) == 2
+    assert f"{section}.{key} must be" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_retired_jitter_key_exits_2_before_training(tmp_path, capsys):

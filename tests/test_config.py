@@ -7,6 +7,8 @@ from dtg.config import (ConfigError, config_from_dict, load_config, resolve,
 from dtg.losses import FusionLevel, WeightScheme
 from dtg.sampling import PairMode
 
+from conftest import NON_INTEGER_FIELDS
+
 
 def _minimal(**extra):
     doc = {"seed": 5,
@@ -117,6 +119,22 @@ def test_invalid_train_values_are_config_errors():
         with pytest.raises(ConfigError, match="unknown key.*jitter"):
             config_from_dict(_minimal(train={"epochs": 2, "K": 4, "milestones": [],
                                              "jitter": jitter}))
+
+
+@pytest.mark.parametrize("section,key,value",
+                         NON_INTEGER_FIELDS + [("corpus", "seed", "3")])
+def test_integer_fields_reject_floats_bools_and_strings(section, key, value):
+    doc = _minimal()
+    doc[section] = {**doc.get(section, {}), key: value}
+    with pytest.raises(ConfigError, match=rf"{section}\.{key} must be an integer"):
+        config_from_dict(doc)
+
+
+@pytest.mark.parametrize("milestones", [[1.5], [True], [1, "1"], [None]])
+def test_milestone_elements_must_be_integers(milestones):
+    doc = _minimal(train={"epochs": 4, "K": 4, "milestones": milestones})
+    with pytest.raises(ConfigError, match=r"train\.milestones must be a list of integers"):
+        config_from_dict(doc)
 
 
 def test_corpus_path_variant():

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -145,6 +146,25 @@ def test_knn_matches_stable_argsort_reference_on_ties():
         assert knn_top1(feats, labels, k) == _knn_top1_stable_argsort(feats, labels, k)
 
 
+def test_knn_blocks_match_stable_argsort_reference_on_ties():
+    # rows are +-1 on 1, 4 or 16 of 16 coordinates, so every cosine similarity
+    # is a multiple of 1/16 that any summation order computes exactly: block
+    # and full similarity matrices agree bit for bit, and whole rows and
+    # columns of ties test neighbour selection across block boundaries
+    rows = evaluation._KNN_ROWS
+    rng = np.random.default_rng(13)
+    sizes = [rows + 1, 2 * rows, 2 * rows + 1, 3 * rows]
+    sizes += [int(v) for v in rng.integers(rows + 1, 3 * rows + 1, 6)]
+    for m in sizes:
+        nnz = rng.choice([1, 4, 16], m)
+        on = rng.random((m, 16)).argsort(axis=1).argsort(axis=1) < nnz[:, None]
+        feats = np.where(on, rng.choice([-1.0, 1.0], (m, 16)), 0.0)
+        feats[rng.integers(0, m, m // 2)] = feats[rng.integers(0, m, m // 2)]
+        labels = rng.integers(0, int(rng.integers(2, 6)), m)
+        for k in (1, int(rng.integers(2, 40)), int(rng.integers(40, m))):
+            assert knn_top1(feats, labels, k) == _knn_top1_stable_argsort(feats, labels, k)
+
+
 def test_knn_validates_k():
     feats = np.eye(4)
     labels = np.array([0, 0, 1, 1])
@@ -183,6 +203,41 @@ def test_overlap_chunked_distances_equal_full_difference_tensor():
     upper = np.triu(np.ones_like(same), k=1).astype(bool)
     expected = float(dist[same & upper].mean() / dist[~same & upper].mean())
     assert class_overlap(feats, labels) == expected
+
+
+def test_overlap_blocks_equal_full_difference_tensor_at_d16():
+    # D = 16 reduces each distance with numpy's 8-lane pairwise sum; sizes
+    # give one partial block, a partial last block and a last block of one
+    # row.  A one-ulp change in some distances moves the ratio in only about
+    # one draw in seven, hence ten draws per size
+    rows = evaluation._OVERLAP_ROWS
+    rng = np.random.default_rng(14)
+    for n in np.repeat([rows - 5, 2 * rows + 23, 3 * rows + 1], 10):
+        feats = rng.standard_normal((n, 16))
+        labels = rng.permutation(np.repeat(np.arange(5), [2, 2, 2, 20, n - 26]))
+        diff = feats[:, None, :] - feats[None, :, :]
+        dist = np.sqrt((diff ** 2).sum(axis=2))
+        same = labels[:, None] == labels[None, :]
+        upper = np.triu(np.ones_like(same), k=1).astype(bool)
+        expected = float(dist[same & upper].mean() / dist[~same & upper].mean())
+        assert class_overlap(feats, labels) == expected
+        assert class_overlap(np.asfortranarray(feats), labels) == expected
+
+
+def test_eval_metrics_hold_no_n_by_n_matrix():
+    # at N = 2,000 an (N, N) float64 matrix alone is 32 MB
+    rng = np.random.default_rng(15)
+    feats = rng.standard_normal((2000, 16))
+    labels = np.repeat(np.arange(10), 200)
+    for metric, limit_mb in ((lambda: knn_top1(feats, labels, 5), 16),
+                             (lambda: class_overlap(feats, labels), 40)):
+        tracemalloc.start()
+        try:
+            metric()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit_mb * 1e6
 
 
 def test_overlap_below_one_for_separated_gaussians():
