@@ -18,13 +18,15 @@ Schema (all keys optional unless noted):
 
 Teacher "weight" entries are the offline per-teacher accuracies; they must be
 present on every teacher when train.weight_scheme is "offline" and absent
-otherwise.
+otherwise.  Each is a finite nonnegative number, and at least one is
+positive.  Fields typed float take any JSON number but not true/false.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -109,8 +111,10 @@ def _build(cls, doc: dict, where: str):
             if not isinstance(value, list) or not all(map(_is_int, value)):
                 raise ConfigError(f"{where}.milestones must be a list of integers")
             value = tuple(value)
-        elif fields[key].type in (int, "int") and not _is_int(value):
-            raise ConfigError(f"{where}.{key} must be an integer, got {value!r}")
+        elif fields[key].type in _SCALAR_CHECKS:
+            is_valid, kind = _SCALAR_CHECKS[fields[key].type]
+            if not is_valid(value):
+                raise ConfigError(f"{where}.{key} must be {kind}, got {value!r}")
         kwargs[key] = value
     try:
         return cls(**kwargs)
@@ -123,8 +127,28 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_finite(number) -> bool:
+    try:
+        return math.isfinite(number)
+    except OverflowError:  # a JSON integer beyond the float range
+        return False
+
+
 def _is_seed(value) -> bool:
     return _is_int(value) and 0 <= value < 2 ** 64
+
+
+# Annotation (a string under postponed evaluation) -> (check, what it needs).
+# A float field takes any JSON number but not true/false or a string.
+_SCALAR_CHECKS = {
+    "int": (_is_int, "an integer"),
+    "float": (_is_number, "a number"),
+    "float | None": (lambda v: v is None or _is_number(v), "a number"),
+}
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
@@ -151,8 +175,11 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     teachers = tuple(_build(TeacherSpec, t, f"teachers[{i}]")
                      for i, t in enumerate(raw_teachers))
     for i, t in enumerate(teachers):
-        if not isinstance(t.rho, (int, float)) or not 0 <= t.rho <= 1:
+        if not 0 <= t.rho <= 1:
             raise ConfigError(f"teachers[{i}].rho must be a number in [0, 1]")
+        if t.weight is not None and not (_is_finite(t.weight) and t.weight >= 0):
+            raise ConfigError(f"teachers[{i}].weight must be a finite nonnegative number, "
+                              f"got {t.weight!r}")
         if t.seed is not None and not _is_seed(t.seed):
             raise ConfigError(f"teachers[{i}].seed must be an integer in [0, 2^64)")
         if t.name is not None and not isinstance(t.name, str):
@@ -170,6 +197,9 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     if raw_train.get("weight_scheme") == WeightScheme.OFFLINE.value:
         if any(w is None for w in weights):
             raise ConfigError("offline weighting requires a weight on every teacher")
+        if sum(weights) <= 0:
+            raise ConfigError("every teachers[i].weight is zero; offline weighting "
+                              "needs at least one positive weight")
         train_doc["offline_accuracies"] = tuple(weights)
     elif any(w is not None for w in weights):
         raise ConfigError("teacher weights are only meaningful with the offline scheme")

@@ -147,6 +147,10 @@ def contrastive_batch(anchors: np.ndarray, positives: np.ndarray, negatives: np.
     n_teachers, k, dim = neg.shape
     if a.ndim != 2 or a.shape[1] != dim or pos.shape != (len(a), n_teachers, dim):
         raise ValueError("positives, negatives and anchors disagree on shape")
+    # The einsums round according to the positives' strides; one fixed
+    # teacher-major layout (the trainer's, so no copy there) makes every
+    # output depend on the values alone.
+    pos = np.ascontiguousarray(pos.transpose(1, 0, 2)).transpose(1, 0, 2)
     b = len(a)
 
     pos_sims = np.einsum("bnd,bd->bn", pos, a)

@@ -1,21 +1,25 @@
 """Training loops: self-supervised pretraining and supervised joint training.
 
 Both loops share the same machinery.  Each epoch visits every video once in
-a seeded random order; each step samples one contrastive pair per video,
-embeds anchors with the student and guidance with every teacher, reads a
-snapshot of negatives from each teacher's queue, applies one SGD step to
-the student (and classifier head in joint mode), then enqueues the fresh
-guidance features.  Teachers are never updated.
+a seeded random order.  It samples one contrastive pair per video, pools
+both views, and reads every teacher's guidance for the whole epoch at once
+as an (N, V, d) stack.  Each step then embeds its anchors with the student,
+reads one (N, K, d) snapshot of negatives from the queue, applies one SGD
+step to the student (and classifier head in joint mode), and enqueues its
+(N, B, d) slice of the guidance.  Teachers are never updated.
 
-Queues start cold.  Until every queue has seen K features the loss and the
-parameter update are skipped; guidance features are still enqueued each
-step, so training proper begins within the first epoch (K is smaller than
-the video count).  Per-sample randomness is keyed by (seed, video_id,
-epoch), so the pair sampled for a video does not depend on which batch it
-lands in or on the other videos beside it.  That lets each epoch draw every
-video's pair in one ``sample_pairs`` call over one ``substreams`` batch of
-streams, pool both views once, and slice its batches out of the pooled
-arrays in the epoch's shuffled order.
+Every teacher has its own ring of negatives, but all N rings are fed the
+same batch at every step, so they live in one ``GuidanceQueue`` that
+advances in lockstep.  The queue starts cold.  Until it has seen K features
+the loss and the parameter update are skipped; guidance features are still
+enqueued each step, so training proper begins within the first epoch (K is
+smaller than the video count).  Per-sample randomness is keyed by (seed,
+video_id, epoch), so the pair sampled for a video does not depend on which
+batch it lands in or on the other videos beside it.  That lets each epoch
+draw every video's pair in one ``sample_pairs`` call over one
+``substreams`` batch of streams, pool both views and read the teachers
+once, and slice its batches out of those arrays in the epoch's shuffled
+order.
 """
 
 from __future__ import annotations
@@ -170,6 +174,19 @@ def _validate_run(config: TrainConfig, corpus: Corpus, bank: TeacherBank) -> Non
         raise ValueError(f"expected {len(bank)} offline accuracies, got {len(acc)}")
 
 
+def _validate_init(config: TrainConfig, corpus: Corpus, enc: StudentEncoder,
+                   head: ClassifierHead) -> None:
+    want = {"frame_dim": corpus.spec.frame_dim, "hidden_dim": config.h, "embed_dim": config.d}
+    got = {"frame_dim": enc.frame_dim, "hidden_dim": enc.hidden_dim, "embed_dim": enc.embed_dim}
+    if got != want:
+        raise ValueError(f"init encoder has {got}; this run needs {want} "
+                         "(corpus frame_dim, train.h, train.d)")
+    shape = (corpus.spec.num_classes, config.d)
+    if head.W.shape != shape or head.b.shape != shape[:1]:
+        raise ValueError(f"init head has weights {head.W.shape} and bias {head.b.shape}; "
+                         f"this run needs {shape} and {shape[:1]} (classes, train.d)")
+
+
 @dataclass
 class _EpochStats:
     ct_sum: float = 0.0
@@ -204,7 +221,7 @@ def _run_loop(config: TrainConfig, corpus: Corpus, bank: TeacherBank,
               enc: StudentEncoder, head: ClassifierHead | None):
     start = time.perf_counter()
     joint = head is not None
-    queues = [GuidanceQueue(config.K, config.d) for _ in bank.teachers]
+    queue = GuidanceQueue(config.K, config.d, len(bank))
     params = dict(enc.parameters())
     if joint:
         params.update(head.parameters())
@@ -220,58 +237,53 @@ def _run_loop(config: TrainConfig, corpus: Corpus, bank: TeacherBank,
                                        substreams(config.seed, "pair", ids, epoch),
                                        config.mask_frac)
         pooled_anchors, pooled_guides = pool_frames(anchors), pool_frames(guides)
+        guidance_all = np.stack([teacher_features(t, pooled_guides) for t in bank.teachers])
         stats = _EpochStats()
         for b0 in range(0, corpus.num_videos, config.batch_size):
             batch_idx = order[b0:b0 + config.batch_size]
             n = len(batch_idx)
-            pooled_guid = pooled_guides[batch_idx]
-            guidance = np.stack([teacher_features(t, pooled_guid) for t in bank.teachers])
+            # (N, B, d) in teacher-major memory, as the queue takes it
+            guidance = np.take(guidance_all, batch_idx, axis=1)
 
-            if not all(q.warm for q in queues):
-                # Cold start: no loss, no update; just feed the queues.
-                for k, q in enumerate(queues):
-                    enqueue_batch(q, guidance[k])
-                continue
+            # Cold start: until the queue is warm there is no loss and no
+            # update; the guidance is still enqueued below.
+            if queue.warm:
+                feats, cache = forward_batch(enc, pooled_anchors[batch_idx])
+                out = contrastive_batch(feats, guidance.transpose(1, 0, 2), negatives(queue),
+                                        config.tau, config.weight_scheme, config.fusion_level,
+                                        accuracies=config.offline_accuracies)
+                ct_loss = float(out.loss.mean())
+                d_feats = out.grad_anchor / n
 
-            feats, cache = forward_batch(enc, pooled_anchors[batch_idx])
-            negs = np.stack([negatives(q) for q in queues])
+                ce_loss = None
+                if joint:
+                    logits = head.logits(feats)
+                    ce_loss, d_logits = cross_entropy_batch(logits, labels_all[batch_idx])
+                    d_feats = config.alpha * d_feats + config.beta * (d_logits @ head.W)
+                    head_grads = {
+                        "head.W": config.beta * (d_logits.T @ feats),
+                        "head.b": config.beta * d_logits.sum(axis=0),
+                    }
+                    step_loss = joint_loss(ct_loss, ce_loss, config.alpha, config.beta)
+                else:
+                    step_loss = ct_loss
+                if not np.isfinite(step_loss):
+                    raise NumericAbortError(
+                        f"non-finite loss at epoch {epoch}, batch {b0 // config.batch_size}"
+                    )
 
-            out = contrastive_batch(feats, guidance.transpose(1, 0, 2), negs, config.tau,
-                                    config.weight_scheme, config.fusion_level,
-                                    accuracies=config.offline_accuracies)
-            ct_loss = float(out.loss.mean())
-            d_feats = out.grad_anchor / n
+                grads = backward_batch(enc, cache, d_feats)
+                if joint:
+                    grads.update(head_grads)
+                params, velocity = sgd_step(params, grads, velocity, lr,
+                                            config.momentum, config.weight_decay)
+                enc.set_parameters([params[k] for k, _ in enc.parameters()])
+                if joint:
+                    head.W = params["head.W"]
+                    head.b = params["head.b"]
+                stats.record(out, ce_loss)
 
-            ce_loss = None
-            if joint:
-                logits = head.logits(feats)
-                ce_loss, d_logits = cross_entropy_batch(logits, labels_all[batch_idx])
-                d_feats = config.alpha * d_feats + config.beta * (d_logits @ head.W)
-                head_grads = {
-                    "head.W": config.beta * (d_logits.T @ feats),
-                    "head.b": config.beta * d_logits.sum(axis=0),
-                }
-                step_loss = joint_loss(ct_loss, ce_loss, config.alpha, config.beta)
-            else:
-                step_loss = ct_loss
-            if not np.isfinite(step_loss):
-                raise NumericAbortError(
-                    f"non-finite loss at epoch {epoch}, batch {b0 // config.batch_size}"
-                )
-
-            grads = backward_batch(enc, cache, d_feats)
-            if joint:
-                grads.update(head_grads)
-            params, velocity = sgd_step(params, grads, velocity, lr,
-                                        config.momentum, config.weight_decay)
-            enc.set_parameters([params[k] for k, _ in enc.parameters()])
-            if joint:
-                head.W = params["head.W"]
-                head.b = params["head.b"]
-
-            for k, q in enumerate(queues):
-                enqueue_batch(q, guidance[k])
-            stats.record(out, ce_loss)
+            enqueue_batch(queue, guidance)
         records.append(stats.close(epoch, lr, joint))
     report = RunReport(seed=config.seed, records=tuple(records),
                        wall_time_s=time.perf_counter() - start)
@@ -294,13 +306,16 @@ def train_joint(config: TrainConfig, corpus: Corpus, bank: TeacherBank,
 
     The contrastive branch sees the raw pair; the classifier head sees the
     anchor feature.  Teachers stay frozen and queue discipline matches
-    pretraining exactly.
+    pretraining exactly.  An ``init`` (encoder, head) pair must fit the run:
+    the corpus frame dimension, ``config.h`` and ``config.d``, and the
+    corpus class count; otherwise ValueError before any training.
     """
     _validate_run(config, corpus, bank)
     if init is None:
         enc = build_student(corpus.spec.frame_dim, config.h, config.d, config.seed)
         head = build_head(config.d, corpus.spec.num_classes, config.seed)
     else:
+        _validate_init(config, corpus, *init)
         enc, head = init[0].copy(), ClassifierHead(init[1].W.copy(), init[1].b.copy())
     enc, head, report = _run_loop(config, corpus, bank, enc, head)
     return (enc, head), report

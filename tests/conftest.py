@@ -50,6 +50,21 @@ NON_INTEGER_FIELDS = [
 ]
 
 
+# (config section, float field, value that is not a number); JSON true/false
+# must not pass as 1.0/0.0
+NON_NUMBER_FIELDS = [
+    ("train", "tau", True),
+    ("train", "lr0", True),
+    ("train", "lr0", "0.1"),
+    ("train", "momentum", False),
+    ("train", "mask_frac", "0.25"),
+    ("eval", "probe_lr", True),
+    ("eval", "split_frac", "0.5"),
+    ("corpus", "drift", True),
+    ("corpus", "frame_noise", "0.3"),
+]
+
+
 SPEC_RECORD = "<5I3dQQ"  # the documented DTGC v2 spec record
 SPEC_FIELDS = [f.name for f in dataclasses.fields(CorpusSpec)] + ["num_videos"]
 

@@ -9,7 +9,7 @@ from dtg.corpus import CORPUS_HEADER
 from dtg.model import StudentEncoder, save_student
 from dtg.trainer import NumericAbortError
 
-from conftest import NON_INTEGER_FIELDS, crafted
+from conftest import NON_INTEGER_FIELDS, NON_NUMBER_FIELDS, crafted
 
 
 def _config_doc(out_dir, **train_overrides):
@@ -62,7 +62,8 @@ def test_config_section_of_wrong_type_exits_2(tmp_path, capsys, section):
 
 
 @pytest.mark.parametrize("section,key,value",
-                         NON_INTEGER_FIELDS + [("train", "milestones", [1.5])])
+                         NON_INTEGER_FIELDS + [("train", "milestones", [1.5])]
+                         + NON_NUMBER_FIELDS)
 def test_non_integer_count_exits_2_before_training(tmp_path, capsys, section, key, value):
     doc = _config_doc(tmp_path / "run")
     doc[section] = {**doc.get(section, {}), key: value}
@@ -89,6 +90,15 @@ def test_bad_teacher_seed_or_name_exits_2_before_training(tmp_path, capsys, teac
     doc = {**_config_doc(tmp_path / "run"), "teachers": [teacher]}
     assert main(["pretrain", "--config", _write_config(tmp_path, doc), "--quiet"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("weight", ["x", -1, float("nan"), True])
+def test_bad_offline_weight_exits_2_before_training(tmp_path, capsys, weight):
+    doc = {**_config_doc(tmp_path / "run", weight_scheme="offline"),
+           "teachers": [{"rho": 0.9, "weight": 0.7}, {"rho": 0.1, "weight": weight}]}
+    assert main(["pretrain", "--config", _write_config(tmp_path, doc), "--quiet"]) == 2
+    assert "teachers[1].weight" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
 
@@ -226,6 +236,24 @@ def test_train_joint_resumes_from_checkpoint(tmp_path):
                  str(pre / "checkpoint.dtgm"), "--quiet"]) == 0
     report = json.loads((joint / "report.json").read_text())
     assert report["epochs"][-1]["ce_loss"] is not None
+
+
+@pytest.mark.parametrize("pre_corpus,pre_train,command", [
+    ({"num_classes": 3}, {}, "train-joint"),  # 3-class head, 2-class corpus
+    ({}, {"d": 3}, "pretrain"),               # d = 3 encoder, d = 6 run
+], ids=["three-class-head", "d3-encoder"])
+def test_train_joint_init_that_does_not_fit_exits_2(tmp_path, capsys, pre_corpus,
+                                                     pre_train, command):
+    pre = tmp_path / "pre"
+    doc = _config_doc(pre, **pre_train)
+    doc["corpus"].update(pre_corpus)
+    assert main([command, "--config", _write_config(tmp_path, doc, "pre.json"),
+                 "--quiet"]) == 0
+    joint = _write_config(tmp_path, _config_doc(tmp_path / "joint"), "joint.json")
+    assert main(["train-joint", "--config", joint, "--init",
+                 str(pre / "checkpoint.dtgm"), "--quiet"]) == 2
+    assert "error: init " in capsys.readouterr().err
+    assert not (tmp_path / "joint" / "checkpoint.dtgm").exists()
 
 
 def test_report_aggregates_runs(tmp_path):

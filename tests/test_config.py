@@ -7,7 +7,7 @@ from dtg.config import (ConfigError, config_from_dict, load_config, resolve,
 from dtg.losses import FusionLevel, WeightScheme
 from dtg.sampling import PairMode
 
-from conftest import NON_INTEGER_FIELDS
+from conftest import NON_INTEGER_FIELDS, NON_NUMBER_FIELDS
 
 
 def _minimal(**extra):
@@ -122,12 +122,46 @@ def test_invalid_train_values_are_config_errors():
 
 
 @pytest.mark.parametrize("section,key,value",
-                         NON_INTEGER_FIELDS + [("corpus", "seed", "3")])
+                         NON_INTEGER_FIELDS + [("corpus", "seed", "3")] + NON_NUMBER_FIELDS)
 def test_integer_fields_reject_floats_bools_and_strings(section, key, value):
+    # float fields take any number (ints included) but no bool or string
+    kind = "a number" if (section, key, value) in NON_NUMBER_FIELDS else "an integer"
     doc = _minimal()
     doc[section] = {**doc.get(section, {}), key: value}
-    with pytest.raises(ConfigError, match=rf"{section}\.{key} must be an integer"):
+    with pytest.raises(ConfigError, match=rf"{section}\.{key} must be {kind}"):
         config_from_dict(doc)
+
+
+def test_float_fields_take_integers():
+    cfg = config_from_dict(_minimal(train={"epochs": 2, "K": 4, "milestones": [], "lr0": 1},
+                                    eval={"probe_lr": 1}))
+    assert cfg.train.lr0 == 1 and cfg.eval.probe_lr == 1
+
+
+@pytest.mark.parametrize("teacher,message", [
+    ({"rho": True}, r"teachers\[1\]\.rho must be a number"),
+    ({"rho": 0.1, "weight": "x"}, r"teachers\[1\]\.weight must be a number"),
+    ({"rho": 0.1, "weight": True}, r"teachers\[1\]\.weight must be a number"),
+    ({"rho": 0.1, "weight": -1}, r"teachers\[1\]\.weight must be a finite nonnegative"),
+    ({"rho": 0.1, "weight": float("nan")}, r"teachers\[1\]\.weight must be a finite"),
+    ({"rho": 0.1, "weight": float("inf")}, r"teachers\[1\]\.weight must be a finite"),
+    ({"rho": 0.1, "weight": 10 ** 400}, r"teachers\[1\]\.weight must be a finite"),
+], ids=["rho-bool", "weight-string", "weight-bool", "weight-negative",
+        "weight-nan", "weight-inf", "weight-huge-int"])
+def test_teacher_numbers_checked_at_load(teacher, message):
+    doc = _minimal(train={"epochs": 2, "K": 4, "milestones": [], "weight_scheme": "offline"},
+                   teachers=[{"rho": 0.9, "weight": 0.7}, teacher])
+    with pytest.raises(ConfigError, match=message):
+        config_from_dict(doc)
+
+
+def test_offline_weights_need_a_positive_total():
+    doc = _minimal(train={"epochs": 2, "K": 4, "milestones": [], "weight_scheme": "offline"},
+                   teachers=[{"rho": 0.9, "weight": 0}, {"rho": 0.1, "weight": 0.0}])
+    with pytest.raises(ConfigError, match=r"every teachers\[i\]\.weight is zero"):
+        config_from_dict(doc)
+    doc["teachers"][1]["weight"] = 1e-300
+    assert config_from_dict(doc).train.offline_accuracies == (0, 1e-300)
 
 
 @pytest.mark.parametrize("milestones", [[1.5], [True], [1, "1"], [None]])

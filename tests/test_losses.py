@@ -297,6 +297,24 @@ def test_batch_rows_match_single_anchor(scheme, fusion):
 
 @pytest.mark.parametrize("scheme", list(WeightScheme))
 @pytest.mark.parametrize("fusion", list(FusionLevel))
+def test_batch_outputs_ignore_the_positives_memory_layout(scheme, fusion):
+    # the trainer's shape: B = 64, N = 4, K = 256, d = 16
+    rng = np.random.default_rng(16)
+    acc = (0.4, 0.3, 0.2, 0.1)
+    for _ in range(4):
+        anchors, positives, negs = _batch_instance(rng, 64, 4, 256, 16)
+        layouts = (positives,                       # C-ordered (B, N, d)
+                   np.ascontiguousarray(positives.transpose(1, 0, 2)).transpose(1, 0, 2),
+                   np.asfortranarray(positives))    # the middle one is the trainer's (N, B, d)
+        outs = [contrastive_batch(anchors, p, negs, 0.07, scheme, fusion, accuracies=acc)
+                for p in layouts]
+        for other in outs[1:]:
+            for name, value in vars(outs[0]).items():
+                assert np.array_equal(value, getattr(other, name)), name   # None == None
+
+
+@pytest.mark.parametrize("scheme", list(WeightScheme))
+@pytest.mark.parametrize("fusion", list(FusionLevel))
 def test_batch_gradient_finite_diff(scheme, fusion):
     # each row's loss depends on its own anchor only, so the gradient of the
     # summed loss with respect to the (B, d) anchors is grad_anchor itself

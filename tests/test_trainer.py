@@ -231,6 +231,21 @@ def test_joint_resumes_from_init_checkpoint():
     assert not np.array_equal(enc.W1, w_before)
 
 
+@pytest.mark.parametrize("frame_dim,h,d,classes,head_d", [
+    (8, 8, 6, 3, 6),   # a head for three classes on a 2-class corpus
+    (8, 8, 3, 2, 3),   # a d = 3 checkpoint in a d = 6 run
+    (8, 5, 6, 2, 6),   # hidden width differs from train.h
+    (7, 8, 6, 2, 6),   # frame dimension differs from the corpus
+    (8, 8, 6, 2, 4),   # head width differs from the encoder's d
+])
+def test_joint_init_must_fit_the_run(frame_dim, h, d, classes, head_d):
+    corpus = _corpus()
+    cfg = _config(epochs=1)
+    init = (build_student(frame_dim, h, d, seed=1), build_head(head_d, classes, seed=2))
+    with pytest.raises(ValueError, match="init (encoder|head) has"):
+        train_joint(cfg, corpus, _bank(corpus), init=init)
+
+
 def test_joint_deterministic():
     corpus = _corpus()
     cfg = _config(epochs=2)
