@@ -1,4 +1,4 @@
-"""One sha256 per training run over its checkpoint bytes and its report.
+"""One sha256 per training run and per CLI artifact, to compare checkouts.
 
 Runs a fixed matrix of short trainings on the reference corpus, per seed:
 4 teachers under every weight scheme and fusion level with mask 0.25,
@@ -6,14 +6,25 @@ Runs a fixed matrix of short trainings on the reference corpus, per seed:
 4 teachers under online1 with a batch of 7 (so batches straddle the queue
 capacity).  Each line is ``<case> <sha256>``, the digest taken over the
 ``.dtgm`` checkpoint bytes followed by the sorted-key JSON of
-``report_to_dict``.  Two checkouts that print the same lines train
-byte-identically on every case:
+``report_to_dict``.
+
+Then, per seed, it runs the CLI pipeline in a temporary directory on a
+2,000-video reference corpus with the 4-teacher bank: ``gen-data``,
+``pretrain`` (online2, feature fusion, mask 0.25), ``train-joint --init``
+from that checkpoint (online1, loss fusion) and ``probe`` of the joint
+checkpoint.  Each artifact gets one line, ``seed<s>-cli-<path> <sha256>``
+over its bytes; in the JSON files the temporary directory's path is
+replaced by a fixed token first, since configs embed their paths.
+
+Two checkouts that print the same lines train and write byte-identically
+on every case:
 
     python3 scripts/artifact_digests.py > a.txt   # in each checkout
     diff a.txt b.txt
 """
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -23,11 +34,14 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from dtg.cli import main as dtg_main
 from dtg.losses import FusionLevel, WeightScheme
 from dtg.model import save_student
 from dtg.presets import (BANK_RHOS, four_teacher_bank, joint_experiment_setup,
-                         reference_bank, reference_corpus, reference_train_config)
+                         reference_bank, reference_corpus, reference_corpus_spec,
+                         reference_train_config)
 from dtg.sampling import PairMode
+from dtg.seeding import derive_seed
 from dtg.trainer import pretrain, report_to_dict, train_joint
 
 SHORT = dict(epochs=4, milestones=(2,))  # cold first steps, one decay, then warm epochs
@@ -65,6 +79,40 @@ def runs(seed: int):
     yield "4t-online1-b7", *pre(four, weight_scheme=WeightScheme.ONLINE1, batch_size=7)
 
 
+def cli_artifacts(seed: int, work: Path):
+    """Run the CLI pipeline of one seed under ``work``, yielding (path, sha256)
+    for every file it writes, in sorted path order."""
+    spec = reference_corpus_spec(seed, videos_per_class=200)
+    spec_doc = {k: v for k, v in dataclasses.asdict(spec).items() if k != "seed"}
+    readout = derive_seed(seed, "teacher-readout")  # four_teacher_bank's shared readout
+    teachers = [{"rho": r, "seed": readout, "name": f"rho{r:g}"} for r in BANK_RHOS]
+    corpus = str(work / "data" / "corpus.dtgc")
+    pre = {"epochs": 3, "milestones": [2], "mask_frac": MASK,
+           "weight_scheme": "online2", "fusion_level": "feature"}
+    joint = {"epochs": 2, "milestones": [1], "weight_scheme": "online1"}
+    steps = (
+        ("gen-data", {"corpus": spec_doc, "out_dir": str(work / "data")}, []),
+        ("pretrain", {"corpus": corpus, "train": pre, "out_dir": str(work / "run")}, []),
+        ("train-joint", {"corpus": corpus, "train": joint, "out_dir": str(work / "joint")},
+         ["--init", str(work / "run" / "checkpoint.dtgm")]),
+        ("probe", {"corpus": corpus, "train": joint, "out_dir": str(work / "probe")},
+         ["--checkpoint", str(work / "joint" / "checkpoint.dtgm")]),
+    )
+    for command, doc, extra in steps:
+        config = work / f"{command}.json"
+        config.write_text(json.dumps({"seed": seed, "teachers": teachers,
+                                      "eval": {"split_frac": 0.5}, **doc}))
+        with contextlib.redirect_stdout(sys.stderr):
+            code = dtg_main([command, "--config", str(config), "--quiet", *extra])
+        if code != 0:
+            raise SystemExit(f"dtg {command} exited {code} for seed {seed}")
+    for path in sorted(p for p in work.rglob("*") if p.is_file() and p.parent != work):
+        data = path.read_bytes()
+        if path.suffix == ".json":
+            data = data.replace(str(work).encode(), b"$WORK")
+        yield path.relative_to(work).as_posix(), hashlib.sha256(data).hexdigest()
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -74,6 +122,10 @@ def main() -> int:
         for seed in args.seeds:
             for name, enc, head, report in runs(seed):
                 print(f"seed{seed}-{name} {digest(enc, head, report, Path(tmp))}", flush=True)
+    for seed in args.seeds:
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, sha in cli_artifacts(seed, Path(tmp)):
+                print(f"seed{seed}-cli-{name} {sha}", flush=True)
     return 0
 
 

@@ -9,7 +9,9 @@ Subcommands:
 
 Exit codes: 0 success, 2 bad or missing config, 3 I/O or file-format
 failure, 4 numeric abort.  Every artifact embeds the resolved config and
-seed.
+seed.  A command creates its output directory only once its inputs have
+loaded and its training or evaluation has finished, so a run that fails
+before then leaves no directory behind.
 """
 
 from __future__ import annotations
@@ -90,8 +92,8 @@ def cmd_gen_data(args) -> int:
     cfg = _prepare(args)
     if cfg.corpus is None:
         raise ConfigError("gen-data needs an inline corpus spec, not a corpus path")
-    out = _out_dir(cfg)
     corpus = generate_corpus(cfg.corpus)
+    out = _out_dir(cfg)
     save_corpus(corpus, out / "corpus.dtgc")
     _write_config(cfg, out)
     _say(args, f"wrote {out / 'corpus.dtgc'} ({corpus.num_videos} videos)")
@@ -118,17 +120,16 @@ def _finish_training(args, cfg, out, report, label: str) -> int:
 
 def cmd_pretrain(args) -> int:
     cfg = _prepare(args)
-    out = _out_dir(cfg)
     corpus = _load_corpus(cfg)
     bank = _build_bank(cfg, corpus)
     enc, report = pretrain(cfg.train, corpus, bank)
+    out = _out_dir(cfg)
     save_student(out / "checkpoint.dtgm", enc)
     return _finish_training(args, cfg, out, report, "pretrain")
 
 
 def cmd_train_joint(args) -> int:
     cfg = _prepare(args)
-    out = _out_dir(cfg)
     corpus = _load_corpus(cfg)
     bank = _build_bank(cfg, corpus)
     init = None
@@ -138,13 +139,13 @@ def cmd_train_joint(args) -> int:
             head = build_head(cfg.train.d, corpus.spec.num_classes, cfg.train.seed)
         init = (enc, head)
     (enc, head), report = train_joint(cfg.train, corpus, bank, init)
+    out = _out_dir(cfg)
     save_student(out / "checkpoint.dtgm", enc, head)
     return _finish_training(args, cfg, out, report, "train-joint")
 
 
 def cmd_probe(args) -> int:
     cfg = _prepare(args)
-    out = _out_dir(cfg)
     corpus = _load_corpus(cfg)
     if args.checkpoint is not None:
         enc, _ = load_student(args.checkpoint)
@@ -157,6 +158,7 @@ def cmd_probe(args) -> int:
     result = linear_probe(feats, labels, cfg.eval.split_frac, probe_cfg)
     knn = knn_top1(feats, labels, cfg.eval.knn_k)
     overlap = class_overlap(feats, labels)
+    out = _out_dir(cfg)
     doc = to_dict(cfg)
     write_probe_json(result, out / "probe.json", doc, seed=cfg.seed,
                      extras={"knn_top1": knn})

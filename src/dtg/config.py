@@ -19,7 +19,8 @@ Schema (all keys optional unless noted):
 Teacher "weight" entries are the offline per-teacher accuracies; they must be
 present on every teacher when train.weight_scheme is "offline" and absent
 otherwise.  Each is a finite nonnegative number, and at least one is
-positive.  Fields typed float take any JSON number but not true/false.
+positive.  Fields typed float take any finite JSON number but not
+true/false, NaN or +-Infinity.
 """
 
 from __future__ import annotations
@@ -115,6 +116,8 @@ def _build(cls, doc: dict, where: str):
             is_valid, kind = _SCALAR_CHECKS[fields[key].type]
             if not is_valid(value):
                 raise ConfigError(f"{where}.{key} must be {kind}, got {value!r}")
+            if kind == "a number" and value is not None and not _is_finite(value):
+                raise ConfigError(f"{where}.{key} must be a finite number")
         kwargs[key] = value
     try:
         return cls(**kwargs)
@@ -143,7 +146,8 @@ def _is_seed(value) -> bool:
 
 
 # Annotation (a string under postponed evaluation) -> (check, what it needs).
-# A float field takes any JSON number but not true/false or a string.
+# A float field takes any JSON number but not true/false or a string;
+# _build then rejects NaN, +-Infinity and integers beyond the float range.
 _SCALAR_CHECKS = {
     "int": (_is_int, "an integer"),
     "float": (_is_number, "a number"),
@@ -177,7 +181,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     for i, t in enumerate(teachers):
         if not 0 <= t.rho <= 1:
             raise ConfigError(f"teachers[{i}].rho must be a number in [0, 1]")
-        if t.weight is not None and not (_is_finite(t.weight) and t.weight >= 0):
+        if t.weight is not None and not t.weight >= 0:
             raise ConfigError(f"teachers[{i}].weight must be a finite nonnegative number, "
                               f"got {t.weight!r}")
         if t.seed is not None and not _is_seed(t.seed):

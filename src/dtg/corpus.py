@@ -33,6 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .binio import FormatError, RecordReader, RecordWriter
+from .numerics import haar_orthogonal
 from .seeding import substream
 
 CORPUS_HEADER = "DTGC v2"
@@ -93,20 +94,11 @@ class Corpus:
         return np.stack([v.frames for v in self.videos])
 
 
-def _orthonormal_bases(rng: np.random.Generator, dim: int, signal_dim: int):
-    q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
-    # fix orientation so the factorization is unique given the draw
-    q = q * np.sign(np.diag(r))
-    rows = q.T
-    return rows[:signal_dim].copy(), rows[signal_dim:].copy()
-
-
 def generate_corpus(spec: CorpusSpec) -> Corpus:
     """Deterministically generate a corpus from its spec."""
     d, ds = spec.frame_dim, spec.signal_dim
-    signal_basis, nuisance_basis = _orthonormal_bases(
-        substream(spec.seed, "corpus-bases"), d, ds
-    )
+    rows = haar_orthogonal(substream(spec.seed, "corpus-bases"), d).T
+    signal_basis, nuisance_basis = rows[:ds].copy(), rows[ds:].copy()
     proto_coeffs = substream(spec.seed, "corpus-prototypes").standard_normal(
         (spec.num_classes, ds)
     )

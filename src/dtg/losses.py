@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .numerics import DegenerateInputError, EPS_NORM, as_matrix, as_vector, softmax
+from .numerics import as_matrix, as_vector, softmax, unit_rows
 
 
 class WeightScheme(Enum):
@@ -127,11 +127,12 @@ def contrastive_batch(anchors: np.ndarray, positives: np.ndarray, negatives: np.
     """Multi-teacher contrastive loss of every anchor in a batch and the exact
     gradient of each anchor's loss with respect to that anchor.
 
-    ``anchors`` is (B, d); ``positives`` is (B, N, d), one guidance feature per
-    anchor and teacher; ``negatives`` is (N, K, d), one queue snapshot per
-    teacher shared by the batch.  Loss fusion takes the weighted sum of
-    per-teacher losses.  Feature fusion renormalizes the weighted positive and
-    scores it against all N*K negatives pooled.
+    ``anchors`` is (B, d); ``positives`` is (N, B, d), one guidance feature per
+    teacher and anchor, teacher-major like the queue; ``negatives`` is
+    (N, K, d), one queue snapshot per teacher shared by the batch.  Every
+    output is batch-major.  Loss fusion takes the weighted sum of per-teacher
+    losses.  Feature fusion renormalizes the weighted positive and scores it
+    against all N*K negatives pooled.
 
     For ``online1`` the weights are a softmax in the anchor, so the gradient
     includes the corresponding chain term; the other schemes contribute none
@@ -145,15 +146,15 @@ def contrastive_batch(anchors: np.ndarray, positives: np.ndarray, negatives: np.
     if neg.ndim != 3:
         raise ValueError(f"negatives must be (N, K, d), got shape {neg.shape}")
     n_teachers, k, dim = neg.shape
-    if a.ndim != 2 or a.shape[1] != dim or pos.shape != (len(a), n_teachers, dim):
+    if a.ndim != 2 or a.shape[1] != dim or pos.shape != (n_teachers, len(a), dim):
         raise ValueError("positives, negatives and anchors disagree on shape")
     # The einsums round according to the positives' strides; one fixed
-    # teacher-major layout (the trainer's, so no copy there) makes every
-    # output depend on the values alone.
-    pos = np.ascontiguousarray(pos.transpose(1, 0, 2)).transpose(1, 0, 2)
+    # C-ordered layout (the trainer's, so no copy there) makes every output
+    # depend on the values alone.
+    pos = np.ascontiguousarray(pos)
     b = len(a)
 
-    pos_sims = np.einsum("bnd,bd->bn", pos, a)
+    pos_sims = np.einsum("nbd,bd->bn", pos, a)
     neg_sims = (a @ neg.reshape(-1, dim).T).reshape(b, n_teachers, k)
     weights = np.broadcast_to(
         teacher_weights(scheme, n_teachers, accuracies=accuracies,
@@ -166,12 +167,8 @@ def contrastive_batch(anchors: np.ndarray, positives: np.ndarray, negatives: np.
         scored, queue, mix = pos, neg, weights
         scored_sims, queue_sims = pos_sims, neg_sims
     else:
-        y = np.einsum("bn,bnd->bd", weights, pos)
-        ny = np.linalg.norm(y, axis=1, keepdims=True)
-        if np.any(ny <= EPS_NORM):
-            raise DegenerateInputError("weighted positive collapsed to near-zero norm")
-        g_fused = y / ny
-        scored, queue, mix = g_fused[:, None], neg.reshape(1, -1, dim), np.ones((b, 1))
+        g_fused, ny = unit_rows(np.einsum("bn,nbd->bd", weights, pos), "weighted positive")
+        scored, queue, mix = g_fused[None], neg.reshape(1, -1, dim), np.ones((b, 1))
         scored_sims, queue_sims = (g_fused * a).sum(axis=1)[:, None], neg_sims.reshape(b, 1, -1)
 
     logits = np.concatenate((scored_sims[..., None], queue_sims), axis=-1) / tau
@@ -182,7 +179,7 @@ def contrastive_batch(anchors: np.ndarray, positives: np.ndarray, negatives: np.
     losses = lse[..., 0] - logits[..., 0]
     loss = (mix * losses).sum(axis=1)
     coef = mix[..., None] * probs / tau
-    grad = (np.einsum("bm,bmd->bd", coef[..., 0] - mix / tau, scored)
+    grad = (np.einsum("bm,mbd->bd", coef[..., 0] - mix / tau, scored)
             + coef[..., 1:].reshape(b, -1) @ queue.reshape(-1, dim))
     if scheme is WeightScheme.ONLINE1:
         # d w_i / da = w_i (pos_i - sum_m w_m pos_m); contracting with
@@ -192,9 +189,9 @@ def contrastive_batch(anchors: np.ndarray, positives: np.ndarray, negatives: np.
         else:
             d_gf = (probs[:, 0, :1] - 1.0) * a / tau                          # dL/d g_fused
             v = (d_gf - (d_gf * g_fused).sum(axis=1, keepdims=True) * g_fused) / ny  # dL/dy
-            c = np.einsum("bnd,bd->bn", pos, v)
+            c = np.einsum("nbd,bd->bn", pos, v)
         c = c - (weights * c).sum(axis=1, keepdims=True)
-        grad = grad + np.einsum("bn,bnd->bd", weights * c, pos)
+        grad = grad + np.einsum("bn,nbd->bd", weights * c, pos)
     teacher_losses = losses if fusion is FusionLevel.LOSS else None
     return ContrastiveOutcome(loss, grad, weights, pos_sims, teacher_losses, probs)
 
@@ -206,7 +203,7 @@ def fused_contrastive(anchor: np.ndarray, positives: np.ndarray, negatives: np.n
     """Multi-teacher contrastive loss for one anchor: ``contrastive_batch``
     with B = 1.  ``positives`` is (N, d) and ``negatives`` (N, K, d)."""
     out = contrastive_batch(as_vector(anchor, "anchor")[None],
-                            as_matrix(positives, "positives")[None], negatives, tau,
+                            as_matrix(positives, "positives")[:, None], negatives, tau,
                             scheme, fusion, accuracies)
     return ContrastiveOutcome(**{f: None if v is None else v[0] for f, v in vars(out).items()})
 

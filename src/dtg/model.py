@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .binio import RecordReader, RecordWriter
-from .numerics import EPS_NORM, DegenerateInputError
+from .numerics import haar_orthogonal, unit_rows
 from .seeding import substream
 
 CHECKPOINT_HEADER = "DTGM v2"
@@ -46,12 +46,6 @@ class StudentEncoder:
     def parameters(self) -> list[tuple[str, np.ndarray]]:
         return [(n, getattr(self, n)) for n in ("W1", "b1", "W2", "b2", "W3", "b3")]
 
-    def set_parameters(self, arrays) -> None:
-        for (name, old), new in zip(self.parameters(), arrays):
-            if new.shape != old.shape:
-                raise ValueError(f"shape mismatch for {name}")
-            setattr(self, name, np.asarray(new, dtype=np.float64))
-
     def copy(self) -> "StudentEncoder":
         return StudentEncoder(*(p.copy() for _, p in self.parameters()))
 
@@ -61,17 +55,16 @@ def build_student(frame_dim: int, hidden_dim: int, embed_dim: int, seed: int) ->
     if min(frame_dim, hidden_dim, embed_dim) < 1:
         raise ValueError("all dimensions must be >= 1")
     rng = substream(seed, "student-init")
+    return StudentEncoder(*_affine(rng, hidden_dim, frame_dim),
+                          *_affine(rng, hidden_dim, hidden_dim),
+                          *_affine(rng, embed_dim, hidden_dim))
 
-    def layer(fan_out, fan_in):
-        bound = 1.0 / np.sqrt(fan_in)
-        w = rng.uniform(-bound, bound, (fan_out, fan_in))
-        b = rng.uniform(-bound, bound, fan_out)
-        return w, b
 
-    w1, b1 = layer(hidden_dim, frame_dim)
-    w2, b2 = layer(hidden_dim, hidden_dim)
-    w3, b3 = layer(embed_dim, hidden_dim)
-    return StudentEncoder(w1, b1, w2, b2, w3, b3)
+def _affine(rng: np.random.Generator, fan_out: int, fan_in: int):
+    """One layer's weights (fan_out, fan_in), then its biases, drawn in that
+    order from U(-1/sqrt(fan_in), 1/sqrt(fan_in))."""
+    bound = 1.0 / np.sqrt(fan_in)
+    return rng.uniform(-bound, bound, (fan_out, fan_in)), rng.uniform(-bound, bound, fan_out)
 
 
 def forward_batch(enc: StudentEncoder, pooled: np.ndarray, normalize: bool = True):
@@ -84,10 +77,7 @@ def forward_batch(enc: StudentEncoder, pooled: np.ndarray, normalize: bool = Tru
     a2 = np.maximum(z2, 0.0)
     z3 = a2 @ enc.W3.T + enc.b3
     if normalize:
-        norms = np.linalg.norm(z3, axis=1, keepdims=True)
-        if np.any(norms <= EPS_NORM):
-            raise DegenerateInputError("pre-normalization feature has near-zero norm")
-        out = z3 / norms
+        out, norms = unit_rows(z3, "pre-normalization feature")
     else:
         norms = None
         out = z3
@@ -153,16 +143,6 @@ class Teacher:
         return self.weight.shape[0]
 
 
-def _semi_orthogonal(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    # Haar-distributed rather than plain Gaussian: an isometric readout keeps
-    # every teacher's noise amplification identical, so differences between
-    # teachers come only from their alignment rho.
-    n = max(rows, cols)
-    q, r = np.linalg.qr(rng.standard_normal((n, n)))
-    q = q * np.sign(np.diag(r))
-    return q[:rows, :] if rows <= cols else q[:, :cols]
-
-
 def build_teacher(corpus, rho: float, embed_dim: int, seed: int, name: str = "teacher") -> Teacher:
     """Teacher reading rho * signal projection + (1 - rho) * nuisance projection
     of the corpus feature space, through a fixed random isometry."""
@@ -174,7 +154,11 @@ def build_teacher(corpus, rho: float, embed_dim: int, seed: int, name: str = "te
     dim = bs.shape[1]
     blend = rho * (bs.T @ bs) + (1.0 - rho) * (bn.T @ bn)
     rng = substream(seed, "teacher-init")
-    w = _semi_orthogonal(rng, embed_dim, dim)
+    # Haar-distributed rather than plain Gaussian: an isometric readout keeps
+    # every teacher's noise amplification identical, so differences between
+    # teachers come only from their alignment rho.
+    q = haar_orthogonal(rng, max(embed_dim, dim))
+    w = q[:embed_dim, :] if embed_dim <= dim else q[:, :dim]
     b = 0.1 * rng.standard_normal(embed_dim)
     return Teacher(name=name, rho=float(rho), weight=w @ blend, bias=b)
 
@@ -182,10 +166,7 @@ def build_teacher(corpus, rho: float, embed_dim: int, seed: int, name: str = "te
 def teacher_features(teacher: Teacher, pooled: np.ndarray) -> np.ndarray:
     """Guidance features for mean-pooled inputs (B, D) -> unit rows (B, d)."""
     z = np.asarray(pooled, dtype=np.float64) @ teacher.weight.T + teacher.bias
-    norms = np.linalg.norm(z, axis=1, keepdims=True)
-    if np.any(norms <= EPS_NORM):
-        raise DegenerateInputError("guidance feature has near-zero norm")
-    return z / norms
+    return unit_rows(z, "guidance feature")[0]
 
 
 @dataclass(frozen=True)
@@ -236,12 +217,7 @@ class ClassifierHead:
 
 
 def build_head(embed_dim: int, num_classes: int, seed: int) -> ClassifierHead:
-    rng = substream(seed, "head-init")
-    bound = 1.0 / np.sqrt(embed_dim)
-    return ClassifierHead(
-        W=rng.uniform(-bound, bound, (num_classes, embed_dim)),
-        b=rng.uniform(-bound, bound, num_classes),
-    )
+    return ClassifierHead(*_affine(substream(seed, "head-init"), num_classes, embed_dim))
 
 
 def save_student(path, enc: StudentEncoder, head: ClassifierHead | None = None) -> None:

@@ -48,13 +48,29 @@ def softmax(logits) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def l2_normalize(v, eps: float = EPS_NORM) -> np.ndarray:
-    """Scale ``v`` to unit Euclidean norm; rejects near-zero input."""
-    u = as_vector(v)
-    n = float(np.linalg.norm(u))
-    if n <= eps:
-        raise DegenerateInputError(f"cannot normalize vector with norm {n:.3e}")
-    return u / n
+def unit_rows(x: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Scale each row of ``x`` to unit Euclidean norm.
+
+    Returns ``(x / norms, norms)`` with ``norms`` of shape (rows, 1), kept for
+    the backward pass through the scaling.  Any row with norm <= ``EPS_NORM``
+    raises ``DegenerateInputError`` naming ``what``.
+    """
+    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    if np.any(norms <= EPS_NORM):
+        raise DegenerateInputError(f"{what} has near-zero norm {norms.min():.3e}")
+    return x / norms, norms
+
+
+def l2_normalize(v) -> np.ndarray:
+    """Scale one vector to unit Euclidean norm; rejects near-zero input."""
+    return unit_rows(as_vector(v)[None], "vector")[0][0]
+
+
+def haar_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Haar-distributed n x n orthogonal matrix: the Q factor of a Gaussian
+    draw, with column signs fixed so the factorization is unique."""
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    return q * np.sign(np.diag(r))
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,9 @@ both views, and reads every teacher's guidance for the whole epoch at once
 as an (N, V, d) stack.  Each step then embeds its anchors with the student,
 reads one (N, K, d) snapshot of negatives from the queue, applies one SGD
 step to the student (and classifier head in joint mode), and enqueues its
-(N, B, d) slice of the guidance.  Teachers are never updated.
+(N, B, d) slice of the guidance.  Teachers are never updated.  The training
+state is the encoder's and head's own arrays, one momentum velocity per
+parameter and the queue, and every step updates them in place.
 
 Every teacher has its own ring of negatives, but all N rings are fed the
 same batch at every step, so they live in one ``GuidanceQueue`` that
@@ -136,25 +138,32 @@ def lr_at(config: TrainConfig, epoch: int) -> float:
 
 def sgd_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
              velocity: dict[str, np.ndarray], lr: float, momentum: float,
-             weight_decay: float) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
-    """One momentum step with coupled weight decay.
+             weight_decay: float) -> None:
+    """One momentum step with coupled weight decay, in place on ``params``
+    and ``velocity``:
 
     v <- momentum * v + g + weight_decay * p
     p <- p - lr * v
+
+    Every gradient is checked before anything is written, so a rejected
+    step leaves both dicts unchanged.
     """
     if set(params) != set(grads) or set(params) != set(velocity):
         raise ValueError("params, grads and velocity must share keys")
-    new_p, new_v = {}, {}
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.shape or velocity[name].shape != p.shape:
             raise ValueError(f"shape mismatch for parameter {name}")
         if not np.all(np.isfinite(g)):
             raise NumericAbortError(f"non-finite gradient for parameter {name}")
-        v = momentum * velocity[name] + g + weight_decay * p
-        new_v[name] = v
-        new_p[name] = p - lr * v
-    return new_p, new_v
+    for name, p in params.items():
+        v = velocity[name]
+        # one term at a time, in the order of the formula above: the sum
+        # rounds exactly as momentum * v + g + weight_decay * p
+        v *= momentum
+        v += grads[name]
+        v += weight_decay * p
+        p -= lr * v
 
 
 def _validate_run(config: TrainConfig, corpus: Corpus, bank: TeacherBank) -> None:
@@ -218,7 +227,7 @@ class _EpochStats:
 
 
 def _run_loop(config: TrainConfig, corpus: Corpus, bank: TeacherBank,
-              enc: StudentEncoder, head: ClassifierHead | None):
+              enc: StudentEncoder, head: ClassifierHead | None) -> RunReport:
     start = time.perf_counter()
     joint = head is not None
     queue = GuidanceQueue(config.K, config.d, len(bank))
@@ -242,28 +251,27 @@ def _run_loop(config: TrainConfig, corpus: Corpus, bank: TeacherBank,
         for b0 in range(0, corpus.num_videos, config.batch_size):
             batch_idx = order[b0:b0 + config.batch_size]
             n = len(batch_idx)
-            # (N, B, d) in teacher-major memory, as the queue takes it
+            # (N, B, d) in teacher-major memory, as the loss and the queue take it
             guidance = np.take(guidance_all, batch_idx, axis=1)
 
             # Cold start: until the queue is warm there is no loss and no
             # update; the guidance is still enqueued below.
             if queue.warm:
                 feats, cache = forward_batch(enc, pooled_anchors[batch_idx])
-                out = contrastive_batch(feats, guidance.transpose(1, 0, 2), negatives(queue),
+                out = contrastive_batch(feats, guidance, negatives(queue),
                                         config.tau, config.weight_scheme, config.fusion_level,
                                         accuracies=config.offline_accuracies)
                 ct_loss = float(out.loss.mean())
                 d_feats = out.grad_anchor / n
 
                 ce_loss = None
+                grads = {}
                 if joint:
                     logits = head.logits(feats)
                     ce_loss, d_logits = cross_entropy_batch(logits, labels_all[batch_idx])
                     d_feats = config.alpha * d_feats + config.beta * (d_logits @ head.W)
-                    head_grads = {
-                        "head.W": config.beta * (d_logits.T @ feats),
-                        "head.b": config.beta * d_logits.sum(axis=0),
-                    }
+                    grads["head.W"] = config.beta * (d_logits.T @ feats)
+                    grads["head.b"] = config.beta * d_logits.sum(axis=0)
                     step_loss = joint_loss(ct_loss, ce_loss, config.alpha, config.beta)
                 else:
                     step_loss = ct_loss
@@ -272,22 +280,14 @@ def _run_loop(config: TrainConfig, corpus: Corpus, bank: TeacherBank,
                         f"non-finite loss at epoch {epoch}, batch {b0 // config.batch_size}"
                     )
 
-                grads = backward_batch(enc, cache, d_feats)
-                if joint:
-                    grads.update(head_grads)
-                params, velocity = sgd_step(params, grads, velocity, lr,
-                                            config.momentum, config.weight_decay)
-                enc.set_parameters([params[k] for k, _ in enc.parameters()])
-                if joint:
-                    head.W = params["head.W"]
-                    head.b = params["head.b"]
+                grads.update(backward_batch(enc, cache, d_feats))
+                sgd_step(params, grads, velocity, lr, config.momentum, config.weight_decay)
                 stats.record(out, ce_loss)
 
             enqueue_batch(queue, guidance)
         records.append(stats.close(epoch, lr, joint))
-    report = RunReport(seed=config.seed, records=tuple(records),
-                       wall_time_s=time.perf_counter() - start)
-    return enc, head, report
+    return RunReport(seed=config.seed, records=tuple(records),
+                     wall_time_s=time.perf_counter() - start)
 
 
 def pretrain(config: TrainConfig, corpus: Corpus, bank: TeacherBank
@@ -295,8 +295,7 @@ def pretrain(config: TrainConfig, corpus: Corpus, bank: TeacherBank
     """Self-supervised training of the student against frozen teachers."""
     _validate_run(config, corpus, bank)
     enc = build_student(corpus.spec.frame_dim, config.h, config.d, config.seed)
-    enc, _, report = _run_loop(config, corpus, bank, enc, head=None)
-    return enc, report
+    return enc, _run_loop(config, corpus, bank, enc, head=None)
 
 
 def train_joint(config: TrainConfig, corpus: Corpus, bank: TeacherBank,
@@ -317,8 +316,7 @@ def train_joint(config: TrainConfig, corpus: Corpus, bank: TeacherBank,
     else:
         _validate_init(config, corpus, *init)
         enc, head = init[0].copy(), ClassifierHead(init[1].W.copy(), init[1].b.copy())
-    enc, head, report = _run_loop(config, corpus, bank, enc, head)
-    return (enc, head), report
+    return (enc, head), _run_loop(config, corpus, bank, enc, head)
 
 
 def report_to_dict(report: RunReport, resolved_config: dict | None = None) -> dict:

@@ -65,6 +65,20 @@ NON_NUMBER_FIELDS = [
 ]
 
 
+# (config section, float field, number that is not finite); Python's json
+# reads the tokens NaN, Infinity and -Infinity.  An integer beyond the float
+# range takes the same check: test_config's weight-huge-int case.
+NON_FINITE_FIELDS = [
+    ("train", "tau", float("nan")),
+    ("train", "lr0", float("inf")),
+    ("train", "momentum", float("nan")),
+    ("train", "alpha", float("inf")),
+    ("train", "weight_decay", float("-inf")),
+    ("eval", "probe_lr", float("inf")),
+    ("corpus", "drift", float("nan")),
+]
+
+
 SPEC_RECORD = "<5I3dQQ"  # the documented DTGC v2 spec record
 SPEC_FIELDS = [f.name for f in dataclasses.fields(CorpusSpec)] + ["num_videos"]
 

@@ -9,7 +9,7 @@ from dtg.corpus import CORPUS_HEADER
 from dtg.model import StudentEncoder, save_student
 from dtg.trainer import NumericAbortError
 
-from conftest import NON_INTEGER_FIELDS, NON_NUMBER_FIELDS, crafted
+from conftest import NON_FINITE_FIELDS, NON_INTEGER_FIELDS, NON_NUMBER_FIELDS, crafted
 
 
 def _config_doc(out_dir, **train_overrides):
@@ -63,7 +63,7 @@ def test_config_section_of_wrong_type_exits_2(tmp_path, capsys, section):
 
 @pytest.mark.parametrize("section,key,value",
                          NON_INTEGER_FIELDS + [("train", "milestones", [1.5])]
-                         + NON_NUMBER_FIELDS)
+                         + NON_NUMBER_FIELDS + NON_FINITE_FIELDS)
 def test_non_integer_count_exits_2_before_training(tmp_path, capsys, section, key, value):
     doc = _config_doc(tmp_path / "run")
     doc[section] = {**doc.get(section, {}), key: value}
@@ -107,6 +107,16 @@ def test_missing_corpus_file_exits_3(tmp_path):
     doc["corpus"] = str(tmp_path / "absent.dtgc")
     assert main(["pretrain", "--config", _write_config(tmp_path, doc),
                  "--quiet"]) == 3
+    assert not (tmp_path / "run").exists()
+
+
+def test_corrupt_checkpoint_probe_exits_3_without_out_dir(tmp_path, capsys):
+    ckpt = tmp_path / "bad.dtgm"
+    ckpt.write_bytes(b"DTGM v2\n" + bytes(40))
+    cfg = _write_config(tmp_path, _config_doc(tmp_path / "run"))
+    assert main(["probe", "--config", cfg, "--checkpoint", str(ckpt), "--quiet"]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "run").exists()
 
 
 def test_corrupted_corpus_exits_3(tmp_path):
@@ -253,7 +263,7 @@ def test_train_joint_init_that_does_not_fit_exits_2(tmp_path, capsys, pre_corpus
     assert main(["train-joint", "--config", joint, "--init",
                  str(pre / "checkpoint.dtgm"), "--quiet"]) == 2
     assert "error: init " in capsys.readouterr().err
-    assert not (tmp_path / "joint" / "checkpoint.dtgm").exists()
+    assert not (tmp_path / "joint").exists()
 
 
 def test_report_aggregates_runs(tmp_path):

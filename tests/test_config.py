@@ -7,7 +7,7 @@ from dtg.config import (ConfigError, config_from_dict, load_config, resolve,
 from dtg.losses import FusionLevel, WeightScheme
 from dtg.sampling import PairMode
 
-from conftest import NON_INTEGER_FIELDS, NON_NUMBER_FIELDS
+from conftest import NON_FINITE_FIELDS, NON_INTEGER_FIELDS, NON_NUMBER_FIELDS
 
 
 def _minimal(**extra):
@@ -122,10 +122,16 @@ def test_invalid_train_values_are_config_errors():
 
 
 @pytest.mark.parametrize("section,key,value",
-                         NON_INTEGER_FIELDS + [("corpus", "seed", "3")] + NON_NUMBER_FIELDS)
+                         NON_INTEGER_FIELDS + [("corpus", "seed", "3")] + NON_NUMBER_FIELDS
+                         + NON_FINITE_FIELDS)
 def test_integer_fields_reject_floats_bools_and_strings(section, key, value):
-    # float fields take any number (ints included) but no bool or string
-    kind = "a number" if (section, key, value) in NON_NUMBER_FIELDS else "an integer"
+    # float fields take any finite number (ints included) but no bool or string
+    if (section, key, value) in NON_NUMBER_FIELDS:
+        kind = "a number"
+    elif (section, key, value) in NON_FINITE_FIELDS:
+        kind = "a finite number"
+    else:
+        kind = "an integer"
     doc = _minimal()
     doc[section] = {**doc.get(section, {}), key: value}
     with pytest.raises(ConfigError, match=rf"{section}\.{key} must be {kind}"):

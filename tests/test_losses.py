@@ -28,7 +28,8 @@ def _instance(rng, d, k):
 
 
 def _batch_instance(rng, b, n, k, d):
-    return (unit_rows(rng, b, d), unit_rows(rng, b * n, d).reshape(b, n, d),
+    """(B, d) anchors, (N, B, d) positives and (N, K, d) queues."""
+    return (unit_rows(rng, b, d), unit_rows(rng, n * b, d).reshape(n, b, d),
             unit_rows(rng, n * k, d).reshape(n, k, d))
 
 
@@ -288,7 +289,7 @@ def test_batch_rows_match_single_anchor(scheme, fusion):
     out = contrastive_batch(anchors, positives, negs, 0.07, scheme, fusion, accuracies=acc)
     assert out.loss.shape == (7,) and out.grad_anchor.shape == (7, 6)
     for i in range(7):
-        one = fused_contrastive(anchors[i], positives[i], negs, 0.07, scheme, fusion,
+        one = fused_contrastive(anchors[i], positives[:, i], negs, 0.07, scheme, fusion,
                                 accuracies=acc)
         assert abs(out.loss[i] - one.loss) < 1e-12
         assert np.allclose(out.grad_anchor[i], one.grad_anchor, rtol=0, atol=1e-12)
@@ -303,9 +304,9 @@ def test_batch_outputs_ignore_the_positives_memory_layout(scheme, fusion):
     acc = (0.4, 0.3, 0.2, 0.1)
     for _ in range(4):
         anchors, positives, negs = _batch_instance(rng, 64, 4, 256, 16)
-        layouts = (positives,                       # C-ordered (B, N, d)
+        layouts = (positives,                       # C-ordered (N, B, d), the trainer's
                    np.ascontiguousarray(positives.transpose(1, 0, 2)).transpose(1, 0, 2),
-                   np.asfortranarray(positives))    # the middle one is the trainer's (N, B, d)
+                   np.asfortranarray(positives))    # the middle one is a batch-major view
         outs = [contrastive_batch(anchors, p, negs, 0.07, scheme, fusion, accuracies=acc)
                 for p in layouts]
         for other in outs[1:]:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dtg.numerics import (DegenerateInputError, as_matrix, as_vector,
-                          finite_diff_check, l2_normalize, softmax)
+                          finite_diff_check, l2_normalize, softmax, unit_rows)
 
 
 def test_softmax_uniform():
@@ -38,6 +38,14 @@ def test_l2_normalize_unit_norm():
 def test_l2_normalize_zero_vector_raises():
     with pytest.raises(DegenerateInputError):
         l2_normalize(np.zeros(4))
+
+
+def test_unit_rows_returns_norms_and_names_a_degenerate_row():
+    x = np.array([[3.0, 4.0], [0.0, 2.0]])
+    u, norms = unit_rows(x, "probe row")
+    assert np.array_equal(u, [[0.6, 0.8], [0.0, 1.0]]) and np.array_equal(norms, [[5.0], [2.0]])
+    with pytest.raises(DegenerateInputError, match="probe row has near-zero norm"):
+        unit_rows(np.vstack([x, [1e-13, 0.0]]), "probe row")
 
 
 def test_as_vector_rejects_matrix_and_nan():

@@ -1,3 +1,4 @@
+import copy
 import csv
 import dataclasses
 import json
@@ -5,9 +6,13 @@ import json
 import numpy as np
 import pytest
 
+from dtg import trainer
 from dtg.corpus import CorpusSpec, generate_corpus
-from dtg.losses import WeightScheme
-from dtg.model import TeacherBank, build_head, build_student, build_teacher
+from dtg.losses import (FusionLevel, WeightScheme, contrastive_batch, cross_entropy_batch,
+                        joint_loss)
+from dtg.model import (StudentEncoder, TeacherBank, build_head, build_student, build_teacher,
+                       forward_batch)
+from dtg.numerics import finite_diff_check
 from dtg.trainer import (NumericAbortError, TrainConfig, lr_at, pretrain,
                          report_to_dict, sgd_step, train_joint, write_report)
 
@@ -56,26 +61,26 @@ def test_sgd_plain_gradient_descent():
     p = {"x": np.array([1.0, 2.0])}
     g = {"x": np.array([0.5, -0.5])}
     v = {"x": np.zeros(2)}
-    new_p, _ = sgd_step(p, g, v, lr=0.1, momentum=0.0, weight_decay=0.0)
-    assert np.allclose(new_p["x"], [0.95, 2.05])
+    sgd_step(p, g, v, lr=0.1, momentum=0.0, weight_decay=0.0)
+    assert np.allclose(p["x"], [0.95, 2.05])
 
 
 def test_sgd_pure_momentum_coasting():
     p = {"x": np.array([1.0])}
     g = {"x": np.array([0.0])}
     v = {"x": np.array([2.0])}
-    new_p, new_v = sgd_step(p, g, v, lr=0.1, momentum=0.9, weight_decay=0.0)
-    assert np.allclose(new_v["x"], [1.8])
-    assert np.allclose(new_p["x"], [1.0 - 0.18])
+    sgd_step(p, g, v, lr=0.1, momentum=0.9, weight_decay=0.0)
+    assert np.allclose(v["x"], [1.8])
+    assert np.allclose(p["x"], [1.0 - 0.18])
 
 
 def test_sgd_hand_worked_value():
     p = {"x": np.array([1.0])}
     g = {"x": np.array([1.0])}
     v = {"x": np.array([0.0])}
-    new_p, new_v = sgd_step(p, g, v, lr=0.1, momentum=0.9, weight_decay=0.0005)
-    assert new_v["x"][0] == pytest.approx(1.0005, abs=1e-15)
-    assert new_p["x"][0] == pytest.approx(0.89995, abs=1e-15)
+    sgd_step(p, g, v, lr=0.1, momentum=0.9, weight_decay=0.0005)
+    assert v["x"][0] == pytest.approx(1.0005, abs=1e-15)
+    assert p["x"][0] == pytest.approx(0.89995, abs=1e-15)
 
 
 def test_sgd_rejects_nan_gradient_and_bad_shapes():
@@ -87,6 +92,38 @@ def test_sgd_rejects_nan_gradient_and_bad_shapes():
         sgd_step(p, {"x": np.zeros(3)}, v, 0.1, 0.9, 0.0)
     with pytest.raises(ValueError):
         sgd_step(p, {"y": np.zeros(2)}, v, 0.1, 0.9, 0.0)
+
+
+def _model_state():
+    enc, head = build_student(8, 8, 6, seed=1), build_head(6, 2, seed=2)
+    params = {**dict(enc.parameters()), **dict(head.parameters())}
+    velocity = {k: np.full_like(p, 0.5) for k, p in params.items()}
+    grads = {k: np.ones_like(p) for k, p in params.items()}
+    return enc, head, params, velocity, grads
+
+
+def test_sgd_updates_the_models_own_arrays():
+    enc, head, params, velocity, grads = _model_state()
+    w1, v_w1, before = enc.W1, velocity["W1"], enc.W1.copy()
+    sgd_step(params, grads, velocity, 0.1, 0.9, 0.0005)
+    assert enc.W1 is w1 and velocity["W1"] is v_w1
+    assert np.array_equal(v_w1, 0.9 * 0.5 + 1.0 + 0.0005 * before)
+    assert np.array_equal(w1, before - 0.1 * v_w1)
+    assert not np.array_equal(head.b, build_head(6, 2, seed=2).b)
+
+
+def test_sgd_rejected_step_leaves_state_unchanged():
+    # the bad gradient is the last one checked, after every other passed
+    _, _, params, velocity, grads = _model_state()
+    last = list(params)[-1]
+    grads[last] = grads[last].copy()
+    grads[last][0] = np.inf
+    state = copy.deepcopy((params, velocity))
+    with pytest.raises(NumericAbortError, match=last):
+        sgd_step(params, grads, velocity, 0.1, 0.9, 0.0005)
+    for now, then in zip((params, velocity), state):
+        for k in now:
+            assert np.array_equal(now[k], then[k]), k
 
 
 # --- config validation ---
@@ -255,6 +292,48 @@ def test_joint_deterministic():
     assert np.array_equal(e1.W3, e2.W3)
     assert np.array_equal(h1.W, h2.W)
     assert report_to_dict(r1) == report_to_dict(r2)
+
+
+# --- the gradient the loop applies ---
+
+@pytest.mark.parametrize("joint", [False, True], ids=["pretrain", "train_joint"])
+def test_applied_gradient_matches_finite_differences(monkeypatch, joint):
+    # Record the inputs of the first warm step as the loop makes them, then
+    # check the gradient it hands to sgd_step against central differences of
+    # mean(contrastive) (pretrain) or alpha * mean(contrastive) + beta * CE
+    # (joint), rebuilt from the public functions.
+    first = {}
+    for name in ("forward_batch", "contrastive_batch", "cross_entropy_batch", "sgd_step"):
+        def spy(*args, _name=name, _real=getattr(trainer, name), **kwargs):
+            first.setdefault(_name, copy.deepcopy((args, kwargs)))
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(trainer, name, spy)
+    corpus = _corpus()
+    cfg = _config(epochs=1, alpha=0.3, beta=2.5, weight_scheme=WeightScheme.ONLINE1,
+                  fusion_level=FusionLevel.FEATURE)
+    bank = _bank(corpus, rhos=(0.9, 0.3))
+    if joint:
+        train_joint(cfg, corpus, bank)
+    else:
+        pretrain(cfg, corpus, bank)
+
+    (_, pooled), _ = first["forward_batch"]
+    (_, guidance, negs, *loss_args), loss_kwargs = first["contrastive_batch"]
+    params, grads = first["sgd_step"][0][:2]
+    assert set(grads) == set(params) and ("head.W" in params) == joint
+
+    def objective(p):
+        enc = StudentEncoder(*(p[k] for k in ("W1", "b1", "W2", "b2", "W3", "b3")))
+        feats, _ = forward_batch(enc, pooled)
+        ct = contrastive_batch(feats, guidance, negs, *loss_args, **loss_kwargs).loss.mean()
+        if not joint:
+            return ct
+        (_, labels), _ = first["cross_entropy_batch"]
+        ce, _ = cross_entropy_batch(feats @ p["head.W"].T + p["head.b"], labels)
+        return joint_loss(ct, ce, cfg.alpha, cfg.beta)
+
+    rep = finite_diff_check(objective, params, grads)
+    assert rep.max_rel_error < 1e-6, rep.per_param_errors
 
 
 # --- report serialization ---
