@@ -21,7 +21,6 @@ from .corpus import Corpus, stratified_split
 from .losses import cross_entropy_batch
 from .model import (
     StudentEncoder,
-    Teacher,
     TeacherBank,
     forward_batch,
     pool_frames,
@@ -51,12 +50,11 @@ class ProbeResult:
 
 def video_features(enc: StudentEncoder, corpus: Corpus) -> np.ndarray:
     """One unit-norm feature per video, from its full frame stack (no sampling)."""
+    if enc.frame_dim != corpus.spec.frame_dim:
+        raise ValueError(f"encoder has frame_dim {enc.frame_dim}; the corpus frames "
+                         f"have D = {corpus.spec.frame_dim}")
     out, _ = forward_batch(enc, pool_frames(corpus.frames()))
     return out
-
-
-def teacher_video_features(teacher: Teacher, corpus: Corpus) -> np.ndarray:
-    return teacher_features(teacher, pool_frames(corpus.frames()))
 
 
 def teacher_view_accuracies(corpus: Corpus, bank: TeacherBank, seed: int = 0,

@@ -1,6 +1,6 @@
 """Contrastive and supervised losses.
 
-The contrastive objective scores one anchor feature against a positive
+The contrastive objective scores each anchor of a batch against a positive
 guidance feature and K queued negatives with a temperature-scaled softmax
 and penalizes the negative log-probability of the positive.  Its gradient
 with respect to the anchor splits into an attraction term on the positive
@@ -34,25 +34,6 @@ class WeightScheme(Enum):
 class FusionLevel(Enum):
     LOSS = "loss"          # weighted sum of per-teacher losses
     FEATURE = "feature"    # single loss against the weighted, renormalized positive
-
-
-@dataclass(frozen=True)
-class InfoNCEResult:
-    loss: float
-    grad_anchor: np.ndarray
-    probs: np.ndarray  # softmax over (positive, negatives); entry 0 is the positive
-
-
-def info_nce(anchor: np.ndarray, positive: np.ndarray, negatives: np.ndarray,
-             tau: float) -> InfoNCEResult:
-    """Contrastive loss for one anchor: ``contrastive_batch`` with B = N = 1.
-
-    ``loss = -log softmax([a.p/tau, a.n_1/tau, ..., a.n_K/tau])[0]`` and the
-    analytic anchor gradient is ``((p_0 - 1) p + sum_i p_i n_i) / tau``.
-    """
-    out = fused_contrastive(anchor, as_vector(positive, "positive")[None],
-                            as_matrix(negatives, "negatives")[None], tau, WeightScheme.UNIFORM)
-    return InfoNCEResult(loss=out.loss, grad_anchor=out.grad_anchor, probs=out.probs[0])
 
 
 def teacher_weights(scheme: WeightScheme, num_teachers: int, *,
@@ -109,15 +90,16 @@ def teacher_weights(scheme: WeightScheme, num_teachers: int, *,
 
 @dataclass(frozen=True)
 class ContrastiveOutcome:
-    """One anchor's result; ``contrastive_batch`` adds a leading batch axis to each field."""
+    """Result of ``contrastive_batch``; row b of every field belongs to anchor b."""
 
-    loss: float
-    grad_anchor: np.ndarray               # (d,)
-    weights: np.ndarray                   # (N,), sums to one
-    pos_sims: np.ndarray                  # (N,), anchor . positive per teacher
-    teacher_losses: np.ndarray | None     # per-teacher losses; None for feature fusion
+    loss: np.ndarray                      # (B,)
+    grad_anchor: np.ndarray               # (B, d)
+    weights: np.ndarray                   # (B, N), each row sums to one
+    pos_sims: np.ndarray                  # (B, N), anchor . positive per teacher
+    teacher_losses: np.ndarray | None     # (B, N) per-teacher losses; None for feature fusion
     probs: np.ndarray                     # per scored positive, softmax over (it, its queue):
-                                          # (N, 1 + K) loss fusion, (1, 1 + N*K) feature fusion
+                                          # (B, N, 1 + K) loss fusion,
+                                          # (B, 1, 1 + N*K) feature fusion
 
 
 def contrastive_batch(anchors: np.ndarray, positives: np.ndarray, negatives: np.ndarray,
@@ -196,29 +178,11 @@ def contrastive_batch(anchors: np.ndarray, positives: np.ndarray, negatives: np.
     return ContrastiveOutcome(loss, grad, weights, pos_sims, teacher_losses, probs)
 
 
-def fused_contrastive(anchor: np.ndarray, positives: np.ndarray, negatives: np.ndarray,
-                      tau: float, scheme: WeightScheme,
-                      fusion: FusionLevel = FusionLevel.LOSS,
-                      accuracies=None) -> ContrastiveOutcome:
-    """Multi-teacher contrastive loss for one anchor: ``contrastive_batch``
-    with B = 1.  ``positives`` is (N, d) and ``negatives`` (N, K, d)."""
-    out = contrastive_batch(as_vector(anchor, "anchor")[None],
-                            as_matrix(positives, "positives")[:, None], negatives, tau,
-                            scheme, fusion, accuracies)
-    return ContrastiveOutcome(**{f: None if v is None else v[0] for f, v in vars(out).items()})
-
-
 def joint_loss(contrastive: float, ce: float, alpha: float, beta: float) -> float:
     """alpha-weighted contrastive plus beta-weighted cross-entropy."""
     if alpha < 0 or beta < 0:
         raise ValueError("alpha and beta must be nonnegative")
     return alpha * contrastive + beta * ce
-
-
-def cross_entropy(logits: np.ndarray, label: int) -> tuple[float, np.ndarray]:
-    """Softmax cross-entropy for one example; returns (loss, grad wrt logits)."""
-    loss, grad = cross_entropy_batch(as_vector(logits, "logits")[None], np.array([label]))
-    return loss, grad[0]
 
 
 def cross_entropy_batch(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:

@@ -5,7 +5,8 @@ affine+ReLU layers and a final affine to the embedding dimension, then
 L2-normalizes.  Teachers are frozen: they mean-pool, blend the signal and
 nuisance projections of the input by an alignment knob rho, apply a fixed
 random affine readout to the shared embedding dimension, and normalize.
-rho=1 reads only the class-signal subspace, rho=0 only nuisance.
+rho=1 reads only the class-signal subspace, rho=0 only nuisance.  Both
+work on (B, D) pooled batches; one sequence is a batch of one.
 """
 
 from __future__ import annotations
@@ -67,20 +68,16 @@ def _affine(rng: np.random.Generator, fan_out: int, fan_in: int):
     return rng.uniform(-bound, bound, (fan_out, fan_in)), rng.uniform(-bound, bound, fan_out)
 
 
-def forward_batch(enc: StudentEncoder, pooled: np.ndarray, normalize: bool = True):
-    """Forward pass on mean-pooled inputs (B, D) -> features (B, d) plus the
-    activation cache consumed by ``backward_batch``."""
+def forward_batch(enc: StudentEncoder, pooled: np.ndarray):
+    """Forward pass on mean-pooled inputs (B, D) -> unit-norm features (B, d)
+    plus the activation cache consumed by ``backward_batch``."""
     x = np.asarray(pooled, dtype=np.float64)
     z1 = x @ enc.W1.T + enc.b1
     a1 = np.maximum(z1, 0.0)
     z2 = a1 @ enc.W2.T + enc.b2
     a2 = np.maximum(z2, 0.0)
     z3 = a2 @ enc.W3.T + enc.b3
-    if normalize:
-        out, norms = unit_rows(z3, "pre-normalization feature")
-    else:
-        norms = None
-        out = z3
+    out, norms = unit_rows(z3, "pre-normalization feature")
     cache = (x, z1, a1, z2, a2, out, norms)
     return out, cache
 
@@ -88,12 +85,9 @@ def forward_batch(enc: StudentEncoder, pooled: np.ndarray, normalize: bool = Tru
 def backward_batch(enc: StudentEncoder, cache, d_out: np.ndarray) -> dict[str, np.ndarray]:
     """Hand-derived reverse pass; returns gradients summed over the batch."""
     x, z1, a1, z2, a2, out, norms = cache
-    if norms is not None:
-        # through y = z / |z|:  dz = (dy - (dy . y) y) / |z|
-        inner = np.sum(d_out * out, axis=1, keepdims=True)
-        dz3 = (d_out - inner * out) / norms
-    else:
-        dz3 = d_out
+    # through y = z / |z|:  dz = (dy - (dy . y) y) / |z|
+    inner = np.sum(d_out * out, axis=1, keepdims=True)
+    dz3 = (d_out - inner * out) / norms
     grads = {}
     grads["W3"] = dz3.T @ a2
     grads["b3"] = dz3.sum(axis=0)
@@ -118,15 +112,6 @@ def pool_frames(frames) -> np.ndarray:
     if x.ndim < 2:
         raise ValueError(f"expected a (..., T, D) frame array, got shape {x.shape}")
     return np.sort(x, axis=-2).mean(axis=-2)
-
-
-def embed_student(enc: StudentEncoder, seq, normalize: bool = True) -> np.ndarray:
-    """Anchor feature of one frame sequence (unit norm unless disabled)."""
-    x = pool_frames(seq)
-    if x.shape != (enc.frame_dim,):
-        raise ValueError(f"expected a (T, {enc.frame_dim}) frame array, got shape {np.shape(seq)}")
-    out, _ = forward_batch(enc, x[None, :], normalize=normalize)
-    return out[0]
 
 
 @dataclass(frozen=True)
@@ -186,16 +171,6 @@ class TeacherBank:
     @property
     def embed_dim(self) -> int:
         return self.teachers[0].embed_dim
-
-
-def embed_teacher(bank: TeacherBank, k: int, seq) -> np.ndarray:
-    """Guidance feature g_k for one sequence; teachers receive no gradients."""
-    if not 0 <= k < len(bank):
-        raise IndexError(f"teacher index {k} out of range for bank of {len(bank)}")
-    x = pool_frames(seq)
-    if x.ndim != 1:
-        raise ValueError(f"expected a (T, D) frame array, got shape {np.shape(seq)}")
-    return teacher_features(bank.teachers[k], x[None, :])[0]
 
 
 @dataclass

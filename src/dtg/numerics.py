@@ -61,11 +61,6 @@ def unit_rows(x: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
     return x / norms, norms
 
 
-def l2_normalize(v) -> np.ndarray:
-    """Scale one vector to unit Euclidean norm; rejects near-zero input."""
-    return unit_rows(as_vector(v)[None], "vector")[0][0]
-
-
 def haar_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
     """Haar-distributed n x n orthogonal matrix: the Q factor of a Gaussian
     draw, with column signs fixed so the factorization is unique."""

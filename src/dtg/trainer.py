@@ -97,7 +97,17 @@ class TrainConfig:
             raise ValueError("K must be >= 1")
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("alpha and beta must be nonnegative")
+        # a decay above 1 grows the step and one at or below 0 flips or zeroes
+        # it; momentum of 1 or more never forgets a gradient
+        if not 0 < self.decay <= 1:
+            raise ValueError(f"decay must lie in (0, 1], got {self.decay!r}")
+        if not 0 <= self.momentum < 1:
+            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum!r}")
+        if not self.weight_decay >= 0:
+            raise ValueError(f"weight_decay must be nonnegative, got {self.weight_decay!r}")
         ms = tuple(self.milestones)
+        if any(m < 0 for m in ms):
+            raise ValueError(f"milestones must be >= 0, got {list(ms)}")
         if any(b <= a for a, b in zip(ms, ms[1:])):
             raise ValueError("milestones must be strictly increasing")
         if any(m >= self.epochs for m in ms) and self.epochs > 0:
@@ -174,6 +184,12 @@ def _validate_run(config: TrainConfig, corpus: Corpus, bank: TeacherBank) -> Non
         )
     if corpus.spec.frames_per_video < config.segments:
         raise ValueError("segments exceed frames per video")
+    half = corpus.spec.frames_per_video // 2
+    if config.pair_mode is PairMode.SEQ_SEQ_DISJOINT and config.segments > half:
+        raise ValueError(
+            f"seq-seq-disjoint draws each view from half a video: segments "
+            f"{config.segments} exceed frames_per_video // 2 = {half}"
+        )
     if bank.embed_dim != config.d:
         raise ValueError(
             f"teacher dimension {bank.embed_dim} differs from the student's d = {config.d}"

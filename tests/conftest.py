@@ -79,6 +79,21 @@ NON_FINITE_FIELDS = [
 ]
 
 
+# (train field, value of the right type that breaks training): a decay
+# outside (0, 1], a momentum outside [0, 1), a negative weight decay or
+# milestone
+BAD_SCHEDULE_FIELDS = [
+    ("decay", -1.0),
+    ("decay", 0.0),
+    ("decay", 1.5),
+    ("momentum", 1.5),
+    ("momentum", 1.0),
+    ("momentum", -0.1),
+    ("weight_decay", -0.1),
+    ("milestones", [-1]),
+]
+
+
 SPEC_RECORD = "<5I3dQQ"  # the documented DTGC v2 spec record
 SPEC_FIELDS = [f.name for f in dataclasses.fields(CorpusSpec)] + ["num_videos"]
 

@@ -19,11 +19,10 @@ from dtg.cli import main as cli_main
 from dtg.corpus import CorpusSpec, generate_corpus
 from dtg.evaluation import (class_overlap, linear_probe,
                             teacher_view_accuracies, video_features)
-from dtg.losses import (FusionLevel, WeightScheme, cross_entropy,
-                        fused_contrastive, info_nce, joint_loss,
-                        teacher_weights)
+from dtg.losses import (FusionLevel, WeightScheme, contrastive_batch,
+                        cross_entropy_batch, joint_loss, teacher_weights)
 from dtg.model import StudentEncoder, backward_batch, build_student, forward_batch
-from dtg.numerics import finite_diff_check, l2_normalize
+from dtg.numerics import finite_diff_check
 from dtg.presets import (four_teacher_bank, joint_experiment_setup,
                          reference_bank, reference_corpus,
                          reference_train_config)
@@ -43,10 +42,13 @@ def _verdict(cid: str, ok: bool, detail: str) -> None:
     assert ok, line
 
 
+UNIFORM = WeightScheme.UNIFORM
+
+
 def _nce_instance(rng, d, k):
-    return (l2_normalize(rng.standard_normal(d)),
-            l2_normalize(rng.standard_normal(d)),
-            unit_rows(rng, k, d))
+    """One anchor (1, d), its one teacher's positive (1, 1, d) and that
+    teacher's queue (1, K, d)."""
+    return unit_rows(rng, 1, d), unit_rows(rng, 1, d)[None], unit_rows(rng, k, d)[None]
 
 
 def test_c01_gradient_correctness():
@@ -59,9 +61,9 @@ def test_c01_gradient_correctness():
         for k in (1, 8, 64):
             for _ in range(6):
                 a, pos, negs = _nce_instance(rng, d, k)
-                r = info_nce(a, pos, negs, tau=0.07)
+                r = contrastive_batch(a, pos, negs, 0.07, UNIFORM)
                 rep = finite_diff_check(
-                    lambda p: info_nce(p["a"], pos, negs, tau=0.07).loss,
+                    lambda p: contrastive_batch(p["a"], pos, negs, 0.07, UNIFORM).loss[0],
                     {"a": a}, {"a": r.grad_anchor})
                 worst = max(worst, rep.max_rel_error)
                 checks += 1
@@ -72,16 +74,16 @@ def test_c01_gradient_correctness():
             for d in (4, 8, 32):
                 for k in (1, 8, 64):
                     for _ in range(6):
-                        a = l2_normalize(rng.standard_normal(d))
-                        pos = unit_rows(rng, 3, d)
+                        a = unit_rows(rng, 1, d)
+                        pos = unit_rows(rng, 3, d)[:, None]
                         negs = np.stack([unit_rows(rng, k, d) for _ in range(3)])
                         acc = tuple(rng.uniform(0.1, 1.0, 3))
-                        out = fused_contrastive(a, pos, negs, 0.07, scheme,
+                        out = contrastive_batch(a, pos, negs, 0.07, scheme,
                                                 fusion, accuracies=acc)
                         rep = finite_diff_check(
-                            lambda p: fused_contrastive(
+                            lambda p: contrastive_batch(
                                 p["a"], pos, negs, 0.07, scheme, fusion,
-                                accuracies=acc).loss,
+                                accuracies=acc).loss[0],
                             {"a": a}, {"a": out.grad_anchor})
                         worst = max(worst, rep.max_rel_error)
                         per_combo += 1
@@ -90,10 +92,10 @@ def test_c01_gradient_correctness():
 
     for _ in range(50):
         c = int(rng.integers(2, 12))
-        z = rng.standard_normal(c)
-        label = int(rng.integers(c))
-        _, grad = cross_entropy(z, label)
-        rep = finite_diff_check(lambda p: cross_entropy(p["z"], label)[0],
+        z = rng.standard_normal((1, c))
+        label = np.array([rng.integers(c)])
+        _, grad = cross_entropy_batch(z, label)
+        rep = finite_diff_check(lambda p: cross_entropy_batch(p["z"], label)[0],
                                 {"z": z}, {"z": grad})
         worst = max(worst, rep.max_rel_error)
         checks += 1
@@ -113,19 +115,23 @@ def test_c01_gradient_correctness():
         k = (1, 8, 64)[i % 3]
         enc = build_student(6, 8, d_embed, seed=int(rng.integers(2 ** 31)))
         pooled = rng.standard_normal((2, 6))
-        pos = unit_rows(rng, 2, d_embed)
-        negs = unit_rows(rng, k, d_embed)
+        pos = unit_rows(rng, 2, d_embed)[None]
+        negs = unit_rows(rng, k, d_embed)[None]
+
+        # one call per row scores each anchor alone, as the checks above do; a
+        # (2, d) product can round a row apart from it in the last bit
+        def row_losses(feats):
+            return [contrastive_batch(feats[j:j + 1], pos[:, j:j + 1], negs, 0.07, UNIFORM)
+                    for j in range(2)]
 
         def loss_of(params):
             e = StudentEncoder(**params)
             feats, _ = forward_batch(e, pooled)
-            return sum(info_nce(feats[j], pos[j], negs, tau=0.07).loss
-                       for j in range(2))
+            return sum(out.loss[0] for out in row_losses(feats))
 
         params = {f: getattr(enc, f) for f in fields}
         feats, cache = forward_batch(enc, pooled)
-        d_feats = np.stack([info_nce(feats[j], pos[j], negs, tau=0.07).grad_anchor
-                            for j in range(2)])
+        d_feats = np.concatenate([out.grad_anchor for out in row_losses(feats)])
         grads = backward_batch(enc, cache, d_feats)
         rep = finite_diff_check(loss_of, params, grads)
         worst = max(worst, rep.max_rel_error)
@@ -141,19 +147,20 @@ def test_c01_gradient_correctness():
 def test_c02_closed_form_loss_values():
     worst_uniform = 0.0
     for k in range(1, 65):
-        v = l2_normalize(np.ones(3))
-        r = info_nce(v, v, np.tile(v, (k, 1)), tau=0.37)
-        worst_uniform = max(worst_uniform, abs(r.loss - math.log(k + 1)))
+        v = np.ones((1, 3)) / np.sqrt(3)
+        r = contrastive_batch(v, v[None], np.tile(v, (1, k, 1)), 0.37, UNIFORM)
+        worst_uniform = max(worst_uniform, abs(r.loss[0] - math.log(k + 1)))
 
-    a = np.array([1.0, 0.0])
-    err1 = abs(info_nce(a, a, np.array([[0.0, 1.0]]), tau=1.0).loss
+    a = np.array([[1.0, 0.0]])
+    err1 = abs(contrastive_batch(a, a[None], np.array([[[0.0, 1.0]]]), 1.0, UNIFORM).loss[0]
                - 0.3132616875182228)
-    a3 = np.array([1.0, 0.0, 0.0])
-    pos = np.array([0.9, math.sqrt(1 - 0.81), 0.0])
-    negs = np.stack([[0.1, 0.0, math.sqrt(0.99)],
-                     [-0.2, 0.0, math.sqrt(0.96)],
-                     [0.0, 0.0, 1.0]])
-    err2 = abs(info_nce(a3, pos, negs, tau=0.07).loss - 1.3637236044903298e-05)
+    a3 = np.array([[1.0, 0.0, 0.0]])
+    pos = np.array([[[0.9, math.sqrt(1 - 0.81), 0.0]]])
+    negs = np.array([[[0.1, 0.0, math.sqrt(0.99)],
+                      [-0.2, 0.0, math.sqrt(0.96)],
+                      [0.0, 0.0, 1.0]]])
+    err2 = abs(contrastive_batch(a3, pos, negs, 0.07, UNIFORM).loss[0]
+               - 1.3637236044903298e-05)
 
     _verdict("criterion 2 (closed forms)",
              worst_uniform < 1e-12 and err1 < 1e-9 and err2 < 1e-9,
@@ -198,11 +205,12 @@ def test_c04_two_force_property():
         d = (4, 8, 32)[i % 3]
         k = int(rng.integers(1, 33))
         a, pos, negs = _nce_instance(rng, d, k)
-        r = info_nce(a, pos, negs, tau=0.2)
-        if r.probs[0] < 1.0 and (r.probs[1:] > 0.0).all():
+        r = contrastive_batch(a, pos, negs, 0.2, UNIFORM)
+        probs = r.probs[0, 0]
+        if probs[0] < 1.0 and (probs[1:] > 0.0).all():
             two_force += 1
         stepped = a - 1e-4 * r.grad_anchor
-        if info_nce(stepped, pos, negs, tau=0.2).loss < r.loss:
+        if contrastive_batch(stepped, pos, negs, 0.2, UNIFORM).loss[0] < r.loss[0]:
             decreases += 1
     _verdict("criterion 4 (two forces)",
              two_force == n_inst and decreases >= 999,
@@ -216,16 +224,16 @@ def test_c05_queue_against_list_model():
     sequences = 10_000
     for _ in range(sequences):
         cap = int(rng.integers(1, 9))
-        q = GuidanceQueue(capacity=cap, dim=2)
+        q = GuidanceQueue(capacity=cap, dim=2, teachers=1)
         model: list[int] = []
         for _ in range(int(rng.integers(1, 7))):
             take = rng.integers(0, 512, size=int(rng.integers(0, 7)))
-            enqueue_batch(q, pool[take])
+            enqueue_batch(q, pool[take][None])
             model = (model + list(take))[-cap:]
             assert len(q) == len(model)
             assert q.warm == (len(model) == cap)
             if q.warm:
-                assert np.array_equal(negatives(q), pool[model])
+                assert np.array_equal(negatives(q), pool[model][None])
     _verdict("criterion 5 (queue list model)", True,
              f"{sequences} random enqueue sequences match the reference model")
 

@@ -9,7 +9,8 @@ from dtg.corpus import CORPUS_HEADER
 from dtg.model import StudentEncoder, save_student
 from dtg.trainer import NumericAbortError
 
-from conftest import NON_FINITE_FIELDS, NON_INTEGER_FIELDS, NON_NUMBER_FIELDS, crafted
+from conftest import (BAD_SCHEDULE_FIELDS, NON_FINITE_FIELDS, NON_INTEGER_FIELDS,
+                      NON_NUMBER_FIELDS, crafted)
 
 
 def _config_doc(out_dir, **train_overrides):
@@ -72,6 +73,15 @@ def test_non_integer_count_exits_2_before_training(tmp_path, capsys, section, ke
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("key,value", BAD_SCHEDULE_FIELDS)
+def test_bad_schedule_or_optimizer_value_exits_2_before_training(tmp_path, capsys,
+                                                                 key, value):
+    doc = _config_doc(tmp_path / "run", **{key: value})
+    assert main(["pretrain", "--config", _write_config(tmp_path, doc), "--quiet"]) == 2
+    assert f"{key} must" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_retired_jitter_key_exits_2_before_training(tmp_path, capsys):
     doc = _config_doc(tmp_path / "run", jitter=0.2)
     assert main(["pretrain", "--config", _write_config(tmp_path, doc), "--quiet"]) == 2
@@ -116,6 +126,20 @@ def test_corrupt_checkpoint_probe_exits_3_without_out_dir(tmp_path, capsys):
     cfg = _write_config(tmp_path, _config_doc(tmp_path / "run"))
     assert main(["probe", "--config", cfg, "--checkpoint", str(ckpt), "--quiet"]) == 3
     assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "run").exists()
+
+
+def test_probe_checkpoint_of_another_frame_dim_exits_2(tmp_path, capsys):
+    pre = _config_doc(tmp_path / "pre")
+    pre["corpus"]["frame_dim"] = 6
+    assert main(["pretrain", "--config", _write_config(tmp_path, pre, "pre.json"),
+                 "--quiet"]) == 0
+    doc = _config_doc(tmp_path / "run")
+    doc["corpus"]["frame_dim"] = 5
+    assert main(["probe", "--config", _write_config(tmp_path, doc), "--checkpoint",
+                 str(tmp_path / "pre" / "checkpoint.dtgm"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "frame_dim 6" in err and "D = 5" in err
     assert not (tmp_path / "run").exists()
 
 

@@ -7,7 +7,8 @@ from dtg.config import (ConfigError, config_from_dict, load_config, resolve,
 from dtg.losses import FusionLevel, WeightScheme
 from dtg.sampling import PairMode
 
-from conftest import NON_FINITE_FIELDS, NON_INTEGER_FIELDS, NON_NUMBER_FIELDS
+from conftest import (BAD_SCHEDULE_FIELDS, NON_FINITE_FIELDS, NON_INTEGER_FIELDS,
+                      NON_NUMBER_FIELDS)
 
 
 def _minimal(**extra):
@@ -136,6 +137,20 @@ def test_integer_fields_reject_floats_bools_and_strings(section, key, value):
     doc[section] = {**doc.get(section, {}), key: value}
     with pytest.raises(ConfigError, match=rf"{section}\.{key} must be {kind}"):
         config_from_dict(doc)
+
+
+@pytest.mark.parametrize("key,value", BAD_SCHEDULE_FIELDS)
+def test_schedule_and_optimizer_ranges_checked_at_load(key, value):
+    doc = _minimal(train={"epochs": 4, "K": 4, "milestones": [1], key: value})
+    with pytest.raises(ConfigError, match=rf"invalid train: {key} must"):
+        config_from_dict(doc)
+
+
+def test_schedule_and_optimizer_range_ends_accepted():
+    train = config_from_dict(_minimal(train={"epochs": 4, "K": 4, "milestones": [0],
+                                             "decay": 1, "momentum": 0,
+                                             "weight_decay": 0})).train
+    assert (train.decay, train.momentum, train.weight_decay, train.milestones) == (1, 0, 0, (0,))
 
 
 def test_float_fields_take_integers():

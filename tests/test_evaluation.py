@@ -8,10 +8,11 @@ from dtg import evaluation
 from dtg.corpus import CorpusSpec, generate_corpus
 from dtg.evaluation import (ProbeConfig, class_overlap, knn_top1, linear_probe,
                             project_2d, stratified_split,
-                            teacher_video_features, teacher_view_accuracies,
-                            video_features, write_overlap_json,
-                            write_probe_json, write_projection_csv)
-from dtg.model import TeacherBank, build_student, build_teacher
+                            teacher_view_accuracies, video_features,
+                            write_overlap_json, write_probe_json,
+                            write_projection_csv)
+from dtg.model import (TeacherBank, build_student, build_teacher, pool_frames,
+                       teacher_features)
 from dtg.numerics import DegenerateInputError
 
 
@@ -97,7 +98,7 @@ def test_knn_perfect_on_collapsed_classes():
     spec = CorpusSpec(2, 6, 4, 10, 4, video_spread=0.0, frame_noise=0.0, seed=5)
     corpus = generate_corpus(spec)
     teacher = build_teacher(corpus, 1.0, embed_dim=6, seed=0)
-    feats = teacher_video_features(teacher, corpus)
+    feats = teacher_features(teacher, pool_frames(corpus.frames()))
     labels = np.array([v.label for v in corpus.videos])
     assert knn_top1(feats, labels, k=5) == 1.0
 

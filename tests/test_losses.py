@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dtg.losses import (ContrastiveOutcome, FusionLevel, WeightScheme,
-                        contrastive_batch, cross_entropy, cross_entropy_batch,
-                        fused_contrastive, info_nce, joint_loss, teacher_weights)
-from dtg.numerics import finite_diff_check, l2_normalize
+                        contrastive_batch, cross_entropy_batch, joint_loss,
+                        teacher_weights)
+from dtg.numerics import finite_diff_check
 
 from conftest import unit_rows
 
@@ -20,10 +20,15 @@ OFFLINE_RENORM = (0.06653406196406565, 2.9791371028686113e-06,
                   0.5064533074876639, 0.4270096514111676)
 
 
+UNIFORM = WeightScheme.UNIFORM
+
+
 def _instance(rng, d, k):
-    a = l2_normalize(rng.standard_normal(d))
-    pos = l2_normalize(rng.standard_normal(d))
-    negs = unit_rows(rng, k, d)
+    """One anchor (1, d), its one teacher's positive (1, 1, d) and that
+    teacher's queue (1, K, d)."""
+    a = unit_rows(rng, 1, d)
+    pos = unit_rows(rng, 1, d)[None]
+    negs = unit_rows(rng, k, d)[None]
     return a, pos, negs
 
 
@@ -35,49 +40,49 @@ def _batch_instance(rng, b, n, k, d):
 
 def test_info_nce_uniform_logits_is_log_k_plus_1():
     d = 4
-    v = l2_normalize(np.ones(d))
-    negs = np.stack([v] * 3)
-    r = info_nce(v, v, negs, tau=0.5)
-    assert abs(r.loss - math.log(4)) < 1e-12
+    v = np.ones((1, d)) / np.sqrt(d)
+    negs = np.tile(v, (1, 3, 1))
+    r = contrastive_batch(v, v[None], negs, 0.5, UNIFORM)
+    assert abs(r.loss[0] - math.log(4)) < 1e-12
 
 
 def test_info_nce_scalar_oracle_tau1():
     # engineered similarities: a.pos = 1, a.neg = 0
-    a = np.array([1.0, 0.0])
-    pos = np.array([1.0, 0.0])
-    negs = np.array([[0.0, 1.0]])
-    r = info_nce(a, pos, negs, tau=1.0)
-    assert abs(r.loss - LOSS_TAU1) < 1e-9
+    a = np.array([[1.0, 0.0]])
+    pos = np.array([[[1.0, 0.0]]])
+    negs = np.array([[[0.0, 1.0]]])
+    r = contrastive_batch(a, pos, negs, 1.0, UNIFORM)
+    assert abs(r.loss[0] - LOSS_TAU1) < 1e-9
 
 
 def test_info_nce_scalar_oracle_tau007():
     # 3-d construction hitting the exact similarity triple
-    a = np.array([1.0, 0.0, 0.0])
-    pos = np.array([0.9, math.sqrt(1 - 0.81), 0.0])
-    negs = np.stack([
-        np.array([0.1, 0.0, math.sqrt(1 - 0.01)]),
-        np.array([-0.2, 0.0, math.sqrt(1 - 0.04)]),
-        np.array([0.0, 0.0, 1.0]),
-    ])
-    r = info_nce(a, pos, negs, tau=0.07)
-    assert abs(r.loss - LOSS_TAU007) < 1e-9
+    a = np.array([[1.0, 0.0, 0.0]])
+    pos = np.array([[[0.9, math.sqrt(1 - 0.81), 0.0]]])
+    negs = np.array([[
+        [0.1, 0.0, math.sqrt(1 - 0.01)],
+        [-0.2, 0.0, math.sqrt(1 - 0.04)],
+        [0.0, 0.0, 1.0],
+    ]])
+    r = contrastive_batch(a, pos, negs, 0.07, UNIFORM)
+    assert abs(r.loss[0] - LOSS_TAU007) < 1e-9
 
 
 def test_info_nce_rejects_bad_tau():
     a, pos, negs = _instance(np.random.default_rng(0), 4, 2)
     with pytest.raises(ValueError):
-        info_nce(a, pos, negs, tau=0.0)
+        contrastive_batch(a, pos, negs, 0.0, UNIFORM)
     with pytest.raises(ValueError):
-        info_nce(a, pos, negs, tau=-1.0)
+        contrastive_batch(a, pos, negs, -1.0, UNIFORM)
 
 
 def test_info_nce_permutation_of_negatives_exact():
     rng = np.random.default_rng(1)
     a, pos, negs = _instance(rng, 6, 8)
-    base = info_nce(a, pos, negs, tau=0.07).loss
+    base = contrastive_batch(a, pos, negs, 0.07, UNIFORM).loss
     for _ in range(20):
         perm = rng.permutation(8)
-        assert info_nce(a, pos, negs[perm], tau=0.07).loss == base
+        assert np.array_equal(contrastive_batch(a, pos, negs[:, perm], 0.07, UNIFORM).loss, base)
     # the batched loss under every scheme and fusion level, each teacher's
     # queue shuffled independently
     anchors, positives, queues = _batch_instance(rng, 5, 3, 8, 6)
@@ -93,12 +98,12 @@ def test_info_nce_permutation_of_negatives_exact():
 
 
 def test_info_nce_monotone_in_positive_similarity():
-    negs = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    negs = np.array([[[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]])
     prev = np.inf
     for s in np.linspace(-0.9, 0.9, 19):
-        a = np.array([1.0, 0.0, 0.0])
-        pos = np.array([s, math.sqrt(1 - s * s), 0.0])
-        loss = info_nce(a, pos, negs, tau=0.1).loss
+        a = np.array([[1.0, 0.0, 0.0]])
+        pos = np.array([[[s, math.sqrt(1 - s * s), 0.0]]])
+        loss = contrastive_batch(a, pos, negs, 0.1, UNIFORM).loss[0]
         assert loss < prev
         prev = loss
 
@@ -107,9 +112,9 @@ def test_info_nce_gradient_finite_diff():
     rng = np.random.default_rng(2)
     for d, k in ((4, 1), (8, 8), (32, 64)):
         a, pos, negs = _instance(rng, d, k)
-        r = info_nce(a, pos, negs, tau=0.07)
+        r = contrastive_batch(a, pos, negs, 0.07, UNIFORM)
         rep = finite_diff_check(
-            lambda p: info_nce(p["a"], pos, negs, tau=0.07).loss,
+            lambda p: contrastive_batch(p["a"], pos, negs, 0.07, UNIFORM).loss[0],
             {"a": a}, {"a": r.grad_anchor})
         assert rep.max_rel_error < 1e-5
 
@@ -117,21 +122,22 @@ def test_info_nce_gradient_finite_diff():
 def test_two_force_decomposition():
     rng = np.random.default_rng(3)
     a, pos, negs = _instance(rng, 5, 4)
-    r = info_nce(a, pos, negs, tau=0.2)
+    r = contrastive_batch(a, pos, negs, 0.2, UNIFORM)
     # -grad = ((1 - p0) pos - sum p_i n_i) / tau: attraction to the positive,
     # repulsion from every negative
-    assert r.probs[0] < 1.0
-    assert (r.probs[1:] > 0.0).all()
-    recon = ((r.probs[0] - 1.0) * pos + r.probs[1:] @ negs) / 0.2
-    assert np.allclose(recon, r.grad_anchor, atol=1e-12)
+    probs = r.probs[0, 0]
+    assert probs[0] < 1.0
+    assert (probs[1:] > 0.0).all()
+    recon = ((probs[0] - 1.0) * pos[0, 0] + probs[1:] @ negs[0]) / 0.2
+    assert np.allclose(recon, r.grad_anchor[0], atol=1e-12)
 
 
 def test_one_gradient_step_decreases_loss():
     rng = np.random.default_rng(4)
     a, pos, negs = _instance(rng, 8, 16)
-    r = info_nce(a, pos, negs, tau=0.07)
+    r = contrastive_batch(a, pos, negs, 0.07, UNIFORM)
     stepped = a - 1e-4 * r.grad_anchor
-    assert info_nce(stepped, pos, negs, tau=0.07).loss < r.loss
+    assert contrastive_batch(stepped, pos, negs, 0.07, UNIFORM).loss[0] < r.loss[0]
 
 
 # --- weighting schemes ---
@@ -207,8 +213,9 @@ def test_weights_simplex_property(n, seed, scheme):
 # --- fused contrastive ---
 
 def _fused_instance(rng, n, k, d):
-    a = l2_normalize(rng.standard_normal(d))
-    pos = unit_rows(rng, n, d)
+    """One anchor (1, d), N teachers' positives (N, 1, d) and queues (N, K, d)."""
+    a = unit_rows(rng, 1, d)
+    pos = unit_rows(rng, n, d)[:, None]
     negs = np.stack([unit_rows(rng, k, d) for _ in range(n)])
     return a, pos, negs
 
@@ -216,10 +223,10 @@ def _fused_instance(rng, n, k, d):
 def test_fused_single_teacher_matches_info_nce():
     rng = np.random.default_rng(5)
     a, pos, negs = _fused_instance(rng, 1, 6, 5)
-    single = info_nce(a, pos[0], negs[0], tau=0.07)
+    single = contrastive_batch(a, pos, negs, 0.07, UNIFORM)
     for fusion in FusionLevel:
-        out = fused_contrastive(a, pos, negs, 0.07, WeightScheme.UNIFORM, fusion)
-        assert abs(out.loss - single.loss) < 1e-12
+        out = contrastive_batch(a, pos, negs, 0.07, UNIFORM, fusion)
+        assert abs(out.loss[0] - single.loss[0]) < 1e-12
         assert np.allclose(out.grad_anchor, single.grad_anchor, atol=1e-12)
 
 
@@ -228,40 +235,39 @@ def test_fused_identical_teachers_collapse_to_single():
     a, pos, negs = _fused_instance(rng, 1, 6, 5)
     pos2 = np.concatenate([pos, pos])
     negs2 = np.concatenate([negs, negs])
-    single = info_nce(a, pos[0], negs[0], tau=0.07).loss
-    out = fused_contrastive(a, pos2, negs2, 0.07, WeightScheme.UNIFORM,
-                            FusionLevel.LOSS)
-    assert abs(out.loss - single) < 1e-12
+    single = contrastive_batch(a, pos, negs, 0.07, UNIFORM).loss[0]
+    out = contrastive_batch(a, pos2, negs2, 0.07, UNIFORM, FusionLevel.LOSS)
+    assert abs(out.loss[0] - single) < 1e-12
 
 
 def test_fused_offline_is_weighted_sum():
     rng = np.random.default_rng(7)
     a, pos, negs = _fused_instance(rng, 2, 4, 6)
-    l0 = info_nce(a, pos[0], negs[0], tau=0.1).loss
-    l1 = info_nce(a, pos[1], negs[1], tau=0.1).loss
-    out = fused_contrastive(a, pos, negs, 0.1, WeightScheme.OFFLINE,
+    l0 = contrastive_batch(a, pos[:1], negs[:1], 0.1, UNIFORM).loss[0]
+    l1 = contrastive_batch(a, pos[1:], negs[1:], 0.1, UNIFORM).loss[0]
+    out = contrastive_batch(a, pos, negs, 0.1, WeightScheme.OFFLINE,
                             FusionLevel.LOSS, accuracies=(0.7, 0.3))
-    assert abs(out.loss - (0.7 * l0 + 0.3 * l1)) < 1e-12
-    assert np.allclose(out.weights, (0.7, 0.3))
-    assert np.allclose(out.teacher_losses, (l0, l1))
+    assert abs(out.loss[0] - (0.7 * l0 + 0.3 * l1)) < 1e-12
+    assert np.allclose(out.weights[0], (0.7, 0.3))
+    assert np.allclose(out.teacher_losses[0], (l0, l1))
 
 
 def test_fused_outcome_reports_pos_sims():
     rng = np.random.default_rng(8)
     a, pos, negs = _fused_instance(rng, 3, 4, 6)
-    out = fused_contrastive(a, pos, negs, 0.1, WeightScheme.UNIFORM)
-    assert np.allclose(out.pos_sims, pos @ a, atol=1e-15)
+    out = contrastive_batch(a, pos, negs, 0.1, UNIFORM)
+    assert np.allclose(out.pos_sims[0], pos[:, 0] @ a[0], atol=1e-15)
     assert abs(out.weights.sum() - 1.0) < 1e-12
 
 
 def test_fused_feature_level_uses_pooled_negatives():
     rng = np.random.default_rng(9)
     a, pos, negs = _fused_instance(rng, 2, 4, 6)
-    out = fused_contrastive(a, pos, negs, 0.1, WeightScheme.UNIFORM,
-                            FusionLevel.FEATURE)
-    fused_pos = l2_normalize(0.5 * pos[0] + 0.5 * pos[1])
-    expect = info_nce(a, fused_pos, negs.reshape(8, 6), tau=0.1)
-    assert abs(out.loss - expect.loss) < 1e-12
+    out = contrastive_batch(a, pos, negs, 0.1, UNIFORM, FusionLevel.FEATURE)
+    fused_pos = 0.5 * pos[0] + 0.5 * pos[1]
+    fused_pos /= np.linalg.norm(fused_pos)
+    expect = contrastive_batch(a, fused_pos[None], negs.reshape(1, 8, 6), 0.1, UNIFORM)
+    assert abs(out.loss[0] - expect.loss[0]) < 1e-12
     assert out.teacher_losses is None
 
 
@@ -273,10 +279,10 @@ def test_fused_gradient_finite_diff(scheme, fusion):
     acc = (0.5, 0.3, 0.2)
 
     def loss_of(p):
-        return fused_contrastive(p["a"], pos, negs, 0.07, scheme, fusion,
-                                 accuracies=acc).loss
+        return contrastive_batch(p["a"], pos, negs, 0.07, scheme, fusion,
+                                 accuracies=acc).loss[0]
 
-    out = fused_contrastive(a, pos, negs, 0.07, scheme, fusion, accuracies=acc)
+    out = contrastive_batch(a, pos, negs, 0.07, scheme, fusion, accuracies=acc)
     rep = finite_diff_check(loss_of, {"a": a}, {"a": out.grad_anchor})
     assert rep.max_rel_error < 1e-5, f"{scheme} {fusion}: {rep.max_rel_error}"
 
@@ -289,11 +295,11 @@ def test_batch_rows_match_single_anchor(scheme, fusion):
     out = contrastive_batch(anchors, positives, negs, 0.07, scheme, fusion, accuracies=acc)
     assert out.loss.shape == (7,) and out.grad_anchor.shape == (7, 6)
     for i in range(7):
-        one = fused_contrastive(anchors[i], positives[:, i], negs, 0.07, scheme, fusion,
-                                accuracies=acc)
-        assert abs(out.loss[i] - one.loss) < 1e-12
-        assert np.allclose(out.grad_anchor[i], one.grad_anchor, rtol=0, atol=1e-12)
-        assert np.allclose(out.weights[i], one.weights, rtol=0, atol=1e-12)
+        one = contrastive_batch(anchors[i:i + 1], positives[:, i:i + 1], negs, 0.07,
+                                scheme, fusion, accuracies=acc)
+        assert abs(out.loss[i] - one.loss[0]) < 1e-12
+        assert np.allclose(out.grad_anchor[i], one.grad_anchor[0], rtol=0, atol=1e-12)
+        assert np.allclose(out.weights[i], one.weights[0], rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("scheme", list(WeightScheme))
@@ -335,37 +341,38 @@ def test_fused_shape_validation():
     rng = np.random.default_rng(11)
     a, pos, negs = _fused_instance(rng, 2, 4, 6)
     with pytest.raises(ValueError):
-        fused_contrastive(a, pos[:1], negs, 0.1, WeightScheme.UNIFORM)
+        contrastive_batch(a, pos[:1], negs, 0.1, UNIFORM)
     with pytest.raises(ValueError):
-        fused_contrastive(a, pos, negs[:, :, :5], 0.1, WeightScheme.UNIFORM)
+        contrastive_batch(a, pos, negs[:, :, :5], 0.1, UNIFORM)
 
 
 # --- cross-entropy and the joint objective ---
 
 def test_cross_entropy_uniform_logits():
-    loss, grad = cross_entropy(np.zeros(10), 3)
+    loss, grad = cross_entropy_batch(np.zeros((1, 10)), np.array([3]))
     assert abs(loss - math.log(10)) < 1e-12
     assert abs(grad.sum()) < 1e-15
 
 
 def test_cross_entropy_scalar_oracle():
-    loss, grad = cross_entropy(np.array([2.0, 0.0]), 0)
+    loss, grad = cross_entropy_batch(np.array([[2.0, 0.0]]), np.array([0]))
     assert abs(loss - CE_LOGITS20) < 1e-9
     assert abs(grad.sum()) < 1e-15
 
 
 def test_cross_entropy_label_out_of_range():
     with pytest.raises(ValueError):
-        cross_entropy(np.zeros(3), 3)
+        cross_entropy_batch(np.zeros((1, 3)), np.array([3]))
     with pytest.raises(ValueError):
-        cross_entropy(np.zeros(3), -1)
+        cross_entropy_batch(np.zeros((1, 3)), np.array([-1]))
 
 
 def test_cross_entropy_gradient_finite_diff():
     rng = np.random.default_rng(12)
-    z = rng.standard_normal(7)
-    _, grad = cross_entropy(z, 2)
-    rep = finite_diff_check(lambda p: cross_entropy(p["z"], 2)[0], {"z": z},
+    z = rng.standard_normal((1, 7))
+    label = np.array([2])
+    _, grad = cross_entropy_batch(z, label)
+    rep = finite_diff_check(lambda p: cross_entropy_batch(p["z"], label)[0], {"z": z},
                             {"z": grad})
     assert rep.max_rel_error < 1e-6
 
@@ -375,9 +382,9 @@ def test_cross_entropy_batch_is_mean_of_rows():
     z = rng.standard_normal((4, 5))
     y = np.array([0, 2, 4, 1])
     loss, grad = cross_entropy_batch(z, y)
-    per = [cross_entropy(z[i], y[i]) for i in range(4)]
+    per = [cross_entropy_batch(z[i:i + 1], y[i:i + 1]) for i in range(4)]
     assert abs(loss - np.mean([p[0] for p in per])) < 1e-12
-    assert np.allclose(grad, np.stack([p[1] for p in per]) / 4, atol=1e-15)
+    assert np.allclose(grad, np.concatenate([p[1] for p in per]) / 4, atol=1e-15)
 
 
 def test_joint_loss_arithmetic():

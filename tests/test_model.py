@@ -5,10 +5,10 @@ from dtg.binio import VersionMismatchError
 from dtg.corpus import CorpusSpec, generate_corpus
 from dtg.model import (CHECKPOINT_HEADER, StudentEncoder, TeacherBank,
                        backward_batch, build_head, build_student, build_teacher,
-                       embed_student, embed_teacher, forward_batch, load_student,
-                       pool_frames, save_student, teacher_features)
+                       forward_batch, load_student, pool_frames, save_student,
+                       teacher_features)
 from dtg.numerics import DegenerateInputError, finite_diff_check
-from dtg.evaluation import knn_top1, teacher_video_features
+from dtg.evaluation import knn_top1
 
 
 def _params(enc: StudentEncoder) -> int:
@@ -29,27 +29,29 @@ def test_parameter_count():
     assert _params(enc) == (8 * 16 + 16) + (16 * 16 + 16) + (16 * 4 + 4) == 484
 
 
+def _embed(enc: StudentEncoder, seqs) -> np.ndarray:
+    out, _ = forward_batch(enc, pool_frames(seqs))
+    return out
+
+
 def test_embed_student_unit_norm():
     enc = build_student(6, 8, 5, seed=2)
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        seq = rng.standard_normal((4, 6))
-        out = embed_student(enc, seq)
-        assert abs(np.linalg.norm(out) - 1.0) < 1e-10
+    seqs = np.random.default_rng(0).standard_normal((20, 4, 6))
+    assert np.allclose(np.linalg.norm(_embed(enc, seqs), axis=1), 1.0, rtol=0, atol=1e-10)
 
 
 def test_embed_student_permutation_invariant():
     enc = build_student(6, 8, 5, seed=2)
     rng = np.random.default_rng(1)
-    seq = rng.standard_normal((5, 6))
-    assert np.array_equal(embed_student(enc, seq), embed_student(enc, seq[::-1]))
+    seq = rng.standard_normal((1, 5, 6))
+    assert np.array_equal(_embed(enc, seq), _embed(enc, seq[:, ::-1]))
 
 
 def test_embed_student_duplicated_frame_equals_single():
     enc = build_student(6, 8, 5, seed=2)
-    frame = np.random.default_rng(2).standard_normal((1, 6))
-    rep = np.repeat(frame, 7, axis=0)
-    assert np.allclose(embed_student(enc, rep), embed_student(enc, frame), atol=1e-12)
+    frame = np.random.default_rng(2).standard_normal((1, 1, 6))
+    rep = np.repeat(frame, 7, axis=1)
+    assert np.allclose(_embed(enc, rep), _embed(enc, frame), atol=1e-12)
 
 
 def test_embed_student_degenerate_zero_input():
@@ -58,7 +60,7 @@ def test_embed_student_degenerate_zero_input():
                          b2=np.zeros_like(enc.b2), W3=enc.W3,
                          b3=np.zeros_like(enc.b3))
     with pytest.raises(DegenerateInputError):
-        embed_student(enc, np.zeros((3, 4)))
+        _embed(enc, np.zeros((1, 3, 4)))
 
 
 def test_forward_backward_matches_finite_differences():
@@ -77,22 +79,6 @@ def test_forward_backward_matches_finite_differences():
     grads = backward_batch(enc, cache, 2.0 * (out - target))
     report = finite_diff_check(loss_of, params, grads)
     assert report.max_rel_error < 1e-5
-
-
-def test_forward_unnormalized_gradient():
-    enc = build_student(5, 7, 4, seed=3)
-    rng = np.random.default_rng(5)
-    pooled = rng.standard_normal((2, 5))
-
-    def loss_of(params):
-        e = StudentEncoder(**params)
-        out, _ = forward_batch(e, pooled, normalize=False)
-        return float((out ** 2).sum())
-
-    params = {f: getattr(enc, f) for f in ("W1", "b1", "W2", "b2", "W3", "b3")}
-    out, cache = forward_batch(enc, pooled, normalize=False)
-    grads = backward_batch(enc, cache, 2.0 * out)
-    assert finite_diff_check(loss_of, params, grads).max_rel_error < 1e-5
 
 
 def test_pool_frames_is_mean():
@@ -120,31 +106,18 @@ def test_teacher_deterministic_and_frozen_shape(tiny_corpus):
 
 def test_teacher_output_unit_norm(tiny_corpus, tiny_bank):
     rng = np.random.default_rng(0)
-    seq = rng.standard_normal((4, tiny_corpus.spec.frame_dim))
-    for k in range(len(tiny_bank.teachers)):
-        g = embed_teacher(tiny_bank, k, seq)
-        assert abs(np.linalg.norm(g) - 1.0) < 1e-10
-        assert np.array_equal(g, embed_teacher(tiny_bank, k, seq))
-
-
-def test_embed_teacher_index_error(tiny_bank):
-    with pytest.raises(IndexError):
-        embed_teacher(tiny_bank, 99, np.zeros((2, 8)))
-
-
-def test_single_sequence_embeddings_reject_batches(tiny_bank):
-    batch = np.random.default_rng(6).standard_normal((3, 4, 8))
-    with pytest.raises(ValueError):
-        embed_student(build_student(8, 8, 6, seed=0), batch)
-    with pytest.raises(ValueError):
-        embed_teacher(tiny_bank, 0, batch)
+    pooled = pool_frames(rng.standard_normal((1, 4, tiny_corpus.spec.frame_dim)))
+    for teacher in tiny_bank.teachers:
+        g = teacher_features(teacher, pooled)
+        assert abs(np.linalg.norm(g[0]) - 1.0) < 1e-10
+        assert np.array_equal(g, teacher_features(teacher, pooled))
 
 
 def test_rho_one_zero_noise_collapses_classes():
     spec = CorpusSpec(2, 4, 6, 10, 4, video_spread=0.0, frame_noise=0.0, seed=11)
     corpus = generate_corpus(spec)
     teacher = build_teacher(corpus, 1.0, embed_dim=5, seed=1)
-    feats = teacher_video_features(teacher, corpus)
+    feats = teacher_features(teacher, pool_frames(corpus.frames()))
     labels = np.array([v.label for v in corpus.videos])
     for c in (0, 1):
         block = feats[labels == c]
@@ -155,7 +128,7 @@ def test_rho_zero_teacher_is_label_blind():
     spec = CorpusSpec(4, 12, 6, 16, 8, video_spread=1.0, frame_noise=0.0, seed=13)
     corpus = generate_corpus(spec)
     teacher = build_teacher(corpus, 0.0, embed_dim=8, seed=2)
-    feats = teacher_video_features(teacher, corpus)
+    feats = teacher_features(teacher, pool_frames(corpus.frames()))
     labels = np.array([v.label for v in corpus.videos])
     acc = knn_top1(feats, labels, k=5)
     assert acc < 0.5  # chance is 0.25; far from the aligned teacher's 1.0
@@ -168,7 +141,7 @@ def test_rho_separates_aligned_from_unaligned():
     accs = []
     for rho in (1.0, 0.0):
         t = build_teacher(corpus, rho, embed_dim=8, seed=2)
-        accs.append(knn_top1(teacher_video_features(t, corpus), labels, k=5))
+        accs.append(knn_top1(teacher_features(t, pool_frames(corpus.frames())), labels, k=5))
     assert accs[0] > accs[1] + 0.3
 
 

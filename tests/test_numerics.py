@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dtg.numerics import (DegenerateInputError, as_matrix, as_vector,
-                          finite_diff_check, l2_normalize, softmax, unit_rows)
+                          finite_diff_check, softmax, unit_rows)
 
 
 def test_softmax_uniform():
@@ -27,17 +27,6 @@ def test_softmax_simplex(zs):
     out = softmax(np.array(zs))
     assert np.all(out >= 0)
     assert abs(out.sum() - 1.0) < 1e-12
-
-
-def test_l2_normalize_unit_norm():
-    v = l2_normalize(np.array([3.0, 4.0]))
-    assert np.allclose(v, [0.6, 0.8])
-    assert abs(np.linalg.norm(v) - 1.0) < 1e-10
-
-
-def test_l2_normalize_zero_vector_raises():
-    with pytest.raises(DegenerateInputError):
-        l2_normalize(np.zeros(4))
 
 
 def test_unit_rows_returns_norms_and_names_a_degenerate_row():

@@ -1,0 +1,79 @@
+"""The library's public API is what the program uses, not what tests use.
+
+Every name a test imports from ``dtg`` must be referenced by the package,
+the scripts or the benchmark harness somewhere other than inside its own
+definition, or inside the definition of another name that only tests reach.
+A wrapper kept alive for tests alone fails here; test the function the
+program calls instead.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PROGRAM = [p for d in ("src/dtg", "scripts", "perfbench")
+           for p in sorted((ROOT / d).rglob("*.py")) if not p.name.startswith("test_")]
+# the finite-difference checker is the reference every gradient test rests on
+TEST_ONLY = {"finite_diff_check"}
+
+
+def _test_imports() -> dict[str, str]:
+    """Name -> the first test file that imports it with ``from dtg... import``."""
+    submodules = {p.stem for p in (ROOT / "src/dtg").glob("*.py")}
+    found = {}
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dtg":
+                for alias in node.names:
+                    if not (node.module == "dtg" and alias.name in submodules):
+                        found.setdefault(alias.name, path.name)
+    return found
+
+
+def _references(trees) -> list[tuple[str, tuple[str, ...]]]:
+    """(name, names of the enclosing definitions) of every identifier read in
+    the module ``trees``, as a bare name or as an attribute."""
+    refs = []
+
+    def visit(node, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            enclosing = enclosing + (node.name,)
+        elif isinstance(node, ast.Name):
+            refs.append((node.id, enclosing))
+        elif isinstance(node, ast.Attribute):
+            refs.append((node.attr, enclosing))
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    for tree in trees:
+        visit(tree, ())
+    return refs
+
+
+def _unused(names, refs) -> set[str]:
+    """Names with no reference outside their own definition and outside the
+    definitions of other unused names, found by iterating to a fixed point."""
+    unused = set()
+    while True:
+        used = {name for name, enclosing in refs
+                if name in names and name not in enclosing
+                and not unused.intersection(enclosing)}
+        now = set(names) - used
+        if now == unused:
+            return unused
+        unused = now
+
+
+def test_every_name_tests_import_is_used_by_the_program():
+    imports = _test_imports()
+    program = [ast.parse(path.read_text(), str(path)) for path in PROGRAM]
+    unused = _unused(set(imports) - TEST_ONLY, _references(program))
+    assert not unused, "imported by tests but unused by src/dtg, scripts and perfbench: " + \
+        ", ".join(f"{name} ({imports[name]})" for name in sorted(unused))
+
+
+def test_a_wrapper_reached_only_from_unused_code_is_unused():
+    # a calls b calls c, and c refers only to itself; e is read at module level
+    source = ast.parse("def a():\n    return b()\n\ndef b():\n    return c()\n\n"
+                       "def c():\n    return c\n\nd = e()\n")
+    assert _unused({"a", "b", "c", "e"}, _references([source])) == {"a", "b", "c"}

@@ -15,7 +15,7 @@ def test_stacked_queue_matches_independent_queues(steps, capacity, teachers, see
     teacher's rows; a batch with one non-unit row changes nothing."""
     rng = np.random.default_rng(seed)
     q = GuidanceQueue(capacity, 3, teachers)
-    singles = [GuidanceQueue(capacity, 3) for _ in range(teachers)]
+    singles = [GuidanceQueue(capacity, 3, 1) for _ in range(teachers)]
     for size, bad in steps:
         batch = unit_rows(rng, teachers * size, 3).reshape(teachers, size, 3)
         if size and 0 <= bad < teachers:
@@ -27,11 +27,11 @@ def test_stacked_queue_matches_independent_queues(steps, capacity, teachers, see
         else:
             enqueue_batch(q, batch)
             for single, rows in zip(singles, batch):
-                enqueue_batch(single, rows)
+                enqueue_batch(single, rows[None])
         assert len(q) == len(singles[0])
         assert q.warm == singles[0].warm
         if q.warm:
-            assert np.array_equal(negatives(q), np.stack([negatives(s) for s in singles]))
+            assert np.array_equal(negatives(q), np.concatenate([negatives(s) for s in singles]))
         else:
             with pytest.raises(ColdQueueError):
                 negatives(q)
@@ -43,9 +43,3 @@ def test_stacked_queue_rejects_other_shapes(shape):
     with pytest.raises(ValueError, match=r"expected shape \(2, B, 3\)"):
         enqueue_batch(q, np.ones(shape) / np.sqrt(shape[-1]))
     assert len(q) == 0
-
-
-def test_single_queue_rejects_a_teacher_axis():
-    q = GuidanceQueue(capacity=3, dim=3)
-    with pytest.raises(ValueError, match=r"expected shape \(B, 3\)"):
-        enqueue_batch(q, unit_rows(np.random.default_rng(0), 4, 3).reshape(2, 2, 3))

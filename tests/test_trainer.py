@@ -13,6 +13,7 @@ from dtg.losses import (FusionLevel, WeightScheme, contrastive_batch, cross_entr
 from dtg.model import (StudentEncoder, TeacherBank, build_head, build_student, build_teacher,
                        forward_batch)
 from dtg.numerics import finite_diff_check
+from dtg.sampling import PairMode
 from dtg.trainer import (NumericAbortError, TrainConfig, lr_at, pretrain,
                          report_to_dict, sgd_step, train_joint, write_report)
 
@@ -145,6 +146,17 @@ def test_k_must_be_below_video_count():
     cfg = _config(K=corpus.num_videos)
     with pytest.raises(ValueError, match="smaller"):
         pretrain(cfg, corpus, _bank(corpus))
+
+
+def test_disjoint_pairs_need_segments_within_half_a_video():
+    corpus = _corpus()  # 8 frames: each view draws from a 4-frame half
+    cfg = _config(pair_mode=PairMode.SEQ_SEQ_DISJOINT, segments=5)
+    with pytest.raises(ValueError, match=r"seq-seq-disjoint .* segments 5 exceed "
+                                         r"frames_per_video // 2 = 4"):
+        pretrain(cfg, corpus, _bank(corpus))
+    with pytest.raises(ValueError, match="seq-seq-disjoint"):
+        train_joint(cfg, corpus, _bank(corpus))
+    pretrain(dataclasses.replace(cfg, segments=4), corpus, _bank(corpus))
 
 
 def test_teacher_dimension_must_match_student():
