@@ -50,9 +50,6 @@ class ProbeResult:
 
 def video_features(enc: StudentEncoder, corpus: Corpus) -> np.ndarray:
     """One unit-norm feature per video, from its full frame stack (no sampling)."""
-    if enc.frame_dim != corpus.spec.frame_dim:
-        raise ValueError(f"encoder has frame_dim {enc.frame_dim}; the corpus frames "
-                         f"have D = {corpus.spec.frame_dim}")
     out, _ = forward_batch(enc, pool_frames(corpus.frames()))
     return out
 
@@ -105,7 +102,10 @@ def linear_probe(features: np.ndarray, labels: np.ndarray, split_frac: float = 0
 
 def knn_top1(features: np.ndarray, labels: np.ndarray, k: int) -> float:
     """Leave-one-out k-nearest-neighbor accuracy under cosine similarity.
-    Vote ties resolve to the smallest class id."""
+    Vote ties resolve to the smallest class id.  Ties at the k-th neighbour
+    are broken on the similarities as BLAS rounds them in each row block, so
+    another block layout may pick another tied neighbour; same-seed reruns
+    stay byte-identical."""
     x = as_matrix(features, "features")
     y = np.asarray(labels)
     m = x.shape[0]
@@ -120,10 +120,7 @@ def knn_top1(features: np.ndarray, labels: np.ndarray, k: int) -> float:
     n_cls = int(y.max()) + 1
     correct = 0
     # every step below is row-wise, so the similarity matrix is taken
-    # _KNN_ROWS rows at a time and no (m, m) array is held.  A block is a
-    # general matmul where the whole u @ u.T is numpy's symmetric product;
-    # the two may round a similarity apart in its last bit, which can move a
-    # vote only when that similarity ties the row's k-th largest
+    # _KNN_ROWS rows at a time and no (m, m) array is held
     for r0 in range(0, m, _KNN_ROWS):
         sims = u[r0:r0 + _KNN_ROWS] @ u.T
         rb = sims.shape[0]

@@ -72,6 +72,11 @@ def forward_batch(enc: StudentEncoder, pooled: np.ndarray):
     """Forward pass on mean-pooled inputs (B, D) -> unit-norm features (B, d)
     plus the activation cache consumed by ``backward_batch``."""
     x = np.asarray(pooled, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError(f"forward_batch takes pooled (B, D) input, got shape {x.shape}")
+    if x.shape[1] != enc.frame_dim:
+        raise ValueError(f"encoder has frame_dim {enc.frame_dim}; its input has "
+                         f"D = {x.shape[1]}")
     z1 = x @ enc.W1.T + enc.b1
     a1 = np.maximum(z1, 0.0)
     z2 = a1 @ enc.W2.T + enc.b2

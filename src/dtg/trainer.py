@@ -263,6 +263,10 @@ def _run_loop(config: TrainConfig, corpus: Corpus, bank: TeacherBank,
                                        config.mask_frac)
         pooled_anchors, pooled_guides = pool_frames(anchors), pool_frames(guides)
         guidance_all = np.stack([teacher_features(t, pooled_guides) for t in bank.teachers])
+        if not np.isfinite(guidance_all).all():
+            raise NumericAbortError(
+                f"non-finite guidance features at epoch {epoch}: the corpus frames overflow; "
+                "lower corpus.video_spread, frame_noise or drift")
         stats = _EpochStats()
         for b0 in range(0, corpus.num_videos, config.batch_size):
             batch_idx = order[b0:b0 + config.batch_size]

@@ -7,7 +7,6 @@ asserted where a guarantee includes one.  The directional studies (6, 7, 8)
 retrain real encoders and dominate the runtime of this file.
 """
 
-import dataclasses
 import json
 import math
 import time
@@ -17,19 +16,16 @@ import pytest
 
 from dtg.cli import main as cli_main
 from dtg.corpus import CorpusSpec, generate_corpus
-from dtg.evaluation import (class_overlap, linear_probe,
-                            teacher_view_accuracies, video_features)
 from dtg.losses import (FusionLevel, WeightScheme, contrastive_batch,
                         cross_entropy_batch, joint_loss, teacher_weights)
 from dtg.model import StudentEncoder, backward_batch, build_student, forward_batch
 from dtg.numerics import finite_diff_check
-from dtg.presets import (four_teacher_bank, joint_experiment_setup,
-                         reference_bank, reference_corpus,
-                         reference_train_config)
+from dtg.presets import (joint_arm, joint_experiment_setup, pretrain_and_probe,
+                         reference_bank, reference_train_config, ssl_vs_random,
+                         weighting_arm, weighting_setup)
 from dtg.queues import GuidanceQueue, enqueue_batch, negatives
 from dtg.sampling import PairMode, sample_pairs
 from dtg.seeding import substreams
-from dtg.trainer import pretrain, train_joint
 
 from conftest import unit_rows
 
@@ -242,13 +238,7 @@ def test_c06_ssl_effectiveness():
     start = time.perf_counter()
     gaps = []
     for seed in SEEDS:
-        corpus = reference_corpus(seed)
-        labels = corpus.labels()
-        cfg = reference_train_config(seed)
-        enc, _ = pretrain(cfg, corpus, reference_bank(corpus, seed))
-        ssl = linear_probe(video_features(enc, corpus), labels).top1
-        rnd_enc = build_student(corpus.spec.frame_dim, cfg.h, cfg.d, seed)
-        rnd = linear_probe(video_features(rnd_enc, corpus), labels).top1
+        ssl, rnd = ssl_vs_random(seed)
         gaps.append(ssl - rnd)
     elapsed = time.perf_counter() - start
     gap = float(np.mean(gaps))
@@ -262,25 +252,11 @@ def test_c07_differentiated_weighting():
     diffs = []
     orderings = []
     for seed in SEEDS:
-        corpus = reference_corpus(seed)
-        labels = corpus.labels()
-        bank = four_teacher_bank(corpus, seed)
-        uniform_cfg = reference_train_config(seed)
-        enc_u, _ = pretrain(uniform_cfg, corpus, bank)
-        top_u = linear_probe(video_features(enc_u, corpus), labels).top1
-
-        accs = teacher_view_accuracies(corpus, bank, seed=seed)
-        offline_cfg = dataclasses.replace(
-            uniform_cfg, weight_scheme=WeightScheme.OFFLINE,
-            offline_accuracies=accs)
-        enc_o, _ = pretrain(offline_cfg, corpus, bank)
-        top_o = linear_probe(video_features(enc_o, corpus), labels).top1
+        setup = weighting_setup(seed)
+        top_u, _ = weighting_arm(setup, WeightScheme.UNIFORM)
+        top_o, _ = weighting_arm(setup, WeightScheme.OFFLINE)
         diffs.append(top_o - top_u)
-
-        online_cfg = dataclasses.replace(uniform_cfg,
-                                         weight_scheme=WeightScheme.ONLINE1)
-        _, report = pretrain(online_cfg, corpus, bank)
-        w = report.records[-1].mean_weights
+        _, w = weighting_arm(setup, WeightScheme.ONLINE1)
         orderings.append(all(a > b for a, b in zip(w, w[1:])))
 
     mean_diff = float(np.mean(diffs))
@@ -292,25 +268,17 @@ def test_c07_differentiated_weighting():
 
 
 def test_c08_joint_training():
-    d_overlap = []
-    tops = {"joint": [], "ce": []}
+    d_overlap, tops_joint, tops_ce = [], [], []
     for seed in SEEDS:
-        train, held, bank, cfg = joint_experiment_setup(seed)
-        held_labels = held.labels()
-        per_arm = {}
-        for arm, alpha in (("joint", cfg.alpha), ("ce", 0.0)):
-            arm_cfg = dataclasses.replace(cfg, alpha=alpha)
-            (enc, head), _ = train_joint(arm_cfg, train, bank)
-            feats = video_features(enc, held)
-            overlap = class_overlap(feats, held_labels)
-            top1 = float((np.argmax(head.logits(feats), axis=1)
-                          == held_labels).mean())
-            per_arm[arm] = overlap
-            tops[arm].append(top1)
-        d_overlap.append(per_arm["joint"] - per_arm["ce"])
+        setup = joint_experiment_setup(seed)
+        ov_j, top_j = joint_arm(setup, setup[3].alpha)
+        ov_c, top_c = joint_arm(setup, 0.0)
+        d_overlap.append(ov_j - ov_c)
+        tops_joint.append(top_j)
+        tops_ce.append(top_c)
 
     mean_dov = float(np.mean(d_overlap))
-    mean_dtop = float(np.mean(tops["joint"]) - np.mean(tops["ce"]))
+    mean_dtop = float(np.mean(tops_joint) - np.mean(tops_ce))
     _verdict("criterion 8 (joint objective)",
              mean_dov < 0.0 and mean_dtop >= -0.01,
              f"held-out overlap change {mean_dov:+.4f} "
@@ -347,16 +315,13 @@ def test_c10_input_mode_harness():
                       frame_dim=12, signal_dim=6, video_spread=1.0,
                       frame_noise=0.5, seed=0)
     corpus = generate_corpus(spec)
-    labels = corpus.labels()
     bank = reference_bank(corpus, seed=0, embed_dim=8)
     scores = {}
     for mode in PairMode:
         cfg = reference_train_config(0, epochs=3, K=8, batch_size=8, d=8,
                                      h=12, milestones=(), pair_mode=mode)
-        enc, report = pretrain(cfg, corpus, bank)
+        scores[mode.value], report = pretrain_and_probe(cfg, corpus, bank)
         assert len(report.records) == 3
-        scores[mode.value] = linear_probe(video_features(enc, corpus),
-                                          labels).top1
     sweep_ok = all(0.0 <= v <= 1.0 for v in scores.values())
 
     # pair i comes from a video of lengths[i % 5] whose frame t is filled

@@ -195,6 +195,15 @@ def test_numeric_abort_exits_4(tmp_path, monkeypatch):
     assert main(["pretrain", "--config", cfg, "--quiet"]) == 4
 
 
+def test_overflowing_corpus_scale_exits_4_naming_the_keys(tmp_path, capsys):
+    doc = _config_doc(tmp_path / "run")
+    doc["corpus"]["video_spread"] = 1e308
+    assert main(["pretrain", "--config", _write_config(tmp_path, doc), "--quiet"]) == 4
+    err = capsys.readouterr().err
+    assert all(key in err for key in ("corpus.video_spread", "frame_noise", "drift"))
+    assert not (tmp_path / "run").exists()
+
+
 def test_degenerate_features_exit_4(tmp_path):
     # a checkpoint that maps every video to one point: overlap is undefined
     zeros = lambda *s: np.zeros(s)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,16 @@ def test_forward_backward_matches_finite_differences():
     grads = backward_batch(enc, cache, 2.0 * (out - target))
     report = finite_diff_check(loss_of, params, grads)
     assert report.max_rel_error < 1e-5
+
+
+@pytest.mark.parametrize("shape, message", [
+    ((2, 3, 4), "forward_batch takes pooled (B, D) input, got shape (2, 3, 4)"),
+    ((2, 3), "encoder has frame_dim 4; its input has D = 3"),
+])
+def test_forward_batch_rejects_unpooled_or_misfit_input(shape, message):
+    enc = build_student(4, 8, 3, seed=0)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        forward_batch(enc, np.ones(shape))
 
 
 def test_pool_frames_is_mean():

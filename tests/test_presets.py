@@ -1,9 +1,15 @@
+import csv
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 
-from dtg.presets import (BANK_RHOS, four_teacher_bank, joint_experiment_setup,
+from dtg.presets import (BANK_RHOS, four_teacher_bank, joint_arm, joint_experiment_setup,
                          make_bank, reference_bank, reference_corpus_spec,
                          reference_train_config)
 from dtg.corpus import generate_corpus
+
+EXPERIMENTS = Path(__file__).resolve().parents[1] / "scripts" / "experiments.py"
 
 
 def test_reference_spec_dimensions():
@@ -57,3 +63,17 @@ def test_reference_bank_single_teacher():
     bank = reference_bank(corpus, seed=0, embed_dim=8)
     assert len(bank.teachers) == 1
     assert bank.teachers[0].rho == 0.9
+
+
+def test_experiments_driver_writes_the_presets_results(tmp_path, capsys):
+    spec = importlib.util.spec_from_file_location("experiments", EXPERIMENTS)
+    driver = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(driver)
+    out = tmp_path / "joint.csv"
+    assert driver.main(["joint", "--seeds", "0", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.endswith(f"wrote {out}\n")
+    header, row = csv.reader(out.read_text().splitlines())
+    assert header == ["seed", "overlap_joint", "top1_joint", "overlap_ce", "top1_ce"]
+    setup = joint_experiment_setup(0)
+    # csv writes repr(float), which reads back to the same double
+    assert [float(v) for v in row] == [0, *joint_arm(setup, 0.1), *joint_arm(setup, 0.0)]
