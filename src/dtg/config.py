@@ -16,24 +16,26 @@ Schema (all keys optional unless noted):
       "out_dir": "runs/exp1"
     }
 
-Teacher "weight" entries are the offline per-teacher accuracies; they must be
-present on every teacher when train.weight_scheme is "offline" and absent
-otherwise.  Each is a finite nonnegative number, and at least one is
-positive.  Fields typed float take any finite JSON number but not
-true/false, NaN or +-Infinity.
+Each field's kind and range are declared once, beside the field, with
+``numerics.declared``: see ``CorpusSpec``, ``TeacherSpec``, ``TrainConfig``,
+``EvalConfig`` and ``ExperimentConfig``.  A value that breaks its
+declaration or a cross-field rule raises ``ConfigError`` naming
+``<section>.<key>``.  Teacher "weight" entries are the offline per-teacher
+accuracies (``TrainConfig.offline_accuracies``): every teacher has one when
+train.weight_scheme is "offline", and none has one otherwise.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import math
 from dataclasses import dataclass
+from enum import Enum
 from pathlib import Path
 
 from .corpus import CorpusSpec
-from .losses import FusionLevel, WeightScheme
-from .sampling import PairMode
+from .losses import WeightScheme
+from .numerics import FieldError, check_fields, declared
 from .seeding import derive_seed
 from .trainer import TrainConfig
 
@@ -44,44 +46,36 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class TeacherSpec:
-    rho: float
-    seed: int | None = None
-    name: str | None = None
-    weight: float | None = None  # offline accuracy; only with the offline scheme
+    rho: float = declared(float, ge=0, le=1)
+    seed: int | None = declared(int, None, ge=0, lt=2 ** 64)
+    name: str | None = declared(str, None)
+    # offline accuracy; only with the offline scheme
+    weight: float | None = declared(float, None, ge=0)
+
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
 class EvalConfig:
-    split_frac: float = 0.8
-    probe_epochs: int = 100
-    probe_lr: float = 0.01
-    knn_k: int = 5
+    split_frac: float = declared(float, 0.8, gt=0, lt=1)
+    probe_epochs: int = declared(int, 100, ge=0)
+    probe_lr: float = declared(float, 0.01, gt=0)
+    knn_k: int = declared(int, 5, ge=1)
 
-    def __post_init__(self):
-        # a value of the wrong type makes these comparisons raise TypeError,
-        # which _build reports as a ConfigError
-        if not 0 < self.split_frac < 1:
-            raise ValueError("split_frac must lie strictly between 0 and 1")
-        if self.probe_epochs < 0 or not self.probe_lr > 0 or self.knn_k < 1:
-            raise ValueError("need probe_epochs >= 0, probe_lr > 0 and knn_k >= 1")
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    seed: int = 0
+    seed: int = declared(int, 0, ge=0, lt=2 ** 64)
     corpus: CorpusSpec | None = None
     corpus_path: str | None = None
     teachers: tuple[TeacherSpec, ...] = (TeacherSpec(rho=0.9),)
     train: TrainConfig = TrainConfig()
     eval: EvalConfig = EvalConfig()
-    out_dir: str | None = None
+    out_dir: str | None = declared(str, None)
 
-
-_ENUM_FIELDS = {
-    "pair_mode": PairMode,
-    "weight_scheme": WeightScheme,
-    "fusion_level": FusionLevel,
-}
+    __post_init__ = check_fields
 
 
 def _check_keys(doc: dict, allowed, where: str) -> None:
@@ -96,63 +90,29 @@ def _object(value, where: str) -> dict:
     return value
 
 
-def _build(cls, doc: dict, where: str):
+def _build(cls, doc: dict, where: str, names: dict | None = None):
+    """``cls`` from the JSON object ``doc``.  Lists become tuples and enum
+    values members where the field declares that kind, and ``cls``'s own
+    ``__post_init__`` checks every value against its declaration.  A broken
+    rule raises ``ConfigError`` naming ``<where>.<key>`` (just ``<key>`` at
+    the top level), or ``names[key]`` if given."""
     fields = {f.name: f for f in dataclasses.fields(cls)}
     _check_keys(_object(doc, where), fields, where)
     kwargs = {}
     for key, value in doc.items():
-        if key in _ENUM_FIELDS:
-            enum_cls = _ENUM_FIELDS[key]
-            try:
-                value = enum_cls(value)
-            except ValueError:
-                valid = ", ".join(repr(e.value) for e in enum_cls)
-                raise ConfigError(f"{where}.{key}: {value!r} is not one of {valid}") from None
-        elif key == "milestones":
-            if not isinstance(value, list) or not all(map(_is_int, value)):
-                raise ConfigError(f"{where}.milestones must be a list of integers")
+        kind = fields[key].metadata.get("kind")
+        if kind is tuple and isinstance(value, list):
             value = tuple(value)
-        elif fields[key].type in _SCALAR_CHECKS:
-            is_valid, kind = _SCALAR_CHECKS[fields[key].type]
-            if not is_valid(value):
-                raise ConfigError(f"{where}.{key} must be {kind}, got {value!r}")
-            if kind == "a number" and value is not None and not _is_finite(value):
-                raise ConfigError(f"{where}.{key} must be a finite number")
+        elif isinstance(kind, type) and issubclass(kind, Enum) and value in [e.value for e in kind]:
+            value = kind(value)
         kwargs[key] = value
     try:
         return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
+    except FieldError as exc:
+        key = (names or {}).get(exc.key, f"{where}.{exc.key}".lstrip("."))
+        raise ConfigError(f"{key} {exc.rule}") from exc
+    except TypeError as exc:  # a required key is missing
         raise ConfigError(f"invalid {where}: {exc}") from exc
-
-
-def _is_int(value) -> bool:
-    # JSON true/false arrive as bool, a subclass of int
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_finite(number) -> bool:
-    try:
-        return math.isfinite(number)
-    except OverflowError:  # a JSON integer beyond the float range
-        return False
-
-
-def _is_seed(value) -> bool:
-    return _is_int(value) and 0 <= value < 2 ** 64
-
-
-# Annotation (a string under postponed evaluation) -> (check, what it needs).
-# A float field takes any JSON number but not true/false or a string;
-# _build then rejects NaN, +-Infinity and integers beyond the float range.
-_SCALAR_CHECKS = {
-    "int": (_is_int, "an integer"),
-    "float": (_is_number, "a number"),
-    "float | None": (lambda v: v is None or _is_number(v), "a number"),
-}
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
@@ -160,9 +120,8 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         raise ConfigError("experiment config must be a JSON object")
     _check_keys(doc, ("seed", "corpus", "teachers", "train", "eval", "out_dir"),
                 "config")
-    seed = doc.get("seed", 0)
-    if not _is_seed(seed):
-        raise ConfigError("seed must be an integer in [0, 2^64)")
+    top = _build(ExperimentConfig, {k: doc[k] for k in ("seed", "out_dir") if k in doc}, "")
+    seed = top.seed
 
     corpus = corpus_path = None
     raw_corpus = doc.get("corpus")
@@ -178,16 +137,6 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         raise ConfigError("teachers must be a nonempty list")
     teachers = tuple(_build(TeacherSpec, t, f"teachers[{i}]")
                      for i, t in enumerate(raw_teachers))
-    for i, t in enumerate(teachers):
-        if not 0 <= t.rho <= 1:
-            raise ConfigError(f"teachers[{i}].rho must be a number in [0, 1]")
-        if t.weight is not None and not t.weight >= 0:
-            raise ConfigError(f"teachers[{i}].weight must be a finite nonnegative number, "
-                              f"got {t.weight!r}")
-        if t.seed is not None and not _is_seed(t.seed):
-            raise ConfigError(f"teachers[{i}].seed must be an integer in [0, 2^64)")
-        if t.name is not None and not isinstance(t.name, str):
-            raise ConfigError(f"teachers[{i}].name must be a string")
 
     raw_train = dict(_object(doc.get("train", {}), "train"))
     for reserved in ("seed", "offline_accuracies"):
@@ -199,25 +148,16 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     train_doc = {**raw_train, "seed": seed}
     weights = [t.weight for t in teachers]
     if raw_train.get("weight_scheme") == WeightScheme.OFFLINE.value:
-        if any(w is None for w in weights):
-            raise ConfigError("offline weighting requires a weight on every teacher")
-        if sum(weights) <= 0:
-            raise ConfigError("every teachers[i].weight is zero; offline weighting "
-                              "needs at least one positive weight")
-        train_doc["offline_accuracies"] = tuple(weights)
+        if None not in weights:
+            train_doc["offline_accuracies"] = tuple(weights)
     elif any(w is not None for w in weights):
         raise ConfigError("teacher weights are only meaningful with the offline scheme")
-    train = _build(TrainConfig, train_doc, "train")
+    train = _build(TrainConfig, train_doc, "train",
+                   {"offline_accuracies": "teachers[i].weight"})
 
-    eval_cfg = _build(EvalConfig, doc.get("eval", {}), "eval")
-
-    out_dir = doc.get("out_dir")
-    if out_dir is not None and not isinstance(out_dir, str):
-        raise ConfigError("out_dir must be a string")
-
-    return ExperimentConfig(seed=seed, corpus=corpus, corpus_path=corpus_path,
-                            teachers=teachers, train=train, eval=eval_cfg,
-                            out_dir=out_dir)
+    return dataclasses.replace(top, corpus=corpus, corpus_path=corpus_path,
+                               teachers=teachers, train=train,
+                               eval=_build(EvalConfig, doc.get("eval", {}), "eval"))
 
 
 def load_config(path) -> ExperimentConfig:
@@ -260,7 +200,7 @@ def to_dict(cfg: ExperimentConfig) -> dict:
             return clean(dataclasses.asdict(obj))
         if isinstance(obj, dict):
             return {k: clean(v) for k, v in obj.items()}
-        if isinstance(obj, (PairMode, WeightScheme, FusionLevel)):
+        if isinstance(obj, Enum):
             return obj.value
         if isinstance(obj, (list, tuple)):
             return [clean(v) for v in obj]

@@ -65,8 +65,8 @@ def teacher_weights(scheme: WeightScheme, num_teachers: int, *,
         if np.any(acc < 0):
             raise ValueError("accuracies must be nonnegative")
         total = acc.sum()
-        if total <= 0:
-            raise ValueError("accuracies sum to zero")
+        if not 0 < total < np.inf:
+            raise ValueError(f"accuracies must sum to a finite number > 0, got {total}")
         return acc / total
     if pos_sims is None:
         raise ValueError(f"{scheme.value} weighting needs positive similarities")

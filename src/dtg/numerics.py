@@ -1,14 +1,21 @@
-"""Float64 vector primitives and the finite-difference gradient check.
+"""Float64 vector primitives, the finite-difference gradient check, and the
+declared rules of the config dataclasses.
 
 All learning-path arithmetic in this package is double precision, which keeps
 gradient checks tight at desk scale.  Vectors and matrices are plain numpy
 float64 arrays; the helpers here validate shape and finiteness at the
-boundaries where it matters.
+boundaries where it matters.  A config dataclass declares each field's
+kind and bounds once, with ``declared``, and its ``__post_init__`` calls
+``check_fields``.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import operator
+import sys
 from dataclasses import dataclass
+from enum import Enum
 from typing import Callable, Mapping
 
 import numpy as np
@@ -52,13 +59,77 @@ def unit_rows(x: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
     """Scale each row of ``x`` to unit Euclidean norm.
 
     Returns ``(x / norms, norms)`` with ``norms`` of shape (rows, 1), kept for
-    the backward pass through the scaling.  Any row with norm <= ``EPS_NORM``
+    the backward pass through the scaling.  Any row with norm <= ``EPS_NORM``,
+    or with a norm that is not finite (an entry overflowed or is not finite),
     raises ``DegenerateInputError`` naming ``what``.
     """
     norms = np.linalg.norm(x, axis=1, keepdims=True)
-    if np.any(norms <= EPS_NORM):
-        raise DegenerateInputError(f"{what} has near-zero norm {norms.min():.3e}")
+    ok = (norms > EPS_NORM) & (norms < np.inf)  # NaN fails both
+    if not ok.all():
+        bad = norms[~ok][0]
+        kind = "near-zero" if bad <= EPS_NORM else "non-finite"
+        raise DegenerateInputError(f"{what} has {kind} norm {bad:.3e}")
     return x / norms, norms
+
+
+class FieldError(ValueError):
+    """A dataclass field breaks its rule; the message reads ``"<key> <rule>"``."""
+
+    def __init__(self, key: str, rule: str):
+        super().__init__(f"{key} {rule}")
+        self.key, self.rule = key, rule
+
+
+def declared(kind, default=dataclasses.MISSING, **bounds):
+    """A dataclass field that ``check_fields`` holds to ``kind`` and ``bounds``.
+
+    ``kind`` is int, float (a finite number; integers count), str, an Enum
+    class, or tuple (a tuple of integers, each held to the bounds); a bool is
+    never any of them.  ``bounds`` are any of ``ge``, ``gt``, ``le`` and
+    ``lt``.  A field whose default is None also takes None.
+    """
+    return dataclasses.field(default=default, metadata={"kind": kind, **bounds})
+
+
+_BOUNDS = {"ge": (operator.ge, ">="), "gt": (operator.gt, ">"),
+           "le": (operator.le, "<="), "lt": (operator.lt, "<")}
+_KINDS = {int: "an integer", float: "a finite number", str: "a string",
+          tuple: "a list of integers"}
+
+
+def check_fields(obj) -> None:
+    """Raise ``FieldError`` for the first field of the dataclass ``obj`` whose
+    value breaks its ``declared`` kind or bounds."""
+    for f in dataclasses.fields(obj):
+        if "kind" in f.metadata:
+            value = getattr(obj, f.name)
+            if not (value is None and f.default is None or _conforms(value, f.metadata)):
+                shown = list(value) if isinstance(value, tuple) else value  # as JSON spells it
+                raise FieldError(f.name, f"must be {_describe(f.metadata)}, got {shown!r}")
+
+
+def _conforms(value, rule) -> bool:
+    kind = rule["kind"]
+    if kind is tuple:
+        return isinstance(value, tuple) and all(_conforms(v, {**rule, "kind": int})
+                                                for v in value)
+    if kind is float:  # abs() <= the largest float also rejects NaN and huge integers
+        ok = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    else:
+        ok = isinstance(value, kind)
+    # JSON true/false arrive as bool, a subclass of int
+    return (ok and not isinstance(value, bool)
+            and all(op(value, rule[b]) for b, (op, _) in _BOUNDS.items() if b in rule))
+
+
+def _describe(rule) -> str:
+    """What a ``declared`` rule takes: "an integer >= 1", "a finite number >= 0
+    and < 1", "one of 'a', 'b'"."""
+    kind = rule["kind"]
+    if issubclass(kind, Enum):
+        return "one of " + ", ".join(repr(e.value) for e in kind)
+    ends = " and ".join(f"{sign} {rule[b]}" for b, (_, sign) in _BOUNDS.items() if b in rule)
+    return f"{_KINDS[kind]} {ends}".rstrip()
 
 
 def haar_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -54,6 +54,7 @@ from .model import (
     pool_frames,
     teacher_features,
 )
+from .numerics import FieldError, check_fields, declared
 from .queues import GuidanceQueue, enqueue_batch, negatives
 from .sampling import PairMode, sample_pairs
 from .seeding import substream, substreams
@@ -65,59 +66,42 @@ class NumericAbortError(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    epochs: int = 60
-    batch_size: int = 64
-    lr0: float = 0.1
-    momentum: float = 0.9
-    weight_decay: float = 0.0005
-    milestones: tuple[int, ...] = (30, 50)
-    decay: float = 0.1
-    tau: float = 0.07
-    K: int = 256
-    alpha: float = 0.1
-    beta: float = 1.0
-    pair_mode: PairMode = PairMode.SEQ_SEQ_OVERLAP
-    weight_scheme: WeightScheme = WeightScheme.UNIFORM
-    fusion_level: FusionLevel = FusionLevel.LOSS
-    d: int = 16
-    h: int = 32
-    seed: int = 0
-    segments: int = 4
-    mask_frac: float = 0.0
+    epochs: int = declared(int, 60, ge=0)
+    batch_size: int = declared(int, 64, ge=1)
+    lr0: float = declared(float, 0.1, gt=0)
+    # momentum of 1 or more never forgets a gradient
+    momentum: float = declared(float, 0.9, ge=0, lt=1)
+    weight_decay: float = declared(float, 0.0005, ge=0)
+    milestones: tuple[int, ...] = declared(tuple, (30, 50), ge=0)
+    # a decay above 1 grows the step and one at or below 0 flips or zeroes it
+    decay: float = declared(float, 0.1, gt=0, le=1)
+    tau: float = declared(float, 0.07, gt=0)
+    K: int = declared(int, 256, ge=1)
+    alpha: float = declared(float, 0.1, ge=0)
+    beta: float = declared(float, 1.0, ge=0)
+    pair_mode: PairMode = declared(PairMode, PairMode.SEQ_SEQ_OVERLAP)
+    weight_scheme: WeightScheme = declared(WeightScheme, WeightScheme.UNIFORM)
+    fusion_level: FusionLevel = declared(FusionLevel, FusionLevel.LOSS)
+    d: int = declared(int, 16, ge=1)
+    h: int = declared(int, 32, ge=1)
+    seed: int = declared(int, 0, ge=0, lt=2 ** 64)
+    segments: int = declared(int, 4, ge=1)
+    mask_frac: float = declared(float, 0.0, ge=0, lt=1)
     offline_accuracies: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.lr0 <= 0:
-            raise ValueError("lr0 must be positive")
-        if self.epochs < 0 or self.batch_size < 1:
-            raise ValueError("epochs must be >= 0 and batch_size >= 1")
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
-        if self.K < 1:
-            raise ValueError("K must be >= 1")
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("alpha and beta must be nonnegative")
-        # a decay above 1 grows the step and one at or below 0 flips or zeroes
-        # it; momentum of 1 or more never forgets a gradient
-        if not 0 < self.decay <= 1:
-            raise ValueError(f"decay must lie in (0, 1], got {self.decay!r}")
-        if not 0 <= self.momentum < 1:
-            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum!r}")
-        if not self.weight_decay >= 0:
-            raise ValueError(f"weight_decay must be nonnegative, got {self.weight_decay!r}")
-        ms = tuple(self.milestones)
-        if any(m < 0 for m in ms):
-            raise ValueError(f"milestones must be >= 0, got {list(ms)}")
+        check_fields(self)
+        ms = self.milestones
         if any(b <= a for a, b in zip(ms, ms[1:])):
-            raise ValueError("milestones must be strictly increasing")
-        if any(m >= self.epochs for m in ms) and self.epochs > 0:
-            raise ValueError("milestones must be < epochs")
-        if min(self.d, self.h, self.segments) < 1:
-            raise ValueError("d, h and segments must be >= 1")
-        if not 0 <= self.mask_frac < 1:
-            raise ValueError("mask_frac must lie in [0, 1)")
-        if self.weight_scheme is WeightScheme.OFFLINE and self.offline_accuracies is None:
-            raise ValueError("offline weighting requires offline_accuracies")
+            raise FieldError("milestones", f"must be strictly increasing, got {list(ms)}")
+        if self.epochs > 0 and any(m >= self.epochs for m in ms):
+            raise FieldError("milestones", f"must be < epochs = {self.epochs}, got {list(ms)}")
+        if self.weight_scheme is WeightScheme.OFFLINE:
+            total = sum(map(float, self.offline_accuracies or ()))
+            if not 0 < total < np.inf:
+                raise FieldError("offline_accuracies",
+                                 "must be given for offline weighting and sum to a finite "
+                                 f"number > 0, got {self.offline_accuracies!r}")
 
 
 @dataclass(frozen=True)
@@ -263,10 +247,6 @@ def _run_loop(config: TrainConfig, corpus: Corpus, bank: TeacherBank,
                                        config.mask_frac)
         pooled_anchors, pooled_guides = pool_frames(anchors), pool_frames(guides)
         guidance_all = np.stack([teacher_features(t, pooled_guides) for t in bank.teachers])
-        if not np.isfinite(guidance_all).all():
-            raise NumericAbortError(
-                f"non-finite guidance features at epoch {epoch}: the corpus frames overflow; "
-                "lower corpus.video_spread, frame_noise or drift")
         stats = _EpochStats()
         for b0 in range(0, corpus.num_videos, config.batch_size):
             batch_idx = order[b0:b0 + config.batch_size]

@@ -204,6 +204,35 @@ def test_overflowing_corpus_scale_exits_4_naming_the_keys(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+def test_overflowing_corpus_scale_in_gen_data_exits_4_writing_nothing(tmp_path, capsys):
+    doc = _config_doc(tmp_path / "gen")
+    doc["corpus"]["video_spread"] = 1e308
+    assert main(["gen-data", "--config", _write_config(tmp_path, doc), "--quiet"]) == 4
+    assert "corpus.video_spread" in capsys.readouterr().err
+    assert not (tmp_path / "gen").exists()
+
+
+def test_frame_noise_whose_norms_overflow_exits_4(tmp_path, capsys):
+    # the frames are finite, but the squares in their norms are not
+    doc = _config_doc(tmp_path / "run")
+    doc["corpus"]["frame_noise"] = 1e200
+    assert main(["pretrain", "--config", _write_config(tmp_path, doc), "--quiet"]) == 4
+    assert "non-finite norm" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+def test_seed_override_out_of_range_exits_2_with_a_corpus_file(tmp_path, capsys, seed):
+    cfg = _write_config(tmp_path, _config_doc(tmp_path / "gen"))
+    assert main(["gen-data", "--config", cfg, "--quiet"]) == 0
+    doc = _config_doc(tmp_path / "run")
+    doc["corpus"] = str(tmp_path / "gen" / "corpus.dtgc")
+    cfg = _write_config(tmp_path, doc, "run.json")
+    assert main(["pretrain", "--config", cfg, "--seed", seed, "--quiet"]) == 2
+    assert f"seed must be an integer >= 0 and < {2 ** 64}, got {seed}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_degenerate_features_exit_4(tmp_path):
     # a checkpoint that maps every video to one point: overlap is undefined
     zeros = lambda *s: np.zeros(s)

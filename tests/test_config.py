@@ -127,9 +127,7 @@ def test_invalid_train_values_are_config_errors():
                          + NON_FINITE_FIELDS)
 def test_integer_fields_reject_floats_bools_and_strings(section, key, value):
     # float fields take any finite number (ints included) but no bool or string
-    if (section, key, value) in NON_NUMBER_FIELDS:
-        kind = "a number"
-    elif (section, key, value) in NON_FINITE_FIELDS:
+    if (section, key, value) in NON_NUMBER_FIELDS + NON_FINITE_FIELDS:
         kind = "a finite number"
     else:
         kind = "an integer"
@@ -139,10 +137,16 @@ def test_integer_fields_reject_floats_bools_and_strings(section, key, value):
         config_from_dict(doc)
 
 
+SCHEDULE_RULES = {"decay": "a finite number > 0 and <= 1",
+                  "momentum": "a finite number >= 0 and < 1",
+                  "weight_decay": "a finite number >= 0",
+                  "milestones": "a list of integers >= 0"}
+
+
 @pytest.mark.parametrize("key,value", BAD_SCHEDULE_FIELDS)
 def test_schedule_and_optimizer_ranges_checked_at_load(key, value):
     doc = _minimal(train={"epochs": 4, "K": 4, "milestones": [1], key: value})
-    with pytest.raises(ConfigError, match=rf"invalid train: {key} must"):
+    with pytest.raises(ConfigError, match=rf"train\.{key} must be {SCHEDULE_RULES[key]}, got"):
         config_from_dict(doc)
 
 
@@ -160,10 +164,10 @@ def test_float_fields_take_integers():
 
 
 @pytest.mark.parametrize("teacher,message", [
-    ({"rho": True}, r"teachers\[1\]\.rho must be a number"),
-    ({"rho": 0.1, "weight": "x"}, r"teachers\[1\]\.weight must be a number"),
-    ({"rho": 0.1, "weight": True}, r"teachers\[1\]\.weight must be a number"),
-    ({"rho": 0.1, "weight": -1}, r"teachers\[1\]\.weight must be a finite nonnegative"),
+    ({"rho": True}, r"teachers\[1\]\.rho must be a finite number >= 0 and <= 1"),
+    ({"rho": 0.1, "weight": "x"}, r"teachers\[1\]\.weight must be a finite number >= 0"),
+    ({"rho": 0.1, "weight": True}, r"teachers\[1\]\.weight must be a finite number >= 0"),
+    ({"rho": 0.1, "weight": -1}, r"teachers\[1\]\.weight must be a finite number >= 0"),
     ({"rho": 0.1, "weight": float("nan")}, r"teachers\[1\]\.weight must be a finite"),
     ({"rho": 0.1, "weight": float("inf")}, r"teachers\[1\]\.weight must be a finite"),
     ({"rho": 0.1, "weight": 10 ** 400}, r"teachers\[1\]\.weight must be a finite"),
@@ -179,10 +183,15 @@ def test_teacher_numbers_checked_at_load(teacher, message):
 def test_offline_weights_need_a_positive_total():
     doc = _minimal(train={"epochs": 2, "K": 4, "milestones": [], "weight_scheme": "offline"},
                    teachers=[{"rho": 0.9, "weight": 0}, {"rho": 0.1, "weight": 0.0}])
-    with pytest.raises(ConfigError, match=r"every teachers\[i\]\.weight is zero"):
+    rule = r"teachers\[i\]\.weight must be given for offline weighting and sum to a finite number > 0"
+    with pytest.raises(ConfigError, match=rule):
         config_from_dict(doc)
     doc["teachers"][1]["weight"] = 1e-300
     assert config_from_dict(doc).train.offline_accuracies == (0, 1e-300)
+    # each weight is finite, but their sum overflows
+    doc["teachers"] = [{"rho": 0.9, "weight": 1e308}, {"rho": 0.1, "weight": 1e308}]
+    with pytest.raises(ConfigError, match=rule):
+        config_from_dict(doc)
 
 
 @pytest.mark.parametrize("milestones", [[1.5], [True], [1, "1"], [None]])

@@ -168,7 +168,7 @@ def test_v1_file_is_an_unsupported_version(tmp_path, tiny_corpus):
 
 @pytest.mark.parametrize("values, message", [
     ({"signal_dim": 9}, "signal_dim must not exceed frame_dim"),
-    ({"num_classes": 0}, "num_classes must be >= 1"),
+    ({"num_classes": 0}, "num_classes must be an integer >= 1"),
     ({"num_videos": 2 ** 64 - 1}, "record truncated"),
     ({"num_videos": 5}, "unexpected trailing bytes"),
 ])

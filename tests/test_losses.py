@@ -170,6 +170,9 @@ def test_offline_rejects_bad_accuracies():
         teacher_weights(WeightScheme.OFFLINE, 2, accuracies=(-0.1, 0.5))
     with pytest.raises(ValueError):
         teacher_weights(WeightScheme.OFFLINE, 2)
+    # each accuracy is finite, but their sum overflows
+    with pytest.raises(ValueError, match="must sum to a finite number > 0, got inf"):
+        teacher_weights(WeightScheme.OFFLINE, 2, accuracies=(1e308, 1e308))
 
 
 def test_online1_softmax_oracle():

@@ -35,6 +35,10 @@ def test_unit_rows_returns_norms_and_names_a_degenerate_row():
     assert np.array_equal(u, [[0.6, 0.8], [0.0, 1.0]]) and np.array_equal(norms, [[5.0], [2.0]])
     with pytest.raises(DegenerateInputError, match="probe row has near-zero norm"):
         unit_rows(np.vstack([x, [1e-13, 0.0]]), "probe row")
+    # a norm that overflows or is NaN is not a unit row either
+    for row, norm in (([1e200, 1e200], "inf"), ([np.nan, 1.0], "nan")):
+        with pytest.raises(DegenerateInputError, match=f"probe row has non-finite norm {norm}"):
+            unit_rows(np.vstack([x, row]), "probe row")
 
 
 def test_as_vector_rejects_matrix_and_nan():
