@@ -13,6 +13,17 @@ add a slow linear drift along a random direction plus per-frame noise:
 The signal/nuisance bases are exposed so frozen teachers with a controllable
 task alignment can be built on the same corpus.
 
+A corpus holds its videos as three read-only arrays, row v one video:
+frames (V, L, D) float64, labels (V,) int64 and ids (V,) uint64, with
+video v of class v // videos_per_class.  ``generate_corpus`` builds them in
+one batched pass.  Video v still draws from ``substream(seed,
+"corpus-video", v)``, in the order latent (Ds), direction (D), frame noise
+(L, D): one ``substreams`` call gives every video's PCG64 state, and one
+reused numpy ``Generator`` draws each video's normals straight into its
+rows.  The arithmetic then runs stacked over videos, in forms that round as
+the per-video formula does, so every value matches a per-video loop bit
+for bit.
+
 File format (``save_corpus``/``load_corpus``, conventions in ``binio``):
 header line ``DTGC v2``, then one little-endian record ``<5I3dQQ`` holding
 the spec (u32 C, videos per class, L, D, Ds; f64 spread, noise, drift; u64
@@ -34,7 +45,7 @@ import numpy as np
 
 from .binio import FormatError, RecordReader, RecordWriter
 from .numerics import DegenerateInputError, FieldError, check_fields, declared, haar_orthogonal
-from .seeding import substream
+from .seeding import substream, substreams
 
 CORPUS_HEADER = "DTGC v2"
 _SPEC_RECORD = "<5I3dQQ"  # CorpusSpec fields in declaration order, then V
@@ -67,28 +78,45 @@ class Video:
 
 @dataclass(frozen=True)
 class Corpus:
+    """Videos as arrays; row v of ``frames()``, ``labels()`` and ``ids()``
+    is one video.  The three arrays are made read-only on construction, and
+    the accessors return them without a copy."""
+
     spec: CorpusSpec
-    videos: tuple[Video, ...]
     signal_basis: np.ndarray    # (Ds, D), orthonormal rows
     nuisance_basis: np.ndarray  # (D - Ds, D), orthonormal rows
+    _frames: np.ndarray         # (V, L, D) float64
+    _labels: np.ndarray         # (V,) int64
+    _ids: np.ndarray            # (V,) uint64
+
+    def __post_init__(self):
+        for a in (self._frames, self._labels, self._ids):
+            a.flags.writeable = False
 
     @property
     def num_videos(self) -> int:
-        return len(self.videos)
+        return len(self._labels)
 
     def labels(self) -> np.ndarray:
-        return np.array([v.label for v in self.videos], dtype=np.int64)
+        return self._labels
 
     def ids(self) -> np.ndarray:
-        return np.array([v.video_id for v in self.videos], dtype=np.uint64)
+        return self._ids
 
     def frames(self) -> np.ndarray:
-        """Every video's frames stacked into one (V, L, D) array."""
-        return np.stack([v.frames for v in self.videos])
+        return self._frames
+
+    @property
+    def videos(self) -> tuple[Video, ...]:
+        """Per-video records built from the arrays, for perfbench's
+        ``workloads._same_corpus`` alone.  Delete this and ``Video`` once
+        that check compares ``frames()``, ``labels()`` and ``ids()``."""
+        return tuple(map(Video, self._frames, self._labels.tolist(), self._ids.tolist()))
 
 
 def generate_corpus(spec: CorpusSpec) -> Corpus:
-    """Deterministically generate a corpus from its spec."""
+    """Deterministically generate a corpus from its spec, in one batched pass
+    over the per-video streams (see the module docstring)."""
     d, ds = spec.frame_dim, spec.signal_dim
     rows = haar_orthogonal(substream(spec.seed, "corpus-bases"), d).T
     signal_basis, nuisance_basis = rows[:ds].copy(), rows[ds:].copy()
@@ -97,33 +125,40 @@ def generate_corpus(spec: CorpusSpec) -> Corpus:
     )
     prototypes = proto_coeffs @ signal_basis
 
-    videos = []
-    # one reused mask: a fresh mask per video, freed between the frames that
-    # stay, fragments the heap (about 8 MB more peak RSS at 2,000 videos)
-    finite = np.empty((spec.frames_per_video, d), dtype=bool)
-    ts = np.arange(spec.frames_per_video, dtype=np.float64)[:, None]
-    for label in range(spec.num_classes):
-        for _ in range(spec.videos_per_class):
-            vid = len(videos)
-            rng = substream(spec.seed, "corpus-video", vid)
-            z = prototypes[label] + spec.video_spread * (rng.standard_normal(ds) @ signal_basis)
-            direction = rng.standard_normal(d)
-            direction /= np.linalg.norm(direction)
-            frames = (
-                z
-                + spec.drift * ts * direction
-                + spec.frame_noise * rng.standard_normal((spec.frames_per_video, d))
-            )
-            if not np.isfinite(frames, out=finite).all():
-                raise DegenerateInputError(f"corpus frames overflow at video {vid}: lower "
-                                           "corpus.video_spread, frame_noise or drift")
-            videos.append(Video(frames=frames, label=label, video_id=vid))
-    return Corpus(
-        spec=spec,
-        videos=tuple(videos),
-        signal_basis=signal_basis,
-        nuisance_basis=nuisance_basis,
-    )
+    labels = np.repeat(np.arange(spec.num_classes, dtype=np.int64), spec.videos_per_class)
+    ids = np.arange(labels.size, dtype=np.uint64)
+    latent = np.empty((labels.size, ds))
+    direction = np.empty((labels.size, d))
+    frames = np.empty((labels.size, spec.frames_per_video, d))
+    bits = np.random.PCG64()
+    rng = np.random.Generator(bits)
+    for vid, state in enumerate(substreams(spec.seed, "corpus-video", ids).numpy_states()):
+        bits.state = state
+        rng.standard_normal(out=latent[vid])
+        rng.standard_normal(out=direction[vid])
+        rng.standard_normal(out=frames[vid])
+    # frame_t = z + drift * t * u + frame_noise * eps_t, stacked over videos.
+    # The products and norms are stacked (1, n) @ (n, m) ones, which round as
+    # one video's do; a (V, Ds) @ (Ds, D) product or an axis norm would not.
+    # The noise term is scaled in place and the rest added to it per t, so no
+    # second (V, L, D) array exists; addition commutes, so the bits are kept.
+    with np.errstate(over="ignore", invalid="ignore"):  # checked right below
+        z = prototypes[labels] + spec.video_spread * (latent[:, None] @ signal_basis)[:, 0]
+        direction /= np.sqrt(direction[:, None] @ direction[:, :, None])[:, 0]
+        frames *= spec.frame_noise
+        for t in range(spec.frames_per_video):
+            frames[:, t] += z + spec.drift * t * direction
+    if not _all_finite(frames):
+        vid = np.flatnonzero(~np.isfinite(frames).all(axis=(1, 2)))[0]
+        raise DegenerateInputError(f"corpus frames overflow at video {vid}: lower "
+                                   "corpus.video_spread, frame_noise or drift")
+    return Corpus(spec, signal_basis, nuisance_basis, frames, labels, ids)
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every value of ``a`` is finite, with no temporary the size of
+    ``a``: NaN propagates through min and max, and an infinity is one of them."""
+    return a.size == 0 or bool(np.isfinite(a.min()) and np.isfinite(a.max()))
 
 
 def stratified_split(labels: np.ndarray, frac: float, seed: int, tag: str = "probe-split"
@@ -154,12 +189,13 @@ def split_videos(corpus: Corpus, train_frac: float, seed: int) -> tuple[Corpus, 
     """Stratified video-level split into (train, held_out) corpora: the
     ``stratified_split`` of the labels on the "video-split" stream.
 
-    The halves share the parent's spec and bases; they are in-memory views
-    for held-out evaluation, and save_corpus/load_corpus round-trip them (the
+    The halves share the parent's spec and bases and hold the picked rows of
+    its arrays, in index order; save_corpus/load_corpus round-trip them (the
     file stores the actual video count).
     """
     train, held = stratified_split(corpus.labels(), train_frac, seed, "video-split")
-    pick = lambda idx: dataclasses.replace(corpus, videos=tuple(corpus.videos[i] for i in idx))
+    pick = lambda idx: Corpus(corpus.spec, corpus.signal_basis, corpus.nuisance_basis,
+                              corpus.frames()[idx], corpus.labels()[idx], corpus.ids()[idx])
     return pick(train), pick(held)
 
 
@@ -175,7 +211,10 @@ def save_corpus(corpus: Corpus, path) -> None:
 
 
 def load_corpus(path) -> Corpus:
-    """Read a ``DTGC v2`` file; any malformed content raises ``FormatError``."""
+    """Read a ``DTGC v2`` file; any malformed content, a label outside the
+    spec or a non-finite basis or frame value included, raises
+    ``FormatError``.  The arrays are read-only views of the file's bytes,
+    except the labels, which are widened to int64."""
     r = RecordReader(Path(path).read_bytes(), CORPUS_HEADER)
     *fields, count = r.unpack(_SPEC_RECORD)
     try:
@@ -191,9 +230,6 @@ def load_corpus(path) -> Corpus:
     r.expect_end()
     if count and labels.max() >= spec.num_classes:
         raise FormatError(f"label {labels.max()} out of range for {spec.num_classes} classes")
-    return Corpus(
-        spec=spec,
-        videos=tuple(map(Video, frames, labels.tolist(), ids.tolist())),
-        signal_basis=signal_basis,
-        nuisance_basis=nuisance_basis,
-    )
+    if not all(map(_all_finite, (signal_basis, nuisance_basis, frames))):
+        raise FormatError("corpus bases or frames hold non-finite values")
+    return Corpus(spec, signal_basis, nuisance_basis, frames, labels.astype(np.int64), ids)

@@ -7,13 +7,15 @@ other, and per-sample streams make the sampled pair independent of batch
 composition.
 
 ``substream`` returns one numpy ``Generator`` and serves the one-off streams
-(corpus, initialisation, epoch order, splits).  ``substreams`` builds many
-streams at once, one per row of its key arrays, for the per-video pair
-streams that training draws every epoch.  It is a port of the numpy chain
-behind ``substream`` (``SeedSequence`` pool mixing, then PCG64 seeding and
-stepping with the XSL-RR output, then ``Generator.integers``' Lemire draw,
-O'Neill 2014; Lemire 2019, arXiv 1805.10941) to whole arrays of 64-bit
-words, so row r of ``substreams(seed, tag, ids, epoch).integers(w)`` equals
+(corpus bases, initialisation, epoch order, splits).  ``substreams`` builds
+many streams at once, one per row of its key arrays: the per-video pair
+streams that training draws every epoch, and the per-video corpus streams,
+whose states ``Substreams.numpy_states`` hands to numpy's normal sampler.
+It is a port of the numpy chain behind ``substream`` (``SeedSequence`` pool
+mixing, then PCG64 seeding and stepping with the XSL-RR output, then
+``Generator.integers``' Lemire draw, O'Neill 2014; Lemire 2019, arXiv
+1805.10941) to whole arrays of 64-bit words, so row r of
+``substreams(seed, tag, ids, epoch).integers(w)`` equals
 ``substream(seed, tag, ids[r], epoch).integers(w)`` exactly.
 
 NEP 19 does not pin the algorithm of ``Generator.integers`` across numpy
@@ -27,6 +29,7 @@ changing runs.
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -155,6 +158,18 @@ class Substreams:
 
     def __len__(self) -> int:
         return self._lo.size
+
+    def numpy_states(self) -> Iterator[dict]:
+        """Each row's state, as of this call, as numpy's ``PCG64.state`` dict:
+        set it on one reused ``PCG64`` to draw the row's stream with numpy's
+        own samplers (the ziggurat normals have no port here).  The dicts are
+        made one at a time, as the caller takes them."""
+        return ({"bit_generator": "PCG64",
+                 "state": {"state": hi << 64 | lo, "inc": ihi << 64 | ilo},
+                 "has_uint32": int(has), "uinteger": buf}
+                for hi, lo, ihi, ilo, has, buf in zip(
+                    self._hi.tolist(), self._lo.tolist(), self._inc_hi.tolist(),
+                    self._inc_lo.tolist(), self._has.tolist(), self._buf.tolist()))
 
     def _step(self, rows) -> np.ndarray:
         """Advance ``rows`` one PCG64 step; their 64-bit XSL-RR outputs."""

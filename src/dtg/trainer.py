@@ -161,26 +161,27 @@ def sgd_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
 
 
 def _validate_run(config: TrainConfig, corpus: Corpus, bank: TeacherBank) -> None:
+    """The rules that relate the config to the corpus and the teachers; each
+    message starts with the config key it names, as ``FieldError``'s do."""
     if config.K >= corpus.num_videos:
-        raise ValueError(
-            f"queue capacity {config.K} must be smaller than the "
-            f"number of training videos ({corpus.num_videos})"
-        )
+        raise FieldError("train.K", f"queue capacity {config.K} must be smaller than the "
+                                    f"number of training videos ({corpus.num_videos})")
     if corpus.spec.frames_per_video < config.segments:
-        raise ValueError("segments exceed frames per video")
+        raise FieldError("train.segments / corpus.frames_per_video",
+                         f"segments exceed frames per video ({config.segments} > "
+                         f"{corpus.spec.frames_per_video})")
     half = corpus.spec.frames_per_video // 2
     if config.pair_mode is PairMode.SEQ_SEQ_DISJOINT and config.segments > half:
-        raise ValueError(
-            f"seq-seq-disjoint draws each view from half a video: segments "
-            f"{config.segments} exceed frames_per_video // 2 = {half}"
-        )
+        raise FieldError("train.segments / corpus.frames_per_video",
+                         f"seq-seq-disjoint draws each view from half a video: segments "
+                         f"{config.segments} exceed frames_per_video // 2 = {half}")
     if bank.embed_dim != config.d:
-        raise ValueError(
-            f"teacher dimension {bank.embed_dim} differs from the student's d = {config.d}"
-        )
+        raise FieldError("train.d", f"teacher dimension {bank.embed_dim} differs from the "
+                                    f"student's d = {config.d}")
     acc = config.offline_accuracies
     if acc is not None and len(acc) != len(bank):
-        raise ValueError(f"expected {len(bank)} offline accuracies, got {len(acc)}")
+        raise FieldError("train.offline_accuracies",
+                         f"expected {len(bank)} offline accuracies, got {len(acc)}")
 
 
 def _validate_init(config: TrainConfig, corpus: Corpus, enc: StudentEncoder,

@@ -1,4 +1,7 @@
+import hashlib
 import json
+import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +9,7 @@ import pytest
 import dtg.cli
 from dtg.cli import main
 from dtg.corpus import CORPUS_HEADER
-from dtg.model import StudentEncoder, save_student
+from dtg.model import StudentEncoder, TeacherBank, build_teacher, save_student
 from dtg.trainer import NumericAbortError
 
 from conftest import (BAD_SCHEDULE_FIELDS, NON_FINITE_FIELDS, NON_INTEGER_FIELDS,
@@ -112,6 +115,40 @@ def test_bad_offline_weight_exits_2_before_training(tmp_path, capsys, weight):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("train, corpus, keys", [
+    ({"K": 6}, {}, ["train.K", "smaller than the number of training videos (6)"]),
+    ({"segments": 9}, {}, ["train.segments", "corpus.frames_per_video"]),
+    ({}, {"frames_per_video": 3}, ["train.segments", "corpus.frames_per_video"]),
+    ({"pair_mode": "seq-seq-disjoint", "segments": 5}, {},
+     ["train.segments", "corpus.frames_per_video", "seq-seq-disjoint"]),
+], ids=["K", "segments", "frames_per_video", "disjoint-segments"])
+def test_corpus_dependent_rule_exits_2_naming_its_key(tmp_path, capsys, train, corpus, keys):
+    doc = _config_doc(tmp_path / "run", **train)
+    doc["corpus"].update(corpus)
+    assert main(["pretrain", "--config", _write_config(tmp_path, doc), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {keys[0]} ") and all(k in err for k in keys)
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("key, train, teachers, extra_dim", [
+    ("train.d", {}, [{"rho": 0.9}], 1),
+    ("train.offline_accuracies", {"weight_scheme": "offline"},
+     [{"rho": 0.9, "weight": 0.7}, {"rho": 0.1, "weight": 0.3}], 0),
+])
+def test_teacher_dependent_rule_exits_2_naming_its_key(tmp_path, capsys, monkeypatch, key,
+                                                       train, teachers, extra_dim):
+    # the CLI builds one teacher per config entry, at train.d; a one-teacher
+    # bank of another dimension or count reaches the run's own check
+    def other_bank(cfg, corpus):
+        return TeacherBank((build_teacher(corpus, 0.9, cfg.train.d + extra_dim, 0),))
+    monkeypatch.setattr(dtg.cli, "_build_bank", other_bank)
+    doc = {**_config_doc(tmp_path / "run", **train), "teachers": teachers}
+    assert main(["pretrain", "--config", _write_config(tmp_path, doc), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {key} ")
+    assert not (tmp_path / "run").exists()
+
+
 def test_missing_corpus_file_exits_3(tmp_path):
     doc = _config_doc(tmp_path / "run")
     doc["corpus"] = str(tmp_path / "absent.dtgc")
@@ -181,6 +218,20 @@ def test_checksum_valid_bad_header_exits_3(tmp_path, capsys, values, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["pretrain", "probe"])
+@pytest.mark.parametrize("value", [float("nan"), float("-inf")])
+def test_checksum_valid_non_finite_frame_exits_3(tmp_path, capsys, command, value):
+    # the frames are the last array: overwrite the last value, then re-digest
+    body = _generated_corpus_bytes(tmp_path)[:-16] + struct.pack("<d", value)
+    corpus_file = tmp_path / "non-finite.dtgc"
+    corpus_file.write_bytes(body + hashlib.blake2b(body, digest_size=8).digest())
+    doc = _config_doc(tmp_path / "run")
+    doc["corpus"] = str(corpus_file)
+    assert main([command, "--config", _write_config(tmp_path, doc, "run.json"), "--quiet"]) == 3
+    assert "non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_v1_corpus_exits_3_unsupported_version(tmp_path, capsys):
     blob = _generated_corpus_bytes(tmp_path).replace(CORPUS_HEADER.encode(), b"DTGC v1", 1)
     assert _probe_exit(tmp_path, blob) == 3
@@ -207,8 +258,13 @@ def test_overflowing_corpus_scale_exits_4_naming_the_keys(tmp_path, capsys):
 def test_overflowing_corpus_scale_in_gen_data_exits_4_writing_nothing(tmp_path, capsys):
     doc = _config_doc(tmp_path / "gen")
     doc["corpus"]["video_spread"] = 1e308
-    assert main(["gen-data", "--config", _write_config(tmp_path, doc), "--quiet"]) == 4
-    assert "corpus.video_spread" in capsys.readouterr().err
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["gen-data", "--config", _write_config(tmp_path, doc), "--quiet"]) == 4
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert err.startswith("error: numeric abort: corpus frames overflow")
+    assert "corpus.video_spread" in err
     assert not (tmp_path / "gen").exists()
 
 

@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +8,8 @@ import pytest
 from dtg.binio import ChecksumMismatchError, FormatError, VersionMismatchError
 from dtg.corpus import (CORPUS_HEADER, Corpus, CorpusSpec, generate_corpus, load_corpus,
                         save_corpus, split_videos)
+from dtg.numerics import DegenerateInputError
+from dtg.seeding import substream
 
 from conftest import crafted
 
@@ -14,10 +18,10 @@ def test_shapes_counts_and_labels():
     spec = CorpusSpec(num_classes=2, videos_per_class=3, frames_per_video=4,
                       frame_dim=8, signal_dim=4, seed=7)
     corpus = generate_corpus(spec)
-    assert len(corpus.videos) == 6
-    assert all(v.frames.shape == (4, 8) for v in corpus.videos)
-    assert sorted(v.label for v in corpus.videos) == [0, 0, 0, 1, 1, 1]
-    assert len({v.video_id for v in corpus.videos}) == 6
+    assert corpus.num_videos == 6
+    assert corpus.frames().shape == (6, 4, 8)
+    assert sorted(corpus.labels().tolist()) == [0, 0, 0, 1, 1, 1]
+    assert len(set(corpus.ids().tolist())) == 6
 
 
 def test_frames_stack_videos_in_order():
@@ -25,15 +29,73 @@ def test_frames_stack_videos_in_order():
     for part in (corpus, split_videos(corpus, 0.5, seed=1)[1]):
         frames = part.frames()
         assert frames.shape == (part.num_videos, 4, 8)
-        for row, video in zip(frames, part.videos):
-            assert np.array_equal(row, video.frames)
+        # row v is the video whose id is ids()[v], in the corpus and in a split half
+        assert np.array_equal(frames, corpus.frames()[part.ids().astype(np.intp)])
+        assert np.array_equal(part.labels(), corpus.labels()[part.ids().astype(np.intp)])
+
+
+def test_accessors_return_the_stored_read_only_arrays(tmp_path, tiny_corpus):
+    save_corpus(tiny_corpus, tmp_path / "c.dtgc")
+    for part in (tiny_corpus, split_videos(tiny_corpus, 0.5, seed=1)[0],
+                 load_corpus(tmp_path / "c.dtgc")):
+        for get, dtype in ((part.frames, np.float64), (part.labels, np.int64),
+                           (part.ids, np.uint64)):
+            assert get() is get() and get().dtype == dtype
+            assert not get().flags.writeable
+
+
+# sha256 of save_corpus(generate_corpus(spec)), recorded from a per-video loop
+# over substream(seed, "corpus-video", v): a change to any drawn value, its
+# rounding or the file layout fails
+RECORDED_CORPUS_SHA256 = [
+    (CorpusSpec(3, 4, 5, 8, 3, video_spread=0.7, frame_noise=0.2, drift=0.1, seed=2 ** 40 + 7),
+     "50bf46d844e39d446db2518ffdc63053887c66c150b1f4231ae5776ff030cfc3"),
+    (CorpusSpec(2, 3, 4, 6, 6, video_spread=1.0, frame_noise=0.3, drift=0.4, seed=5),
+     "5cc7eb77516f98c9f51cea6f6faafef546658baf89a3a2acdd83191bbdd206b1"),
+    (CorpusSpec(4, 2, 1, 5, 2, video_spread=0.5, frame_noise=0.1, drift=0.2, seed=11),
+     "4a8f72af305d088bf63cea82690409d1aac8146e68c350fbb9becb917a3fb4c3"),
+]
+
+
+@pytest.mark.parametrize("spec, digest", RECORDED_CORPUS_SHA256,
+                         ids=["seed-above-2^32", "signal-dim-equals-frame-dim", "one-frame"])
+def test_saved_corpus_matches_recorded_bytes(tmp_path, spec, digest):
+    save_corpus(generate_corpus(spec), tmp_path / "c.dtgc")
+    assert hashlib.sha256((tmp_path / "c.dtgc").read_bytes()).hexdigest() == digest
+
+
+def test_videos_match_the_per_video_formula():
+    # the module docstring's formula, one video at a time from its own stream
+    spec = CorpusSpec(3, 5, 6, 9, 4, video_spread=0.8, frame_noise=0.4, drift=0.3,
+                      seed=2 ** 33 + 1)
+    corpus = generate_corpus(spec)
+    prototypes = (substream(spec.seed, "corpus-prototypes").standard_normal((3, 4))
+                  @ corpus.signal_basis)
+    ts = np.arange(spec.frames_per_video, dtype=np.float64)[:, None]
+    for vid in (0, 4, 5, 11, 14):
+        rng = substream(spec.seed, "corpus-video", vid)
+        label = vid // spec.videos_per_class
+        z = prototypes[label] + spec.video_spread * (rng.standard_normal(4) @ corpus.signal_basis)
+        u = rng.standard_normal(9)
+        u /= np.linalg.norm(u)
+        frames = z + spec.drift * ts * u + spec.frame_noise * rng.standard_normal((6, 9))
+        assert np.array_equal(corpus.frames()[vid], frames)
+        assert corpus.labels()[vid] == label and corpus.ids()[vid] == vid
+
+
+def test_overflowing_scale_names_the_first_video_without_a_warning():
+    # videos 0 and 1 stay finite at this scale; video 2 is the first to overflow
+    spec = CorpusSpec(2, 3, 8, 8, 4, video_spread=1e308, frame_noise=0.3, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateInputError, match="overflow at video 2: lower corpus"):
+            generate_corpus(spec)
 
 
 def test_same_seed_bit_identical():
     spec = CorpusSpec(2, 3, 4, 8, 4, seed=7)
     a, b = generate_corpus(spec), generate_corpus(spec)
-    for va, vb in zip(a.videos, b.videos):
-        assert np.array_equal(va.frames, vb.frames)
+    assert np.array_equal(a.frames(), b.frames())
     assert np.array_equal(a.signal_basis, b.signal_basis)
 
 
@@ -42,10 +104,8 @@ def test_zero_noise_collapses_to_class_prototype():
                       drift=0.0, seed=3)
     corpus = generate_corpus(spec)
     for c in (0, 1):
-        vids = [v for v in corpus.videos if v.label == c]
-        proto = vids[0].frames[0]
-        for v in vids:
-            assert np.allclose(v.frames, proto, atol=1e-12)
+        frames = corpus.frames()[corpus.labels() == c]
+        assert np.allclose(frames, frames[0, 0], atol=1e-12)
 
 
 def test_bases_orthonormal_and_mutually_orthogonal():
@@ -61,8 +121,8 @@ def test_nearest_prototype_is_perfect_when_frames_are_clean():
     # small spread, no frame noise: class structure dominates
     spec = CorpusSpec(4, 5, 6, 12, 6, video_spread=0.05, frame_noise=0.0, seed=5)
     corpus = generate_corpus(spec)
-    pooled = np.stack([v.frames.mean(axis=0) for v in corpus.videos])
-    labels = np.array([v.label for v in corpus.videos])
+    pooled = corpus.frames().mean(axis=1)
+    labels = corpus.labels()
     protos = np.stack([pooled[labels == c].mean(axis=0) for c in range(4)])
     pred = np.argmin(((pooled[:, None, :] - protos[None]) ** 2).sum(axis=2), axis=1)
     assert (pred == labels).all()
@@ -70,8 +130,8 @@ def test_nearest_prototype_is_perfect_when_frames_are_clean():
 
 def test_drift_moves_frames_along_one_direction():
     base = CorpusSpec(1, 1, 8, 6, 3, video_spread=0.0, frame_noise=0.0, seed=2)
-    still = generate_corpus(base).videos[0].frames
-    drifted = generate_corpus(dataclasses.replace(base, drift=0.5)).videos[0].frames
+    still = generate_corpus(base).frames()[0]
+    drifted = generate_corpus(dataclasses.replace(base, drift=0.5)).frames()[0]
     assert np.allclose(still, np.broadcast_to(still[0], still.shape))
     steps = np.diff(drifted, axis=0)
     assert np.linalg.norm(steps[0]) > 0
@@ -95,9 +155,9 @@ def test_save_load_round_trip(tmp_path, tiny_corpus):
     assert back.spec == tiny_corpus.spec
     assert np.array_equal(back.signal_basis, tiny_corpus.signal_basis)
     assert np.array_equal(back.nuisance_basis, tiny_corpus.nuisance_basis)
-    for va, vb in zip(tiny_corpus.videos, back.videos):
-        assert va.label == vb.label and va.video_id == vb.video_id
-        assert np.array_equal(va.frames, vb.frames)
+    assert np.array_equal(back.labels(), tiny_corpus.labels())
+    assert np.array_equal(back.ids(), tiny_corpus.ids())
+    assert np.array_equal(back.frames(), tiny_corpus.frames())
 
 
 def test_save_is_byte_deterministic(tmp_path, tiny_corpus):
@@ -113,8 +173,8 @@ def assert_same_corpus(a, b):
     assert np.array_equal(a.nuisance_basis, b.nuisance_basis)
     assert np.array_equal(a.frames(), b.frames())
     assert np.array_equal(a.labels(), b.labels()) and np.array_equal(a.ids(), b.ids())
-    assert [type(v.label) for v in b.videos] == [int] * b.num_videos
-    assert [type(v.video_id) for v in b.videos] == [int] * b.num_videos
+    assert (b.frames().dtype, b.labels().dtype, b.ids().dtype) == (np.float64, np.int64,
+                                                                   np.uint64)
 
 
 def test_split_halves_round_trip(tmp_path, tiny_corpus):
@@ -182,19 +242,36 @@ def test_checksum_valid_bad_header_raises_format_error(tmp_path, tiny_corpus, va
 
 def test_label_outside_the_spec_raises_format_error(tmp_path, tiny_corpus):
     path = tmp_path / "c.dtgc"
-    first = dataclasses.replace(tiny_corpus.videos[0], label=tiny_corpus.spec.num_classes)
-    save_corpus(dataclasses.replace(tiny_corpus, videos=(first, *tiny_corpus.videos[1:])), path)
+    labels = tiny_corpus.labels().copy()
+    labels[0] = tiny_corpus.spec.num_classes
+    save_corpus(dataclasses.replace(tiny_corpus, _labels=labels), path)
     with pytest.raises(FormatError, match="out of range"):
+        load_corpus(path)
+
+
+@pytest.mark.parametrize("field, index, value", [
+    ("_frames", (-1, -1, -1), np.nan),
+    ("_frames", (2, 0, 3), -np.inf),
+    ("signal_basis", (0, 0), np.inf),
+    ("nuisance_basis", (1, 2), np.nan),
+])
+def test_non_finite_bases_or_frames_raise_format_error(tmp_path, tiny_corpus, field, index,
+                                                       value):
+    array = getattr(tiny_corpus, field).copy()
+    array[index] = value
+    path = tmp_path / "c.dtgc"
+    save_corpus(dataclasses.replace(tiny_corpus, **{field: array}), path)  # a valid checksum
+    with pytest.raises(FormatError, match="non-finite"):
         load_corpus(path)
 
 
 def test_split_videos_partitions_each_class(tiny_corpus):
     train, held = split_videos(tiny_corpus, 0.5, seed=0)
-    got = sorted(v.video_id for v in train.videos) + sorted(v.video_id for v in held.videos)
-    assert sorted(got) == sorted(v.video_id for v in tiny_corpus.videos)
+    got = np.concatenate([train.ids(), held.ids()])
+    assert sorted(got.tolist()) == sorted(tiny_corpus.ids().tolist())
     for c in range(tiny_corpus.spec.num_classes):
-        n_train = sum(v.label == c for v in train.videos)
-        n_held = sum(v.label == c for v in held.videos)
+        n_train = np.count_nonzero(train.labels() == c)
+        n_held = np.count_nonzero(held.labels() == c)
         assert n_train >= 1 and n_held >= 1
         assert n_train + n_held == tiny_corpus.spec.videos_per_class
 
@@ -202,8 +279,8 @@ def test_split_videos_partitions_each_class(tiny_corpus):
 def test_split_videos_deterministic_and_seed_sensitive(tiny_corpus):
     a1, _ = split_videos(tiny_corpus, 0.5, seed=4)
     a2, _ = split_videos(tiny_corpus, 0.5, seed=4)
-    assert [v.video_id for v in a1.videos] == [v.video_id for v in a2.videos]
-    ids = {tuple(sorted(v.video_id for v in split_videos(tiny_corpus, 0.5, seed=s)[0].videos))
+    assert np.array_equal(a1.ids(), a2.ids())
+    ids = {tuple(sorted(split_videos(tiny_corpus, 0.5, seed=s)[0].ids().tolist()))
            for s in range(20)}
     assert len(ids) > 1
 

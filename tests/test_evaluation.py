@@ -99,7 +99,7 @@ def test_knn_perfect_on_collapsed_classes():
     corpus = generate_corpus(spec)
     teacher = build_teacher(corpus, 1.0, embed_dim=6, seed=0)
     feats = teacher_features(teacher, pool_frames(corpus.frames()))
-    labels = np.array([v.label for v in corpus.videos])
+    labels = corpus.labels()
     assert knn_top1(feats, labels, k=5) == 1.0
 
 
@@ -339,7 +339,7 @@ def test_view_accuracies_order_teachers_by_alignment():
 def test_video_features_unit_rows(tiny_corpus):
     enc = build_student(tiny_corpus.spec.frame_dim, 8, 5, seed=0)
     feats = video_features(enc, tiny_corpus)
-    assert feats.shape == (len(tiny_corpus.videos), 5)
+    assert feats.shape == (tiny_corpus.num_videos, 5)
     assert np.abs(np.linalg.norm(feats, axis=1) - 1.0).max() < 1e-10
 
 

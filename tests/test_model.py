@@ -130,7 +130,7 @@ def test_rho_one_zero_noise_collapses_classes():
     corpus = generate_corpus(spec)
     teacher = build_teacher(corpus, 1.0, embed_dim=5, seed=1)
     feats = teacher_features(teacher, pool_frames(corpus.frames()))
-    labels = np.array([v.label for v in corpus.videos])
+    labels = corpus.labels()
     for c in (0, 1):
         block = feats[labels == c]
         assert np.allclose(block, block[0], atol=1e-10)
@@ -141,7 +141,7 @@ def test_rho_zero_teacher_is_label_blind():
     corpus = generate_corpus(spec)
     teacher = build_teacher(corpus, 0.0, embed_dim=8, seed=2)
     feats = teacher_features(teacher, pool_frames(corpus.frames()))
-    labels = np.array([v.label for v in corpus.videos])
+    labels = corpus.labels()
     acc = knn_top1(feats, labels, k=5)
     assert acc < 0.5  # chance is 0.25; far from the aligned teacher's 1.0
 
@@ -149,7 +149,7 @@ def test_rho_zero_teacher_is_label_blind():
 def test_rho_separates_aligned_from_unaligned():
     spec = CorpusSpec(4, 12, 6, 16, 8, video_spread=1.0, frame_noise=0.0, seed=13)
     corpus = generate_corpus(spec)
-    labels = np.array([v.label for v in corpus.videos])
+    labels = corpus.labels()
     accs = []
     for rho in (1.0, 0.0):
         t = build_teacher(corpus, rho, embed_dim=8, seed=2)

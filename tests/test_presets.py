@@ -48,11 +48,9 @@ def test_four_teacher_bank_order_and_names():
 def test_joint_setup_split_and_config():
     train, held, bank, cfg = joint_experiment_setup(seed=3)
     assert train.spec.video_spread == 2.0
-    assert len(train.videos) == 100 and len(held.videos) == 400
-    train_ids = {v.video_id for v in train.videos}
-    assert train_ids.isdisjoint(v.video_id for v in held.videos)
-    for c in range(10):
-        assert sum(v.label == c for v in train.videos) == 10
+    assert train.num_videos == 100 and held.num_videos == 400
+    assert not np.intersect1d(train.ids(), held.ids()).size
+    assert np.array_equal(np.bincount(train.labels()), [10] * 10)
     assert (cfg.alpha, cfg.beta, cfg.K) == (0.1, 1.0, 64)
     assert len(bank.teachers) == 1 and bank.teachers[0].rho == 0.9
 

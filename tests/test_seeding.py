@@ -86,6 +86,22 @@ def test_substreams_rows_match_substream(seed, ids, epoch, widths, scalars):
         assert [int(s[r]) for s in singles] == [int(rng.integers(w)) for w in scalars]
 
 
+@pytest.mark.parametrize("seed", [0, 7, 2 ** 40 + 3, 2 ** 64 - 1])
+def test_numpy_states_match_substream(seed):
+    """Each row's exported state is its Generator's, fresh and after one
+    32-bit draw (numpy's buffered half), across key word layouts."""
+    ids = np.array([0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 40 + 9, 2 ** 64 - 1], dtype=np.uint64)
+    streams = substreams(seed, "corpus-video", ids)
+    fresh = streams.numpy_states()  # the states as of the call, taken after a draw
+    streams.integers(5)  # one 32-bit draw: 2^32 % 5 = 1, a rejection is 1 in 2^32
+    fresh, drawn = list(fresh), list(streams.numpy_states())
+    for r, vid in enumerate(ids.tolist()):
+        rng = substream(seed, "corpus-video", vid)
+        assert fresh[r] == rng.bit_generator.state and fresh[r]["has_uint32"] == 0
+        rng.integers(5)
+        assert drawn[r] == rng.bit_generator.state and drawn[r]["has_uint32"] == 1
+
+
 def test_substreams_fold_negative_and_array_keys():
     ids = np.array([-1, 0, 5, -(2 ** 40)])
     draws = substreams(-3, "neg", ids).integers([2 ** 31 + 1] * 6)
