@@ -2,9 +2,10 @@
 
 Runs a fixed matrix of short trainings on the reference corpus, per seed:
 4 teachers under every weight scheme and fusion level with mask 0.25,
-1 teacher under every pair mode, joint training on the few-label split, and
-4 teachers under online1 with a batch of 7 (so batches straddle the queue
-capacity).  Each line is ``<case> <sha256>``, the digest taken over the
+1 teacher under every pair mode, joint training on the few-label split,
+4 teachers under online1 with a batch of 7 (so batches straddle the window
+of K negatives), and 1 teacher with a batch of 300 and K = 64 (a batch
+larger than the window).  Each line is ``<case> <sha256>``, the digest taken over the
 ``.dtgm`` checkpoint bytes followed by the sorted-key JSON of
 ``report_to_dict``.
 
@@ -77,6 +78,7 @@ def runs(seed: int):
     (enc, head), report = train_joint(dataclasses.replace(cfg, **SHORT), train, bank)
     yield "joint", enc, head, report
     yield "4t-online1-b7", *pre(four, weight_scheme=WeightScheme.ONLINE1, batch_size=7)
+    yield "1t-b300-k64", *pre(one, batch_size=300, K=64)
 
 
 def cli_artifacts(seed: int, work: Path):

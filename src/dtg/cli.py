@@ -40,7 +40,7 @@ from .evaluation import (
     write_projection_csv,
 )
 from .model import TeacherBank, build_head, build_student, build_teacher, load_student, save_student
-from .numerics import DegenerateInputError
+from .numerics import DegenerateInputError, FieldError
 from .trainer import NumericAbortError, pretrain, train_joint, write_report
 
 
@@ -144,9 +144,21 @@ def cmd_train_joint(args) -> int:
     return _finish_training(args, cfg, out, report, "train-joint")
 
 
+def _validate_probe(cfg: ExperimentConfig, corpus) -> None:
+    """The eval rules that depend on the corpus, each message led by its key."""
+    if cfg.eval.knn_k >= corpus.num_videos:
+        raise FieldError("eval.knn_k", f"must be smaller than the number of videos "
+                                       f"({corpus.num_videos}), got {cfg.eval.knn_k}")
+    fewest = np.unique(corpus.labels(), return_counts=True)[1].min()
+    if fewest < 2:
+        raise FieldError("corpus.videos_per_class", f"must be at least 2 for the probe's "
+                                                    f"stratified split, got a class of {fewest}")
+
+
 def cmd_probe(args) -> int:
     cfg = _prepare(args)
     corpus = _load_corpus(cfg)
+    _validate_probe(cfg, corpus)
     if args.checkpoint is not None:
         enc, _ = load_student(args.checkpoint)
     else:

@@ -131,8 +131,7 @@ def contrastive_batch(anchors: np.ndarray, positives: np.ndarray, negatives: np.
     if a.ndim != 2 or a.shape[1] != dim or pos.shape != (n_teachers, len(a), dim):
         raise ValueError("positives, negatives and anchors disagree on shape")
     # The einsums round according to the positives' strides; one fixed
-    # C-ordered layout (the trainer's, so no copy there) makes every output
-    # depend on the values alone.
+    # C-ordered layout makes every output depend on the values alone.
     pos = np.ascontiguousarray(pos)
     b = len(a)
 

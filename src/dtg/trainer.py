@@ -3,23 +3,22 @@
 Both loops share the same machinery.  Each epoch visits every video once in
 a seeded random order.  It samples one contrastive pair per video, pools
 both views, and reads every teacher's guidance for the whole epoch at once
-as an (N, V, d) stack.  Each step then embeds its anchors with the student,
-reads one (N, K, d) snapshot of negatives from the queue, applies one SGD
-step to the student (and classifier head in joint mode), and enqueues its
-(N, B, d) slice of the guidance.  Teachers are never updated.  The training
-state is the encoder's and head's own arrays, one momentum velocity per
-parameter and the queue, and every step updates them in place.
+as an (N, V, d) stack.  Each step embeds its anchors with the student,
+scores them against their guidance and K negatives per teacher, and applies
+one SGD step to the student (and classifier head in joint mode).  Teachers
+are never updated; the training state is the encoder's and head's arrays
+and one momentum velocity per parameter, updated in place.
 
-Every teacher has its own ring of negatives, but all N rings are fed the
-same batch at every step, so they live in one ``GuidanceQueue`` that
-advances in lockstep.  The queue starts cold.  Until it has seen K features
-the loss and the parameter update are skipped; guidance features are still
-enqueued each step, so training proper begins within the first epoch (K is
-smaller than the video count).  Per-sample randomness is keyed by (seed,
-video_id, epoch), so the pair sampled for a video does not depend on which
-batch it lands in or on the other videos beside it.  That lets each epoch
-draw every video's pair in one ``sample_pairs`` call over one
-``substreams`` batch of streams, pool both views and read the teachers
+A step's negatives are the last K guidance rows fed before it, oldest first
+(a FIFO, as in MoCo), for all N teachers at once: a window on one
+(N, K + V, d) ``stream`` that holds the previous epoch's last K rows and
+then this epoch's rows in visiting order.  The batch at offset b0 takes
+columns [K + b0, K + b0 + B) as positives and [b0, b0 + K) as negatives.
+Until K rows have been fed (b0 < K in the first epoch) the loss and the
+update are skipped.  Per-sample randomness is keyed by (seed, video_id,
+epoch), so the pair sampled for a video does not depend on which batch it
+lands in.  That lets each epoch draw every pair in one ``sample_pairs``
+call over one ``substreams`` batch, pool both views and read the teachers
 once, and slice its batches out of those arrays in the epoch's shuffled
 order.
 """
@@ -55,7 +54,6 @@ from .model import (
     teacher_features,
 )
 from .numerics import FieldError, check_fields, declared
-from .queues import GuidanceQueue, enqueue_batch, negatives
 from .sampling import PairMode, sample_pairs
 from .seeding import substream, substreams
 
@@ -108,7 +106,7 @@ class TrainConfig:
 class EpochRecord:
     epoch: int
     lr: float
-    contrastive_loss: float | None   # None if every step was a cold-queue skip
+    contrastive_loss: float | None   # None if every step was a cold skip
     ce_loss: float | None            # None outside joint mode
     mean_weights: tuple[float, ...]  # applied teacher weights, mean over the epoch
     std_weights: tuple[float, ...]   # spread across samples (0 for fixed schemes)
@@ -163,6 +161,8 @@ def sgd_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
 def _validate_run(config: TrainConfig, corpus: Corpus, bank: TeacherBank) -> None:
     """The rules that relate the config to the corpus and the teachers; each
     message starts with the config key it names, as ``FieldError``'s do."""
+    # The first warm step of every epoch after the first takes all K negatives
+    # from the previous epoch's tail, so an epoch must feed more than K rows.
     if config.K >= corpus.num_videos:
         raise FieldError("train.K", f"queue capacity {config.K} must be smaller than the "
                                     f"number of training videos ({corpus.num_videos})")
@@ -212,7 +212,7 @@ class _EpochStats:
             self.ce_sum += ce_loss * len(out.loss)
 
     def close(self, epoch: int, lr: float, joint: bool) -> EpochRecord:
-        if self.count == 0:  # every batch this epoch hit a cold queue
+        if self.count == 0:  # every batch this epoch was a cold skip
             return EpochRecord(epoch, lr, None, None, (), ())
         w = np.concatenate(self.weights)
         std = w.std(axis=0)
@@ -231,7 +231,7 @@ def _run_loop(config: TrainConfig, corpus: Corpus, bank: TeacherBank,
               enc: StudentEncoder, head: ClassifierHead | None) -> RunReport:
     start = time.perf_counter()
     joint = head is not None
-    queue = GuidanceQueue(config.K, config.d, len(bank))
+    K, V = config.K, corpus.num_videos
     params = dict(enc.parameters())
     if joint:
         params.update(head.parameters())
@@ -239,27 +239,28 @@ def _run_loop(config: TrainConfig, corpus: Corpus, bank: TeacherBank,
     labels_all = corpus.labels()
     frames_all = corpus.frames()
     ids = corpus.ids()
+    stream = np.empty((len(bank), K + V, config.d))
     records = []
     for epoch in range(config.epochs):
         lr = lr_at(config, epoch)
-        order = substream(config.seed, "epoch-order", epoch).permutation(corpus.num_videos)
+        order = substream(config.seed, "epoch-order", epoch).permutation(V)
         anchors, guides = sample_pairs(frames_all, config.pair_mode, config.segments,
                                        substreams(config.seed, "pair", ids, epoch),
                                        config.mask_frac)
         pooled_anchors, pooled_guides = pool_frames(anchors), pool_frames(guides)
         guidance_all = np.stack([teacher_features(t, pooled_guides) for t in bank.teachers])
+        # rows taken by index, not recomputed in visiting order: a BLAS edge
+        # tile may round a permuted row differently
+        np.take(guidance_all, order, axis=1, out=stream[:, K:])
         stats = _EpochStats()
-        for b0 in range(0, corpus.num_videos, config.batch_size):
+        for b0 in range(0, V, config.batch_size):
             batch_idx = order[b0:b0 + config.batch_size]
             n = len(batch_idx)
-            # (N, B, d) in teacher-major memory, as the loss and the queue take it
-            guidance = np.take(guidance_all, batch_idx, axis=1)
-
-            # Cold start: until the queue is warm there is no loss and no
-            # update; the guidance is still enqueued below.
-            if queue.warm:
+            # Cold start: until K rows have been fed there is no loss and no update.
+            if epoch > 0 or b0 >= K:
                 feats, cache = forward_batch(enc, pooled_anchors[batch_idx])
-                out = contrastive_batch(feats, guidance, negatives(queue),
+                out = contrastive_batch(feats, stream[:, K + b0:K + b0 + n],
+                                        stream[:, b0:b0 + K],
                                         config.tau, config.weight_scheme, config.fusion_level,
                                         accuracies=config.offline_accuracies)
                 ct_loss = float(out.loss.mean())
@@ -285,7 +286,7 @@ def _run_loop(config: TrainConfig, corpus: Corpus, bank: TeacherBank,
                 sgd_step(params, grads, velocity, lr, config.momentum, config.weight_decay)
                 stats.record(out, ce_loss)
 
-            enqueue_batch(queue, guidance)
+        stream[:, :K] = stream[:, V:]
         records.append(stats.close(epoch, lr, joint))
     return RunReport(seed=config.seed, records=tuple(records),
                      wall_time_s=time.perf_counter() - start)
@@ -305,8 +306,8 @@ def train_joint(config: TrainConfig, corpus: Corpus, bank: TeacherBank,
     """Supervised training of alpha * contrastive + beta * cross-entropy.
 
     The contrastive branch sees the raw pair; the classifier head sees the
-    anchor feature.  Teachers stay frozen and queue discipline matches
-    pretraining exactly.  An ``init`` (encoder, head) pair must fit the run:
+    anchor feature.  Teachers stay frozen and the negatives are drawn as in
+    pretraining.  An ``init`` (encoder, head) pair must fit the run:
     the corpus frame dimension, ``config.h`` and ``config.d``, and the
     corpus class count; otherwise ValueError before any training.
     """

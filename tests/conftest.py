@@ -5,8 +5,11 @@ import struct
 import numpy as np
 import pytest
 
+from dtg import trainer
 from dtg.corpus import CORPUS_HEADER, CorpusSpec, generate_corpus
-from dtg.model import TeacherBank, build_teacher
+from dtg.losses import contrastive_batch
+from dtg.model import TeacherBank, build_teacher, teacher_features
+from dtg.seeding import substream
 
 
 @pytest.fixture(scope="session")
@@ -31,6 +34,71 @@ def tiny_bank(tiny_corpus):
 def unit_rows(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     x = rng.standard_normal((n, d))
     return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+def record_windows(monkeypatch) -> dict[str, list]:
+    """Patch ``dtg.trainer`` so each later run logs its epoch orders
+    ("orders"), every teacher's guidance per epoch, teacher-minor
+    ("guidance"), and a copy of each loss call's (positives, negatives)
+    ("calls").  Clear the lists between runs."""
+    log = {"orders": [], "guidance": [], "calls": []}
+
+    class _Recorded:
+        def __init__(self, gen):
+            self.gen = gen
+
+        def permutation(self, n):
+            log["orders"].append(self.gen.permutation(n))
+            return log["orders"][-1]
+
+    def features(teacher, pooled):
+        log["guidance"].append(teacher_features(teacher, pooled))
+        return log["guidance"][-1]
+
+    def batch(anchors, positives, negatives, *args, **kw):
+        # copies: the trainer's views are overwritten by later epochs
+        log["calls"].append((np.array(positives), np.array(negatives)))
+        return contrastive_batch(anchors, positives, negatives, *args, **kw)
+
+    monkeypatch.setattr(trainer, "substream", lambda *key: _Recorded(substream(*key)))
+    monkeypatch.setattr(trainer, "teacher_features", features)
+    monkeypatch.setattr(trainer, "contrastive_batch", batch)
+    return log
+
+
+def list_model(log: dict[str, list], batch_size: int, k: int) -> list:
+    """The reference FIFO over a logged run: one (rows, window) per step.
+    ``rows`` is the step's (N, B, d) guidance in visiting order; ``window``
+    is the last ``k`` rows fed before it, oldest first, as (N, k, d), or None
+    while fewer than ``k`` rows have been fed."""
+    teachers = len(log["guidance"]) // len(log["orders"])
+    assert len(log["guidance"]) == teachers * len(log["orders"])
+    fed, steps = [], []  # fed: (N, d) guidance columns, oldest first
+    for e, order in enumerate(log["orders"]):
+        guidance = np.stack(log["guidance"][e * teachers:(e + 1) * teachers])
+        for b0 in range(0, len(order), batch_size):
+            rows = guidance[:, order[b0:b0 + batch_size]]
+            steps.append((rows, np.stack(fed[-k:], axis=1) if len(fed) >= k else None))
+            fed.extend(rows.transpose(1, 0, 2))
+    return steps
+
+
+def check_against_list_model(log: dict[str, list], batch_size: int, k: int) -> int:
+    """Assert that the logged loss calls are the list model's warm steps, in
+    order, with its rows as positives and its windows as negatives; a step
+    trains exactly when ``k`` rows precede it.  Returns the warm step count."""
+    calls = iter(log["calls"])
+    warm = 0
+    for step, (rows, window) in enumerate(list_model(log, batch_size, k)):
+        if window is None:
+            continue
+        call = next(calls, None)
+        assert call is not None, f"warm step {step} skipped"
+        assert np.array_equal(call[0], rows), f"step {step}: positives"
+        assert np.array_equal(call[1], window), f"step {step}: negatives"
+        warm += 1
+    assert next(calls, None) is None, "a step trained before k rows were fed"
+    return warm
 
 
 # (config section, integer field, value that is not an integer); JSON

@@ -18,16 +18,17 @@ from dtg.cli import main as cli_main
 from dtg.corpus import CorpusSpec, generate_corpus
 from dtg.losses import (FusionLevel, WeightScheme, contrastive_batch,
                         cross_entropy_batch, joint_loss, teacher_weights)
-from dtg.model import StudentEncoder, backward_batch, build_student, forward_batch
+from dtg.model import (StudentEncoder, TeacherBank, backward_batch, build_student,
+                       build_teacher, forward_batch)
 from dtg.numerics import finite_diff_check
 from dtg.presets import (joint_arm, joint_experiment_setup, pretrain_and_probe,
                          reference_bank, reference_train_config, ssl_vs_random,
                          weighting_arm, weighting_setup)
-from dtg.queues import GuidanceQueue, enqueue_batch, negatives
 from dtg.sampling import PairMode, sample_pairs
 from dtg.seeding import substreams
+from dtg.trainer import TrainConfig, pretrain
 
-from conftest import unit_rows
+from conftest import check_against_list_model, record_windows, unit_rows
 
 SEEDS = (0, 1, 2, 3, 4)
 
@@ -214,24 +215,34 @@ def test_c04_two_force_property():
              f"{decreases}/1000 at step 1e-4")
 
 
-def test_c05_queue_against_list_model():
+def test_c05_queue_against_list_model(monkeypatch):
+    """In real pretraining runs, every warm step's negatives are each
+    teacher's last K guidance rows fed before the step, oldest first, and a
+    step is warm exactly when at least K rows have been fed.  The list model
+    is built from the epoch orders and guidance the trainer computed."""
+    log = record_windows(monkeypatch)
     rng = np.random.default_rng(105)
-    pool = unit_rows(rng, 512, 2)
-    sequences = 10_000
-    for _ in range(sequences):
-        cap = int(rng.integers(1, 9))
-        q = GuidanceQueue(capacity=cap, dim=2, teachers=1)
-        model: list[int] = []
-        for _ in range(int(rng.integers(1, 7))):
-            take = rng.integers(0, 512, size=int(rng.integers(0, 7)))
-            enqueue_batch(q, pool[take][None])
-            model = (model + list(take))[-cap:]
-            assert len(q) == len(model)
-            assert q.warm == (len(model) == cap)
-            if q.warm:
-                assert np.array_equal(negatives(q), pool[model][None])
-    _verdict("criterion 5 (queue list model)", True,
-             f"{sequences} random enqueue sequences match the reference model")
+    corpora, banks = {}, {}
+    runs, warm = 1000, 0
+    for run in range(runs):
+        k, b = int(rng.integers(1, 9)), int(rng.integers(1, 11))
+        n, epochs = int(rng.integers(1, 5)), int(rng.integers(2, 4))
+        v = int(rng.integers(k + 1, k + 24))
+        if b > 1 and v % b == 0:
+            v += 1  # a short last batch every epoch
+        if v not in corpora:
+            corpora[v] = generate_corpus(CorpusSpec(1, v, 4, 3, 2, seed=v))
+        if (v, n) not in banks:
+            banks[v, n] = TeacherBank(tuple(build_teacher(corpora[v], rho, 2, seed=n)
+                                            for rho in (0.9, 0.6, 0.3, 0.1)[:n]))
+        for entries in log.values():
+            entries.clear()
+        pretrain(TrainConfig(epochs=epochs, batch_size=b, K=k, d=2, h=3, segments=2,
+                             milestones=(), seed=run), corpora[v], banks[v, n])
+        assert len(log["orders"]) == epochs and len(log["guidance"]) == epochs * n
+        warm += check_against_list_model(log, b, k)
+    _verdict("criterion 5 (queue list model)", warm >= 10_000,
+             f"{warm} warm steps of {runs} pretrain runs match the reference model")
 
 
 def test_c06_ssl_effectiveness():

@@ -131,6 +131,23 @@ def test_corpus_dependent_rule_exits_2_naming_its_key(tmp_path, capsys, train, c
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("eval_, corpus, keys", [
+    ({"knn_k": 6}, {}, ["eval.knn_k", "number of videos (6)", "got 6"]),
+    ({"knn_k": 1}, {"videos_per_class": 1}, ["corpus.videos_per_class", "stratified split"]),
+], ids=["knn_k", "videos_per_class"])
+def test_corpus_dependent_eval_rule_exits_2_before_features(tmp_path, capsys, monkeypatch,
+                                                            eval_, corpus, keys):
+    def no_features(*args):
+        raise AssertionError("features computed before the eval rules were checked")
+    monkeypatch.setattr(dtg.cli, "video_features", no_features)
+    doc = {**_config_doc(tmp_path / "run"), "eval": eval_}
+    doc["corpus"].update(corpus)
+    assert main(["probe", "--config", _write_config(tmp_path, doc), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {keys[0]} ") and all(k in err for k in keys)
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("key, train, teachers, extra_dim", [
     ("train.d", {}, [{"rho": 0.9}], 1),
     ("train.offline_accuracies", {"weight_scheme": "offline"},

@@ -313,14 +313,35 @@ def test_batch_outputs_ignore_the_positives_memory_layout(scheme, fusion):
     acc = (0.4, 0.3, 0.2, 0.1)
     for _ in range(4):
         anchors, positives, negs = _batch_instance(rng, 64, 4, 256, 16)
-        layouts = (positives,                       # C-ordered (N, B, d), the trainer's
+        layouts = (positives,                       # C-ordered (N, B, d)
                    np.ascontiguousarray(positives.transpose(1, 0, 2)).transpose(1, 0, 2),
                    np.asfortranarray(positives))    # the middle one is a batch-major view
         outs = [contrastive_batch(anchors, p, negs, 0.07, scheme, fusion, accuracies=acc)
                 for p in layouts]
+        # the trainer's: both are windows on one (N, K + B, d) stream
+        stream = np.concatenate((negs, positives), axis=1)
+        outs.append(contrastive_batch(anchors, stream[:, 256:], stream[:, :256], 0.07,
+                                      scheme, fusion, accuracies=acc))
         for other in outs[1:]:
             for name, value in vars(outs[0]).items():
                 assert np.array_equal(value, getattr(other, name)), name   # None == None
+
+
+@pytest.mark.parametrize("scheme", list(WeightScheme))
+@pytest.mark.parametrize("fusion", list(FusionLevel))
+def test_batch_outcome_shares_no_memory_with_its_inputs(scheme, fusion):
+    # the trainer passes windows on a buffer it overwrites every epoch, so no
+    # field may be a view of them; N = 1 makes both windows C-contiguous
+    rng = np.random.default_rng(17)
+    k, b, d = 5, 4, 6
+    for n in (1, 3):
+        stream = unit_rows(rng, n * (k + 2 * b), d).reshape(n, k + 2 * b, d)
+        positives, negs = stream[:, k + b:], stream[:, b:b + k]
+        out = contrastive_batch(unit_rows(rng, b, d), positives, negs, 0.07, scheme, fusion,
+                                accuracies=tuple(rng.uniform(0.1, 1.0, n)))
+        for name, value in vars(out).items():
+            for given in (positives, negs):
+                assert value is None or not np.shares_memory(value, given), name
 
 
 @pytest.mark.parametrize("scheme", list(WeightScheme))

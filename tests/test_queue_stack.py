@@ -1,45 +1,48 @@
+"""The window holds all N teachers' negatives in one (N, K + V, d) stream;
+each teacher's rows behave as if that teacher were trained alone."""
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dtg.queues import ColdQueueError, GuidanceQueue, enqueue_batch, negatives
+from dtg.corpus import CorpusSpec, generate_corpus
+from dtg.losses import WeightScheme, contrastive_batch
+from dtg.model import TeacherBank, build_teacher
+from dtg.trainer import TrainConfig, pretrain
 
-from conftest import unit_rows
+from conftest import record_windows, unit_rows
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 9), st.integers(-3, 3)), max_size=20),
-       st.integers(1, 6), st.integers(1, 4), st.integers(0, 2 ** 32))
-def test_stacked_queue_matches_independent_queues(steps, capacity, teachers, seed):
-    """An N-teacher queue always equals N single queues, each fed its
-    teacher's rows; a batch with one non-unit row changes nothing."""
-    rng = np.random.default_rng(seed)
-    q = GuidanceQueue(capacity, 3, teachers)
-    singles = [GuidanceQueue(capacity, 3, 1) for _ in range(teachers)]
-    for size, bad in steps:
-        batch = unit_rows(rng, teachers * size, 3).reshape(teachers, size, 3)
-        if size and 0 <= bad < teachers:
-            batch[bad, rng.integers(size)] *= 1.5
-            count = len(q)
-            with pytest.raises(ValueError, match=rf"unit-norm; row \d+ of teacher {bad} "):
-                enqueue_batch(q, batch)
-            assert len(q) == count
-        else:
-            enqueue_batch(q, batch)
-            for single, rows in zip(singles, batch):
-                enqueue_batch(single, rows[None])
-        assert len(q) == len(singles[0])
-        assert q.warm == singles[0].warm
-        if q.warm:
-            assert np.array_equal(negatives(q), np.concatenate([negatives(s) for s in singles]))
-        else:
-            with pytest.raises(ColdQueueError):
-                negatives(q)
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 8), st.integers(1, 10), st.integers(2, 4),
+       st.integers(0, 2 ** 32))
+def test_stacked_queue_matches_independent_queues(k, batch, extra, teachers, seed):
+    """An N-teacher run hands teacher i the positives and negatives that a
+    run with teacher i alone hands it, at every step."""
+    corpus = generate_corpus(CorpusSpec(1, k + extra, 4, 3, 2, seed=extra))
+    bank = [build_teacher(corpus, rho, 2, seed=7) for rho in (0.9, 0.6, 0.3, 0.1)[:teachers]]
+    config = TrainConfig(epochs=2, batch_size=batch, K=k, d=2, h=3, segments=2,
+                         milestones=(), seed=seed)
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        log = record_windows(mp)
+        for run in [bank] + [[t] for t in bank]:
+            log["calls"] = []
+            pretrain(config, corpus, TeacherBank(tuple(run)))
+            calls.append(log["calls"])
+    stacked, singles = calls[0], calls[1:]
+    assert stacked
+    for i, single in enumerate(singles):
+        assert len(single) == len(stacked)
+        for (pos, neg), (pos_i, neg_i) in zip(stacked, single):
+            assert np.array_equal(pos[i:i + 1], pos_i) and np.array_equal(neg[i:i + 1], neg_i)
 
 
 @pytest.mark.parametrize("shape", [(4, 3), (3, 4, 3), (1, 2, 4, 3), (2, 4, 2)])
 def test_stacked_queue_rejects_other_shapes(shape):
-    q = GuidanceQueue(capacity=3, dim=3, teachers=2)
-    with pytest.raises(ValueError, match=r"expected shape \(2, B, 3\)"):
-        enqueue_batch(q, np.ones(shape) / np.sqrt(shape[-1]))
-    assert len(q) == 0
+    # the loss takes a 2-teacher, width-3 window only as (2, K, 3)
+    rng = np.random.default_rng(0)
+    anchors, positives = unit_rows(rng, 4, 3), unit_rows(rng, 8, 3).reshape(2, 4, 3)
+    with pytest.raises(ValueError, match=r"negatives must be \(N, K, d\)|disagree on shape"):
+        contrastive_batch(anchors, positives, np.ones(shape) / np.sqrt(shape[-1]), 0.07,
+                          WeightScheme.UNIFORM)

@@ -1,105 +1,130 @@
+"""The negatives window of ``trainer._run_loop``: each step's negatives are
+the last K guidance rows fed before it, oldest first, and a step trains only
+once K rows have been fed.  Every case is a tiny real pretrain whose rows
+are read back through ``record_windows``."""
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dtg.queues import ColdQueueError, GuidanceQueue, enqueue_batch, negatives
+from dtg import trainer
+from dtg.corpus import CorpusSpec, generate_corpus
+from dtg.model import TeacherBank, build_teacher
+from dtg.numerics import DegenerateInputError, FieldError
+from dtg.trainer import TrainConfig, pretrain
 
-from conftest import unit_rows
-
-
-def _unit(d, value=None, seed=0):
-    if value is not None:
-        v = np.asarray(value, dtype=np.float64)
-    else:
-        v = np.random.default_rng(seed).standard_normal(d)
-    return v / np.linalg.norm(v)
+from conftest import check_against_list_model, list_model, record_windows
 
 
-def test_fifo_eviction_order():
-    q = GuidanceQueue(capacity=2, dim=3, teachers=1)
-    a, b, c = (_unit(3, seed=s) for s in (1, 2, 3))
-    enqueue_batch(q, np.stack([a, b])[None])
-    enqueue_batch(q, c[None, None])
-    out = negatives(q)
-    assert np.array_equal(out, np.stack([b, c])[None])
+def _pretrain(log, videos, batch, k, epochs=2, teachers=1, embed_dim=2, seed=0,
+              bias=None):
+    corpus = generate_corpus(CorpusSpec(1, videos, 4, 3, 2, seed=videos))
+    bank = [build_teacher(corpus, rho, embed_dim, seed=7)
+            for rho in (0.9, 0.6, 0.3, 0.1)[:teachers]]
+    if bias is not None:
+        bank[0].bias[:] = bias
+    for entries in log.values():
+        entries.clear()
+    return pretrain(TrainConfig(epochs=epochs, batch_size=batch, K=k, d=2, h=3, segments=2,
+                                milestones=(), seed=seed), corpus, TeacherBank(tuple(bank)))
 
 
-def test_oversized_batch_keeps_last_k():
-    q = GuidanceQueue(capacity=4, dim=3, teachers=1)
-    batch = unit_rows(np.random.default_rng(0), 7, 3)[None]
-    enqueue_batch(q, batch)
-    assert np.array_equal(negatives(q), batch[:, -4:])
+def test_fifo_eviction_order(monkeypatch):
+    # K = 2, one video per step: each step drops the oldest row, across the
+    # epoch boundary too
+    log = record_windows(monkeypatch)
+    _pretrain(log, videos=5, batch=1, k=2)
+    (g0, g1), (o0, o1) = log["guidance"], log["orders"]
+    negs = [neg[0] for _, neg in log["calls"]]
+    assert len(negs) == 2 * 5 - 2
+    for step in range(3):  # epoch 0, b0 = 2, 3, 4
+        assert np.array_equal(negs[step], g0[o0[step:step + 2]])
+    assert np.array_equal(negs[3], g0[o0[3:5]])
+    assert np.array_equal(negs[4], np.stack([g0[o0[4]], g1[o1[0]]]))
+    assert np.array_equal(negs[5], g1[o1[0:2]])
 
 
-def test_empty_batch_is_identity():
-    q = GuidanceQueue(capacity=2, dim=3, teachers=1)
-    enqueue_batch(q, unit_rows(np.random.default_rng(1), 2, 3)[None])
-    before = negatives(q)
-    enqueue_batch(q, np.zeros((1, 0, 3)))
-    assert np.array_equal(negatives(q), before)
+def test_oversized_batch_keeps_last_k(monkeypatch):
+    # batch 7 > K = 3: the step after a batch reads that batch's last 3 rows
+    log = record_windows(monkeypatch)
+    _pretrain(log, videos=9, batch=7, k=3)
+    (g0, g1), (o0, o1) = log["guidance"], log["orders"]
+    negs = [neg[0] for _, neg in log["calls"]]
+    assert len(negs) == 3  # epoch 0's first step is cold
+    assert np.array_equal(negs[0], g0[o0[4:7]])
+    assert np.array_equal(negs[1], g0[o0[6:9]])  # one row of the big batch, two of the short
+    assert np.array_equal(negs[2], g1[o1[4:7]])
 
 
-def test_cold_queue_negatives_raise():
-    q = GuidanceQueue(capacity=3, dim=2, teachers=1)
-    with pytest.raises(ColdQueueError):
-        negatives(q)
-    enqueue_batch(q, unit_rows(np.random.default_rng(2), 2, 2)[None])
-    assert not q.warm
-    with pytest.raises(ColdQueueError):
-        negatives(q)
+def test_cold_queue_negatives_raise(monkeypatch):
+    """The window is never read cold.  A run whose epoch cannot fill it
+    (K >= V) raises before any step; a valid run's cold steps, the ones
+    fewer than K rows precede, reach no loss call and record no loss."""
+    log = record_windows(monkeypatch)
+    with pytest.raises(FieldError, match=r"^train\.K "):
+        _pretrain(log, videos=5, batch=2, k=5)
+    assert log["orders"] == [] and log["calls"] == []
+    _, report = _pretrain(log, videos=5, batch=3, k=4, epochs=1)  # b0 = 0, 3: both cold
+    assert log["calls"] == [] and report.records[0].contrastive_loss is None
+    _, report = _pretrain(log, videos=5, batch=2, k=4, epochs=1)  # b0 = 4 is warm
+    assert len(log["calls"]) == 1 and report.records[0].contrastive_loss is not None
 
 
-def test_warm_is_permanent():
-    q = GuidanceQueue(capacity=2, dim=2, teachers=1)
-    enqueue_batch(q, unit_rows(np.random.default_rng(3), 5, 2)[None])
-    assert q.warm
-    enqueue_batch(q, unit_rows(np.random.default_rng(4), 1, 2)[None])
-    assert q.warm and len(q) == 2
+def test_warm_is_permanent(monkeypatch):
+    # once K rows have been fed, every later step of every epoch trains
+    log = record_windows(monkeypatch)
+    _, report = _pretrain(log, videos=7, batch=3, k=5, epochs=3)
+    warm = [window is not None for _, window in list_model(log, 3, 5)]
+    assert warm == [False, False] + [True] * 7
+    assert check_against_list_model(log, 3, 5) == 7
+    assert all(r.contrastive_loss is not None for r in report.records)
 
 
-def test_snapshot_immutable_under_later_enqueues():
-    q = GuidanceQueue(capacity=2, dim=3, teachers=1)
-    rng = np.random.default_rng(5)
-    enqueue_batch(q, unit_rows(rng, 2, 3)[None])
-    snap = negatives(q)
-    copy = snap.copy()
-    enqueue_batch(q, unit_rows(rng, 2, 3)[None])
-    assert np.array_equal(snap, copy)
+def test_snapshot_immutable_under_later_enqueues(monkeypatch):
+    """A row read as a positive is read unchanged as a negative by the
+    steps after it: the loss writes nothing into the window it is handed,
+    and nothing it returns shares memory with that window."""
+    log = record_windows(monkeypatch)
+    recorded = trainer.contrastive_batch
+
+    def guarded(anchors, positives, negatives, *args, **kw):
+        before = positives.copy(), negatives.copy()
+        out = recorded(anchors, positives, negatives, *args, **kw)
+        assert np.array_equal(positives, before[0]) and np.array_equal(negatives, before[1])
+        for name, value in vars(out).items():
+            for given in (positives, negatives):
+                assert value is None or not np.shares_memory(value, given), name
+        return out
+
+    monkeypatch.setattr(trainer, "contrastive_batch", guarded)
+    _pretrain(log, videos=11, batch=3, k=4, epochs=3, teachers=2)
+    assert check_against_list_model(log, 3, 4) == 3 * 4 - 2
 
 
-def test_non_unit_rows_rejected():
-    q = GuidanceQueue(capacity=2, dim=3, teachers=1)
-    with pytest.raises(ValueError, match="unit-norm"):
-        enqueue_batch(q, np.array([[[1.0, 1.0, 1.0]]]))
-    assert len(q) == 0
+def test_dimension_mismatch_rejected(monkeypatch):
+    # teachers of width 3 cannot fill a d = 2 window: rejected before any step
+    log = record_windows(monkeypatch)
+    with pytest.raises(FieldError, match=r"^train\.d teacher dimension 3"):
+        _pretrain(log, videos=6, batch=2, k=2, embed_dim=3)
+    assert log["orders"] == [] and log["calls"] == []
 
 
-def test_dimension_mismatch_rejected():
-    q = GuidanceQueue(capacity=2, dim=3, teachers=1)
-    with pytest.raises(ValueError):
-        enqueue_batch(q, unit_rows(np.random.default_rng(7), 2, 4)[None])
+def test_nonfinite_rejected(monkeypatch):
+    # a non-finite guidance row is rejected where it is made, before any step
+    log = record_windows(monkeypatch)
+    with pytest.raises(DegenerateInputError, match="guidance feature has non-finite norm"):
+        _pretrain(log, videos=6, batch=2, k=2, teachers=2, bias=np.nan)
+    assert log["calls"] == []
 
 
-def test_nonfinite_rejected():
-    q = GuidanceQueue(capacity=2, dim=2, teachers=1)
-    with pytest.raises(ValueError):
-        enqueue_batch(q, np.array([[[np.nan, 1.0]]]))
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.integers(0, 7), min_size=0, max_size=24),
-       st.integers(1, 6), st.integers(0, 2 ** 32))
-def test_queue_matches_list_model(batch_sizes, capacity, seed):
-    """The queue always holds the last `capacity` enqueued rows, in order."""
-    rng = np.random.default_rng(seed)
-    q = GuidanceQueue(capacity=capacity, dim=3, teachers=1)
-    model: list[np.ndarray] = []
-    for size in batch_sizes:
-        batch = unit_rows(rng, size, 3) if size else np.zeros((0, 3))
-        enqueue_batch(q, batch[None])
-        model.extend(batch)
-        model = model[-capacity:]
-        assert len(q) == len(model)
-        assert q.warm == (len(model) == capacity)
-        if q.warm:
-            assert np.array_equal(negatives(q)[0], np.stack(model))
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 8), st.integers(1, 12), st.integers(1, 3),
+       st.integers(2, 3), st.integers(0, 2 ** 32))
+def test_queue_matches_list_model(k, batch, extra, teachers, epochs, seed):
+    """The window always holds the last K rows fed, in order, and a step
+    trains exactly when K rows precede it."""
+    with pytest.MonkeyPatch.context() as mp:
+        log = record_windows(mp)
+        _pretrain(log, videos=k + extra, batch=batch, k=k, epochs=epochs,
+                  teachers=teachers, seed=seed)
+    check_against_list_model(log, batch, k)

@@ -209,8 +209,8 @@ def test_teachers_untouched_by_training():
 
 
 def test_cold_start_skips_first_epoch_when_k_needs_it():
-    # 10 videos, batch 2, K=9: the warm check precedes the enqueue, so every
-    # epoch-0 batch is skipped and epoch 1 trains on a full queue.
+    # 10 videos, batch 2, K=9: a step is warm once 9 rows precede it, so every
+    # epoch-0 batch is skipped and epoch 1 trains on K negatives.
     corpus = _corpus()
     cfg = _config(epochs=2, batch_size=2, K=9)
     enc, report = pretrain(cfg, corpus, _bank(corpus))
