@@ -2,9 +2,11 @@
 
 For each N, builds N random 16-dimensional features (seed 0) over 10 equal
 classes and runs knn_top1 (k = 5) and class_overlap on them.  Prints the
-median wall time over three runs and the tracemalloc peak of one further run;
-tracemalloc counts numpy's array buffers, so the peak is what the metric
-itself holds.  The reference corpus has 500 videos, so N = 5000 is 10x.
+median wall time over three runs, the tracemalloc peak of one further run and
+the metric's value by ``repr``; tracemalloc counts numpy's array buffers, so
+the peak is what the metric itself holds.  Values are printed in full so that
+two checkouts' outputs can be diffed for bit-identical results.  The
+reference corpus has 500 videos, so N = 5000 is 10x.
 """
 
 import argparse
@@ -26,8 +28,9 @@ REPEATS = 3   # timed runs per metric; the median is printed
 SEED = 0
 
 
-def measure(metric, repeats: int) -> tuple[float, float]:
-    """Median seconds over ``repeats`` calls and the traced peak in MB."""
+def measure(metric, repeats: int) -> tuple[float, float, float]:
+    """Median seconds over ``repeats`` calls, the traced peak in MB and the
+    metric's value."""
     times = []
     for _ in range(repeats):
         t0 = time.perf_counter()
@@ -35,11 +38,11 @@ def measure(metric, repeats: int) -> tuple[float, float]:
         times.append(time.perf_counter() - t0)
     tracemalloc.start()
     try:
-        metric()
+        value = metric()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return statistics.median(times), peak / 1e6
+    return statistics.median(times), peak / 1e6, value
 
 
 def main() -> int:
@@ -56,8 +59,9 @@ def main() -> int:
         labels = np.repeat(np.arange(10), n // 10)
         for name, metric in (("knn_top1", lambda: knn_top1(feats, labels, K)),
                              ("class_overlap", lambda: class_overlap(feats, labels))):
-            secs, peak_mb = measure(metric, REPEATS)
-            print(f"N={n:>6}  {name:<13}  {secs:8.3f} s  peak {peak_mb:8.1f} MB")
+            secs, peak_mb, value = measure(metric, REPEATS)
+            print(f"N={n:>6}  {name:<13}  {secs:8.3f} s  peak {peak_mb:8.1f} MB"
+                  f"  value {value!r}")
     return 0
 
 

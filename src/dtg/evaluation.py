@@ -10,7 +10,6 @@ view for plotting.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,7 +29,9 @@ from .numerics import DegenerateInputError, as_matrix
 from .sampling import PairMode, sample_pairs
 from .seeding import substreams
 
-_OVERLAP_ROWS = 64  # distance-matrix rows per block in class_overlap
+# distance-matrix rows per block in class_overlap, whose work buffer holds
+# nine (rows, N) float64 terms: 23 MB at N = 5,000
+_OVERLAP_ROWS = 64
 _KNN_ROWS = 256  # similarity-matrix rows per block in knn_top1
 
 
@@ -102,22 +103,25 @@ def linear_probe(features: np.ndarray, labels: np.ndarray, split_frac: float = 0
 
 def knn_top1(features: np.ndarray, labels: np.ndarray, k: int) -> float:
     """Leave-one-out k-nearest-neighbor accuracy under cosine similarity.
-    Vote ties resolve to the smallest class id.  Ties at the k-th neighbour
-    are broken on the similarities as BLAS rounds them in each row block, so
-    another block layout may pick another tied neighbour; same-seed reruns
-    stay byte-identical."""
+    Labels are non-negative integer class ids; vote ties resolve to the
+    smallest.  Ties at the k-th neighbour are broken on the similarities as
+    BLAS rounds them in each row block, so another block layout may pick
+    another tied neighbour; same-seed reruns stay byte-identical."""
     x = as_matrix(features, "features")
     y = np.asarray(labels)
     m = x.shape[0]
     if y.shape != (m,):
         raise ValueError("need one label per feature row")
+    if not np.issubdtype(y.dtype, np.integer) or y.min() < 0:
+        raise ValueError("labels must be non-negative integers")
     if not 1 <= k < m:
         raise ValueError(f"k must satisfy 1 <= k < {m}, got {k}")
     norms = np.linalg.norm(x, axis=1, keepdims=True)
     if np.any(norms == 0):
         raise DegenerateInputError("zero-norm feature row")
     u = x / norms
-    n_cls = int(y.max()) + 1
+    # votes are counted as neighbours @ onehot: sums of 0s and 1s, exact
+    onehot = (y[:, None] == np.arange(int(y.max()) + 1)).astype(np.float64)
     correct = 0
     # every step below is row-wise, so the similarity matrix is taken
     # _KNN_ROWS rows at a time and no (m, m) array is held
@@ -126,18 +130,72 @@ def knn_top1(features: np.ndarray, labels: np.ndarray, k: int) -> float:
         rb = sims.shape[0]
         sims[np.arange(rb), np.arange(r0, r0 + rb)] = -np.inf
         # the k neighbours are the first k of a stable descending sort: every
-        # similarity above the row's k-th largest, then the lowest-index ties
+        # similarity above the row's k-th largest, then the lowest-index ties.
+        # Only a row with more than k entries >= its k-th has ties to drop
         kth = np.partition(sims, m - k, axis=1)[:, [m - k]]  # a copy: frees the partition
-        above = sims > kth
-        ties = sims == kth
-        neighbors = above | (ties & (np.cumsum(ties, axis=1, dtype=np.int32)
-                                     <= k - above.sum(axis=1, keepdims=True)))
-        rows, cols = np.nonzero(neighbors)
-        votes = np.bincount(rows * n_cls + y[cols],
-                            minlength=rb * n_cls).reshape(rb, n_cls)
+        neighbors = sims >= kth
+        tied = np.flatnonzero(np.count_nonzero(neighbors, axis=1) > k)
+        if tied.size:
+            s, t = sims[tied], kth[tied]
+            above = s > t
+            ties = s == t
+            neighbors[tied] = above | (ties & (np.cumsum(ties, axis=1, dtype=np.int32)
+                                               <= k - above.sum(axis=1, keepdims=True)))
+        votes = neighbors.astype(np.float64) @ onehot
         # argmax breaks vote ties low
         correct += int(np.count_nonzero(votes.argmax(axis=1) == y[r0:r0 + rb]))
     return correct / m
+
+
+def _pairwise_sum(term, lo: int, hi: int, bufs) -> np.ndarray:
+    """``term(lo) + ... + term(hi - 1)``, added in the order in which numpy's
+    pairwise sum reduces a contiguous axis of length ``hi - lo``: left to
+    right below 8, in eight lanes up to 128, and split in two above.
+    ``term(k, out)`` writes term k into ``out`` and returns it.  The sum is
+    made in ``bufs``, nine same-shape arrays, and returned in ``bufs[0]``;
+    each split above 128 also copies its left half's sum once."""
+    n = hi - lo
+    res = bufs[0]
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        left = _pairwise_sum(term, lo, lo + half, bufs).copy()
+        _pairwise_sum(term, lo + half, hi, bufs)
+        res += left  # float addition commutes: right + left == left + right
+        return res
+    if n < 8:
+        term(lo, res)
+        for k in range(lo + 1, hi):
+            res += term(k, bufs[8])
+        return res
+    r = bufs[:8]
+    for j in range(8):
+        term(lo + j, r[j])
+    tail = hi - n % 8
+    for i in range(lo + 8, tail, 8):
+        for j in range(8):
+            r[j] += term(i + j, bufs[8])
+    # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), in place
+    for a, b in ((0, 1), (2, 3), (0, 2), (4, 5), (6, 7), (4, 6), (0, 4)):
+        r[a] += r[b]
+    for k in range(tail, hi):
+        res += term(k, bufs[8])
+    return res
+
+
+def _squared_distances(at: np.ndarray, bt: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the columns of ``at`` (D, A) and
+    of ``bt`` (D, B), as an (A, B) view into ``work`` (9, >= A * B) equal bit
+    for bit to ``((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)``: each
+    coordinate's term is an (A, B) array with a long inner axis, and the D
+    terms are added in the order numpy's sum reduces that tensor's
+    contiguous last axis."""
+    shape = (at.shape[1], bt.shape[1])
+    bufs = [w[:shape[0] * shape[1]].reshape(shape) for w in work]
+
+    def term(k, out):
+        np.subtract(at[k, :, None], bt[k, None, :], out=out)
+        return np.square(out, out=out)
+    return _pairwise_sum(term, 0, at.shape[0], bufs)
 
 
 def class_overlap(features: np.ndarray, labels: np.ndarray) -> float:
@@ -153,22 +211,22 @@ def class_overlap(features: np.ndarray, labels: np.ndarray) -> float:
     if counts.min() < 2:
         raise ValueError("every class needs at least 2 points")
     # the upper triangle of the distance matrix, _OVERLAP_ROWS rows at a time
-    # through one reused difference buffer: each distance is computed as the
-    # full (N, N, D) tensor would compute it, and intra/inter receive the
-    # entries of dist[same & upper] and dist[~same & upper] in the same
-    # row-major order, so both means are exactly the full formula's
-    n, d = x.shape
+    # from the coordinate-major copy xt, in one reused work buffer: each
+    # distance is computed as the full (N, N, D) tensor would compute it (see
+    # _squared_distances), and intra/inter receive the entries of
+    # dist[same & upper] and dist[~same & upper] in the same row-major order,
+    # so both means are exactly the full formula's
+    n = x.shape[0]
     n_intra = int((counts * (counts - 1) // 2).sum())
     intra = np.empty(n_intra)
     inter = np.empty(n * (n - 1) // 2 - n_intra)
-    buf = np.empty(min(_OVERLAP_ROWS, n) * n * d)
+    xt = np.ascontiguousarray(x.T)
+    work = np.empty((9, min(_OVERLAP_ROWS, n) * (n - 1)))
     i_at = e_at = 0
     for r0 in range(0, n, _OVERLAP_ROWS):
         r1 = min(r0 + _OVERLAP_ROWS, n)
-        diff = buf[:(r1 - r0) * (n - r0 - 1) * d].reshape(r1 - r0, n - r0 - 1, d)
-        np.subtract(x[r0:r1, None, :], x[None, r0 + 1:, :], out=diff)
-        np.square(diff, out=diff)
-        dist = np.sqrt(diff.sum(axis=-1))
+        dist = _squared_distances(xt[:, r0:r1], xt[:, r0 + 1:], work)
+        np.sqrt(dist, out=dist)
         # block column c is matrix column r0 + 1 + c, above the diagonal for
         # block row a when c >= a
         upper = np.arange(n - r0 - 1)[None, :] >= np.arange(r1 - r0)[:, None]
@@ -227,10 +285,12 @@ def write_overlap_json(overlap: float, path, resolved_config: dict | None = None
 
 
 def write_projection_csv(path, video_ids, labels, coords, seed: int = 0) -> None:
-    pts = np.asarray(coords)
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# seed={seed}; full run configuration in config.json\n")
-        writer = csv.writer(fh)
-        writer.writerow(["video_id", "label", "x", "y"])
-        for vid, lab, (px, py) in zip(video_ids, labels, pts):
-            writer.writerow([int(vid), int(lab), repr(float(px)), repr(float(py))])
+    """The 2-d projection as CSV rows ``video_id,label,x,y``, floats written
+    by ``repr`` and lines ended by ``\\r\\n`` as ``csv.writer`` ends them."""
+    ids = np.asarray(video_ids).astype(np.int64).tolist()
+    labs = np.asarray(labels).astype(np.int64).tolist()
+    pts = np.asarray(coords, dtype=np.float64).tolist()
+    rows = "".join(f"{vid},{lab},{px!r},{py!r}\r\n"
+                   for vid, lab, (px, py) in zip(ids, labs, pts))
+    Path(path).write_text(f"# seed={seed}; full run configuration in config.json\n"
+                          f"video_id,label,x,y\r\n{rows}", newline="")

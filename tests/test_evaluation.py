@@ -166,6 +166,47 @@ def test_knn_blocks_match_stable_argsort_reference_on_ties():
             assert knn_top1(feats, labels, k) == _knn_top1_stable_argsort(feats, labels, k)
 
 
+def test_knn_writes_back_the_one_tied_row_of_a_block():
+    # +-1 rows on 64 coordinates, so every cosine similarity is a multiple of
+    # 1/64 that any summation order computes exactly.  Rows [0, R) and
+    # [R, 2R) repeat the same R patterns, rows [2R, 3R) flip one bit of each
+    # and a last row flips another bit of pattern R // 2: for k = 2 every
+    # row of the second block has exactly k neighbours at or above its k-th
+    # similarity except its middle row, which has three, one twin and two
+    # one-bit flips tied at 62/64.  A pattern's three rows share a label, so
+    # every clean row votes right; the tied row votes right only if the
+    # lower-index flip alone is kept for it, and no other row can make up
+    # for a wrong vote there
+    rows, k = evaluation._KNN_ROWS, 2
+    t = rows // 2
+    rng = np.random.default_rng(16)
+    patterns = np.where(rng.random((rows, 64)) < 0.5, -1.0, 1.0)
+    flips = patterns.copy()
+    flips[np.arange(rows), np.arange(rows) % 64] *= -1
+    extra = patterns[t].copy()
+    extra[(t + 1) % 64] *= -1
+    feats = np.vstack([patterns, patterns, flips, extra])
+    labels = np.append(np.tile(rng.integers(0, 3, rows), 3), 0)
+    labels[[t, rows + t, 2 * rows + t]] = [2, 1, 1]
+    u = feats / 8.0
+    sims = u @ u.T
+    np.fill_diagonal(sims, -np.inf)
+    kth = np.sort(sims, axis=1)[:, [-k]]
+    over = np.count_nonzero(sims >= kth, axis=1) > k
+    assert np.flatnonzero(over[rows:2 * rows]).tolist() == [t]
+    expected = _knn_top1_stable_argsort(feats, labels, k)
+    assert knn_top1(feats, labels, k) == expected
+
+
+def test_knn_rejects_labels_that_are_not_non_negative_integers():
+    rng = np.random.default_rng(17)
+    feats = rng.standard_normal((2 * evaluation._KNN_ROWS + 3, 4))
+    labels = np.arange(feats.shape[0]) % 3
+    for bad in (labels - 1, labels + 0.0):
+        with pytest.raises(ValueError, match="labels must be non-negative integers"):
+            knn_top1(feats, bad, 5)
+
+
 def test_knn_validates_k():
     feats = np.eye(4)
     labels = np.array([0, 0, 1, 1])
@@ -223,6 +264,32 @@ def test_overlap_blocks_equal_full_difference_tensor_at_d16():
         expected = float(dist[same & upper].mean() / dist[~same & upper].mean())
         assert class_overlap(feats, labels) == expected
         assert class_overlap(np.asfortranarray(feats), labels) == expected
+
+
+@pytest.mark.parametrize("d", [1, 2, 7, 8, 9, 15, 17, 64, 128, 129, 200])
+def test_overlap_equals_full_formula_across_dimensions(d):
+    # numpy sums a contiguous axis left to right below 8, in eight lanes up
+    # to 128 and in two halves above; class_overlap adds its per-coordinate
+    # terms in that order, so a numpy release that changes it fails here.
+    # n leaves a last block of one row
+    rows = evaluation._OVERLAP_ROWS
+    n = 2 * rows + 1
+    rng = np.random.default_rng(d)
+    feats = rng.standard_normal((n, d))
+    diff = feats[:, None, :] - feats[None, :, :]
+    sq = (diff ** 2).sum(axis=2)
+    dist = np.sqrt(sq)
+    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
+    for _ in range(3):
+        labels = rng.permutation(np.arange(n) % 4)
+        same = labels[:, None] == labels[None, :]
+        expected = float(dist[same & upper].mean() / dist[~same & upper].mean())
+        assert class_overlap(feats, labels) == expected
+        assert class_overlap(np.asfortranarray(feats), labels) == expected
+    # a mean can absorb a one-ulp change, so the distances are pinned too
+    xt = np.ascontiguousarray(feats.T)
+    work = np.empty((9, rows * n))
+    assert np.array_equal(evaluation._squared_distances(xt[:, :rows], xt, work), sq[:rows])
 
 
 def test_eval_metrics_hold_no_n_by_n_matrix():
