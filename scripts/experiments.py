@@ -22,6 +22,7 @@ writes the per-seed rows as a CSV when --out is given.
 
 import argparse
 import csv
+import io
 import sys
 from pathlib import Path
 
@@ -30,6 +31,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from dtg import presets
+from dtg.binio import write_file
 from dtg.losses import WeightScheme
 from dtg.sampling import PairMode
 
@@ -122,10 +124,11 @@ def main(argv=None) -> int:
     run, default_seeds = STUDIES[args.study]
     header, rows = run(args.seeds or default_seeds)
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            w.writerows(rows)
+        buf = io.StringIO()
+        w = csv.writer(buf)
+        w.writerow(header)
+        w.writerows(rows)
+        write_file(args.out, buf.getvalue())
         print(f"wrote {args.out}")
     return 0
 

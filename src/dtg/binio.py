@@ -1,4 +1,5 @@
-"""Little-endian binary records with a BLAKE2b trailer checksum.
+"""Little-endian binary records with a BLAKE2b trailer checksum, and the
+one writer of every file.
 
 The corpus and checkpoint file formats share these conventions: an ASCII
 header line, ``struct``-packed little-endian fields, whole row-major arrays
@@ -7,13 +8,25 @@ of a stated little-endian dtype, and a trailing 8-byte
 each array to an offset that is a multiple of its item size, so the reader's
 views into the file buffer are aligned: numpy computes on unaligned arrays
 through other loops, whose results can differ in the last bits.
+
+Every file the package writes, these records and its JSON and CSV files
+alike, goes through ``write_file``: the bytes go to a temporary file beside
+the target, which ``os.replace`` then moves onto it.  A file is therefore
+either whole or untouched, even if the process stops mid-write.  Each file
+is replaced on its own, so a command stopped between two files can leave
+new files next to old ones.  Nothing is fsynced: a file is whole once the
+process stops, but may not survive a power loss.  A symlink at the target
+is replaced by the new file, not written through.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import math
+import os
 import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -30,6 +43,34 @@ class VersionMismatchError(FormatError):
 
 class ChecksumMismatchError(FormatError):
     """Stored checksum does not match the file contents."""
+
+
+def write_file(path, data: bytes | str) -> None:
+    """Write ``data`` to ``path`` whole, or leave ``path`` as it was.
+
+    Parent directories are created as needed; a ``str`` is encoded as UTF-8
+    with no newline translation.  The file gets the mode ``open`` gives a
+    new file, ``0o666`` less the umask.
+    """
+    path = Path(path)
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    # opened outside the try: a name another writer holds is not ours to unlink
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_json(path, doc) -> None:
+    """``doc`` as indented JSON with sorted keys and a final newline."""
+    write_file(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 class RecordWriter:

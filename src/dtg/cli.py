@@ -12,12 +12,17 @@ failure, 4 numeric abort.  Every artifact embeds the resolved config and
 seed.  A command creates its output directory only once its inputs have
 loaded and its training or evaluation has finished, so a run that fails
 before then leaves no directory behind.
+
+Every file is written through ``binio.write_file``, to a temporary name
+and then moved into place, so each file is either whole or untouched.  A
+command stopped between two files may leave new files next to old ones.
+Nothing is fsynced, and a symlink at an artifact's path is replaced by
+the new file, not written through.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import sys
@@ -25,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .binio import FormatError
+from .binio import FormatError, write_file, write_json
 from .config import ConfigError, ExperimentConfig, load_config, resolve, to_dict
 from .corpus import generate_corpus, load_corpus, save_corpus
 from .evaluation import (
@@ -35,8 +40,6 @@ from .evaluation import (
     linear_probe,
     project_2d,
     video_features,
-    write_overlap_json,
-    write_probe_json,
     write_projection_csv,
 )
 from .model import TeacherBank, build_head, build_student, build_teacher, load_student, save_student
@@ -54,18 +57,6 @@ def _prepare(args) -> ExperimentConfig:
     if cfg.out_dir is None:
         raise ConfigError("no output directory: set out_dir in the config or pass --out")
     return cfg
-
-
-def _out_dir(cfg: ExperimentConfig) -> Path:
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _write_config(cfg: ExperimentConfig, out: Path) -> None:
-    out.joinpath("config.json").write_text(
-        json.dumps(to_dict(cfg), indent=2, sort_keys=True) + "\n"
-    )
 
 
 def _load_corpus(cfg: ExperimentConfig):
@@ -93,17 +84,19 @@ def cmd_gen_data(args) -> int:
     if cfg.corpus is None:
         raise ConfigError("gen-data needs an inline corpus spec, not a corpus path")
     corpus = generate_corpus(cfg.corpus)
-    out = _out_dir(cfg)
+    out = Path(cfg.out_dir)
     save_corpus(corpus, out / "corpus.dtgc")
-    _write_config(cfg, out)
+    write_json(out / "config.json", to_dict(cfg))
     _say(args, f"wrote {out / 'corpus.dtgc'} ({corpus.num_videos} videos)")
     return 0
 
 
-def _finish_training(args, cfg, out, report, label: str) -> int:
+def _finish_training(args, cfg, label: str, report, enc, head=None) -> int:
+    out = Path(cfg.out_dir)
+    save_student(out / "checkpoint.dtgm", enc, head)
     report = dataclasses.replace(report, checkpoint_path="checkpoint.dtgm")
     write_report(report, out, to_dict(cfg))
-    _write_config(cfg, out)
+    write_json(out / "config.json", to_dict(cfg))
     last = report.records[-1] if report.records else None
     if last is not None:
         if last.contrastive_loss is None:
@@ -123,9 +116,7 @@ def cmd_pretrain(args) -> int:
     corpus = _load_corpus(cfg)
     bank = _build_bank(cfg, corpus)
     enc, report = pretrain(cfg.train, corpus, bank)
-    out = _out_dir(cfg)
-    save_student(out / "checkpoint.dtgm", enc)
-    return _finish_training(args, cfg, out, report, "pretrain")
+    return _finish_training(args, cfg, "pretrain", report, enc)
 
 
 def cmd_train_joint(args) -> int:
@@ -139,9 +130,7 @@ def cmd_train_joint(args) -> int:
             head = build_head(cfg.train.d, corpus.spec.num_classes, cfg.train.seed)
         init = (enc, head)
     (enc, head), report = train_joint(cfg.train, corpus, bank, init)
-    out = _out_dir(cfg)
-    save_student(out / "checkpoint.dtgm", enc, head)
-    return _finish_training(args, cfg, out, report, "train-joint")
+    return _finish_training(args, cfg, "train-joint", report, enc, head)
 
 
 def _validate_probe(cfg: ExperimentConfig, corpus) -> None:
@@ -170,14 +159,16 @@ def cmd_probe(args) -> int:
     result = linear_probe(feats, labels, cfg.eval.split_frac, probe_cfg)
     knn = knn_top1(feats, labels, cfg.eval.knn_k)
     overlap = class_overlap(feats, labels)
-    out = _out_dir(cfg)
+    out = Path(cfg.out_dir)
     doc = to_dict(cfg)
-    write_probe_json(result, out / "probe.json", doc, seed=cfg.seed,
-                     extras={"knn_top1": knn})
-    write_overlap_json(overlap, out / "overlap.json", doc, seed=cfg.seed)
+    write_json(out / "probe.json", {"top1": result.top1, "per_class": list(result.per_class),
+                                    "split_seed": result.split_seed, "knn_top1": knn,
+                                    "seed": cfg.seed, "config": doc})
+    write_json(out / "overlap.json", {"class_overlap": overlap, "seed": cfg.seed,
+                                      "config": doc})
     write_projection_csv(out / "projection.csv", corpus.ids(), labels, project_2d(feats),
                          seed=cfg.seed)
-    _write_config(cfg, out)
+    write_json(out / "config.json", doc)
     _say(args, f"top1 {result.top1:.4f}, knn {knn:.4f}, overlap {overlap:.4f}")
     return 0
 
@@ -240,14 +231,11 @@ def cmd_report(args) -> int:
         values = np.array(per_metric[metric])
         std = float(values.std(ddof=1)) if values.size > 1 else 0.0
         rows.append((metric, float(values.mean()), std, values.size))
-    out = Path(args.out or ".")
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "summary.csv", "w", newline="") as fh:
-        fh.write("# runs=" + ";".join(str(Path(r)) for r in args.runs) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "mean", "std", "n"])
-        for metric, mean, std, n in rows:
-            writer.writerow([metric, repr(mean), repr(std), n])
+    # the rows end in \r\n, as csv.writer ends them
+    write_file(Path(args.out or ".") / "summary.csv",
+               "# runs=" + ";".join(str(Path(r)) for r in args.runs) + "\n"
+               "metric,mean,std,n\r\n"
+               + "".join(f"{metric},{mean!r},{std!r},{n}\r\n" for metric, mean, std, n in rows))
     for metric, mean, std, n in rows:
         _say(args, f"{metric}: {mean:.4f} +/- {std:.4f} (n={n})")
     return 0

@@ -43,7 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .binio import FormatError, RecordReader, RecordWriter
+from .binio import FormatError, RecordReader, RecordWriter, write_file
 from .numerics import DegenerateInputError, FieldError, check_fields, declared, haar_orthogonal
 from .seeding import substream, substreams
 
@@ -207,7 +207,7 @@ def save_corpus(corpus: Corpus, path) -> None:
     w.array(corpus.labels(), "<u4")
     w.array(corpus.ids(), "<u8")
     w.array(corpus.frames())
-    Path(path).write_bytes(w.finish())
+    write_file(path, w.finish())
 
 
 def load_corpus(path) -> Corpus:

@@ -10,12 +10,11 @@ view for plotting.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from .binio import write_file
 from .corpus import Corpus, stratified_split
 from .losses import cross_entropy_batch
 from .model import (
@@ -72,14 +71,22 @@ def teacher_view_accuracies(corpus: Corpus, bank: TeacherBank, seed: int = 0,
     )
 
 
+def _class_labels(labels, rows: int) -> np.ndarray:
+    """``labels`` as class ids: one per feature row, each a non-negative integer."""
+    y = np.asarray(labels)
+    if y.shape != (rows,):
+        raise ValueError("need one label per feature row")
+    if not np.issubdtype(y.dtype, np.integer) or y.min() < 0:
+        raise ValueError("labels must be non-negative integers")
+    return y
+
+
 def linear_probe(features: np.ndarray, labels: np.ndarray, split_frac: float = 0.8,
                  config: ProbeConfig = ProbeConfig()) -> ProbeResult:
     """Affine classifier on frozen features: full-batch gradient descent from
     zero init, CE loss, held-out top-1 on the stratified test split."""
     x = as_matrix(features, "features")
-    y = np.asarray(labels)
-    if y.shape != (x.shape[0],):
-        raise ValueError("need one label per feature row")
+    y = _class_labels(labels, x.shape[0])
     classes = np.unique(y)
     if x.shape[0] < classes.size:
         raise ValueError("fewer examples than classes")
@@ -108,12 +115,8 @@ def knn_top1(features: np.ndarray, labels: np.ndarray, k: int) -> float:
     BLAS rounds them in each row block, so another block layout may pick
     another tied neighbour; same-seed reruns stay byte-identical."""
     x = as_matrix(features, "features")
-    y = np.asarray(labels)
     m = x.shape[0]
-    if y.shape != (m,):
-        raise ValueError("need one label per feature row")
-    if not np.issubdtype(y.dtype, np.integer) or y.min() < 0:
-        raise ValueError("labels must be non-negative integers")
+    y = _class_labels(labels, m)
     if not 1 <= k < m:
         raise ValueError(f"k must satisfy 1 <= k < {m}, got {k}")
     norms = np.linalg.norm(x, axis=1, keepdims=True)
@@ -202,9 +205,7 @@ def class_overlap(features: np.ndarray, labels: np.ndarray) -> float:
     """Mean intra-class pairwise distance over mean inter-class pairwise
     distance.  Invariant to rotating or uniformly scaling the features."""
     x = as_matrix(features, "features")
-    y = np.asarray(labels)
-    if y.shape != (x.shape[0],):
-        raise ValueError("need one label per feature row")
+    y = _class_labels(labels, x.shape[0])
     classes, counts = np.unique(y, return_counts=True)
     if classes.size < 2:
         raise ValueError("need at least 2 classes")
@@ -264,26 +265,6 @@ def project_2d(features: np.ndarray) -> np.ndarray:
     return centered @ comps.T
 
 
-def write_probe_json(result: ProbeResult, path, resolved_config: dict | None = None,
-                     seed: int | None = None, extras: dict | None = None) -> None:
-    payload = {
-        "top1": result.top1,
-        "per_class": list(result.per_class),
-        "split_seed": result.split_seed,
-        "seed": result.split_seed if seed is None else seed,
-        "config": resolved_config or {},
-    }
-    if extras:
-        payload.update(extras)
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def write_overlap_json(overlap: float, path, resolved_config: dict | None = None,
-                       seed: int = 0) -> None:
-    payload = {"class_overlap": overlap, "seed": seed, "config": resolved_config or {}}
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
 def write_projection_csv(path, video_ids, labels, coords, seed: int = 0) -> None:
     """The 2-d projection as CSV rows ``video_id,label,x,y``, floats written
     by ``repr`` and lines ended by ``\\r\\n`` as ``csv.writer`` ends them."""
@@ -292,5 +273,5 @@ def write_projection_csv(path, video_ids, labels, coords, seed: int = 0) -> None
     pts = np.asarray(coords, dtype=np.float64).tolist()
     rows = "".join(f"{vid},{lab},{px!r},{py!r}\r\n"
                    for vid, lab, (px, py) in zip(ids, labs, pts))
-    Path(path).write_text(f"# seed={seed}; full run configuration in config.json\n"
-                          f"video_id,label,x,y\r\n{rows}", newline="")
+    write_file(path, f"# seed={seed}; full run configuration in config.json\n"
+                     f"video_id,label,x,y\r\n{rows}")

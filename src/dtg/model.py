@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .binio import RecordReader, RecordWriter
+from .binio import RecordReader, RecordWriter, write_file
 from .numerics import haar_orthogonal, unit_rows
 from .seeding import substream
 
@@ -213,7 +213,7 @@ def save_student(path, enc: StudentEncoder, head: ClassifierHead | None = None) 
         w.pack("<I", head.num_classes)
         w.array(head.W)
         w.array(head.b)
-    Path(path).write_bytes(w.finish())
+    write_file(path, w.finish())
 
 
 def load_student(path) -> tuple[StudentEncoder, ClassifierHead | None]:

@@ -26,13 +26,14 @@ order.
 from __future__ import annotations
 
 import csv
-import json
+import io
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .binio import write_file, write_json
 from .corpus import Corpus
 from .losses import (
     ContrastiveOutcome,
@@ -345,20 +346,19 @@ def report_to_dict(report: RunReport, resolved_config: dict | None = None) -> di
 def write_report(report: RunReport, out_dir, resolved_config: dict | None = None) -> None:
     """Emit report.json plus a per-epoch epochs.csv under ``out_dir``."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    payload = json.dumps(report_to_dict(report, resolved_config), indent=2, sort_keys=True)
-    (out / "report.json").write_text(payload + "\n")
-    with open(out / "epochs.csv", "w", newline="") as fh:
-        fh.write(f"# seed={report.seed}; full run configuration in report.json\n")
-        writer = csv.writer(fh)
-        n_teachers = max((len(r.mean_weights) for r in report.records), default=0)
-        header = ["epoch", "lr", "contrastive_loss", "ce_loss"]
-        header += [f"w{t}_mean" for t in range(n_teachers)]
-        header += [f"w{t}_std" for t in range(n_teachers)]
-        writer.writerow(header)
-        blank = lambda x: "" if x is None else repr(x)
-        for r in report.records:
-            row = [r.epoch, repr(r.lr), blank(r.contrastive_loss), blank(r.ce_loss)]
-            row += [repr(x) for x in r.mean_weights] + [""] * (n_teachers - len(r.mean_weights))
-            row += [repr(x) for x in r.std_weights] + [""] * (n_teachers - len(r.std_weights))
-            writer.writerow(row)
+    write_json(out / "report.json", report_to_dict(report, resolved_config))
+    buf = io.StringIO()
+    buf.write(f"# seed={report.seed}; full run configuration in report.json\n")
+    writer = csv.writer(buf)
+    n_teachers = max((len(r.mean_weights) for r in report.records), default=0)
+    header = ["epoch", "lr", "contrastive_loss", "ce_loss"]
+    header += [f"w{t}_mean" for t in range(n_teachers)]
+    header += [f"w{t}_std" for t in range(n_teachers)]
+    writer.writerow(header)
+    blank = lambda x: "" if x is None else repr(x)
+    for r in report.records:
+        row = [r.epoch, repr(r.lr), blank(r.contrastive_loss), blank(r.ce_loss)]
+        row += [repr(x) for x in r.mean_weights] + [""] * (n_teachers - len(r.mean_weights))
+        row += [repr(x) for x in r.std_weights] + [""] * (n_teachers - len(r.std_weights))
+        writer.writerow(row)
+    write_file(out / "epochs.csv", buf.getvalue())

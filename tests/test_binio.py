@@ -1,9 +1,13 @@
+import builtins
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from dtg import binio
 from dtg.binio import (ChecksumMismatchError, FormatError, RecordReader,
-                       RecordWriter, VersionMismatchError)
+                       RecordWriter, VersionMismatchError, write_file, write_json)
 
 
 def test_round_trip_scalars_and_array():
@@ -96,3 +100,78 @@ def test_f64_round_trip_exact(values):
     for v in values:
         assert r.unpack("<d") == (v,)
     r.expect_end()
+
+
+# --- write_file ---
+
+def test_write_file_failing_midway_keeps_old_bytes_and_no_temporary(tmp_path, monkeypatch):
+    path = tmp_path / "f.bin"
+    write_file(path, b"old contents")
+
+    class HalfWrite:
+        """A file that stores the first half of what it is given, then fails."""
+        def __init__(self, fh):
+            self.fh = fh
+        def __enter__(self):
+            return self
+        def __exit__(self, *exc):
+            self.fh.close()
+        def write(self, data):
+            self.fh.write(data[:len(data) // 2])
+            self.fh.flush()
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(binio, "open", lambda *a, **k: HalfWrite(builtins.open(*a, **k)),
+                        raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        write_file(path, b"new contents, longer than the old")
+    assert path.read_bytes() == b"old contents"
+    assert os.listdir(tmp_path) == ["f.bin"]
+
+
+def test_write_file_failing_rename_keeps_old_bytes_and_no_temporary(tmp_path, monkeypatch):
+    path = tmp_path / "f.bin"
+    write_file(path, b"old")
+
+    def fail(src, dst):
+        raise PermissionError("replace refused")
+    monkeypatch.setattr(binio.os, "replace", fail)
+    with pytest.raises(PermissionError):
+        write_file(path, b"new")
+    assert path.read_bytes() == b"old"
+    assert os.listdir(tmp_path) == ["f.bin"]
+
+
+def test_write_file_mode_follows_the_umask(tmp_path):
+    old = os.umask(0o022)
+    try:
+        write_file(tmp_path / "f.bin", b"x")
+    finally:
+        os.umask(old)
+    assert (tmp_path / "f.bin").stat().st_mode & 0o777 == 0o644
+
+
+def test_write_file_creates_missing_parents(tmp_path):
+    path = tmp_path / "a" / "b" / "f.bin"
+    write_file(path, b"x")
+    assert path.read_bytes() == b"x"
+
+
+def test_write_file_encodes_str_as_utf8_without_newline_translation(tmp_path):
+    write_file(tmp_path / "f.txt", "a\r\nb\n\u00e9")
+    assert (tmp_path / "f.txt").read_bytes() == b"a\r\nb\n\xc3\xa9"
+
+
+def test_write_file_replaces_a_symlink_instead_of_writing_through(tmp_path):
+    target = tmp_path / "target"
+    target.write_bytes(b"target")
+    link = tmp_path / "link"
+    link.symlink_to(target)
+    write_file(link, b"new")
+    assert not link.is_symlink() and link.read_bytes() == b"new"
+    assert target.read_bytes() == b"target"
+
+
+def test_write_json_is_sorted_indented_and_newline_terminated(tmp_path):
+    write_json(tmp_path / "d.json", {"b": [1], "a": None})
+    assert (tmp_path / "d.json").read_text() == '{\n  "a": null,\n  "b": [\n    1\n  ]\n}\n'

@@ -351,6 +351,18 @@ def test_pretrain_reruns_byte_identical(tmp_path):
         assert (out / name).read_bytes() == first[name], name
 
 
+def test_blocked_artifact_exits_3_without_temporary_files(tmp_path, capsys):
+    run = tmp_path / "run"
+    (run / "epochs.csv").mkdir(parents=True)
+    assert main(["pretrain", "--config", _write_config(tmp_path, _config_doc(run)),
+                 "--quiet"]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+    # the files written before epochs.csv stay; no temporary file is left
+    assert sorted(p.name for p in run.iterdir()) == ["checkpoint.dtgm", "epochs.csv",
+                                                     "report.json"]
+    assert (run / "epochs.csv").is_dir()
+
+
 def test_probe_artifacts_self_describing(tmp_path):
     run = tmp_path / "run"
     cfg = _write_config(tmp_path, _config_doc(run))
@@ -359,13 +371,17 @@ def test_probe_artifacts_self_describing(tmp_path):
     assert main(["probe", "--config", cfg, "--checkpoint",
                  str(run / "checkpoint.dtgm"), "--out", str(probe_out),
                  "--quiet"]) == 0
+    config = json.loads((probe_out / "config.json").read_text())
     probe = json.loads((probe_out / "probe.json").read_text())
     assert 0.0 <= probe["top1"] <= 1.0
-    assert probe["seed"] == 0
-    assert probe["config"]["train"]["epochs"] == 2
-    assert "knn_top1" in probe
+    assert probe["seed"] == probe["split_seed"] == 0
+    assert probe["config"] == config and config["train"]["epochs"] == 2
+    assert 0.0 <= probe["knn_top1"] <= 1.0
+    assert len(probe["per_class"]) == 2
     overlap = json.loads((probe_out / "overlap.json").read_text())
-    assert overlap["config"]["seed"] == 0
+    assert isinstance(overlap["class_overlap"], float) and overlap["class_overlap"] > 0.0
+    assert overlap["seed"] == 0
+    assert overlap["config"] == config
     proj = (probe_out / "projection.csv").read_text().splitlines()
     assert proj[0].startswith("# seed=0")
     assert len(proj) == 2 + 6  # comment, header, one row per video
@@ -423,6 +439,31 @@ def test_report_aggregates_runs(tmp_path):
     assert float(rows["top1"][0]) == pytest.approx(np.mean(tops), abs=1e-12)
     assert float(rows["top1"][1]) == pytest.approx(np.std(tops, ddof=1), abs=1e-12)
     assert rows["top1"][2] == "2"
+
+
+def test_report_summary_csv_bytes(tmp_path):
+    docs = {
+        "run1": {"probe.json": {"top1": 0.25, "knn_top1": 0.5},
+                 "overlap.json": {"class_overlap": 0.75},
+                 "report.json": {"epochs": [{"contrastive_loss": 1.5, "ce_loss": None}]}},
+        "run2": {"probe.json": {"top1": 0.75, "knn_top1": 0.625},
+                 "report.json": {"epochs": [{"contrastive_loss": 2.5, "ce_loss": 0.5}]}},
+    }
+    for run, files in docs.items():
+        (tmp_path / run).mkdir()
+        for name, doc in files.items():
+            (tmp_path / run / name).write_text(json.dumps(doc))
+    runs = [str(tmp_path / "run1"), str(tmp_path / "run2")]
+    assert main(["report", "--runs", *runs, "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    assert (tmp_path / "out" / "summary.csv").read_bytes().decode() == (
+        f"# runs={runs[0]};{runs[1]}\n"
+        "metric,mean,std,n\r\n"
+        "class_overlap,0.75,0.0,1\r\n"
+        "final_ce_loss,0.5,0.0,1\r\n"
+        "final_contrastive_loss,2.0,0.7071067811865476,2\r\n"
+        "knn_top1,0.5625,0.08838834764831845,2\r\n"
+        "top1,0.5,0.3535533905932738,2\r\n"
+    )
 
 
 def test_report_missing_run_dir_exits_3(tmp_path):

@@ -1,4 +1,3 @@
-import json
 import tracemalloc
 
 import numpy as np
@@ -9,7 +8,6 @@ from dtg.corpus import CorpusSpec, generate_corpus
 from dtg.evaluation import (ProbeConfig, class_overlap, knn_top1, linear_probe,
                             project_2d, stratified_split,
                             teacher_view_accuracies, video_features,
-                            write_overlap_json, write_probe_json,
                             write_projection_csv)
 from dtg.model import (TeacherBank, build_student, build_teacher, pool_frames,
                        teacher_features)
@@ -198,13 +196,18 @@ def test_knn_writes_back_the_one_tied_row_of_a_block():
     assert knn_top1(feats, labels, k) == expected
 
 
-def test_knn_rejects_labels_that_are_not_non_negative_integers():
+@pytest.mark.parametrize("metric", [
+    lambda x, y: knn_top1(x, y, 5), linear_probe, class_overlap,
+], ids=["knn_top1", "linear_probe", "class_overlap"])
+def test_knn_rejects_labels_that_are_not_non_negative_integers(metric):
     rng = np.random.default_rng(17)
     feats = rng.standard_normal((2 * evaluation._KNN_ROWS + 3, 4))
     labels = np.arange(feats.shape[0]) % 3
     for bad in (labels - 1, labels + 0.0):
         with pytest.raises(ValueError, match="labels must be non-negative integers"):
-            knn_top1(feats, bad, 5)
+            metric(feats, bad)
+    with pytest.raises(ValueError, match="need one label per feature row"):
+        metric(feats, labels[:-1])
 
 
 def test_knn_validates_k():
@@ -411,26 +414,6 @@ def test_video_features_unit_rows(tiny_corpus):
 
 
 # --- artifact writers ---
-
-def test_probe_json_self_describing(tmp_path):
-    feats, labels = _one_hot_features(5, 3)
-    result = linear_probe(feats, labels)
-    path = tmp_path / "probe.json"
-    write_probe_json(result, path, {"seed": 9}, seed=9, extras={"knn_top1": 0.5})
-    doc = json.loads(path.read_text())
-    assert doc["top1"] == 1.0
-    assert doc["seed"] == 9
-    assert doc["config"] == {"seed": 9}
-    assert doc["knn_top1"] == 0.5
-
-
-def test_overlap_json_self_describing(tmp_path):
-    path = tmp_path / "overlap.json"
-    write_overlap_json(0.42, path, {"seed": 3}, seed=3)
-    doc = json.loads(path.read_text())
-    assert doc["class_overlap"] == 0.42
-    assert doc["seed"] == 3 and doc["config"] == {"seed": 3}
-
 
 def test_projection_csv_layout(tmp_path):
     path = tmp_path / "projection.csv"
