@@ -119,20 +119,20 @@ def contrastive_batch(anchors: np.ndarray, positives: np.ndarray, negatives: np.
     For ``online1`` the weights are a softmax in the anchor, so the gradient
     includes the corresponding chain term; the other schemes contribute none
     (constants, or piecewise constant ranks).
+
+    The same inputs in the same order give the same bits in any memory
+    layout.  Reordering the negatives may change the last bit of the loss.
     """
     if tau <= 0:
         raise ValueError("temperature must be positive")
-    a = np.asarray(anchors, dtype=np.float64)
-    pos = np.asarray(positives, dtype=np.float64)
-    neg = np.asarray(negatives, dtype=np.float64)
+    # C-ordered operands: the einsums and matmuls round by their strides
+    a, pos, neg = (np.ascontiguousarray(v, dtype=np.float64)
+                   for v in (anchors, positives, negatives))
     if neg.ndim != 3:
         raise ValueError(f"negatives must be (N, K, d), got shape {neg.shape}")
     n_teachers, k, dim = neg.shape
     if a.ndim != 2 or a.shape[1] != dim or pos.shape != (n_teachers, len(a), dim):
         raise ValueError("positives, negatives and anchors disagree on shape")
-    # The einsums round according to the positives' strides; one fixed
-    # C-ordered layout makes every output depend on the values alone.
-    pos = np.ascontiguousarray(pos)
     b = len(a)
 
     pos_sims = np.einsum("nbd,bd->bn", pos, a)
@@ -154,8 +154,8 @@ def contrastive_batch(anchors: np.ndarray, positives: np.ndarray, negatives: np.
 
     logits = np.concatenate((scored_sims[..., None], queue_sims), axis=-1) / tau
     m = logits.max(axis=-1, keepdims=True)
-    # sorted reduction: the loss is bit-identical under any negative ordering
-    lse = m + np.log(np.sort(np.exp(logits - m), axis=-1).sum(axis=-1, keepdims=True))
+    # the max shift keeps every exp in range
+    lse = m + np.log(np.exp(logits - m).sum(axis=-1, keepdims=True))
     probs = np.exp(logits - lse)
     losses = lse[..., 0] - logits[..., 0]
     loss = (mix * losses).sum(axis=1)

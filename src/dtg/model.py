@@ -110,13 +110,13 @@ def backward_batch(enc: StudentEncoder, cache, d_out: np.ndarray) -> dict[str, n
 def pool_frames(frames) -> np.ndarray:
     """Mean over the frame axis of a (..., T, D) array -> (..., D).
 
-    The frames are sorted per column first, so the mean is bit-identical
-    under any reordering of the frames, and a batch pools exactly as its
-    rows pool one at a time."""
+    The same frames in the same order give the same bits in any memory
+    layout (the mean runs in C order), so a batch pools exactly as its rows
+    pool one at a time.  Reordering the frames may change the last bit."""
     x = np.asarray(frames, dtype=np.float64)
     if x.ndim < 2:
         raise ValueError(f"expected a (..., T, D) frame array, got shape {x.shape}")
-    return np.sort(x, axis=-2).mean(axis=-2)
+    return np.ascontiguousarray(x).mean(axis=-2)
 
 
 @dataclass(frozen=True)

@@ -42,11 +42,13 @@ def test_embed_student_unit_norm():
     assert np.allclose(np.linalg.norm(_embed(enc, seqs), axis=1), 1.0, rtol=0, atol=1e-10)
 
 
-def test_embed_student_permutation_invariant():
+def test_embed_student_reversed_frames_agree_to_rounding():
     enc = build_student(6, 8, 5, seed=2)
     rng = np.random.default_rng(1)
     seq = rng.standard_normal((1, 5, 6))
-    assert np.array_equal(_embed(enc, seq), _embed(enc, seq[:, ::-1]))
+    out = _embed(enc, seq)
+    assert np.array_equal(out, _embed(enc, seq.copy()))
+    assert np.allclose(out, _embed(enc, seq[:, ::-1]), rtol=0, atol=1e-14)
 
 
 def test_embed_student_duplicated_frame_equals_single():
@@ -98,12 +100,24 @@ def test_pool_frames_is_mean():
     assert np.array_equal(pool_frames(seq), seq.mean(axis=0))
 
 
-def test_pool_frames_batch_matches_rows():
-    x = np.random.default_rng(3).standard_normal((5, 2, 7, 4))
-    pooled = pool_frames(x)
-    assert pooled.shape == (5, 2, 4)
-    rows = np.stack([np.stack([pool_frames(seq) for seq in group]) for group in x])
-    assert np.array_equal(pooled, rows)
+@pytest.mark.parametrize("t", [1, 7, 8, 9, 32, 129])
+@pytest.mark.parametrize("dim", [1, 4, 17])
+def test_pool_frames_batch_matches_rows(t, dim):
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((5, 2, t, dim))
+    videos = rng.standard_normal((6, t + 3, dim))
+    picks = np.sort(rng.integers(t + 3, size=(6, t)), axis=1)
+    same_values = (x,                                                  # C order
+                   np.ascontiguousarray(x[..., ::-1, :])[..., ::-1, :],  # reversed-frame view
+                   np.asfortranarray(x))
+    gathered = videos[np.arange(6)[:, None], picks]                   # as sample_pairs takes
+    for frames in (*same_values, gathered):
+        pooled = pool_frames(frames)
+        assert pooled.shape == frames.shape[:-2] + (dim,)
+        rows = [pool_frames(frames[i]) for i in np.ndindex(frames.shape[:-2])]
+        assert np.array_equal(pooled.reshape(-1, dim), np.stack(rows))
+    for frames in same_values[1:]:
+        assert np.array_equal(pool_frames(frames), pool_frames(x))
     with pytest.raises(ValueError):
         pool_frames(np.zeros(4))
 
