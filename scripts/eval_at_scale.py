@@ -1,10 +1,12 @@
 """Time and peak memory of the eval metrics at growing corpus sizes.
 
 For each N, builds N random 16-dimensional features (seed 0) over 10 equal
-classes and runs knn_top1 (k = 5) and class_overlap on them.  Prints the
-median wall time over three runs, the tracemalloc peak of one further run and
-the metric's value by ``repr``; tracemalloc counts numpy's array buffers, so
-the peak is what the metric itself holds.  Values are printed in full so that
+classes and runs knn_top1 (k = 5), class_overlap and linear_probe (a half
+split and the default ProbeConfig, as perfbench's evaluation runs it; its
+value is the held-out top-1) on them.  Prints the median wall time over
+three runs, the tracemalloc peak of one further run and the metric's value
+by ``repr``; tracemalloc counts numpy's array buffers, so the peak is what
+the metric itself holds.  Values are printed in full so that
 two checkouts' outputs can be diffed for bit-identical results.  The
 reference corpus has 500 videos, so N = 5000 is 10x.
 """
@@ -20,10 +22,11 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from dtg.evaluation import class_overlap, knn_top1
+from dtg.evaluation import ProbeConfig, class_overlap, knn_top1, linear_probe
 
 D = 16        # feature dimension, the reference student's embedding size
 K = 5         # kNN neighbours, EvalConfig's default
+SPLIT = 0.5   # linear_probe's train fraction
 REPEATS = 3   # timed runs per metric; the median is printed
 SEED = 0
 
@@ -57,10 +60,12 @@ def main() -> int:
         rng = np.random.default_rng(SEED)
         feats = rng.standard_normal((n, D))
         labels = np.repeat(np.arange(10), n // 10)
-        for name, metric in (("knn_top1", lambda: knn_top1(feats, labels, K)),
-                             ("class_overlap", lambda: class_overlap(feats, labels))):
+        for name, metric in (
+                ("knn_top1", lambda: knn_top1(feats, labels, K)),
+                ("class_overlap", lambda: class_overlap(feats, labels)),
+                ("linear_probe", lambda: linear_probe(feats, labels, SPLIT, ProbeConfig()).top1)):
             secs, peak_mb, value = measure(metric, REPEATS)
-            print(f"N={n:>6}  {name:<13}  {secs:8.3f} s  peak {peak_mb:8.1f} MB"
+            print(f"N={n:>6}  {name:<13}  {secs:9.4f} s  peak {peak_mb:8.1f} MB"
                   f"  value {value!r}")
     return 0
 

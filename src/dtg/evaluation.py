@@ -16,7 +16,7 @@ import numpy as np
 
 from .binio import write_file
 from .corpus import Corpus, stratified_split
-from .losses import cross_entropy_batch
+from .losses import _cross_entropy_grad
 from .model import (
     StudentEncoder,
     TeacherBank,
@@ -24,7 +24,8 @@ from .model import (
     pool_frames,
     teacher_features,
 )
-from .numerics import DegenerateInputError, as_matrix
+from .numerics import (DegenerateInputError, as_matrix, check_fields, declared,
+                       is_integer_array, one_hot)
 from .sampling import PairMode, sample_pairs
 from .seeding import substreams
 
@@ -36,9 +37,11 @@ _KNN_ROWS = 256  # similarity-matrix rows per block in knn_top1
 
 @dataclass(frozen=True)
 class ProbeConfig:
-    epochs: int = 100
-    lr: float = 0.01
-    seed: int = 0
+    epochs: int = declared(int, 100, ge=0)
+    lr: float = declared(float, 0.01, gt=0)
+    seed: int = declared(int, 0, ge=0, lt=2 ** 64)
+
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
@@ -76,7 +79,7 @@ def _class_labels(labels, rows: int) -> np.ndarray:
     y = np.asarray(labels)
     if y.shape != (rows,):
         raise ValueError("need one label per feature row")
-    if not np.issubdtype(y.dtype, np.integer) or y.min() < 0:
+    if not is_integer_array(y) or y.min() < 0:
         raise ValueError("labels must be non-negative integers")
     return y
 
@@ -84,7 +87,11 @@ def _class_labels(labels, rows: int) -> np.ndarray:
 def linear_probe(features: np.ndarray, labels: np.ndarray, split_frac: float = 0.8,
                  config: ProbeConfig = ProbeConfig()) -> ProbeResult:
     """Affine classifier on frozen features: full-batch gradient descent from
-    zero init, CE loss, held-out top-1 on the stratified test split."""
+    zero init, CE loss, held-out top-1 on the stratified test split.
+
+    The features, the labels and the split are checked once, before
+    training (``config`` checks itself when it is made); each epoch's
+    gradient is then ``cross_entropy_batch``'s bit for bit."""
     x = as_matrix(features, "features")
     y = _class_labels(labels, x.shape[0])
     classes = np.unique(y)
@@ -93,19 +100,35 @@ def linear_probe(features: np.ndarray, labels: np.ndarray, split_frac: float = 0
     tr, te = stratified_split(y, split_frac, config.seed)
     if set(np.unique(y[tr])) != set(classes):
         raise ValueError("a class is absent from the train split")
-    n_cls = int(classes.max()) + 1
-    w = np.zeros((n_cls, x.shape[1]))
-    b = np.zeros(n_cls)
-    xt, yt = x[tr], y[tr]
-    for _ in range(config.epochs):
-        _, d_logits = cross_entropy_batch(xt @ w.T + b, yt)
-        w -= config.lr * (d_logits.T @ xt)
-        b -= config.lr * d_logits.sum(axis=0)
+    w, b = _fit_probe(x[tr], y[tr], int(classes.max()) + 1, config.epochs, config.lr)
     pred = np.argmax(x[te] @ w.T + b, axis=1)
     correct = pred == y[te]
     per_class = tuple(float(correct[y[te] == c].mean()) for c in classes)
     return ProbeResult(top1=float(correct.mean()), per_class=per_class,
                        split_seed=config.seed)
+
+
+def _fit_probe(xt: np.ndarray, yt: np.ndarray, n_cls: int, epochs: int,
+               lr: float) -> tuple[np.ndarray, np.ndarray]:
+    """Weights (n_cls, D) and bias (n_cls,) of ``epochs`` full-batch gradient
+    steps from zero on the finite features ``xt`` (n, D) and their labels
+    ``yt``, integers in [0, n_cls).  The logits and the gradient live in two
+    buffers made once; non-finite logits raise ``ValueError`` at the epoch
+    that makes them."""
+    w = np.zeros((n_cls, xt.shape[1]))
+    b = np.zeros(n_cls)
+    z = np.empty((xt.shape[0], n_cls))
+    g = np.empty_like(z)
+    onehot = one_hot(yt, n_cls)
+    for _ in range(epochs):
+        np.matmul(xt, w.T, out=z)
+        z += b
+        if not np.isfinite(z).all():
+            raise ValueError("logits contains a non-finite entry")
+        _cross_entropy_grad(z, onehot, g)
+        w -= lr * (g.T @ xt)
+        b -= lr * g.sum(axis=0)
+    return w, b
 
 
 def knn_top1(features: np.ndarray, labels: np.ndarray, k: int) -> float:
@@ -124,7 +147,7 @@ def knn_top1(features: np.ndarray, labels: np.ndarray, k: int) -> float:
         raise DegenerateInputError("zero-norm feature row")
     u = x / norms
     # votes are counted as neighbours @ onehot: sums of 0s and 1s, exact
-    onehot = (y[:, None] == np.arange(int(y.max()) + 1)).astype(np.float64)
+    onehot = one_hot(y, int(y.max()) + 1)
     correct = 0
     # every step below is row-wise, so the similarity matrix is taken
     # _KNN_ROWS rows at a time and no (m, m) array is held

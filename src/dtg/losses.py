@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .numerics import as_matrix, as_vector, softmax, unit_rows
+from .numerics import as_matrix, as_vector, is_integer_array, one_hot, softmax, unit_rows
 
 
 class WeightScheme(Enum):
@@ -188,14 +188,35 @@ def cross_entropy_batch(logits: np.ndarray, labels: np.ndarray) -> tuple[float, 
     """Mean cross-entropy over a batch and the gradient of that mean."""
     z = as_matrix(logits, "logits")
     y = np.asarray(labels)
-    if y.shape != (z.shape[0],):
+    if y.shape != (z.shape[0],) or not is_integer_array(y):
         raise ValueError("labels must be one integer per row of logits")
     if np.any((y < 0) | (y >= z.shape[1])):
         raise ValueError("label out of range")
-    m = z.max(axis=1, keepdims=True)
-    lse = m + np.log(np.exp(z - m).sum(axis=1, keepdims=True))
-    rows = np.arange(z.shape[0])
-    loss = float((lse[:, 0] - z[rows, y]).mean())
-    grad = np.exp(z - lse)
-    grad[rows, y] -= 1.0
-    return loss, grad / z.shape[0]
+    grad = np.empty_like(z)  # z's memory layout, which orders the row sums
+    lse = _cross_entropy_grad(z, one_hot(y, z.shape[1]), grad)
+    loss = float((lse[:, 0] - z[np.arange(z.shape[0]), y]).mean())
+    return loss, grad
+
+
+def _cross_entropy_grad(z: np.ndarray, onehot: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The one softmax cross-entropy kernel: writes the gradient of the mean
+    loss over the rows of the logits ``z`` (n, C), ``softmax(z) - onehot``
+    over n, into ``out`` and returns the (n, 1) log-sum-exp of each row.
+
+    ``onehot`` is the (n, C) ``numerics.one_hot`` of the labels.  Nothing
+    is checked: the caller vouches for a finite ``z``, a valid ``onehot``
+    and an ``out`` of ``z``'s shape that is not ``z``.
+    Subtracting the one-hot adds 0.0 to every unlabelled entry, which
+    leaves it unchanged, so the result is bit for bit ``exp(z - lse)`` with
+    1.0 taken off at each label, then divided by n."""
+    # the max shift keeps every exp in range.  A max is exact in any order
+    # (only a zero's sign may differ, which exp(z - m) and m + log(sum), a
+    # sum >= 1, both drop), so it is taken over the long rows of a
+    # class-major copy
+    m = np.ascontiguousarray(z.T).max(axis=0)[:, None]
+    np.exp(np.subtract(z, m, out=out), out=out)
+    lse = m + np.log(out.sum(axis=1, keepdims=True))
+    np.exp(np.subtract(z, lse, out=out), out=out)
+    out -= onehot
+    out /= z.shape[0]
+    return lse

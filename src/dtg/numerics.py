@@ -45,6 +45,18 @@ def as_matrix(x, name: str = "input") -> np.ndarray:
     return m
 
 
+def is_integer_array(a: np.ndarray) -> bool:
+    """Whether ``a`` holds integers by dtype, the rule for class labels: a
+    float array of whole numbers is not, and neither is a bool array."""
+    return np.issubdtype(a.dtype, np.integer)
+
+
+def one_hot(labels: np.ndarray, n: int) -> np.ndarray:
+    """(len(labels), n) float64 rows, each 1.0 at its label's column and 0.0
+    elsewhere; the labels are integers in [0, n)."""
+    return (labels[:, None] == np.arange(n)).astype(np.float64)
+
+
 def softmax(logits) -> np.ndarray:
     """Probabilities along the last axis of the logits, shifted by the max so
     any finite input is overflow-free."""

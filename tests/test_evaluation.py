@@ -9,9 +9,10 @@ from dtg.evaluation import (ProbeConfig, class_overlap, knn_top1, linear_probe,
                             project_2d, stratified_split,
                             teacher_view_accuracies, video_features,
                             write_projection_csv)
+from dtg.losses import cross_entropy_batch
 from dtg.model import (TeacherBank, build_student, build_teacher, pool_frames,
                        teacher_features)
-from dtg.numerics import DegenerateInputError
+from dtg.numerics import DegenerateInputError, FieldError
 
 
 def _one_hot_features(n_per_class, n_classes, dim=None):
@@ -88,6 +89,94 @@ def test_probe_top1_is_weighted_mean_of_per_class():
     counts = np.bincount(labels[te])
     weighted = float(np.dot(result.per_class, counts) / counts.sum())
     assert result.top1 == pytest.approx(weighted, abs=1e-12)
+
+
+def _reference_cross_entropy(z, y):
+    """The gradient arithmetic of cross_entropy_batch before it shared one
+    kernel with the probe, kept verbatim."""
+    m = z.max(axis=1, keepdims=True)
+    lse = m + np.log(np.exp(z - m).sum(axis=1, keepdims=True))
+    rows = np.arange(z.shape[0])
+    loss = float((lse[:, 0] - z[rows, y]).mean())
+    grad = np.exp(z - lse)
+    grad[rows, y] -= 1.0
+    return loss, grad / z.shape[0]
+
+
+def _reference_fit(xt, yt, n_cls, epochs, lr):
+    """The probe's training loop before it was fused, kept verbatim."""
+    w = np.zeros((n_cls, xt.shape[1]))
+    b = np.zeros(n_cls)
+    for _ in range(epochs):
+        _, d_logits = _reference_cross_entropy(xt @ w.T + b, yt)
+        w -= lr * (d_logits.T @ xt)
+        b -= lr * d_logits.sum(axis=0)
+    return w, b
+
+
+def _layouts(x):
+    """``x`` as a C-ordered, a Fortran-ordered and a strided array."""
+    strided = np.repeat(x, 2, axis=1)[:, ::2]
+    return {"C": x, "F": np.asfortranarray(x), "strided": strided}
+
+
+# numpy's row sum adds fewer than 8 and 8 or more entries in different orders
+@pytest.mark.parametrize("n_cls", [2, 7, 8, 9, 10, 17])
+@pytest.mark.parametrize("absent", [False, True], ids=["all-ids", "absent-id"])
+def test_probe_fit_equals_reference_loop_bit_for_bit(n_cls, absent):
+    # with an absent id, n_cls classes are spread over ids 0, 2, ..., n_cls
+    rng = np.random.default_rng(n_cls)
+    ids = np.delete(np.arange(n_cls + 1), 1) if absent else np.arange(n_cls)
+    size = int(ids.max()) + 1
+    labels = rng.permutation(np.repeat(ids, 10))
+    feats = rng.standard_normal((labels.size, 5)) * 2.0
+    for frac in (0.2, 0.8):
+        tr, te = stratified_split(labels, frac, seed=3)
+        for name, xt in _layouts(feats[tr]).items():
+            for epochs in (0, 1, 30):
+                want = _reference_fit(xt, labels[tr], size, epochs, 0.5)
+                got = evaluation._fit_probe(xt, labels[tr], size, epochs, 0.5)
+                assert np.array_equal(got[0], want[0]), (frac, name, epochs)
+                assert np.array_equal(got[1], want[1]), (frac, name, epochs)
+        w, b = _reference_fit(feats[tr], labels[tr], size, 30, 0.5)
+        top1 = float((np.argmax(feats[te] @ w.T + b, axis=1) == labels[te]).mean())
+        assert linear_probe(feats, labels, frac, ProbeConfig(epochs=30, lr=0.5,
+                                                             seed=3)).top1 == top1
+
+
+@pytest.mark.parametrize("n_cls", [1, 2, 7, 8, 9, 17, 130])
+def test_cross_entropy_gradient_equals_reference_bit_for_bit(n_cls):
+    rng = np.random.default_rng(n_cls)
+    y = rng.integers(0, n_cls, 23)
+    for name, z in _layouts(rng.standard_normal((23, n_cls)) * 4.0).items():
+        want = _reference_cross_entropy(z, y)
+        got = cross_entropy_batch(z, y)
+        assert got[0] == want[0], name
+        assert np.array_equal(got[1], want[1]), name
+
+
+def test_probe_raises_on_non_finite_logits():
+    feats, labels = _one_hot_features(10, 4)
+    with pytest.raises(ValueError, match="logits contains a non-finite entry"):
+        linear_probe(feats * 1e200, labels)
+    xt = feats[:8]
+    with pytest.raises(ValueError, match="logits contains a non-finite entry"):
+        evaluation._fit_probe(xt, labels[:8], 4, 2, float("nan"))
+
+
+@pytest.mark.parametrize("key,value", [
+    ("epochs", -3), ("epochs", 2.5), ("epochs", True),
+    ("lr", -0.5), ("lr", 0.0), ("lr", float("nan")), ("lr", float("inf")), ("lr", "0.1"),
+    ("seed", -1), ("seed", 2 ** 64), ("seed", 1.0),
+])
+def test_probe_config_rejects_bad_fields(key, value):
+    with pytest.raises(FieldError, match=rf"^{key} ") as err:
+        ProbeConfig(**{key: value})
+    assert err.value.key == key
+
+
+def test_probe_config_takes_its_bounds():
+    ProbeConfig(epochs=0, lr=1, seed=2 ** 64 - 1)
 
 
 # --- kNN ---

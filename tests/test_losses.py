@@ -424,6 +424,14 @@ def test_cross_entropy_label_out_of_range():
         cross_entropy_batch(np.zeros((1, 3)), np.array([-1]))
 
 
+@pytest.mark.parametrize("labels", [np.array([0.0, 1.0]), np.array([False, True]),
+                                    np.array([[0], [1]]), np.array([0])],
+                         ids=["float", "bool", "column", "short"])
+def test_cross_entropy_rejects_labels_that_are_not_one_integer_per_row(labels):
+    with pytest.raises(ValueError, match="labels must be one integer per row of logits"):
+        cross_entropy_batch(np.zeros((2, 3)), labels)
+
+
 def test_cross_entropy_gradient_finite_diff():
     rng = np.random.default_rng(12)
     z = rng.standard_normal((1, 7))
