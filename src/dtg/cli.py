@@ -138,7 +138,11 @@ def _validate_probe(cfg: ExperimentConfig, corpus) -> None:
     if cfg.eval.knn_k >= corpus.num_videos:
         raise FieldError("eval.knn_k", f"must be smaller than the number of videos "
                                        f"({corpus.num_videos}), got {cfg.eval.knn_k}")
-    fewest = np.unique(corpus.labels(), return_counts=True)[1].min()
+    counts = np.unique(corpus.labels(), return_counts=True)[1]
+    if counts.size < 2:
+        raise FieldError("corpus.num_classes",
+                         f"must be at least 2 for the class overlap, got {counts.size}")
+    fewest = counts.min()
     if fewest < 2:
         raise FieldError("corpus.videos_per_class", f"must be at least 2 for the probe's "
                                                     f"stratified split, got a class of {fewest}")

@@ -29,8 +29,9 @@ from .numerics import (DegenerateInputError, as_matrix, check_fields, declared,
 from .sampling import PairMode, sample_pairs
 from .seeding import substreams
 
-# distance-matrix rows per block in class_overlap, whose work buffer holds
-# nine (rows, N) float64 terms: 23 MB at N = 5,000
+# distance-matrix rows per block in class_overlap, which holds two (rows, N)
+# float64 buffers; each block adds one sum to each running mean's numerator,
+# so another value may change the last bits
 _OVERLAP_ROWS = 64
 _KNN_ROWS = 256  # similarity-matrix rows per block in knn_top1
 
@@ -173,60 +174,17 @@ def knn_top1(features: np.ndarray, labels: np.ndarray, k: int) -> float:
     return correct / m
 
 
-def _pairwise_sum(term, lo: int, hi: int, bufs) -> np.ndarray:
-    """``term(lo) + ... + term(hi - 1)``, added in the order in which numpy's
-    pairwise sum reduces a contiguous axis of length ``hi - lo``: left to
-    right below 8, in eight lanes up to 128, and split in two above.
-    ``term(k, out)`` writes term k into ``out`` and returns it.  The sum is
-    made in ``bufs``, nine same-shape arrays, and returned in ``bufs[0]``;
-    each split above 128 also copies its left half's sum once."""
-    n = hi - lo
-    res = bufs[0]
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        left = _pairwise_sum(term, lo, lo + half, bufs).copy()
-        _pairwise_sum(term, lo + half, hi, bufs)
-        res += left  # float addition commutes: right + left == left + right
-        return res
-    if n < 8:
-        term(lo, res)
-        for k in range(lo + 1, hi):
-            res += term(k, bufs[8])
-        return res
-    r = bufs[:8]
-    for j in range(8):
-        term(lo + j, r[j])
-    tail = hi - n % 8
-    for i in range(lo + 8, tail, 8):
-        for j in range(8):
-            r[j] += term(i + j, bufs[8])
-    # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), in place
-    for a, b in ((0, 1), (2, 3), (0, 2), (4, 5), (6, 7), (4, 6), (0, 4)):
-        r[a] += r[b]
-    for k in range(tail, hi):
-        res += term(k, bufs[8])
-    return res
-
-
-def _squared_distances(at: np.ndarray, bt: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances between the columns of ``at`` (D, A) and
-    of ``bt`` (D, B), as an (A, B) view into ``work`` (9, >= A * B) equal bit
-    for bit to ``((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)``: each
-    coordinate's term is an (A, B) array with a long inner axis, and the D
-    terms are added in the order numpy's sum reduces that tensor's
-    contiguous last axis."""
-    shape = (at.shape[1], bt.shape[1])
-    bufs = [w[:shape[0] * shape[1]].reshape(shape) for w in work]
-
-    def term(k, out):
-        np.subtract(at[k, :, None], bt[k, None, :], out=out)
-        return np.square(out, out=out)
-    return _pairwise_sum(term, 0, at.shape[0], bufs)
-
-
 def class_overlap(features: np.ndarray, labels: np.ndarray) -> float:
     """Mean intra-class pairwise distance over mean inter-class pairwise
-    distance.  Invariant to rotating or uniformly scaling the features."""
+    distance.  Invariant to rotating or uniformly scaling the features.
+
+    Each distance is the square root of its squared coordinate differences,
+    added in coordinate order.  The intra and inter sums grow block by block
+    of ``_OVERLAP_ROWS`` rows, each block adding numpy's ``.sum()`` of its
+    masked upper-triangle entries in row-major order; the value is
+    ``(intra / n_intra) / (inter / n_inter)``.  The same inputs in the same
+    order give the same bits in any memory layout and on every rerun; another
+    ``_OVERLAP_ROWS`` may change the last bits."""
     x = as_matrix(features, "features")
     y = _class_labels(labels, x.shape[0])
     classes, counts = np.unique(y, return_counts=True)
@@ -234,37 +192,29 @@ def class_overlap(features: np.ndarray, labels: np.ndarray) -> float:
         raise ValueError("need at least 2 classes")
     if counts.min() < 2:
         raise ValueError("every class needs at least 2 points")
-    # the upper triangle of the distance matrix, _OVERLAP_ROWS rows at a time
-    # from the coordinate-major copy xt, in one reused work buffer: each
-    # distance is computed as the full (N, N, D) tensor would compute it (see
-    # _squared_distances), and intra/inter receive the entries of
-    # dist[same & upper] and dist[~same & upper] in the same row-major order,
-    # so both means are exactly the full formula's
     n = x.shape[0]
     n_intra = int((counts * (counts - 1) // 2).sum())
-    intra = np.empty(n_intra)
-    inter = np.empty(n * (n - 1) // 2 - n_intra)
     xt = np.ascontiguousarray(x.T)
-    work = np.empty((9, min(_OVERLAP_ROWS, n) * (n - 1)))
-    i_at = e_at = 0
-    for r0 in range(0, n, _OVERLAP_ROWS):
+    # rows r0:r1 against columns r0 + 1:, in C-ordered views of two buffers
+    # made once: fresh blocks fault pages in anew, strided ones subtract slowly
+    bufs = np.empty((2, min(_OVERLAP_ROWS, n) * (n - 1)))
+    intra = inter = 0.0
+    for r0 in range(0, n - 1, _OVERLAP_ROWS):  # the last row has no upper entries
         r1 = min(r0 + _OVERLAP_ROWS, n)
-        dist = _squared_distances(xt[:, r0:r1], xt[:, r0 + 1:], work)
+        dist, term = bufs[:, :(r1 - r0) * (n - r0 - 1)].reshape(2, r1 - r0, -1)
+        dist.fill(0.0)
+        for k in range(xt.shape[0]):
+            np.subtract(xt[k, r0:r1, None], xt[k, None, r0 + 1:], out=term)
+            dist += np.square(term, out=term)
         np.sqrt(dist, out=dist)
-        # block column c is matrix column r0 + 1 + c, above the diagonal for
-        # block row a when c >= a
+        # block column c is matrix column r0 + 1 + c: upper for row a if c >= a
         upper = np.arange(n - r0 - 1)[None, :] >= np.arange(r1 - r0)[:, None]
         same = y[r0:r1, None] == y[None, r0 + 1:]
-        block = dist[same & upper]
-        intra[i_at:i_at + block.size] = block
-        i_at += block.size
-        block = dist[~same & upper]
-        inter[e_at:e_at + block.size] = block
-        e_at += block.size
-    denom = inter.mean()
-    if denom == 0:
+        intra += dist[same & upper].sum()
+        inter += dist[~same & upper].sum()
+    if inter == 0:
         raise DegenerateInputError("all points identical; overlap undefined")
-    return float(intra.mean() / denom)
+    return float((intra / n_intra) / (inter / (n * (n - 1) // 2 - n_intra)))
 
 
 def project_2d(features: np.ndarray) -> np.ndarray:

@@ -115,9 +115,16 @@ def check_fields(obj) -> None:
     for f in dataclasses.fields(obj):
         if "kind" in f.metadata:
             value = getattr(obj, f.name)
-            if not (value is None and f.default is None or _conforms(value, f.metadata)):
-                shown = list(value) if isinstance(value, tuple) else value  # as JSON spells it
-                raise FieldError(f.name, f"must be {_describe(f.metadata)}, got {shown!r}")
+            if not (value is None and f.default is None):
+                check_value(f.name, value, f.metadata)
+
+
+def check_value(key: str, value, rule) -> None:
+    """Raise ``FieldError`` for ``key`` if ``value`` breaks ``rule``, the
+    metadata of a ``declared`` field."""
+    if not _conforms(value, rule):
+        shown = list(value) if isinstance(value, tuple) else value  # as JSON spells it
+        raise FieldError(key, f"must be {_describe(rule)}, got {shown!r}")
 
 
 def _conforms(value, rule) -> bool:

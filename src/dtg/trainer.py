@@ -54,13 +54,16 @@ from .model import (
     pool_frames,
     teacher_features,
 )
-from .numerics import FieldError, check_fields, declared
+from .numerics import FieldError, check_fields, check_value, declared
 from .sampling import PairMode, sample_pairs
 from .seeding import substream, substreams
 
 
 class NumericAbortError(RuntimeError):
     """Training hit a non-finite loss or gradient."""
+
+
+_ACCURACY = declared(float, ge=0).metadata  # the rule of each offline accuracy
 
 
 @dataclass(frozen=True)
@@ -95,6 +98,8 @@ class TrainConfig:
             raise FieldError("milestones", f"must be strictly increasing, got {list(ms)}")
         if self.epochs > 0 and any(m >= self.epochs for m in ms):
             raise FieldError("milestones", f"must be < epochs = {self.epochs}, got {list(ms)}")
+        for acc in self.offline_accuracies or ():
+            check_value("offline_accuracies", acc, _ACCURACY)
         if self.weight_scheme is WeightScheme.OFFLINE:
             total = sum(map(float, self.offline_accuracies or ()))
             if not 0 < total < np.inf:

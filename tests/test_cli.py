@@ -134,7 +134,8 @@ def test_corpus_dependent_rule_exits_2_naming_its_key(tmp_path, capsys, train, c
 @pytest.mark.parametrize("eval_, corpus, keys", [
     ({"knn_k": 6}, {}, ["eval.knn_k", "number of videos (6)", "got 6"]),
     ({"knn_k": 1}, {"videos_per_class": 1}, ["corpus.videos_per_class", "stratified split"]),
-], ids=["knn_k", "videos_per_class"])
+    ({}, {"num_classes": 1, "videos_per_class": 40}, ["corpus.num_classes", "got 1"]),
+], ids=["knn_k", "videos_per_class", "num_classes"])
 def test_corpus_dependent_eval_rule_exits_2_before_features(tmp_path, capsys, monkeypatch,
                                                             eval_, corpus, keys):
     def no_features(*args):

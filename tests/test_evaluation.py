@@ -339,49 +339,66 @@ def test_overlap_chunked_distances_equal_full_difference_tensor():
     assert class_overlap(feats, labels) == expected
 
 
+def _overlap_reference(feats, labels):
+    """class_overlap's contract on a full (n, n) distance matrix: squared
+    coordinate differences added in coordinate order, and the intra and
+    inter sums grown block by block of _OVERLAP_ROWS rows."""
+    n, d = feats.shape
+    sq = np.zeros((n, n))
+    for k in range(d):
+        sq += (feats[:, None, k] - feats[None, :, k]) ** 2
+    dist = np.sqrt(sq)
+    same = labels[:, None] == labels[None, :]
+    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
+    rows = evaluation._OVERLAP_ROWS
+    intra = inter = 0.0
+    for r0 in range(0, n, rows):
+        block = slice(r0, r0 + rows)
+        intra += dist[block][(same & upper)[block]].sum()
+        inter += dist[block][(~same & upper)[block]].sum()
+    return float((intra / (same & upper).sum()) / (inter / (~same & upper).sum()))
+
+
+def _full_tensor_overlap(feats, labels):
+    diff = feats[:, None, :] - feats[None, :, :]
+    dist = np.sqrt((diff ** 2).sum(axis=2))
+    same = labels[:, None] == labels[None, :]
+    upper = np.triu(np.ones_like(same), k=1).astype(bool)
+    return float(dist[same & upper].mean() / dist[~same & upper].mean())
+
+
 def test_overlap_blocks_equal_full_difference_tensor_at_d16():
-    # D = 16 reduces each distance with numpy's 8-lane pairwise sum; sizes
-    # give one partial block, a partial last block and a last block of one
-    # row.  A one-ulp change in some distances moves the ratio in only about
-    # one draw in seven, hence ten draws per size
+    # sizes give one partial block, a partial last block and a last block of
+    # one row.  A one-ulp change in some distances moves the ratio in only
+    # about one draw in seven, hence ten draws per size
     rows = evaluation._OVERLAP_ROWS
     rng = np.random.default_rng(14)
     for n in np.repeat([rows - 5, 2 * rows + 23, 3 * rows + 1], 10):
         feats = rng.standard_normal((n, 16))
         labels = rng.permutation(np.repeat(np.arange(5), [2, 2, 2, 20, n - 26]))
-        diff = feats[:, None, :] - feats[None, :, :]
-        dist = np.sqrt((diff ** 2).sum(axis=2))
-        same = labels[:, None] == labels[None, :]
-        upper = np.triu(np.ones_like(same), k=1).astype(bool)
-        expected = float(dist[same & upper].mean() / dist[~same & upper].mean())
+        expected = _overlap_reference(feats, labels)
         assert class_overlap(feats, labels) == expected
         assert class_overlap(np.asfortranarray(feats), labels) == expected
+        assert class_overlap(feats, labels) == pytest.approx(
+            _full_tensor_overlap(feats, labels), rel=1e-13, abs=0)
 
 
 @pytest.mark.parametrize("d", [1, 2, 7, 8, 9, 15, 17, 64, 128, 129, 200])
 def test_overlap_equals_full_formula_across_dimensions(d):
-    # numpy sums a contiguous axis left to right below 8, in eight lanes up
-    # to 128 and in two halves above; class_overlap adds its per-coordinate
-    # terms in that order, so a numpy release that changes it fails here.
-    # n leaves a last block of one row
+    # numpy sums a contiguous axis of 8 or more in lanes; class_overlap adds
+    # the coordinates in order, on either side of that length.  n leaves a
+    # last block of one row
     rows = evaluation._OVERLAP_ROWS
     n = 2 * rows + 1
     rng = np.random.default_rng(d)
     feats = rng.standard_normal((n, d))
-    diff = feats[:, None, :] - feats[None, :, :]
-    sq = (diff ** 2).sum(axis=2)
-    dist = np.sqrt(sq)
-    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
     for _ in range(3):
         labels = rng.permutation(np.arange(n) % 4)
-        same = labels[:, None] == labels[None, :]
-        expected = float(dist[same & upper].mean() / dist[~same & upper].mean())
+        expected = _overlap_reference(feats, labels)
         assert class_overlap(feats, labels) == expected
         assert class_overlap(np.asfortranarray(feats), labels) == expected
-    # a mean can absorb a one-ulp change, so the distances are pinned too
-    xt = np.ascontiguousarray(feats.T)
-    work = np.empty((9, rows * n))
-    assert np.array_equal(evaluation._squared_distances(xt[:, :rows], xt, work), sq[:rows])
+        assert class_overlap(feats, labels) == pytest.approx(
+            _full_tensor_overlap(feats, labels), rel=1e-13, abs=0)
 
 
 def test_eval_metrics_hold_no_n_by_n_matrix():
@@ -398,6 +415,21 @@ def test_eval_metrics_hold_no_n_by_n_matrix():
         finally:
             tracemalloc.stop()
         assert peak < limit_mb * 1e6
+
+
+def test_overlap_stays_within_memory_at_10x():
+    # N = 5,000 is 10x the reference corpus; its N(N - 1)/2 distances alone
+    # would be 100 MB
+    rng = np.random.default_rng(16)
+    feats = rng.standard_normal((5000, 16))
+    labels = np.repeat(np.arange(10), 500)
+    tracemalloc.start()
+    try:
+        class_overlap(feats, labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_overlap_below_one_for_separated_gaussians():

@@ -12,7 +12,7 @@ from dtg.losses import (FusionLevel, WeightScheme, contrastive_batch, cross_entr
                         joint_loss)
 from dtg.model import (StudentEncoder, TeacherBank, build_head, build_student, build_teacher,
                        forward_batch)
-from dtg.numerics import finite_diff_check
+from dtg.numerics import FieldError, finite_diff_check
 from dtg.sampling import PairMode
 from dtg.trainer import (NumericAbortError, TrainConfig, lr_at, pretrain,
                          report_to_dict, sgd_step, train_joint, write_report)
@@ -139,6 +139,18 @@ def test_config_rejects_bad_milestones():
 def test_config_requires_accuracies_for_offline():
     with pytest.raises(ValueError):
         TrainConfig(weight_scheme=WeightScheme.OFFLINE, milestones=())
+
+
+@pytest.mark.parametrize("bad", [-1.0, float("nan"), True, "0.5"],
+                         ids=["negative", "nan", "bool", "string"])
+def test_config_checks_each_offline_accuracy(bad):
+    # the sum of (-1.0, 2.0, 0.5, 0.5) is positive, so only a check of each
+    # entry stops it before the first warm step
+    for acc in ((bad, 2.0, 0.5, 0.5), (0.5, bad)):
+        with pytest.raises(FieldError, match=r"^offline_accuracies must be a finite "
+                                             r"number >= 0, got "):
+            TrainConfig(weight_scheme=WeightScheme.OFFLINE, milestones=(),
+                        offline_accuracies=acc)
 
 
 def test_k_must_be_below_video_count():
