@@ -12,6 +12,13 @@ scheme.  Two of the schemes (``online1``, ``online2``) depend on the anchor
 itself; ``online1`` is differentiable in the anchor, so its fused gradient
 carries an extra softmax term, while ``online2`` uses ranks and is
 piecewise constant.
+
+``contrastive_batch`` holds two (B, M, 1 + Q) arrays, one row per anchor
+and scored positive: the logits, whose queue columns the similarity matmuls
+write in place, and the probabilities it returns.  With m the row max and
+``total`` the row sum of exp(logits - m), the probabilities are
+exp(logits - m) / total and the loss is m + log(total) - logits[..., 0].
+The same inputs in the same order give the same bits in any memory layout.
 """
 
 from __future__ import annotations
@@ -97,7 +104,9 @@ class ContrastiveOutcome:
     weights: np.ndarray                   # (B, N), each row sums to one
     pos_sims: np.ndarray                  # (B, N), anchor . positive per teacher
     teacher_losses: np.ndarray | None     # (B, N) per-teacher losses; None for feature fusion
-    probs: np.ndarray                     # per scored positive, softmax over (it, its queue):
+    probs: np.ndarray                     # per scored positive, softmax over (it, its queue),
+                                          # exp(logits - m) / total, the same bits in any
+                                          # input memory layout:
                                           # (B, N, 1 + K) loss fusion,
                                           # (B, 1, 1 + N*K) feature fusion
 
@@ -123,8 +132,8 @@ def contrastive_batch(anchors: np.ndarray, positives: np.ndarray, negatives: np.
     The same inputs in the same order give the same bits in any memory
     layout.  Reordering the negatives may change the last bit of the loss.
     """
-    if tau <= 0:
-        raise ValueError("temperature must be positive")
+    if not 0 < tau < np.inf:
+        raise ValueError(f"temperature must be positive and finite, got {tau}")
     # C-ordered operands: the einsums and matmuls round by their strides
     a, pos, neg = (np.ascontiguousarray(v, dtype=np.float64)
                    for v in (anchors, positives, negatives))
@@ -135,37 +144,47 @@ def contrastive_batch(anchors: np.ndarray, positives: np.ndarray, negatives: np.
         raise ValueError("positives, negatives and anchors disagree on shape")
     b = len(a)
 
+    # Score each anchor against M positives, each with its own queue of Q
+    # rows, and mix the M losses: the N teachers (Q = K) under loss fusion,
+    # one fused positive against the pooled queues (Q = N*K) under feature
+    # fusion.  Column 0 of each logit row is the scored positive; BLAS writes
+    # teacher i's similarities straight into their columns.
+    loss_fusion = fusion is FusionLevel.LOSS
+    m_scored = n_teachers if loss_fusion else 1
+    queue = neg if loss_fusion else neg.reshape(1, -1, dim)
+    logits = np.empty((b, m_scored, 1 + queue.shape[1]))
+    neg_sims = logits[..., 1:].reshape(b, n_teachers, k)   # a view in both layouts
+    for i in range(n_teachers):
+        np.matmul(a, neg[i].T, out=neg_sims[:, i])
     pos_sims = np.einsum("nbd,bd->bn", pos, a)
-    neg_sims = (a @ neg.reshape(-1, dim).T).reshape(b, n_teachers, k)
     weights = np.broadcast_to(
         teacher_weights(scheme, n_teachers, accuracies=accuracies,
                         pos_sims=pos_sims, neg_sims=neg_sims), (b, n_teachers))
-
-    # Score each anchor against M positives, each with its own queue, and mix
-    # the M losses: the N teachers under loss fusion, one fused positive
-    # against the pooled queues under feature fusion.
-    if fusion is FusionLevel.LOSS:
-        scored, queue, mix = pos, neg, weights
-        scored_sims, queue_sims = pos_sims, neg_sims
+    if loss_fusion:
+        scored, mix = pos, weights
+        logits[..., 0] = pos_sims
     else:
         g_fused, ny = unit_rows(np.einsum("bn,nbd->bd", weights, pos), "weighted positive")
-        scored, queue, mix = g_fused[None], neg.reshape(1, -1, dim), np.ones((b, 1))
-        scored_sims, queue_sims = (g_fused * a).sum(axis=1)[:, None], neg_sims.reshape(b, 1, -1)
+        scored, mix = g_fused[None], np.ones((b, 1))
+        logits[:, 0, 0] = (g_fused * a).sum(axis=1)
+    logits /= tau
 
-    logits = np.concatenate((scored_sims[..., None], queue_sims), axis=-1) / tau
-    m = logits.max(axis=-1, keepdims=True)
     # the max shift keeps every exp in range
-    lse = m + np.log(np.exp(logits - m).sum(axis=-1, keepdims=True))
-    probs = np.exp(logits - lse)
-    losses = lse[..., 0] - logits[..., 0]
+    m = logits.max(axis=-1, keepdims=True)
+    probs = np.subtract(logits, m)
+    np.exp(probs, out=probs)
+    total = probs.sum(axis=-1, keepdims=True)
+    losses = (m + np.log(total))[..., 0] - logits[..., 0]
+    probs /= total
     loss = (mix * losses).sum(axis=1)
-    coef = mix[..., None] * probs / tau
-    grad = (np.einsum("bm,mbd->bd", coef[..., 0] - mix / tau, scored)
-            + coef[..., 1:].reshape(b, -1) @ queue.reshape(-1, dim))
+    mix_tau = mix / tau
+    grad = np.einsum("bm,mbd->bd", mix_tau * (probs[..., 0] - 1.0), scored)
+    for i in range(m_scored):
+        grad += mix_tau[:, i, None] * (probs[:, i, 1:] @ queue[i])
     if scheme is WeightScheme.ONLINE1:
         # d w_i / da = w_i (pos_i - sum_m w_m pos_m); contracting with
         # c_i = dL/dw_i gives sum_i w_i (c_i - sum_m w_m c_m) pos_i
-        if fusion is FusionLevel.LOSS:
+        if loss_fusion:
             c = losses
         else:
             d_gf = (probs[:, 0, :1] - 1.0) * a / tau                          # dL/d g_fused
@@ -173,7 +192,7 @@ def contrastive_batch(anchors: np.ndarray, positives: np.ndarray, negatives: np.
             c = np.einsum("nbd,bd->bn", pos, v)
         c = c - (weights * c).sum(axis=1, keepdims=True)
         grad = grad + np.einsum("bn,nbd->bd", weights * c, pos)
-    teacher_losses = losses if fusion is FusionLevel.LOSS else None
+    teacher_losses = losses if loss_fusion else None
     return ContrastiveOutcome(loss, grad, weights, pos_sims, teacher_losses, probs)
 
 

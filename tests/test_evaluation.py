@@ -331,12 +331,9 @@ def test_overlap_chunked_distances_equal_full_difference_tensor():
     n = 3 * evaluation._OVERLAP_ROWS + 17  # several chunks and a partial one
     feats = rng.standard_normal((n, 6))
     labels = rng.permutation(np.repeat(np.arange(4), [20, 41, 60, n - 121]))
-    diff = feats[:, None, :] - feats[None, :, :]
-    dist = np.sqrt((diff ** 2).sum(axis=2))
-    same = labels[:, None] == labels[None, :]
-    upper = np.triu(np.ones_like(same), k=1).astype(bool)
-    expected = float(dist[same & upper].mean() / dist[~same & upper].mean())
-    assert class_overlap(feats, labels) == expected
+    value = class_overlap(feats, labels)
+    assert value == _overlap_reference(feats, labels)
+    assert value == pytest.approx(_full_tensor_overlap(feats, labels), rel=1e-13, abs=0)
 
 
 def _overlap_reference(feats, labels):

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dtg import numerics
 from dtg.losses import (ContrastiveOutcome, FusionLevel, WeightScheme,
                         contrastive_batch, cross_entropy_batch, joint_loss,
                         teacher_weights)
@@ -74,6 +76,9 @@ def test_info_nce_rejects_bad_tau():
         contrastive_batch(a, pos, negs, 0.0, UNIFORM)
     with pytest.raises(ValueError):
         contrastive_batch(a, pos, negs, -1.0, UNIFORM)
+    for tau in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="temperature must be positive and finite"):
+            contrastive_batch(a, pos, negs, tau, UNIFORM)
 
 
 def _assert_close_to_rounding(out, base, what):
@@ -375,6 +380,108 @@ def test_batch_outcome_shares_no_memory_with_its_inputs(scheme, fusion):
         for name, value in vars(out).items():
             for given in (positives, negs):
                 assert value is None or not np.shares_memory(value, given), name
+
+
+def _trainer_windows(rng, b=64, n=4, k=256, d=16):
+    """The trainer's shape and layout: (B, d) anchors, and positives and
+    negatives as windows on one (N, K + B, d) stream."""
+    stream = unit_rows(rng, n * (k + b), d).reshape(n, k + b, d)
+    return unit_rows(rng, b, d), stream[:, k:], stream[:, :k]
+
+
+def _two_exp_reference(anchors, positives, negatives, tau, scheme, fusion, accuracies):
+    """The loss arithmetic before the logits were written in place, kept
+    verbatim: the logits concatenated from one similarity matmul, the
+    probabilities as a second exp(logits - lse), and the gradient through a
+    (B, M, 1 + Q) coefficient array."""
+    a, pos, neg = (np.ascontiguousarray(v, dtype=np.float64)
+                   for v in (anchors, positives, negatives))
+    n_teachers, k, dim = neg.shape
+    b = len(a)
+
+    pos_sims = np.einsum("nbd,bd->bn", pos, a)
+    neg_sims = (a @ neg.reshape(-1, dim).T).reshape(b, n_teachers, k)
+    weights = np.broadcast_to(
+        teacher_weights(scheme, n_teachers, accuracies=accuracies,
+                        pos_sims=pos_sims, neg_sims=neg_sims), (b, n_teachers))
+
+    if fusion is FusionLevel.LOSS:
+        scored, queue, mix = pos, neg, weights
+        scored_sims, queue_sims = pos_sims, neg_sims
+    else:
+        g_fused, ny = numerics.unit_rows(np.einsum("bn,nbd->bd", weights, pos),
+                                         "weighted positive")
+        scored, queue, mix = g_fused[None], neg.reshape(1, -1, dim), np.ones((b, 1))
+        scored_sims, queue_sims = (g_fused * a).sum(axis=1)[:, None], neg_sims.reshape(b, 1, -1)
+
+    logits = np.concatenate((scored_sims[..., None], queue_sims), axis=-1) / tau
+    m = logits.max(axis=-1, keepdims=True)
+    lse = m + np.log(np.exp(logits - m).sum(axis=-1, keepdims=True))
+    probs = np.exp(logits - lse)
+    losses = lse[..., 0] - logits[..., 0]
+    loss = (mix * losses).sum(axis=1)
+    coef = mix[..., None] * probs / tau
+    grad = (np.einsum("bm,mbd->bd", coef[..., 0] - mix / tau, scored)
+            + coef[..., 1:].reshape(b, -1) @ queue.reshape(-1, dim))
+    if scheme is WeightScheme.ONLINE1:
+        if fusion is FusionLevel.LOSS:
+            c = losses
+        else:
+            d_gf = (probs[:, 0, :1] - 1.0) * a / tau
+            v = (d_gf - (d_gf * g_fused).sum(axis=1, keepdims=True) * g_fused) / ny
+            c = np.einsum("nbd,bd->bn", pos, v)
+        c = c - (weights * c).sum(axis=1, keepdims=True)
+        grad = grad + np.einsum("bn,nbd->bd", weights * c, pos)
+    teacher_losses = losses if fusion is FusionLevel.LOSS else None
+    return ContrastiveOutcome(loss, grad, weights, pos_sims, teacher_losses, probs)
+
+
+@pytest.mark.parametrize("scheme", list(WeightScheme))
+@pytest.mark.parametrize("fusion", list(FusionLevel))
+def test_batch_matches_the_two_exp_reference(scheme, fusion):
+    # probs = exp(logits - m) / total rounds apart from exp(logits - lse),
+    # and the gradient's products are grouped differently; every other
+    # field is the same arithmetic
+    rng = np.random.default_rng(19)
+    acc = (0.4, 0.3, 0.2, 0.1)
+    for _ in range(3):
+        args = _trainer_windows(rng)
+        out = contrastive_batch(*args, 0.07, scheme, fusion, accuracies=acc)
+        ref = _two_exp_reference(*args, 0.07, scheme, fusion, acc)
+        for name in ("loss", "weights", "pos_sims", "teacher_losses"):
+            value, expected = getattr(out, name), getattr(ref, name)
+            if expected is None:
+                assert value is None, name
+            else:
+                assert value.shape == expected.shape, name
+                assert np.allclose(value, expected, rtol=1e-14, atol=0), name
+        assert out.probs.shape == ref.probs.shape
+        assert np.allclose(out.probs, ref.probs, rtol=1e-13, atol=0)
+        assert np.all(np.abs(out.probs.sum(axis=-1) - 1.0) <= 1e-14)
+        scale = np.abs(ref.grad_anchor).max(axis=1, keepdims=True)
+        assert np.all(np.abs(out.grad_anchor - ref.grad_anchor) <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("scheme", list(WeightScheme))
+@pytest.mark.parametrize("fusion", list(FusionLevel))
+def test_batch_peak_memory_is_at_most_three_logit_arrays(scheme, fusion):
+    # the logits and the probs it returns are the only (B, M, 1 + Q) arrays;
+    # a third such temporary would already reach the bound
+    args = _trainer_windows(np.random.default_rng(20))
+    b, (n, k, _) = len(args[0]), args[2].shape
+    logit_bytes = 8 * b * (n * (1 + k) if fusion is FusionLevel.LOSS else 1 + n * k)
+
+    def call():
+        return contrastive_batch(*args, 0.07, scheme, fusion, accuracies=(0.4, 0.3, 0.2, 0.1))
+
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * logit_bytes, peak / logit_bytes
 
 
 @pytest.mark.parametrize("scheme", list(WeightScheme))
