@@ -6,8 +6,12 @@ both views, and reads every teacher's guidance for the whole epoch at once
 as an (N, V, d) stack.  Each step embeds its anchors with the student,
 scores them against their guidance and K negatives per teacher, and applies
 one SGD step to the student (and classifier head in joint mode).  Teachers
-are never updated; the training state is the encoder's and head's arrays
-and one momentum velocity per parameter, updated in place.
+are never updated.  The training state is three flat float64 vectors, the
+parameters, their gradient and their momentum velocity, updated in place;
+the encoder's and head's arrays are reshaped views of the parameter vector,
+and ``backward_batch`` writes into views of the gradient vector.  The
+step's activations live in buffers made once per run for a full batch; the
+last, short batch uses their first rows.
 
 A step's negatives are the last K guidance rows fed before it, oldest first
 (a FIFO, as in MoCo), for all N teachers at once: a window on one
@@ -29,6 +33,7 @@ import csv
 import io
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +49,7 @@ from .losses import (
     joint_loss,
 )
 from .model import (
+    Activations,
     ClassifierHead,
     StudentEncoder,
     TeacherBank,
@@ -134,34 +140,59 @@ def lr_at(config: TrainConfig, epoch: int) -> float:
     return config.lr0 * config.decay ** drops
 
 
-def sgd_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-             velocity: dict[str, np.ndarray], lr: float, momentum: float,
-             weight_decay: float) -> None:
-    """One momentum step with coupled weight decay, in place on ``params``
-    and ``velocity``:
+@dataclass(frozen=True)
+class ParamLayout:
+    """Where each named parameter sits in a flat float64 vector: the names
+    and shapes, in vector order, of the arrays it holds end to end."""
+
+    names: tuple[str, ...]
+    shapes: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def ends(self) -> np.ndarray:
+        return np.cumsum([int(np.prod(s)) for s in self.shapes])
+
+    @property
+    def size(self) -> int:
+        return int(self.ends[-1])
+
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Name -> the reshaped view of ``flat`` that holds that parameter."""
+        starts = (0, *self.ends[:-1])
+        return {name: flat[a:b].reshape(shape)
+                for name, shape, a, b in zip(self.names, self.shapes, starts, self.ends)}
+
+    def name_at(self, index: int) -> str:
+        """The parameter that holds element ``index`` of the flat vector."""
+        return self.names[int(np.searchsorted(self.ends, index, side="right"))]
+
+
+def sgd_step(params: np.ndarray, grads: np.ndarray, velocity: np.ndarray, lr: float,
+             momentum: float, weight_decay: float, layout: ParamLayout) -> None:
+    """One momentum step with coupled weight decay, in place on the flat
+    vectors ``params`` and ``velocity``:
 
     v <- momentum * v + g + weight_decay * p
     p <- p - lr * v
 
-    Every gradient is checked before anything is written, so a rejected
-    step leaves both dicts unchanged.
+    All three vectors hold every parameter where ``layout`` places it.  The
+    whole gradient is checked before anything is written, so a rejected
+    step leaves both vectors unchanged; its error names the parameter that
+    holds the first non-finite entry.
     """
-    if set(params) != set(grads) or set(params) != set(velocity):
-        raise ValueError("params, grads and velocity must share keys")
-    for name, p in params.items():
-        g = grads[name]
-        if g.shape != p.shape or velocity[name].shape != p.shape:
-            raise ValueError(f"shape mismatch for parameter {name}")
-        if not np.all(np.isfinite(g)):
-            raise NumericAbortError(f"non-finite gradient for parameter {name}")
-    for name, p in params.items():
-        v = velocity[name]
-        # one term at a time, in the order of the formula above: the sum
-        # rounds exactly as momentum * v + g + weight_decay * p
-        v *= momentum
-        v += grads[name]
-        v += weight_decay * p
-        p -= lr * v
+    shape = (layout.size,)
+    if params.shape != shape or grads.shape != shape or velocity.shape != shape:
+        raise ValueError(f"params, grads and velocity must have the layout's shape {shape}, "
+                         f"got {params.shape}, {grads.shape} and {velocity.shape}")
+    if not np.isfinite(grads).all():
+        bad = int(np.flatnonzero(~np.isfinite(grads))[0])
+        raise NumericAbortError(f"non-finite gradient for parameter {layout.name_at(bad)}")
+    # one term at a time, in the order of the formula above: each element
+    # rounds exactly as momentum * v + g + weight_decay * p
+    velocity *= momentum
+    velocity += grads
+    velocity += weight_decay * params
+    params -= lr * velocity
 
 
 def _validate_run(config: TrainConfig, corpus: Corpus, bank: TeacherBank) -> None:
@@ -233,15 +264,34 @@ class _EpochStats:
         )
 
 
+def _flat_model(enc: StudentEncoder, head: ClassifierHead | None):
+    """Copies the arrays of ``enc`` and ``head`` (None: no head) into one new
+    flat vector; returns it, its layout, and an encoder and head whose arrays
+    are views of it."""
+    names, arrays = zip(*enc.parameters(), *(head.parameters() if head is not None else ()))
+    params = np.concatenate([a.ravel() for a in arrays], dtype=np.float64)
+    layout = ParamLayout(names, tuple(a.shape for a in arrays))
+    views = layout.views(params)
+    enc = StudentEncoder(*(views[name] for name, _ in enc.parameters()))
+    if head is not None:
+        head = ClassifierHead(views["head.W"], views["head.b"])
+    return params, layout, enc, head
+
+
 def _run_loop(config: TrainConfig, corpus: Corpus, bank: TeacherBank,
-              enc: StudentEncoder, head: ClassifierHead | None) -> RunReport:
+              enc: StudentEncoder, head: ClassifierHead | None
+              ) -> tuple[StudentEncoder, ClassifierHead | None, RunReport]:
+    """Trains a copy of ``enc`` (and of ``head`` in joint mode; None in
+    pretraining) and returns the trained pair, whose arrays are views of one
+    flat parameter vector, with the run's report."""
     start = time.perf_counter()
     joint = head is not None
     K, V = config.K, corpus.num_videos
-    params = dict(enc.parameters())
-    if joint:
-        params.update(head.parameters())
-    velocity = {k: np.zeros_like(v) for k, v in params.items()}
+    params, layout, enc, head = _flat_model(enc, head)
+    grads, velocity = np.zeros_like(params), np.zeros_like(params)
+    grad_views = layout.views(grads)
+    rows = min(config.batch_size, V)
+    batch_pooled, act = np.empty((rows, enc.frame_dim)), Activations.empty(enc, rows)
     labels_all = corpus.labels()
     frames_all = corpus.frames()
     ids = corpus.ids()
@@ -264,7 +314,8 @@ def _run_loop(config: TrainConfig, corpus: Corpus, bank: TeacherBank,
             n = len(batch_idx)
             # Cold start: until K rows have been fed there is no loss and no update.
             if epoch > 0 or b0 >= K:
-                feats, cache = forward_batch(enc, pooled_anchors[batch_idx])
+                x = np.take(pooled_anchors, batch_idx, axis=0, out=batch_pooled[:n])
+                feats, cache = forward_batch(enc, x, act)
                 out = contrastive_batch(feats, stream[:, K + b0:K + b0 + n],
                                         stream[:, b0:b0 + K],
                                         config.tau, config.weight_scheme, config.fusion_level,
@@ -273,13 +324,14 @@ def _run_loop(config: TrainConfig, corpus: Corpus, bank: TeacherBank,
                 d_feats = out.grad_anchor / n
 
                 ce_loss = None
-                grads = {}
                 if joint:
                     logits = head.logits(feats)
                     ce_loss, d_logits = cross_entropy_batch(logits, labels_all[batch_idx])
                     d_feats = config.alpha * d_feats + config.beta * (d_logits @ head.W)
-                    grads["head.W"] = config.beta * (d_logits.T @ feats)
-                    grads["head.b"] = config.beta * d_logits.sum(axis=0)
+                    g_w = np.matmul(d_logits.T, feats, out=grad_views["head.W"])
+                    np.multiply(config.beta, g_w, out=g_w)
+                    g_b = np.add.reduce(d_logits, axis=0, out=grad_views["head.b"])
+                    np.multiply(config.beta, g_b, out=g_b)
                     step_loss = joint_loss(ct_loss, ce_loss, config.alpha, config.beta)
                 else:
                     step_loss = ct_loss
@@ -288,14 +340,15 @@ def _run_loop(config: TrainConfig, corpus: Corpus, bank: TeacherBank,
                         f"non-finite loss at epoch {epoch}, batch {b0 // config.batch_size}"
                     )
 
-                grads.update(backward_batch(enc, cache, d_feats))
-                sgd_step(params, grads, velocity, lr, config.momentum, config.weight_decay)
+                backward_batch(enc, cache, d_feats, grad_views)
+                sgd_step(params, grads, velocity, lr, config.momentum, config.weight_decay,
+                         layout)
                 stats.record(out, ce_loss)
 
         stream[:, :K] = stream[:, V:]
         records.append(stats.close(epoch, lr, joint))
-    return RunReport(seed=config.seed, records=tuple(records),
-                     wall_time_s=time.perf_counter() - start)
+    return enc, head, RunReport(seed=config.seed, records=tuple(records),
+                                wall_time_s=time.perf_counter() - start)
 
 
 def pretrain(config: TrainConfig, corpus: Corpus, bank: TeacherBank
@@ -303,7 +356,8 @@ def pretrain(config: TrainConfig, corpus: Corpus, bank: TeacherBank
     """Self-supervised training of the student against frozen teachers."""
     _validate_run(config, corpus, bank)
     enc = build_student(corpus.spec.frame_dim, config.h, config.d, config.seed)
-    return enc, _run_loop(config, corpus, bank, enc, head=None)
+    enc, _, report = _run_loop(config, corpus, bank, enc, head=None)
+    return enc, report
 
 
 def train_joint(config: TrainConfig, corpus: Corpus, bank: TeacherBank,
@@ -323,8 +377,9 @@ def train_joint(config: TrainConfig, corpus: Corpus, bank: TeacherBank,
         head = build_head(config.d, corpus.spec.num_classes, config.seed)
     else:
         _validate_init(config, corpus, *init)
-        enc, head = init[0].copy(), ClassifierHead(init[1].W.copy(), init[1].b.copy())
-    return (enc, head), _run_loop(config, corpus, bank, enc, head)
+        enc, head = init  # the run trains copies; the caller's arrays stay as they are
+    enc, head, report = _run_loop(config, corpus, bank, enc, head)
+    return (enc, head), report
 
 
 def report_to_dict(report: RunReport, resolved_config: dict | None = None) -> dict:

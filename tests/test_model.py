@@ -5,7 +5,7 @@ import pytest
 
 from dtg.binio import VersionMismatchError
 from dtg.corpus import CorpusSpec, generate_corpus
-from dtg.model import (CHECKPOINT_HEADER, StudentEncoder, TeacherBank,
+from dtg.model import (CHECKPOINT_HEADER, Activations, StudentEncoder, TeacherBank,
                        backward_batch, build_head, build_student, build_teacher,
                        forward_batch, load_student, pool_frames, save_student,
                        teacher_features)
@@ -83,6 +83,37 @@ def test_forward_backward_matches_finite_differences():
     grads = backward_batch(enc, cache, 2.0 * (out - target))
     report = finite_diff_check(loss_of, params, grads)
     assert report.max_rel_error < 1e-5
+
+
+@pytest.mark.parametrize("n", [64, 52])  # a full batch, and the reference run's last
+def test_run_buffers_match_the_allocating_path(n):
+    # the trainer's shape: B 64, D 16, h 32, d 16; two steps through one set
+    # of buffers, each against fresh arrays, bit for bit
+    enc = build_student(16, 32, 16, seed=5)
+    rng = np.random.default_rng(6)
+    act = Activations.empty(enc, 64)
+    for a in vars(act).values():
+        a.fill(np.nan)
+    flat = np.empty(sum(p.size for _, p in enc.parameters()))
+    cuts = np.cumsum([p.size for _, p in enc.parameters()])[:-1]
+    grads = {name: part.reshape(p.shape)
+             for (name, p), part in zip(enc.parameters(), np.split(flat, cuts))}
+    kept = []
+    for _ in range(2):
+        pooled, d_out = rng.standard_normal((n, 16)), rng.standard_normal((n, 16))
+        want, cache = forward_batch(enc, pooled)
+        want_grads = backward_batch(enc, cache, d_out)
+        flat.fill(np.nan)  # every view must be overwritten whole
+        out, cache = forward_batch(enc, pooled, act)
+        got = backward_batch(enc, cache, d_out, grads)
+        assert got is grads and not np.isnan(flat).any()
+        assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
+        for name, g in want_grads.items():
+            assert np.array_equal(grads[name].view(np.uint64), g.view(np.uint64)), name
+        kept.append((out, out.copy()))
+    for out, then in kept:  # a later call leaves earlier features alone
+        assert np.array_equal(out, then)
+    assert not np.shares_memory(kept[0][0], kept[1][0])
 
 
 @pytest.mark.parametrize("shape, message", [

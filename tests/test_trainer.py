@@ -2,6 +2,7 @@ import copy
 import csv
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -11,10 +12,10 @@ from dtg.corpus import CorpusSpec, generate_corpus
 from dtg.losses import (FusionLevel, WeightScheme, contrastive_batch, cross_entropy_batch,
                         joint_loss)
 from dtg.model import (StudentEncoder, TeacherBank, build_head, build_student, build_teacher,
-                       forward_batch)
+                       forward_batch, load_student, save_student)
 from dtg.numerics import FieldError, finite_diff_check
 from dtg.sampling import PairMode
-from dtg.trainer import (NumericAbortError, TrainConfig, lr_at, pretrain,
+from dtg.trainer import (NumericAbortError, ParamLayout, TrainConfig, lr_at, pretrain,
                          report_to_dict, sgd_step, train_joint, write_report)
 
 
@@ -37,10 +38,6 @@ def _config(**kw):
     return TrainConfig(**base)
 
 
-def _enc_params(enc):
-    return {k: v.copy() for k, v in enc.parameters()}
-
-
 # --- schedule and optimizer ---
 
 def test_lr_schedule_paper_milestones():
@@ -58,73 +55,90 @@ def test_lr_rejects_out_of_range_epoch():
         lr_at(cfg, 10)
 
 
+X = ParamLayout(("x",), ((2,),))
+X1 = ParamLayout(("x",), ((1,),))
+
+
 def test_sgd_plain_gradient_descent():
-    p = {"x": np.array([1.0, 2.0])}
-    g = {"x": np.array([0.5, -0.5])}
-    v = {"x": np.zeros(2)}
-    sgd_step(p, g, v, lr=0.1, momentum=0.0, weight_decay=0.0)
-    assert np.allclose(p["x"], [0.95, 2.05])
+    p = np.array([1.0, 2.0])
+    g = np.array([0.5, -0.5])
+    v = np.zeros(2)
+    sgd_step(p, g, v, lr=0.1, momentum=0.0, weight_decay=0.0, layout=X)
+    assert np.allclose(p, [0.95, 2.05])
 
 
 def test_sgd_pure_momentum_coasting():
-    p = {"x": np.array([1.0])}
-    g = {"x": np.array([0.0])}
-    v = {"x": np.array([2.0])}
-    sgd_step(p, g, v, lr=0.1, momentum=0.9, weight_decay=0.0)
-    assert np.allclose(v["x"], [1.8])
-    assert np.allclose(p["x"], [1.0 - 0.18])
+    p = np.array([1.0])
+    g = np.array([0.0])
+    v = np.array([2.0])
+    sgd_step(p, g, v, lr=0.1, momentum=0.9, weight_decay=0.0, layout=X1)
+    assert np.allclose(v, [1.8])
+    assert np.allclose(p, [1.0 - 0.18])
 
 
 def test_sgd_hand_worked_value():
-    p = {"x": np.array([1.0])}
-    g = {"x": np.array([1.0])}
-    v = {"x": np.array([0.0])}
-    sgd_step(p, g, v, lr=0.1, momentum=0.9, weight_decay=0.0005)
-    assert v["x"][0] == pytest.approx(1.0005, abs=1e-15)
-    assert p["x"][0] == pytest.approx(0.89995, abs=1e-15)
+    p = np.array([1.0])
+    g = np.array([1.0])
+    v = np.array([0.0])
+    sgd_step(p, g, v, lr=0.1, momentum=0.9, weight_decay=0.0005, layout=X1)
+    assert v[0] == pytest.approx(1.0005, abs=1e-15)
+    assert p[0] == pytest.approx(0.89995, abs=1e-15)
 
 
 def test_sgd_rejects_nan_gradient_and_bad_shapes():
-    p = {"x": np.zeros(2)}
-    v = {"x": np.zeros(2)}
-    with pytest.raises(NumericAbortError):
-        sgd_step(p, {"x": np.array([np.nan, 0.0])}, v, 0.1, 0.9, 0.0)
+    p = np.zeros(2)
+    v = np.zeros(2)
+    with pytest.raises(NumericAbortError, match="parameter x$"):
+        sgd_step(p, np.array([np.nan, 0.0]), v, 0.1, 0.9, 0.0, X)
     with pytest.raises(ValueError):
-        sgd_step(p, {"x": np.zeros(3)}, v, 0.1, 0.9, 0.0)
+        sgd_step(p, np.zeros(3), v, 0.1, 0.9, 0.0, X)
     with pytest.raises(ValueError):
-        sgd_step(p, {"y": np.zeros(2)}, v, 0.1, 0.9, 0.0)
+        sgd_step(p, np.zeros(2), np.zeros(3), 0.1, 0.9, 0.0, X)
+    with pytest.raises(ValueError):
+        sgd_step(p.reshape(1, 2), np.zeros((1, 2)), v.reshape(1, 2), 0.1, 0.9, 0.0, X)
+    with pytest.raises(ValueError):  # a layout that does not cover the vectors
+        sgd_step(p, np.zeros(2), v, 0.1, 0.9, 0.0, ParamLayout(("x", "y"), ((2,), (1,))))
 
 
 def _model_state():
     enc, head = build_student(8, 8, 6, seed=1), build_head(6, 2, seed=2)
-    params = {**dict(enc.parameters()), **dict(head.parameters())}
-    velocity = {k: np.full_like(p, 0.5) for k, p in params.items()}
-    grads = {k: np.ones_like(p) for k, p in params.items()}
-    return enc, head, params, velocity, grads
+    params, layout, enc, head = trainer._flat_model(enc, head)
+    velocity = np.full_like(params, 0.5)
+    grads = np.ones_like(params)
+    return enc, head, params, velocity, grads, layout
 
 
 def test_sgd_updates_the_models_own_arrays():
-    enc, head, params, velocity, grads = _model_state()
-    w1, v_w1, before = enc.W1, velocity["W1"], enc.W1.copy()
-    sgd_step(params, grads, velocity, 0.1, 0.9, 0.0005)
-    assert enc.W1 is w1 and velocity["W1"] is v_w1
+    enc, head, params, velocity, grads, layout = _model_state()
+    w1, v_w1, before = enc.W1, layout.views(velocity)["W1"], enc.W1.copy()
+    sgd_step(params, grads, velocity, 0.1, 0.9, 0.0005, layout)
+    assert enc.W1 is w1 and w1.base is params
     assert np.array_equal(v_w1, 0.9 * 0.5 + 1.0 + 0.0005 * before)
     assert np.array_equal(w1, before - 0.1 * v_w1)
     assert not np.array_equal(head.b, build_head(6, 2, seed=2).b)
 
 
 def test_sgd_rejected_step_leaves_state_unchanged():
-    # the bad gradient is the last one checked, after every other passed
-    _, _, params, velocity, grads = _model_state()
-    last = list(params)[-1]
-    grads[last] = grads[last].copy()
-    grads[last][0] = np.inf
-    state = copy.deepcopy((params, velocity))
+    # the bad entry opens the last parameter: no part of the update may run first
+    _, _, params, velocity, grads, layout = _model_state()
+    last = layout.names[-1]
+    grads[layout.ends[-2]] = np.inf  # the first entry of the last parameter
+    state = params.copy(), velocity.copy()
     with pytest.raises(NumericAbortError, match=last):
-        sgd_step(params, grads, velocity, 0.1, 0.9, 0.0005)
-    for now, then in zip((params, velocity), state):
-        for k in now:
-            assert np.array_equal(now[k], then[k]), k
+        sgd_step(params, grads, velocity, 0.1, 0.9, 0.0005, layout)
+    assert np.array_equal(params, state[0])
+    assert np.array_equal(velocity, state[1])
+
+
+def test_sgd_names_the_parameter_at_each_edge():
+    _, _, params, velocity, _, layout = _model_state()
+    starts = (0, *layout.ends[:-1])
+    for name, start, end in zip(layout.names, starts, layout.ends):
+        for i in (start, end - 1):
+            grads = np.ones_like(params)
+            grads[i] = np.nan
+            with pytest.raises(NumericAbortError, match=f"parameter {re.escape(name)}$"):
+                sgd_step(params, grads, velocity, 0.1, 0.9, 0.0005, layout)
 
 
 # --- config validation ---
@@ -286,10 +300,37 @@ def test_joint_resumes_from_init_checkpoint():
     cfg = _config(epochs=1)
     enc0 = build_student(corpus.spec.frame_dim, cfg.h, cfg.d, seed=123)
     head0 = build_head(cfg.d, corpus.spec.num_classes, seed=124)
-    w_before = enc0.W1.copy()
-    (enc, _), _ = train_joint(cfg, corpus, _bank(corpus), init=(enc0, head0))
-    assert np.array_equal(enc0.W1, w_before)  # caller's copy untouched
-    assert not np.array_equal(enc.W1, w_before)
+    init = enc0.parameters() + head0.parameters()
+    before = [p.copy() for _, p in init]
+    (enc, head), _ = train_joint(cfg, corpus, _bank(corpus), init=(enc0, head0))
+    for (name, p), then in zip(init, before):  # caller's arrays untouched
+        assert np.array_equal(p, then), name
+    for (name, p), (_, trained) in zip(init, enc.parameters() + head.parameters()):
+        assert not np.shares_memory(p, trained), name
+    assert not np.array_equal(enc.W1, before[0])
+
+
+@pytest.mark.parametrize("joint", [False, True], ids=["pretrain", "train_joint"])
+def test_trained_model_round_trips_through_checkpoint(tmp_path, joint):
+    # the trained arrays are views of one flat vector; the checkpoint holds
+    # each as its own array and reads back bit for bit
+    corpus = _corpus()
+    cfg = _config(epochs=2)
+    if joint:
+        (enc, head), _ = train_joint(cfg, corpus, _bank(corpus))
+    else:
+        (enc, _), head = pretrain(cfg, corpus, _bank(corpus)), None
+    arrays = enc.parameters() + (head.parameters() if joint else [])
+    assert len({id(p.base) for _, p in arrays}) == 1 and arrays[0][1].base is not None
+    save_student(tmp_path / "a.dtgm", enc, head)
+    enc2, head2 = load_student(tmp_path / "a.dtgm")
+    assert (head2 is None) == (not joint)
+    loaded = enc2.parameters() + (head2.parameters() if joint else [])
+    for (name, p), (name2, q) in zip(arrays, loaded, strict=True):
+        assert name == name2 and q.dtype == p.dtype and q.shape == p.shape
+        assert np.array_equal(p.view(np.uint64), q.view(np.uint64)), name
+    save_student(tmp_path / "b.dtgm", enc2, head2)
+    assert (tmp_path / "a.dtgm").read_bytes() == (tmp_path / "b.dtgm").read_bytes()
 
 
 @pytest.mark.parametrize("frame_dim,h,d,classes,head_d", [
@@ -341,10 +382,18 @@ def test_applied_gradient_matches_finite_differences(monkeypatch, joint):
     else:
         pretrain(cfg, corpus, bank)
 
-    (_, pooled), _ = first["forward_batch"]
+    (_, pooled, _), _ = first["forward_batch"]
     (_, guidance, negs, *loss_args), loss_kwargs = first["contrastive_batch"]
-    params, grads = first["sgd_step"][0][:2]
-    assert set(grads) == set(params) and ("head.W" in params) == joint
+    # split the flat vectors the step received by the encoder's and head's shapes
+    named = build_student(corpus.spec.frame_dim, cfg.h, cfg.d, seed=0).parameters()
+    if joint:
+        named += build_head(cfg.d, corpus.spec.num_classes, seed=0).parameters()
+    flat_params, flat_grads = first["sgd_step"][0][:2]
+    assert flat_params.shape == flat_grads.shape == (sum(p.size for _, p in named),)
+    cuts = np.cumsum([p.size for _, p in named])[:-1]
+    params, grads = ({name: part.reshape(p.shape)
+                      for (name, p), part in zip(named, np.split(flat, cuts))}
+                     for flat in (flat_params, flat_grads))
 
     def objective(p):
         enc = StudentEncoder(*(p[k] for k in ("W1", "b1", "W2", "b2", "W3", "b3")))
