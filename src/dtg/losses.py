@@ -13,11 +13,14 @@ itself; ``online1`` is differentiable in the anchor, so its fused gradient
 carries an extra softmax term, while ``online2`` uses ranks and is
 piecewise constant.
 
-``contrastive_batch`` holds two (B, M, 1 + Q) arrays, one row per anchor
-and scored positive: the logits, whose queue columns the similarity matmuls
-write in place, and the probabilities it returns.  With m the row max and
-``total`` the row sum of exp(logits - m), the probabilities are
-exp(logits - m) / total and the loss is m + log(total) - logits[..., 0].
+``contrastive_batch`` makes one (B, M, 1 + Q) array, one row per anchor
+and scored positive.  The anchors are scaled by 1/tau once, so the
+similarity matmuls write the logits, already divided by the temperature,
+straight into its queue columns.  With m the row max, the array is then
+turned into exp(logits - m) in place and ``total`` is its row sum; the loss
+is m + log(total) - logits[..., 0], and 1/total goes into the gradient's
+per-row coefficients.  The probabilities exp(logits - m) / total are built
+only when ``ContrastiveOutcome.probs`` is read, which training never does.
 The same inputs in the same order give the same bits in any memory layout.
 """
 
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -104,11 +108,17 @@ class ContrastiveOutcome:
     weights: np.ndarray                   # (B, N), each row sums to one
     pos_sims: np.ndarray                  # (B, N), anchor . positive per teacher
     teacher_losses: np.ndarray | None     # (B, N) per-teacher losses; None for feature fusion
-    probs: np.ndarray                     # per scored positive, softmax over (it, its queue),
-                                          # exp(logits - m) / total, the same bits in any
-                                          # input memory layout:
+    shifted_exp: np.ndarray               # exp(logits - m) per scored positive, column 0
+                                          # the positive, then its queue:
                                           # (B, N, 1 + K) loss fusion,
                                           # (B, 1, 1 + N*K) feature fusion
+    total: np.ndarray                     # the row sums of shifted_exp, last axis kept
+
+    @cached_property
+    def probs(self) -> np.ndarray:
+        """Per scored positive, the softmax over (it, its queue),
+        ``shifted_exp / total``: the same bits in any input memory layout."""
+        return self.shifted_exp / self.total
 
 
 def contrastive_batch(anchors: np.ndarray, positives: np.ndarray, negatives: np.ndarray,
@@ -127,13 +137,19 @@ def contrastive_batch(anchors: np.ndarray, positives: np.ndarray, negatives: np.
 
     For ``online1`` the weights are a softmax in the anchor, so the gradient
     includes the corresponding chain term; the other schemes contribute none
-    (constants, or piecewise constant ranks).
+    (constants, or piecewise constant ranks).  ``online2``'s ranks compare
+    kernel-rounded logits: column 0 comes from an einsum and the queue
+    columns from BLAS, so a queue row equal to the positive need not tie
+    with it, and may outrank it by a last bit.
 
     The same inputs in the same order give the same bits in any memory
     layout.  Reordering the negatives may change the last bit of the loss.
     """
     if not 0 < tau < np.inf:
         raise ValueError(f"temperature must be positive and finite, got {tau}")
+    inv_tau = 1.0 / float(tau)
+    if inv_tau == np.inf:
+        raise ValueError(f"temperature must have a finite reciprocal, got {tau}")
     # C-ordered operands: the einsums and matmuls round by their strides
     a, pos, neg = (np.ascontiguousarray(v, dtype=np.float64)
                    for v in (anchors, positives, negatives))
@@ -148,52 +164,60 @@ def contrastive_batch(anchors: np.ndarray, positives: np.ndarray, negatives: np.
     # rows, and mix the M losses: the N teachers (Q = K) under loss fusion,
     # one fused positive against the pooled queues (Q = N*K) under feature
     # fusion.  Column 0 of each logit row is the scored positive; BLAS writes
-    # teacher i's similarities straight into their columns.
+    # teacher i's similarities, scaled through the anchors, straight into
+    # their columns.
     loss_fusion = fusion is FusionLevel.LOSS
     m_scored = n_teachers if loss_fusion else 1
     queue = neg if loss_fusion else neg.reshape(1, -1, dim)
+    a_tau = a * inv_tau
     logits = np.empty((b, m_scored, 1 + queue.shape[1]))
-    neg_sims = logits[..., 1:].reshape(b, n_teachers, k)   # a view in both layouts
+    neg_logits = logits[..., 1:].reshape(b, n_teachers, k)   # a view in both layouts
     for i in range(n_teachers):
-        np.matmul(a, neg[i].T, out=neg_sims[:, i])
+        np.matmul(a_tau, neg[i].T, out=neg_logits[:, i])
     pos_sims = np.einsum("nbd,bd->bn", pos, a)
+    # online1 weighs the unscaled similarities; online2 ranks the scaled
+    # logits, each positive against its own queue's columns
+    online2 = scheme is WeightScheme.ONLINE2
+    pos_logits = np.einsum("nbd,bd->bn", pos, a_tau) if loss_fusion or online2 else None
     weights = np.broadcast_to(
         teacher_weights(scheme, n_teachers, accuracies=accuracies,
-                        pos_sims=pos_sims, neg_sims=neg_sims), (b, n_teachers))
+                        pos_sims=pos_logits if online2 else pos_sims, neg_sims=neg_logits),
+        (b, n_teachers))
     if loss_fusion:
         scored, mix = pos, weights
-        logits[..., 0] = pos_sims
+        logits[..., 0] = pos_logits
     else:
         g_fused, ny = unit_rows(np.einsum("bn,nbd->bd", weights, pos), "weighted positive")
         scored, mix = g_fused[None], np.ones((b, 1))
-        logits[:, 0, 0] = (g_fused * a).sum(axis=1)
-    logits /= tau
+        logits[:, 0, 0] = (g_fused * a_tau).sum(axis=1)
 
-    # the max shift keeps every exp in range
+    # the max shift keeps every exp in range; column 0 is kept for the
+    # loss before the exp overwrites it
+    l0 = logits[..., 0].copy()
     m = logits.max(axis=-1, keepdims=True)
-    probs = np.subtract(logits, m)
-    np.exp(probs, out=probs)
-    total = probs.sum(axis=-1, keepdims=True)
-    losses = (m + np.log(total))[..., 0] - logits[..., 0]
-    probs /= total
+    shifted_exp = np.exp(np.subtract(logits, m, out=logits), out=logits)
+    total = shifted_exp.sum(axis=-1, keepdims=True)
+    losses = (m + np.log(total))[..., 0] - l0
     loss = (mix * losses).sum(axis=1)
-    mix_tau = mix / tau
-    grad = np.einsum("bm,mbd->bd", mix_tau * (probs[..., 0] - 1.0), scored)
+    p0 = shifted_exp[..., 0] / total[..., 0]
+    mix_tau = mix * inv_tau
+    grad = np.einsum("bm,mbd->bd", mix_tau * (p0 - 1.0), scored)
+    coef = mix_tau / total[..., 0]
     for i in range(m_scored):
-        grad += mix_tau[:, i, None] * (probs[:, i, 1:] @ queue[i])
+        grad += coef[:, i, None] * (shifted_exp[:, i, 1:] @ queue[i])
     if scheme is WeightScheme.ONLINE1:
         # d w_i / da = w_i (pos_i - sum_m w_m pos_m); contracting with
         # c_i = dL/dw_i gives sum_i w_i (c_i - sum_m w_m c_m) pos_i
         if loss_fusion:
             c = losses
         else:
-            d_gf = (probs[:, 0, :1] - 1.0) * a / tau                          # dL/d g_fused
+            d_gf = (p0 - 1.0) * a_tau                                                # dL/d g_fused
             v = (d_gf - (d_gf * g_fused).sum(axis=1, keepdims=True) * g_fused) / ny  # dL/dy
             c = np.einsum("nbd,bd->bn", pos, v)
         c = c - (weights * c).sum(axis=1, keepdims=True)
         grad = grad + np.einsum("bn,nbd->bd", weights * c, pos)
     teacher_losses = losses if loss_fusion else None
-    return ContrastiveOutcome(loss, grad, weights, pos_sims, teacher_losses, probs)
+    return ContrastiveOutcome(loss, grad, weights, pos_sims, teacher_losses, shifted_exp, total)
 
 
 def joint_loss(contrastive: float, ce: float, alpha: float, beta: float) -> float:

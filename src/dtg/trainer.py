@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import csv
 import io
+import sys
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -83,7 +84,8 @@ class TrainConfig:
     milestones: tuple[int, ...] = declared(tuple, (30, 50), ge=0)
     # a decay above 1 grows the step and one at or below 0 flips or zeroes it
     decay: float = declared(float, 0.1, gt=0, le=1)
-    tau: float = declared(float, 0.07, gt=0)
+    # the loss scales by 1/tau, which overflows for a subnormal tau
+    tau: float = declared(float, 0.07, ge=sys.float_info.min)
     K: int = declared(int, 256, ge=1)
     alpha: float = declared(float, 0.1, ge=0)
     beta: float = declared(float, 1.0, ge=0)

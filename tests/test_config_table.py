@@ -55,7 +55,7 @@ RULES = {
     "train.weight_decay": "a finite number >= 0",
     "train.milestones": "a list of integers >= 0",
     "train.decay": "a finite number > 0 and <= 1",
-    "train.tau": "a finite number > 0",
+    "train.tau": f"a finite number >= {sys.float_info.min}",
     "train.K": "an integer >= 1",
     "train.alpha": "a finite number >= 0",
     "train.beta": "a finite number >= 0",

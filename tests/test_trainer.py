@@ -9,8 +9,8 @@ import pytest
 
 from dtg import trainer
 from dtg.corpus import CorpusSpec, generate_corpus
-from dtg.losses import (FusionLevel, WeightScheme, contrastive_batch, cross_entropy_batch,
-                        joint_loss)
+from dtg.losses import (ContrastiveOutcome, FusionLevel, WeightScheme, contrastive_batch,
+                        cross_entropy_batch, joint_loss)
 from dtg.model import (StudentEncoder, TeacherBank, build_head, build_student, build_teacher,
                        forward_batch, load_student, save_student)
 from dtg.numerics import FieldError, finite_diff_check
@@ -407,6 +407,37 @@ def test_applied_gradient_matches_finite_differences(monkeypatch, joint):
 
     rep = finite_diff_check(objective, params, grads)
     assert rep.max_rel_error < 1e-6, rep.per_param_errors
+
+
+# --- what training never builds ---
+
+def _forbid_probs(monkeypatch):
+    """Make reading ``ContrastiveOutcome.probs`` fail: normalising a whole
+    (B, M, 1 + Q) array is a pass over the logits that the loop never needs."""
+    def unread(self):
+        raise AssertionError("training built ContrastiveOutcome.probs")
+    monkeypatch.setattr(ContrastiveOutcome, "probs", property(unread))
+    a = np.eye(1, 6)
+    with pytest.raises(AssertionError, match="built ContrastiveOutcome.probs"):
+        contrastive_batch(a, a[None], a[None], 0.1, WeightScheme.UNIFORM).probs
+
+
+@pytest.mark.parametrize("scheme", list(WeightScheme))
+@pytest.mark.parametrize("fusion", list(FusionLevel))
+def test_pretrain_never_builds_the_probabilities(monkeypatch, scheme, fusion):
+    _forbid_probs(monkeypatch)
+    corpus = _corpus()
+    cfg = _config(epochs=2, weight_scheme=scheme, fusion_level=fusion,
+                  offline_accuracies=(0.6, 0.4) if scheme is WeightScheme.OFFLINE else None)
+    _, report = pretrain(cfg, corpus, _bank(corpus, rhos=(0.9, 0.3)))
+    assert report.records[-1].contrastive_loss is not None
+
+
+def test_train_joint_never_builds_the_probabilities(monkeypatch):
+    _forbid_probs(monkeypatch)
+    corpus = _corpus()
+    _, report = train_joint(_config(epochs=2), corpus, _bank(corpus, rhos=(0.9, 0.3)))
+    assert report.records[-1].contrastive_loss is not None
 
 
 # --- report serialization ---
