@@ -5,9 +5,11 @@ Runs a fixed matrix of short trainings on the reference corpus, per seed:
 1 teacher under every pair mode, joint training on the few-label split,
 4 teachers under online1 with a batch of 7 (so batches straddle the window
 of K negatives), and 1 teacher with a batch of 300 and K = 64 (a batch
-larger than the window).  Each line is ``<case> <sha256>``, the digest taken over the
-``.dtgm`` checkpoint bytes followed by the sorted-key JSON of
-``report_to_dict``.
+larger than the window).  Each line is ``<case> <sha256>``, the digest taken over
+the trained arrays (each parameter's name, shape and little-endian float64
+bytes, the encoder's then the head's) followed by the sorted-key JSON of
+``report_to_dict``.  These lines do not depend on the checkpoint format, so a
+change to the file codecs leaves them as they are.
 
 Then, per seed, it runs the CLI pipeline in a temporary directory on a
 2,000-video reference corpus with the 4-teacher bank: ``gen-data``,
@@ -33,11 +35,12 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from dtg.cli import main as dtg_main
 from dtg.losses import FusionLevel, WeightScheme
-from dtg.model import save_student
 from dtg.presets import (BANK_RHOS, four_teacher_bank, joint_experiment_setup,
                          reference_bank, reference_corpus, reference_corpus_spec,
                          reference_train_config)
@@ -49,10 +52,11 @@ SHORT = dict(epochs=4, milestones=(2,))  # cold first steps, one decay, then war
 MASK = 0.25
 
 
-def digest(enc, head, report, scratch: Path) -> str:
-    path = scratch / "checkpoint.dtgm"
-    save_student(path, enc, head)
-    h = hashlib.sha256(path.read_bytes())
+def digest(enc, head, report) -> str:
+    h = hashlib.sha256()
+    for name, p in enc.parameters() + (head.parameters() if head is not None else []):
+        h.update(f"{name} {p.shape}\n".encode())
+        h.update(np.ascontiguousarray(p, "<f8").tobytes())
     h.update(json.dumps(report_to_dict(report), sort_keys=True).encode())
     return h.hexdigest()
 
@@ -120,10 +124,9 @@ def main() -> int:
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
     args = ap.parse_args()
-    with tempfile.TemporaryDirectory() as tmp:
-        for seed in args.seeds:
-            for name, enc, head, report in runs(seed):
-                print(f"seed{seed}-{name} {digest(enc, head, report, Path(tmp))}", flush=True)
+    for seed in args.seeds:
+        for name, enc, head, report in runs(seed):
+            print(f"seed{seed}-{name} {digest(enc, head, report)}", flush=True)
     for seed in args.seeds:
         with tempfile.TemporaryDirectory() as tmp:
             for name, sha in cli_artifacts(seed, Path(tmp)):

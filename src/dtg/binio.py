@@ -1,13 +1,21 @@
-"""Little-endian binary records with a BLAKE2b trailer checksum, and the
-one writer of every file.
+"""Little-endian binary records with a CRC-32 trailer, and the one writer
+of every file.
 
 The corpus and checkpoint file formats share these conventions: an ASCII
 header line, ``struct``-packed little-endian fields, whole row-major arrays
-of a stated little-endian dtype, and a trailing 8-byte
-``blake2b(digest_size=8)`` digest of every preceding byte.  Zero bytes pad
-each array to an offset that is a multiple of its item size, so the reader's
+of a stated little-endian dtype, and a trailing 4-byte little-endian
+``zlib.crc32`` of every preceding byte (``checksum``).  Zero bytes pad each
+array to an offset that is a multiple of its item size, so the reader's
 views into the file buffer are aligned: numpy computes on unaligned arrays
 through other loops, whose results can differ in the last bits.
+
+The trailer guards against accidental damage only.  CRC-32 catches every
+burst error of up to 32 bits, every single-bit flip among them, and lets
+random damage through with probability 2^-32.  It is unkeyed, as the
+BLAKE2b trailer of the v2 formats was: anyone who can change a file can
+recompute its trailer, so no trailer of either kind ever authenticated a
+file.  Files of the v2 formats are rejected as an unsupported version;
+regenerate a corpus with ``dtg gen-data`` and retrain a checkpoint.
 
 Every file the package writes, these records and its JSON and CSV files
 alike, goes through ``write_file``: the bytes go to a temporary file beside
@@ -21,16 +29,16 @@ is replaced by the new file, not written through.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
 import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
 
-_DIGEST = 8
+CHECKSUM_SIZE = 4
 
 
 class FormatError(ValueError):
@@ -45,23 +53,35 @@ class ChecksumMismatchError(FormatError):
     """Stored checksum does not match the file contents."""
 
 
-def write_file(path, data: bytes | str) -> None:
+def checksum(*parts) -> bytes:
+    """The record trailer: ``zlib.crc32`` of the concatenated bytes-like
+    ``parts``, as ``CHECKSUM_SIZE`` little-endian bytes."""
+    crc = 0
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+    return crc.to_bytes(CHECKSUM_SIZE, "little")
+
+
+def write_file(path, data) -> None:
     """Write ``data`` to ``path`` whole, or leave ``path`` as it was.
 
-    Parent directories are created as needed; a ``str`` is encoded as UTF-8
-    with no newline translation.  The file gets the mode ``open`` gives a
-    new file, ``0o666`` less the umask.
+    ``data`` is bytes-like, a ``str`` (encoded as UTF-8 with no newline
+    translation) or a list or tuple of bytes-like parts, written in order
+    without joining them.  Parent directories are created as needed.  The
+    file gets the mode ``open`` gives a new file, ``0o666`` less the umask.
     """
     path = Path(path)
     if isinstance(data, str):
         data = data.encode("utf-8")
+    parts = data if isinstance(data, (list, tuple)) else (data,)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
     # opened outside the try: a name another writer holds is not ours to unlink
     fh = open(tmp, "xb")
     try:
         with fh:
-            fh.write(data)
+            for part in parts:
+                fh.write(part)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -76,7 +96,8 @@ def write_json(path, doc) -> None:
 class RecordWriter:
     """Accumulates fields in order; ``finish`` appends the checksum.
 
-    Arrays are referenced, not copied, until ``finish`` joins the record.
+    Arrays are referenced, not copied: ``finish`` returns the record as its
+    parts, which ``write_file`` writes one after another.
     """
 
     def __init__(self, header: str):
@@ -96,11 +117,10 @@ class RecordWriter:
         self._add(bytes(-self._size % data.itemsize))
         self._add(data.reshape(-1).view(np.uint8))
 
-    def finish(self) -> bytes:
-        h = hashlib.blake2b(digest_size=_DIGEST)
-        for part in self._parts:
-            h.update(part)
-        return b"".join([*self._parts, h.digest()])
+    def finish(self) -> list:
+        """The record's parts in order, the checksum last; ``b"".join``
+        makes its bytes."""
+        return [*self._parts, checksum(*self._parts)]
 
 
 class RecordReader:
@@ -112,7 +132,7 @@ class RecordReader:
     def __init__(self, data: bytes, header: str):
         expected = header.encode("ascii")
         newline = data.find(b"\n")
-        if newline < 0 or len(data) < newline + 1 + _DIGEST:
+        if newline < 0 or len(data) < newline + 1 + CHECKSUM_SIZE:
             raise FormatError("file truncated before record body")
         found = data[:newline]
         if found != expected:
@@ -124,8 +144,8 @@ class RecordReader:
                 )
             raise FormatError(f"unrecognized header {found[:32]!r}, expected {header!r}")
         view = memoryview(data)
-        body, stored = view[:-_DIGEST], bytes(view[-_DIGEST:])
-        computed = hashlib.blake2b(body, digest_size=_DIGEST).digest()
+        body, stored = view[:-CHECKSUM_SIZE], bytes(view[-CHECKSUM_SIZE:])
+        computed = checksum(body)
         if stored != computed:
             raise ChecksumMismatchError(
                 f"checksum mismatch: stored {stored.hex()}, computed {computed.hex()}"

@@ -25,14 +25,18 @@ the per-video formula does, so every value matches a per-video loop bit
 for bit.
 
 File format (``save_corpus``/``load_corpus``, conventions in ``binio``):
-header line ``DTGC v2``, then one little-endian record ``<5I3dQQ`` holding
+header line ``DTGC v3``, then one little-endian record ``<5I3dQQ`` holding
 the spec (u32 C, videos per class, L, D, Ds; f64 spread, noise, drift; u64
 seed) and the actual video count V, which differs from C * videos-per-class
 for a ``split_videos`` half.  Then whole row-major arrays, each zero-padded
 to a multiple of its item size: the two bases (Ds, D) and (D - Ds, D) f8,
-labels (V,) u4, ids (V,) u8 and frames (V, L, D) f8; last, the 8-byte
-BLAKE2b digest of all preceding bytes.  There is no v1 reader: a ``DTGC v1``
-file is rejected as an unsupported version.
+labels (V,) u4, ids (V,) u8 and frames (V, L, D) f8; last, the 4-byte
+little-endian CRC-32 of all preceding bytes.  It catches accidental damage
+(every burst of up to 32 bits, random damage but for a 2^-32 chance); like
+any unkeyed trailer it does not authenticate the file.  v3 differs from v2
+only in the header and the trailer (v2 ended in an 8-byte BLAKE2b digest).
+There is no v2 or v1 reader: such a file is rejected as an unsupported
+version, and ``dtg gen-data`` regenerates it.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from .binio import FormatError, RecordReader, RecordWriter, write_file
 from .numerics import DegenerateInputError, FieldError, check_fields, declared, haar_orthogonal
 from .seeding import substream, substreams
 
-CORPUS_HEADER = "DTGC v2"
+CORPUS_HEADER = "DTGC v3"
 _SPEC_RECORD = "<5I3dQQ"  # CorpusSpec fields in declaration order, then V
 
 
@@ -211,7 +215,7 @@ def save_corpus(corpus: Corpus, path) -> None:
 
 
 def load_corpus(path) -> Corpus:
-    """Read a ``DTGC v2`` file; any malformed content, a label outside the
+    """Read a ``DTGC v3`` file; any malformed content, a label outside the
     spec or a non-finite basis or frame value included, raises
     ``FormatError``.  The arrays are read-only views of the file's bytes,
     except the labels, which are widened to int64."""

@@ -20,7 +20,7 @@ from .binio import RecordReader, RecordWriter, write_file
 from .numerics import haar_orthogonal, unit_rows
 from .seeding import substream
 
-CHECKPOINT_HEADER = "DTGM v2"
+CHECKPOINT_HEADER = "DTGM v3"
 
 
 @dataclass
@@ -245,9 +245,12 @@ def build_head(embed_dim: int, num_classes: int, seed: int) -> ClassifierHead:
 
 
 def save_student(path, enc: StudentEncoder, head: ClassifierHead | None = None) -> None:
-    """Checkpoint: ``DTGM v2`` header, u32 layer dims (D, h, d), row-major
+    """Checkpoint: ``DTGM v3`` header, u32 layer dims (D, h, d), row-major
     float64 weights, a u8 head flag and, with a head, u32 class count and its
-    weights, then the 8-byte BLAKE2b digest of all preceding bytes."""
+    weights, then the 4-byte little-endian CRC-32 of all preceding bytes
+    (conventions and guarantees in ``binio``).  A ``DTGM v2`` checkpoint,
+    whose trailer was an 8-byte BLAKE2b digest, is rejected as an
+    unsupported version: retrain it."""
     w = RecordWriter(CHECKPOINT_HEADER)
     w.pack("<3I", enc.frame_dim, enc.hidden_dim, enc.embed_dim)
     for _, p in enc.parameters():

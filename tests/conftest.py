@@ -1,11 +1,11 @@
 import dataclasses
-import hashlib
 import struct
 
 import numpy as np
 import pytest
 
 from dtg import trainer
+from dtg.binio import CHECKSUM_SIZE, checksum
 from dtg.corpus import CORPUS_HEADER, CorpusSpec, generate_corpus
 from dtg.losses import contrastive_batch
 from dtg.model import TeacherBank, build_teacher, teacher_features
@@ -162,7 +162,7 @@ BAD_SCHEDULE_FIELDS = [
 ]
 
 
-SPEC_RECORD = "<5I3dQQ"  # the documented DTGC v2 spec record
+SPEC_RECORD = "<5I3dQQ"  # the documented DTGC spec record
 SPEC_FIELDS = [f.name for f in dataclasses.fields(CorpusSpec)] + ["num_videos"]
 
 
@@ -173,5 +173,5 @@ def crafted(blob: bytes, **values) -> bytes:
     end = start + struct.calcsize(SPEC_RECORD)
     fields = dict(zip(SPEC_FIELDS, struct.unpack(SPEC_RECORD, blob[start:end])))
     fields.update(values)
-    body = blob[:start] + struct.pack(SPEC_RECORD, *fields.values()) + blob[end:-8]
-    return body + hashlib.blake2b(body, digest_size=8).digest()
+    body = blob[:start] + struct.pack(SPEC_RECORD, *fields.values()) + blob[end:-CHECKSUM_SIZE]
+    return body + checksum(body)

@@ -7,7 +7,11 @@ from hypothesis import given, strategies as st
 
 from dtg import binio
 from dtg.binio import (ChecksumMismatchError, FormatError, RecordReader,
-                       RecordWriter, VersionMismatchError, write_file, write_json)
+                       RecordWriter, VersionMismatchError, checksum, write_file, write_json)
+
+
+def record(w: RecordWriter) -> bytes:
+    return b"".join(w.finish())
 
 
 def test_round_trip_scalars_and_array():
@@ -18,7 +22,7 @@ def test_round_trip_scalars_and_array():
     ids = np.array([0, 2 ** 63 + 5, 7], dtype=np.uint64)
     w.array(ids, "<u8")
     w.array(np.zeros((0, 3)))
-    blob = w.finish()
+    blob = record(w)
 
     r = RecordReader(blob, "DTGX v1")
     assert r.unpack("<BIQd") == (3, 70000, 2 ** 40, -1.5)
@@ -34,7 +38,7 @@ def test_arrays_are_aligned_read_only_views_of_the_file():
     w.pack("<B", 1)
     w.array(np.arange(3), "<u4")
     w.array(np.ones((4, 4)))
-    blob = w.finish()
+    blob = record(w)
     r = RecordReader(blob, "DTGX v1")
     r.unpack("<B")
     arrays = [r.array((3,), "<u4"), r.array((4, 4))]
@@ -47,20 +51,47 @@ def test_arrays_are_aligned_read_only_views_of_the_file():
 def test_checksum_detects_corruption():
     w = RecordWriter("DTGX v1")
     w.pack("<d", 1.0)
-    blob = bytearray(w.finish())
+    blob = bytearray(record(w))
     blob[len(b"DTGX v1\n") + 2] ^= 0xFF
     with pytest.raises(ChecksumMismatchError):
         RecordReader(bytes(blob), "DTGX v1")
 
 
+def _small_record() -> bytes:
+    w = RecordWriter("DTGX v1")
+    w.pack("<BI", 7, 123456)
+    w.array(np.array([1.0, -2.5]))
+    return record(w)
+
+
+def test_small_record_has_its_recorded_crc32_trailer():
+    blob = _small_record()
+    # recorded from a bitwise CRC-32 of the preceding bytes (zlib's: reflected
+    # polynomial 0xEDB88320, initial and final xor 0xFFFFFFFF), little-endian
+    assert blob[-4:].hex() == "318bdd16"
+    assert checksum(blob[:-4]) == blob[-4:]
+
+
+def test_every_single_bit_flip_is_rejected():
+    blob = _small_record()
+    header_end = blob.index(b"\n") + 1
+    for bit in range(8 * len(blob)):
+        flipped = bytearray(blob)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        with pytest.raises(FormatError) as exc:
+            RecordReader(bytes(flipped), "DTGX v1")
+        in_header = bit // 8 < header_end
+        assert isinstance(exc.value, ChecksumMismatchError) != in_header, bit
+
+
 def test_version_mismatch_is_specific():
-    blob = RecordWriter("DTGX v2").finish()
+    blob = record(RecordWriter("DTGX v2"))
     with pytest.raises(VersionMismatchError):
         RecordReader(blob, "DTGX v1")
 
 
 def test_wrong_family_is_generic_format_error():
-    blob = RecordWriter("OTHER v1").finish()
+    blob = record(RecordWriter("OTHER v1"))
     with pytest.raises(FormatError) as exc:
         RecordReader(blob, "DTGX v1")
     assert not isinstance(exc.value, VersionMismatchError)
@@ -69,7 +100,7 @@ def test_wrong_family_is_generic_format_error():
 def test_truncated_file_rejected():
     w = RecordWriter("DTGX v1")
     w.pack("<Q", 5)
-    blob = w.finish()
+    blob = record(w)
     with pytest.raises(FormatError):
         RecordReader(blob[:-3], "DTGX v1")
 
@@ -77,7 +108,7 @@ def test_truncated_file_rejected():
 def test_huge_array_shape_is_record_truncated():
     w = RecordWriter("DTGX v1")
     w.pack("<d", 1.0)
-    r = RecordReader(w.finish(), "DTGX v1")
+    r = RecordReader(record(w), "DTGX v1")
     with pytest.raises(FormatError, match="record truncated"):
         r.array((2 ** 64 - 1, 2 ** 32 - 1, 2 ** 32 - 1))
 
@@ -85,7 +116,7 @@ def test_huge_array_shape_is_record_truncated():
 def test_trailing_bytes_rejected():
     w = RecordWriter("DTGX v1")
     w.pack("<B", 1)
-    r = RecordReader(w.finish(), "DTGX v1")
+    r = RecordReader(record(w), "DTGX v1")
     with pytest.raises(FormatError):
         r.expect_end()  # the u8 was never consumed
 
@@ -96,7 +127,7 @@ def test_f64_round_trip_exact(values):
     w = RecordWriter("DTGX v1")
     for v in values:
         w.pack("<d", v)
-    r = RecordReader(w.finish(), "DTGX v1")
+    r = RecordReader(record(w), "DTGX v1")
     for v in values:
         assert r.unpack("<d") == (v,)
     r.expect_end()
@@ -170,6 +201,12 @@ def test_write_file_replaces_a_symlink_instead_of_writing_through(tmp_path):
     write_file(link, b"new")
     assert not link.is_symlink() and link.read_bytes() == b"new"
     assert target.read_bytes() == b"target"
+
+
+def test_write_file_writes_parts_in_order(tmp_path):
+    parts = [b"head\n", np.arange(3, dtype="<u2").view(np.uint8), memoryview(b"tail")]
+    write_file(tmp_path / "f.bin", parts)
+    assert (tmp_path / "f.bin").read_bytes() == b"head\n\x00\x00\x01\x00\x02\x00tail"
 
 
 def test_write_json_is_sorted_indented_and_newline_terminated(tmp_path):

@@ -1,4 +1,3 @@
-import hashlib
 import json
 import struct
 import warnings
@@ -7,6 +6,7 @@ import numpy as np
 import pytest
 
 import dtg.cli
+from dtg.binio import CHECKSUM_SIZE, checksum
 from dtg.cli import main
 from dtg.corpus import CORPUS_HEADER
 from dtg.model import StudentEncoder, TeacherBank, build_teacher, save_student
@@ -177,7 +177,7 @@ def test_missing_corpus_file_exits_3(tmp_path):
 
 def test_corrupt_checkpoint_probe_exits_3_without_out_dir(tmp_path, capsys):
     ckpt = tmp_path / "bad.dtgm"
-    ckpt.write_bytes(b"DTGM v2\n" + bytes(40))
+    ckpt.write_bytes(b"DTGM v3\n" + bytes(40))
     cfg = _write_config(tmp_path, _config_doc(tmp_path / "run"))
     assert main(["probe", "--config", cfg, "--checkpoint", str(ckpt), "--quiet"]) == 3
     assert capsys.readouterr().err.startswith("error: ")
@@ -239,10 +239,10 @@ def test_checksum_valid_bad_header_exits_3(tmp_path, capsys, values, message):
 @pytest.mark.parametrize("command", ["pretrain", "probe"])
 @pytest.mark.parametrize("value", [float("nan"), float("-inf")])
 def test_checksum_valid_non_finite_frame_exits_3(tmp_path, capsys, command, value):
-    # the frames are the last array: overwrite the last value, then re-digest
-    body = _generated_corpus_bytes(tmp_path)[:-16] + struct.pack("<d", value)
+    # the frames are the last array: overwrite the last value, then re-checksum
+    body = _generated_corpus_bytes(tmp_path)[:-CHECKSUM_SIZE - 8] + struct.pack("<d", value)
     corpus_file = tmp_path / "non-finite.dtgc"
-    corpus_file.write_bytes(body + hashlib.blake2b(body, digest_size=8).digest())
+    corpus_file.write_bytes(body + checksum(body))
     doc = _config_doc(tmp_path / "run")
     doc["corpus"] = str(corpus_file)
     assert main([command, "--config", _write_config(tmp_path, doc, "run.json"), "--quiet"]) == 3
@@ -250,10 +250,10 @@ def test_checksum_valid_non_finite_frame_exits_3(tmp_path, capsys, command, valu
     assert not (tmp_path / "run").exists()
 
 
-def test_v1_corpus_exits_3_unsupported_version(tmp_path, capsys):
-    blob = _generated_corpus_bytes(tmp_path).replace(CORPUS_HEADER.encode(), b"DTGC v1", 1)
+def test_v2_corpus_exits_3_unsupported_version(tmp_path, capsys):
+    blob = _generated_corpus_bytes(tmp_path).replace(CORPUS_HEADER.encode(), b"DTGC v2", 1)
     assert _probe_exit(tmp_path, blob) == 3
-    assert "unsupported version 'DTGC v1'" in capsys.readouterr().err
+    assert "unsupported version 'DTGC v2'" in capsys.readouterr().err
 
 
 def test_numeric_abort_exits_4(tmp_path, monkeypatch):

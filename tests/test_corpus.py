@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -49,11 +50,11 @@ def test_accessors_return_the_stored_read_only_arrays(tmp_path, tiny_corpus):
 # rounding or the file layout fails
 RECORDED_CORPUS_SHA256 = [
     (CorpusSpec(3, 4, 5, 8, 3, video_spread=0.7, frame_noise=0.2, drift=0.1, seed=2 ** 40 + 7),
-     "50bf46d844e39d446db2518ffdc63053887c66c150b1f4231ae5776ff030cfc3"),
+     "fd3ac877951d9fe41c323c2300d0bb8f0241848a81d6cea6431d32c45d305923"),
     (CorpusSpec(2, 3, 4, 6, 6, video_spread=1.0, frame_noise=0.3, drift=0.4, seed=5),
-     "5cc7eb77516f98c9f51cea6f6faafef546658baf89a3a2acdd83191bbdd206b1"),
+     "0e84f6489496efbd41c08053b79866674b649b67725686abc89191d9b4078db1"),
     (CorpusSpec(4, 2, 1, 5, 2, video_spread=0.5, frame_noise=0.1, drift=0.2, seed=11),
-     "4a8f72af305d088bf63cea82690409d1aac8146e68c350fbb9becb917a3fb4c3"),
+     "573b0c933aa87a4b8e66fc49e3d000209f90e475e7be844d70616978204a26a9"),
 ]
 
 
@@ -62,6 +63,21 @@ RECORDED_CORPUS_SHA256 = [
 def test_saved_corpus_matches_recorded_bytes(tmp_path, spec, digest):
     save_corpus(generate_corpus(spec), tmp_path / "c.dtgc")
     assert hashlib.sha256((tmp_path / "c.dtgc").read_bytes()).hexdigest() == digest
+
+
+def test_save_corpus_does_not_copy_the_frames(tmp_path):
+    # 1,024 videos of 8 frames of 128 float64 values: 8 MiB of frames
+    corpus = generate_corpus(CorpusSpec(4, 256, 8, 128, 8, seed=3))
+    frame_bytes = corpus.frames().nbytes
+    assert frame_bytes >= 8 * 2 ** 20
+    tracemalloc.start()
+    try:
+        save_corpus(corpus, tmp_path / "c.dtgc")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < frame_bytes / 4, (peak, frame_bytes)
+    assert np.array_equal(load_corpus(tmp_path / "c.dtgc").frames(), corpus.frames())
 
 
 def test_videos_match_the_per_video_formula():
@@ -218,11 +234,11 @@ def test_version_mismatch_raises_version_error(tmp_path, tiny_corpus):
         load_corpus(path)
 
 
-def test_v1_file_is_an_unsupported_version(tmp_path, tiny_corpus):
+def test_v2_file_is_an_unsupported_version(tmp_path, tiny_corpus):
     path = tmp_path / "c.dtgc"
     save_corpus(tiny_corpus, path)
-    _with_version(path, "v1")
-    with pytest.raises(VersionMismatchError, match="unsupported version 'DTGC v1'"):
+    _with_version(path, "v2")
+    with pytest.raises(VersionMismatchError, match="unsupported version 'DTGC v2'"):
         load_corpus(path)
 
 

@@ -258,13 +258,13 @@ def _saved_with_version(path, version):
 
 def test_checkpoint_version_error(tmp_path):
     path = tmp_path / "m.dtgm"
-    _saved_with_version(path, "v3")
+    _saved_with_version(path, "v9")
     with pytest.raises(VersionMismatchError):
         load_student(path)
 
 
-def test_v1_checkpoint_is_an_unsupported_version(tmp_path):
+def test_v2_checkpoint_is_an_unsupported_version(tmp_path):
     path = tmp_path / "m.dtgm"
-    _saved_with_version(path, "v1")
-    with pytest.raises(VersionMismatchError, match="unsupported version 'DTGM v1'"):
+    _saved_with_version(path, "v2")
+    with pytest.raises(VersionMismatchError, match="unsupported version 'DTGM v2'"):
         load_student(path)
