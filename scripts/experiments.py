@@ -21,8 +21,6 @@ writes the per-seed rows as a CSV when --out is given.
 """
 
 import argparse
-import csv
-import io
 import sys
 from pathlib import Path
 
@@ -31,7 +29,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from dtg import presets
-from dtg.binio import write_file
+from dtg.binio import write_csv
 from dtg.losses import WeightScheme
 from dtg.sampling import PairMode
 
@@ -124,11 +122,7 @@ def main(argv=None) -> int:
     run, default_seeds = STUDIES[args.study]
     header, rows = run(args.seeds or default_seeds)
     if args.out:
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(header)
-        w.writerows(rows)
-        write_file(args.out, buf.getvalue())
+        write_csv(args.out, [header, *rows])
         print(f"wrote {args.out}")
     return 0
 

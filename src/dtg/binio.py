@@ -29,6 +29,8 @@ is replaced by the new file, not written through.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import os
@@ -91,6 +93,18 @@ def write_file(path, data) -> None:
 def write_json(path, doc) -> None:
     """``doc`` as indented JSON with sorted keys and a final newline."""
     write_file(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def write_csv(path, rows, comment: str | None = None) -> None:
+    """``rows`` in ``csv.writer``'s default dialect: commas, quotes where a
+    cell needs them, and every row ended by ``\\r\\n``; a float is written by
+    ``repr`` and None as an empty cell.  A ``comment`` comes first, as one
+    ``# <comment>\\n`` line."""
+    buf = io.StringIO()
+    if comment is not None:
+        buf.write(f"# {comment}\n")
+    csv.writer(buf).writerows(rows)
+    write_file(path, buf.getvalue())
 
 
 class RecordWriter:

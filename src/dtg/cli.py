@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .binio import FormatError, write_file, write_json
+from .binio import FormatError, write_csv, write_json
 from .config import ConfigError, ExperimentConfig, load_config, resolve, to_dict
 from .corpus import generate_corpus, load_corpus, save_corpus
 from .evaluation import (
@@ -235,11 +235,8 @@ def cmd_report(args) -> int:
         values = np.array(per_metric[metric])
         std = float(values.std(ddof=1)) if values.size > 1 else 0.0
         rows.append((metric, float(values.mean()), std, values.size))
-    # the rows end in \r\n, as csv.writer ends them
-    write_file(Path(args.out or ".") / "summary.csv",
-               "# runs=" + ";".join(str(Path(r)) for r in args.runs) + "\n"
-               "metric,mean,std,n\r\n"
-               + "".join(f"{metric},{mean!r},{std!r},{n}\r\n" for metric, mean, std, n in rows))
+    write_csv(Path(args.out or ".") / "summary.csv", [("metric", "mean", "std", "n"), *rows],
+              comment="runs=" + ";".join(str(Path(r)) for r in args.runs))
     for metric, mean, std, n in rows:
         _say(args, f"{metric}: {mean:.4f} +/- {std:.4f} (n={n})")
     return 0

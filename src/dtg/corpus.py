@@ -48,7 +48,8 @@ from pathlib import Path
 import numpy as np
 
 from .binio import FormatError, RecordReader, RecordWriter, write_file
-from .numerics import DegenerateInputError, FieldError, check_fields, declared, haar_orthogonal
+from .numerics import (DegenerateInputError, FieldError, all_finite, check_fields, declared,
+                       haar_orthogonal)
 from .seeding import substream, substreams
 
 CORPUS_HEADER = "DTGC v3"
@@ -152,17 +153,11 @@ def generate_corpus(spec: CorpusSpec) -> Corpus:
         frames *= spec.frame_noise
         for t in range(spec.frames_per_video):
             frames[:, t] += z + spec.drift * t * direction
-    if not _all_finite(frames):
+    if not all_finite(frames):
         vid = np.flatnonzero(~np.isfinite(frames).all(axis=(1, 2)))[0]
         raise DegenerateInputError(f"corpus frames overflow at video {vid}: lower "
                                    "corpus.video_spread, frame_noise or drift")
     return Corpus(spec, signal_basis, nuisance_basis, frames, labels, ids)
-
-
-def _all_finite(a: np.ndarray) -> bool:
-    """Whether every value of ``a`` is finite, with no temporary the size of
-    ``a``: NaN propagates through min and max, and an infinity is one of them."""
-    return a.size == 0 or bool(np.isfinite(a.min()) and np.isfinite(a.max()))
 
 
 def stratified_split(labels: np.ndarray, frac: float, seed: int, tag: str = "probe-split"
@@ -234,6 +229,6 @@ def load_corpus(path) -> Corpus:
     r.expect_end()
     if count and labels.max() >= spec.num_classes:
         raise FormatError(f"label {labels.max()} out of range for {spec.num_classes} classes")
-    if not all(map(_all_finite, (signal_basis, nuisance_basis, frames))):
+    if not all(map(all_finite, (signal_basis, nuisance_basis, frames))):
         raise FormatError("corpus bases or frames hold non-finite values")
     return Corpus(spec, signal_basis, nuisance_basis, frames, labels.astype(np.int64), ids)

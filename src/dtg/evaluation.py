@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binio import write_file
+from .binio import write_csv
 from .corpus import Corpus, stratified_split
 from .losses import _cross_entropy_grad
 from .model import (
@@ -239,12 +239,10 @@ def project_2d(features: np.ndarray) -> np.ndarray:
 
 
 def write_projection_csv(path, video_ids, labels, coords, seed: int = 0) -> None:
-    """The 2-d projection as CSV rows ``video_id,label,x,y``, floats written
-    by ``repr`` and lines ended by ``\\r\\n`` as ``csv.writer`` ends them."""
+    """The 2-d projection as CSV rows ``video_id,label,x,y`` (``binio.write_csv``)."""
     ids = np.asarray(video_ids).astype(np.int64).tolist()
     labs = np.asarray(labels).astype(np.int64).tolist()
     pts = np.asarray(coords, dtype=np.float64).tolist()
-    rows = "".join(f"{vid},{lab},{px!r},{py!r}\r\n"
-                   for vid, lab, (px, py) in zip(ids, labs, pts))
-    write_file(path, f"# seed={seed}; full run configuration in config.json\n"
-                     f"video_id,label,x,y\r\n{rows}")
+    write_csv(path, [("video_id", "label", "x", "y"),
+                     *([vid, lab, *pt] for vid, lab, pt in zip(ids, labs, pts))],
+              comment=f"seed={seed}; full run configuration in config.json")

@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .binio import RecordReader, RecordWriter, write_file
-from .numerics import haar_orthogonal, unit_rows
+from .binio import FormatError, RecordReader, RecordWriter, write_file
+from .numerics import all_finite, haar_orthogonal, unit_rows
 from .seeding import substream
 
 CHECKPOINT_HEADER = "DTGM v3"
@@ -65,61 +65,26 @@ def _affine(rng: np.random.Generator, fan_out: int, fan_in: int):
     return rng.uniform(-bound, bound, (fan_out, fan_in)), rng.uniform(-bound, bound, fan_out)
 
 
-@dataclass
-class Activations:
-    """Where one forward and backward pass of at most ``rows`` samples puts
-    its activations and backward scratch.  A training run makes one set
-    sized for its batch and passes it to every ``forward_batch``; a call on
-    n < rows samples uses the first n rows of each.  A field left None (all
-    of them by default) makes that array fresh on every call."""
-
-    z1: np.ndarray | None = None     # (rows, h) first affine
-    a1: np.ndarray | None = None     # (rows, h) its ReLU
-    z2: np.ndarray | None = None     # (rows, h)
-    a2: np.ndarray | None = None     # (rows, h)
-    z3: np.ndarray | None = None     # (rows, d) pre-normalization feature
-    dz3: np.ndarray | None = None    # (rows, d) backward scratch
-    dz2: np.ndarray | None = None    # (rows, h)
-    dz1: np.ndarray | None = None    # (rows, h)
-
-    @classmethod
-    def empty(cls, enc: StudentEncoder, rows: int) -> "Activations":
-        h, d = enc.hidden_dim, enc.embed_dim
-        hidden = lambda: np.empty((rows, h))
-        return cls(z1=hidden(), a1=hidden(), z2=hidden(), a2=hidden(), z3=np.empty((rows, d)),
-                   dz3=np.empty((rows, d)), dz2=hidden(), dz1=hidden())
-
-    def first(self, n: int) -> "Activations":
-        """The first n rows of every array, as views (self if n is all of them)."""
-        if n == len(self.z1):
-            return self
-        return Activations(*(a[:n] for a in vars(self).values()))
-
-
-def forward_batch(enc: StudentEncoder, pooled: np.ndarray, act: Activations | None = None):
+def forward_batch(enc: StudentEncoder, pooled: np.ndarray):
     """Forward pass on mean-pooled inputs (B, D) -> unit-norm features (B, d)
-    plus the activation cache consumed by ``backward_batch``.
-
-    With ``act`` the activations are written into it, so the cache is valid
-    until the next call with the same ``act``; without, they are fresh
-    arrays.  The returned features are a new array on every call."""
+    plus the activation cache consumed by ``backward_batch``.  Every call
+    makes its activations and features afresh."""
     x = np.asarray(pooled, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"forward_batch takes pooled (B, D) input, got shape {x.shape}")
     if x.shape[1] != enc.frame_dim:
         raise ValueError(f"encoder has frame_dim {enc.frame_dim}; its input has "
                          f"D = {x.shape[1]}")
-    act = Activations() if act is None else act.first(len(x))
-    z1 = np.matmul(x, enc.W1.T, out=act.z1)
+    z1 = x @ enc.W1.T
     z1 += enc.b1
-    a1 = np.maximum(z1, 0.0, out=act.a1)
-    z2 = np.matmul(a1, enc.W2.T, out=act.z2)
+    a1 = np.maximum(z1, 0.0)
+    z2 = a1 @ enc.W2.T
     z2 += enc.b2
-    a2 = np.maximum(z2, 0.0, out=act.a2)
-    z3 = np.matmul(a2, enc.W3.T, out=act.z3)
+    a2 = np.maximum(z2, 0.0)
+    z3 = a2 @ enc.W3.T
     z3 += enc.b3
     out, norms = unit_rows(z3, "pre-normalization feature")
-    return out, (x, z1, a1, z2, a2, out, norms, act)
+    return out, (x, z1, a1, z2, a2, out, norms)
 
 
 def backward_batch(enc: StudentEncoder, cache, d_out: np.ndarray,
@@ -131,20 +96,20 @@ def backward_batch(enc: StudentEncoder, cache, d_out: np.ndarray,
     is None."""
     if grads is None:
         grads = {name: np.empty_like(p) for name, p in enc.parameters()}
-    x, z1, a1, z2, a2, out, norms, act = cache
+    x, z1, a1, z2, a2, out, norms = cache
     # through y = z / |z|:  dz = (dy - (dy . y) y) / |z|
-    dz3 = np.multiply(d_out, out, out=act.dz3)
+    dz3 = d_out * out
     inner = np.sum(dz3, axis=1, keepdims=True)
     np.multiply(inner, out, out=dz3)
     np.subtract(d_out, dz3, out=dz3)
     dz3 /= norms
     np.matmul(dz3.T, a2, out=grads["W3"])
     np.add.reduce(dz3, axis=0, out=grads["b3"])
-    dz2 = np.matmul(dz3, enc.W3, out=act.dz2)
+    dz2 = dz3 @ enc.W3
     dz2 *= z2 > 0
     np.matmul(dz2.T, a1, out=grads["W2"])
     np.add.reduce(dz2, axis=0, out=grads["b2"])
-    dz1 = np.matmul(dz2, enc.W2, out=act.dz1)
+    dz1 = dz2 @ enc.W2
     dz1 *= z1 > 0
     np.matmul(dz1.T, x, out=grads["W1"])
     np.add.reduce(dz1, axis=0, out=grads["b1"])
@@ -264,6 +229,9 @@ def save_student(path, enc: StudentEncoder, head: ClassifierHead | None = None) 
 
 
 def load_student(path) -> tuple[StudentEncoder, ClassifierHead | None]:
+    """Read a ``DTGM v3`` file; any malformed content, a non-finite weight or
+    bias included, raises ``FormatError``.  The arrays are read-only views of
+    the file's bytes."""
     r = RecordReader(Path(path).read_bytes(), CHECKPOINT_HEADER)
     dim, hidden, embed = r.unpack("<3I")
     enc = StudentEncoder(
@@ -279,4 +247,7 @@ def load_student(path) -> tuple[StudentEncoder, ClassifierHead | None]:
         (classes,) = r.unpack("<I")
         head = ClassifierHead(W=r.array((classes, embed)), b=r.array((classes,)))
     r.expect_end()
+    arrays = enc.parameters() + (head.parameters() if head is not None else [])
+    if not all(all_finite(a) for _, a in arrays):
+        raise FormatError("checkpoint weights or biases hold non-finite values")
     return enc, head

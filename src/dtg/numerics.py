@@ -45,6 +45,12 @@ def as_matrix(x, name: str = "input") -> np.ndarray:
     return m
 
 
+def all_finite(a: np.ndarray) -> bool:
+    """Whether every value of ``a`` is finite, with no temporary the size of
+    ``a``: NaN propagates through min and max, and an infinity is one of them."""
+    return a.size == 0 or bool(np.isfinite(a.min()) and np.isfinite(a.max()))
+
+
 def is_integer_array(a: np.ndarray) -> bool:
     """Whether ``a`` holds integers by dtype, the rule for class labels: a
     float array of whole numbers is not, and neither is a bool array."""

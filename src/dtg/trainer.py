@@ -9,9 +9,7 @@ one SGD step to the student (and classifier head in joint mode).  Teachers
 are never updated.  The training state is three flat float64 vectors, the
 parameters, their gradient and their momentum velocity, updated in place;
 the encoder's and head's arrays are reshaped views of the parameter vector,
-and ``backward_batch`` writes into views of the gradient vector.  The
-step's activations live in buffers made once per run for a full batch; the
-last, short batch uses their first rows.
+and ``backward_batch`` writes into views of the gradient vector.
 
 A step's negatives are the last K guidance rows fed before it, oldest first
 (a FIFO, as in MoCo), for all N teachers at once: a window on one
@@ -29,8 +27,6 @@ order.
 
 from __future__ import annotations
 
-import csv
-import io
 import sys
 import time
 from dataclasses import dataclass, field
@@ -39,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .binio import write_file, write_json
+from .binio import write_csv, write_json
 from .corpus import Corpus
 from .losses import (
     ContrastiveOutcome,
@@ -50,7 +46,6 @@ from .losses import (
     joint_loss,
 )
 from .model import (
-    Activations,
     ClassifierHead,
     StudentEncoder,
     TeacherBank,
@@ -292,8 +287,6 @@ def _run_loop(config: TrainConfig, corpus: Corpus, bank: TeacherBank,
     params, layout, enc, head = _flat_model(enc, head)
     grads, velocity = np.zeros_like(params), np.zeros_like(params)
     grad_views = layout.views(grads)
-    rows = min(config.batch_size, V)
-    batch_pooled, act = np.empty((rows, enc.frame_dim)), Activations.empty(enc, rows)
     labels_all = corpus.labels()
     frames_all = corpus.frames()
     ids = corpus.ids()
@@ -316,8 +309,7 @@ def _run_loop(config: TrainConfig, corpus: Corpus, bank: TeacherBank,
             n = len(batch_idx)
             # Cold start: until K rows have been fed there is no loss and no update.
             if epoch > 0 or b0 >= K:
-                x = np.take(pooled_anchors, batch_idx, axis=0, out=batch_pooled[:n])
-                feats, cache = forward_batch(enc, x, act)
+                feats, cache = forward_batch(enc, pooled_anchors[batch_idx])
                 out = contrastive_batch(feats, stream[:, K + b0:K + b0 + n],
                                         stream[:, b0:b0 + K],
                                         config.tau, config.weight_scheme, config.fusion_level,
@@ -409,18 +401,14 @@ def write_report(report: RunReport, out_dir, resolved_config: dict | None = None
     """Emit report.json plus a per-epoch epochs.csv under ``out_dir``."""
     out = Path(out_dir)
     write_json(out / "report.json", report_to_dict(report, resolved_config))
-    buf = io.StringIO()
-    buf.write(f"# seed={report.seed}; full run configuration in report.json\n")
-    writer = csv.writer(buf)
     n_teachers = max((len(r.mean_weights) for r in report.records), default=0)
     header = ["epoch", "lr", "contrastive_loss", "ce_loss"]
     header += [f"w{t}_mean" for t in range(n_teachers)]
     header += [f"w{t}_std" for t in range(n_teachers)]
-    writer.writerow(header)
-    blank = lambda x: "" if x is None else repr(x)
+    rows = [header]
     for r in report.records:
-        row = [r.epoch, repr(r.lr), blank(r.contrastive_loss), blank(r.ce_loss)]
-        row += [repr(x) for x in r.mean_weights] + [""] * (n_teachers - len(r.mean_weights))
-        row += [repr(x) for x in r.std_weights] + [""] * (n_teachers - len(r.std_weights))
-        writer.writerow(row)
-    write_file(out / "epochs.csv", buf.getvalue())
+        pad = [None] * (n_teachers - len(r.mean_weights))
+        rows.append([r.epoch, r.lr, r.contrastive_loss, r.ce_loss,
+                     *r.mean_weights, *pad, *r.std_weights, *pad])
+    write_csv(out / "epochs.csv", rows,
+              comment=f"seed={report.seed}; full run configuration in report.json")

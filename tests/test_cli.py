@@ -9,7 +9,7 @@ import dtg.cli
 from dtg.binio import CHECKSUM_SIZE, checksum
 from dtg.cli import main
 from dtg.corpus import CORPUS_HEADER
-from dtg.model import StudentEncoder, TeacherBank, build_teacher, save_student
+from dtg.model import StudentEncoder, TeacherBank, build_student, build_teacher, save_student
 from dtg.trainer import NumericAbortError
 
 from conftest import (BAD_SCHEDULE_FIELDS, NON_FINITE_FIELDS, NON_INTEGER_FIELDS,
@@ -246,6 +246,22 @@ def test_checksum_valid_non_finite_frame_exits_3(tmp_path, capsys, command, valu
     doc = _config_doc(tmp_path / "run")
     doc["corpus"] = str(corpus_file)
     assert main([command, "--config", _write_config(tmp_path, doc, "run.json"), "--quiet"]) == 3
+    assert "non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command, flag", [("probe", "--checkpoint"), ("train-joint", "--init")])
+@pytest.mark.parametrize("value", [float("nan"), float("-inf")])
+def test_checksum_valid_non_finite_checkpoint_exits_3(tmp_path, capsys, command, flag, value):
+    # b3 is the last array of a head-less checkpoint, before its head flag byte:
+    # overwrite its last value, then re-checksum
+    ckpt = tmp_path / "student.dtgm"
+    save_student(ckpt, build_student(8, 8, 6, seed=0))
+    blob = ckpt.read_bytes()[:-CHECKSUM_SIZE]
+    body = blob[:-9] + struct.pack("<d", value) + blob[-1:]
+    ckpt.write_bytes(body + checksum(body))
+    cfg = _write_config(tmp_path, _config_doc(tmp_path / "run"))
+    assert main([command, "--config", cfg, flag, str(ckpt), "--quiet"]) == 3
     assert "non-finite" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 

@@ -534,10 +534,14 @@ def test_video_features_unit_rows(tiny_corpus):
 # --- artifact writers ---
 
 def test_projection_csv_layout(tmp_path):
+    # a "\n" comment line, then rows ending in "\r\n"; floats by repr
     path = tmp_path / "projection.csv"
-    write_projection_csv(path, [7, 8], [0, 1], np.array([[1.0, 2.0], [3.0, 4.0]]),
+    ids = np.array([7, 2 ** 63 - 1], dtype=np.uint64)
+    write_projection_csv(path, ids, np.array([0, 1]), np.array([[1.0, -0.1], [1 / 3, 4e-20]]),
                          seed=5)
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("# seed=5")
-    assert lines[1] == "video_id,label,x,y"
-    assert lines[2].split(",") == ["7", "0", "1.0", "2.0"]
+    assert path.read_bytes() == (
+        b"# seed=5; full run configuration in config.json\n"
+        b"video_id,label,x,y\r\n"
+        b"7,0,1.0,-0.1\r\n"
+        b"9223372036854775807,1,0.3333333333333333,4e-20\r\n"
+    )

@@ -382,7 +382,7 @@ def test_applied_gradient_matches_finite_differences(monkeypatch, joint):
     else:
         pretrain(cfg, corpus, bank)
 
-    (_, pooled, _), _ = first["forward_batch"]
+    (_, pooled), _ = first["forward_batch"]
     (_, guidance, negs, *loss_args), loss_kwargs = first["contrastive_batch"]
     # split the flat vectors the step received by the encoder's and head's shapes
     named = build_student(corpus.spec.frame_dim, cfg.h, cfg.d, seed=0).parameters()
@@ -460,6 +460,20 @@ def test_write_report_artifacts(tmp_path):
     assert len(lines) == 2 + 2
     for cell in (c for row in csv.reader(lines[2:]) for c in row if c):
         float(cell)  # raises on a numpy repr such as "np.float64(1.0)"
+
+
+def test_write_report_csv_bytes(tmp_path):
+    # a "\n" comment line, then rows ending in "\r\n"; floats by repr, and a
+    # cold epoch's missing losses and weights as empty cells
+    records = (trainer.EpochRecord(0, 0.1, None, None, (), ()),
+               trainer.EpochRecord(1, 0.1 * 0.1, 1 / 3, 0.75, (0.25, 0.75), (0.0, 1e-20)))
+    write_report(trainer.RunReport(seed=3, records=records), tmp_path)
+    assert (tmp_path / "epochs.csv").read_bytes() == (
+        b"# seed=3; full run configuration in report.json\n"
+        b"epoch,lr,contrastive_loss,ce_loss,w0_mean,w1_mean,w0_std,w1_std\r\n"
+        b"0,0.1,,,,,,\r\n"
+        b"1,0.010000000000000002,0.3333333333333333,0.75,0.25,0.75,0.0,1e-20\r\n"
+    )
 
 
 def test_write_report_blank_cells_for_cold_epoch(tmp_path):
