@@ -29,9 +29,11 @@ from .numerics import (DegenerateInputError, as_matrix, check_fields, declared,
 from .sampling import PairMode, sample_pairs
 from .seeding import substreams
 
-# distance-matrix rows per block in class_overlap, which holds two (rows, N)
-# float64 buffers; each block adds one sum to each running mean's numerator,
-# so another value may change the last bits
+# distance-matrix rows per block in class_overlap: one BLAS product into the
+# first of two (rows, N) float64 buffers, the second holding |a|² + |b|² for
+# the cancellation guard.  Each block adds one sum to each running mean's
+# numerator, so another value may change the last bits (within the 1e-13
+# relative that class_overlap promises against coordinate-order distances)
 _OVERLAP_ROWS = 64
 _KNN_ROWS = 256  # similarity-matrix rows per block in knn_top1
 
@@ -132,6 +134,16 @@ def _fit_probe(xt: np.ndarray, yt: np.ndarray, n_cls: int, epochs: int,
     return w, b
 
 
+def _pow2_scaled(x: np.ndarray) -> np.ndarray:
+    """A C-ordered copy of the finite matrix ``x`` times the power of two that
+    puts its largest magnitude in [0.5, 1), so that no square, norm or inner
+    product of its rows can overflow.  The product is exact for every entry
+    it keeps out of the subnormal range, so a metric that uniform scaling
+    leaves unchanged gives the same bits on it as on any ``x`` whose own
+    arithmetic neither overflows nor underflows."""
+    return np.ldexp(x, -np.frexp(max(x.max(), -x.min()))[1], order="C")
+
+
 def knn_top1(features: np.ndarray, labels: np.ndarray, k: int) -> float:
     """Leave-one-out k-nearest-neighbor accuracy under cosine similarity.
     Labels are non-negative integer class ids; vote ties resolve to the
@@ -143,10 +155,11 @@ def knn_top1(features: np.ndarray, labels: np.ndarray, k: int) -> float:
     y = _class_labels(labels, m)
     if not 1 <= k < m:
         raise ValueError(f"k must satisfy 1 <= k < {m}, got {k}")
-    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    u = _pow2_scaled(x)
+    norms = np.linalg.norm(u, axis=1, keepdims=True)
     if np.any(norms == 0):
         raise DegenerateInputError("zero-norm feature row")
-    u = x / norms
+    u /= norms
     # votes are counted as neighbours @ onehot: sums of 0s and 1s, exact
     onehot = one_hot(y, int(y.max()) + 1)
     correct = 0
@@ -176,16 +189,23 @@ def knn_top1(features: np.ndarray, labels: np.ndarray, k: int) -> float:
 
 def class_overlap(features: np.ndarray, labels: np.ndarray) -> float:
     """Mean intra-class pairwise distance over mean inter-class pairwise
-    distance.  Invariant to rotating or uniformly scaling the features.
+    distance.  Invariant to rotating or uniformly scaling the features: they
+    are first scaled by a power of two (``_pow2_scaled``), so no finite input
+    overflows.
 
-    Each distance is the square root of its squared coordinate differences,
-    added in coordinate order.  The intra and inter sums grow block by block
-    of ``_OVERLAP_ROWS`` rows, each block adding numpy's ``.sum()`` of its
-    masked upper-triangle entries in row-major order; the value is
-    ``(intra / n_intra) / (inter / n_inter)``.  The same inputs in the same
-    order give the same bits in any memory layout and on every rerun; another
+    Squared distances take the Gram form ``|a|² + |b|² − 2·a·b``, one BLAS
+    product per block of ``_OVERLAP_ROWS`` rows.  A pair whose Gram value is
+    at most ``2**-10 · (|a|² + |b|²)`` has lost about 10 bits or more to
+    cancellation, so it is recomputed from the coordinates, its squared
+    differences added in coordinate order: identical rows are exactly 0
+    apart.  The intra and inter sums grow block by block, each block adding
+    numpy's ``.sum()`` of the square roots of its masked upper-triangle
+    entries in row-major order; the value is ``(intra / n_intra) / (inter /
+    n_inter)``.  It is within 1e-13 relative of the same sums over distances
+    taken wholly in coordinate order.  The same inputs in the same order give
+    the same bits in any memory layout and on every rerun; another
     ``_OVERLAP_ROWS`` may change the last bits."""
-    x = as_matrix(features, "features")
+    x = _pow2_scaled(as_matrix(features, "features"))
     y = _class_labels(labels, x.shape[0])
     classes, counts = np.unique(y, return_counts=True)
     if classes.size < 2:
@@ -194,24 +214,36 @@ def class_overlap(features: np.ndarray, labels: np.ndarray) -> float:
         raise ValueError("every class needs at least 2 points")
     n = x.shape[0]
     n_intra = int((counts * (counts - 1) // 2).sum())
+    sq = np.square(x).sum(axis=1)
     xt = np.ascontiguousarray(x.T)
+    # block column c is matrix column r0 + 1 + c, upper for row a if c >= a,
+    # so only a block's first r1 - r0 columns hold lower entries
+    lead = ~np.tri(_OVERLAP_ROWS, dtype=bool, k=-1)
     # rows r0:r1 against columns r0 + 1:, in C-ordered views of two buffers
-    # made once: fresh blocks fault pages in anew, strided ones subtract slowly
+    # made once: fresh blocks fault pages in anew
     bufs = np.empty((2, min(_OVERLAP_ROWS, n) * (n - 1)))
     intra = inter = 0.0
     for r0 in range(0, n - 1, _OVERLAP_ROWS):  # the last row has no upper entries
         r1 = min(r0 + _OVERLAP_ROWS, n)
-        dist, term = bufs[:, :(r1 - r0) * (n - r0 - 1)].reshape(2, r1 - r0, -1)
-        dist.fill(0.0)
-        for k in range(xt.shape[0]):
-            np.subtract(xt[k, r0:r1, None], xt[k, None, r0 + 1:], out=term)
-            dist += np.square(term, out=term)
+        cols = n - r0 - 1
+        dist, bound = bufs[:, :(r1 - r0) * cols].reshape(2, r1 - r0, cols)
+        np.matmul(-2.0 * x[r0:r1], x[r0 + 1:].T, out=dist)  # the -2 is exact
+        np.add(sq[r0:r1, None], sq[None, r0 + 1:], out=bound)
+        dist += bound
+        bound *= 2.0 ** -10  # the cancellation guard's threshold
+        # the near pairs include each row's own (lower) entry, so that after
+        # their recomputation no entry is negative
+        pairs = np.flatnonzero(dist <= bound)
+        a, c = np.divmod(pairs, cols)
+        dist.reshape(-1)[pairs] = np.square(xt[:, r0 + a] - xt[:, r0 + 1 + c]).sum(axis=0)
         np.sqrt(dist, out=dist)
-        # block column c is matrix column r0 + 1 + c: upper for row a if c >= a
-        upper = np.arange(n - r0 - 1)[None, :] >= np.arange(r1 - r0)[:, None]
+        upper = lead[:r1 - r0, :cols]
         same = y[r0:r1, None] == y[None, r0 + 1:]
-        intra += dist[same & upper].sum()
-        inter += dist[~same & upper].sum()
+        other = ~same
+        same[:, :upper.shape[1]] &= upper
+        other[:, :upper.shape[1]] &= upper
+        intra += dist[same].sum()
+        inter += dist[other].sum()
     if inter == 0:
         raise DegenerateInputError("all points identical; overlap undefined")
     return float((intra / n_intra) / (inter / (n * (n - 1) // 2 - n_intra)))

@@ -332,14 +332,15 @@ def test_overlap_chunked_distances_equal_full_difference_tensor():
     feats = rng.standard_normal((n, 6))
     labels = rng.permutation(np.repeat(np.arange(4), [20, 41, 60, n - 121]))
     value = class_overlap(feats, labels)
-    assert value == _overlap_reference(feats, labels)
+    assert value == pytest.approx(_overlap_reference(feats, labels), rel=1e-13, abs=0)
     assert value == pytest.approx(_full_tensor_overlap(feats, labels), rel=1e-13, abs=0)
 
 
 def _overlap_reference(feats, labels):
-    """class_overlap's contract on a full (n, n) distance matrix: squared
-    coordinate differences added in coordinate order, and the intra and
-    inter sums grown block by block of _OVERLAP_ROWS rows."""
+    """class_overlap's sums on a full (n, n) distance matrix whose squared
+    coordinate differences are all added in coordinate order, the intra and
+    inter sums grown block by block of _OVERLAP_ROWS rows: class_overlap's
+    Gram-form distances land within 1e-13 relative of it."""
     n, d = feats.shape
     sq = np.zeros((n, n))
     for k in range(d):
@@ -373,11 +374,10 @@ def test_overlap_blocks_equal_full_difference_tensor_at_d16():
     for n in np.repeat([rows - 5, 2 * rows + 23, 3 * rows + 1], 10):
         feats = rng.standard_normal((n, 16))
         labels = rng.permutation(np.repeat(np.arange(5), [2, 2, 2, 20, n - 26]))
-        expected = _overlap_reference(feats, labels)
-        assert class_overlap(feats, labels) == expected
-        assert class_overlap(np.asfortranarray(feats), labels) == expected
-        assert class_overlap(feats, labels) == pytest.approx(
-            _full_tensor_overlap(feats, labels), rel=1e-13, abs=0)
+        value = class_overlap(feats, labels)
+        assert value == pytest.approx(_overlap_reference(feats, labels), rel=1e-13, abs=0)
+        assert class_overlap(np.asfortranarray(feats), labels) == value
+        assert value == pytest.approx(_full_tensor_overlap(feats, labels), rel=1e-13, abs=0)
 
 
 @pytest.mark.parametrize("d", [1, 2, 7, 8, 9, 15, 17, 64, 128, 129, 200])
@@ -391,11 +391,10 @@ def test_overlap_equals_full_formula_across_dimensions(d):
     feats = rng.standard_normal((n, d))
     for _ in range(3):
         labels = rng.permutation(np.arange(n) % 4)
-        expected = _overlap_reference(feats, labels)
-        assert class_overlap(feats, labels) == expected
-        assert class_overlap(np.asfortranarray(feats), labels) == expected
-        assert class_overlap(feats, labels) == pytest.approx(
-            _full_tensor_overlap(feats, labels), rel=1e-13, abs=0)
+        value = class_overlap(feats, labels)
+        assert value == pytest.approx(_overlap_reference(feats, labels), rel=1e-13, abs=0)
+        assert class_overlap(np.asfortranarray(feats), labels) == value
+        assert value == pytest.approx(_full_tensor_overlap(feats, labels), rel=1e-13, abs=0)
 
 
 def test_eval_metrics_hold_no_n_by_n_matrix():
@@ -452,6 +451,62 @@ def test_overlap_identical_points_degenerate():
     labels = np.repeat([0, 1], 3)
     with pytest.raises(DegenerateInputError):
         class_overlap(feats, labels)
+
+
+# the Gram form |a|² + |b|² − 2·a·b cancels for near pairs, which class_overlap
+# recomputes in coordinate order; non-dyadic coordinates make the cancellation
+# leave rounding noise where the distance is 0 or tiny
+
+def test_overlap_exactly_zero_for_collapsed_non_dyadic_classes():
+    feats = np.repeat([[0.1, 0.3], [5.0, 5.7]], 3, axis=0)
+    labels = np.repeat([0, 1], 3)
+    assert class_overlap(feats, labels) == 0.0
+
+
+def test_overlap_identical_non_dyadic_points_degenerate():
+    feats = np.tile([0.1, 0.3, 0.7, 1.9], (6, 1))
+    labels = np.repeat([0, 1], 3)
+    with pytest.raises(DegenerateInputError):
+        class_overlap(feats, labels)
+
+
+def test_overlap_of_clusters_far_from_the_origin_equals_reference():
+    rng = np.random.default_rng(18)
+    centers = 100.0 + rng.standard_normal((3, 8))
+    labels = np.repeat(np.arange(3), 30)
+    feats = centers[labels] + 1e-3 * rng.standard_normal((90, 8))
+    assert class_overlap(feats, labels) == pytest.approx(
+        _overlap_reference(feats, labels), rel=1e-13, abs=0)
+
+
+def test_overlap_with_duplicated_rows_equals_reference():
+    rng = np.random.default_rng(19)
+    n = 2 * evaluation._OVERLAP_ROWS + 9
+    feats = rng.standard_normal((n, 16))
+    feats[rng.integers(0, n, n // 2)] = feats[rng.integers(0, n, n // 2)]
+    labels = rng.integers(0, 3, n)
+    assert class_overlap(feats, labels) == pytest.approx(
+        _overlap_reference(feats, labels), rel=1e-13, abs=0)
+
+
+# squared coordinates overflow at 1e160 and lose bits to the subnormal range
+# at 1e-160 (to 0 at 1e-170), unless the metrics first rescale the features
+
+@pytest.mark.parametrize("scale", [1e160, 1e-160])
+def test_overlap_scale_invariant_far_from_unit_scale(scale):
+    rng = np.random.default_rng(20)
+    feats = rng.standard_normal((40, 16))
+    labels = np.arange(40) % 2
+    assert class_overlap(feats * scale, labels) == pytest.approx(
+        class_overlap(feats, labels), rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-170])
+def test_knn_scale_invariant_far_from_unit_scale(scale):
+    rng = np.random.default_rng(20)
+    feats = rng.standard_normal((40, 16))
+    labels = np.arange(40) % 2
+    assert knn_top1(feats * scale, labels, 5) == knn_top1(feats, labels, 5)
 
 
 # --- 2D projection ---
