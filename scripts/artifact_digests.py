@@ -41,9 +41,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from dtg.cli import main as dtg_main
 from dtg.losses import FusionLevel, WeightScheme
-from dtg.presets import (BANK_RHOS, four_teacher_bank, joint_experiment_setup,
-                         reference_bank, reference_corpus, reference_corpus_spec,
-                         reference_train_config)
+from dtg.presets import (BANK_RHOS, four_teacher_bank, joint_setup, reference_bank,
+                         reference_corpus, reference_corpus_spec, reference_train_config)
 from dtg.sampling import PairMode
 from dtg.seeding import derive_seed
 from dtg.trainer import pretrain, report_to_dict, train_joint
@@ -78,8 +77,9 @@ def runs(seed: int):
                         mask_frac=MASK, offline_accuracies=acc))
     for mode in PairMode:
         yield f"1t-{mode.value}", *pre(one, pair_mode=mode)
-    train, _, bank, cfg = joint_experiment_setup(seed)
-    (enc, head), report = train_joint(dataclasses.replace(cfg, **SHORT), train, bank)
+    joint = joint_setup(seed)
+    (enc, head), report = train_joint(dataclasses.replace(joint.config, **SHORT),
+                                      joint.corpus, joint.bank)
     yield "joint", enc, head, report
     yield "4t-online1-b7", *pre(four, weight_scheme=WeightScheme.ONLINE1, batch_size=7)
     yield "1t-b300-k64", *pre(one, batch_size=300, K=64)

@@ -60,9 +60,14 @@ def video_features(enc: StudentEncoder, corpus: Corpus) -> np.ndarray:
     return out
 
 
-def teacher_view_accuracies(corpus: Corpus, bank: TeacherBank, seed: int = 0,
-                            mode: PairMode = PairMode.SEQ_SEQ_OVERLAP,
-                            segments: int = 4, k: int = 5) -> tuple[float, ...]:
+# the sampled view and the kNN vote that teacher_view_accuracies scores by
+_VIEW_MODE = PairMode.SEQ_SEQ_OVERLAP
+_VIEW_SEGMENTS = 4
+_VIEW_K = 5
+
+
+def teacher_view_accuracies(corpus: Corpus, bank: TeacherBank,
+                            seed: int = 0) -> tuple[float, ...]:
     """Per-teacher kNN top-1 on guidance features of one sampled view per
     video.  Views are drawn with the trainer's sampler rather than pooling
     whole videos: full-video pooling averages the frame noise away and makes
@@ -70,10 +75,10 @@ def teacher_view_accuracies(corpus: Corpus, bank: TeacherBank, seed: int = 0,
     source for offline fusion weights."""
     y = corpus.labels()
     streams = substreams(seed, "teacher-acc", corpus.ids())
-    _, guidance = sample_pairs(corpus.frames(), mode, segments, streams)
+    _, guidance = sample_pairs(corpus.frames(), _VIEW_MODE, _VIEW_SEGMENTS, streams)
     pooled = pool_frames(guidance)
     return tuple(
-        knn_top1(teacher_features(t, pooled), y, k) for t in bank.teachers
+        knn_top1(teacher_features(t, pooled), y, _VIEW_K) for t in bank.teachers
     )
 
 
@@ -116,21 +121,29 @@ def _fit_probe(xt: np.ndarray, yt: np.ndarray, n_cls: int, epochs: int,
     """Weights (n_cls, D) and bias (n_cls,) of ``epochs`` full-batch gradient
     steps from zero on the finite features ``xt`` (n, D) and their labels
     ``yt``, integers in [0, n_cls).  The logits and the gradient live in two
-    buffers made once; non-finite logits raise ``ValueError`` at the epoch
-    that makes them."""
+    buffers made once.  An overflow, or non-finite logits, raise
+    ``DegenerateInputError`` naming the features' largest magnitude, at the
+    epoch that makes them: the fixed step is not scale invariant, so
+    features far from unit scale can diverge."""
     w = np.zeros((n_cls, xt.shape[1]))
     b = np.zeros(n_cls)
     z = np.empty((xt.shape[0], n_cls))
     g = np.empty_like(z)
     onehot = one_hot(yt, n_cls)
-    for _ in range(epochs):
-        np.matmul(xt, w.T, out=z)
-        z += b
-        if not np.isfinite(z).all():
-            raise ValueError("logits contains a non-finite entry")
-        _cross_entropy_grad(z, onehot, g)
-        w -= lr * (g.T @ xt)
-        b -= lr * g.sum(axis=0)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for _ in range(epochs):
+                np.matmul(xt, w.T, out=z)
+                z += b
+                if not np.isfinite(z).all():
+                    raise FloatingPointError
+                _cross_entropy_grad(z, onehot, g)
+                w -= lr * (g.T @ xt)
+                b -= lr * g.sum(axis=0)
+    except FloatingPointError:
+        raise DegenerateInputError(
+            "logits contains a non-finite entry (features of largest magnitude "
+            f"{np.abs(xt).max():.3g})") from None
     return w, b
 
 

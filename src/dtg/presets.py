@@ -1,22 +1,27 @@
-"""Reference experiment setup and the studies run on it.
+"""Reference experiment setup and the table of studies run on it.
 
 The setup is a 10-class, 500-video synthetic corpus, a default single
 teacher at alignment 0.9, and a 4-teacher bank spanning alignments 0.9 to
-0.1.  The studies are the per-seed work behind the acceptance suite's
-training-effect criteria and ``scripts/experiments.py``: pretrained vs
-random init, teacher weighting schemes, and the joint objective.
+0.1.  ``STUDIES`` is the work behind the acceptance suite's training-effect
+criteria and ``scripts/experiments.py``: each study is a per-seed ``Setup``
+builder, one function that turns a setup and a config into named columns,
+and its arms, each a name and the ``TrainConfig`` overrides it runs with.
+``study`` runs every arm on every seed's setup.  A new arm is one more entry
+in a study's ``arms``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from typing import Callable
 
 import numpy as np
 
 from .corpus import Corpus, CorpusSpec, generate_corpus, split_videos
 from .evaluation import class_overlap, linear_probe, teacher_view_accuracies, video_features
 from .losses import WeightScheme
-from .model import TeacherBank, build_student, build_teacher
+from .model import TeacherBank, build_teacher
+from .sampling import PairMode
 from .seeding import derive_seed
 from .trainer import RunReport, TrainConfig, pretrain, train_joint
 
@@ -82,60 +87,88 @@ def pretrain_and_probe(cfg: TrainConfig, corpus: Corpus, bank: TeacherBank
     return linear_probe(video_features(enc, corpus), corpus.labels()).top1, report
 
 
-def ssl_vs_random(seed: int) -> tuple[float, float]:
-    """Probe top-1 of the pretrained student and of the same student
-    architecture left at its random init, on the reference setup."""
+@dataclasses.dataclass(frozen=True)
+class Setup:
+    """One seed's inputs to a study; ``held_out`` never enters training."""
+    corpus: Corpus
+    bank: TeacherBank
+    config: TrainConfig
+    held_out: Corpus | None = None
+
+
+@dataclasses.dataclass(frozen=True)
+class Study:
+    setup: Callable[[int], Setup]
+    columns: Callable[[Setup, TrainConfig], dict]
+    arms: dict[str, dict]  # arm name -> TrainConfig overrides, in run order
+
+
+def reference_setup(seed: int) -> Setup:
     corpus = reference_corpus(seed)
-    cfg = reference_train_config(seed)
-    ssl, _ = pretrain_and_probe(cfg, corpus, reference_bank(corpus, seed))
-    rnd_enc = build_student(corpus.spec.frame_dim, cfg.h, cfg.d, seed)
-    return ssl, linear_probe(video_features(rnd_enc, corpus), corpus.labels()).top1
+    return Setup(corpus, reference_bank(corpus, seed), reference_train_config(seed))
 
 
-def weighting_setup(seed: int = 0):
-    """Corpus, 4-teacher bank and config for the weighting study, plus the
-    bank's teacher-view accuracies that the offline scheme weights by.
-    Returns (corpus, bank, accuracies, config)."""
+def weighting_setup(seed: int) -> Setup:
+    """The 4-teacher bank, with the teacher-view accuracies that only the
+    offline scheme weights by in every arm's config."""
     corpus = reference_corpus(seed)
     bank = four_teacher_bank(corpus, seed)
     accs = teacher_view_accuracies(corpus, bank, seed=seed)
-    return corpus, bank, accs, reference_train_config(seed)
+    return Setup(corpus, bank, reference_train_config(seed, offline_accuracies=accs))
 
 
-def weighting_arm(setup, scheme: WeightScheme) -> tuple[float, tuple[float, ...]]:
-    """One scheme of the weighting study on ``weighting_setup``'s result:
-    probe top-1 and the final epoch's mean teacher weights."""
-    corpus, bank, accs, cfg = setup
-    cfg = dataclasses.replace(
-        cfg, weight_scheme=scheme,
-        offline_accuracies=accs if scheme is WeightScheme.OFFLINE else None)
-    top1, report = pretrain_and_probe(cfg, corpus, bank)
-    return top1, report.records[-1].mean_weights
-
-
-def joint_experiment_setup(seed: int = 0):
-    """Corpus, split, bank and config for the supervised joint-loss study.
+def joint_setup(seed: int) -> Setup:
+    """The supervised joint-loss setup.
 
     The contrastive term pays off when labels are scarce and classes are
     wide enough that a CE-only model latches onto per-video nuisance, so
-    this experiment widens the within-class spread and trains on a 20%
-    labeled split (queue shrunk to fit).  Held-out videos never enter
-    training.  Returns (train_corpus, held_out_corpus, bank, config).
+    this setup widens the within-class spread and trains on a 20% labeled
+    split (queue shrunk to fit); the other 80% is held out.
     """
     corpus = reference_corpus(seed=seed, video_spread=2.0)
     train, held_out = split_videos(corpus, 0.2, seed)
-    bank = reference_bank(corpus, seed=seed)
     cfg = reference_train_config(seed=seed, alpha=0.1, beta=1.0, K=64)
-    return train, held_out, bank, cfg
+    return Setup(train, reference_bank(corpus, seed=seed), cfg, held_out)
 
 
-def joint_arm(setup, alpha: float) -> tuple[float, float]:
-    """One arm of the joint study on ``joint_experiment_setup``'s result,
-    trained with ``alpha`` (0 is plain cross-entropy): held-out class
-    overlap of the encoder features and held-out classifier top-1."""
-    train, held, bank, cfg = setup
-    (enc, head), _ = train_joint(dataclasses.replace(cfg, alpha=alpha), train, bank)
-    feats = video_features(enc, held)
-    labels = held.labels()
-    top1 = float((np.argmax(head.logits(feats), axis=1) == labels).mean())
-    return class_overlap(feats, labels), top1
+def probe_columns(setup: Setup, cfg: TrainConfig) -> dict:
+    """Pretrain, then probe: ``top1``, and when the run has epochs the final
+    epoch's mean teacher weights ``w0`` ... ``w{N-1}``."""
+    top1, report = pretrain_and_probe(cfg, setup.corpus, setup.bank)
+    weights = report.records[-1].mean_weights if report.records else ()
+    return {"top1": top1, **{f"w{i}": w for i, w in enumerate(weights)}}
+
+
+def held_out_columns(setup: Setup, cfg: TrainConfig) -> dict:
+    """Joint training, then the held-out class ``overlap`` of the encoder's
+    features and the held-out ``top1`` of its classifier head."""
+    (enc, head), _ = train_joint(cfg, setup.corpus, setup.bank)
+    feats = video_features(enc, setup.held_out)
+    labels = setup.held_out.labels()
+    return {"overlap": class_overlap(feats, labels),
+            "top1": float((np.argmax(head.logits(feats), axis=1) == labels).mean())}
+
+
+STUDIES = {
+    # 0 epochs return the student at its random init
+    "ssl-vs-random": Study(reference_setup, probe_columns,
+                           {"pretrained": {}, "random": {"epochs": 0}}),
+    "weighting": Study(weighting_setup, probe_columns,
+                       {s.value: {"weight_scheme": s} for s in WeightScheme}),
+    "joint": Study(joint_setup, held_out_columns, {"joint": {}, "ce": {"alpha": 0.0}}),
+    "input-modes": Study(reference_setup, probe_columns,
+                         {m.value: {"pair_mode": m} for m in PairMode}),
+}
+
+
+def study(name: str, seeds) -> list[dict]:
+    """One row ``{"seed", "arm", **columns}`` per seed and arm, seed-major,
+    with the arms in ``STUDIES`` order."""
+    s = STUDIES[name]
+    rows = []
+    for seed in seeds:
+        setup = s.setup(seed)
+        for arm, overrides in s.arms.items():
+            cfg = dataclasses.replace(setup.config, **overrides)
+            rows.append({"seed": seed, "arm": arm, **s.columns(setup, cfg)})
+    return rows

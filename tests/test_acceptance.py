@@ -21,9 +21,7 @@ from dtg.losses import (FusionLevel, WeightScheme, contrastive_batch,
 from dtg.model import (StudentEncoder, TeacherBank, backward_batch, build_student,
                        build_teacher, forward_batch)
 from dtg.numerics import finite_diff_check
-from dtg.presets import (joint_arm, joint_experiment_setup, pretrain_and_probe,
-                         reference_bank, reference_train_config, ssl_vs_random,
-                         weighting_arm, weighting_setup)
+from dtg.presets import pretrain_and_probe, reference_bank, reference_train_config, study
 from dtg.sampling import PairMode, sample_pairs
 from dtg.seeding import substreams
 from dtg.trainer import TrainConfig, pretrain
@@ -245,12 +243,15 @@ def test_c05_queue_against_list_model(monkeypatch):
              f"{warm} warm steps of {runs} pretrain runs match the reference model")
 
 
+def _arms(name: str) -> dict:
+    """The study's rows over SEEDS, keyed by (seed, arm)."""
+    return {(row["seed"], row["arm"]): row for row in study(name, SEEDS)}
+
+
 def test_c06_ssl_effectiveness():
     start = time.perf_counter()
-    gaps = []
-    for seed in SEEDS:
-        ssl, rnd = ssl_vs_random(seed)
-        gaps.append(ssl - rnd)
+    rows = _arms("ssl-vs-random")
+    gaps = [rows[s, "pretrained"]["top1"] - rows[s, "random"]["top1"] for s in SEEDS]
     elapsed = time.perf_counter() - start
     gap = float(np.mean(gaps))
     _verdict("criterion 6 (pretraining beats random init)",
@@ -260,14 +261,11 @@ def test_c06_ssl_effectiveness():
 
 
 def test_c07_differentiated_weighting():
-    diffs = []
+    rows = _arms("weighting")
+    diffs = [rows[s, "offline"]["top1"] - rows[s, "uniform"]["top1"] for s in SEEDS]
     orderings = []
     for seed in SEEDS:
-        setup = weighting_setup(seed)
-        top_u, _ = weighting_arm(setup, WeightScheme.UNIFORM)
-        top_o, _ = weighting_arm(setup, WeightScheme.OFFLINE)
-        diffs.append(top_o - top_u)
-        _, w = weighting_arm(setup, WeightScheme.ONLINE1)
+        w = [rows[seed, "online1"][f"w{i}"] for i in range(4)]
         orderings.append(all(a > b for a, b in zip(w, w[1:])))
 
     mean_diff = float(np.mean(diffs))
@@ -279,14 +277,10 @@ def test_c07_differentiated_weighting():
 
 
 def test_c08_joint_training():
-    d_overlap, tops_joint, tops_ce = [], [], []
-    for seed in SEEDS:
-        setup = joint_experiment_setup(seed)
-        ov_j, top_j = joint_arm(setup, setup[3].alpha)
-        ov_c, top_c = joint_arm(setup, 0.0)
-        d_overlap.append(ov_j - ov_c)
-        tops_joint.append(top_j)
-        tops_ce.append(top_c)
+    rows = _arms("joint")
+    d_overlap = [rows[s, "joint"]["overlap"] - rows[s, "ce"]["overlap"] for s in SEEDS]
+    tops_joint = [rows[s, "joint"]["top1"] for s in SEEDS]
+    tops_ce = [rows[s, "ce"]["top1"] for s in SEEDS]
 
     mean_dov = float(np.mean(d_overlap))
     mean_dtop = float(np.mean(tops_joint) - np.mean(tops_ce))

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -507,6 +508,24 @@ def test_knn_scale_invariant_far_from_unit_scale(scale):
     feats = rng.standard_normal((40, 16))
     labels = np.arange(40) % 2
     assert knn_top1(feats * scale, labels, 5) == knn_top1(feats, labels, 5)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e3, 1e154, 1e155, 1e160])
+def test_probe_far_from_unit_scale_fits_or_raises_degenerate(scale):
+    # the fixed-step fit is not scale invariant: up to 1e154 it gives the
+    # scale-1 answer, beyond that its logits overflow
+    rng = np.random.default_rng(20)
+    feats = rng.standard_normal((40, 16))
+    labels = np.repeat([0, 1], 20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if scale < 1e155:
+            assert linear_probe(feats * scale, labels).top1 == 0.625
+        else:
+            with pytest.raises(DegenerateInputError, match="largest magnitude") as err:
+                linear_probe(feats * scale, labels)
+            named = float(str(err.value).rsplit(" ", 1)[1].rstrip(")"))
+            assert scale < named < 10 * scale
 
 
 # --- 2D projection ---

@@ -1,13 +1,16 @@
 import csv
+import dataclasses
 import importlib.util
 from pathlib import Path
 
 import numpy as np
 
-from dtg.presets import (BANK_RHOS, four_teacher_bank, joint_arm, joint_experiment_setup,
-                         make_bank, reference_bank, reference_corpus_spec,
-                         reference_train_config)
+from dtg.presets import (BANK_RHOS, STUDIES, Setup, Study, four_teacher_bank,
+                         held_out_columns, joint_setup, make_bank, reference_bank,
+                         reference_corpus_spec, reference_train_config, study)
 from dtg.corpus import generate_corpus
+from dtg.losses import WeightScheme
+from dtg.sampling import PairMode
 
 EXPERIMENTS = Path(__file__).resolve().parents[1] / "scripts" / "experiments.py"
 
@@ -46,7 +49,8 @@ def test_four_teacher_bank_order_and_names():
 
 
 def test_joint_setup_split_and_config():
-    train, held, bank, cfg = joint_experiment_setup(seed=3)
+    setup = joint_setup(3)
+    train, held, bank, cfg = setup.corpus, setup.held_out, setup.bank, setup.config
     assert train.spec.video_spread == 2.0
     assert train.num_videos == 100 and held.num_videos == 400
     assert not np.intersect1d(train.ids(), held.ids()).size
@@ -63,15 +67,58 @@ def test_reference_bank_single_teacher():
     assert bank.teachers[0].rho == 0.9
 
 
-def test_experiments_driver_writes_the_presets_results(tmp_path, capsys):
+def test_study_rows_are_seed_major_in_arm_order(monkeypatch):
+    built, ran = [], []
+
+    def setup(seed):
+        built.append(seed)
+        return Setup(None, None, reference_train_config(seed))
+
+    def columns(s, cfg):
+        ran.append((s.config.seed, cfg.seed))
+        return {"K": cfg.K}
+
+    monkeypatch.setitem(STUDIES, "toy", Study(setup, columns, {"small": {"K": 3}, "base": {}}))
+    assert study("toy", [4, 1]) == [
+        {"seed": 4, "arm": "small", "K": 3}, {"seed": 4, "arm": "base", "K": 256},
+        {"seed": 1, "arm": "small", "K": 3}, {"seed": 1, "arm": "base", "K": 256}]
+    assert built == [4, 1]  # one setup per seed, shared by its arms
+    assert ran == [(4, 4), (4, 4), (1, 1), (1, 1)]
+
+
+def test_studies_table():
+    assert list(STUDIES) == ["ssl-vs-random", "weighting", "joint", "input-modes"]
+    assert STUDIES["ssl-vs-random"].arms == {"pretrained": {}, "random": {"epochs": 0}}
+    assert STUDIES["weighting"].arms == {s.value: {"weight_scheme": s} for s in WeightScheme}
+    assert STUDIES["joint"].arms == {"joint": {}, "ce": {"alpha": 0.0}}
+    assert STUDIES["input-modes"].arms == {m.value: {"pair_mode": m} for m in PairMode}
+
+
+def _driver():
     spec = importlib.util.spec_from_file_location("experiments", EXPERIMENTS)
     driver = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(driver)
+    return driver
+
+
+def test_experiments_driver_writes_the_presets_results(tmp_path, capsys):
     out = tmp_path / "joint.csv"
-    assert driver.main(["joint", "--seeds", "0", "--out", str(out)]) == 0
+    assert _driver().main(["joint", "--seeds", "0", "--out", str(out)]) == 0
     assert capsys.readouterr().out.endswith(f"wrote {out}\n")
-    header, row = csv.reader(out.read_text().splitlines())
-    assert header == ["seed", "overlap_joint", "top1_joint", "overlap_ce", "top1_ce"]
-    setup = joint_experiment_setup(0)
-    # csv writes repr(float), which reads back to the same double
-    assert [float(v) for v in row] == [0, *joint_arm(setup, 0.1), *joint_arm(setup, 0.0)]
+    header, *rows = csv.reader(out.read_text().splitlines())
+    assert header == ["seed", "arm", "overlap", "top1"]
+    assert [row[:2] for row in rows] == [["0", "joint"], ["0", "ce"]]
+    setup = joint_setup(0)
+    for (_, arm, *cells), overrides in zip(rows, STUDIES["joint"].arms.values()):
+        cfg = dataclasses.replace(setup.config, **overrides)
+        # csv writes repr(float), which reads back to the same double
+        assert [float(v) for v in cells] == list(held_out_columns(setup, cfg).values()), arm
+
+
+def test_experiments_driver_leaves_a_column_an_arm_lacks_empty(tmp_path):
+    out = tmp_path / "ssl.csv"
+    assert _driver().main(["ssl-vs-random", "--seeds", "0", "--out", str(out)]) == 0
+    header, pretrained, random = csv.reader(out.read_text().splitlines())
+    assert header == ["seed", "arm", "top1", "w0"]
+    assert pretrained[3] == "1.0"  # one teacher takes all the weight
+    assert (random[1], random[3]) == ("random", "")  # no epochs, no weights

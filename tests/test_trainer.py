@@ -9,6 +9,7 @@ import pytest
 
 from dtg import trainer
 from dtg.corpus import CorpusSpec, generate_corpus
+from dtg.evaluation import video_features
 from dtg.losses import (ContrastiveOutcome, FusionLevel, WeightScheme, contrastive_batch,
                         cross_entropy_batch, joint_loss)
 from dtg.model import (StudentEncoder, TeacherBank, build_head, build_student, build_teacher,
@@ -201,6 +202,8 @@ def test_epochs_zero_returns_initial_encoder():
     for k, v in enc.parameters():
         assert np.array_equal(v, dict(fresh.parameters())[k])
     assert report.records == ()
+    # the random-init arm of presets' ssl-vs-random study rests on this
+    assert np.array_equal(video_features(enc, corpus), video_features(fresh, corpus))
 
 
 def test_pretrain_deterministic():
