@@ -36,6 +36,12 @@ from .seeding import substreams
 # relative that class_overlap promises against coordinate-order distances)
 _OVERLAP_ROWS = 64
 _KNN_ROWS = 256  # similarity-matrix rows per block in knn_top1
+_KNN_STRIPS = 8  # column strips in knn_top1, whose elementwise maxima bound each row's k-th
+# rows per full-row selection in knn_top1, so that its temporaries, a few
+# (rows, N) arrays, stay small.  Freed together at 256 rows, they let the
+# allocator hand the heap back to the system, and each block faulted it in
+# again: 14K minor faults per call against 262 (N = 2,000, k = 60, +-1 rows)
+_KNN_SELECT_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -162,10 +168,36 @@ def knn_top1(features: np.ndarray, labels: np.ndarray, k: int) -> float:
     Labels are non-negative integer class ids; vote ties resolve to the
     smallest.  Ties at the k-th neighbour are broken on the similarities as
     BLAS rounds them in each row block, so another block layout may pick
-    another tied neighbour; same-seed reruns stay byte-identical."""
+    another tied neighbour; same-seed reruns stay byte-identical.
+
+    The similarities come ``_KNN_ROWS`` rows at a time, one BLAS product per
+    block into a buffer made once.  Each row's neighbours are the first k of
+    a stable descending sort of its row: every entry above its k-th largest,
+    then the lowest-index ties (``_first_k``).  While k is small against N
+    they are picked from a table of a few entries per row, not from the
+    whole row (``_strip_neighbours``):
+
+    - *bound*: the columns are cut into ``_KNN_STRIPS`` strips; column j of
+      every strip makes group j.  The k-th largest group maximum is at most
+      the row's k-th largest similarity, since k distinct entries reach it;
+    - *table*: the groups whose maximum reaches the bound (k of them, more
+      on ties), strip by strip, then the ragged last columns that no strip
+      covers: every neighbour is there, in column order;
+    - *votes*: counted with ``np.bincount`` over the k columns per row.
+
+    A block falls back to its full rows when the table would be wider than a
+    strip: k above about N / 64, or heavy ties (collapsed features, where
+    every similarity ties, are the worst case).  The same rule then picks the
+    neighbours, and the votes are the product of their mask with a one-hot
+    of the classes.  Nothing but the block products rounds, so the
+    neighbours, ties included, and the value keep their bits for a given
+    ``_KNN_ROWS``.  Labels are compacted to the present classes first, so
+    sparse ids cost nothing."""
     x = as_matrix(features, "features")
     m = x.shape[0]
-    y = _class_labels(labels, m)
+    # compact ids: votes land only on present classes, in the same order
+    classes, y = np.unique(_class_labels(labels, m), return_inverse=True)
+    n_cls = classes.size
     if not 1 <= k < m:
         raise ValueError(f"k must satisfy 1 <= k < {m}, got {k}")
     u = _pow2_scaled(x)
@@ -173,31 +205,75 @@ def knn_top1(features: np.ndarray, labels: np.ndarray, k: int) -> float:
     if np.any(norms == 0):
         raise DegenerateInputError("zero-norm feature row")
     u /= norms
-    # votes are counted as neighbours @ onehot: sums of 0s and 1s, exact
-    onehot = one_hot(y, int(y.max()) + 1)
+    onehot = None  # (N, classes): made only if a block takes its full rows
+    buf = np.empty((min(_KNN_ROWS, m), m))
     correct = 0
-    # every step below is row-wise, so the similarity matrix is taken
-    # _KNN_ROWS rows at a time and no (m, m) array is held
     for r0 in range(0, m, _KNN_ROWS):
-        sims = u[r0:r0 + _KNN_ROWS] @ u.T
-        rb = sims.shape[0]
+        rb = min(_KNN_ROWS, m - r0)
+        sims = buf[:rb]
+        np.matmul(u[r0:r0 + rb], u.T, out=sims)
         sims[np.arange(rb), np.arange(r0, r0 + rb)] = -np.inf
-        # the k neighbours are the first k of a stable descending sort: every
-        # similarity above the row's k-th largest, then the lowest-index ties.
-        # Only a row with more than k entries >= its k-th has ties to drop
-        kth = np.partition(sims, m - k, axis=1)[:, [m - k]]  # a copy: frees the partition
-        neighbors = sims >= kth
-        tied = np.flatnonzero(np.count_nonzero(neighbors, axis=1) > k)
-        if tied.size:
-            s, t = sims[tied], kth[tied]
-            above = s > t
-            ties = s == t
-            neighbors[tied] = above | (ties & (np.cumsum(ties, axis=1, dtype=np.int32)
-                                               <= k - above.sum(axis=1, keepdims=True)))
-        votes = neighbors.astype(np.float64) @ onehot
+        cols = _strip_neighbours(sims, k)
+        if cols is None:  # large k or heavy ties: sums of 0s and 1s, exact
+            if onehot is None:
+                onehot = one_hot(y, n_cls)
+            votes = np.empty((rb, n_cls))
+            for i in range(0, rb, _KNN_SELECT_ROWS):
+                part = sims[i:i + _KNN_SELECT_ROWS]
+                votes[i:i + _KNN_SELECT_ROWS] = _first_k(part, k).astype(np.float64) @ onehot
+        else:  # k columns per row, in row order
+            votes = np.bincount(np.repeat(np.arange(rb) * n_cls, k) + y[cols],
+                                minlength=rb * n_cls).reshape(rb, n_cls)
         # argmax breaks vote ties low
         correct += int(np.count_nonzero(votes.argmax(axis=1) == y[r0:r0 + rb]))
     return correct / m
+
+
+def _strip_neighbours(sims: np.ndarray, k: int) -> np.ndarray | None:
+    """The columns of the first k entries of each row of ``sims`` in a stable
+    descending sort, k per row in row order, picked from the candidate table
+    that ``knn_top1`` describes; None when that table would be wider than a
+    strip."""
+    rows, m = sims.shape
+    width = m // _KNN_STRIPS
+    tail = m - _KNN_STRIPS * width
+    if _KNN_STRIPS * k + tail > width:
+        return None
+    peaks = sims[:, :_KNN_STRIPS * width].reshape(rows, _KNN_STRIPS, width).max(axis=1)
+    strong = peaks >= np.partition(peaks, width - k, axis=1)[:, [width - k]]
+    counts = np.count_nonzero(strong, axis=1)
+    g = counts.max()
+    if _KNN_STRIPS * g + tail > width:
+        return None
+    # each row's strong groups packed to the left, padded with -m: a pad's
+    # columns are negative, valid indices that the table sets to -inf
+    r, j = np.divmod(np.flatnonzero(strong), width)
+    groups = np.full((rows, g), -m)
+    groups[r, np.arange(r.size) - np.repeat(np.cumsum(counts) - counts, counts)] = j
+    cols = np.concatenate([
+        (groups[:, None, :] + width * np.arange(_KNN_STRIPS)[:, None]).reshape(rows, -1),
+        np.broadcast_to(np.arange(m - tail, m), (rows, tail))], axis=1)
+    table = np.take_along_axis(sims, cols, axis=1)
+    table[cols < 0] = -np.inf
+    return cols.reshape(-1)[np.flatnonzero(_first_k(table, k))]
+
+
+def _first_k(table: np.ndarray, k: int) -> np.ndarray:
+    """The mask of the first k entries of each row of ``table`` in a stable
+    descending sort: every entry above the row's k-th largest, then the
+    lowest-index entries equal to it.  Only a row with more than k entries
+    at or above its k-th has ties to drop."""
+    c = table.shape[1]
+    kth = np.partition(table, c - k, axis=1)[:, [c - k]]
+    keep = table >= kth
+    tied = np.flatnonzero(np.count_nonzero(keep, axis=1) > k)
+    if tied.size:
+        t, v = table[tied], kth[tied]
+        above = t > v
+        ties = t == v
+        room = k - np.count_nonzero(above, axis=1)[:, None]
+        keep[tied] = above | (ties & (np.cumsum(ties, axis=1, dtype=np.int32) <= room))
+    return keep
 
 
 def class_overlap(features: np.ndarray, labels: np.ndarray) -> float:
@@ -285,7 +361,7 @@ def project_2d(features: np.ndarray) -> np.ndarray:
 
 def write_projection_csv(path, video_ids, labels, coords, seed: int = 0) -> None:
     """The 2-d projection as CSV rows ``video_id,label,x,y`` (``binio.write_csv``)."""
-    ids = np.asarray(video_ids).astype(np.int64).tolist()
+    ids = np.asarray(video_ids, dtype=np.uint64).tolist()  # an int64 cast wraps ids >= 2**63
     labs = np.asarray(labels).astype(np.int64).tolist()
     pts = np.asarray(coords, dtype=np.float64).tolist()
     write_csv(path, [("video_id", "label", "x", "y"),

@@ -1,5 +1,8 @@
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +17,8 @@ from dtg.losses import cross_entropy_batch
 from dtg.model import (TeacherBank, build_student, build_teacher, pool_frames,
                        teacher_features)
 from dtg.numerics import DegenerateInputError, FieldError
+
+EVAL_AT_SCALE = Path(__file__).resolve().parents[1] / "scripts" / "eval_at_scale.py"
 
 
 def _one_hot_features(n_per_class, n_classes, dim=None):
@@ -261,10 +266,11 @@ def test_knn_writes_back_the_one_tied_row_of_a_block():
     # and a last row flips another bit of pattern R // 2: for k = 2 every
     # row of the second block has exactly k neighbours at or above its k-th
     # similarity except its middle row, which has three, one twin and two
-    # one-bit flips tied at 62/64.  A pattern's three rows share a label, so
-    # every clean row votes right; the tied row votes right only if the
-    # lower-index flip alone is kept for it, and no other row can make up
-    # for a wrong vote there
+    # one-bit flips tied at 62/64: the one row of its block whose neighbours
+    # the lowest-index tie rule decides.  A pattern's three rows share a
+    # label, so every clean row votes right; the tied row votes right only
+    # if the lower-index flip alone is kept for it, and no other row can
+    # make up for a wrong vote there
     rows, k = evaluation._KNN_ROWS, 2
     t = rows // 2
     rng = np.random.default_rng(16)
@@ -284,6 +290,139 @@ def test_knn_writes_back_the_one_tied_row_of_a_block():
     assert np.flatnonzero(over[rows:2 * rows]).tolist() == [t]
     expected = _knn_top1_stable_argsort(feats, labels, k)
     assert knn_top1(feats, labels, k) == expected
+
+
+def _sign_rows(rng, m, dim=16):
+    """m rows of +-1 on 1, 4 or 16 of ``dim`` = 16 coordinates, or on all
+    coordinates for ``dim`` a larger power of 4: every cosine similarity is
+    a multiple of 1/16 (1/dim) that any summation order computes exactly, so
+    knn_top1's block products and the reference's full product agree bit
+    for bit.  The more coordinates, the fewer ties."""
+    nnz = rng.choice([1, 4, 16], m) if dim == 16 else np.full(m, dim)
+    on = rng.random((m, dim)).argsort(axis=1).argsort(axis=1) < nnz[:, None]
+    return np.where(on, rng.choice([-1.0, 1.0], (m, dim)), 0.0)
+
+
+@pytest.fixture
+def knn_tables(monkeypatch):
+    """One entry per row block of every knn_top1 call: True where the block
+    picked its neighbours from the strip table, False where from its full
+    rows."""
+    tables = []
+    inner = evaluation._strip_neighbours
+
+    def spy(sims, k):
+        cols = inner(sims, k)
+        tables.append(cols is not None)
+        return cols
+
+    monkeypatch.setattr(evaluation, "_strip_neighbours", spy)
+    return tables
+
+
+def test_knn_on_either_side_of_the_table_width_matches_reference(knn_tables):
+    # N = 8 * 128 leaves no ragged columns: a table is no wider than a strip
+    # while 8 * (strong groups) <= 128.  Ties among the group maxima make
+    # about twice k groups strong here, so every block of k <= 5 takes the
+    # table, and from k = 17 on, N < 8k among them, every block its full rows
+    rng = np.random.default_rng(18)
+    m = evaluation._KNN_STRIPS * 128
+    feats = _sign_rows(rng, m, dim=256)
+    feats[rng.integers(0, m, m // 4)] = feats[rng.integers(0, m, m // 4)]
+    labels = rng.integers(0, 4, m)
+    for k in (1, 2, 5, 17, 128, 129, m - 1):
+        knn_tables.clear()
+        assert knn_top1(feats, labels, k) == _knn_top1_stable_argsort(feats, labels, k)
+        assert knn_tables == [k <= 5] * 4
+
+
+def test_knn_with_ragged_last_columns_matches_stable_argsort_reference(knn_tables):
+    # N = 8 * width + 7: the last 7 columns lie in no strip, and the table
+    # appends them.  They repeat the first rows, so they are some rows'
+    # nearest neighbours
+    rng = np.random.default_rng(19)
+    for width in (100, 127):
+        m = evaluation._KNN_STRIPS * width + 7
+        feats = _sign_rows(rng, m, dim=256)
+        feats[-7:] = feats[:7]
+        labels = rng.integers(0, 5, m)
+        for k in (1, 2, 17):
+            knn_tables.clear()
+            assert knn_top1(feats, labels, k) == _knn_top1_stable_argsort(feats, labels, k)
+            assert knn_tables[0] == (k <= 2)
+
+
+def test_knn_with_k_one_short_of_n_matches_stable_argsort_reference(knn_tables):
+    rng = np.random.default_rng(20)
+    for m in (7, evaluation._KNN_ROWS + 44):
+        feats = _sign_rows(rng, m)
+        labels = rng.integers(0, 3, m)
+        assert knn_top1(feats, labels, m - 1) == _knn_top1_stable_argsort(feats, labels, m - 1)
+    assert not any(knn_tables)
+
+
+def test_knn_on_collapsed_rows_takes_the_full_rows_and_matches_reference(knn_tables):
+    # every similarity is 1, so every group maximum ties and every row's
+    # table would hold every column: each block takes its full rows, and the
+    # neighbours are the k lowest-index other rows
+    rng = np.random.default_rng(21)
+    m = 2 * evaluation._KNN_ROWS + 77
+    feats = np.ones((m, 16))
+    for _ in range(3):
+        labels = rng.integers(0, 4, m)
+        for k in (1, 5, 40):
+            assert knn_top1(feats, labels, k) == _knn_top1_stable_argsort(feats, labels, k)
+    assert knn_tables and not any(knn_tables)
+
+
+def test_knn_block_with_one_collapsed_tie_row_matches_stable_argsort_reference(knn_tables):
+    # +-1 rows on 256 coordinates, and in the second block one hub row on a
+    # single coordinate: its cosine with every other row is +-1/16, so about
+    # half the rows tie at its top and nearly every group maximum reaches its
+    # bound.  Its block takes the full rows; the other two take the table.
+    # The hub's label is that of its k lowest-index tied rows and of no other
+    # tied row, so only the lowest-index tie rule makes its vote right
+    rows, k = evaluation._KNN_ROWS, 3
+    rng = np.random.default_rng(22)
+    m = 3 * rows
+    feats = _sign_rows(rng, m, dim=256)
+    hub = rows + 17
+    feats[hub] = 0.0
+    feats[hub, 0] = 1.0
+    u = feats / np.linalg.norm(feats, axis=1, keepdims=True)
+    top = u[hub] @ u.T
+    tied = np.flatnonzero(top == np.delete(top, hub).max())
+    assert tied.size > m // 4
+    labels = rng.integers(1, 4, m)
+    labels[tied[:k]] = 0
+    labels[hub] = 0
+    assert knn_top1(feats, labels, k) == _knn_top1_stable_argsort(feats, labels, k)
+    assert knn_tables == [True, False, True]
+
+
+@pytest.mark.parametrize("offset", [-1, 1])
+def test_knn_around_one_block_matches_stable_argsort_reference(offset, knn_tables):
+    # a strip is 31 or 32 columns wide, so only k <= 3 can take the table,
+    # and here k = 1 takes it in every block
+    rng = np.random.default_rng(23 + offset)
+    m = evaluation._KNN_ROWS + offset
+    feats = _sign_rows(rng, m, dim=1024)
+    labels = rng.integers(0, 5, m)
+    for k in (1, 2, 5, 31, 32, 33, m - 1):
+        knn_tables.clear()
+        assert knn_top1(feats, labels, k) == _knn_top1_stable_argsort(feats, labels, k)
+        if k == 1:
+            assert all(knn_tables)
+        elif k >= 5:
+            assert not any(knn_tables)
+
+
+def test_knn_on_sparse_label_ids_equals_compact_ids():
+    # votes are counted per present class, not per id up to the largest
+    rng = np.random.default_rng(24)
+    feats = rng.standard_normal((40, 4))
+    labels = rng.integers(0, 2, 40)
+    assert knn_top1(feats, labels * 2 ** 40, 5) == knn_top1(feats, labels, 5)
 
 
 @pytest.mark.parametrize("metric", [
@@ -399,11 +538,13 @@ def test_overlap_equals_full_formula_across_dimensions(d):
 
 
 def test_eval_metrics_hold_no_n_by_n_matrix():
-    # at N = 2,000 an (N, N) float64 matrix alone is 32 MB
+    # at N = 2,000 an (N, N) float64 matrix alone is 32 MB.  With N distinct
+    # labels, a one-hot of the classes would be one
     rng = np.random.default_rng(15)
     feats = rng.standard_normal((2000, 16))
     labels = np.repeat(np.arange(10), 200)
     for metric, limit_mb in ((lambda: knn_top1(feats, labels, 5), 16),
+                             (lambda: knn_top1(feats, np.arange(2000), 5), 16),
                              (lambda: class_overlap(feats, labels), 40)):
         tracemalloc.start()
         try:
@@ -427,6 +568,39 @@ def test_overlap_stays_within_memory_at_10x():
     finally:
         tracemalloc.stop()
     assert peak < 16e6
+
+
+def test_knn_stays_within_memory_at_10x():
+    # one (256, N) similarity buffer is 10 MB at N = 5,000.  The peak is
+    # 14.0 MB; partitioning each block's whole rows took it to 22.9 MB
+    rng = np.random.default_rng(16)
+    feats = rng.standard_normal((5000, 16))
+    labels = np.repeat(np.arange(10), 500)
+    tracemalloc.start()
+    try:
+        knn_top1(feats, labels, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 18e6
+
+
+def test_eval_at_scale_script_prints_the_metrics_of_direct_calls():
+    result = subprocess.run([sys.executable, str(EVAL_AT_SCALE), "--n", "20"],
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    feats = np.random.default_rng(0).standard_normal((20, 16))
+    labels = np.repeat(np.arange(10), 2)
+    expected = {
+        "knn_top1": knn_top1(feats, labels, 5),
+        "class_overlap": class_overlap(feats, labels),
+        "linear_probe": linear_probe(feats, labels, 0.5, ProbeConfig()).top1,
+    }
+    assert len(lines) == 3
+    for line, (name, value) in zip(lines, expected.items()):
+        assert line.split()[:3] == ["N=", "20", name]
+        assert line.endswith(f"value {value!r}")
 
 
 def test_overlap_below_one_for_separated_gaussians():
@@ -619,3 +793,11 @@ def test_projection_csv_layout(tmp_path):
         b"7,0,1.0,-0.1\r\n"
         b"9223372036854775807,1,0.3333333333333333,4e-20\r\n"
     )
+
+
+def test_projection_csv_writes_uint64_ids_unwrapped(tmp_path):
+    path = tmp_path / "projection.csv"
+    ids = np.array([3, 2 ** 63 + 5, 2 ** 64 - 1], dtype=np.uint64)
+    write_projection_csv(path, ids, np.array([0, 1, 2]), np.zeros((3, 2)))
+    rows = path.read_text().splitlines()[2:]
+    assert [row.split(",")[0] for row in rows] == [str(v) for v in (3, 2 ** 63 + 5, 2 ** 64 - 1)]
