@@ -211,9 +211,9 @@ def save_corpus(corpus: Corpus, path) -> None:
 
 def load_corpus(path) -> Corpus:
     """Read a ``DTGC v3`` file; any malformed content, a label outside the
-    spec or a non-finite basis or frame value included, raises
-    ``FormatError``.  The arrays are read-only views of the file's bytes,
-    except the labels, which are widened to int64."""
+    spec, fewer videos than classes or a non-finite basis or frame value
+    included, raises ``FormatError``.  The arrays are read-only views of the
+    file's bytes, except the labels, which are widened to int64."""
     r = RecordReader(Path(path).read_bytes(), CORPUS_HEADER)
     *fields, count = r.unpack(_SPEC_RECORD)
     try:
@@ -227,7 +227,10 @@ def load_corpus(path) -> Corpus:
     ids = r.array((count,), "<u8")
     frames = r.array((count, spec.frames_per_video, d))
     r.expect_end()
-    if count and labels.max() >= spec.num_classes:
+    # every file save_corpus writes, a split half included, holds every class
+    if count < spec.num_classes:
+        raise FormatError(f"{count} videos are fewer than the {spec.num_classes} classes")
+    if labels.max() >= spec.num_classes:
         raise FormatError(f"label {labels.max()} out of range for {spec.num_classes} classes")
     if not all(map(all_finite, (signal_basis, nuisance_basis, frames))):
         raise FormatError("corpus bases or frames hold non-finite values")

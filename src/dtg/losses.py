@@ -151,8 +151,9 @@ def contrastive_batch(anchors: np.ndarray, positives: np.ndarray, negatives: np.
     if inv_tau == np.inf:
         raise ValueError(f"temperature must have a finite reciprocal, got {tau}")
     # C-ordered operands: the einsums and matmuls round by their strides
-    a, pos, neg = (np.ascontiguousarray(v, dtype=np.float64)
-                   for v in (anchors, positives, negatives))
+    a = np.ascontiguousarray(anchors, dtype=np.float64)
+    pos = np.ascontiguousarray(positives, dtype=np.float64)
+    neg = np.ascontiguousarray(negatives, dtype=np.float64)
     if neg.ndim != 3:
         raise ValueError(f"negatives must be (N, K, d), got shape {neg.shape}")
     n_teachers, k, dim = neg.shape

@@ -99,7 +99,7 @@ def backward_batch(enc: StudentEncoder, cache, d_out: np.ndarray,
     x, z1, a1, z2, a2, out, norms = cache
     # through y = z / |z|:  dz = (dy - (dy . y) y) / |z|
     dz3 = d_out * out
-    inner = np.sum(dz3, axis=1, keepdims=True)
+    inner = np.add.reduce(dz3, axis=1, keepdims=True)
     np.multiply(inner, out, out=dz3)
     np.subtract(d_out, dz3, out=dz3)
     dz3 /= norms
@@ -117,15 +117,22 @@ def backward_batch(enc: StudentEncoder, cache, d_out: np.ndarray,
 
 
 def pool_frames(frames) -> np.ndarray:
-    """Mean over the frame axis of a (..., T, D) array -> (..., D).
+    """Mean over the frame axis of a (..., T, D) array -> (..., D): the T
+    frames added one after another, in order, then divided by T.
 
-    The same frames in the same order give the same bits in any memory
-    layout (the mean runs in C order), so a batch pools exactly as its rows
-    pool one at a time.  Reordering the frames may change the last bit."""
+    Each value is that sequential sum in any memory layout, so a batch pools
+    exactly as its rows pool one at a time.  For D > 1 it equals numpy's
+    ``mean(axis=-2)`` of the C-ordered array bit for bit; for D = 1 numpy
+    sums pairwise and may differ in the last bit.  Reordering the frames
+    may change the last bit."""
     x = np.asarray(frames, dtype=np.float64)
-    if x.ndim < 2:
-        raise ValueError(f"expected a (..., T, D) frame array, got shape {x.shape}")
-    return np.ascontiguousarray(x).mean(axis=-2)
+    if x.ndim < 2 or x.shape[-2] == 0:
+        raise ValueError(f"expected a (..., T, D) frame array with T >= 1, got shape {x.shape}")
+    total = x[..., 0, :].copy()
+    for t in range(1, x.shape[-2]):
+        total += x[..., t, :]
+    total /= x.shape[-2]
+    return total
 
 
 @dataclass(frozen=True)

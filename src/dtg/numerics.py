@@ -79,11 +79,15 @@ def unit_rows(x: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(x / norms, norms)`` with ``norms`` of shape (rows, 1), kept for
     the backward pass through the scaling.  Any row with norm <= ``EPS_NORM``,
     or with a norm that is not finite (an entry overflowed or is not finite),
-    raises ``DegenerateInputError`` naming ``what``.
+    raises ``DegenerateInputError`` naming ``what``.  The norms are
+    ``np.linalg.norm(x, axis=1, keepdims=True)``'s for a real float array,
+    computed as that function computes them.
     """
-    norms = np.linalg.norm(x, axis=1, keepdims=True)
-    ok = (norms > EPS_NORM) & (norms < np.inf)  # NaN fails both
-    if not ok.all():
+    norms = np.sqrt(np.add.reduce(x * x, axis=1, keepdims=True))
+    # NaN propagates through min and max and fails both tests
+    if len(norms) and not (np.minimum.reduce(norms, axis=None) > EPS_NORM
+                           and np.maximum.reduce(norms, axis=None) < np.inf):
+        ok = (norms > EPS_NORM) & (norms < np.inf)
         bad = norms[~ok][0]
         kind = "near-zero" if bad <= EPS_NORM else "non-finite"
         raise DegenerateInputError(f"{what} has {kind} norm {bad:.3e}")

@@ -94,13 +94,15 @@ def sample_pairs(frames: np.ndarray, mode: PairMode, segments: int, streams: Sub
         raise ValueError(f"unknown pair mode {mode!r}")
 
     (a_lo, a_width), (g_lo, g_width) = anchor_win, guide_win
-    rows = np.arange(x.shape[0])[:, None]
+    # frame f of video b is row b * L + f of the (B * L, D) view
+    flat = x.reshape(x.shape[0] * length, x.shape[2])
+    row_starts = np.arange(0, x.shape[0] * length, length)[:, None]
     ia = a_lo + streams.integers(a_width)
     if mode is PairMode.IMG_IMG:
         j = streams.integers(length - 1)[:, None]
         ig = j + (j >= ia)
-        anchor = augment(x[rows, ia], streams, mask_frac)
+        anchor = augment(flat.take(row_starts + ia, axis=0), streams, mask_frac)
     else:
-        anchor = augment(x[rows, ia], streams, mask_frac)
+        anchor = augment(flat.take(row_starts + ia, axis=0), streams, mask_frac)
         ig = g_lo + streams.integers(g_width)
-    return anchor, augment(x[rows, ig], streams, mask_frac)
+    return anchor, augment(flat.take(row_starts + ig, axis=0), streams, mask_frac)

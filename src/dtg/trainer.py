@@ -21,12 +21,13 @@ update are skipped.  Per-sample randomness is keyed by (seed, video_id,
 epoch), so the pair sampled for a video does not depend on which batch it
 lands in.  That lets each epoch draw every pair in one ``sample_pairs``
 call over one ``substreams`` batch, pool both views and read the teachers
-once, and slice its batches out of those arrays in the epoch's shuffled
-order.
+once.  The pooled anchors, like the guidance, are then taken once in the
+epoch's visiting order, so every batch is a slice, not a gather.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -238,8 +239,9 @@ class _EpochStats:
     count: int = 0
     weights: list = field(default_factory=list)
 
-    def record(self, out: ContrastiveOutcome, ce_loss=None):
-        self.ct_sum += float(out.loss.sum())
+    def record(self, out: ContrastiveOutcome, loss_sum: float, ce_loss=None):
+        """Adds one step: ``loss_sum`` is the sum of ``out.loss``."""
+        self.ct_sum += loss_sum
         self.count += len(out.loss)
         self.weights.append(out.weights)
         if ce_loss is not None:
@@ -298,29 +300,33 @@ def _run_loop(config: TrainConfig, corpus: Corpus, bank: TeacherBank,
         anchors, guides = sample_pairs(frames_all, config.pair_mode, config.segments,
                                        substreams(config.seed, "pair", ids, epoch),
                                        config.mask_frac)
-        pooled_anchors, pooled_guides = pool_frames(anchors), pool_frames(guides)
+        pooled_guides = pool_frames(guides)
         guidance_all = np.stack([teacher_features(t, pooled_guides) for t in bank.teachers])
         # rows taken by index, not recomputed in visiting order: a BLAS edge
         # tile may round a permuted row differently
         np.take(guidance_all, order, axis=1, out=stream[:, K:])
+        visited_anchors = np.take(pool_frames(anchors), order, axis=0)
         stats = _EpochStats()
         for b0 in range(0, V, config.batch_size):
-            batch_idx = order[b0:b0 + config.batch_size]
-            n = len(batch_idx)
             # Cold start: until K rows have been fed there is no loss and no update.
             if epoch > 0 or b0 >= K:
-                feats, cache = forward_batch(enc, pooled_anchors[batch_idx])
+                batch_anchors = visited_anchors[b0:b0 + config.batch_size]
+                n = len(batch_anchors)
+                feats, cache = forward_batch(enc, batch_anchors)
                 out = contrastive_batch(feats, stream[:, K + b0:K + b0 + n],
                                         stream[:, b0:b0 + K],
                                         config.tau, config.weight_scheme, config.fusion_level,
                                         accuracies=config.offline_accuracies)
-                ct_loss = float(out.loss.mean())
+                # the sum and the division np.mean would compute
+                loss_sum = float(np.add.reduce(out.loss))
+                ct_loss = loss_sum / n
                 d_feats = out.grad_anchor / n
 
                 ce_loss = None
                 if joint:
                     logits = head.logits(feats)
-                    ce_loss, d_logits = cross_entropy_batch(logits, labels_all[batch_idx])
+                    ce_loss, d_logits = cross_entropy_batch(
+                        logits, labels_all[order[b0:b0 + config.batch_size]])
                     d_feats = config.alpha * d_feats + config.beta * (d_logits @ head.W)
                     g_w = np.matmul(d_logits.T, feats, out=grad_views["head.W"])
                     np.multiply(config.beta, g_w, out=g_w)
@@ -329,7 +335,7 @@ def _run_loop(config: TrainConfig, corpus: Corpus, bank: TeacherBank,
                     step_loss = joint_loss(ct_loss, ce_loss, config.alpha, config.beta)
                 else:
                     step_loss = ct_loss
-                if not np.isfinite(step_loss):
+                if not math.isfinite(step_loss):
                     raise NumericAbortError(
                         f"non-finite loss at epoch {epoch}, batch {b0 // config.batch_size}"
                     )
@@ -337,7 +343,7 @@ def _run_loop(config: TrainConfig, corpus: Corpus, bank: TeacherBank,
                 backward_batch(enc, cache, d_feats, grad_views)
                 sgd_step(params, grads, velocity, lr, config.momentum, config.weight_decay,
                          layout)
-                stats.record(out, ce_loss)
+                stats.record(out, loss_sum, ce_loss)
 
         stream[:, :K] = stream[:, V:]
         records.append(stats.close(epoch, lr, joint))

@@ -229,6 +229,8 @@ def _probe_exit(tmp_path, corpus_blob) -> int:
 @pytest.mark.parametrize("values, message", [
     ({"signal_dim": 9}, "signal_dim must not exceed frame_dim"),
     ({"num_videos": 2 ** 64 - 1}, "record truncated"),
+    # the probe would size its classifier by the class count
+    ({"num_classes": 2 ** 32 - 1}, "fewer than the 4294967295 classes"),
 ])
 def test_checksum_valid_bad_header_exits_3(tmp_path, capsys, values, message):
     blob = crafted(_generated_corpus_bytes(tmp_path), **values)

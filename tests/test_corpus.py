@@ -247,6 +247,8 @@ def test_v2_file_is_an_unsupported_version(tmp_path, tiny_corpus):
     ({"num_classes": 0}, "num_classes must be an integer >= 1"),
     ({"num_videos": 2 ** 64 - 1}, "record truncated"),
     ({"num_videos": 5}, "unexpected trailing bytes"),
+    ({"num_classes": 7}, "6 videos are fewer than the 7 classes"),
+    ({"num_classes": 2 ** 32 - 1}, "6 videos are fewer than the 4294967295 classes"),
 ])
 def test_checksum_valid_bad_header_raises_format_error(tmp_path, tiny_corpus, values, message):
     path = tmp_path / "c.dtgc"

@@ -127,6 +127,38 @@ def test_pool_frames_is_mean():
     assert np.array_equal(pool_frames(seq), seq.mean(axis=0))
 
 
+def _frames_added_in_order(x: np.ndarray) -> np.ndarray:
+    """Per (..., d): frame 0 plus frame 1 plus ... in Python floats, over T."""
+    out = np.empty(x.shape[:-2] + x.shape[-1:])
+    for i in np.ndindex(out.shape):
+        *lead, d = i
+        total = float(x[(*lead, 0, d)])
+        for t in range(1, x.shape[-2]):
+            total += float(x[(*lead, t, d)])
+        out[i] = total / x.shape[-2]
+    return out
+
+
+@pytest.mark.parametrize("shape", [(7, 33, 1), (3, 100, 1), (200, 1), (4, 9, 2), (3, 5, 16),
+                                   (2, 3, 1, 4), (6, 1, 3)])
+def test_pool_frames_adds_the_frames_in_order_then_divides(shape):
+    # at D = 1 numpy's mean(axis=-2) sums pairwise and may differ in the last bit
+    x = np.random.default_rng(5).standard_normal(shape) * 10.0 ** np.arange(shape[-1])
+    assert np.array_equal(pool_frames(x), _frames_added_in_order(x))
+    assert np.array_equal(pool_frames(np.asfortranarray(x)), _frames_added_in_order(x))
+
+
+@pytest.mark.parametrize("shape", [(500, 4, 16), (300, 32, 16), (5, 2, 9, 16), (64, 1, 16)])
+def test_pool_frames_equals_numpy_mean_at_the_model_width(shape):
+    x = np.random.default_rng(6).standard_normal(shape)
+    assert np.array_equal(pool_frames(x), x.mean(axis=-2))
+
+
+def test_pool_frames_rejects_zero_frames():
+    with pytest.raises(ValueError, match="T >= 1"):
+        pool_frames(np.zeros((3, 0, 4)))
+
+
 @pytest.mark.parametrize("t", [1, 7, 8, 9, 32, 129])
 @pytest.mark.parametrize("dim", [1, 4, 17])
 def test_pool_frames_batch_matches_rows(t, dim):

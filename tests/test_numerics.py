@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -39,6 +41,36 @@ def test_unit_rows_returns_norms_and_names_a_degenerate_row():
     for row, norm in (([1e200, 1e200], "inf"), ([np.nan, 1.0], "nan")):
         with pytest.raises(DegenerateInputError, match=f"probe row has non-finite norm {norm}"):
             unit_rows(np.vstack([x, row]), "probe row")
+
+
+@pytest.mark.parametrize("d", [1, 3, 16])
+def test_unit_rows_of_no_rows_are_empty(d):
+    u, norms = unit_rows(np.empty((0, d)), "probe row")
+    assert u.shape == (0, d) and norms.shape == (0, 1)
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([[np.nan, 1.0]], "non-finite norm nan"),
+    ([[np.inf, 1.0]], "non-finite norm inf"),
+    ([[1.0, -np.inf]], "non-finite norm inf"),
+    ([[0.0, 0.0], [np.nan, 1.0]], "near-zero norm 0.000e+00"),
+    ([[np.nan, 1.0], [0.0, 0.0]], "non-finite norm nan"),
+    ([[np.inf, 1.0], [np.nan, 0.0]], "non-finite norm inf"),
+])
+def test_unit_rows_names_the_first_degenerate_row(rows, message):
+    x = np.vstack([[[3.0, 4.0], [0.0, 2.0]], rows, [[1.0, 1.0]]])
+    with pytest.raises(DegenerateInputError, match=f"^probe row has {re.escape(message)}$"):
+        unit_rows(x, "probe row")
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+def test_unit_rows_equal_numpy_linalg_norm_bit_for_bit(layout):
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((300, 16)) * np.exp(rng.uniform(-20, 20, (300, 1)))
+    x = {"C": x, "F": np.asfortranarray(x), "strided": np.repeat(x, 2, axis=1)[:, ::2]}[layout]
+    want = np.linalg.norm(x, axis=1, keepdims=True)
+    u, norms = unit_rows(x, "probe row")
+    assert np.array_equal(norms, want) and np.array_equal(u, x / want)
 
 
 def test_as_vector_rejects_matrix_and_nan():
