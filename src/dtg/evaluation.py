@@ -103,14 +103,19 @@ def linear_probe(features: np.ndarray, labels: np.ndarray, split_frac: float = 0
     """Affine classifier on frozen features: full-batch gradient descent from
     zero init, CE loss, held-out top-1 on the stratified test split.
 
-    The features, the labels and the split are checked once, before
-    training (``config`` checks itself when it is made); each epoch's
+    The classifier has a row for every id up to the largest label, and an
+    id absent from the labels stays a softmax class; so every id must lie
+    below the number of feature rows, or ValueError before anything is
+    allocated.  The features, the labels and the split are checked once,
+    before training (``config`` checks itself when it is made); each epoch's
     gradient is then ``cross_entropy_batch``'s bit for bit."""
     x = as_matrix(features, "features")
     y = _class_labels(labels, x.shape[0])
+    top = int(y.max())
+    if top >= x.shape[0]:
+        raise ValueError(f"label id {top} is not below the number of feature rows "
+                         f"({x.shape[0]}); relabel the classes 0, 1, 2, ...")
     classes = np.unique(y)
-    if x.shape[0] < classes.size:
-        raise ValueError("fewer examples than classes")
     tr, te = stratified_split(y, split_frac, config.seed)
     if set(np.unique(y[tr])) != set(classes):
         raise ValueError("a class is absent from the train split")

@@ -12,14 +12,18 @@ supported:
   seq-seq-disjoint  anchor from the first half, guidance from the second
 
 ``sample_pairs`` works on a (B, L, D) stack of videos with one random stream
-per video, held as a ``seeding.Substreams``.  Every draw is one array
-operation over all rows, and row b draws only from its own stream, so a
-row's pair does not depend on the rest of the batch: the trainer samples a
-whole epoch in one call and slices batches out of it.
+per video, held as a ``seeding.Substreams``, in two steps: ``draw_pairs``
+makes each row's random choices (frame indices and mask starts), and
+``gather_view`` takes the frames and zeroes the masks.  Every draw is one
+array operation over all rows, and row b draws only from its own stream, so
+a row's pair does not depend on the other rows drawn with it: the trainer
+draws a chunk of whole epochs in one call and gathers each epoch's views
+from its slice.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -51,58 +55,86 @@ def _window(lo: int, hi: int, segments: int) -> tuple[np.ndarray, np.ndarray]:
     return lo + bounds[:, 0], bounds[:, 1] - bounds[:, 0]
 
 
-def augment(views: np.ndarray, streams: Substreams, mask_frac: float = 0.0) -> np.ndarray:
-    """Zero, in place, a random contiguous block of floor(mask_frac * D)
-    coordinates across all frames of each row of the (B, T, D) ``views``, row
-    b's block start drawn from row b of ``streams``; returns ``views``."""
-    dim = views.shape[-1]
+@dataclass(frozen=True)
+class ViewDraw:
+    """The random choices of one view of R pairs: the (R, T) frame index of
+    each segment, and the first of the ``width`` coordinates each row masks,
+    (R,), or None when ``width`` is 0."""
+
+    frames: np.ndarray
+    mask: np.ndarray | None
+    width: int
+
+    def rows(self, index) -> ViewDraw:
+        """The draws of the rows ``index`` (a slice or an index array)."""
+        return ViewDraw(self.frames[index], None if self.mask is None else self.mask[index],
+                        self.width)
+
+
+def draw_pairs(num_frames: int, dim: int, mode: PairMode, segments: int, streams: Substreams,
+               mask_frac: float = 0.0) -> tuple[ViewDraw, ViewDraw]:
+    """The (anchor, guidance) draws of one pair per row of ``streams``, for
+    videos of ``num_frames`` frames of ``dim`` coordinates.  Row r takes, from
+    its own stream and in this order: the anchor's frames, img-img's guidance
+    frame (distinct from the anchor's), the anchor's mask start, the
+    guidance's frames, the guidance's mask start.  A mask of
+    floor(mask_frac * dim) = 0 coordinates draws nothing."""
+    if mode is PairMode.IMG_IMG:
+        if num_frames < 2:
+            raise ValueError("img-img needs at least 2 frames")
+        anchor_win = guide_win = _window(0, num_frames, 1)
+    elif mode is PairMode.IMG_SEQ:
+        anchor_win, guide_win = _window(0, num_frames, segments), _window(0, num_frames, 1)
+    elif mode is PairMode.SEQ_SEQ_OVERLAP:
+        anchor_win = guide_win = _window(0, num_frames, segments)
+    elif mode is PairMode.SEQ_SEQ_DISJOINT:
+        half = num_frames // 2
+        anchor_win, guide_win = _window(0, half, segments), _window(half, num_frames, segments)
+    else:
+        raise ValueError(f"unknown pair mode {mode!r}")
+
     width = int(mask_frac * dim)
-    if width > 0:
-        offset = np.arange(dim) - streams.integers(dim - width + 1)[:, None]
-        np.copyto(views, 0.0, where=((offset >= 0) & (offset < width))[:, None, :])
-    return views
+
+    def mask() -> np.ndarray | None:
+        return streams.integers(dim - width + 1) if width > 0 else None
+
+    (a_lo, a_width), (g_lo, g_width) = anchor_win, guide_win
+    ia = a_lo + streams.integers(a_width)
+    if mode is PairMode.IMG_IMG:
+        j = streams.integers(num_frames - 1)[:, None]
+        ig = j + (j >= ia)
+        anchor = ViewDraw(ia, mask(), width)
+    else:
+        anchor = ViewDraw(ia, mask(), width)
+        ig = g_lo + streams.integers(g_width)
+    return anchor, ViewDraw(ig, mask(), width)
+
+
+def gather_view(frames: np.ndarray, view: ViewDraw, videos: np.ndarray | None = None
+                ) -> np.ndarray:
+    """The (R, T, D) views drawn by ``view`` from the (V, L, D) float64
+    ``frames``: row r holds frames ``view.frames[r]`` of video ``videos[r]``
+    (of video r if ``videos`` is None), with its ``view.width`` coordinates
+    from ``view.mask[r]`` on zeroed in every frame."""
+    num_videos, length, dim = frames.shape
+    # frame f of video v is row v * L + f of the (V * L, D) view
+    starts = np.arange(0, num_videos * length, length) if videos is None else videos * length
+    out = frames.reshape(num_videos * length, dim).take(starts[:, None] + view.frames, axis=0)
+    if view.mask is not None:
+        offset = np.arange(dim) - view.mask[:, None]
+        np.copyto(out, 0.0, where=((offset >= 0) & (offset < view.width))[:, None, :])
+    return out
 
 
 def sample_pairs(frames: np.ndarray, mode: PairMode, segments: int, streams: Substreams,
                  mask_frac: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """(anchor (B, T, D), guidance (B, T', D)) views of the videos ``frames``
-    (B, L, D), row b drawn from row b of ``streams`` alone.
-
-    The anchor is the student-side input.  Per row, the anchor's frames are
-    drawn and masked first, then the guidance's; img-img draws both frames
-    before masking either.
-    """
+    (B, L, D), row b drawn from row b of ``streams`` alone: ``draw_pairs``,
+    then ``gather_view`` of each view.  The anchor is the student-side input."""
     x = np.asarray(frames, dtype=np.float64)
     if x.ndim != 3:
         raise ValueError(f"expected a (B, L, D) frame stack, got shape {x.shape}")
     if len(streams) != x.shape[0]:
         raise ValueError(f"need one stream per video, got {len(streams)} for {x.shape[0]}")
-    length = x.shape[1]
-    if mode is PairMode.IMG_IMG:
-        if length < 2:
-            raise ValueError("img-img needs at least 2 frames")
-        # the guidance frame is drawn below, distinct from the anchor's
-        anchor_win = guide_win = _window(0, length, 1)
-    elif mode is PairMode.IMG_SEQ:
-        anchor_win, guide_win = _window(0, length, segments), _window(0, length, 1)
-    elif mode is PairMode.SEQ_SEQ_OVERLAP:
-        anchor_win = guide_win = _window(0, length, segments)
-    elif mode is PairMode.SEQ_SEQ_DISJOINT:
-        half = length // 2
-        anchor_win, guide_win = _window(0, half, segments), _window(half, length, segments)
-    else:
-        raise ValueError(f"unknown pair mode {mode!r}")
-
-    (a_lo, a_width), (g_lo, g_width) = anchor_win, guide_win
-    # frame f of video b is row b * L + f of the (B * L, D) view
-    flat = x.reshape(x.shape[0] * length, x.shape[2])
-    row_starts = np.arange(0, x.shape[0] * length, length)[:, None]
-    ia = a_lo + streams.integers(a_width)
-    if mode is PairMode.IMG_IMG:
-        j = streams.integers(length - 1)[:, None]
-        ig = j + (j >= ia)
-        anchor = augment(flat.take(row_starts + ia, axis=0), streams, mask_frac)
-    else:
-        anchor = augment(flat.take(row_starts + ia, axis=0), streams, mask_frac)
-        ig = g_lo + streams.integers(g_width)
-    return anchor, augment(flat.take(row_starts + ig, axis=0), streams, mask_frac)
+    anchor, guidance = draw_pairs(x.shape[1], x.shape[2], mode, segments, streams, mask_frac)
+    return gather_view(x, anchor), gather_view(x, guidance)

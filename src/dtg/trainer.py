@@ -18,11 +18,13 @@ then this epoch's rows in visiting order.  The batch at offset b0 takes
 columns [K + b0, K + b0 + B) as positives and [b0, b0 + K) as negatives.
 Until K rows have been fed (b0 < K in the first epoch) the loss and the
 update are skipped.  Per-sample randomness is keyed by (seed, video_id,
-epoch), so the pair sampled for a video does not depend on which batch it
-lands in.  That lets each epoch draw every pair in one ``sample_pairs``
-call over one ``substreams`` batch, pool both views and read the teachers
-once.  The pooled anchors, like the guidance, are then taken once in the
-epoch's visiting order, so every batch is a slice, not a gather.
+epoch), so the pair sampled for a video depends neither on the batch it
+lands in nor on the model.  That lets the run draw the pairs of a chunk of
+whole epochs (as many as fit in ``_PAIR_ROWS`` rows) in one ``draw_pairs``
+call over one ``substreams`` batch.  Each epoch then gathers and pools its
+own slice and reads the teachers once.  The anchors are gathered in the
+epoch's visiting order and the guidance is taken into it, so every batch is
+a slice, not a gather.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from __future__ import annotations
 import math
 import sys
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -58,7 +61,7 @@ from .model import (
     teacher_features,
 )
 from .numerics import FieldError, check_fields, check_value, declared
-from .sampling import PairMode, sample_pairs
+from .sampling import PairMode, ViewDraw, draw_pairs, gather_view
 from .seeding import substream, substreams
 
 
@@ -67,6 +70,10 @@ class NumericAbortError(RuntimeError):
 
 
 _ACCURACY = declared(float, ge=0).metadata  # the rule of each offline accuracy
+# A run draws its pairs for this many (video, epoch) rows at a time: 32
+# epochs of the 500-video reference corpus, and a few MB of streams and
+# indices.
+_PAIR_ROWS = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -277,6 +284,25 @@ def _flat_model(enc: StudentEncoder, head: ClassifierHead | None):
     return params, layout, enc, head
 
 
+def _pair_draws(config: TrainConfig, num_frames: int, dim: int, ids: np.ndarray
+                ) -> Iterator[tuple[ViewDraw, ViewDraw]]:
+    """Each epoch's (anchor, guidance) draws of the videos ``ids``, epoch by
+    epoch; row v of epoch e is drawn from ``substreams(config.seed, "pair",
+    ids[v], e)`` alone.  One ``draw_pairs`` call serves as many whole epochs
+    as fit in ``_PAIR_ROWS`` rows, and at least one, so the draws held at a
+    time do not grow with the number of epochs."""
+    per_chunk = max(1, _PAIR_ROWS // len(ids))
+    for first in range(0, config.epochs, per_chunk):
+        epochs = np.arange(first, min(first + per_chunk, config.epochs))
+        streams = substreams(config.seed, "pair", np.tile(ids, epochs.size),
+                             np.repeat(epochs, len(ids)))
+        anchor, guidance = draw_pairs(num_frames, dim, config.pair_mode, config.segments,
+                                      streams, config.mask_frac)
+        for e in range(epochs.size):
+            rows = slice(e * len(ids), (e + 1) * len(ids))
+            yield anchor.rows(rows), guidance.rows(rows)
+
+
 def _run_loop(config: TrainConfig, corpus: Corpus, bank: TeacherBank,
               enc: StudentEncoder, head: ClassifierHead | None
               ) -> tuple[StudentEncoder, ClassifierHead | None, RunReport]:
@@ -291,21 +317,19 @@ def _run_loop(config: TrainConfig, corpus: Corpus, bank: TeacherBank,
     grad_views = layout.views(grads)
     labels_all = corpus.labels()
     frames_all = corpus.frames()
-    ids = corpus.ids()
     stream = np.empty((len(bank), K + V, config.d))
     records = []
-    for epoch in range(config.epochs):
+    draws = _pair_draws(config, frames_all.shape[1], frames_all.shape[2], corpus.ids())
+    for epoch, (anchor_draw, guide_draw) in enumerate(draws):
         lr = lr_at(config, epoch)
         order = substream(config.seed, "epoch-order", epoch).permutation(V)
-        anchors, guides = sample_pairs(frames_all, config.pair_mode, config.segments,
-                                       substreams(config.seed, "pair", ids, epoch),
-                                       config.mask_frac)
-        pooled_guides = pool_frames(guides)
+        pooled_guides = pool_frames(gather_view(frames_all, guide_draw))
         guidance_all = np.stack([teacher_features(t, pooled_guides) for t in bank.teachers])
         # rows taken by index, not recomputed in visiting order: a BLAS edge
         # tile may round a permuted row differently
         np.take(guidance_all, order, axis=1, out=stream[:, K:])
-        visited_anchors = np.take(pool_frames(anchors), order, axis=0)
+        # pooling is per row, so the anchors are gathered in visiting order
+        visited_anchors = pool_frames(gather_view(frames_all, anchor_draw.rows(order), order))
         stats = _EpochStats()
         for b0 in range(0, V, config.batch_size):
             # Cold start: until K rows have been fed there is no loss and no update.

@@ -150,6 +150,24 @@ def test_probe_fit_equals_reference_loop_bit_for_bit(n_cls, absent):
                                                              seed=3)).top1 == top1
 
 
+def test_probe_rejects_label_ids_past_the_rows_before_allocating():
+    # the classifier has a row per id up to the largest: {0, 2**40} would ask
+    # for 2**40 rows of weights; ids below the row count stay classes
+    feats = np.random.default_rng(0).standard_normal((40, 4))
+    labels = np.repeat([0, 2 ** 40], 20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"label id 1099511627776 is not below the "
+                                             r"number of feature rows \(40\)"):
+            linear_probe(feats, labels)
+        assert tracemalloc.get_traced_memory()[1] < 2 ** 20
+    finally:
+        tracemalloc.stop()
+    with pytest.raises(ValueError, match="label id 40 "):
+        linear_probe(feats, np.repeat([0, 40], 20))
+    assert 0 <= linear_probe(feats, np.repeat([0, 39], 20)).top1 <= 1
+
+
 @pytest.mark.parametrize("n_cls", [1, 2, 7, 8, 9, 17, 130])
 def test_cross_entropy_gradient_equals_reference_bit_for_bit(n_cls):
     rng = np.random.default_rng(n_cls)

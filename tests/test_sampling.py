@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dtg.sampling import PairMode, augment, sample_pairs, segment_bounds
+from dtg.sampling import PairMode, draw_pairs, gather_view, sample_pairs, segment_bounds
 from dtg.seeding import substream, substreams
 
 
@@ -154,26 +154,48 @@ def test_sampled_views_respect_their_windows():
     assert ((6 <= g[:, 0]) & (g[:, 0] < 9) & (9 <= g[:, 1]) & (g[:, 1] < 12)).all()
 
 
-def test_augment_without_mask_leaves_views_and_streams_alone():
-    x = np.random.default_rng(0).standard_normal((3, 2, 8))
-    before = x.copy()
+@pytest.mark.parametrize("mask_frac", [0.0, 0.12], ids=["zero", "under-one-coordinate"])
+def test_an_empty_mask_draws_nothing_and_zeroes_nothing(mask_frac):
+    frames = np.random.default_rng(0).standard_normal((3, 6, 8))
     streams = substreams(1, "b", np.arange(3))
-    assert augment(x, streams, mask_frac=0.0) is x
-    assert np.array_equal(x, before)
-    # nothing was drawn: the streams continue from their first value
-    assert np.array_equal(streams.integers(1000),
-                          [substream(1, "b", r).integers(1000) for r in range(3)])
+    views = draw_pairs(6, 8, PairMode.SEQ_SEQ_OVERLAP, 2, streams, mask_frac)
+    for view in views:
+        assert view.mask is None and view.width == 0  # int(0.12 * 8) = 0
+        assert np.array_equal(gather_view(frames, view),
+                              frames[np.arange(3)[:, None], view.frames])
+    # only the frame indices were drawn: the streams continue from there
+    want = []
+    for r in range(3):
+        rng = substream(1, "b", r)
+        rng.integers([3, 3]), rng.integers([3, 3])
+        want.append(rng.integers(1000))
+    assert np.array_equal(streams.integers(1000), want)
 
 
-def test_augment_mask_zeroes_contiguous_block():
+def test_gather_masks_a_contiguous_block_shared_across_frames():
     x = np.ones((5, 3, 8))
-    out = augment(x, substreams(0, "m", np.arange(5)), mask_frac=0.5)
-    assert out is x  # masked in place
-    for row in out:
-        zeros = np.flatnonzero(row[0] == 0.0)
-        assert zeros.size == 4  # int(0.5 * 8) coordinates
-        assert np.array_equal(zeros, np.arange(zeros[0], zeros[0] + 4))
-        assert np.array_equal(row, np.broadcast_to(row[0], row.shape))  # shared across frames
+    anchor, guidance = draw_pairs(3, 8, PairMode.SEQ_SEQ_OVERLAP, 3,
+                                  substreams(0, "m", np.arange(5)), mask_frac=0.5)
+    for view in (anchor, guidance):
+        out = gather_view(x, view)
+        assert view.width == 4  # int(0.5 * 8) coordinates
+        for row, start in zip(out, view.mask):
+            zeros = np.flatnonzero(row[0] == 0.0)
+            assert np.array_equal(zeros, np.arange(start, start + 4))
+            assert np.array_equal(row, np.broadcast_to(row[0], row.shape))  # shared across frames
+    assert np.array_equal(x, np.ones((5, 3, 8)))  # the frames are not written
+
+
+@pytest.mark.parametrize("mode", list(PairMode))
+def test_gather_of_picked_rows_equals_the_rows_of_the_gather(mode):
+    frames = np.random.default_rng(2).standard_normal((6, 12, 5))
+    views = draw_pairs(12, 5, mode, 3, substreams(4, "pick", np.arange(6)), mask_frac=0.4)
+    order = np.array([4, 1, 5, 0, 3, 2])
+    for view in views:
+        assert np.array_equal(gather_view(frames, view.rows(order), order),
+                              gather_view(frames, view)[order])
+        assert np.array_equal(gather_view(frames, view.rows(slice(2, 5)), np.arange(2, 5)),
+                              gather_view(frames, view)[2:5])
 
 
 def test_pair_mode_config_names():

@@ -1,21 +1,24 @@
 import copy
 import csv
 import dataclasses
+import hashlib
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from dtg import trainer
-from dtg.corpus import CorpusSpec, generate_corpus
+from dtg.corpus import CorpusSpec, generate_corpus, split_videos
 from dtg.evaluation import video_features
 from dtg.losses import (ContrastiveOutcome, FusionLevel, WeightScheme, contrastive_batch,
                         cross_entropy_batch, joint_loss)
 from dtg.model import (StudentEncoder, TeacherBank, build_head, build_student, build_teacher,
                        forward_batch, load_student, save_student)
 from dtg.numerics import FieldError, finite_diff_check
-from dtg.sampling import PairMode
+from dtg.sampling import PairMode, draw_pairs, gather_view, sample_pairs
+from dtg.seeding import substreams
 from dtg.trainer import (NumericAbortError, ParamLayout, TrainConfig, lr_at, pretrain,
                          report_to_dict, sgd_step, train_joint, write_report)
 
@@ -443,6 +446,65 @@ def test_train_joint_never_builds_the_probabilities(monkeypatch):
     assert report.records[-1].contrastive_loss is not None
 
 
+# --- recorded runs ---
+
+# sha256 of short runs on 20 videos with mask 0.25, taken as
+# scripts/artifact_digests.py takes its lines: every pair mode with 1 teacher,
+# 4 teachers under online1 with batch 7 (batches straddle the window of K = 8
+# negatives), joint training, and a 5-epoch run whose pairs are drawn in
+# chunks of 2, 2 and 1 epochs.  A changed pair, step or loss changes them.
+RECORDED_DIGESTS = {
+    "1t-img-img":
+        "d4bee25b62775c6979b86580f99d3fcec2787ff185c51ce2a72e05247ad45119",
+    "1t-img-seq":
+        "c2a2cfee8d078f1f7e66af435bd3d8ded93cbb0a564893f7331111bb315e6468",
+    "1t-seq-seq-overlap":
+        "b04fe1771efe23b18377b560a0ae5c3cda96b8304089d91429d0697ca70439e3",
+    "1t-seq-seq-disjoint":
+        "467a6e7de403107c9dea7c0777b2e483693e9184d47d30a953a9c7c02b83e1e1",
+    "4t-online1-b7":
+        "cc279a9269b27193c50a929d9d306cd504f8420b055b635a2415ba68cd76a039",
+    "joint":
+        "02d0098d201411bd35ee716539142b8390e21562495412728c3cacebc240c8da",
+    "chunked-5-epochs":
+        "62384db0dcc29df4001a37f6a1aa38ab1989da2808b851ceb144e5db317a6aba",
+}
+
+
+def _run_digest(enc, head, report) -> str:
+    h = hashlib.sha256()
+    for name, p in enc.parameters() + (head.parameters() if head is not None else []):
+        h.update(f"{name} {p.shape}\n".encode())
+        h.update(np.ascontiguousarray(p, "<f8").tobytes())
+    h.update(json.dumps(report_to_dict(report), sort_keys=True).encode())
+    return h.hexdigest()
+
+
+def _recorded_case(case: str) -> str:
+    corpus = _corpus(videos_per_class=10)
+    kw = dict(epochs=3, K=8, milestones=(2,), mask_frac=0.25)
+    bank = _bank(corpus)
+    if case == "joint":
+        (enc, head), report = train_joint(_config(**kw), corpus, bank)
+        return _run_digest(enc, head, report)
+    if case == "4t-online1-b7":
+        bank = _bank(corpus, rhos=(0.9, 0.7, 0.5, 0.3))
+        kw.update(weight_scheme=WeightScheme.ONLINE1, batch_size=7)
+    elif case == "chunked-5-epochs":
+        kw.update(epochs=5, milestones=(3,))
+    else:
+        kw.update(pair_mode=PairMode(case[len("1t-"):]))
+    enc, report = pretrain(_config(**kw), corpus, bank)
+    return _run_digest(enc, None, report)
+
+
+@pytest.mark.parametrize("case", list(RECORDED_DIGESTS))
+def test_short_runs_train_the_recorded_bits(monkeypatch, case):
+    if case == "chunked-5-epochs":
+        monkeypatch.setattr(trainer, "_PAIR_ROWS", 45)  # 2 epochs of 20 videos
+    assert _recorded_case(case) == RECORDED_DIGESTS[case]
+
+
 # --- report serialization ---
 
 def test_write_report_artifacts(tmp_path):
@@ -489,3 +551,87 @@ def test_write_report_blank_cells_for_cold_epoch(tmp_path):
     assert cold[2] == ""  # no contrastive loss recorded
     doc = json.loads((tmp_path / "report.json").read_text())
     assert doc["epochs"][0]["contrastive_loss"] is None
+
+
+# --- the pair plan: a run's draws, a chunk of epochs at a time ---
+
+WIDE_IDS = np.array([3, 2 ** 32, 8, 2 ** 40 + 5, 2 ** 32 - 1, 14, 2 ** 62])
+
+
+def _split_half_ids():
+    half, _ = split_videos(_corpus(videos_per_class=8), 0.5, seed=4)
+    return half.ids()
+
+
+def _count_substreams(monkeypatch):
+    calls = []
+    real = trainer.substreams
+
+    def spy(*args):
+        calls.append(len(args[2]))
+        return real(*args)
+
+    monkeypatch.setattr(trainer, "substreams", spy)
+    return calls
+
+
+@pytest.mark.parametrize("ids", ["wide", "split-half"])
+@pytest.mark.parametrize("epochs_per_chunk,budget", [
+    (1, lambda v: 1), (1, lambda v: v), (2, lambda v: 2 * v + 1), (5, lambda v: 5 * v),
+], ids=["under-one-epoch", "one-epoch", "mid-run-split", "one-chunk"])
+def test_chunked_draws_equal_per_epoch_sample_pairs(monkeypatch, ids, epochs_per_chunk,
+                                                    budget):
+    """Epoch e's draws are sample_pairs' with the epoch's own substreams,
+    index for index and mask for mask, however the run is chunked; ids of
+    two 32-bit words and gaps between ids change nothing."""
+    ids = WIDE_IDS if ids == "wide" else _split_half_ids()
+    V, L, D, epochs = len(ids), 8, 8, 5
+    # frame f of video v holds 100 v + f + 1, so a gathered view names its frames
+    frames = (100.0 * np.arange(V)[:, None, None] + np.arange(L)[None, :, None] + 1
+              ) * np.ones((V, L, D))
+    monkeypatch.setattr(trainer, "_PAIR_ROWS", budget(V))
+    calls = _count_substreams(monkeypatch)
+    chunks = range(0, epochs, epochs_per_chunk)
+    for mode in PairMode:
+        for mask_frac in (0.0, 0.3):
+            cfg = _config(epochs=epochs, pair_mode=mode, mask_frac=mask_frac, segments=3,
+                          seed=2 ** 40 + 9)
+            calls.clear()
+            draws = list(trainer._pair_draws(cfg, L, D, ids))
+            assert calls == [V * min(epochs_per_chunk, epochs - e) for e in chunks]
+            assert len(draws) == epochs
+            for epoch, views in enumerate(draws):
+                want = draw_pairs(L, D, mode, 3, substreams(cfg.seed, "pair", ids, epoch),
+                                  mask_frac)
+                for got, exp in zip(views, want):
+                    assert np.array_equal(got.frames, exp.frames), (mode, mask_frac, epoch)
+                    assert (got.mask is None) == (exp.mask is None) == (mask_frac == 0)
+                    assert got.mask is None or np.array_equal(got.mask, exp.mask)
+                pairs = sample_pairs(frames, mode, 3, substreams(cfg.seed, "pair", ids, epoch),
+                                     mask_frac)
+                for view, pair in zip(views, pairs):
+                    assert np.array_equal(gather_view(frames, view), pair)
+
+
+def test_no_epochs_draw_no_pairs(monkeypatch):
+    calls = _count_substreams(monkeypatch)
+    assert list(trainer._pair_draws(_config(epochs=0), 8, 8, np.arange(10))) == []
+    assert calls == []
+
+
+def test_a_chunk_of_draws_stays_within_a_few_mb():
+    # 60 epochs of 2,000 videos would be 120,000 rows; a chunk holds 8 epochs
+    # of them, and its transient memory does not grow with the epoch count
+    def peak(epochs):
+        cfg = TrainConfig(epochs=epochs, milestones=(), mask_frac=0.25)
+        draws = trainer._pair_draws(cfg, 16, 16, np.arange(2000))
+        tracemalloc.start()
+        try:
+            next(draws)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    at_60 = peak(60)
+    assert at_60 < 6 * 2 ** 20
+    assert abs(peak(600) - at_60) < 2 ** 16
