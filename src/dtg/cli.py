@@ -95,8 +95,9 @@ def _finish_training(args, cfg, label: str, report, enc, head=None) -> int:
     out = Path(cfg.out_dir)
     save_student(out / "checkpoint.dtgm", enc, head)
     report = dataclasses.replace(report, checkpoint_path="checkpoint.dtgm")
-    write_report(report, out, to_dict(cfg))
-    write_json(out / "config.json", to_dict(cfg))
+    resolved = to_dict(cfg)
+    write_report(report, out, resolved)
+    write_json(out / "config.json", resolved)
     last = report.records[-1] if report.records else None
     if last is not None:
         if last.contrastive_loss is None:

@@ -82,10 +82,7 @@ def teacher_view_accuracies(corpus: Corpus, bank: TeacherBank,
     y = corpus.labels()
     streams = substreams(seed, "teacher-acc", corpus.ids())
     _, guidance = sample_pairs(corpus.frames(), _VIEW_MODE, _VIEW_SEGMENTS, streams)
-    pooled = pool_frames(guidance)
-    return tuple(
-        knn_top1(teacher_features(t, pooled), y, _VIEW_K) for t in bank.teachers
-    )
+    return tuple(knn_top1(feats, y, _VIEW_K) for feats in teacher_features(bank, guidance))
 
 
 def _class_labels(labels, rows: int) -> np.ndarray:

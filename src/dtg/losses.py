@@ -14,14 +14,15 @@ carries an extra softmax term, while ``online2`` uses ranks and is
 piecewise constant.
 
 ``contrastive_batch`` makes one (B, M, 1 + Q) array, one row per anchor
-and scored positive.  The anchors are scaled by 1/tau once, so the
-similarity matmuls write the logits, already divided by the temperature,
+and scored positive.  The anchors are scaled by 1/tau once, so one stacked
+product writes all N queues' logits, already divided by the temperature,
 straight into its queue columns.  With m the row max, the array is then
 turned into exp(logits - m) in place and ``total`` is its row sum; the loss
 is m + log(total) - logits[..., 0], and 1/total goes into the gradient's
-per-row coefficients.  The probabilities exp(logits - m) / total are built
-only when ``ContrastiveOutcome.probs`` is read, which training never does.
-The same inputs in the same order give the same bits in any memory layout.
+per-row coefficients, whose queue terms are one stacked product too.  The
+probabilities exp(logits - m) / total are built only when
+``ContrastiveOutcome.probs`` is read, which training never does.  The same
+inputs in the same order give the same bits in any memory layout.
 """
 
 from __future__ import annotations
@@ -94,8 +95,11 @@ def teacher_weights(scheme: WeightScheme, num_teachers: int, *,
         raise ValueError(f"expected neg_sims of shape {s.shape} + (K,), got {ns.shape}")
     if not (np.isfinite(s).all() and np.isfinite(ns).all()):
         raise ValueError("similarities contain a non-finite entry")
-    ranks = 1 + (ns > s[..., None]).sum(axis=-1)     # 1 = beat every negative
-    scores = (ns.shape[-1] + 2 - ranks).astype(np.float64)   # in [1, K + 1]
+    # rank 1 + (negatives beating the positive, counted in the smallest
+    # unsigned type that holds K) scores K + 2 - rank, in [1, K + 1]
+    k = ns.shape[-1]
+    beaten = np.add.reduce((ns > s[..., None]).view(np.uint8), -1, np.min_scalar_type(k))
+    scores = np.subtract(k + 1, beaten, dtype=np.float64)
     return scores / scores.sum(axis=-1, keepdims=True)
 
 
@@ -164,26 +168,24 @@ def contrastive_batch(anchors: np.ndarray, positives: np.ndarray, negatives: np.
     # Score each anchor against M positives, each with its own queue of Q
     # rows, and mix the M losses: the N teachers (Q = K) under loss fusion,
     # one fused positive against the pooled queues (Q = N*K) under feature
-    # fusion.  Column 0 of each logit row is the scored positive; BLAS writes
-    # teacher i's similarities, scaled through the anchors, straight into
-    # their columns.
+    # fusion.  Column 0 of each logit row is the scored positive; one stacked
+    # product writes each teacher's similarities, scaled through the anchors,
+    # straight into their columns, by the BLAS call its queue alone would take.
     loss_fusion = fusion is FusionLevel.LOSS
-    m_scored = n_teachers if loss_fusion else 1
-    queue = neg if loss_fusion else neg.reshape(1, -1, dim)
+    queue = neg if loss_fusion else neg.reshape(1, -1, dim)   # (M, Q, d)
     a_tau = a * inv_tau
-    logits = np.empty((b, m_scored, 1 + queue.shape[1]))
+    logits = np.empty((b, len(queue), 1 + queue.shape[1]))
     neg_logits = logits[..., 1:].reshape(b, n_teachers, k)   # a view in both layouts
-    for i in range(n_teachers):
-        np.matmul(a_tau, neg[i].T, out=neg_logits[:, i])
+    np.matmul(a_tau, neg.transpose(0, 2, 1), out=neg_logits.transpose(1, 0, 2))
     pos_sims = np.einsum("nbd,bd->bn", pos, a)
     # online1 weighs the unscaled similarities; online2 ranks the scaled
     # logits, each positive against its own queue's columns
     online2 = scheme is WeightScheme.ONLINE2
     pos_logits = np.einsum("nbd,bd->bn", pos, a_tau) if loss_fusion or online2 else None
-    weights = np.broadcast_to(
-        teacher_weights(scheme, n_teachers, accuracies=accuracies,
-                        pos_sims=pos_logits if online2 else pos_sims, neg_sims=neg_logits),
-        (b, n_teachers))
+    weights = teacher_weights(scheme, n_teachers, accuracies=accuracies,
+                              pos_sims=pos_logits if online2 else pos_sims, neg_sims=neg_logits)
+    if weights.ndim == 1:   # a fixed scheme's one (N,) vector; the online ones are (B, N)
+        weights = np.broadcast_to(weights, (b, n_teachers))
     if loss_fusion:
         scored, mix = pos, weights
         logits[..., 0] = pos_logits
@@ -203,9 +205,12 @@ def contrastive_batch(anchors: np.ndarray, positives: np.ndarray, negatives: np.
     p0 = shifted_exp[..., 0] / total[..., 0]
     mix_tau = mix * inv_tau
     grad = np.einsum("bm,mbd->bd", mix_tau * (p0 - 1.0), scored)
-    coef = mix_tau / total[..., 0]
-    for i in range(m_scored):
-        grad += coef[:, i, None] * (shifted_exp[:, i, 1:] @ queue[i])
+    # the queue terms: one stacked product and multiply, then added one at a
+    # time in scored order, which fixes how the sum rounds
+    terms = np.matmul(shifted_exp[..., 1:].transpose(1, 0, 2), queue)
+    terms *= (mix_tau / total[..., 0]).T[..., None]
+    for term in terms:
+        grad += term
     if scheme is WeightScheme.ONLINE1:
         # d w_i / da = w_i (pos_i - sum_m w_m pos_m); contracting with
         # c_i = dL/dw_i gives sum_i w_i (c_i - sum_m w_m c_m) pos_i

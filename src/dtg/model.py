@@ -12,6 +12,7 @@ work on (B, D) pooled batches; one sequence is a batch of one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -169,12 +170,6 @@ def build_teacher(corpus, rho: float, embed_dim: int, seed: int, name: str = "te
     return Teacher(name=name, rho=float(rho), weight=w @ blend, bias=b)
 
 
-def teacher_features(teacher: Teacher, pooled: np.ndarray) -> np.ndarray:
-    """Guidance features for mean-pooled inputs (B, D) -> unit rows (B, d)."""
-    z = np.asarray(pooled, dtype=np.float64) @ teacher.weight.T + teacher.bias
-    return unit_rows(z, "guidance feature")[0]
-
-
 @dataclass(frozen=True)
 class TeacherBank:
     teachers: tuple[Teacher, ...]
@@ -192,6 +187,23 @@ class TeacherBank:
     @property
     def embed_dim(self) -> int:
         return self.teachers[0].embed_dim
+
+    @cached_property
+    def readout(self) -> tuple[np.ndarray, np.ndarray]:
+        """The frozen teachers' readouts, stacked once per bank: weights
+        (N, d, D) and biases (N, 1, d)."""
+        return (np.stack([t.weight for t in self.teachers]),
+                np.stack([t.bias for t in self.teachers])[:, None])
+
+
+def teacher_features(bank: TeacherBank, pooled: np.ndarray) -> np.ndarray:
+    """Every teacher's guidance for mean-pooled inputs (R, D) -> unit rows
+    (N, R, d), teacher-major, by one stacked product: each teacher's rows
+    are the bits of its own ``pooled @ weight.T + bias``, normalized."""
+    weight, bias = bank.readout
+    z = np.matmul(np.asarray(pooled, dtype=np.float64), weight.transpose(0, 2, 1))
+    z += bias
+    return unit_rows(z.reshape(-1, bank.embed_dim), "guidance feature")[0].reshape(z.shape)
 
 
 @dataclass

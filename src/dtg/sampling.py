@@ -14,11 +14,10 @@ supported:
 ``sample_pairs`` works on a (B, L, D) stack of videos with one random stream
 per video, held as a ``seeding.Substreams``, in two steps: ``draw_pairs``
 makes each row's random choices (frame indices and mask starts), and
-``gather_view`` takes the frames and zeroes the masks.  Every draw is one
-array operation over all rows, and row b draws only from its own stream, so
-a row's pair does not depend on the other rows drawn with it: the trainer
-draws a chunk of whole epochs in one call and gathers each epoch's views
-from its slice.
+``pooled_view`` pools each view's frames as it takes them.  Every draw is
+one array operation over all rows, and row b draws only from its own
+stream, so a row's pair does not depend on the rows drawn with it: the
+trainer draws a chunk of whole epochs in one call.
 """
 
 from __future__ import annotations
@@ -110,31 +109,36 @@ def draw_pairs(num_frames: int, dim: int, mode: PairMode, segments: int, streams
     return anchor, ViewDraw(ig, mask(), width)
 
 
-def gather_view(frames: np.ndarray, view: ViewDraw, videos: np.ndarray | None = None
+def pooled_view(frames: np.ndarray, view: ViewDraw, videos: np.ndarray | None = None
                 ) -> np.ndarray:
-    """The (R, T, D) views drawn by ``view`` from the (V, L, D) float64
-    ``frames``: row r holds frames ``view.frames[r]`` of video ``videos[r]``
-    (of video r if ``videos`` is None), with its ``view.width`` coordinates
-    from ``view.mask[r]`` on zeroed in every frame."""
+    """The (R, D) mean-pooled views drawn by ``view`` from the (V, L, D)
+    float64 ``frames``: row r pools frames ``view.frames[r]`` of video
+    ``videos[r]`` (of video r if ``videos`` is None), added in order as they
+    are taken, then divided by T, with its ``view.width`` coordinates from
+    ``view.mask[r]`` on zeroed: ``model.pool_frames`` of the masked frames."""
     num_videos, length, dim = frames.shape
-    # frame f of video v is row v * L + f of the (V * L, D) view
+    flat = frames.reshape(num_videos * length, dim)   # frame f of video v is row v * L + f
     starts = np.arange(0, num_videos * length, length) if videos is None else videos * length
-    out = frames.reshape(num_videos * length, dim).take(starts[:, None] + view.frames, axis=0)
+    rows = (starts[:, None] + view.frames).T
+    out = flat.take(rows[0], axis=0)
+    for t in range(1, len(rows)):
+        out += flat.take(rows[t], axis=0)
+    out /= len(rows)
     if view.mask is not None:
         offset = np.arange(dim) - view.mask[:, None]
-        np.copyto(out, 0.0, where=((offset >= 0) & (offset < view.width))[:, None, :])
+        out[(offset >= 0) & (offset < view.width)] = 0.0
     return out
 
 
 def sample_pairs(frames: np.ndarray, mode: PairMode, segments: int, streams: Substreams,
                  mask_frac: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """(anchor (B, T, D), guidance (B, T', D)) views of the videos ``frames``
+    """Pooled (anchor (B, D), guidance (B, D)) views of the videos ``frames``
     (B, L, D), row b drawn from row b of ``streams`` alone: ``draw_pairs``,
-    then ``gather_view`` of each view.  The anchor is the student-side input."""
+    then ``pooled_view`` of each view.  The anchor is the student-side input."""
     x = np.asarray(frames, dtype=np.float64)
     if x.ndim != 3:
         raise ValueError(f"expected a (B, L, D) frame stack, got shape {x.shape}")
     if len(streams) != x.shape[0]:
         raise ValueError(f"need one stream per video, got {len(streams)} for {x.shape[0]}")
     anchor, guidance = draw_pairs(x.shape[1], x.shape[2], mode, segments, streams, mask_frac)
-    return gather_view(x, anchor), gather_view(x, guidance)
+    return pooled_view(x, anchor), pooled_view(x, guidance)

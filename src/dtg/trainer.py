@@ -2,8 +2,8 @@
 
 Both loops share the same machinery.  Each epoch visits every video once in
 a seeded random order.  It samples one contrastive pair per video, pools
-both views, and reads every teacher's guidance for the whole epoch at once
-as an (N, V, d) stack.  Each step embeds its anchors with the student,
+both views as it gathers them, and reads the whole bank's guidance for the
+epoch in one product.  Each step embeds its anchors with the student,
 scores them against their guidance and K negatives per teacher, and applies
 one SGD step to the student (and classifier head in joint mode).  Teachers
 are never updated.  The training state is three flat float64 vectors, the
@@ -21,10 +21,10 @@ update are skipped.  Per-sample randomness is keyed by (seed, video_id,
 epoch), so the pair sampled for a video depends neither on the batch it
 lands in nor on the model.  That lets the run draw the pairs of a chunk of
 whole epochs (as many as fit in ``_PAIR_ROWS`` rows) in one ``draw_pairs``
-call over one ``substreams`` batch.  Each epoch then gathers and pools its
-own slice and reads the teachers once.  The anchors are gathered in the
-epoch's visiting order and the guidance is taken into it, so every batch is
-a slice, not a gather.
+call over one ``substreams`` batch.  Each epoch then pools its own slice
+and reads the teachers once.  The anchors are pooled in the epoch's
+visiting order and the guidance is taken into it, so every batch is a
+slice, not a gather.
 """
 
 from __future__ import annotations
@@ -57,11 +57,10 @@ from .model import (
     build_head,
     build_student,
     forward_batch,
-    pool_frames,
     teacher_features,
 )
 from .numerics import FieldError, check_fields, check_value, declared
-from .sampling import PairMode, ViewDraw, draw_pairs, gather_view
+from .sampling import PairMode, ViewDraw, draw_pairs, pooled_view
 from .seeding import substream, substreams
 
 
@@ -323,13 +322,12 @@ def _run_loop(config: TrainConfig, corpus: Corpus, bank: TeacherBank,
     for epoch, (anchor_draw, guide_draw) in enumerate(draws):
         lr = lr_at(config, epoch)
         order = substream(config.seed, "epoch-order", epoch).permutation(V)
-        pooled_guides = pool_frames(gather_view(frames_all, guide_draw))
-        guidance_all = np.stack([teacher_features(t, pooled_guides) for t in bank.teachers])
+        guidance = teacher_features(bank, pooled_view(frames_all, guide_draw))
         # rows taken by index, not recomputed in visiting order: a BLAS edge
         # tile may round a permuted row differently
-        np.take(guidance_all, order, axis=1, out=stream[:, K:])
-        # pooling is per row, so the anchors are gathered in visiting order
-        visited_anchors = pool_frames(gather_view(frames_all, anchor_draw.rows(order), order))
+        np.take(guidance, order, axis=1, out=stream[:, K:])
+        # pooling is per row, so the anchors are pooled in visiting order
+        visited_anchors = pooled_view(frames_all, anchor_draw.rows(order), order)
         stats = _EpochStats()
         for b0 in range(0, V, config.batch_size):
             # Cold start: until K rows have been fed there is no loss and no update.

@@ -51,9 +51,10 @@ def record_windows(monkeypatch) -> dict[str, list]:
             log["orders"].append(self.gen.permutation(n))
             return log["orders"][-1]
 
-    def features(teacher, pooled):
-        log["guidance"].append(teacher_features(teacher, pooled))
-        return log["guidance"][-1]
+    def features(bank, pooled):
+        guidance = teacher_features(bank, pooled)
+        log["guidance"].extend(guidance)  # one (V, d) entry per teacher, in bank order
+        return guidance
 
     def batch(anchors, positives, negatives, *args, **kw):
         # copies: the trainer's views are overwritten by later epochs

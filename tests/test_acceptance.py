@@ -22,7 +22,7 @@ from dtg.model import (StudentEncoder, TeacherBank, backward_batch, build_studen
                        build_teacher, forward_batch)
 from dtg.numerics import finite_diff_check
 from dtg.presets import pretrain_and_probe, reference_bank, reference_train_config, study
-from dtg.sampling import PairMode, sample_pairs
+from dtg.sampling import PairMode, draw_pairs
 from dtg.seeding import substreams
 from dtg.trainer import TrainConfig, pretrain
 
@@ -329,17 +329,14 @@ def test_c10_input_mode_harness():
         assert len(report.records) == 3
     sweep_ok = all(0.0 <= v <= 1.0 for v in scores.values())
 
-    # pair i comes from a video of lengths[i % 5] whose frame t is filled
-    # with the value t, so each view's frame indices are its first column
+    # pair i comes from a video of lengths[i % 5] frames of 5 coordinates
     violations = 0
     lengths = (4, 5, 8, 9, 16)
     for j, length in enumerate(lengths):
         rows = range(j, 10_000, len(lengths))
-        frames = np.broadcast_to(np.arange(length, dtype=np.float64)[None, :, None],
-                                 (len(rows), length, 5))
-        anchor, guidance = sample_pairs(frames, PairMode.SEQ_SEQ_DISJOINT, 2,
-                                        substreams(np.asarray(rows), "disjoint-check"))
-        shared = anchor[:, :, None, 0] == guidance[:, None, :, 0]
+        anchor, guidance = draw_pairs(length, 5, PairMode.SEQ_SEQ_DISJOINT, 2,
+                                      substreams(np.asarray(rows), "disjoint-check"))
+        shared = anchor.frames[:, :, None] == guidance.frames[:, None, :]
         violations += int(shared.any(axis=(1, 2)).sum())
     _verdict("criterion 10 (input modes)",
              sweep_ok and violations == 0,

@@ -359,6 +359,23 @@ def test_pretrain_artifacts_and_seed_override(tmp_path):
     assert json.loads((out / "config.json").read_text())["seed"] == 9
 
 
+@pytest.mark.parametrize("command", ["pretrain", "train-joint"])
+def test_training_resolves_the_config_once_for_both_files(tmp_path, monkeypatch, command):
+    calls = []
+
+    def counted(cfg):
+        calls.append(cfg)
+        return real(cfg)
+
+    real = dtg.cli.to_dict
+    monkeypatch.setattr(dtg.cli, "to_dict", counted)
+    out = tmp_path / "run"
+    assert main([command, "--config", _write_config(tmp_path, _config_doc(out)), "--quiet"]) == 0
+    assert len(calls) == 1
+    report = json.loads((out / "report.json").read_text())
+    assert report["config"] == json.loads((out / "config.json").read_text())
+
+
 def test_pretrain_reruns_byte_identical(tmp_path):
     out = tmp_path / "run"
     cfg = _write_config(tmp_path, _config_doc(out))

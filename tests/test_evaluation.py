@@ -209,7 +209,7 @@ def test_knn_perfect_on_collapsed_classes():
     spec = CorpusSpec(2, 6, 4, 10, 4, video_spread=0.0, frame_noise=0.0, seed=5)
     corpus = generate_corpus(spec)
     teacher = build_teacher(corpus, 1.0, embed_dim=6, seed=0)
-    feats = teacher_features(teacher, pool_frames(corpus.frames()))
+    feats = teacher_features(TeacherBank((teacher,)), pool_frames(corpus.frames()))[0]
     labels = corpus.labels()
     assert knn_top1(feats, labels, k=5) == 1.0
 

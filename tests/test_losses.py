@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -211,6 +212,18 @@ def test_online2_ties_favor_positive():
                         neg_sims=[[0.5, 0.5], [0.1, 0.1]])
     # equal similarities do not outrank the positive: both teachers rank 1
     assert np.allclose(w, (0.5, 0.5))
+
+
+@pytest.mark.parametrize("k", [1, 2, 255, 256, 257, 2 ** 16, 2 ** 16 + 1])
+def test_online2_counts_every_negative_at_each_count_width(k):
+    # teacher 0 loses to all K negatives (score 1), teacher 1 to none
+    # (score K + 1), teacher 2 to all but one (score 2): counts of K and
+    # K - 1 at the edges of the 8-, 16- and 32-bit counters
+    neg = np.zeros((3, k))
+    neg[2, 0] = -1.0
+    w = teacher_weights(WeightScheme.ONLINE2, 3, pos_sims=(-0.5, 0.5, -0.5), neg_sims=neg)
+    scores = np.array([1.0, k + 1.0, 2.0])
+    assert np.array_equal(w, scores / scores.sum())
 
 
 def test_empty_teacher_list_rejected():
@@ -464,6 +477,101 @@ def test_batch_matches_the_two_exp_reference(scheme, fusion):
         assert np.all(np.abs(out.probs.sum(axis=-1) - 1.0) <= 1e-14)
         scale = np.abs(ref.grad_anchor).max(axis=1, keepdims=True)
         assert np.all(np.abs(out.grad_anchor - ref.grad_anchor) <= 1e-13 * scale)
+
+
+def _outcome_digest(out: ContrastiveOutcome) -> str:
+    """sha256 over every field of ``out`` and its probabilities: each one's
+    name, shape and little-endian float64 bytes, in field order."""
+    h = hashlib.sha256()
+    for name, value in (*vars(out).items(), ("probs", out.probs)):
+        if value is None:
+            h.update(f"{name} None\n".encode())
+        else:
+            h.update(f"{name} {value.shape}\n".encode())
+            h.update(np.ascontiguousarray(value, "<f8").tobytes())
+    return h.hexdigest()
+
+
+# sha256 of contrastive_batch's outcome on the trainer's windows (K = 256,
+# d = 16, tau 0.07) for every scheme and fusion level, with 1 and 4 teachers
+# and a batch of 7 and of 64.  A regrouped product or sum changes them.
+RECORDED_OUTCOMES = {
+    "uniform-loss-n1-b7":
+        "a652aed24745d876e515a6e992b77dd6c492d9e09c84fd9f021e83e1f45cf2a2",
+    "uniform-loss-n1-b64":
+        "e1e177e50962b85cb9572420877896d23bb8092931263f75a307d6ce8e1875ee",
+    "uniform-loss-n4-b7":
+        "b5b72107b1ae9bacdfcbaecdfadea348770fd792b983e2856115b04e972c1d38",
+    "uniform-loss-n4-b64":
+        "ef404e24f10858222f06cd799ff82b3072dcf7cc7b601dfcf8cd4ca94fb1efdc",
+    "uniform-feature-n1-b7":
+        "1ce466c005c5599312c7ac42bf2c93090a53f821fee4e1a84be880312e60dde6",
+    "uniform-feature-n1-b64":
+        "ba9ddb19a0640af6710018f99d9d24c2a43da53c8ca27dc5925563fb0aa85886",
+    "uniform-feature-n4-b7":
+        "d35da4815108a514f2fdd985b200d25eafa9d5da02bdbe979328e03a1804f409",
+    "uniform-feature-n4-b64":
+        "d64669a3f71a36b4971a06d775684fbd710b6df9b660f28232f733002eb6d01b",
+    "offline-loss-n1-b7":
+        "a652aed24745d876e515a6e992b77dd6c492d9e09c84fd9f021e83e1f45cf2a2",
+    "offline-loss-n1-b64":
+        "e1e177e50962b85cb9572420877896d23bb8092931263f75a307d6ce8e1875ee",
+    "offline-loss-n4-b7":
+        "b16e48e5b58514cab42b0b22fc6ffe0dfa9be1c02cc4c7a2b2974c7a2262b5e4",
+    "offline-loss-n4-b64":
+        "07775683bafd205beeab9db742aea68f862def21f5d9a94407d6ac7e479e7505",
+    "offline-feature-n1-b7":
+        "1ce466c005c5599312c7ac42bf2c93090a53f821fee4e1a84be880312e60dde6",
+    "offline-feature-n1-b64":
+        "ba9ddb19a0640af6710018f99d9d24c2a43da53c8ca27dc5925563fb0aa85886",
+    "offline-feature-n4-b7":
+        "81445d142828203a2ad9544585dbfaaf8ddc5a2e2ba16a1e6bc4df484fac7e37",
+    "offline-feature-n4-b64":
+        "46bb2abdef1711cf2acbca168e820d077de6386d90e98742623a63851284db33",
+    "online1-loss-n1-b7":
+        "a652aed24745d876e515a6e992b77dd6c492d9e09c84fd9f021e83e1f45cf2a2",
+    "online1-loss-n1-b64":
+        "e1e177e50962b85cb9572420877896d23bb8092931263f75a307d6ce8e1875ee",
+    "online1-loss-n4-b7":
+        "e30f821a9951fe8e010099fd25837f76bf8df4163ffb98ffe1f1797c4ad249d9",
+    "online1-loss-n4-b64":
+        "04bccb305dca9b20378f6f9f5ade6b0d2e20a6afa12d18e0760ae06f5c6936e8",
+    "online1-feature-n1-b7":
+        "1ce466c005c5599312c7ac42bf2c93090a53f821fee4e1a84be880312e60dde6",
+    "online1-feature-n1-b64":
+        "ba9ddb19a0640af6710018f99d9d24c2a43da53c8ca27dc5925563fb0aa85886",
+    "online1-feature-n4-b7":
+        "5b34ff0297c2153fab75ab41b92f0f58fa89b6a6009b4cb8730463f0802c8233",
+    "online1-feature-n4-b64":
+        "2708a7dccfa91b74bb742552562decdc0772c56f0a2e6810c866f9faf3858331",
+    "online2-loss-n1-b7":
+        "a652aed24745d876e515a6e992b77dd6c492d9e09c84fd9f021e83e1f45cf2a2",
+    "online2-loss-n1-b64":
+        "e1e177e50962b85cb9572420877896d23bb8092931263f75a307d6ce8e1875ee",
+    "online2-loss-n4-b7":
+        "0d27a54838bcad695657ba4c45aa185255a83728ce688478286a74aaee3a9498",
+    "online2-loss-n4-b64":
+        "4f0d8ba322b6bfead438265864992a182b0ce455572c55c78f4f7e9eadf78eaf",
+    "online2-feature-n1-b7":
+        "1ce466c005c5599312c7ac42bf2c93090a53f821fee4e1a84be880312e60dde6",
+    "online2-feature-n1-b64":
+        "ba9ddb19a0640af6710018f99d9d24c2a43da53c8ca27dc5925563fb0aa85886",
+    "online2-feature-n4-b7":
+        "6d83b01636a2c3b7a6f534d73bc0c97fe5d89999b6100173ba425634a09a318e",
+    "online2-feature-n4-b64":
+        "735657dfab304b8ccf6cde055c1a44f995c91a886beed3972057e0170b0f939c",
+}
+
+
+@pytest.mark.parametrize("case", list(RECORDED_OUTCOMES))
+def test_batch_outcomes_are_the_recorded_bits(case):
+    scheme, fusion, n, b = case.split("-")
+    n, b = int(n[1:]), int(b[1:])
+    args = _trainer_windows(np.random.default_rng([n, b]), b=b, n=n)
+    acc = (0.4, 0.3, 0.2, 0.1)[:n]
+    out = contrastive_batch(*args, 0.07, WeightScheme(scheme), FusionLevel(fusion),
+                            accuracies=acc)
+    assert _outcome_digest(out) == RECORDED_OUTCOMES[case]
 
 
 @pytest.mark.parametrize("scheme", list(WeightScheme))

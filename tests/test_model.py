@@ -5,11 +5,11 @@ import pytest
 
 from dtg.binio import FormatError, VersionMismatchError
 from dtg.corpus import CorpusSpec, generate_corpus
-from dtg.model import (CHECKPOINT_HEADER, StudentEncoder, TeacherBank,
+from dtg.model import (CHECKPOINT_HEADER, StudentEncoder, Teacher, TeacherBank,
                        backward_batch, build_head, build_student, build_teacher,
                        forward_batch, load_student, pool_frames, save_student,
                        teacher_features)
-from dtg.numerics import DegenerateInputError, finite_diff_check
+from dtg.numerics import DegenerateInputError, finite_diff_check, unit_rows
 from dtg.evaluation import knn_top1
 
 
@@ -169,7 +169,7 @@ def test_pool_frames_batch_matches_rows(t, dim):
     same_values = (x,                                                  # C order
                    np.ascontiguousarray(x[..., ::-1, :])[..., ::-1, :],  # reversed-frame view
                    np.asfortranarray(x))
-    gathered = videos[np.arange(6)[:, None], picks]                   # as sample_pairs takes
+    gathered = videos[np.arange(6)[:, None], picks]                   # sampled frames
     for frames in (*same_values, gathered):
         pooled = pool_frames(frames)
         assert pooled.shape == frames.shape[:-2] + (dim,)
@@ -192,17 +192,17 @@ def test_teacher_deterministic_and_frozen_shape(tiny_corpus):
 def test_teacher_output_unit_norm(tiny_corpus, tiny_bank):
     rng = np.random.default_rng(0)
     pooled = pool_frames(rng.standard_normal((1, 4, tiny_corpus.spec.frame_dim)))
-    for teacher in tiny_bank.teachers:
-        g = teacher_features(teacher, pooled)
-        assert abs(np.linalg.norm(g[0]) - 1.0) < 1e-10
-        assert np.array_equal(g, teacher_features(teacher, pooled))
+    g = teacher_features(tiny_bank, pooled)
+    assert g.shape == (len(tiny_bank), 1, tiny_bank.embed_dim)
+    assert np.all(np.abs(np.linalg.norm(g, axis=-1) - 1.0) < 1e-10)
+    assert np.array_equal(g, teacher_features(tiny_bank, pooled))
 
 
 def test_rho_one_zero_noise_collapses_classes():
     spec = CorpusSpec(2, 4, 6, 10, 4, video_spread=0.0, frame_noise=0.0, seed=11)
     corpus = generate_corpus(spec)
     teacher = build_teacher(corpus, 1.0, embed_dim=5, seed=1)
-    feats = teacher_features(teacher, pool_frames(corpus.frames()))
+    feats = teacher_features(TeacherBank((teacher,)), pool_frames(corpus.frames()))[0]
     labels = corpus.labels()
     for c in (0, 1):
         block = feats[labels == c]
@@ -213,7 +213,7 @@ def test_rho_zero_teacher_is_label_blind():
     spec = CorpusSpec(4, 12, 6, 16, 8, video_spread=1.0, frame_noise=0.0, seed=13)
     corpus = generate_corpus(spec)
     teacher = build_teacher(corpus, 0.0, embed_dim=8, seed=2)
-    feats = teacher_features(teacher, pool_frames(corpus.frames()))
+    feats = teacher_features(TeacherBank((teacher,)), pool_frames(corpus.frames()))[0]
     labels = corpus.labels()
     acc = knn_top1(feats, labels, k=5)
     assert acc < 0.5  # chance is 0.25; far from the aligned teacher's 1.0
@@ -223,10 +223,10 @@ def test_rho_separates_aligned_from_unaligned():
     spec = CorpusSpec(4, 12, 6, 16, 8, video_spread=1.0, frame_noise=0.0, seed=13)
     corpus = generate_corpus(spec)
     labels = corpus.labels()
-    accs = []
-    for rho in (1.0, 0.0):
-        t = build_teacher(corpus, rho, embed_dim=8, seed=2)
-        accs.append(knn_top1(teacher_features(t, pool_frames(corpus.frames())), labels, k=5))
+    bank = TeacherBank(tuple(build_teacher(corpus, rho, embed_dim=8, seed=2)
+                             for rho in (1.0, 0.0)))
+    accs = [knn_top1(feats, labels, k=5)
+            for feats in teacher_features(bank, pool_frames(corpus.frames()))]
     assert accs[0] > accs[1] + 0.3
 
 
@@ -236,8 +236,30 @@ def test_teacher_features_rejects_degenerate_rows(tiny_corpus):
     # after zero bias cannot normalize
     t = type(teacher)(name=teacher.name, rho=teacher.rho, weight=teacher.weight,
                       bias=np.zeros_like(teacher.bias))
-    with pytest.raises(DegenerateInputError):
-        teacher_features(t, np.zeros((1, tiny_corpus.spec.frame_dim)))
+    for bank in (TeacherBank((t,)), TeacherBank((teacher, t))):
+        with pytest.raises(DegenerateInputError):
+            teacher_features(bank, np.zeros((1, tiny_corpus.spec.frame_dim)))
+
+
+def _readout_reference(teachers, pooled):
+    """Each teacher read out on its own, as one affine map and a row
+    normalization, stacked teacher-major."""
+    return np.stack([unit_rows(pooled @ t.weight.T + t.bias, "guidance feature")[0]
+                     for t in teachers])
+
+
+@pytest.mark.parametrize("dim", [3, 16])
+@pytest.mark.parametrize("embed", [1, 2, 16])
+@pytest.mark.parametrize("rows", [1, 7, 500])
+def test_bank_readout_is_each_teachers_own_readout(rows, embed, dim):
+    for n in range(1, 6):
+        rng = np.random.default_rng([rows, embed, dim, n])
+        teachers = tuple(Teacher(f"t{i}", 0.5, rng.standard_normal((embed, dim)),
+                                 rng.standard_normal(embed)) for i in range(n))
+        pooled = rng.standard_normal((rows, dim))
+        got = teacher_features(TeacherBank(teachers), pooled)
+        assert got.shape == (n, rows, embed)
+        assert np.array_equal(got, _readout_reference(teachers, pooled)), n
 
 
 def test_bank_requires_consistent_dims(tiny_corpus):

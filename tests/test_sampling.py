@@ -2,19 +2,26 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dtg.sampling import PairMode, draw_pairs, gather_view, sample_pairs, segment_bounds
+from dtg.model import pool_frames
+from dtg.sampling import PairMode, draw_pairs, pooled_view, sample_pairs, segment_bounds
 from dtg.seeding import substream, substreams
 
 
 def _ramp(num_frames, dim=4, batch=1):
-    """(batch, L, D) videos whose frame t is filled with the value t, so a
-    view's frame indices can be read off its first column."""
+    """(batch, L, D) videos whose frame t is filled with the value t."""
     frames = np.arange(num_frames, dtype=np.float64)[None, :, None]
     return np.broadcast_to(frames, (batch, num_frames, dim))
 
 
-def _indices(view):
-    return view[..., 0].astype(np.int64)
+def _gather_then_pool(frames, view, videos=None):
+    """The reference view: each row's frames taken into an (R, T, D) copy,
+    its mask zeroed in every frame, then ``pool_frames``."""
+    rows = np.arange(len(view.frames)) if videos is None else np.asarray(videos)
+    taken = frames[rows[:, None], view.frames]
+    if view.mask is not None:
+        for r, start in enumerate(view.mask):
+            taken[r, :, start:start + view.width] = 0.0
+    return pool_frames(taken)
 
 
 # Pairs drawn from _ramp(10) with substream(7, "golden-pair") and 3 segments,
@@ -38,7 +45,8 @@ RECORDED_MASKED = {
 
 
 def _masked(indices, start, width=3, dim=8):
-    """Frames t + 1 of the given indices with coordinates [start, start + width) zeroed."""
+    """Frames t + 1 of the given indices with coordinates [start, start + width)
+    zeroed: the frames one row of a masked view of ``_ramp(L, dim) + 1`` pools."""
     view = np.repeat(np.array(indices, dtype=np.float64)[:, None] + 1, dim, axis=1)
     view[:, start:start + width] = 0.0
     return view
@@ -74,17 +82,23 @@ def test_segment_bounds_cover_range_without_overlap(num_frames, segments):
 
 @pytest.mark.parametrize("mode", list(PairMode))
 def test_sample_pairs_matches_recorded_pairs(mode):
-    anchor, guidance = sample_pairs(_ramp(10), mode, 3, substreams(7, "golden-pair"))
-    assert _indices(anchor[0]).tolist() == RECORDED_INDICES[mode][0]
-    assert _indices(guidance[0]).tolist() == RECORDED_INDICES[mode][1]
-    assert np.array_equal(anchor, _ramp(10)[:, RECORDED_INDICES[mode][0]])
-    assert np.array_equal(guidance, _ramp(10)[:, RECORDED_INDICES[mode][1]])
+    anchor, guidance = draw_pairs(10, 4, mode, 3, substreams(7, "golden-pair"))
+    assert anchor.frames[0].tolist() == RECORDED_INDICES[mode][0]
+    assert guidance.frames[0].tolist() == RECORDED_INDICES[mode][1]
+    assert anchor.mask is None and guidance.mask is None
+    pooled = sample_pairs(_ramp(10), mode, 3, substreams(7, "golden-pair"))
+    for got, idx in zip(pooled, RECORDED_INDICES[mode]):
+        assert np.array_equal(got, pool_frames(_ramp(10)[:, idx]))
 
-    anchor, guidance = sample_pairs(_ramp(10, dim=8) + 1, mode, 3, substreams(7, "golden-pair"),
-                                    mask_frac=0.4)
+    anchor, guidance = draw_pairs(10, 8, mode, 3, substreams(7, "golden-pair"), mask_frac=0.4)
     a_idx, a_start, g_idx, g_start = RECORDED_MASKED[mode]
-    assert np.array_equal(anchor[0], _masked(a_idx, a_start))
-    assert np.array_equal(guidance[0], _masked(g_idx, g_start))
+    assert anchor.frames[0].tolist() == a_idx and anchor.mask.tolist() == [a_start]
+    assert guidance.frames[0].tolist() == g_idx and guidance.mask.tolist() == [g_start]
+    assert anchor.width == guidance.width == 3
+    pooled = sample_pairs(_ramp(10, dim=8) + 1, mode, 3, substreams(7, "golden-pair"),
+                          mask_frac=0.4)
+    assert np.array_equal(pooled[0][0], pool_frames(_masked(a_idx, a_start)))
+    assert np.array_equal(pooled[1][0], pool_frames(_masked(g_idx, g_start)))
 
 
 @pytest.mark.parametrize("mode", list(PairMode))
@@ -110,8 +124,11 @@ def test_rows_match_per_video_generators(mode):
     indices per segment (one integers call per view), the img-img offset and
     each mask start, in that order."""
     frames = _ramp(16, dim=8, batch=40) + 1
-    anchor, guidance = sample_pairs(frames, mode, 4, substreams(9, "rows", np.arange(40)),
-                                    mask_frac=0.3)
+    anchor, guidance = draw_pairs(16, 8, mode, 4, substreams(9, "rows", np.arange(40)),
+                                  mask_frac=0.3)
+    assert anchor.width == guidance.width == 2
+    pooled_a, pooled_g = sample_pairs(frames, mode, 4, substreams(9, "rows", np.arange(40)),
+                                      mask_frac=0.3)
     a_win, g_win = {
         PairMode.IMG_IMG: ((0, 16, 1), (0, 16, 1)),
         PairMode.IMG_SEQ: ((0, 16, 4), (0, 16, 1)),
@@ -130,26 +147,28 @@ def test_rows_match_per_video_generators(mode):
         if mode is not PairMode.IMG_IMG:
             ig = starts(*g_win) + rng.integers(widths(*g_win))
         g_mask = int(rng.integers(8 - 2 + 1))
-        assert np.array_equal(anchor[b], _masked(ia, a_mask, width=2))
-        assert np.array_equal(guidance[b], _masked(ig, g_mask, width=2))
+        assert np.array_equal(anchor.frames[b], ia) and anchor.mask[b] == a_mask
+        assert np.array_equal(guidance.frames[b], ig) and guidance.mask[b] == g_mask
+        assert np.array_equal(pooled_a[b], pool_frames(_masked(ia, a_mask, width=2)))
+        assert np.array_equal(pooled_g[b], pool_frames(_masked(ig, g_mask, width=2)))
 
 
 def test_sampled_views_take_one_frame_per_segment():
-    anchor, guidance = sample_pairs(_ramp(12), PairMode.SEQ_SEQ_OVERLAP, 4,
-                                    substreams(0, "s"))
+    views = draw_pairs(12, 4, PairMode.SEQ_SEQ_OVERLAP, 4, substreams(0, "s"))
+    pooled = sample_pairs(_ramp(12), PairMode.SEQ_SEQ_OVERLAP, 4, substreams(0, "s"))
     bounds = segment_bounds(12, 4)
-    for view in (anchor[0], guidance[0]):
-        idx = _indices(view)
+    for view, got in zip(views, pooled):
+        idx = view.frames[0]
         assert len(idx) == 4
         for i, (lo, hi) in zip(idx, bounds):
             assert lo <= i < hi
-        assert np.array_equal(view, _ramp(12)[0, idx])
+        assert np.array_equal(got[0], pool_frames(_ramp(12)[0, idx]))
 
 
 def test_sampled_views_respect_their_windows():
-    anchor, guidance = sample_pairs(_ramp(12, batch=50), PairMode.SEQ_SEQ_DISJOINT, 2,
-                                    substreams(np.arange(50), "w"))
-    a, g = _indices(anchor), _indices(guidance)
+    anchor, guidance = draw_pairs(12, 4, PairMode.SEQ_SEQ_DISJOINT, 2,
+                                  substreams(np.arange(50), "w"))
+    a, g = anchor.frames, guidance.frames
     assert ((0 <= a[:, 0]) & (a[:, 0] < 3) & (3 <= a[:, 1]) & (a[:, 1] < 6)).all()
     assert ((6 <= g[:, 0]) & (g[:, 0] < 9) & (9 <= g[:, 1]) & (g[:, 1] < 12)).all()
 
@@ -161,8 +180,8 @@ def test_an_empty_mask_draws_nothing_and_zeroes_nothing(mask_frac):
     views = draw_pairs(6, 8, PairMode.SEQ_SEQ_OVERLAP, 2, streams, mask_frac)
     for view in views:
         assert view.mask is None and view.width == 0  # int(0.12 * 8) = 0
-        assert np.array_equal(gather_view(frames, view),
-                              frames[np.arange(3)[:, None], view.frames])
+        assert np.array_equal(pooled_view(frames, view),
+                              pool_frames(frames[np.arange(3)[:, None], view.frames]))
     # only the frame indices were drawn: the streams continue from there
     want = []
     for r in range(3):
@@ -172,30 +191,53 @@ def test_an_empty_mask_draws_nothing_and_zeroes_nothing(mask_frac):
     assert np.array_equal(streams.integers(1000), want)
 
 
-def test_gather_masks_a_contiguous_block_shared_across_frames():
-    x = np.ones((5, 3, 8))
+def test_pooled_view_masks_a_contiguous_block_shared_across_frames():
+    # positive frames: a block coordinate left unmasked in any one frame
+    # would pool above zero, and one masked outside the block would pool
+    # below the unmasked view's value
+    x = np.random.default_rng(8).uniform(1.0, 2.0, (5, 3, 8))
+    original = x.copy()
     anchor, guidance = draw_pairs(3, 8, PairMode.SEQ_SEQ_OVERLAP, 3,
                                   substreams(0, "m", np.arange(5)), mask_frac=0.5)
     for view in (anchor, guidance):
-        out = gather_view(x, view)
+        out = pooled_view(x, view)
+        unmasked = pool_frames(x[np.arange(5)[:, None], view.frames])
         assert view.width == 4  # int(0.5 * 8) coordinates
-        for row, start in zip(out, view.mask):
-            zeros = np.flatnonzero(row[0] == 0.0)
+        for row, plain, start in zip(out, unmasked, view.mask):
+            zeros = np.flatnonzero(row == 0.0)
             assert np.array_equal(zeros, np.arange(start, start + 4))
-            assert np.array_equal(row, np.broadcast_to(row[0], row.shape))  # shared across frames
-    assert np.array_equal(x, np.ones((5, 3, 8)))  # the frames are not written
+            kept = np.setdiff1d(np.arange(8), zeros)
+            assert np.array_equal(row[kept], plain[kept])
+    assert np.array_equal(x, original)  # the frames are not written
 
 
 @pytest.mark.parametrize("mode", list(PairMode))
-def test_gather_of_picked_rows_equals_the_rows_of_the_gather(mode):
+def test_pooled_view_of_picked_rows_equals_the_rows_of_the_pooled_view(mode):
     frames = np.random.default_rng(2).standard_normal((6, 12, 5))
     views = draw_pairs(12, 5, mode, 3, substreams(4, "pick", np.arange(6)), mask_frac=0.4)
     order = np.array([4, 1, 5, 0, 3, 2])
     for view in views:
-        assert np.array_equal(gather_view(frames, view.rows(order), order),
-                              gather_view(frames, view)[order])
-        assert np.array_equal(gather_view(frames, view.rows(slice(2, 5)), np.arange(2, 5)),
-                              gather_view(frames, view)[2:5])
+        assert np.array_equal(pooled_view(frames, view.rows(order), order),
+                              pooled_view(frames, view)[order])
+        assert np.array_equal(pooled_view(frames, view.rows(slice(2, 5)), np.arange(2, 5)),
+                              pooled_view(frames, view)[2:5])
+
+
+@pytest.mark.parametrize("videos", ["all", "picked"])
+@pytest.mark.parametrize("mask_frac", [0.0, 0.25])
+@pytest.mark.parametrize("mode", list(PairMode))
+def test_pooled_view_is_gather_then_pool(mode, mask_frac, videos):
+    # the trainer's shapes: 32 frames of 16 coordinates, 4 segments; each
+    # row pools the bits of its gathered, masked frames
+    frames = np.random.default_rng(12).standard_normal((40, 32, 16))
+    views = draw_pairs(32, 16, mode, 4, substreams(6, "pool", np.arange(40)), mask_frac)
+    picked = np.random.default_rng(13).permutation(40) if videos == "picked" else None
+    for view in views:
+        if picked is not None:
+            view = view.rows(picked)
+        assert (view.mask is None) == (mask_frac == 0)
+        assert np.array_equal(pooled_view(frames, view, picked),
+                              _gather_then_pool(frames, view, picked))
 
 
 def test_pair_mode_config_names():
@@ -206,32 +248,35 @@ def test_pair_mode_config_names():
 
 
 def test_img_img_single_distinct_frames():
-    anchor, guidance = sample_pairs(_ramp(8, batch=200), PairMode.IMG_IMG, 4,
-                                    substreams(np.arange(200), "ii"))
-    assert anchor.shape == guidance.shape == (200, 1, 4)
-    assert (_indices(anchor) != _indices(guidance)).all()
+    anchor, guidance = draw_pairs(8, 4, PairMode.IMG_IMG, 4, substreams(np.arange(200), "ii"))
+    assert anchor.frames.shape == guidance.frames.shape == (200, 1)
+    assert (anchor.frames != guidance.frames).all()
+    pooled = sample_pairs(_ramp(8, batch=200), PairMode.IMG_IMG, 4,
+                          substreams(np.arange(200), "ii"))
+    assert pooled[0].shape == pooled[1].shape == (200, 4)
 
 
 def test_img_seq_shapes():
-    anchor, guidance = sample_pairs(_ramp(8), PairMode.IMG_SEQ, 4, substreams(0, "is"))
-    assert anchor.shape == (1, 4, 4)
-    assert guidance.shape == (1, 1, 4)
+    anchor, guidance = draw_pairs(8, 4, PairMode.IMG_SEQ, 4, substreams(0, "is"))
+    assert anchor.frames.shape == (1, 4)
+    assert guidance.frames.shape == (1, 1)
+    pooled = sample_pairs(_ramp(8), PairMode.IMG_SEQ, 4, substreams(0, "is"))
+    assert pooled[0].shape == pooled[1].shape == (1, 4)
 
 
 def test_seq_seq_overlap_draws_from_full_window():
-    anchor, guidance = sample_pairs(_ramp(8), PairMode.SEQ_SEQ_OVERLAP, 2,
-                                    substreams(0, "so"))
+    anchor, guidance = draw_pairs(8, 4, PairMode.SEQ_SEQ_OVERLAP, 2, substreams(0, "so"))
     bounds = segment_bounds(8, 2)
-    for view in (anchor[0], guidance[0]):
-        for i, (lo, hi) in zip(_indices(view), bounds):
+    for view in (anchor, guidance):
+        for i, (lo, hi) in zip(view.frames[0], bounds):
             assert lo <= i < hi
 
 
 def test_seq_seq_disjoint_halves():
-    anchor, guidance = sample_pairs(_ramp(8, batch=200), PairMode.SEQ_SEQ_DISJOINT, 2,
-                                    substreams(np.arange(200), "sd"))
-    assert (_indices(anchor) < 4).all()
-    assert (_indices(guidance) >= 4).all()
+    anchor, guidance = draw_pairs(8, 4, PairMode.SEQ_SEQ_DISJOINT, 2,
+                                  substreams(np.arange(200), "sd"))
+    assert (anchor.frames < 4).all()
+    assert (guidance.frames >= 4).all()
 
 
 def test_sample_pairs_deterministic_given_stream():

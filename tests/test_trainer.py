@@ -17,7 +17,7 @@ from dtg.losses import (ContrastiveOutcome, FusionLevel, WeightScheme, contrasti
 from dtg.model import (StudentEncoder, TeacherBank, build_head, build_student, build_teacher,
                        forward_batch, load_student, save_student)
 from dtg.numerics import FieldError, finite_diff_check
-from dtg.sampling import PairMode, draw_pairs, gather_view, sample_pairs
+from dtg.sampling import PairMode, draw_pairs, pooled_view, sample_pairs
 from dtg.seeding import substreams
 from dtg.trainer import (NumericAbortError, ParamLayout, TrainConfig, lr_at, pretrain,
                          report_to_dict, sgd_step, train_joint, write_report)
@@ -586,9 +586,8 @@ def test_chunked_draws_equal_per_epoch_sample_pairs(monkeypatch, ids, epochs_per
     two 32-bit words and gaps between ids change nothing."""
     ids = WIDE_IDS if ids == "wide" else _split_half_ids()
     V, L, D, epochs = len(ids), 8, 8, 5
-    # frame f of video v holds 100 v + f + 1, so a gathered view names its frames
-    frames = (100.0 * np.arange(V)[:, None, None] + np.arange(L)[None, :, None] + 1
-              ) * np.ones((V, L, D))
+    # distinct frames, so two different picks pool to different views
+    frames = np.random.default_rng(5).standard_normal((V, L, D))
     monkeypatch.setattr(trainer, "_PAIR_ROWS", budget(V))
     calls = _count_substreams(monkeypatch)
     chunks = range(0, epochs, epochs_per_chunk)
@@ -610,7 +609,7 @@ def test_chunked_draws_equal_per_epoch_sample_pairs(monkeypatch, ids, epochs_per
                 pairs = sample_pairs(frames, mode, 3, substreams(cfg.seed, "pair", ids, epoch),
                                      mask_frac)
                 for view, pair in zip(views, pairs):
-                    assert np.array_equal(gather_view(frames, view), pair)
+                    assert np.array_equal(pooled_view(frames, view), pair)
 
 
 def test_no_epochs_draw_no_pairs(monkeypatch):
