@@ -1,30 +1,26 @@
 """Training loops: self-supervised pretraining and supervised joint training.
 
-Both loops share the same machinery.  Each epoch visits every video once in
-a seeded random order.  It samples one contrastive pair per video, pools
-both views as it gathers them, and reads the whole bank's guidance for the
-epoch in one product.  Each step embeds its anchors with the student,
-scores them against their guidance and K negatives per teacher, and applies
-one SGD step to the student (and classifier head in joint mode).  Teachers
-are never updated.  The training state is three flat float64 vectors, the
-parameters, their gradient and their momentum velocity, updated in place;
-the encoder's and head's arrays are reshaped views of the parameter vector,
-and ``backward_batch`` writes into views of the gradient vector.
+Both run ``run_epoch`` once per epoch on a ``TrainState``, which holds what
+carries from one epoch to the next: the flat float64 parameter and momentum
+velocity vectors with their ``ParamLayout``, the guidance ``stream``, and the
+next epoch.  The encoder and head are never stored; ``TrainState.models()``
+derives them as reshaped views of the parameter vector, so the SGD step, in
+place on the flat vectors, trains them.  Teachers are never updated.
 
+An epoch visits every video once in a seeded random order.  It samples one
+contrastive pair per video, pools both views as it gathers them, and reads the
+bank's guidance in one product.  Each step embeds its anchors, scores them
+against their guidance and K negatives per teacher, and takes one SGD step.
 A step's negatives are the last K guidance rows fed before it, oldest first
-(a FIFO, as in MoCo), for all N teachers at once: a window on one
-(N, K + V, d) ``stream`` that holds the previous epoch's last K rows and
-then this epoch's rows in visiting order.  The batch at offset b0 takes
-columns [K + b0, K + b0 + B) as positives and [b0, b0 + K) as negatives.
-Until K rows have been fed (b0 < K in the first epoch) the loss and the
-update are skipped.  Per-sample randomness is keyed by (seed, video_id,
-epoch), so the pair sampled for a video depends neither on the batch it
-lands in nor on the model.  That lets the run draw the pairs of a chunk of
-whole epochs (as many as fit in ``_PAIR_ROWS`` rows) in one ``draw_pairs``
-call over one ``substreams`` batch.  Each epoch then pools its own slice
-and reads the teachers once.  The anchors are pooled in the epoch's
-visiting order and the guidance is taken into it, so every batch is a
-slice, not a gather.
+(a FIFO, as in MoCo), for all N teachers at once: a window on the
+(N, K + V, d) ``stream``, whose first K columns carry the previous epoch's last
+K rows and whose other V columns take this epoch's rows in visiting order.
+The batch at offset b0 takes columns [K + b0, K + b0 + B) as positives and
+[b0, b0 + K) as negatives, a slice, not a gather.  Until K rows have been fed
+(b0 < K in the first epoch) the loss and the update are skipped.  Per-sample
+randomness is keyed by (seed, video_id, epoch), so a video's pair depends
+neither on its batch nor on the model, and ``_pair_draws`` draws the pairs of
+a chunk of whole epochs in one call.
 """
 
 from __future__ import annotations
@@ -33,7 +29,7 @@ import math
 import sys
 import time
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -42,7 +38,6 @@ import numpy as np
 from .binio import write_csv, write_json
 from .corpus import Corpus
 from .losses import (
-    ContrastiveOutcome,
     FusionLevel,
     WeightScheme,
     contrastive_batch,
@@ -211,6 +206,10 @@ def _validate_run(config: TrainConfig, corpus: Corpus, bank: TeacherBank) -> Non
         raise FieldError("train.segments / corpus.frames_per_video",
                          f"segments exceed frames per video ({config.segments} > "
                          f"{corpus.spec.frames_per_video})")
+    if config.pair_mode is PairMode.IMG_IMG and corpus.spec.frames_per_video < 2:
+        raise FieldError("train.pair_mode / corpus.frames_per_video",
+                         "img-img draws two distinct frames of a video: frames_per_video "
+                         f"must be at least 2, got {corpus.spec.frames_per_video}")
     half = corpus.spec.frames_per_video // 2
     if config.pair_mode is PairMode.SEQ_SEQ_DISJOINT and config.segments > half:
         raise FieldError("train.segments / corpus.frames_per_video",
@@ -239,48 +238,49 @@ def _validate_init(config: TrainConfig, corpus: Corpus, enc: StudentEncoder,
 
 
 @dataclass
-class _EpochStats:
-    ct_sum: float = 0.0
-    ce_sum: float = 0.0
-    count: int = 0
-    weights: list = field(default_factory=list)
+class TrainState:
+    """What one epoch hands the next.  ``stream``'s first K columns are the
+    last K guidance rows fed.  No encoder or head is stored, so a copy of the
+    state (a deep copy too) trains its own parameters, not the original's."""
 
-    def record(self, out: ContrastiveOutcome, loss_sum: float, ce_loss=None):
-        """Adds one step: ``loss_sum`` is the sum of ``out.loss``."""
-        self.ct_sum += loss_sum
-        self.count += len(out.loss)
-        self.weights.append(out.weights)
-        if ce_loss is not None:
-            self.ce_sum += ce_loss * len(out.loss)
+    params: np.ndarray
+    velocity: np.ndarray
+    layout: ParamLayout
+    stream: np.ndarray
+    epoch: int = 0
 
-    def close(self, epoch: int, lr: float, joint: bool) -> EpochRecord:
-        if self.count == 0:  # every batch this epoch was a cold skip
-            return EpochRecord(epoch, lr, None, None, (), ())
-        w = np.concatenate(self.weights)
-        std = w.std(axis=0)
-        std[(w == w[0]).all(axis=0)] = 0.0  # constant schemes log exactly zero
-        return EpochRecord(
-            epoch=epoch,
-            lr=lr,
-            contrastive_loss=self.ct_sum / self.count,
-            ce_loss=(self.ce_sum / self.count) if joint else None,
-            mean_weights=tuple(w.mean(axis=0).tolist()),
-            std_weights=tuple(std.tolist()),
-        )
+    def models(self) -> tuple[StudentEncoder, ClassifierHead | None]:
+        """The encoder and head (None: no head) as views of ``params``."""
+        views = self.layout.views(self.params)
+        head = None
+        if "head.W" in views:
+            head = ClassifierHead(views.pop("head.W"), views.pop("head.b"))
+        return StudentEncoder(**views), head
 
 
-def _flat_model(enc: StudentEncoder, head: ClassifierHead | None):
-    """Copies the arrays of ``enc`` and ``head`` (None: no head) into one new
-    flat vector; returns it, its layout, and an encoder and head whose arrays
-    are views of it."""
+def start_state(config: TrainConfig, corpus: Corpus, bank: TeacherBank,
+                enc: StudentEncoder, head: ClassifierHead | None) -> TrainState:
+    """The state before epoch 0: copies of the arrays of ``enc`` and ``head``
+    (None: no head) in one new flat vector, and a zero velocity."""
     names, arrays = zip(*enc.parameters(), *(head.parameters() if head is not None else ()))
     params = np.concatenate([a.ravel() for a in arrays], dtype=np.float64)
     layout = ParamLayout(names, tuple(a.shape for a in arrays))
-    views = layout.views(params)
-    enc = StudentEncoder(*(views[name] for name, _ in enc.parameters()))
-    if head is not None:
-        head = ClassifierHead(views["head.W"], views["head.b"])
-    return params, layout, enc, head
+    stream = np.empty((len(bank), config.K + corpus.num_videos, config.d))
+    return TrainState(params, np.zeros_like(params), layout, stream)
+
+
+def _epoch_record(epoch: int, lr: float, ct_sum: float, ce_sum: float | None, count: int,
+                  weights: list[np.ndarray]) -> EpochRecord:
+    """An epoch's record from the loss sums of its ``count`` trained rows
+    (``ce_sum`` None outside joint mode) and each step's teacher weights."""
+    if count == 0:  # every batch this epoch was a cold skip
+        return EpochRecord(epoch, lr, None, None, (), ())
+    w = np.concatenate(weights)
+    std = w.std(axis=0)
+    std[(w == w[0]).all(axis=0)] = 0.0  # constant schemes log exactly zero
+    ce_loss = None if ce_sum is None else ce_sum / count
+    return EpochRecord(epoch, lr, ct_sum / count, ce_loss, tuple(w.mean(axis=0).tolist()),
+                       tuple(std.tolist()))
 
 
 def _pair_draws(config: TrainConfig, num_frames: int, dim: int, ids: np.ndarray
@@ -302,75 +302,77 @@ def _pair_draws(config: TrainConfig, num_frames: int, dim: int, ids: np.ndarray
             yield anchor.rows(rows), guidance.rows(rows)
 
 
-def _run_loop(config: TrainConfig, corpus: Corpus, bank: TeacherBank,
-              enc: StudentEncoder, head: ClassifierHead | None
-              ) -> tuple[StudentEncoder, ClassifierHead | None, RunReport]:
-    """Trains a copy of ``enc`` (and of ``head`` in joint mode; None in
-    pretraining) and returns the trained pair, whose arrays are views of one
-    flat parameter vector, with the run's report."""
-    start = time.perf_counter()
-    joint = head is not None
-    K, V = config.K, corpus.num_videos
-    params, layout, enc, head = _flat_model(enc, head)
-    grads, velocity = np.zeros_like(params), np.zeros_like(params)
-    grad_views = layout.views(grads)
-    labels_all = corpus.labels()
+def run_epoch(config: TrainConfig, corpus: Corpus, bank: TeacherBank, state: TrainState,
+              draws: tuple[ViewDraw, ViewDraw]) -> EpochRecord:
+    """Runs epoch ``state.epoch`` on its (anchor, guidance) ``draws``, in
+    place on ``state``, which then holds the next epoch; returns its record.
+    The head trains too when the state holds one (joint mode)."""
+    K, V, epoch = config.K, corpus.num_videos, state.epoch
+    anchor_draw, guide_draw = draws
+    enc, head = state.models()
+    grads = np.zeros_like(state.params)  # each step overwrites it whole
+    grad_views = state.layout.views(grads)
+    stream = state.stream
     frames_all = corpus.frames()
-    stream = np.empty((len(bank), K + V, config.d))
-    records = []
-    draws = _pair_draws(config, frames_all.shape[1], frames_all.shape[2], corpus.ids())
-    for epoch, (anchor_draw, guide_draw) in enumerate(draws):
-        lr = lr_at(config, epoch)
-        order = substream(config.seed, "epoch-order", epoch).permutation(V)
-        guidance = teacher_features(bank, pooled_view(frames_all, guide_draw))
-        # rows taken by index, not recomputed in visiting order: a BLAS edge
-        # tile may round a permuted row differently
-        np.take(guidance, order, axis=1, out=stream[:, K:])
-        # pooling is per row, so the anchors are pooled in visiting order
-        visited_anchors = pooled_view(frames_all, anchor_draw.rows(order), order)
-        stats = _EpochStats()
-        for b0 in range(0, V, config.batch_size):
-            # Cold start: until K rows have been fed there is no loss and no update.
-            if epoch > 0 or b0 >= K:
-                batch_anchors = visited_anchors[b0:b0 + config.batch_size]
-                n = len(batch_anchors)
-                feats, cache = forward_batch(enc, batch_anchors)
-                out = contrastive_batch(feats, stream[:, K + b0:K + b0 + n],
-                                        stream[:, b0:b0 + K],
-                                        config.tau, config.weight_scheme, config.fusion_level,
-                                        accuracies=config.offline_accuracies)
-                # the sum and the division np.mean would compute
-                loss_sum = float(np.add.reduce(out.loss))
-                ct_loss = loss_sum / n
-                d_feats = out.grad_anchor / n
+    lr = lr_at(config, epoch)
+    order = substream(config.seed, "epoch-order", epoch).permutation(V)
+    guidance = teacher_features(bank, pooled_view(frames_all, guide_draw))
+    # rows taken by index, not recomputed in visiting order: a BLAS edge
+    # tile may round a permuted row differently
+    np.take(guidance, order, axis=1, out=stream[:, K:])
+    # pooling is per row, so the anchors are pooled in visiting order
+    visited_anchors = pooled_view(frames_all, anchor_draw.rows(order), order)
+    ct_sum, count, weights = 0.0, 0, []
+    ce_sum = 0.0 if head is not None else None
+    for b0 in range(0, V, config.batch_size):
+        if epoch == 0 and b0 < K:
+            continue  # cold start: until K rows have been fed there is no loss and no update
+        batch_anchors = visited_anchors[b0:b0 + config.batch_size]
+        n = len(batch_anchors)
+        feats, cache = forward_batch(enc, batch_anchors)
+        out = contrastive_batch(feats, stream[:, K + b0:K + b0 + n], stream[:, b0:b0 + K],
+                                config.tau, config.weight_scheme, config.fusion_level,
+                                accuracies=config.offline_accuracies)
+        # the sum and the division np.mean would compute
+        loss_sum = float(np.add.reduce(out.loss))
+        ct_loss = loss_sum / n
+        d_feats = out.grad_anchor / n
 
-                ce_loss = None
-                if joint:
-                    logits = head.logits(feats)
-                    ce_loss, d_logits = cross_entropy_batch(
-                        logits, labels_all[order[b0:b0 + config.batch_size]])
-                    d_feats = config.alpha * d_feats + config.beta * (d_logits @ head.W)
-                    g_w = np.matmul(d_logits.T, feats, out=grad_views["head.W"])
-                    np.multiply(config.beta, g_w, out=g_w)
-                    g_b = np.add.reduce(d_logits, axis=0, out=grad_views["head.b"])
-                    np.multiply(config.beta, g_b, out=g_b)
-                    step_loss = joint_loss(ct_loss, ce_loss, config.alpha, config.beta)
-                else:
-                    step_loss = ct_loss
-                if not math.isfinite(step_loss):
-                    raise NumericAbortError(
-                        f"non-finite loss at epoch {epoch}, batch {b0 // config.batch_size}"
-                    )
+        if head is not None:
+            logits = head.logits(feats)
+            ce_loss, d_logits = cross_entropy_batch(logits, corpus.labels()[order[b0:b0 + n]])
+            d_feats = config.alpha * d_feats + config.beta * (d_logits @ head.W)
+            g_w = np.matmul(d_logits.T, feats, out=grad_views["head.W"])
+            np.multiply(config.beta, g_w, out=g_w)
+            g_b = np.add.reduce(d_logits, axis=0, out=grad_views["head.b"])
+            np.multiply(config.beta, g_b, out=g_b)
+            step_loss = joint_loss(ct_loss, ce_loss, config.alpha, config.beta)
+            ce_sum += ce_loss * n
+        else:
+            step_loss = ct_loss
+        if not math.isfinite(step_loss):
+            raise NumericAbortError(f"non-finite loss at epoch {epoch}, "
+                                    f"batch {b0 // config.batch_size}")
 
-                backward_batch(enc, cache, d_feats, grad_views)
-                sgd_step(params, grads, velocity, lr, config.momentum, config.weight_decay,
-                         layout)
-                stats.record(out, loss_sum, ce_loss)
+        backward_batch(enc, cache, d_feats, grad_views)
+        sgd_step(state.params, grads, state.velocity, lr, config.momentum,
+                 config.weight_decay, state.layout)
+        ct_sum += loss_sum
+        count += n
+        weights.append(out.weights)
 
-        stream[:, :K] = stream[:, V:]
-        records.append(stats.close(epoch, lr, joint))
-    return enc, head, RunReport(seed=config.seed, records=tuple(records),
-                                wall_time_s=time.perf_counter() - start)
+    stream[:, :K] = stream[:, V:]
+    state.epoch += 1
+    return _epoch_record(epoch, lr, ct_sum, ce_sum, count, weights)
+
+
+def _train(config: TrainConfig, corpus: Corpus, bank: TeacherBank, state: TrainState
+           ) -> RunReport:
+    """Runs every epoch of ``config`` on ``state`` and reports them."""
+    start = time.perf_counter()
+    draws = _pair_draws(config, *corpus.frames().shape[1:], corpus.ids())
+    records = tuple(run_epoch(config, corpus, bank, state, pair) for pair in draws)
+    return RunReport(config.seed, records, wall_time_s=time.perf_counter() - start)
 
 
 def pretrain(config: TrainConfig, corpus: Corpus, bank: TeacherBank
@@ -378,8 +380,9 @@ def pretrain(config: TrainConfig, corpus: Corpus, bank: TeacherBank
     """Self-supervised training of the student against frozen teachers."""
     _validate_run(config, corpus, bank)
     enc = build_student(corpus.spec.frame_dim, config.h, config.d, config.seed)
-    enc, _, report = _run_loop(config, corpus, bank, enc, head=None)
-    return enc, report
+    state = start_state(config, corpus, bank, enc, head=None)
+    report = _train(config, corpus, bank, state)
+    return state.models()[0], report
 
 
 def train_joint(config: TrainConfig, corpus: Corpus, bank: TeacherBank,
@@ -400,8 +403,9 @@ def train_joint(config: TrainConfig, corpus: Corpus, bank: TeacherBank,
     else:
         _validate_init(config, corpus, *init)
         enc, head = init  # the run trains copies; the caller's arrays stay as they are
-    enc, head, report = _run_loop(config, corpus, bank, enc, head)
-    return (enc, head), report
+    state = start_state(config, corpus, bank, enc, head)
+    report = _train(config, corpus, bank, state)
+    return state.models(), report
 
 
 def report_to_dict(report: RunReport, resolved_config: dict | None = None) -> dict:

@@ -1,5 +1,7 @@
+import ctypes
 import dataclasses
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +31,39 @@ def tiny_bank(tiny_corpus):
     teachers = [build_teacher(tiny_corpus, rho, embed_dim=6, seed=11, name=f"t{i}")
                 for i, rho in enumerate((0.9, 0.3))]
     return TeacherBank(teachers=tuple(teachers))
+
+
+# where the sha256s of the recorded-bits tests were taken: float64 bytes
+# depend on how the BLAS core and numpy's SIMD kernels order their sums
+RECORDED_PLATFORM = "numpy 2.4.6 / SkylakeX / X86_V4"
+
+
+def platform() -> str:
+    """This process's numpy version, OpenBLAS core (from the library bundled
+    in ``numpy.libs``; "unknown" without one) and highest enabled x86
+    feature level, in ``RECORDED_PLATFORM``'s form."""
+    core = "unknown"
+    for lib in sorted((Path(np.__file__).resolve().parents[1] / "numpy.libs").glob("*openblas*")):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        core = corename().decode()
+        break
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__ as features
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__ as features
+    levels = [int(k[len("X86_V"):]) for k, on in features.items() if on and k.startswith("X86_V")]
+    level = f"X86_V{max(levels)}" if levels else "no X86_V level"
+    return f"numpy {np.__version__} / {core} / {level}"
+
+
+def platform_note() -> str:
+    """The tail of a recorded-bits failure: a mismatch on another platform
+    may be a different summation order, not a wrong result."""
+    return f"recorded on {RECORDED_PLATFORM}, running on {platform()}"
 
 
 def unit_rows(rng: np.random.Generator, n: int, d: int) -> np.ndarray:

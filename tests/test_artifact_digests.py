@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from conftest import platform_note
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -19,4 +21,5 @@ def test_artifact_digests_are_the_recorded_lines():
     got = run.stdout.splitlines()
     assert [line.split()[0] for line in got] == [line.split()[0] for line in want]
     changed = [g.split()[0] for g, w in zip(got, want) if g != w]
-    assert not changed, f"{len(changed)} of {len(want)} digests changed: {changed}"
+    assert not changed, (f"{len(changed)} of {len(want)} digests changed: {changed}; "
+                         f"{platform_note()}")

@@ -121,7 +121,9 @@ def test_bad_offline_weight_exits_2_before_training(tmp_path, capsys, weight):
     ({}, {"frames_per_video": 3}, ["train.segments", "corpus.frames_per_video"]),
     ({"pair_mode": "seq-seq-disjoint", "segments": 5}, {},
      ["train.segments", "corpus.frames_per_video", "seq-seq-disjoint"]),
-], ids=["K", "segments", "frames_per_video", "disjoint-segments"])
+    ({"pair_mode": "img-img", "segments": 1}, {"frames_per_video": 1},
+     ["train.pair_mode", "corpus.frames_per_video", "img-img"]),
+], ids=["K", "segments", "frames_per_video", "disjoint-segments", "img-img-one-frame"])
 def test_corpus_dependent_rule_exits_2_naming_its_key(tmp_path, capsys, train, corpus, keys):
     doc = _config_doc(tmp_path / "run", **train)
     doc["corpus"].update(corpus)

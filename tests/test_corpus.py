@@ -12,7 +12,7 @@ from dtg.corpus import (CORPUS_HEADER, Corpus, CorpusSpec, generate_corpus, load
 from dtg.numerics import DegenerateInputError
 from dtg.seeding import substream
 
-from conftest import crafted
+from conftest import crafted, platform_note
 
 
 def test_shapes_counts_and_labels():
@@ -62,7 +62,8 @@ RECORDED_CORPUS_SHA256 = [
                          ids=["seed-above-2^32", "signal-dim-equals-frame-dim", "one-frame"])
 def test_saved_corpus_matches_recorded_bytes(tmp_path, spec, digest):
     save_corpus(generate_corpus(spec), tmp_path / "c.dtgc")
-    assert hashlib.sha256((tmp_path / "c.dtgc").read_bytes()).hexdigest() == digest
+    got = hashlib.sha256((tmp_path / "c.dtgc").read_bytes()).hexdigest()
+    assert got == digest, platform_note()
 
 
 def test_save_corpus_does_not_copy_the_frames(tmp_path):

@@ -12,7 +12,7 @@ from dtg.losses import (ContrastiveOutcome, FusionLevel, WeightScheme,
                         teacher_weights)
 from dtg.numerics import finite_diff_check
 
-from conftest import unit_rows
+from conftest import platform_note, unit_rows
 
 # scalar oracles, high-precision evaluation of the closed forms
 LOSS_TAU1 = 0.3132616875182228          # ln(1 + e^-1)
@@ -571,7 +571,7 @@ def test_batch_outcomes_are_the_recorded_bits(case):
     acc = (0.4, 0.3, 0.2, 0.1)[:n]
     out = contrastive_batch(*args, 0.07, WeightScheme(scheme), FusionLevel(fusion),
                             accuracies=acc)
-    assert _outcome_digest(out) == RECORDED_OUTCOMES[case]
+    assert _outcome_digest(out) == RECORDED_OUTCOMES[case], platform_note()
 
 
 @pytest.mark.parametrize("scheme", list(WeightScheme))

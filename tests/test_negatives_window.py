@@ -1,4 +1,4 @@
-"""The negatives window of ``trainer._run_loop``: each step's negatives are
+"""The negatives window of ``trainer.run_epoch``: each step's negatives are
 the last K guidance rows fed before it, oldest first, and a step trains only
 once K rows have been fed.  The window holds all N teachers' negatives in one
 (N, K + V, d) stream; each teacher's rows behave as if that teacher were

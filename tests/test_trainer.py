@@ -22,6 +22,8 @@ from dtg.seeding import substreams
 from dtg.trainer import (NumericAbortError, ParamLayout, TrainConfig, lr_at, pretrain,
                          report_to_dict, sgd_step, train_joint, write_report)
 
+from conftest import platform_note
+
 
 def _corpus(seed=21, videos_per_class=5):
     spec = CorpusSpec(num_classes=2, videos_per_class=videos_per_class,
@@ -105,11 +107,12 @@ def test_sgd_rejects_nan_gradient_and_bad_shapes():
 
 
 def _model_state():
-    enc, head = build_student(8, 8, 6, seed=1), build_head(6, 2, seed=2)
-    params, layout, enc, head = trainer._flat_model(enc, head)
-    velocity = np.full_like(params, 0.5)
-    grads = np.ones_like(params)
-    return enc, head, params, velocity, grads, layout
+    corpus = _corpus()
+    state = trainer.start_state(_config(), corpus, _bank(corpus), build_student(8, 8, 6, seed=1),
+                                build_head(6, 2, seed=2))
+    state.velocity[:] = 0.5
+    enc, head = state.models()
+    return enc, head, state.params, state.velocity, np.ones_like(state.params), state.layout
 
 
 def test_sgd_updates_the_models_own_arrays():
@@ -502,7 +505,51 @@ def _recorded_case(case: str) -> str:
 def test_short_runs_train_the_recorded_bits(monkeypatch, case):
     if case == "chunked-5-epochs":
         monkeypatch.setattr(trainer, "_PAIR_ROWS", 45)  # 2 epochs of 20 videos
-    assert _recorded_case(case) == RECORDED_DIGESTS[case]
+    assert _recorded_case(case) == RECORDED_DIGESTS[case], platform_note()
+
+
+# --- the training state ---
+
+def _flat(enc, head) -> bytes:
+    params = enc.parameters() + (head.parameters() if head is not None else [])
+    return np.concatenate([p.ravel() for _, p in params]).tobytes()
+
+
+@pytest.mark.parametrize("joint, split, deep", [
+    (False, 1, False), (False, 3, False), (True, 2, False), (True, 2, True),
+], ids=["4t-online1-after-cold-epoch", "4t-online1-after-milestone", "joint", "joint-deepcopy"])
+def test_train_state_is_all_that_carries_between_epochs(joint, split, deep):
+    # a run split after epoch ``split`` and continued from a fresh state that
+    # holds copies of the state's arrays (the stream past its first K columns
+    # NaN), or from a deep copy, trains the bits of the unbroken run; the
+    # first state is poisoned, so the rest cannot read it
+    corpus = _corpus(videos_per_class=10)
+    kw = dict(epochs=4, K=8, milestones=(2,), mask_frac=0.25)
+    if joint:
+        bank, head = _bank(corpus), build_head(6, corpus.spec.num_classes, 0)
+        cfg = _config(**kw)
+        (enc, want_head), report = train_joint(cfg, corpus, bank)
+    else:
+        bank, head = _bank(corpus, rhos=(0.9, 0.7, 0.5, 0.3)), None
+        cfg = _config(**kw, weight_scheme=WeightScheme.ONLINE1, batch_size=7)
+        enc, report = pretrain(cfg, corpus, bank)
+        want_head = None
+    state = trainer.start_state(cfg, corpus, bank, build_student(8, 8, 6, 0), head)
+    draws = list(trainer._pair_draws(cfg, *corpus.frames().shape[1:], corpus.ids()))
+    records = [trainer.run_epoch(cfg, corpus, bank, state, d) for d in draws[:split]]
+    if deep:
+        rest = copy.deepcopy(state)
+    else:
+        stream = np.full_like(state.stream, np.nan)
+        stream[:, :cfg.K] = state.stream[:, :cfg.K]
+        rest = trainer.TrainState(state.params.copy(), state.velocity.copy(), state.layout,
+                                  stream, state.epoch)
+    for array in (state.params, state.velocity, state.stream):
+        array[...] = np.nan
+    assert rest.epoch == split
+    records += [trainer.run_epoch(cfg, corpus, bank, rest, d) for d in draws[split:]]
+    assert tuple(records) == report.records
+    assert _flat(*rest.models()) == _flat(enc, want_head)
 
 
 # --- report serialization ---
