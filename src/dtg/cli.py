@@ -42,7 +42,7 @@ from .evaluation import (
     video_features,
     write_projection_csv,
 )
-from .model import TeacherBank, build_head, build_student, build_teacher, load_student, save_student
+from .model import TeacherBank, build_bank, build_head, build_student, load_student, save_student
 from .numerics import DegenerateInputError, FieldError
 from .trainer import NumericAbortError, pretrain, train_joint, write_report
 
@@ -68,10 +68,8 @@ def _load_corpus(cfg: ExperimentConfig):
 
 
 def _build_bank(cfg: ExperimentConfig, corpus) -> TeacherBank:
-    return TeacherBank(tuple(
-        build_teacher(corpus, t.rho, cfg.train.d, t.seed, name=t.name)
-        for t in cfg.teachers
-    ))
+    return build_bank(corpus, [t.rho for t in cfg.teachers], cfg.train.d,
+                      [t.seed for t in cfg.teachers])
 
 
 def _say(args, message: str) -> None:

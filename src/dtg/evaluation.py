@@ -26,7 +26,7 @@ from .model import (
 )
 from .numerics import (DegenerateInputError, as_matrix, check_fields, declared,
                        is_integer_array, one_hot)
-from .sampling import PairMode, sample_pairs
+from .sampling import PairMode, draw_pairs, pooled_view
 from .seeding import substreams
 
 # distance-matrix rows per block in class_overlap: one BLAS product into the
@@ -79,10 +79,11 @@ def teacher_view_accuracies(corpus: Corpus, bank: TeacherBank,
     whole videos: full-video pooling averages the frame noise away and makes
     noisy teachers look as good as clean ones.  These scores are the natural
     source for offline fusion weights."""
-    y = corpus.labels()
+    y, frames = corpus.labels(), corpus.frames()
     streams = substreams(seed, "teacher-acc", corpus.ids())
-    _, guidance = sample_pairs(corpus.frames(), _VIEW_MODE, _VIEW_SEGMENTS, streams)
-    return tuple(knn_top1(feats, y, _VIEW_K) for feats in teacher_features(bank, guidance))
+    _, guide_draw = draw_pairs(*frames.shape[1:], _VIEW_MODE, _VIEW_SEGMENTS, streams)
+    guidance = teacher_features(bank, pooled_view(frames, guide_draw))
+    return tuple(knn_top1(feats, y, _VIEW_K) for feats in guidance)
 
 
 def _class_labels(labels, rows: int) -> np.ndarray:
@@ -185,15 +186,16 @@ def knn_top1(features: np.ndarray, labels: np.ndarray, k: int) -> float:
     - *table*: the groups whose maximum reaches the bound (k of them, more
       on ties), strip by strip, then the ragged last columns that no strip
       covers: every neighbour is there, in column order;
-    - *votes*: counted with ``np.bincount`` over the k columns per row.
+    - *votes*: counted with ``np.bincount`` over the k columns per row
+      (``_votes``).
 
-    A block falls back to its full rows when the table would be wider than a
-    strip: k above about N / 64, or heavy ties (collapsed features, where
-    every similarity ties, are the worst case).  The same rule then picks the
-    neighbours, and the votes are the product of their mask with a one-hot
-    of the classes.  Nothing but the block products rounds, so the
-    neighbours, ties included, and the value keep their bits for a given
-    ``_KNN_ROWS``.  Labels are compacted to the present classes first, so
+    A block falls back to its full rows, ``_KNN_SELECT_ROWS`` at a time, when
+    the table would be wider than a strip: k above about N / 64, or heavy
+    ties (collapsed features, where every similarity ties, are the worst
+    case).  The same rule then picks the neighbours, and ``_votes`` counts
+    them: the votes are exact integer counts on either path.  Nothing but
+    the block products rounds, so the neighbours, ties included, and the
+    value keep their bits for a given ``_KNN_ROWS``.  Labels are compacted to the present classes first, so
     sparse ids cost nothing."""
     x = as_matrix(features, "features")
     m = x.shape[0]
@@ -207,7 +209,6 @@ def knn_top1(features: np.ndarray, labels: np.ndarray, k: int) -> float:
     if np.any(norms == 0):
         raise DegenerateInputError("zero-norm feature row")
     u /= norms
-    onehot = None  # (N, classes): made only if a block takes its full rows
     buf = np.empty((min(_KNN_ROWS, m), m))
     correct = 0
     for r0 in range(0, m, _KNN_ROWS):
@@ -216,19 +217,23 @@ def knn_top1(features: np.ndarray, labels: np.ndarray, k: int) -> float:
         np.matmul(u[r0:r0 + rb], u.T, out=sims)
         sims[np.arange(rb), np.arange(r0, r0 + rb)] = -np.inf
         cols = _strip_neighbours(sims, k)
-        if cols is None:  # large k or heavy ties: sums of 0s and 1s, exact
-            if onehot is None:
-                onehot = one_hot(y, n_cls)
-            votes = np.empty((rb, n_cls))
-            for i in range(0, rb, _KNN_SELECT_ROWS):
-                part = sims[i:i + _KNN_SELECT_ROWS]
-                votes[i:i + _KNN_SELECT_ROWS] = _first_k(part, k).astype(np.float64) @ onehot
-        else:  # k columns per row, in row order
-            votes = np.bincount(np.repeat(np.arange(rb) * n_cls, k) + y[cols],
-                                minlength=rb * n_cls).reshape(rb, n_cls)
+        if cols is not None:
+            votes = _votes(cols, y, k, n_cls)
+        else:  # large k or heavy ties: the full rows, a few at a time
+            votes = np.concatenate([
+                _votes(np.flatnonzero(_first_k(sims[i:i + _KNN_SELECT_ROWS], k)) % m, y, k, n_cls)
+                for i in range(0, rb, _KNN_SELECT_ROWS)])
         # argmax breaks vote ties low
         correct += int(np.count_nonzero(votes.argmax(axis=1) == y[r0:r0 + rb]))
     return correct / m
+
+
+def _votes(cols: np.ndarray, y: np.ndarray, k: int, n_cls: int) -> np.ndarray:
+    """(rows, n_cls) counts of the classes ``y`` of ``cols``, the k
+    neighbour columns of each row in row order."""
+    rows = len(cols) // k
+    return np.bincount(np.repeat(np.arange(rows) * n_cls, k) + y[cols],
+                       minlength=rows * n_cls).reshape(rows, n_cls)
 
 
 def _strip_neighbours(sims: np.ndarray, k: int) -> np.ndarray | None:

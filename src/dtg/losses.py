@@ -226,13 +226,6 @@ def contrastive_batch(anchors: np.ndarray, positives: np.ndarray, negatives: np.
     return ContrastiveOutcome(loss, grad, weights, pos_sims, teacher_losses, shifted_exp, total)
 
 
-def joint_loss(contrastive: float, ce: float, alpha: float, beta: float) -> float:
-    """alpha-weighted contrastive plus beta-weighted cross-entropy."""
-    if alpha < 0 or beta < 0:
-        raise ValueError("alpha and beta must be nonnegative")
-    return alpha * contrastive + beta * ce
-
-
 def cross_entropy_batch(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean cross-entropy over a batch and the gradient of that mean."""
     z = as_matrix(logits, "logits")

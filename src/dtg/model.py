@@ -5,14 +5,15 @@ affine+ReLU layers and a final affine to the embedding dimension, then
 L2-normalizes.  Teachers are frozen: they mean-pool, blend the signal and
 nuisance projections of the input by an alignment knob rho, apply a fixed
 random affine readout to the shared embedding dimension, and normalize.
-rho=1 reads only the class-signal subspace, rho=0 only nuisance.  Both
-work on (B, D) pooled batches; one sequence is a batch of one.
+rho=1 reads only the class-signal subspace, rho=0 only nuisance.  A bank
+of N teachers is nothing but their stacked readouts, (N, d, D) weights and
+(N, 1, d) biases, read in one product.  Both work on (B, D) pooled
+batches; one sequence is a batch of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -137,72 +138,66 @@ def pool_frames(frames) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Teacher:
-    """Frozen encoder: frame mean -> alignment blend -> fixed affine -> unit norm."""
+class TeacherBank:
+    """N frozen teachers as one stacked readout: teacher i maps a pooled
+    input x (D,) to ``weight[i] @ x + bias[i, 0]``, normalized."""
 
-    name: str
-    rho: float
-    weight: np.ndarray  # (d, D), already includes the blend
-    bias: np.ndarray    # (d,)
+    weight: np.ndarray  # (N, d, D), each row already includes its blend
+    bias: np.ndarray    # (N, 1, d)
+
+    def __post_init__(self):
+        if self.weight.ndim != 3 or len(self.weight) < 1:
+            raise ValueError(f"bank weight must be (N, d, D) with N >= 1, "
+                             f"got shape {self.weight.shape}")
+        want = (len(self.weight), 1, self.weight.shape[1])
+        if self.bias.shape != want:
+            raise ValueError(f"bank bias must be {want}, got shape {self.bias.shape}")
+
+    def __len__(self) -> int:
+        return len(self.weight)
 
     @property
     def embed_dim(self) -> int:
-        return self.weight.shape[0]
+        return self.weight.shape[1]
 
 
-def build_teacher(corpus, rho: float, embed_dim: int, seed: int, name: str = "teacher") -> Teacher:
-    """Teacher reading rho * signal projection + (1 - rho) * nuisance projection
-    of the corpus feature space, through a fixed random isometry."""
-    if not 0 <= rho <= 1:
+def build_bank(corpus, rhos, embed_dim: int, seeds) -> TeacherBank:
+    """One teacher per (rho, seed) pair, in order.  Teacher i reads
+    rhos[i] * signal projection + (1 - rhos[i]) * nuisance projection of the
+    corpus feature space, through a fixed random isometry and bias drawn
+    from seeds[i]."""
+    rhos, seeds = tuple(rhos), tuple(seeds)
+    if len(rhos) != len(seeds):
+        raise ValueError(f"need one seed per rho, got {len(seeds)} for {len(rhos)}")
+    if not rhos:
+        raise ValueError("bank needs at least one teacher")
+    if not all(0 <= rho <= 1 for rho in rhos):
         raise ValueError("rho must lie in [0, 1]")
     if embed_dim < 1:
         raise ValueError("embed_dim must be >= 1")
     bs, bn = corpus.signal_basis, corpus.nuisance_basis
     dim = bs.shape[1]
-    blend = rho * (bs.T @ bs) + (1.0 - rho) * (bn.T @ bn)
-    rng = substream(seed, "teacher-init")
-    # Haar-distributed rather than plain Gaussian: an isometric readout keeps
-    # every teacher's noise amplification identical, so differences between
-    # teachers come only from their alignment rho.
-    q = haar_orthogonal(rng, max(embed_dim, dim))
-    w = q[:embed_dim, :] if embed_dim <= dim else q[:, :dim]
-    b = 0.1 * rng.standard_normal(embed_dim)
-    return Teacher(name=name, rho=float(rho), weight=w @ blend, bias=b)
-
-
-@dataclass(frozen=True)
-class TeacherBank:
-    teachers: tuple[Teacher, ...]
-
-    def __post_init__(self):
-        if not self.teachers:
-            raise ValueError("bank needs at least one teacher")
-        dims = {t.embed_dim for t in self.teachers}
-        if len(dims) != 1:
-            raise ValueError(f"teachers disagree on embed dim: {sorted(dims)}")
-
-    def __len__(self) -> int:
-        return len(self.teachers)
-
-    @property
-    def embed_dim(self) -> int:
-        return self.teachers[0].embed_dim
-
-    @cached_property
-    def readout(self) -> tuple[np.ndarray, np.ndarray]:
-        """The frozen teachers' readouts, stacked once per bank: weights
-        (N, d, D) and biases (N, 1, d)."""
-        return (np.stack([t.weight for t in self.teachers]),
-                np.stack([t.bias for t in self.teachers])[:, None])
+    signal, nuisance = bs.T @ bs, bn.T @ bn
+    weights, biases = [], []
+    for rho, seed in zip(rhos, seeds):
+        blend = rho * signal + (1.0 - rho) * nuisance
+        rng = substream(seed, "teacher-init")
+        # Haar-distributed rather than plain Gaussian: an isometric readout keeps
+        # every teacher's noise amplification identical, so differences between
+        # teachers come only from their alignment rho.
+        q = haar_orthogonal(rng, max(embed_dim, dim))
+        w = q[:embed_dim, :] if embed_dim <= dim else q[:, :dim]
+        weights.append(w @ blend)
+        biases.append(0.1 * rng.standard_normal((1, embed_dim)))
+    return TeacherBank(np.stack(weights), np.stack(biases))
 
 
 def teacher_features(bank: TeacherBank, pooled: np.ndarray) -> np.ndarray:
     """Every teacher's guidance for mean-pooled inputs (R, D) -> unit rows
     (N, R, d), teacher-major, by one stacked product: each teacher's rows
     are the bits of its own ``pooled @ weight.T + bias``, normalized."""
-    weight, bias = bank.readout
-    z = np.matmul(np.asarray(pooled, dtype=np.float64), weight.transpose(0, 2, 1))
-    z += bias
+    z = np.matmul(np.asarray(pooled, dtype=np.float64), bank.weight.transpose(0, 2, 1))
+    z += bank.bias
     return unit_rows(z.reshape(-1, bank.embed_dim), "guidance feature")[0].reshape(z.shape)
 
 

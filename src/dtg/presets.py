@@ -20,7 +20,7 @@ import numpy as np
 from .corpus import Corpus, CorpusSpec, generate_corpus, split_videos
 from .evaluation import class_overlap, linear_probe, teacher_view_accuracies, video_features
 from .losses import WeightScheme
-from .model import TeacherBank, build_teacher
+from .model import TeacherBank, build_bank
 from .sampling import PairMode
 from .seeding import derive_seed
 from .trainer import RunReport, TrainConfig, pretrain, train_joint
@@ -62,12 +62,9 @@ def make_bank(corpus: Corpus, rhos, embed_dim: int = 16, seed: int = 0) -> Teach
     weight order across seeds; sharing the readout isolates the alignment
     knob as the only difference.
     """
+    rhos = tuple(rhos)
     readout_seed = derive_seed(seed, "teacher-readout")
-    teachers = tuple(
-        build_teacher(corpus, rho, embed_dim, readout_seed, name=f"rho{rho:g}")
-        for rho in rhos
-    )
-    return TeacherBank(teachers)
+    return build_bank(corpus, rhos, embed_dim, (readout_seed,) * len(rhos))
 
 
 def reference_bank(corpus: Corpus, seed: int = 0, embed_dim: int = 16) -> TeacherBank:

@@ -11,13 +11,14 @@ supported:
   seq-seq-overlap   two independent T-segment sequences over the full video
   seq-seq-disjoint  anchor from the first half, guidance from the second
 
-``sample_pairs`` works on a (B, L, D) stack of videos with one random stream
-per video, held as a ``seeding.Substreams``, in two steps: ``draw_pairs``
-makes each row's random choices (frame indices and mask starts), and
-``pooled_view`` pools each view's frames as it takes them.  Every draw is
-one array operation over all rows, and row b draws only from its own
-stream, so a row's pair does not depend on the rows drawn with it: the
-trainer draws a chunk of whole epochs in one call.
+A pair is made in two steps, with one random stream per row, held as a
+``seeding.Substreams``: ``draw_pairs`` makes each row's random choices
+(frame indices and mask starts), and ``pooled_view`` pools one view's frames
+from a (V, L, D) stack of videos as it takes them.  Every draw is one array
+operation over all rows, and row r draws only from its own stream, so a
+row's pair does not depend on the rows drawn with it: the trainer draws a
+chunk of whole epochs in one call, and a caller that needs only one view
+pools only that one.
 """
 
 from __future__ import annotations
@@ -129,16 +130,3 @@ def pooled_view(frames: np.ndarray, view: ViewDraw, videos: np.ndarray | None = 
         out[(offset >= 0) & (offset < view.width)] = 0.0
     return out
 
-
-def sample_pairs(frames: np.ndarray, mode: PairMode, segments: int, streams: Substreams,
-                 mask_frac: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Pooled (anchor (B, D), guidance (B, D)) views of the videos ``frames``
-    (B, L, D), row b drawn from row b of ``streams`` alone: ``draw_pairs``,
-    then ``pooled_view`` of each view.  The anchor is the student-side input."""
-    x = np.asarray(frames, dtype=np.float64)
-    if x.ndim != 3:
-        raise ValueError(f"expected a (B, L, D) frame stack, got shape {x.shape}")
-    if len(streams) != x.shape[0]:
-        raise ValueError(f"need one stream per video, got {len(streams)} for {x.shape[0]}")
-    anchor, guidance = draw_pairs(x.shape[1], x.shape[2], mode, segments, streams, mask_frac)
-    return pooled_view(x, anchor), pooled_view(x, guidance)

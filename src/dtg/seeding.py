@@ -20,7 +20,7 @@ mixing, then PCG64 seeding and stepping with the XSL-RR output, then
 
 NEP 19 does not pin the algorithm of ``Generator.integers`` across numpy
 versions.  ``test_streams_match_recorded_values`` (``tests/test_seeding.py``)
-and ``test_sample_pairs_matches_recorded_pairs`` (``tests/test_sampling.py``)
+and ``test_draw_pairs_matches_recorded_pairs`` (``tests/test_sampling.py``)
 hold recorded draws, and the port is checked against numpy draw for draw; a
 numpy upgrade that moves either fails those tests rather than silently
 changing runs.

@@ -42,7 +42,6 @@ from .losses import (
     WeightScheme,
     contrastive_batch,
     cross_entropy_batch,
-    joint_loss,
 )
 from .model import (
     ClassifierHead,
@@ -346,7 +345,7 @@ def run_epoch(config: TrainConfig, corpus: Corpus, bank: TeacherBank, state: Tra
             np.multiply(config.beta, g_w, out=g_w)
             g_b = np.add.reduce(d_logits, axis=0, out=grad_views["head.b"])
             np.multiply(config.beta, g_b, out=g_b)
-            step_loss = joint_loss(ct_loss, ce_loss, config.alpha, config.beta)
+            step_loss = config.alpha * ct_loss + config.beta * ce_loss
             ce_sum += ce_loss * n
         else:
             step_loss = ct_loss

@@ -10,7 +10,7 @@ from dtg import trainer
 from dtg.binio import CHECKSUM_SIZE, checksum
 from dtg.corpus import CORPUS_HEADER, CorpusSpec, generate_corpus
 from dtg.losses import contrastive_batch
-from dtg.model import TeacherBank, build_teacher, teacher_features
+from dtg.model import build_bank, teacher_features
 from dtg.seeding import substream
 
 
@@ -28,9 +28,7 @@ def tiny_corpus(tiny_spec):
 
 @pytest.fixture(scope="session")
 def tiny_bank(tiny_corpus):
-    teachers = [build_teacher(tiny_corpus, rho, embed_dim=6, seed=11, name=f"t{i}")
-                for i, rho in enumerate((0.9, 0.3))]
-    return TeacherBank(teachers=tuple(teachers))
+    return build_bank(tiny_corpus, (0.9, 0.3), embed_dim=6, seeds=(11, 11))
 
 
 # where the sha256s of the recorded-bits tests were taken: float64 bytes

@@ -9,7 +9,7 @@ import dtg.cli
 from dtg.binio import CHECKSUM_SIZE, checksum
 from dtg.cli import main
 from dtg.corpus import CORPUS_HEADER
-from dtg.model import StudentEncoder, TeacherBank, build_student, build_teacher, save_student
+from dtg.model import StudentEncoder, build_bank, build_student, save_student
 from dtg.trainer import NumericAbortError
 
 from conftest import (BAD_SCHEDULE_FIELDS, NON_FINITE_FIELDS, NON_INTEGER_FIELDS,
@@ -161,7 +161,7 @@ def test_teacher_dependent_rule_exits_2_naming_its_key(tmp_path, capsys, monkeyp
     # the CLI builds one teacher per config entry, at train.d; a one-teacher
     # bank of another dimension or count reaches the run's own check
     def other_bank(cfg, corpus):
-        return TeacherBank((build_teacher(corpus, 0.9, cfg.train.d + extra_dim, 0),))
+        return build_bank(corpus, (0.9,), cfg.train.d + extra_dim, seeds=(0,))
     monkeypatch.setattr(dtg.cli, "_build_bank", other_bank)
     doc = {**_config_doc(tmp_path / "run", **train), "teachers": teachers}
     assert main(["pretrain", "--config", _write_config(tmp_path, doc), "--quiet"]) == 2

@@ -14,8 +14,7 @@ from dtg.evaluation import (ProbeConfig, class_overlap, knn_top1, linear_probe,
                             teacher_view_accuracies, video_features,
                             write_projection_csv)
 from dtg.losses import cross_entropy_batch
-from dtg.model import (TeacherBank, build_student, build_teacher, pool_frames,
-                       teacher_features)
+from dtg.model import build_bank, build_student, pool_frames, teacher_features
 from dtg.numerics import DegenerateInputError, FieldError
 
 EVAL_AT_SCALE = Path(__file__).resolve().parents[1] / "scripts" / "eval_at_scale.py"
@@ -208,8 +207,8 @@ def test_probe_config_takes_its_bounds():
 def test_knn_perfect_on_collapsed_classes():
     spec = CorpusSpec(2, 6, 4, 10, 4, video_spread=0.0, frame_noise=0.0, seed=5)
     corpus = generate_corpus(spec)
-    teacher = build_teacher(corpus, 1.0, embed_dim=6, seed=0)
-    feats = teacher_features(TeacherBank((teacher,)), pool_frames(corpus.frames()))[0]
+    bank = build_bank(corpus, (1.0,), embed_dim=6, seeds=(0,))
+    feats = teacher_features(bank, pool_frames(corpus.frames()))[0]
     labels = corpus.labels()
     assert knn_top1(feats, labels, k=5) == 1.0
 
@@ -777,10 +776,7 @@ def test_project_2d_rank_zero_degenerate():
 def test_view_accuracies_order_teachers_by_alignment():
     spec = CorpusSpec(4, 10, 8, 16, 8, video_spread=1.0, frame_noise=0.2, seed=15)
     corpus = generate_corpus(spec)
-    bank = TeacherBank(teachers=(
-        build_teacher(corpus, 1.0, embed_dim=8, seed=1, name="hi"),
-        build_teacher(corpus, 0.0, embed_dim=8, seed=1, name="lo"),
-    ))
+    bank = build_bank(corpus, (1.0, 0.0), embed_dim=8, seeds=(1, 1))
     accs = teacher_view_accuracies(corpus, bank, seed=0)
     assert len(accs) == 2
     assert all(0.0 <= a <= 1.0 for a in accs)

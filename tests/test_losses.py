@@ -8,8 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from dtg import numerics
 from dtg.losses import (ContrastiveOutcome, FusionLevel, WeightScheme,
-                        contrastive_batch, cross_entropy_batch, joint_loss,
-                        teacher_weights)
+                        contrastive_batch, cross_entropy_batch, teacher_weights)
 from dtg.numerics import finite_diff_check
 
 from conftest import platform_note, unit_rows
@@ -670,16 +669,3 @@ def test_cross_entropy_batch_is_mean_of_rows():
     per = [cross_entropy_batch(z[i:i + 1], y[i:i + 1]) for i in range(4)]
     assert abs(loss - np.mean([p[0] for p in per])) < 1e-12
     assert np.allclose(grad, np.concatenate([p[1] for p in per]) / 4, atol=1e-15)
-
-
-def test_joint_loss_arithmetic():
-    assert joint_loss(0.5, 1.0, alpha=0.1, beta=1.0) == pytest.approx(1.05, abs=1e-15)
-    assert joint_loss(0.5, 1.0, alpha=0.0, beta=1.0) == 1.0
-    assert joint_loss(0.5, 1.0, alpha=0.1, beta=0.0) == pytest.approx(0.05, abs=1e-15)
-
-
-def test_joint_loss_rejects_negative_coefficients():
-    with pytest.raises(ValueError):
-        joint_loss(1.0, 1.0, alpha=-0.1, beta=1.0)
-    with pytest.raises(ValueError):
-        joint_loss(1.0, 1.0, alpha=0.1, beta=-1.0)

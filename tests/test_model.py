@@ -5,8 +5,8 @@ import pytest
 
 from dtg.binio import FormatError, VersionMismatchError
 from dtg.corpus import CorpusSpec, generate_corpus
-from dtg.model import (CHECKPOINT_HEADER, StudentEncoder, Teacher, TeacherBank,
-                       backward_batch, build_head, build_student, build_teacher,
+from dtg.model import (CHECKPOINT_HEADER, StudentEncoder, TeacherBank,
+                       backward_batch, build_bank, build_head, build_student,
                        forward_batch, load_student, pool_frames, save_student,
                        teacher_features)
 from dtg.numerics import DegenerateInputError, finite_diff_check, unit_rows
@@ -182,11 +182,12 @@ def test_pool_frames_batch_matches_rows(t, dim):
 
 
 def test_teacher_deterministic_and_frozen_shape(tiny_corpus):
-    t1 = build_teacher(tiny_corpus, 0.5, embed_dim=6, seed=9)
-    t2 = build_teacher(tiny_corpus, 0.5, embed_dim=6, seed=9)
-    assert np.array_equal(t1.weight, t2.weight)
-    assert np.array_equal(t1.bias, t2.bias)
-    assert t1.weight.shape == (6, tiny_corpus.spec.frame_dim)
+    b1 = build_bank(tiny_corpus, (0.5,), embed_dim=6, seeds=(9,))
+    b2 = build_bank(tiny_corpus, (0.5,), embed_dim=6, seeds=(9,))
+    assert np.array_equal(b1.weight, b2.weight)
+    assert np.array_equal(b1.bias, b2.bias)
+    assert b1.weight.shape == (1, 6, tiny_corpus.spec.frame_dim)
+    assert b1.bias.shape == (1, 1, 6)
 
 
 def test_teacher_output_unit_norm(tiny_corpus, tiny_bank):
@@ -201,8 +202,8 @@ def test_teacher_output_unit_norm(tiny_corpus, tiny_bank):
 def test_rho_one_zero_noise_collapses_classes():
     spec = CorpusSpec(2, 4, 6, 10, 4, video_spread=0.0, frame_noise=0.0, seed=11)
     corpus = generate_corpus(spec)
-    teacher = build_teacher(corpus, 1.0, embed_dim=5, seed=1)
-    feats = teacher_features(TeacherBank((teacher,)), pool_frames(corpus.frames()))[0]
+    bank = build_bank(corpus, (1.0,), embed_dim=5, seeds=(1,))
+    feats = teacher_features(bank, pool_frames(corpus.frames()))[0]
     labels = corpus.labels()
     for c in (0, 1):
         block = feats[labels == c]
@@ -212,8 +213,8 @@ def test_rho_one_zero_noise_collapses_classes():
 def test_rho_zero_teacher_is_label_blind():
     spec = CorpusSpec(4, 12, 6, 16, 8, video_spread=1.0, frame_noise=0.0, seed=13)
     corpus = generate_corpus(spec)
-    teacher = build_teacher(corpus, 0.0, embed_dim=8, seed=2)
-    feats = teacher_features(TeacherBank((teacher,)), pool_frames(corpus.frames()))[0]
+    bank = build_bank(corpus, (0.0,), embed_dim=8, seeds=(2,))
+    feats = teacher_features(bank, pool_frames(corpus.frames()))[0]
     labels = corpus.labels()
     acc = knn_top1(feats, labels, k=5)
     assert acc < 0.5  # chance is 0.25; far from the aligned teacher's 1.0
@@ -223,29 +224,29 @@ def test_rho_separates_aligned_from_unaligned():
     spec = CorpusSpec(4, 12, 6, 16, 8, video_spread=1.0, frame_noise=0.0, seed=13)
     corpus = generate_corpus(spec)
     labels = corpus.labels()
-    bank = TeacherBank(tuple(build_teacher(corpus, rho, embed_dim=8, seed=2)
-                             for rho in (1.0, 0.0)))
+    bank = build_bank(corpus, (1.0, 0.0), embed_dim=8, seeds=(2, 2))
     accs = [knn_top1(feats, labels, k=5)
             for feats in teacher_features(bank, pool_frames(corpus.frames()))]
     assert accs[0] > accs[1] + 0.3
 
 
 def test_teacher_features_rejects_degenerate_rows(tiny_corpus):
-    teacher = build_teacher(tiny_corpus, 1.0, embed_dim=5, seed=1)
+    teacher = build_bank(tiny_corpus, (1.0,), embed_dim=5, seeds=(1,))
     # a row in the nuisance-only complement maps to bias only; zero frames
     # after zero bias cannot normalize
-    t = type(teacher)(name=teacher.name, rho=teacher.rho, weight=teacher.weight,
-                      bias=np.zeros_like(teacher.bias))
-    for bank in (TeacherBank((t,)), TeacherBank((teacher, t))):
+    zero_bias = np.zeros_like(teacher.bias)
+    for bank in (TeacherBank(teacher.weight, zero_bias),
+                 TeacherBank(np.concatenate([teacher.weight] * 2),
+                             np.concatenate([teacher.bias, zero_bias]))):
         with pytest.raises(DegenerateInputError):
             teacher_features(bank, np.zeros((1, tiny_corpus.spec.frame_dim)))
 
 
-def _readout_reference(teachers, pooled):
+def _readout_reference(weights, biases, pooled):
     """Each teacher read out on its own, as one affine map and a row
     normalization, stacked teacher-major."""
-    return np.stack([unit_rows(pooled @ t.weight.T + t.bias, "guidance feature")[0]
-                     for t in teachers])
+    return np.stack([unit_rows(pooled @ w.T + b, "guidance feature")[0]
+                     for w, b in zip(weights, biases)])
 
 
 @pytest.mark.parametrize("dim", [3, 16])
@@ -254,21 +255,50 @@ def _readout_reference(teachers, pooled):
 def test_bank_readout_is_each_teachers_own_readout(rows, embed, dim):
     for n in range(1, 6):
         rng = np.random.default_rng([rows, embed, dim, n])
-        teachers = tuple(Teacher(f"t{i}", 0.5, rng.standard_normal((embed, dim)),
-                                 rng.standard_normal(embed)) for i in range(n))
+        weights, biases = zip(*[(rng.standard_normal((embed, dim)), rng.standard_normal(embed))
+                                for _ in range(n)])
         pooled = rng.standard_normal((rows, dim))
-        got = teacher_features(TeacherBank(teachers), pooled)
+        got = teacher_features(TeacherBank(np.stack(weights), np.stack(biases)[:, None]), pooled)
         assert got.shape == (n, rows, embed)
-        assert np.array_equal(got, _readout_reference(teachers, pooled)), n
+        assert np.array_equal(got, _readout_reference(weights, biases, pooled)), n
 
 
-def test_bank_requires_consistent_dims(tiny_corpus):
-    t1 = build_teacher(tiny_corpus, 0.5, embed_dim=6, seed=0)
-    t2 = build_teacher(tiny_corpus, 0.5, embed_dim=7, seed=0)
+@pytest.mark.parametrize("weight,bias", [
+    ((0, 6, 8), (0, 1, 6)),   # no teacher
+    ((6, 8), (1, 6)),         # one teacher's (d, D), not a bank
+    ((2, 6, 8), (2, 6)),      # biases without their unit axis
+    ((2, 6, 8), (1, 1, 6)),   # one bias for two teachers
+    ((2, 6, 8), (2, 1, 7)),   # biases of another dimension
+], ids=["empty", "unstacked", "flat-bias", "bias-count", "bias-dim"])
+def test_bank_rejects_an_empty_or_misshaped_bank(weight, bias):
     with pytest.raises(ValueError):
-        TeacherBank(teachers=(t1, t2))
+        TeacherBank(np.zeros(weight), np.zeros(bias))
+
+
+@pytest.mark.parametrize("rhos,embed_dim,seeds", [
+    ((0.9, 0.3), 6, (1,)),
+    ((0.9,), 6, (1, 2)),
+    ((), 6, ()),
+    ((0.9, -0.1), 6, (1, 2)),
+    ((1.1,), 6, (1,)),
+    ((float("nan"),), 6, (1,)),
+    ((0.9,), 0, (1,)),
+], ids=["fewer-seeds", "more-seeds", "empty", "rho-below-0", "rho-above-1", "rho-nan",
+        "embed-0"])
+def test_build_bank_rejects_bad_arguments(tiny_corpus, rhos, embed_dim, seeds):
     with pytest.raises(ValueError):
-        TeacherBank(teachers=())
+        build_bank(tiny_corpus, rhos, embed_dim, seeds)
+
+
+@pytest.mark.parametrize("embed_dim", [6, 12])  # below and above the frame dim 8
+def test_bank_rows_are_one_teacher_banks(tiny_corpus, embed_dim):
+    rhos, seeds = (0.9, 0.3, 0.9, 0.0, 1.0), (3, 3, 5, 2 ** 64 - 1, 0)
+    bank = build_bank(tiny_corpus, rhos, embed_dim, seeds)
+    assert len(bank) == 5 and bank.embed_dim == embed_dim
+    for i, (rho, seed) in enumerate(zip(rhos, seeds)):
+        one = build_bank(tiny_corpus, (rho,), embed_dim, (seed,))
+        assert np.array_equal(bank.weight[i], one.weight[0])
+        assert np.array_equal(bank.bias[i], one.bias[0])
 
 
 def test_head_logits_shape_and_determinism():

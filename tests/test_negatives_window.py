@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from dtg import trainer
 from dtg.corpus import CorpusSpec, generate_corpus
 from dtg.losses import WeightScheme, contrastive_batch
-from dtg.model import TeacherBank, build_teacher
+from dtg.model import TeacherBank, build_bank
 from dtg.numerics import DegenerateInputError, FieldError
 from dtg.trainer import TrainConfig, pretrain
 
@@ -23,14 +23,13 @@ from conftest import check_against_list_model, list_model, record_windows, unit_
 def _pretrain(log, videos, batch, k, epochs=2, teachers=1, embed_dim=2, seed=0,
               bias=None):
     corpus = generate_corpus(CorpusSpec(1, videos, 4, 3, 2, seed=videos))
-    bank = [build_teacher(corpus, rho, embed_dim, seed=7)
-            for rho in (0.9, 0.6, 0.3, 0.1)[:teachers]]
+    bank = build_bank(corpus, (0.9, 0.6, 0.3, 0.1)[:teachers], embed_dim, seeds=(7,) * teachers)
     if bias is not None:
-        bank[0].bias[:] = bias
+        bank.bias[0] = bias
     for entries in log.values():
         entries.clear()
     return pretrain(TrainConfig(epochs=epochs, batch_size=batch, K=k, d=2, h=3, segments=2,
-                                milestones=(), seed=seed), corpus, TeacherBank(tuple(bank)))
+                                milestones=(), seed=seed), corpus, bank)
 
 
 def test_fifo_eviction_order(monkeypatch):
@@ -142,15 +141,16 @@ def test_stacked_queue_matches_independent_queues(k, batch, extra, teachers, see
     """An N-teacher run hands teacher i the positives and negatives that a
     run with teacher i alone hands it, at every step."""
     corpus = generate_corpus(CorpusSpec(1, k + extra, 4, 3, 2, seed=extra))
-    bank = [build_teacher(corpus, rho, 2, seed=7) for rho in (0.9, 0.6, 0.3, 0.1)[:teachers]]
+    bank = build_bank(corpus, (0.9, 0.6, 0.3, 0.1)[:teachers], 2, seeds=(7,) * teachers)
     config = TrainConfig(epochs=2, batch_size=batch, K=k, d=2, h=3, segments=2,
                          milestones=(), seed=seed)
     calls = []
     with pytest.MonkeyPatch.context() as mp:
         log = record_windows(mp)
-        for run in [bank] + [[t] for t in bank]:
+        for run in [bank] + [TeacherBank(bank.weight[i:i + 1], bank.bias[i:i + 1])
+                             for i in range(teachers)]:
             log["calls"] = []
-            pretrain(config, corpus, TeacherBank(tuple(run)))
+            pretrain(config, corpus, run)
             calls.append(log["calls"])
     stacked, singles = calls[0], calls[1:]
     assert stacked

@@ -35,17 +35,20 @@ def test_bank_shares_readout_across_alignments():
         seed=0, num_classes=2, videos_per_class=3, frames_per_video=8))
     bank = make_bank(corpus, (0.9, 0.9, 0.3), embed_dim=8, seed=0)
     # equal rho under a shared readout means equal teachers
-    assert np.array_equal(bank.teachers[0].weight, bank.teachers[1].weight)
-    assert not np.array_equal(bank.teachers[0].weight, bank.teachers[2].weight)
-    assert np.array_equal(bank.teachers[0].bias, bank.teachers[2].bias)
+    assert np.array_equal(bank.weight[0], bank.weight[1])
+    assert not np.array_equal(bank.weight[0], bank.weight[2])
+    assert np.array_equal(bank.bias[0], bank.bias[2])
 
 
-def test_four_teacher_bank_order_and_names():
+def test_four_teacher_bank_order():
     corpus = generate_corpus(reference_corpus_spec(
         seed=0, num_classes=2, videos_per_class=3, frames_per_video=8))
     bank = four_teacher_bank(corpus, seed=1, embed_dim=8)
-    assert tuple(t.rho for t in bank.teachers) == BANK_RHOS
-    assert [t.name for t in bank.teachers] == ["rho0.9", "rho0.7", "rho0.3", "rho0.1"]
+    assert len(bank) == len(BANK_RHOS) and bank.embed_dim == 8
+    for i, rho in enumerate(BANK_RHOS):
+        one = make_bank(corpus, (rho,), embed_dim=8, seed=1)
+        assert np.array_equal(bank.weight[i], one.weight[0])
+        assert np.array_equal(bank.bias[i], one.bias[0])
 
 
 def test_joint_setup_split_and_config():
@@ -56,15 +59,16 @@ def test_joint_setup_split_and_config():
     assert not np.intersect1d(train.ids(), held.ids()).size
     assert np.array_equal(np.bincount(train.labels()), [10] * 10)
     assert (cfg.alpha, cfg.beta, cfg.K) == (0.1, 1.0, 64)
-    assert len(bank.teachers) == 1 and bank.teachers[0].rho == 0.9
+    assert len(bank) == 1
+    assert np.array_equal(bank.weight, make_bank(train, (0.9,), embed_dim=cfg.d, seed=3).weight)
 
 
 def test_reference_bank_single_teacher():
     corpus = generate_corpus(reference_corpus_spec(
         seed=0, num_classes=2, videos_per_class=3, frames_per_video=8))
     bank = reference_bank(corpus, seed=0, embed_dim=8)
-    assert len(bank.teachers) == 1
-    assert bank.teachers[0].rho == 0.9
+    assert len(bank) == 1
+    assert np.array_equal(bank.weight, make_bank(corpus, (0.9,), embed_dim=8, seed=0).weight)
 
 
 def test_study_rows_are_seed_major_in_arm_order(monkeypatch):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dtg.model import pool_frames
-from dtg.sampling import PairMode, draw_pairs, pooled_view, sample_pairs, segment_bounds
+from dtg.sampling import PairMode, draw_pairs, pooled_view, segment_bounds
 from dtg.seeding import substream, substreams
 
 
@@ -11,6 +11,13 @@ def _ramp(num_frames, dim=4, batch=1):
     """(batch, L, D) videos whose frame t is filled with the value t."""
     frames = np.arange(num_frames, dtype=np.float64)[None, :, None]
     return np.broadcast_to(frames, (batch, num_frames, dim))
+
+
+def _pooled_pair(frames, mode, segments, streams, mask_frac=0.0):
+    """The pooled (anchor, guidance) views of the videos ``frames`` (B, L, D),
+    row b drawn from row b of ``streams``: ``draw_pairs``, then ``pooled_view``."""
+    views = draw_pairs(*frames.shape[1:], mode, segments, streams, mask_frac)
+    return tuple(pooled_view(frames, view) for view in views)
 
 
 def _gather_then_pool(frames, view, videos=None):
@@ -81,38 +88,36 @@ def test_segment_bounds_cover_range_without_overlap(num_frames, segments):
 
 
 @pytest.mark.parametrize("mode", list(PairMode))
-def test_sample_pairs_matches_recorded_pairs(mode):
+def test_draw_pairs_matches_recorded_pairs(mode):
     anchor, guidance = draw_pairs(10, 4, mode, 3, substreams(7, "golden-pair"))
     assert anchor.frames[0].tolist() == RECORDED_INDICES[mode][0]
     assert guidance.frames[0].tolist() == RECORDED_INDICES[mode][1]
     assert anchor.mask is None and guidance.mask is None
-    pooled = sample_pairs(_ramp(10), mode, 3, substreams(7, "golden-pair"))
-    for got, idx in zip(pooled, RECORDED_INDICES[mode]):
-        assert np.array_equal(got, pool_frames(_ramp(10)[:, idx]))
+    for view, idx in zip((anchor, guidance), RECORDED_INDICES[mode]):
+        assert np.array_equal(pooled_view(_ramp(10), view), pool_frames(_ramp(10)[:, idx]))
 
     anchor, guidance = draw_pairs(10, 8, mode, 3, substreams(7, "golden-pair"), mask_frac=0.4)
     a_idx, a_start, g_idx, g_start = RECORDED_MASKED[mode]
     assert anchor.frames[0].tolist() == a_idx and anchor.mask.tolist() == [a_start]
     assert guidance.frames[0].tolist() == g_idx and guidance.mask.tolist() == [g_start]
     assert anchor.width == guidance.width == 3
-    pooled = sample_pairs(_ramp(10, dim=8) + 1, mode, 3, substreams(7, "golden-pair"),
-                          mask_frac=0.4)
-    assert np.array_equal(pooled[0][0], pool_frames(_masked(a_idx, a_start)))
-    assert np.array_equal(pooled[1][0], pool_frames(_masked(g_idx, g_start)))
+    frames = _ramp(10, dim=8) + 1
+    assert np.array_equal(pooled_view(frames, anchor)[0], pool_frames(_masked(a_idx, a_start)))
+    assert np.array_equal(pooled_view(frames, guidance)[0], pool_frames(_masked(g_idx, g_start)))
 
 
 @pytest.mark.parametrize("mode", list(PairMode))
 def test_rows_independent_of_batch_composition(mode):
     frames = np.random.default_rng(5).standard_normal((6, 12, 5))
-    anchor, guidance = sample_pairs(frames, mode, 3, substreams(3, "batch", np.arange(6)),
+    anchor, guidance = _pooled_pair(frames, mode, 3, substreams(3, "batch", np.arange(6)),
                                     mask_frac=0.4)
     for b in range(6):
-        one_a, one_g = sample_pairs(frames[b:b + 1], mode, 3, substreams(3, "batch", b),
+        one_a, one_g = _pooled_pair(frames[b:b + 1], mode, 3, substreams(3, "batch", b),
                                     mask_frac=0.4)
         assert np.array_equal(anchor[b], one_a[0])
         assert np.array_equal(guidance[b], one_g[0])
     order = [4, 1, 5, 0, 3, 2]
-    perm_a, perm_g = sample_pairs(frames[order], mode, 3, substreams(3, "batch", order),
+    perm_a, perm_g = _pooled_pair(frames[order], mode, 3, substreams(3, "batch", order),
                                   mask_frac=0.4)
     assert np.array_equal(perm_a, anchor[order])
     assert np.array_equal(perm_g, guidance[order])
@@ -127,8 +132,7 @@ def test_rows_match_per_video_generators(mode):
     anchor, guidance = draw_pairs(16, 8, mode, 4, substreams(9, "rows", np.arange(40)),
                                   mask_frac=0.3)
     assert anchor.width == guidance.width == 2
-    pooled_a, pooled_g = sample_pairs(frames, mode, 4, substreams(9, "rows", np.arange(40)),
-                                      mask_frac=0.3)
+    pooled_a, pooled_g = pooled_view(frames, anchor), pooled_view(frames, guidance)
     a_win, g_win = {
         PairMode.IMG_IMG: ((0, 16, 1), (0, 16, 1)),
         PairMode.IMG_SEQ: ((0, 16, 4), (0, 16, 1)),
@@ -155,9 +159,9 @@ def test_rows_match_per_video_generators(mode):
 
 def test_sampled_views_take_one_frame_per_segment():
     views = draw_pairs(12, 4, PairMode.SEQ_SEQ_OVERLAP, 4, substreams(0, "s"))
-    pooled = sample_pairs(_ramp(12), PairMode.SEQ_SEQ_OVERLAP, 4, substreams(0, "s"))
     bounds = segment_bounds(12, 4)
-    for view, got in zip(views, pooled):
+    for view in views:
+        got = pooled_view(_ramp(12), view)
         idx = view.frames[0]
         assert len(idx) == 4
         for i, (lo, hi) in zip(idx, bounds):
@@ -251,17 +255,16 @@ def test_img_img_single_distinct_frames():
     anchor, guidance = draw_pairs(8, 4, PairMode.IMG_IMG, 4, substreams(np.arange(200), "ii"))
     assert anchor.frames.shape == guidance.frames.shape == (200, 1)
     assert (anchor.frames != guidance.frames).all()
-    pooled = sample_pairs(_ramp(8, batch=200), PairMode.IMG_IMG, 4,
-                          substreams(np.arange(200), "ii"))
-    assert pooled[0].shape == pooled[1].shape == (200, 4)
+    for view in (anchor, guidance):
+        assert pooled_view(_ramp(8, batch=200), view).shape == (200, 4)
 
 
 def test_img_seq_shapes():
     anchor, guidance = draw_pairs(8, 4, PairMode.IMG_SEQ, 4, substreams(0, "is"))
     assert anchor.frames.shape == (1, 4)
     assert guidance.frames.shape == (1, 1)
-    pooled = sample_pairs(_ramp(8), PairMode.IMG_SEQ, 4, substreams(0, "is"))
-    assert pooled[0].shape == pooled[1].shape == (1, 4)
+    for view in (anchor, guidance):
+        assert pooled_view(_ramp(8), view).shape == (1, 4)
 
 
 def test_seq_seq_overlap_draws_from_full_window():
@@ -279,27 +282,20 @@ def test_seq_seq_disjoint_halves():
     assert (guidance.frames >= 4).all()
 
 
-def test_sample_pairs_deterministic_given_stream():
+def test_pairs_deterministic_given_stream():
     frames = np.random.default_rng(1).standard_normal((1, 10, 6))
-    a1, g1 = sample_pairs(frames, PairMode.SEQ_SEQ_OVERLAP, 3, substreams(5, "det"))
-    a2, g2 = sample_pairs(frames, PairMode.SEQ_SEQ_OVERLAP, 3, substreams(5, "det"))
+    a1, g1 = _pooled_pair(frames, PairMode.SEQ_SEQ_OVERLAP, 3, substreams(5, "det"))
+    a2, g2 = _pooled_pair(frames, PairMode.SEQ_SEQ_OVERLAP, 3, substreams(5, "det"))
     assert np.array_equal(a1, a2)
     assert np.array_equal(g1, g2)
 
 
-def test_sample_pairs_rejects_bad_inputs():
+def test_draw_pairs_rejects_bad_inputs():
     stream = substreams(0, "bad")
     with pytest.raises(ValueError):
-        sample_pairs(_ramp(1), PairMode.IMG_IMG, 1, stream)
+        draw_pairs(1, 4, PairMode.IMG_IMG, 1, stream)
     for mode in (PairMode.IMG_SEQ, PairMode.SEQ_SEQ_OVERLAP):
         with pytest.raises(ValueError):
-            sample_pairs(_ramp(3), mode, 4, stream)
+            draw_pairs(3, 4, mode, 4, stream)
     with pytest.raises(ValueError):
-        sample_pairs(_ramp(7), PairMode.SEQ_SEQ_DISJOINT, 4, stream)
-    with pytest.raises(ValueError):
-        sample_pairs(_ramp(8, batch=2), PairMode.IMG_IMG, 1, stream)  # one stream, two videos
-    with pytest.raises(ValueError, match="one stream per video"):
-        sample_pairs(_ramp(8, batch=2), PairMode.SEQ_SEQ_OVERLAP, 2,
-                     substreams(0, "bad", np.arange(3)))
-    with pytest.raises(ValueError):
-        sample_pairs(_ramp(8)[0], PairMode.IMG_IMG, 1, stream)  # (L, D), not (B, L, D)
+        draw_pairs(7, 4, PairMode.SEQ_SEQ_DISJOINT, 4, stream)

@@ -13,11 +13,11 @@ from dtg import trainer
 from dtg.corpus import CorpusSpec, generate_corpus, split_videos
 from dtg.evaluation import video_features
 from dtg.losses import (ContrastiveOutcome, FusionLevel, WeightScheme, contrastive_batch,
-                        cross_entropy_batch, joint_loss)
-from dtg.model import (StudentEncoder, TeacherBank, build_head, build_student, build_teacher,
+                        cross_entropy_batch)
+from dtg.model import (StudentEncoder, build_bank, build_head, build_student,
                        forward_batch, load_student, save_student)
 from dtg.numerics import FieldError, finite_diff_check
-from dtg.sampling import PairMode, draw_pairs, pooled_view, sample_pairs
+from dtg.sampling import PairMode, draw_pairs, pooled_view
 from dtg.seeding import substreams
 from dtg.trainer import (NumericAbortError, ParamLayout, TrainConfig, lr_at, pretrain,
                          report_to_dict, sgd_step, train_joint, write_report)
@@ -33,9 +33,7 @@ def _corpus(seed=21, videos_per_class=5):
 
 
 def _bank(corpus, rhos=(0.9,), seed=3, embed_dim=6):
-    return TeacherBank(teachers=tuple(
-        build_teacher(corpus, rho, embed_dim=embed_dim, seed=seed, name=f"t{i}")
-        for i, rho in enumerate(rhos)))
+    return build_bank(corpus, rhos, embed_dim, seeds=(seed,) * len(rhos))
 
 
 def _config(**kw):
@@ -237,10 +235,9 @@ def test_pretrain_changes_parameters_and_logs_epochs():
 def test_teachers_untouched_by_training():
     corpus = _corpus()
     bank = _bank(corpus, rhos=(0.9, 0.3))
-    before = [(t.weight.copy(), t.bias.copy()) for t in bank.teachers]
+    weight, bias = bank.weight.copy(), bank.bias.copy()
     pretrain(_config(epochs=2), corpus, bank)
-    for t, (w, b) in zip(bank.teachers, before):
-        assert np.array_equal(t.weight, w) and np.array_equal(t.bias, b)
+    assert np.array_equal(bank.weight, weight) and np.array_equal(bank.bias, bias)
 
 
 def test_cold_start_skips_first_epoch_when_k_needs_it():
@@ -412,7 +409,7 @@ def test_applied_gradient_matches_finite_differences(monkeypatch, joint):
             return ct
         (_, labels), _ = first["cross_entropy_batch"]
         ce, _ = cross_entropy_batch(feats @ p["head.W"].T + p["head.b"], labels)
-        return joint_loss(ct, ce, cfg.alpha, cfg.beta)
+        return cfg.alpha * ct + cfg.beta * ce
 
     rep = finite_diff_check(objective, params, grads)
     assert rep.max_rel_error < 1e-6, rep.per_param_errors
@@ -626,9 +623,9 @@ def _count_substreams(monkeypatch):
 @pytest.mark.parametrize("epochs_per_chunk,budget", [
     (1, lambda v: 1), (1, lambda v: v), (2, lambda v: 2 * v + 1), (5, lambda v: 5 * v),
 ], ids=["under-one-epoch", "one-epoch", "mid-run-split", "one-chunk"])
-def test_chunked_draws_equal_per_epoch_sample_pairs(monkeypatch, ids, epochs_per_chunk,
-                                                    budget):
-    """Epoch e's draws are sample_pairs' with the epoch's own substreams,
+def test_chunked_draws_equal_per_epoch_draw_pairs(monkeypatch, ids, epochs_per_chunk,
+                                                  budget):
+    """Epoch e's draws are draw_pairs' with the epoch's own substreams,
     index for index and mask for mask, however the run is chunked; ids of
     two 32-bit words and gaps between ids change nothing."""
     ids = WIDE_IDS if ids == "wide" else _split_half_ids()
@@ -653,10 +650,8 @@ def test_chunked_draws_equal_per_epoch_sample_pairs(monkeypatch, ids, epochs_per
                     assert np.array_equal(got.frames, exp.frames), (mode, mask_frac, epoch)
                     assert (got.mask is None) == (exp.mask is None) == (mask_frac == 0)
                     assert got.mask is None or np.array_equal(got.mask, exp.mask)
-                pairs = sample_pairs(frames, mode, 3, substreams(cfg.seed, "pair", ids, epoch),
-                                     mask_frac)
-                for view, pair in zip(views, pairs):
-                    assert np.array_equal(pooled_view(frames, view), pair)
+                for got, exp in zip(views, want):
+                    assert np.array_equal(pooled_view(frames, got), pooled_view(frames, exp))
 
 
 def test_no_epochs_draw_no_pairs(monkeypatch):
