@@ -15,7 +15,8 @@ Then, per seed, it runs the CLI pipeline in a temporary directory on a
 2,000-video reference corpus with the 4-teacher bank: ``gen-data``,
 ``pretrain`` (online2, feature fusion, mask 0.25), ``train-joint --init``
 from that checkpoint (online1, loss fusion) and ``probe`` of the joint
-checkpoint.  Each artifact gets one line, ``seed<s>-cli-<path> <sha256>``
+checkpoint, which reads the joint run's written ``config.json`` back as its
+``--config``.  Each artifact gets one line, ``seed<s>-cli-<path> <sha256>``
 over its bytes; in the JSON files the temporary directory's path is
 replaced by a fixed token first, since configs embed their paths.
 
@@ -85,6 +86,13 @@ def runs(seed: int):
     yield "1t-b300-k64", *pre(one, batch_size=300, K=64)
 
 
+def run(command: str, config: Path, extra: list[str]) -> None:
+    with contextlib.redirect_stdout(sys.stderr):
+        code = dtg_main([command, "--config", str(config), "--quiet", *extra])
+    if code != 0:
+        raise SystemExit(f"dtg {command} --config {config} exited {code}")
+
+
 def cli_artifacts(seed: int, work: Path):
     """Run the CLI pipeline of one seed under ``work``, yielding (path, sha256)
     for every file it writes, in sorted path order."""
@@ -101,17 +109,15 @@ def cli_artifacts(seed: int, work: Path):
         ("pretrain", {"corpus": corpus, "train": pre, "out_dir": str(work / "run")}, []),
         ("train-joint", {"corpus": corpus, "train": joint, "out_dir": str(work / "joint")},
          ["--init", str(work / "run" / "checkpoint.dtgm")]),
-        ("probe", {"corpus": corpus, "train": joint, "out_dir": str(work / "probe")},
-         ["--checkpoint", str(work / "joint" / "checkpoint.dtgm")]),
     )
     for command, doc, extra in steps:
         config = work / f"{command}.json"
         config.write_text(json.dumps({"seed": seed, "teachers": teachers,
                                       "eval": {"split_frac": 0.5}, **doc}))
-        with contextlib.redirect_stdout(sys.stderr):
-            code = dtg_main([command, "--config", str(config), "--quiet", *extra])
-        if code != 0:
-            raise SystemExit(f"dtg {command} exited {code} for seed {seed}")
+        run(command, config, extra)
+    # the probe reads the joint run's own config.json back as its --config
+    run("probe", work / "joint" / "config.json",
+        ["--out", str(work / "probe"), "--checkpoint", str(work / "joint" / "checkpoint.dtgm")])
     for path in sorted(p for p in work.rglob("*") if p.is_file() and p.parent != work):
         data = path.read_bytes()
         if path.suffix == ".json":

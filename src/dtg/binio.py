@@ -95,6 +95,16 @@ def write_json(path, doc) -> None:
     write_file(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+def read_json(path):
+    """The JSON document in ``path``.  Bytes that are not UTF-8, malformed
+    JSON and nesting too deep for the parser raise ``FormatError``."""
+    data = Path(path).read_bytes()
+    try:
+        return json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON, too deep
+        raise FormatError(f"{path}: not a JSON document: {exc}") from exc
+
+
 def write_csv(path, rows, comment: str | None = None) -> None:
     """``rows`` in ``csv.writer``'s default dialect: commas, quotes where a
     cell needs them, and every row ended by ``\\r\\n``; a float is written by

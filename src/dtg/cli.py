@@ -24,15 +24,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .binio import FormatError, write_csv, write_json
+from .binio import FormatError, read_json, write_csv, write_json
 from .config import ConfigError, ExperimentConfig, load_config, resolve, to_dict
-from .corpus import generate_corpus, load_corpus, save_corpus
+from .corpus import CorpusSpec, generate_corpus, load_corpus, save_corpus
 from .evaluation import (
     ProbeConfig,
     class_overlap,
@@ -60,8 +59,8 @@ def _prepare(args) -> ExperimentConfig:
 
 
 def _load_corpus(cfg: ExperimentConfig):
-    if cfg.corpus_path is not None:
-        return load_corpus(cfg.corpus_path)
+    if isinstance(cfg.corpus, str):
+        return load_corpus(cfg.corpus)
     if cfg.corpus is None:
         raise ConfigError("config needs a corpus spec or a corpus path")
     return generate_corpus(cfg.corpus)
@@ -79,7 +78,7 @@ def _say(args, message: str) -> None:
 
 def cmd_gen_data(args) -> int:
     cfg = _prepare(args)
-    if cfg.corpus is None:
+    if not isinstance(cfg.corpus, CorpusSpec):
         raise ConfigError("gen-data needs an inline corpus spec, not a corpus path")
     corpus = generate_corpus(cfg.corpus)
     out = Path(cfg.out_dir)
@@ -164,8 +163,7 @@ def cmd_probe(args) -> int:
     overlap = class_overlap(feats, labels)
     out = Path(cfg.out_dir)
     doc = to_dict(cfg)
-    write_json(out / "probe.json", {"top1": result.top1, "per_class": list(result.per_class),
-                                    "split_seed": result.split_seed, "knn_top1": knn,
+    write_json(out / "probe.json", {**dataclasses.asdict(result), "knn_top1": knn,
                                     "seed": cfg.seed, "config": doc})
     write_json(out / "overlap.json", {"class_overlap": overlap, "seed": cfg.seed,
                                       "config": doc})
@@ -184,10 +182,7 @@ _METRIC_SOURCES = (
 
 
 def _json_object(path: Path) -> dict:
-    try:
-        doc = json.loads(path.read_text())
-    except ValueError as exc:  # undecodable bytes or malformed JSON
-        raise FormatError(f"{path}: not a JSON document: {exc}") from exc
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: expected a JSON object, got {type(doc).__name__}")
     return doc

@@ -5,16 +5,24 @@ file), teacher list, training hyperparameters, and eval settings.  A single
 top-level seed feeds every stage; ``resolve`` fills the derived seeds in so
 the config embedded in run artifacts is fully explicit.
 
-Schema (all keys optional unless noted):
+The document is ``ExperimentConfig``, field for field (``to_dict`` writes
+it, ``config_from_dict`` reads it), so the ``config.json`` a run writes is
+itself a config that reproduces the run.  Schema (all keys optional unless
+noted):
 
     {
       "seed": 0,
       "corpus": { ...CorpusSpec fields... } | "path/to/corpus.dtgc",
       "teachers": [{"rho": 0.9, "seed": ..., "name": ..., "weight": ...}, ...],
-      "train":  { ...TrainConfig fields except seed/offline_accuracies... },
+      "train":  { ...TrainConfig fields... },
       "eval":   {"split_frac", "probe_epochs", "probe_lr", "knn_k"},
       "out_dir": "runs/exp1"
     }
+
+``corpus`` is one field, a spec or a path.  The train section may state
+its derived fields only with the values dtg derives: ``seed``, the
+top-level seed, and ``offline_accuracies``, the teacher weights under the
+offline scheme, else null.
 
 Each field's kind and range are declared once, beside the field, with
 ``numerics.declared``: see ``CorpusSpec``, ``TeacherSpec``, ``TrainConfig``,
@@ -28,11 +36,11 @@ train.weight_scheme is "offline", and none has one otherwise.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
+from .binio import FormatError, read_json
 from .corpus import CorpusSpec
 from .losses import WeightScheme
 from .numerics import FieldError, check_fields, declared
@@ -68,8 +76,7 @@ class EvalConfig:
 @dataclass(frozen=True)
 class ExperimentConfig:
     seed: int = declared(int, 0, ge=0, lt=2 ** 64)
-    corpus: CorpusSpec | None = None
-    corpus_path: str | None = None
+    corpus: CorpusSpec | str | None = None  # an inline spec or a corpus file's path
     teachers: tuple[TeacherSpec, ...] = (TeacherSpec(rho=0.9),)
     train: TrainConfig = TrainConfig()
     eval: EvalConfig = EvalConfig()
@@ -118,18 +125,16 @@ def _build(cls, doc: dict, where: str, names: dict | None = None):
 def config_from_dict(doc: dict) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError("experiment config must be a JSON object")
-    _check_keys(doc, ("seed", "corpus", "teachers", "train", "eval", "out_dir"),
-                "config")
-    top = _build(ExperimentConfig, {k: doc[k] for k in ("seed", "out_dir") if k in doc}, "")
+    fields = dataclasses.fields(ExperimentConfig)
+    _check_keys(doc, [f.name for f in fields], "config")
+    top = _build(ExperimentConfig, {f.name: doc[f.name] for f in fields
+                                    if "kind" in f.metadata and f.name in doc}, "")
     seed = top.seed
 
-    corpus = corpus_path = None
-    raw_corpus = doc.get("corpus")
-    if isinstance(raw_corpus, str):
-        corpus_path = raw_corpus
-    elif isinstance(raw_corpus, dict):
-        corpus = _build(CorpusSpec, {"seed": seed, **raw_corpus}, "corpus")
-    elif raw_corpus is not None:
+    corpus = doc.get("corpus")
+    if isinstance(corpus, dict):
+        corpus = _build(CorpusSpec, {"seed": seed, **corpus}, "corpus")
+    elif not isinstance(corpus, (str, type(None))):
         raise ConfigError("corpus must be an object (spec) or a string (path)")
 
     raw_teachers = doc.get("teachers", [{"rho": 0.9}])
@@ -138,25 +143,22 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     teachers = tuple(_build(TeacherSpec, t, f"teachers[{i}]")
                      for i, t in enumerate(raw_teachers))
 
-    raw_train = dict(_object(doc.get("train", {}), "train"))
-    for reserved in ("seed", "offline_accuracies"):
-        if reserved in raw_train:
-            raise ConfigError(
-                f"train.{reserved} is derived (seed from the top level, offline "
-                "accuracies from the teacher weights); remove it"
-            )
-    train_doc = {**raw_train, "seed": seed}
+    raw_train = _object(doc.get("train", {}), "train")
     weights = [t.weight for t in teachers]
-    if raw_train.get("weight_scheme") == WeightScheme.OFFLINE.value:
-        if None not in weights:
-            train_doc["offline_accuracies"] = tuple(weights)
-    elif any(w is not None for w in weights):
+    offline = raw_train.get("weight_scheme") == WeightScheme.OFFLINE.value
+    if not offline and any(w is not None for w in weights):
         raise ConfigError("teacher weights are only meaningful with the offline scheme")
-    train = _build(TrainConfig, train_doc, "train",
+    derived = {"seed": seed,
+               "offline_accuracies": tuple(weights) if offline and None not in weights else None}
+    for key, value in derived.items():
+        if key in raw_train and raw_train[key] != _plain(value):
+            raise ConfigError(f"train.{key} is derived (seed from the top level, offline "
+                              "accuracies from the teacher weights): it may only be "
+                              f"{_plain(value)!r}, got {raw_train[key]!r}")
+    train = _build(TrainConfig, {**raw_train, **derived}, "train",
                    {"offline_accuracies": "teachers[i].weight"})
 
-    return dataclasses.replace(top, corpus=corpus, corpus_path=corpus_path,
-                               teachers=teachers, train=train,
+    return dataclasses.replace(top, corpus=corpus, teachers=teachers, train=train,
                                eval=_build(EvalConfig, doc.get("eval", {}), "eval"))
 
 
@@ -165,8 +167,8 @@ def load_config(path) -> ExperimentConfig:
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
     try:
-        doc = json.loads(p.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        doc = read_json(p)
+    except (OSError, FormatError) as exc:
         raise ConfigError(f"cannot read config {p}: {exc}") from exc
     return config_from_dict(doc)
 
@@ -178,7 +180,7 @@ def resolve(cfg: ExperimentConfig, seed_override: int | None = None,
     unseeded teacher its own derived seed."""
     seed = cfg.seed if seed_override is None else seed_override
     corpus = cfg.corpus
-    if corpus is not None and seed_override is not None:
+    if isinstance(corpus, CorpusSpec) and seed_override is not None:
         corpus = dataclasses.replace(corpus, seed=seed)
     teachers = tuple(
         t if t.seed is not None else dataclasses.replace(
@@ -193,24 +195,19 @@ def resolve(cfg: ExperimentConfig, seed_override: int | None = None,
     )
 
 
+def _plain(obj):
+    """The JSON view of ``obj``: a dataclass as an object of its fields, an
+    enum as its value, a tuple as a list."""
+    if dataclasses.is_dataclass(obj):
+        return {f.name: _plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, Enum):
+        return obj.value
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    return obj
+
+
 def to_dict(cfg: ExperimentConfig) -> dict:
-    """JSON-ready view, embedded verbatim in every artifact."""
-    def clean(obj):
-        if dataclasses.is_dataclass(obj):
-            return clean(dataclasses.asdict(obj))
-        if isinstance(obj, dict):
-            return {k: clean(v) for k, v in obj.items()}
-        if isinstance(obj, Enum):
-            return obj.value
-        if isinstance(obj, (list, tuple)):
-            return [clean(v) for v in obj]
-        return obj
-    doc = {
-        "seed": cfg.seed,
-        "corpus": clean(cfg.corpus) if cfg.corpus is not None else cfg.corpus_path,
-        "teachers": [clean(t) for t in cfg.teachers],
-        "train": clean(cfg.train),
-        "eval": clean(cfg.eval),
-        "out_dir": cfg.out_dir,
-    }
-    return doc
+    """JSON-ready view, embedded verbatim in every artifact; ``config_from_dict``
+    reads it back as ``cfg``."""
+    return _plain(cfg)

@@ -115,8 +115,6 @@ def linear_probe(features: np.ndarray, labels: np.ndarray, split_frac: float = 0
                          f"({x.shape[0]}); relabel the classes 0, 1, 2, ...")
     classes = np.unique(y)
     tr, te = stratified_split(y, split_frac, config.seed)
-    if set(np.unique(y[tr])) != set(classes):
-        raise ValueError("a class is absent from the train split")
     w, b = _fit_probe(x[tr], y[tr], int(classes.max()) + 1, config.epochs, config.lr)
     pred = np.argmax(x[te] @ w.T + b, axis=1)
     correct = pred == y[te]

@@ -29,7 +29,7 @@ import math
 import sys
 import time
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -414,17 +414,7 @@ def report_to_dict(report: RunReport, resolved_config: dict | None = None) -> di
         "seed": report.seed,
         "checkpoint": report.checkpoint_path,
         "config": resolved_config or {},
-        "epochs": [
-            {
-                "epoch": r.epoch,
-                "lr": r.lr,
-                "contrastive_loss": r.contrastive_loss,
-                "ce_loss": r.ce_loss,
-                "mean_weights": list(r.mean_weights),
-                "std_weights": list(r.std_weights),
-            }
-            for r in report.records
-        ],
+        "epochs": [asdict(r) for r in report.records],
     }
 
 

@@ -7,7 +7,8 @@ from hypothesis import given, strategies as st
 
 from dtg import binio
 from dtg.binio import (ChecksumMismatchError, FormatError, RecordReader,
-                       RecordWriter, VersionMismatchError, checksum, write_file, write_json)
+                       RecordWriter, VersionMismatchError, checksum, read_json, write_file,
+                       write_json)
 
 
 def record(w: RecordWriter) -> bytes:
@@ -212,3 +213,21 @@ def test_write_file_writes_parts_in_order(tmp_path):
 def test_write_json_is_sorted_indented_and_newline_terminated(tmp_path):
     write_json(tmp_path / "d.json", {"b": [1], "a": None})
     assert (tmp_path / "d.json").read_text() == '{\n  "a": null,\n  "b": [\n    1\n  ]\n}\n'
+
+
+@pytest.mark.parametrize("data", [
+    b'{"a": "\xff"}',                        # not UTF-8
+    '{"a": 1}'.encode("utf-16"),             # JSON, but not in UTF-8
+    b'{"a": ',                               # malformed
+    b"[" * 200_000 + b"]" * 200_000,         # nested too deep to parse
+], ids=["latin-1", "utf-16", "truncated", "deep"])
+def test_read_json_raises_format_error(tmp_path, data):
+    (tmp_path / "d.json").write_bytes(data)
+    with pytest.raises(FormatError, match="d.json"):
+        read_json(tmp_path / "d.json")
+
+
+def test_read_json_reads_what_write_json_wrote(tmp_path):
+    doc = {"b": [1, 2.5, None], "a": {"c": "\u00e9"}}
+    write_json(tmp_path / "d.json", doc)
+    assert read_json(tmp_path / "d.json") == doc

@@ -40,10 +40,19 @@ def test_missing_config_exits_2(tmp_path, capsys):
     assert not (tmp_path / "no.json").exists()
 
 
-def test_malformed_config_exits_2(tmp_path):
+_DEEP = "[" * 200_000 + "]" * 200_000  # too deep for the JSON parser
+_NESTED = "[" * 600 + "]" * 600  # parses, but deep enough to exhaust a recursive check
+
+
+@pytest.mark.parametrize("text", ["{broken", _DEEP, '{"train": {"seed": %s}}' % _NESTED,
+                                  '{"train": {"offline_accuracies": %s}}' % _NESTED],
+                         ids=["broken", "too-deep-to-parse", "nested-seed",
+                              "nested-offline_accuracies"])
+def test_malformed_config_exits_2(tmp_path, capsys, text):
     path = tmp_path / "c.json"
-    path.write_text("{broken")
+    path.write_text(text)
     assert main(["pretrain", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_unknown_config_key_exits_2(tmp_path):
@@ -378,15 +387,65 @@ def test_training_resolves_the_config_once_for_both_files(tmp_path, monkeypatch,
     assert report["config"] == json.loads((out / "config.json").read_text())
 
 
-def test_pretrain_reruns_byte_identical(tmp_path):
+def _run_files(out) -> dict:
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+def _command_args(tmp_path, command) -> list[str]:
+    """The extra arguments of ``command``: probe evaluates a pretrained checkpoint."""
+    if command != "probe":
+        return []
+    pre = tmp_path / "pre"
+    assert main(["pretrain", "--config", _write_config(tmp_path, _config_doc(pre), "pre.json"),
+                 "--quiet"]) == 0
+    return ["--checkpoint", str(pre / "checkpoint.dtgm")]
+
+
+@pytest.mark.parametrize("command", ["gen-data", "pretrain", "train-joint", "probe"])
+def test_pretrain_reruns_byte_identical(tmp_path, command):
+    extra = _command_args(tmp_path, command)
     out = tmp_path / "run"
     cfg = _write_config(tmp_path, _config_doc(out))
-    names = ("checkpoint.dtgm", "report.json", "epochs.csv", "config.json")
-    assert main(["pretrain", "--config", cfg, "--seed", "1", "--quiet"]) == 0
-    first = {name: (out / name).read_bytes() for name in names}
-    assert main(["pretrain", "--config", cfg, "--seed", "1", "--quiet"]) == 0
-    for name in names:
-        assert (out / name).read_bytes() == first[name], name
+    assert main([command, "--config", cfg, "--seed", "1", "--quiet", *extra]) == 0
+    first = _run_files(out)
+    assert "config.json" in first and len(first) > 1
+    assert main([command, "--config", cfg, "--seed", "1", "--quiet", *extra]) == 0
+    assert _run_files(out) == first
+    # the written config.json is itself a config that reproduces the run
+    written = tmp_path / "written.json"
+    written.write_bytes(first["config.json"])
+    assert main([command, "--config", str(written), "--quiet", *extra]) == 0
+    assert _run_files(out) == first
+
+
+@pytest.mark.parametrize("teachers,train,key,value", [
+    ([{"rho": 0.9}], {}, "seed", 2),
+    ([{"rho": 0.9}], {}, "offline_accuracies", [0.5]),
+    ([{"rho": 0.9, "weight": 0.7}, {"rho": 0.2, "weight": 0.3}],
+     {"weight_scheme": "offline"}, "seed", 0),
+    ([{"rho": 0.9, "weight": 0.7}, {"rho": 0.2, "weight": 0.3}],
+     {"weight_scheme": "offline"}, "offline_accuracies", [0.3, 0.7]),
+    ([{"rho": 0.9, "weight": 0.7}, {"rho": 0.2, "weight": 0.3}],
+     {"weight_scheme": "offline"}, "offline_accuracies", None),
+], ids=["seed", "accuracies-without-offline", "seed-offline", "accuracies-reordered",
+        "accuracies-null-under-offline"])
+def test_written_config_with_a_disagreeing_derived_key_exits_2(tmp_path, capsys, teachers,
+                                                              train, key, value):
+    out = tmp_path / "run"
+    doc = {**_config_doc(out, **train), "teachers": teachers, "seed": 1}
+    assert main(["pretrain", "--config", _write_config(tmp_path, doc), "--quiet"]) == 0
+    written = json.loads((out / "config.json").read_text())
+    assert main(["pretrain", "--config", _write_config(tmp_path, written, "same.json"),
+                 "--out", str(tmp_path / "same"), "--quiet"]) == 0
+    written["train"][key] = value
+    capsys.readouterr()
+    assert main(["pretrain", "--config", _write_config(tmp_path, written, "edited.json"),
+                 "--out", str(tmp_path / "edited"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: train.{key} ") and "derived" in err, err
+    assert not (tmp_path / "edited").exists()
+
+
 
 
 def test_blocked_artifact_exits_3_without_temporary_files(tmp_path, capsys):
@@ -513,6 +572,8 @@ def test_report_missing_run_dir_exits_3(tmp_path):
     ("probe.json", '{"top1": "abc"}'),
     ("probe.json", "[]"),
     ("report.json", '{"epochs": 3}'),
+    pytest.param("probe.json", _DEEP, id="probe.json-too-deep"),
+    pytest.param("report.json", _DEEP, id="report.json-too-deep"),
 ])
 def test_report_corrupt_run_file_exits_3(tmp_path, capsys, fname, text):
     run = tmp_path / "run"

@@ -59,6 +59,33 @@ def test_train_seed_is_reserved():
                                          "seed": 7}))
 
 
+@pytest.mark.parametrize("train,teachers", [
+    ({"seed": 5, "offline_accuracies": None}, [{"rho": 0.9}]),
+    ({"seed": 5, "weight_scheme": "offline", "offline_accuracies": [0.7, 0.3]},
+     [{"rho": 0.9, "weight": 0.7}, {"rho": 0.1, "weight": 0.3}]),
+], ids=["uniform", "offline"])
+def test_derived_train_keys_may_state_the_derived_value(train, teachers):
+    doc = _minimal(train={"epochs": 2, "K": 4, "milestones": [], **train}, teachers=teachers)
+    stated = {k: v for k, v in train.items() if k not in ("seed", "offline_accuracies")}
+    without = _minimal(train={"epochs": 2, "K": 4, "milestones": [], **stated},
+                       teachers=teachers)
+    assert config_from_dict(doc) == config_from_dict(without)
+
+
+@pytest.mark.parametrize("corpus", [None, "data/corpus.dtgc", _minimal()["corpus"]],
+                         ids=["none", "path", "spec"])
+@pytest.mark.parametrize("train,teachers", [
+    ({}, [{"rho": 0.9}, {"rho": 0.2, "seed": 3}]),
+    ({"weight_scheme": "offline", "pair_mode": "img-seq", "milestones": [1]},
+     [{"rho": 0.9, "weight": 0.7}, {"rho": 0.1, "weight": 0.3, "name": "weak"}]),
+], ids=["uniform", "offline"])
+def test_to_dict_reads_back_as_the_same_config(corpus, train, teachers):
+    doc = _minimal(corpus=corpus, teachers=teachers, out_dir="runs/x",
+                   train={"epochs": 2, "K": 4, "milestones": [], **train})
+    cfg = resolve(config_from_dict(doc), seed_override=9)
+    assert config_from_dict(json.loads(json.dumps(to_dict(cfg)))) == cfg
+
+
 def test_offline_scheme_requires_teacher_weights():
     doc = _minimal(train={"epochs": 2, "K": 4, "milestones": [],
                           "weight_scheme": "offline"},
@@ -201,10 +228,9 @@ def test_milestone_elements_must_be_integers(milestones):
         config_from_dict(doc)
 
 
-def test_corpus_path_variant():
+def test_corpus_may_be_a_file_path():
     cfg = config_from_dict(_minimal(corpus="data/corpus.dtgc"))
-    assert cfg.corpus is None
-    assert cfg.corpus_path == "data/corpus.dtgc"
+    assert cfg.corpus == "data/corpus.dtgc"
 
 
 def test_load_config_missing_file(tmp_path):

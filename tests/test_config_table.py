@@ -28,7 +28,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dtg.cli import main
-from dtg.config import ConfigError, EvalConfig, ExperimentConfig, TeacherSpec, config_from_dict
+from dtg.config import (ConfigError, EvalConfig, ExperimentConfig, TeacherSpec, config_from_dict,
+                        load_config, resolve)
 from dtg.corpus import CorpusSpec
 from dtg.trainer import TrainConfig
 
@@ -247,5 +248,8 @@ def test_pretrain_on_one_changed_field_exits_0_2_or_4(case):
             code = main(["pretrain", "--config", str(config), "--out", str(out), "--quiet"])
         assert code in (0, 2, 4), err.getvalue()
         assert code == 0 or not out.exists()
+        if code == 0:  # the written config reads back as the one the run used
+            used = resolve(config_from_dict(_document(path, value)), out_override=str(out))
+            assert load_config(out / "config.json") == used
         if not _expected(path, field, value):
             assert code == 2 and f"error: {path} must be " in err.getvalue(), err.getvalue()

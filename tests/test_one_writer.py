@@ -5,6 +5,8 @@ That one function makes each file whole or leaves it untouched; a direct
 anywhere else in ``src/dtg`` would bring back a writer that can leave a
 truncated file behind.  Every CSV file goes through ``binio.write_csv``,
 so a ``csv.writer`` outside ``binio`` would bring back a second dialect.
+Every JSON file is parsed by ``binio.read_json``, the one reader that turns
+bad bytes and nesting too deep to parse into ``FormatError``.
 """
 
 import ast
@@ -59,3 +61,16 @@ def test_the_guard_sees_each_kind_of_write():
         "    csv.writer(p)\n    p.writer()\n")
     assert [name for _, name in _file_calls(source)] == [
         "open", "write_text", "write_bytes", "mkdir", "replace", "csv.writer"]
+
+
+def test_only_read_json_parses_json():
+    offenders = []
+    for path in sorted((ROOT / "src/dtg").rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        readers = {id(n) for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+                   and f.name == "read_json" for n in ast.walk(f)}
+        offenders += [f"{path.relative_to(ROOT)}:{n.lineno}" for n in ast.walk(tree)
+                      if isinstance(n, ast.Attribute) and n.attr in ("load", "loads")
+                      and isinstance(n.value, ast.Name) and n.value.id == "json"
+                      and id(n) not in readers]
+    assert not offenders, "JSON parsed outside binio.read_json: " + ", ".join(offenders)
