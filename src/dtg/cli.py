@@ -41,7 +41,7 @@ from .evaluation import (
     video_features,
     write_projection_csv,
 )
-from .model import TeacherBank, build_bank, build_head, build_student, load_student, save_student
+from .model import TeacherBank, build_bank, build_student, load_student, save_student
 from .numerics import DegenerateInputError, FieldError
 from .trainer import NumericAbortError, pretrain, train_joint, write_report
 
@@ -121,12 +121,7 @@ def cmd_train_joint(args) -> int:
     cfg = _prepare(args)
     corpus = _load_corpus(cfg)
     bank = _build_bank(cfg, corpus)
-    init = None
-    if args.init is not None:
-        enc, head = load_student(args.init)
-        if head is None:
-            head = build_head(cfg.train.d, corpus.spec.num_classes, cfg.train.seed)
-        init = (enc, head)
+    init = None if args.init is None else load_student(args.init)
     (enc, head), report = train_joint(cfg.train, corpus, bank, init)
     return _finish_training(args, cfg, "train-joint", report, enc, head)
 

@@ -17,16 +17,10 @@ import numpy as np
 from .binio import write_csv
 from .corpus import Corpus, stratified_split
 from .losses import _cross_entropy_grad
-from .model import (
-    StudentEncoder,
-    TeacherBank,
-    forward_batch,
-    pool_frames,
-    teacher_features,
-)
+from .model import StudentEncoder, TeacherBank, forward_batch, teacher_features
 from .numerics import (DegenerateInputError, as_matrix, check_fields, declared,
                        is_integer_array, one_hot)
-from .sampling import PairMode, draw_pairs, pooled_view
+from .sampling import PairMode, ViewDraw, draw_pairs, pooled_view
 from .seeding import substreams
 
 # distance-matrix rows per block in class_overlap: one BLAS product into the
@@ -61,8 +55,12 @@ class ProbeResult:
 
 
 def video_features(enc: StudentEncoder, corpus: Corpus) -> np.ndarray:
-    """One unit-norm feature per video, from its full frame stack (no sampling)."""
-    out, _ = forward_batch(enc, pool_frames(corpus.frames()))
+    """One unit-norm feature per video, from all its frames pooled in order
+    (a ``pooled_view`` of frames 0..L-1 in every row, no sampling)."""
+    frames = corpus.frames()
+    num_videos, length, _ = frames.shape
+    whole = ViewDraw(np.broadcast_to(np.arange(length), (num_videos, length)), None, 0)
+    out, _ = forward_batch(enc, pooled_view(frames, whole))
     return out
 
 

@@ -76,7 +76,8 @@ def teacher_weights(scheme: WeightScheme, num_teachers: int, *,
             raise ValueError(f"expected {n} accuracies, got {acc.shape[0]}")
         if np.any(acc < 0):
             raise ValueError("accuracies must be nonnegative")
-        total = acc.sum()
+        with np.errstate(over="ignore"):  # an overflowed sum is rejected below
+            total = acc.sum()
         if not 0 < total < np.inf:
             raise ValueError(f"accuracies must sum to a finite number > 0, got {total}")
         return acc / total

@@ -1,14 +1,14 @@
 """Trainable student encoder and frozen teacher bank.
 
-The student mean-pools a frame sequence, passes it through two hidden
-affine+ReLU layers and a final affine to the embedding dimension, then
-L2-normalizes.  Teachers are frozen: they mean-pool, blend the signal and
-nuisance projections of the input by an alignment knob rho, apply a fixed
-random affine readout to the shared embedding dimension, and normalize.
-rho=1 reads only the class-signal subspace, rho=0 only nuisance.  A bank
-of N teachers is nothing but their stacked readouts, (N, d, D) weights and
-(N, 1, d) biases, read in one product.  Both work on (B, D) pooled
-batches; one sequence is a batch of one.
+Both read mean-pooled views, (B, D) batches that ``sampling.pooled_view``
+pools from the frames; one view is a batch of one.  The student passes a
+pooled view through two hidden affine+ReLU layers and a final affine to
+the embedding dimension, then L2-normalizes.  Teachers are frozen: they
+blend the signal and nuisance projections of the input by an alignment
+knob rho, apply a fixed random affine readout to the shared embedding
+dimension, and normalize.  rho=1 reads only the class-signal subspace,
+rho=0 only nuisance.  A bank of N teachers is nothing but their stacked
+readouts, (N, d, D) weights and (N, 1, d) biases, read in one product.
 """
 
 from __future__ import annotations
@@ -118,25 +118,6 @@ def backward_batch(enc: StudentEncoder, cache, d_out: np.ndarray,
     return grads
 
 
-def pool_frames(frames) -> np.ndarray:
-    """Mean over the frame axis of a (..., T, D) array -> (..., D): the T
-    frames added one after another, in order, then divided by T.
-
-    Each value is that sequential sum in any memory layout, so a batch pools
-    exactly as its rows pool one at a time.  For D > 1 it equals numpy's
-    ``mean(axis=-2)`` of the C-ordered array bit for bit; for D = 1 numpy
-    sums pairwise and may differ in the last bit.  Reordering the frames
-    may change the last bit."""
-    x = np.asarray(frames, dtype=np.float64)
-    if x.ndim < 2 or x.shape[-2] == 0:
-        raise ValueError(f"expected a (..., T, D) frame array with T >= 1, got shape {x.shape}")
-    total = x[..., 0, :].copy()
-    for t in range(1, x.shape[-2]):
-        total += x[..., t, :]
-    total /= x.shape[-2]
-    return total
-
-
 @dataclass(frozen=True)
 class TeacherBank:
     """N frozen teachers as one stacked readout: teacher i maps a pooled
@@ -229,9 +210,14 @@ def save_student(path, enc: StudentEncoder, head: ClassifierHead | None = None) 
     weights, then the 4-byte little-endian CRC-32 of all preceding bytes
     (conventions and guarantees in ``binio``).  A ``DTGM v2`` checkpoint,
     whose trailer was an 8-byte BLAKE2b digest, is rejected as an
-    unsupported version: retrain it."""
+    unsupported version: retrain it.  A zero dimension, which
+    ``load_student`` refuses, raises ValueError before anything is written."""
+    dims = (enc.frame_dim, enc.hidden_dim, enc.embed_dim)
+    if 0 in dims or (head is not None and head.num_classes == 0):
+        raise ValueError(f"cannot save a checkpoint with a zero dimension: (D, h, d) = {dims}"
+                         + ("" if head is None else f", {head.num_classes} classes"))
     w = RecordWriter(CHECKPOINT_HEADER)
-    w.pack("<3I", enc.frame_dim, enc.hidden_dim, enc.embed_dim)
+    w.pack("<3I", *dims)
     for _, p in enc.parameters():
         w.array(p)
     w.pack("<B", head is not None)
@@ -243,11 +229,13 @@ def save_student(path, enc: StudentEncoder, head: ClassifierHead | None = None) 
 
 
 def load_student(path) -> tuple[StudentEncoder, ClassifierHead | None]:
-    """Read a ``DTGM v3`` file; any malformed content, a non-finite weight or
-    bias included, raises ``FormatError``.  The arrays are read-only views of
-    the file's bytes."""
+    """Read a ``DTGM v3`` file; any malformed content, a zero dimension or a
+    non-finite weight or bias included, raises ``FormatError``.  The arrays
+    are read-only views of the file's bytes."""
     r = RecordReader(Path(path).read_bytes(), CHECKPOINT_HEADER)
     dim, hidden, embed = r.unpack("<3I")
+    if 0 in (dim, hidden, embed):
+        raise FormatError(f"checkpoint has a zero dimension: (D, h, d) = {(dim, hidden, embed)}")
     enc = StudentEncoder(
         W1=r.array((hidden, dim)),
         b1=r.array((hidden,)),
@@ -259,6 +247,8 @@ def load_student(path) -> tuple[StudentEncoder, ClassifierHead | None]:
     head = None
     if r.unpack("<B")[0]:
         (classes,) = r.unpack("<I")
+        if classes == 0:
+            raise FormatError("checkpoint head has a zero dimension: 0 classes")
         head = ClassifierHead(W=r.array((classes, embed)), b=r.array((classes,)))
     r.expect_end()
     arrays = enc.parameters() + (head.parameters() if head is not None else [])

@@ -83,7 +83,8 @@ def unit_rows(x: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
     ``np.linalg.norm(x, axis=1, keepdims=True)``'s for a real float array,
     computed as that function computes them.
     """
-    norms = np.sqrt(np.add.reduce(x * x, axis=1, keepdims=True))
+    with np.errstate(over="ignore"):  # an overflowed square is an infinite norm, named below
+        norms = np.sqrt(np.add.reduce(x * x, axis=1, keepdims=True))
     # NaN propagates through min and max and fails both tests
     if len(norms) and not (np.minimum.reduce(norms, axis=None) > EPS_NORM
                            and np.maximum.reduce(norms, axis=None) < np.inf):

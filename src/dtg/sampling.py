@@ -18,7 +18,8 @@ from a (V, L, D) stack of videos as it takes them.  Every draw is one array
 operation over all rows, and row r draws only from its own stream, so a
 row's pair does not depend on the rows drawn with it: the trainer draws a
 chunk of whole epochs in one call, and a caller that needs only one view
-pools only that one.
+pools only that one.  ``pooled_view`` is the one pooling kernel: evaluation
+pools whole videos through it too.
 """
 
 from __future__ import annotations
@@ -110,23 +111,24 @@ def draw_pairs(num_frames: int, dim: int, mode: PairMode, segments: int, streams
     return anchor, ViewDraw(ig, mask(), width)
 
 
-def pooled_view(frames: np.ndarray, view: ViewDraw, videos: np.ndarray | None = None
-                ) -> np.ndarray:
-    """The (R, D) mean-pooled views drawn by ``view`` from the (V, L, D)
-    float64 ``frames``: row r pools frames ``view.frames[r]`` of video
-    ``videos[r]`` (of video r if ``videos`` is None), added in order as they
-    are taken, then divided by T, with its ``view.width`` coordinates from
-    ``view.mask[r]`` on zeroed: ``model.pool_frames`` of the masked frames."""
+def pooled_view(frames: np.ndarray, view: ViewDraw) -> np.ndarray:
+    """The (V, D) mean-pooled views drawn by ``view`` from the (V, L, D)
+    float64 ``frames``: row r pools frames ``view.frames[r]`` of video r,
+    added in order as they are taken, then divided by T, with its
+    ``view.width`` coordinates from ``view.mask[r]`` on zeroed.  Every row
+    pools alone, so a batch pools as its rows would one at a time; a view
+    of frames 0..L-1 in every row pools whole videos."""
     num_videos, length, dim = frames.shape
     flat = frames.reshape(num_videos * length, dim)   # frame f of video v is row v * L + f
-    starts = np.arange(0, num_videos * length, length) if videos is None else videos * length
-    rows = (starts[:, None] + view.frames).T
-    out = flat.take(rows[0], axis=0)
-    for t in range(1, len(rows)):
-        out += flat.take(rows[t], axis=0)
-    out /= len(rows)
+    starts = np.arange(0, num_videos * length, length)
+    segments = view.frames.shape[1]
+    # one (V,) index per segment, not a (V, T) index array: pooling whole
+    # videos keeps no more than the output and one taken frame per video
+    out = flat.take(starts + view.frames[:, 0], axis=0)
+    for t in range(1, segments):
+        out += flat.take(starts + view.frames[:, t], axis=0)
+    out /= segments
     if view.mask is not None:
         offset = np.arange(dim) - view.mask[:, None]
         out[(offset >= 0) & (offset < view.width)] = 0.0
     return out
-

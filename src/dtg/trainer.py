@@ -224,14 +224,14 @@ def _validate_run(config: TrainConfig, corpus: Corpus, bank: TeacherBank) -> Non
 
 
 def _validate_init(config: TrainConfig, corpus: Corpus, enc: StudentEncoder,
-                   head: ClassifierHead) -> None:
+                   head: ClassifierHead | None) -> None:
     want = {"frame_dim": corpus.spec.frame_dim, "hidden_dim": config.h, "embed_dim": config.d}
     got = {"frame_dim": enc.frame_dim, "hidden_dim": enc.hidden_dim, "embed_dim": enc.embed_dim}
     if got != want:
         raise ValueError(f"init encoder has {got}; this run needs {want} "
                          "(corpus frame_dim, train.h, train.d)")
     shape = (corpus.spec.num_classes, config.d)
-    if head.W.shape != shape or head.b.shape != shape[:1]:
+    if head is not None and (head.W.shape != shape or head.b.shape != shape[:1]):
         raise ValueError(f"init head has weights {head.W.shape} and bias {head.b.shape}; "
                          f"this run needs {shape} and {shape[:1]} (classes, train.d)")
 
@@ -319,8 +319,7 @@ def run_epoch(config: TrainConfig, corpus: Corpus, bank: TeacherBank, state: Tra
     # rows taken by index, not recomputed in visiting order: a BLAS edge
     # tile may round a permuted row differently
     np.take(guidance, order, axis=1, out=stream[:, K:])
-    # pooling is per row, so the anchors are pooled in visiting order
-    visited_anchors = pooled_view(frames_all, anchor_draw.rows(order), order)
+    visited_anchors = np.take(pooled_view(frames_all, anchor_draw), order, axis=0)
     ct_sum, count, weights = 0.0, 0, []
     ce_sum = 0.0 if head is not None else None
     for b0 in range(0, V, config.batch_size):
@@ -385,7 +384,7 @@ def pretrain(config: TrainConfig, corpus: Corpus, bank: TeacherBank
 
 
 def train_joint(config: TrainConfig, corpus: Corpus, bank: TeacherBank,
-                init: tuple[StudentEncoder, ClassifierHead] | None = None
+                init: tuple[StudentEncoder, ClassifierHead | None] | None = None
                 ) -> tuple[tuple[StudentEncoder, ClassifierHead], RunReport]:
     """Supervised training of alpha * contrastive + beta * cross-entropy.
 
@@ -393,15 +392,18 @@ def train_joint(config: TrainConfig, corpus: Corpus, bank: TeacherBank,
     anchor feature.  Teachers stay frozen and the negatives are drawn as in
     pretraining.  An ``init`` (encoder, head) pair must fit the run:
     the corpus frame dimension, ``config.h`` and ``config.d``, and the
-    corpus class count; otherwise ValueError before any training.
+    corpus class count; otherwise ValueError before any training.  A model
+    the init leaves out (all of it, or only the head) is built fresh from
+    ``config.seed``.
     """
     _validate_run(config, corpus, bank)
     if init is None:
-        enc = build_student(corpus.spec.frame_dim, config.h, config.d, config.seed)
-        head = build_head(config.d, corpus.spec.num_classes, config.seed)
+        enc, head = build_student(corpus.spec.frame_dim, config.h, config.d, config.seed), None
     else:
         _validate_init(config, corpus, *init)
         enc, head = init  # the run trains copies; the caller's arrays stay as they are
+    if head is None:
+        head = build_head(config.d, corpus.spec.num_classes, config.seed)
     state = start_state(config, corpus, bank, enc, head)
     report = _train(config, corpus, bank, state)
     return state.models(), report

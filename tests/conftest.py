@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from dtg import trainer
-from dtg.binio import CHECKSUM_SIZE, checksum
+from dtg.binio import CHECKSUM_SIZE, RecordWriter, checksum
 from dtg.corpus import CORPUS_HEADER, CorpusSpec, generate_corpus
 from dtg.losses import contrastive_batch
-from dtg.model import build_bank, teacher_features
+from dtg.model import CHECKPOINT_HEADER, build_bank, teacher_features
+from dtg.sampling import ViewDraw, pooled_view
 from dtg.seeding import substream
 
 
@@ -62,6 +63,14 @@ def platform_note() -> str:
     """The tail of a recorded-bits failure: a mismatch on another platform
     may be a different summation order, not a wrong result."""
     return f"recorded on {RECORDED_PLATFORM}, running on {platform()}"
+
+
+def whole_videos(frames: np.ndarray) -> np.ndarray:
+    """Each video of the (V, L, D) ``frames`` pooled whole: the
+    ``pooled_view`` of frames 0..L-1 in every row, as ``video_features`` pools."""
+    num_videos, length, _ = frames.shape
+    return pooled_view(frames, ViewDraw(np.broadcast_to(np.arange(length), (num_videos, length)),
+                                        None, 0))
 
 
 def unit_rows(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
@@ -209,3 +218,21 @@ def crafted(blob: bytes, **values) -> bytes:
     fields.update(values)
     body = blob[:start] + struct.pack(SPEC_RECORD, *fields.values()) + blob[end:-CHECKSUM_SIZE]
     return body + checksum(body)
+
+
+def checkpoint_record(dims, classes=None) -> bytes:
+    """A ``DTGM v3`` record under a valid checksum: layer dims ``dims``
+    (D, h, d), zero weights and, unless ``classes`` is None, a head of
+    ``classes`` classes, laid out as ``save_student`` lays it out whatever
+    the dims."""
+    dim, hidden, embed = dims
+    w = RecordWriter(CHECKPOINT_HEADER)
+    w.pack("<3I", *dims)
+    for shape in ((hidden, dim), (hidden,), (hidden, hidden), (hidden,), (embed, hidden), (embed,)):
+        w.array(np.zeros(shape))
+    w.pack("<B", classes is not None)
+    if classes is not None:
+        w.pack("<I", classes)
+        w.array(np.zeros((classes, embed)))
+        w.array(np.zeros(classes))
+    return b"".join(w.finish())

@@ -13,7 +13,7 @@ from dtg.model import StudentEncoder, build_bank, build_student, save_student
 from dtg.trainer import NumericAbortError
 
 from conftest import (BAD_SCHEDULE_FIELDS, NON_FINITE_FIELDS, NON_INTEGER_FIELDS,
-                      NON_NUMBER_FIELDS, crafted)
+                      NON_NUMBER_FIELDS, checkpoint_record, crafted)
 
 
 def _config_doc(out_dir, **train_overrides):
@@ -279,6 +279,19 @@ def test_checksum_valid_non_finite_checkpoint_exits_3(tmp_path, capsys, command,
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("command, flag", [("probe", "--checkpoint"), ("train-joint", "--init")])
+@pytest.mark.parametrize("dims, classes", [((0, 8, 6), None), ((8, 0, 6), None),
+                                           ((8, 8, 0), None), ((8, 8, 6), 0)])
+def test_checkpoint_with_a_zero_dimension_exits_3(tmp_path, capsys, command, flag, dims,
+                                                  classes):
+    ckpt = tmp_path / "student.dtgm"
+    ckpt.write_bytes(checkpoint_record(dims, classes))
+    cfg = _write_config(tmp_path, _config_doc(tmp_path / "run"))
+    assert main([command, "--config", cfg, flag, str(ckpt), "--quiet"]) == 3
+    assert "zero dimension" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_v2_corpus_exits_3_unsupported_version(tmp_path, capsys):
     blob = _generated_corpus_bytes(tmp_path).replace(CORPUS_HEADER.encode(), b"DTGC v2", 1)
     assert _probe_exit(tmp_path, blob) == 3
@@ -319,7 +332,10 @@ def test_frame_noise_whose_norms_overflow_exits_4(tmp_path, capsys):
     # the frames are finite, but the squares in their norms are not
     doc = _config_doc(tmp_path / "run")
     doc["corpus"]["frame_noise"] = 1e200
-    assert main(["pretrain", "--config", _write_config(tmp_path, doc), "--quiet"]) == 4
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["pretrain", "--config", _write_config(tmp_path, doc), "--quiet"]) == 4
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert "non-finite norm" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 

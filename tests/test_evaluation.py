@@ -14,8 +14,10 @@ from dtg.evaluation import (ProbeConfig, class_overlap, knn_top1, linear_probe,
                             teacher_view_accuracies, video_features,
                             write_projection_csv)
 from dtg.losses import cross_entropy_batch
-from dtg.model import build_bank, build_student, pool_frames, teacher_features
+from dtg.model import build_bank, build_student, forward_batch, teacher_features
 from dtg.numerics import DegenerateInputError, FieldError
+
+from conftest import whole_videos
 
 EVAL_AT_SCALE = Path(__file__).resolve().parents[1] / "scripts" / "eval_at_scale.py"
 
@@ -208,7 +210,7 @@ def test_knn_perfect_on_collapsed_classes():
     spec = CorpusSpec(2, 6, 4, 10, 4, video_spread=0.0, frame_noise=0.0, seed=5)
     corpus = generate_corpus(spec)
     bank = build_bank(corpus, (1.0,), embed_dim=6, seeds=(0,))
-    feats = teacher_features(bank, pool_frames(corpus.frames()))[0]
+    feats = teacher_features(bank, whole_videos(corpus.frames()))[0]
     labels = corpus.labels()
     assert knn_top1(feats, labels, k=5) == 1.0
 
@@ -791,6 +793,16 @@ def test_video_features_unit_rows(tiny_corpus):
     feats = video_features(enc, tiny_corpus)
     assert feats.shape == (tiny_corpus.num_videos, 5)
     assert np.abs(np.linalg.norm(feats, axis=1) - 1.0).max() < 1e-10
+
+
+def test_video_features_embed_each_video_pooled_in_order(tiny_corpus):
+    enc = build_student(tiny_corpus.spec.frame_dim, 8, 5, seed=0)
+    frames = tiny_corpus.frames()
+    total = frames[:, 0].copy()
+    for t in range(1, frames.shape[1]):
+        total += frames[:, t]
+    assert np.array_equal(video_features(enc, tiny_corpus),
+                          forward_batch(enc, total / frames.shape[1])[0])
 
 
 # --- artifact writers ---

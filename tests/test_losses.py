@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -188,9 +189,12 @@ def test_offline_rejects_bad_accuracies():
         teacher_weights(WeightScheme.OFFLINE, 2, accuracies=(-0.1, 0.5))
     with pytest.raises(ValueError):
         teacher_weights(WeightScheme.OFFLINE, 2)
-    # each accuracy is finite, but their sum overflows
-    with pytest.raises(ValueError, match="must sum to a finite number > 0, got inf"):
-        teacher_weights(WeightScheme.OFFLINE, 2, accuracies=(1e308, 1e308))
+    # each accuracy is finite, but their sum overflows: rejected without a numpy warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="must sum to a finite number > 0, got inf"):
+            teacher_weights(WeightScheme.OFFLINE, 2, accuracies=(1e308, 1e308))
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_online1_softmax_oracle():

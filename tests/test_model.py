@@ -5,12 +5,14 @@ import pytest
 
 from dtg.binio import FormatError, VersionMismatchError
 from dtg.corpus import CorpusSpec, generate_corpus
-from dtg.model import (CHECKPOINT_HEADER, StudentEncoder, TeacherBank,
+from dtg.model import (CHECKPOINT_HEADER, ClassifierHead, StudentEncoder, TeacherBank,
                        backward_batch, build_bank, build_head, build_student,
-                       forward_batch, load_student, pool_frames, save_student,
+                       forward_batch, load_student, save_student,
                        teacher_features)
 from dtg.numerics import DegenerateInputError, finite_diff_check, unit_rows
 from dtg.evaluation import knn_top1
+
+from conftest import checkpoint_record, whole_videos
 
 
 def _params(enc: StudentEncoder) -> int:
@@ -32,7 +34,7 @@ def test_parameter_count():
 
 
 def _embed(enc: StudentEncoder, seqs) -> np.ndarray:
-    out, _ = forward_batch(enc, pool_frames(seqs))
+    out, _ = forward_batch(enc, whole_videos(seqs))
     return out
 
 
@@ -122,65 +124,6 @@ def test_forward_batch_rejects_unpooled_or_misfit_input(shape, message):
         forward_batch(enc, np.ones(shape))
 
 
-def test_pool_frames_is_mean():
-    seq = np.arange(12, dtype=np.float64).reshape(3, 4)
-    assert np.array_equal(pool_frames(seq), seq.mean(axis=0))
-
-
-def _frames_added_in_order(x: np.ndarray) -> np.ndarray:
-    """Per (..., d): frame 0 plus frame 1 plus ... in Python floats, over T."""
-    out = np.empty(x.shape[:-2] + x.shape[-1:])
-    for i in np.ndindex(out.shape):
-        *lead, d = i
-        total = float(x[(*lead, 0, d)])
-        for t in range(1, x.shape[-2]):
-            total += float(x[(*lead, t, d)])
-        out[i] = total / x.shape[-2]
-    return out
-
-
-@pytest.mark.parametrize("shape", [(7, 33, 1), (3, 100, 1), (200, 1), (4, 9, 2), (3, 5, 16),
-                                   (2, 3, 1, 4), (6, 1, 3)])
-def test_pool_frames_adds_the_frames_in_order_then_divides(shape):
-    # at D = 1 numpy's mean(axis=-2) sums pairwise and may differ in the last bit
-    x = np.random.default_rng(5).standard_normal(shape) * 10.0 ** np.arange(shape[-1])
-    assert np.array_equal(pool_frames(x), _frames_added_in_order(x))
-    assert np.array_equal(pool_frames(np.asfortranarray(x)), _frames_added_in_order(x))
-
-
-@pytest.mark.parametrize("shape", [(500, 4, 16), (300, 32, 16), (5, 2, 9, 16), (64, 1, 16)])
-def test_pool_frames_equals_numpy_mean_at_the_model_width(shape):
-    x = np.random.default_rng(6).standard_normal(shape)
-    assert np.array_equal(pool_frames(x), x.mean(axis=-2))
-
-
-def test_pool_frames_rejects_zero_frames():
-    with pytest.raises(ValueError, match="T >= 1"):
-        pool_frames(np.zeros((3, 0, 4)))
-
-
-@pytest.mark.parametrize("t", [1, 7, 8, 9, 32, 129])
-@pytest.mark.parametrize("dim", [1, 4, 17])
-def test_pool_frames_batch_matches_rows(t, dim):
-    rng = np.random.default_rng(3)
-    x = rng.standard_normal((5, 2, t, dim))
-    videos = rng.standard_normal((6, t + 3, dim))
-    picks = np.sort(rng.integers(t + 3, size=(6, t)), axis=1)
-    same_values = (x,                                                  # C order
-                   np.ascontiguousarray(x[..., ::-1, :])[..., ::-1, :],  # reversed-frame view
-                   np.asfortranarray(x))
-    gathered = videos[np.arange(6)[:, None], picks]                   # sampled frames
-    for frames in (*same_values, gathered):
-        pooled = pool_frames(frames)
-        assert pooled.shape == frames.shape[:-2] + (dim,)
-        rows = [pool_frames(frames[i]) for i in np.ndindex(frames.shape[:-2])]
-        assert np.array_equal(pooled.reshape(-1, dim), np.stack(rows))
-    for frames in same_values[1:]:
-        assert np.array_equal(pool_frames(frames), pool_frames(x))
-    with pytest.raises(ValueError):
-        pool_frames(np.zeros(4))
-
-
 def test_teacher_deterministic_and_frozen_shape(tiny_corpus):
     b1 = build_bank(tiny_corpus, (0.5,), embed_dim=6, seeds=(9,))
     b2 = build_bank(tiny_corpus, (0.5,), embed_dim=6, seeds=(9,))
@@ -192,7 +135,7 @@ def test_teacher_deterministic_and_frozen_shape(tiny_corpus):
 
 def test_teacher_output_unit_norm(tiny_corpus, tiny_bank):
     rng = np.random.default_rng(0)
-    pooled = pool_frames(rng.standard_normal((1, 4, tiny_corpus.spec.frame_dim)))
+    pooled = whole_videos(rng.standard_normal((1, 4, tiny_corpus.spec.frame_dim)))
     g = teacher_features(tiny_bank, pooled)
     assert g.shape == (len(tiny_bank), 1, tiny_bank.embed_dim)
     assert np.all(np.abs(np.linalg.norm(g, axis=-1) - 1.0) < 1e-10)
@@ -203,7 +146,7 @@ def test_rho_one_zero_noise_collapses_classes():
     spec = CorpusSpec(2, 4, 6, 10, 4, video_spread=0.0, frame_noise=0.0, seed=11)
     corpus = generate_corpus(spec)
     bank = build_bank(corpus, (1.0,), embed_dim=5, seeds=(1,))
-    feats = teacher_features(bank, pool_frames(corpus.frames()))[0]
+    feats = teacher_features(bank, whole_videos(corpus.frames()))[0]
     labels = corpus.labels()
     for c in (0, 1):
         block = feats[labels == c]
@@ -214,7 +157,7 @@ def test_rho_zero_teacher_is_label_blind():
     spec = CorpusSpec(4, 12, 6, 16, 8, video_spread=1.0, frame_noise=0.0, seed=13)
     corpus = generate_corpus(spec)
     bank = build_bank(corpus, (0.0,), embed_dim=8, seeds=(2,))
-    feats = teacher_features(bank, pool_frames(corpus.frames()))[0]
+    feats = teacher_features(bank, whole_videos(corpus.frames()))[0]
     labels = corpus.labels()
     acc = knn_top1(feats, labels, k=5)
     assert acc < 0.5  # chance is 0.25; far from the aligned teacher's 1.0
@@ -226,7 +169,7 @@ def test_rho_separates_aligned_from_unaligned():
     labels = corpus.labels()
     bank = build_bank(corpus, (1.0, 0.0), embed_dim=8, seeds=(2, 2))
     accs = [knn_top1(feats, labels, k=5)
-            for feats in teacher_features(bank, pool_frames(corpus.frames()))]
+            for feats in teacher_features(bank, whole_videos(corpus.frames()))]
     assert accs[0] > accs[1] + 0.3
 
 
@@ -336,6 +279,32 @@ def test_checkpoint_with_a_non_finite_value_is_a_format_error(tmp_path, name):
     save_student(tmp_path / "m.dtgm", enc, head)
     with pytest.raises(FormatError, match="non-finite"):
         load_student(tmp_path / "m.dtgm")
+
+
+ZERO_DIMENSIONS = [((0, 8, 5), None), ((6, 0, 5), None), ((6, 8, 0), None), ((6, 8, 5), 0)]
+
+
+@pytest.mark.parametrize("dims, classes", ZERO_DIMENSIONS)
+def test_checkpoint_with_a_zero_dimension_is_a_format_error(tmp_path, dims, classes):
+    path = tmp_path / "m.dtgm"
+    path.write_bytes(checkpoint_record((6, 8, 5), 3))
+    enc, head = load_student(path)  # the record is well formed at nonzero dims
+    assert (enc.frame_dim, enc.hidden_dim, enc.embed_dim, head.num_classes) == (6, 8, 5, 3)
+    path.write_bytes(checkpoint_record(dims, classes))
+    with pytest.raises(FormatError, match="zero dimension"):
+        load_student(path)
+
+
+@pytest.mark.parametrize("dims, classes", ZERO_DIMENSIONS)
+def test_saving_a_zero_dimension_raises_before_writing(tmp_path, dims, classes):
+    dim, hidden, embed = dims
+    enc = StudentEncoder(np.zeros((hidden, dim)), np.zeros(hidden), np.zeros((hidden, hidden)),
+                         np.zeros(hidden), np.zeros((embed, hidden)), np.zeros(embed))
+    head = None if classes is None else ClassifierHead(np.zeros((classes, embed)),
+                                                       np.zeros(classes))
+    with pytest.raises(ValueError, match="zero dimension"):
+        save_student(tmp_path / "m.dtgm", enc, head)
+    assert not (tmp_path / "m.dtgm").exists()
 
 
 def _saved_with_version(path, version):

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -37,10 +38,15 @@ def test_unit_rows_returns_norms_and_names_a_degenerate_row():
     assert np.array_equal(u, [[0.6, 0.8], [0.0, 1.0]]) and np.array_equal(norms, [[5.0], [2.0]])
     with pytest.raises(DegenerateInputError, match="probe row has near-zero norm"):
         unit_rows(np.vstack([x, [1e-13, 0.0]]), "probe row")
-    # a norm that overflows or is NaN is not a unit row either
-    for row, norm in (([1e200, 1e200], "inf"), ([np.nan, 1.0], "nan")):
-        with pytest.raises(DegenerateInputError, match=f"probe row has non-finite norm {norm}"):
-            unit_rows(np.vstack([x, row]), "probe row")
+    # a norm that overflows or is NaN is not a unit row either, and numpy
+    # warns of neither before the error names it
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for row, norm in (([1e200, 1e200], "inf"), ([np.nan, 1.0], "nan")):
+            with pytest.raises(DegenerateInputError,
+                               match=f"probe row has non-finite norm {norm}"):
+                unit_rows(np.vstack([x, row]), "probe row")
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.mark.parametrize("d", [1, 3, 16])

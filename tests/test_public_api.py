@@ -4,7 +4,9 @@ Every name a test imports from ``dtg`` must be referenced by the package,
 the scripts or the benchmark harness somewhere other than inside its own
 definition, or inside the definition of another name that only tests reach.
 A wrapper kept alive for tests alone fails here; test the function the
-program calls instead.
+program calls instead.  And every module-level function or class of the
+package must be referenced by some code at all, tests included: a
+definition nothing names is dead.
 """
 
 import ast
@@ -70,6 +72,19 @@ def test_every_name_tests_import_is_used_by_the_program():
     unused = _unused(set(imports) - TEST_ONLY, _references(program))
     assert not unused, "imported by tests but unused by src/dtg, scripts and perfbench: " + \
         ", ".join(f"{name} ({imports[name]})" for name in sorted(unused))
+
+
+def test_every_module_level_definition_of_the_package_is_referenced():
+    defined = {}
+    for path in sorted((ROOT / "src/dtg").glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.setdefault(node.name, path.name)
+    code = PROGRAM + sorted((ROOT / "tests").glob("*.py")) + \
+        sorted((ROOT / "perfbench").glob("test_*.py"))
+    dead = _unused(set(defined), _references(ast.parse(p.read_text(), str(p)) for p in code))
+    assert not dead, "defined in src/dtg but referenced nowhere: " + \
+        ", ".join(f"{name} ({defined[name]})" for name in sorted(dead))
 
 
 def test_a_wrapper_reached_only_from_unused_code_is_unused():

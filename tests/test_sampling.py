@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dtg.model import pool_frames
 from dtg.sampling import PairMode, draw_pairs, pooled_view, segment_bounds
 from dtg.seeding import substream, substreams
+
+from conftest import whole_videos
 
 
 def _ramp(num_frames, dim=4, batch=1):
@@ -20,15 +21,27 @@ def _pooled_pair(frames, mode, segments, streams, mask_frac=0.0):
     return tuple(pooled_view(frames, view) for view in views)
 
 
-def _gather_then_pool(frames, view, videos=None):
+def _added_in_order(x: np.ndarray) -> np.ndarray:
+    """Per (..., d) of (..., T, D) frames: frame 0 plus frame 1 plus ... in
+    Python floats, over T."""
+    out = np.empty(x.shape[:-2] + x.shape[-1:])
+    for i in np.ndindex(out.shape):
+        *lead, d = i
+        total = float(x[(*lead, 0, d)])
+        for t in range(1, x.shape[-2]):
+            total += float(x[(*lead, t, d)])
+        out[i] = total / x.shape[-2]
+    return out
+
+
+def _gather_then_pool(frames, view):
     """The reference view: each row's frames taken into an (R, T, D) copy,
-    its mask zeroed in every frame, then ``pool_frames``."""
-    rows = np.arange(len(view.frames)) if videos is None else np.asarray(videos)
-    taken = frames[rows[:, None], view.frames]
+    its mask zeroed in every frame, then added in order and divided by T."""
+    taken = frames[np.arange(len(view.frames))[:, None], view.frames]
     if view.mask is not None:
         for r, start in enumerate(view.mask):
             taken[r, :, start:start + view.width] = 0.0
-    return pool_frames(taken)
+    return _added_in_order(taken)
 
 
 # Pairs drawn from _ramp(10) with substream(7, "golden-pair") and 3 segments,
@@ -94,7 +107,7 @@ def test_draw_pairs_matches_recorded_pairs(mode):
     assert guidance.frames[0].tolist() == RECORDED_INDICES[mode][1]
     assert anchor.mask is None and guidance.mask is None
     for view, idx in zip((anchor, guidance), RECORDED_INDICES[mode]):
-        assert np.array_equal(pooled_view(_ramp(10), view), pool_frames(_ramp(10)[:, idx]))
+        assert np.array_equal(pooled_view(_ramp(10), view), _added_in_order(_ramp(10)[:, idx]))
 
     anchor, guidance = draw_pairs(10, 8, mode, 3, substreams(7, "golden-pair"), mask_frac=0.4)
     a_idx, a_start, g_idx, g_start = RECORDED_MASKED[mode]
@@ -102,8 +115,8 @@ def test_draw_pairs_matches_recorded_pairs(mode):
     assert guidance.frames[0].tolist() == g_idx and guidance.mask.tolist() == [g_start]
     assert anchor.width == guidance.width == 3
     frames = _ramp(10, dim=8) + 1
-    assert np.array_equal(pooled_view(frames, anchor)[0], pool_frames(_masked(a_idx, a_start)))
-    assert np.array_equal(pooled_view(frames, guidance)[0], pool_frames(_masked(g_idx, g_start)))
+    for view, (idx, start) in ((anchor, (a_idx, a_start)), (guidance, (g_idx, g_start))):
+        assert np.array_equal(pooled_view(frames, view)[0], _added_in_order(_masked(idx, start)))
 
 
 @pytest.mark.parametrize("mode", list(PairMode))
@@ -153,8 +166,8 @@ def test_rows_match_per_video_generators(mode):
         g_mask = int(rng.integers(8 - 2 + 1))
         assert np.array_equal(anchor.frames[b], ia) and anchor.mask[b] == a_mask
         assert np.array_equal(guidance.frames[b], ig) and guidance.mask[b] == g_mask
-        assert np.array_equal(pooled_a[b], pool_frames(_masked(ia, a_mask, width=2)))
-        assert np.array_equal(pooled_g[b], pool_frames(_masked(ig, g_mask, width=2)))
+        assert np.array_equal(pooled_a[b], _added_in_order(_masked(ia, a_mask, width=2)))
+        assert np.array_equal(pooled_g[b], _added_in_order(_masked(ig, g_mask, width=2)))
 
 
 def test_sampled_views_take_one_frame_per_segment():
@@ -166,7 +179,7 @@ def test_sampled_views_take_one_frame_per_segment():
         assert len(idx) == 4
         for i, (lo, hi) in zip(idx, bounds):
             assert lo <= i < hi
-        assert np.array_equal(got[0], pool_frames(_ramp(12)[0, idx]))
+        assert np.array_equal(got[0], _added_in_order(_ramp(12)[0, idx]))
 
 
 def test_sampled_views_respect_their_windows():
@@ -185,7 +198,7 @@ def test_an_empty_mask_draws_nothing_and_zeroes_nothing(mask_frac):
     for view in views:
         assert view.mask is None and view.width == 0  # int(0.12 * 8) = 0
         assert np.array_equal(pooled_view(frames, view),
-                              pool_frames(frames[np.arange(3)[:, None], view.frames]))
+                              _added_in_order(frames[np.arange(3)[:, None], view.frames]))
     # only the frame indices were drawn: the streams continue from there
     want = []
     for r in range(3):
@@ -205,7 +218,7 @@ def test_pooled_view_masks_a_contiguous_block_shared_across_frames():
                                   substreams(0, "m", np.arange(5)), mask_frac=0.5)
     for view in (anchor, guidance):
         out = pooled_view(x, view)
-        unmasked = pool_frames(x[np.arange(5)[:, None], view.frames])
+        unmasked = _added_in_order(x[np.arange(5)[:, None], view.frames])
         assert view.width == 4  # int(0.5 * 8) coordinates
         for row, plain, start in zip(out, unmasked, view.mask):
             zeros = np.flatnonzero(row == 0.0)
@@ -216,32 +229,55 @@ def test_pooled_view_masks_a_contiguous_block_shared_across_frames():
 
 
 @pytest.mark.parametrize("mode", list(PairMode))
-def test_pooled_view_of_picked_rows_equals_the_rows_of_the_pooled_view(mode):
+def test_pooled_view_of_reordered_videos_equals_the_reordered_pooled_view(mode):
     frames = np.random.default_rng(2).standard_normal((6, 12, 5))
     views = draw_pairs(12, 5, mode, 3, substreams(4, "pick", np.arange(6)), mask_frac=0.4)
     order = np.array([4, 1, 5, 0, 3, 2])
     for view in views:
-        assert np.array_equal(pooled_view(frames, view.rows(order), order),
+        assert np.array_equal(pooled_view(frames[order], view.rows(order)),
                               pooled_view(frames, view)[order])
-        assert np.array_equal(pooled_view(frames, view.rows(slice(2, 5)), np.arange(2, 5)),
+        assert np.array_equal(pooled_view(frames[2:5], view.rows(slice(2, 5))),
                               pooled_view(frames, view)[2:5])
 
 
-@pytest.mark.parametrize("videos", ["all", "picked"])
 @pytest.mark.parametrize("mask_frac", [0.0, 0.25])
 @pytest.mark.parametrize("mode", list(PairMode))
-def test_pooled_view_is_gather_then_pool(mode, mask_frac, videos):
+def test_pooled_view_is_gather_then_pool(mode, mask_frac):
     # the trainer's shapes: 32 frames of 16 coordinates, 4 segments; each
     # row pools the bits of its gathered, masked frames
     frames = np.random.default_rng(12).standard_normal((40, 32, 16))
     views = draw_pairs(32, 16, mode, 4, substreams(6, "pool", np.arange(40)), mask_frac)
-    picked = np.random.default_rng(13).permutation(40) if videos == "picked" else None
     for view in views:
-        if picked is not None:
-            view = view.rows(picked)
         assert (view.mask is None) == (mask_frac == 0)
-        assert np.array_equal(pooled_view(frames, view, picked),
-                              _gather_then_pool(frames, view, picked))
+        assert np.array_equal(pooled_view(frames, view), _gather_then_pool(frames, view))
+
+
+@pytest.mark.parametrize("shape", [(7, 33, 1), (3, 100, 1), (1, 200, 1), (4, 9, 2), (3, 5, 16),
+                                   (6, 1, 4), (6, 1, 3)])
+def test_whole_videos_add_the_frames_in_order_then_divide(shape):
+    # at D = 1 numpy's mean(axis=-2) sums pairwise and may differ in the last bit
+    x = np.random.default_rng(5).standard_normal(shape) * 10.0 ** np.arange(shape[-1])
+    assert np.array_equal(whole_videos(x), _added_in_order(x))
+
+
+@pytest.mark.parametrize("shape", [(500, 4, 16), (300, 32, 16), (10, 9, 16), (64, 1, 16),
+                                   (1, 3, 4)])
+def test_whole_videos_equal_numpy_mean_at_the_model_width(shape):
+    x = np.random.default_rng(6).standard_normal(shape)
+    assert np.array_equal(whole_videos(x), x.mean(axis=-2))
+
+
+@pytest.mark.parametrize("t", [1, 7, 8, 9, 32, 129])
+@pytest.mark.parametrize("dim", [1, 4, 17])
+def test_whole_videos_pool_each_row_alone_in_any_layout(t, dim):
+    x = np.random.default_rng(3).standard_normal((10, t, dim))
+    pooled = whole_videos(x)
+    assert pooled.shape == (10, dim)
+    rows = [whole_videos(x[i:i + 1])[0] for i in range(10)]
+    assert np.array_equal(pooled, np.stack(rows))
+    for same_values in (np.ascontiguousarray(x[:, ::-1])[:, ::-1],  # reversed-frame view
+                        np.asfortranarray(x)):
+        assert np.array_equal(whole_videos(same_values), pooled)
 
 
 def test_pair_mode_config_names():

@@ -316,6 +316,19 @@ def test_joint_resumes_from_init_checkpoint():
     assert not np.array_equal(enc.W1, before[0])
 
 
+def test_joint_init_without_a_head_trains_the_run_seeds_head():
+    corpus = _corpus()
+    cfg = _config(epochs=1)
+    enc0 = build_student(corpus.spec.frame_dim, cfg.h, cfg.d, seed=123)
+    head0 = build_head(cfg.d, corpus.spec.num_classes, cfg.seed)
+    (enc_a, head_a), report_a = train_joint(cfg, corpus, _bank(corpus), init=(enc0, None))
+    (enc_b, head_b), report_b = train_joint(cfg, corpus, _bank(corpus), init=(enc0, head0))
+    for (name, a), (_, b) in zip(enc_a.parameters() + head_a.parameters(),
+                                 enc_b.parameters() + head_b.parameters()):
+        assert np.array_equal(a, b), name
+    assert report_a.records == report_b.records
+
+
 @pytest.mark.parametrize("joint", [False, True], ids=["pretrain", "train_joint"])
 def test_trained_model_round_trips_through_checkpoint(tmp_path, joint):
     # the trained arrays are views of one flat vector; the checkpoint holds
