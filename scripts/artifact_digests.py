@@ -1,11 +1,11 @@
 """One sha256 per training run and per CLI artifact, to compare checkouts.
 
 Runs a fixed matrix of short trainings on the reference corpus, per seed:
-4 teachers under every weight scheme and fusion level with mask 0.25,
-1 teacher under every pair mode, joint training on the few-label split,
-4 teachers under online1 with a batch of 7 (so batches straddle the window
-of K negatives), and 1 teacher with a batch of 300 and K = 64 (a batch
-larger than the window).  Each line is ``<case> <sha256>``, the digest taken over
+4 teachers under every weight scheme and fusion level, 1 teacher under
+every pair mode, joint training on the few-label split, 4 teachers under
+online1 with a batch of 7 (so batches straddle the window of K negatives),
+and 1 teacher with a batch of 300 and K = 64 (a batch larger than the
+window).  Each line is ``<case> <sha256>``, the digest taken over
 the trained arrays (each parameter's name, shape and little-endian float64
 bytes, the encoder's then the head's) followed by the sorted-key JSON of
 ``report_to_dict``.  These lines do not depend on the checkpoint format, so a
@@ -13,9 +13,9 @@ change to the file codecs leaves them as they are.
 
 Then, per seed, it runs the CLI pipeline in a temporary directory on a
 2,000-video reference corpus with the 4-teacher bank: ``gen-data``,
-``pretrain`` (online2, feature fusion, mask 0.25), ``train-joint --init``
-from that checkpoint (online1, loss fusion) and ``probe`` of the joint
-checkpoint, which reads the joint run's written ``config.json`` back as its
+``pretrain`` (online2, feature fusion), ``train-joint --init`` from that
+checkpoint (online1, loss fusion) and ``probe`` of the joint checkpoint,
+which reads the joint run's written ``config.json`` back as its
 ``--config``.  Each artifact gets one line, ``seed<s>-cli-<path> <sha256>``
 over its bytes; in the JSON files the temporary directory's path is
 replaced by a fixed token first, since configs embed their paths.
@@ -49,7 +49,6 @@ from dtg.seeding import derive_seed
 from dtg.trainer import pretrain, report_to_dict, train_joint
 
 SHORT = dict(epochs=4, milestones=(2,))  # cold first steps, one decay, then warm epochs
-MASK = 0.25
 
 
 def digest(enc, head, report) -> str:
@@ -75,7 +74,7 @@ def runs(seed: int):
             acc = BANK_RHOS if scheme is WeightScheme.OFFLINE else None
             yield (f"4t-{scheme.value}-{fusion.value}",
                    *pre(four, weight_scheme=scheme, fusion_level=fusion,
-                        mask_frac=MASK, offline_accuracies=acc))
+                        offline_accuracies=acc))
     for mode in PairMode:
         yield f"1t-{mode.value}", *pre(one, pair_mode=mode)
     joint = joint_setup(seed)
@@ -101,8 +100,8 @@ def cli_artifacts(seed: int, work: Path):
     readout = derive_seed(seed, "teacher-readout")  # four_teacher_bank's shared readout
     teachers = [{"rho": r, "seed": readout, "name": f"rho{r:g}"} for r in BANK_RHOS]
     corpus = str(work / "data" / "corpus.dtgc")
-    pre = {"epochs": 3, "milestones": [2], "mask_frac": MASK,
-           "weight_scheme": "online2", "fusion_level": "feature"}
+    pre = {"epochs": 3, "milestones": [2], "weight_scheme": "online2",
+           "fusion_level": "feature"}
     joint = {"epochs": 2, "milestones": [1], "weight_scheme": "online1"}
     steps = (
         ("gen-data", {"corpus": spec_doc, "out_dir": str(work / "data")}, []),

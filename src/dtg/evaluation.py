@@ -20,7 +20,7 @@ from .losses import _cross_entropy_grad
 from .model import StudentEncoder, TeacherBank, forward_batch, teacher_features
 from .numerics import (DegenerateInputError, as_matrix, check_fields, declared,
                        is_integer_array, one_hot)
-from .sampling import PairMode, ViewDraw, draw_pairs, pooled_view
+from .sampling import PairMode, draw_pairs, pooled_view
 from .seeding import substreams
 
 # distance-matrix rows per block in class_overlap: one BLAS product into the
@@ -59,7 +59,7 @@ def video_features(enc: StudentEncoder, corpus: Corpus) -> np.ndarray:
     (a ``pooled_view`` of frames 0..L-1 in every row, no sampling)."""
     frames = corpus.frames()
     num_videos, length, _ = frames.shape
-    whole = ViewDraw(np.broadcast_to(np.arange(length), (num_videos, length)), None, 0)
+    whole = np.broadcast_to(np.arange(length), (num_videos, length))
     out, _ = forward_batch(enc, pooled_view(frames, whole))
     return out
 
@@ -79,8 +79,8 @@ def teacher_view_accuracies(corpus: Corpus, bank: TeacherBank,
     source for offline fusion weights."""
     y, frames = corpus.labels(), corpus.frames()
     streams = substreams(seed, "teacher-acc", corpus.ids())
-    _, guide_draw = draw_pairs(*frames.shape[1:], _VIEW_MODE, _VIEW_SEGMENTS, streams)
-    guidance = teacher_features(bank, pooled_view(frames, guide_draw))
+    _, guide_view = draw_pairs(frames.shape[1], _VIEW_MODE, _VIEW_SEGMENTS, streams)
+    guidance = teacher_features(bank, pooled_view(frames, guide_view))
     return tuple(knn_top1(feats, y, _VIEW_K) for feats in guidance)
 
 

@@ -54,7 +54,7 @@ from .model import (
     teacher_features,
 )
 from .numerics import FieldError, check_fields, check_value, declared
-from .sampling import PairMode, ViewDraw, draw_pairs, pooled_view
+from .sampling import PairMode, draw_pairs, pooled_view
 from .seeding import substream, substreams
 
 
@@ -92,7 +92,6 @@ class TrainConfig:
     h: int = declared(int, 32, ge=1)
     seed: int = declared(int, 0, ge=0, lt=2 ** 64)
     segments: int = declared(int, 4, ge=1)
-    mask_frac: float = declared(float, 0.0, ge=0, lt=1)
     offline_accuracies: tuple[float, ...] | None = None
 
     def __post_init__(self):
@@ -201,14 +200,15 @@ def _validate_run(config: TrainConfig, corpus: Corpus, bank: TeacherBank) -> Non
     if config.K >= corpus.num_videos:
         raise FieldError("train.K", f"queue capacity {config.K} must be smaller than the "
                                     f"number of training videos ({corpus.num_videos})")
-    if corpus.spec.frames_per_video < config.segments:
+    if config.pair_mode is PairMode.IMG_IMG:  # one frame per view: segments is not read
+        if corpus.spec.frames_per_video < 2:
+            raise FieldError("train.pair_mode / corpus.frames_per_video",
+                             "img-img draws two distinct frames of a video: frames_per_video "
+                             f"must be at least 2, got {corpus.spec.frames_per_video}")
+    elif corpus.spec.frames_per_video < config.segments:
         raise FieldError("train.segments / corpus.frames_per_video",
                          f"segments exceed frames per video ({config.segments} > "
                          f"{corpus.spec.frames_per_video})")
-    if config.pair_mode is PairMode.IMG_IMG and corpus.spec.frames_per_video < 2:
-        raise FieldError("train.pair_mode / corpus.frames_per_video",
-                         "img-img draws two distinct frames of a video: frames_per_video "
-                         f"must be at least 2, got {corpus.spec.frames_per_video}")
     half = corpus.spec.frames_per_video // 2
     if config.pair_mode is PairMode.SEQ_SEQ_DISJOINT and config.segments > half:
         raise FieldError("train.segments / corpus.frames_per_video",
@@ -282,9 +282,9 @@ def _epoch_record(epoch: int, lr: float, ct_sum: float, ce_sum: float | None, co
                        tuple(std.tolist()))
 
 
-def _pair_draws(config: TrainConfig, num_frames: int, dim: int, ids: np.ndarray
-                ) -> Iterator[tuple[ViewDraw, ViewDraw]]:
-    """Each epoch's (anchor, guidance) draws of the videos ``ids``, epoch by
+def _pair_draws(config: TrainConfig, num_frames: int, ids: np.ndarray
+                ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Each epoch's (anchor, guidance) views of the videos ``ids``, epoch by
     epoch; row v of epoch e is drawn from ``substreams(config.seed, "pair",
     ids[v], e)`` alone.  One ``draw_pairs`` call serves as many whole epochs
     as fit in ``_PAIR_ROWS`` rows, and at least one, so the draws held at a
@@ -294,20 +294,19 @@ def _pair_draws(config: TrainConfig, num_frames: int, dim: int, ids: np.ndarray
         epochs = np.arange(first, min(first + per_chunk, config.epochs))
         streams = substreams(config.seed, "pair", np.tile(ids, epochs.size),
                              np.repeat(epochs, len(ids)))
-        anchor, guidance = draw_pairs(num_frames, dim, config.pair_mode, config.segments,
-                                      streams, config.mask_frac)
+        anchor, guidance = draw_pairs(num_frames, config.pair_mode, config.segments, streams)
         for e in range(epochs.size):
             rows = slice(e * len(ids), (e + 1) * len(ids))
-            yield anchor.rows(rows), guidance.rows(rows)
+            yield anchor[rows], guidance[rows]
 
 
 def run_epoch(config: TrainConfig, corpus: Corpus, bank: TeacherBank, state: TrainState,
-              draws: tuple[ViewDraw, ViewDraw]) -> EpochRecord:
-    """Runs epoch ``state.epoch`` on its (anchor, guidance) ``draws``, in
+              views: tuple[np.ndarray, np.ndarray]) -> EpochRecord:
+    """Runs epoch ``state.epoch`` on its (anchor, guidance) ``views``, in
     place on ``state``, which then holds the next epoch; returns its record.
     The head trains too when the state holds one (joint mode)."""
     K, V, epoch = config.K, corpus.num_videos, state.epoch
-    anchor_draw, guide_draw = draws
+    anchor_view, guide_view = views
     enc, head = state.models()
     grads = np.zeros_like(state.params)  # each step overwrites it whole
     grad_views = state.layout.views(grads)
@@ -315,11 +314,11 @@ def run_epoch(config: TrainConfig, corpus: Corpus, bank: TeacherBank, state: Tra
     frames_all = corpus.frames()
     lr = lr_at(config, epoch)
     order = substream(config.seed, "epoch-order", epoch).permutation(V)
-    guidance = teacher_features(bank, pooled_view(frames_all, guide_draw))
+    guidance = teacher_features(bank, pooled_view(frames_all, guide_view))
     # rows taken by index, not recomputed in visiting order: a BLAS edge
     # tile may round a permuted row differently
     np.take(guidance, order, axis=1, out=stream[:, K:])
-    visited_anchors = np.take(pooled_view(frames_all, anchor_draw), order, axis=0)
+    visited_anchors = np.take(pooled_view(frames_all, anchor_view), order, axis=0)
     ct_sum, count, weights = 0.0, 0, []
     ce_sum = 0.0 if head is not None else None
     for b0 in range(0, V, config.batch_size):
@@ -368,8 +367,8 @@ def _train(config: TrainConfig, corpus: Corpus, bank: TeacherBank, state: TrainS
            ) -> RunReport:
     """Runs every epoch of ``config`` on ``state`` and reports them."""
     start = time.perf_counter()
-    draws = _pair_draws(config, *corpus.frames().shape[1:], corpus.ids())
-    records = tuple(run_epoch(config, corpus, bank, state, pair) for pair in draws)
+    draws = _pair_draws(config, corpus.spec.frames_per_video, corpus.ids())
+    records = tuple(run_epoch(config, corpus, bank, state, views) for views in draws)
     return RunReport(config.seed, records, wall_time_s=time.perf_counter() - start)
 
 

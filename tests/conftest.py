@@ -11,7 +11,7 @@ from dtg.binio import CHECKSUM_SIZE, RecordWriter, checksum
 from dtg.corpus import CORPUS_HEADER, CorpusSpec, generate_corpus
 from dtg.losses import contrastive_batch
 from dtg.model import CHECKPOINT_HEADER, build_bank, teacher_features
-from dtg.sampling import ViewDraw, pooled_view
+from dtg.sampling import pooled_view
 from dtg.seeding import substream
 
 
@@ -69,8 +69,7 @@ def whole_videos(frames: np.ndarray) -> np.ndarray:
     """Each video of the (V, L, D) ``frames`` pooled whole: the
     ``pooled_view`` of frames 0..L-1 in every row, as ``video_features`` pools."""
     num_videos, length, _ = frames.shape
-    return pooled_view(frames, ViewDraw(np.broadcast_to(np.arange(length), (num_videos, length)),
-                                        None, 0))
+    return pooled_view(frames, np.broadcast_to(np.arange(length), (num_videos, length)))
 
 
 def unit_rows(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
@@ -168,7 +167,6 @@ NON_NUMBER_FIELDS = [
     ("train", "lr0", True),
     ("train", "lr0", "0.1"),
     ("train", "momentum", False),
-    ("train", "mask_frac", "0.25"),
     ("eval", "probe_lr", True),
     ("eval", "split_frac", "0.5"),
     ("corpus", "drift", True),

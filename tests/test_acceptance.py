@@ -318,14 +318,14 @@ def test_c10_input_mode_harness():
         assert len(report.records) == 3
     sweep_ok = all(0.0 <= v <= 1.0 for v in scores.values())
 
-    # pair i comes from a video of lengths[i % 5] frames of 5 coordinates
+    # pair i comes from a video of lengths[i % 5] frames
     violations = 0
     lengths = (4, 5, 8, 9, 16)
     for j, length in enumerate(lengths):
         rows = range(j, 10_000, len(lengths))
-        anchor, guidance = draw_pairs(length, 5, PairMode.SEQ_SEQ_DISJOINT, 2,
+        anchor, guidance = draw_pairs(length, PairMode.SEQ_SEQ_DISJOINT, 2,
                                       substreams(np.asarray(rows), "disjoint-check"))
-        shared = anchor.frames[:, :, None] == guidance.frames[:, None, :]
+        shared = anchor[:, :, None] == guidance[:, None, :]
         violations += int(shared.any(axis=(1, 2)).sum())
     _verdict("criterion 10 (input modes)",
              sweep_ok and violations == 0,

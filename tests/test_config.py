@@ -138,15 +138,12 @@ def test_invalid_train_values_are_config_errors():
         config_from_dict(_minimal(train={"epochs": 2, "K": 0, "milestones": []}))
     with pytest.raises(ConfigError):
         config_from_dict(_minimal(seed=-3))
-    # the mask range is checked at load, NaN included
-    for bad in ({"mask_frac": 1.0}, {"mask_frac": -0.1}, {"mask_frac": float("nan")}):
-        with pytest.raises(ConfigError):
-            config_from_dict(_minimal(train={"epochs": 2, "K": 4, "milestones": [], **bad}))
-    # feature jitter is retired: any value is an unknown key
-    for jitter in (0.0, 0.2, -1.0):
-        with pytest.raises(ConfigError, match="unknown key.*jitter"):
-            config_from_dict(_minimal(train={"epochs": 2, "K": 4, "milestones": [],
-                                             "jitter": jitter}))
+    # feature jitter and the coordinate mask are retired: any value is an unknown key
+    for key in ("jitter", "mask_frac"):
+        for value in (0.0, 0.2, -1.0):
+            with pytest.raises(ConfigError, match=f"unknown key.*{key}"):
+                config_from_dict(_minimal(train={"epochs": 2, "K": 4, "milestones": [],
+                                                 key: value}))
 
 
 @pytest.mark.parametrize("section,key,value",

@@ -66,7 +66,6 @@ RULES = {
     "train.d": "an integer >= 1",
     "train.h": "an integer >= 1",
     "train.segments": "an integer >= 1",
-    "train.mask_frac": "a finite number >= 0 and < 1",
     "eval.split_frac": "a finite number > 0 and < 1",
     "eval.probe_epochs": "an integer >= 0",
     "eval.probe_lr": "a finite number > 0",

@@ -6,17 +6,26 @@ definition, or inside the definition of another name that only tests reach.
 A wrapper kept alive for tests alone fails here; test the function the
 program calls instead.  And every module-level function or class of the
 package must be referenced by some code at all, tests included: a
-definition nothing names is dead.
+definition nothing names is dead.  So is a config field that the program
+never reads as an attribute outside its class: a knob whose code is gone.
 """
 
 import ast
+import dataclasses
 from pathlib import Path
+
+from dtg.config import EvalConfig, ExperimentConfig, TeacherSpec
+from dtg.corpus import CorpusSpec
+from dtg.evaluation import ProbeConfig
+from dtg.trainer import TrainConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 PROGRAM = [p for d in ("src/dtg", "scripts", "perfbench")
            for p in sorted((ROOT / d).rglob("*.py")) if not p.name.startswith("test_")]
 # the finite-difference checker is the reference every gradient test rests on
 TEST_ONLY = {"finite_diff_check"}
+CONFIG_CLASSES = (CorpusSpec, TrainConfig, TeacherSpec, EvalConfig, ProbeConfig,
+                  ExperimentConfig)
 
 
 def _test_imports() -> dict[str, str]:
@@ -32,24 +41,25 @@ def _test_imports() -> dict[str, str]:
     return found
 
 
-def _references(trees) -> list[tuple[str, tuple[str, ...]]]:
-    """(name, names of the enclosing definitions) of every identifier read in
-    the module ``trees``, as a bare name or as an attribute."""
-    refs = []
-
+def _nodes(trees):
+    """(node, names of the definitions it is in) of every node of the module
+    ``trees``; a definition is in itself."""
     def visit(node, enclosing):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             enclosing = enclosing + (node.name,)
-        elif isinstance(node, ast.Name):
-            refs.append((node.id, enclosing))
-        elif isinstance(node, ast.Attribute):
-            refs.append((node.attr, enclosing))
+        yield node, enclosing
         for child in ast.iter_child_nodes(node):
-            visit(child, enclosing)
+            yield from visit(child, enclosing)
 
     for tree in trees:
-        visit(tree, ())
-    return refs
+        yield from visit(tree, ())
+
+
+def _references(trees) -> list[tuple[str, tuple[str, ...]]]:
+    """(name, names of the enclosing definitions) of every identifier read in
+    the module ``trees``, as a bare name or as an attribute."""
+    return [(node.id if isinstance(node, ast.Name) else node.attr, enclosing)
+            for node, enclosing in _nodes(trees) if isinstance(node, (ast.Name, ast.Attribute))]
 
 
 def _unused(names, refs) -> set[str]:
@@ -85,6 +95,18 @@ def test_every_module_level_definition_of_the_package_is_referenced():
     dead = _unused(set(defined), _references(ast.parse(p.read_text(), str(p)) for p in code))
     assert not dead, "defined in src/dtg but referenced nowhere: " + \
         ", ".join(f"{name} ({defined[name]})" for name in sorted(dead))
+
+
+def test_every_config_field_is_read_by_the_program():
+    program = [ast.parse(path.read_text(), str(path)) for path in PROGRAM]
+    reads = [(node.attr, enclosing) for node, enclosing in _nodes(program)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)]
+    unread = [f"{cls.__name__}.{field.name}" for cls in CONFIG_CLASSES
+              for field in dataclasses.fields(cls)
+              if not any(attr == field.name and cls.__name__ not in enclosing
+                         for attr, enclosing in reads)]
+    assert not unread, "config fields that src/dtg, scripts and perfbench never read: " + \
+        ", ".join(unread)
 
 
 def test_a_wrapper_reached_only_from_unused_code_is_unused():

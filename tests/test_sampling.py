@@ -14,10 +14,10 @@ def _ramp(num_frames, dim=4, batch=1):
     return np.broadcast_to(frames, (batch, num_frames, dim))
 
 
-def _pooled_pair(frames, mode, segments, streams, mask_frac=0.0):
+def _pooled_pair(frames, mode, segments, streams):
     """The pooled (anchor, guidance) views of the videos ``frames`` (B, L, D),
     row b drawn from row b of ``streams``: ``draw_pairs``, then ``pooled_view``."""
-    views = draw_pairs(*frames.shape[1:], mode, segments, streams, mask_frac)
+    views = draw_pairs(frames.shape[1], mode, segments, streams)
     return tuple(pooled_view(frames, view) for view in views)
 
 
@@ -36,40 +36,36 @@ def _added_in_order(x: np.ndarray) -> np.ndarray:
 
 def _gather_then_pool(frames, view):
     """The reference view: each row's frames taken into an (R, T, D) copy,
-    its mask zeroed in every frame, then added in order and divided by T."""
-    taken = frames[np.arange(len(view.frames))[:, None], view.frames]
-    if view.mask is not None:
-        for r, start in enumerate(view.mask):
-            taken[r, :, start:start + view.width] = 0.0
-    return _added_in_order(taken)
+    then added in order and divided by T."""
+    return _added_in_order(frames[np.arange(len(view))[:, None], view])
 
 
 # Pairs drawn from _ramp(10) with substream(7, "golden-pair") and 3 segments,
-# recorded from the earlier one-video-at-a-time sampler.  Without masking the
-# frame indices of (anchor, guidance):
+# recorded from the earlier one-video-at-a-time sampler: the frame indices of
+# (anchor, guidance).
 RECORDED_INDICES = {
     PairMode.IMG_IMG: ([7], [5]),
     PairMode.IMG_SEQ: ([2, 4, 6], [1]),
     PairMode.SEQ_SEQ_OVERLAP: ([2, 4, 6], [0, 4, 9]),
     PairMode.SEQ_SEQ_DISJOINT: ([0, 2, 4], [5, 6, 8]),
 }
-# With mask_frac=0.4 on 8 coordinates (a block of 3), recorded from the
-# per-video Generator sampler: (anchor indices, anchor block start, guidance
-# indices, guidance block start).
-RECORDED_MASKED = {
-    PairMode.IMG_IMG: ([7], 1, [5], 1),
-    PairMode.IMG_SEQ: ([2, 4, 6], 1, [5], 5),
-    PairMode.SEQ_SEQ_OVERLAP: ([2, 4, 6], 1, [1, 5, 9], 5),
-    PairMode.SEQ_SEQ_DISJOINT: ([0, 2, 4], 1, [5, 6, 9], 5),
+
+# (lo, hi, segments) of the anchor and the guidance window of a 16-frame
+# video at 4 segments
+WINDOWS_16_4 = {
+    PairMode.IMG_IMG: ((0, 16, 1), (0, 16, 1)),
+    PairMode.IMG_SEQ: ((0, 16, 4), (0, 16, 1)),
+    PairMode.SEQ_SEQ_OVERLAP: ((0, 16, 4), (0, 16, 4)),
+    PairMode.SEQ_SEQ_DISJOINT: ((0, 8, 4), (8, 16, 4)),
 }
 
 
-def _masked(indices, start, width=3, dim=8):
-    """Frames t + 1 of the given indices with coordinates [start, start + width)
-    zeroed: the frames one row of a masked view of ``_ramp(L, dim) + 1`` pools."""
-    view = np.repeat(np.array(indices, dtype=np.float64)[:, None] + 1, dim, axis=1)
-    view[:, start:start + width] = 0.0
-    return view
+def _widths(lo, hi, segments):
+    return np.array([b - a for a, b in segment_bounds(hi - lo, segments)])
+
+
+def _starts(lo, hi, segments):
+    return lo + np.array([a for a, _ in segment_bounds(hi - lo, segments)])
 
 
 def test_segment_bounds_even():
@@ -102,36 +98,24 @@ def test_segment_bounds_cover_range_without_overlap(num_frames, segments):
 
 @pytest.mark.parametrize("mode", list(PairMode))
 def test_draw_pairs_matches_recorded_pairs(mode):
-    anchor, guidance = draw_pairs(10, 4, mode, 3, substreams(7, "golden-pair"))
-    assert anchor.frames[0].tolist() == RECORDED_INDICES[mode][0]
-    assert guidance.frames[0].tolist() == RECORDED_INDICES[mode][1]
-    assert anchor.mask is None and guidance.mask is None
+    anchor, guidance = draw_pairs(10, mode, 3, substreams(7, "golden-pair"))
+    assert anchor.dtype == guidance.dtype == np.int64
+    assert anchor[0].tolist() == RECORDED_INDICES[mode][0]
+    assert guidance[0].tolist() == RECORDED_INDICES[mode][1]
     for view, idx in zip((anchor, guidance), RECORDED_INDICES[mode]):
         assert np.array_equal(pooled_view(_ramp(10), view), _added_in_order(_ramp(10)[:, idx]))
-
-    anchor, guidance = draw_pairs(10, 8, mode, 3, substreams(7, "golden-pair"), mask_frac=0.4)
-    a_idx, a_start, g_idx, g_start = RECORDED_MASKED[mode]
-    assert anchor.frames[0].tolist() == a_idx and anchor.mask.tolist() == [a_start]
-    assert guidance.frames[0].tolist() == g_idx and guidance.mask.tolist() == [g_start]
-    assert anchor.width == guidance.width == 3
-    frames = _ramp(10, dim=8) + 1
-    for view, (idx, start) in ((anchor, (a_idx, a_start)), (guidance, (g_idx, g_start))):
-        assert np.array_equal(pooled_view(frames, view)[0], _added_in_order(_masked(idx, start)))
 
 
 @pytest.mark.parametrize("mode", list(PairMode))
 def test_rows_independent_of_batch_composition(mode):
     frames = np.random.default_rng(5).standard_normal((6, 12, 5))
-    anchor, guidance = _pooled_pair(frames, mode, 3, substreams(3, "batch", np.arange(6)),
-                                    mask_frac=0.4)
+    anchor, guidance = _pooled_pair(frames, mode, 3, substreams(3, "batch", np.arange(6)))
     for b in range(6):
-        one_a, one_g = _pooled_pair(frames[b:b + 1], mode, 3, substreams(3, "batch", b),
-                                    mask_frac=0.4)
+        one_a, one_g = _pooled_pair(frames[b:b + 1], mode, 3, substreams(3, "batch", b))
         assert np.array_equal(anchor[b], one_a[0])
         assert np.array_equal(guidance[b], one_g[0])
     order = [4, 1, 5, 0, 3, 2]
-    perm_a, perm_g = _pooled_pair(frames[order], mode, 3, substreams(3, "batch", order),
-                                  mask_frac=0.4)
+    perm_a, perm_g = _pooled_pair(frames[order], mode, 3, substreams(3, "batch", order))
     assert np.array_equal(perm_a, anchor[order])
     assert np.array_equal(perm_g, guidance[order])
 
@@ -139,43 +123,46 @@ def test_rows_independent_of_batch_composition(mode):
 @pytest.mark.parametrize("mode", list(PairMode))
 def test_rows_match_per_video_generators(mode):
     """Row b uses exactly the draws of substream(..., b)'s Generator: frame
-    indices per segment (one integers call per view), the img-img offset and
-    each mask start, in that order."""
-    frames = _ramp(16, dim=8, batch=40) + 1
-    anchor, guidance = draw_pairs(16, 8, mode, 4, substreams(9, "rows", np.arange(40)),
-                                  mask_frac=0.3)
-    assert anchor.width == guidance.width == 2
+    indices per segment (one integers call per view, img-img's guidance an
+    offset), in that order."""
+    frames = np.random.default_rng(9).standard_normal((40, 16, 8))
+    anchor, guidance = draw_pairs(16, mode, 4, substreams(9, "rows", np.arange(40)))
     pooled_a, pooled_g = pooled_view(frames, anchor), pooled_view(frames, guidance)
-    a_win, g_win = {
-        PairMode.IMG_IMG: ((0, 16, 1), (0, 16, 1)),
-        PairMode.IMG_SEQ: ((0, 16, 4), (0, 16, 1)),
-        PairMode.SEQ_SEQ_OVERLAP: ((0, 16, 4), (0, 16, 4)),
-        PairMode.SEQ_SEQ_DISJOINT: ((0, 8, 4), (8, 16, 4)),
-    }[mode]
-    widths = lambda lo, hi, t: np.array([b - a for a, b in segment_bounds(hi - lo, t)])
-    starts = lambda lo, hi, t: lo + np.array([a for a, _ in segment_bounds(hi - lo, t)])
+    a_win, g_win = WINDOWS_16_4[mode]
     for b in range(40):
         rng = substream(9, "rows", b)
-        ia = starts(*a_win) + rng.integers(widths(*a_win))
+        ia = _starts(*a_win) + rng.integers(_widths(*a_win))
         if mode is PairMode.IMG_IMG:
             j = int(rng.integers(15))
             ig = [j + (j >= ia[0])]
-        a_mask = int(rng.integers(8 - 2 + 1))
-        if mode is not PairMode.IMG_IMG:
-            ig = starts(*g_win) + rng.integers(widths(*g_win))
-        g_mask = int(rng.integers(8 - 2 + 1))
-        assert np.array_equal(anchor.frames[b], ia) and anchor.mask[b] == a_mask
-        assert np.array_equal(guidance.frames[b], ig) and guidance.mask[b] == g_mask
-        assert np.array_equal(pooled_a[b], _added_in_order(_masked(ia, a_mask, width=2)))
-        assert np.array_equal(pooled_g[b], _added_in_order(_masked(ig, g_mask, width=2)))
+        else:
+            ig = _starts(*g_win) + rng.integers(_widths(*g_win))
+        assert np.array_equal(anchor[b], ia) and np.array_equal(guidance[b], ig)
+        assert np.array_equal(pooled_a[b], _added_in_order(frames[b, ia]))
+        assert np.array_equal(pooled_g[b], _added_in_order(frames[b, ig]))
+
+
+@pytest.mark.parametrize("mode", list(PairMode))
+def test_draw_pairs_draws_only_the_frame_indices(mode):
+    # each row's stream continues from its last frame-index draw
+    streams = substreams(1, "b", np.arange(3))
+    draw_pairs(16, mode, 4, streams)
+    a_win, g_win = WINDOWS_16_4[mode]
+    want = []
+    for r in range(3):
+        rng = substream(1, "b", r)
+        rng.integers(_widths(*a_win))
+        rng.integers(15) if mode is PairMode.IMG_IMG else rng.integers(_widths(*g_win))
+        want.append(rng.integers(1000))
+    assert np.array_equal(streams.integers(1000), want)
 
 
 def test_sampled_views_take_one_frame_per_segment():
-    views = draw_pairs(12, 4, PairMode.SEQ_SEQ_OVERLAP, 4, substreams(0, "s"))
+    views = draw_pairs(12, PairMode.SEQ_SEQ_OVERLAP, 4, substreams(0, "s"))
     bounds = segment_bounds(12, 4)
     for view in views:
         got = pooled_view(_ramp(12), view)
-        idx = view.frames[0]
+        idx = view[0]
         assert len(idx) == 4
         for i, (lo, hi) in zip(idx, bounds):
             assert lo <= i < hi
@@ -183,73 +170,53 @@ def test_sampled_views_take_one_frame_per_segment():
 
 
 def test_sampled_views_respect_their_windows():
-    anchor, guidance = draw_pairs(12, 4, PairMode.SEQ_SEQ_DISJOINT, 2,
-                                  substreams(np.arange(50), "w"))
-    a, g = anchor.frames, guidance.frames
+    a, g = draw_pairs(12, PairMode.SEQ_SEQ_DISJOINT, 2, substreams(np.arange(50), "w"))
     assert ((0 <= a[:, 0]) & (a[:, 0] < 3) & (3 <= a[:, 1]) & (a[:, 1] < 6)).all()
     assert ((6 <= g[:, 0]) & (g[:, 0] < 9) & (9 <= g[:, 1]) & (g[:, 1] < 12)).all()
-
-
-@pytest.mark.parametrize("mask_frac", [0.0, 0.12], ids=["zero", "under-one-coordinate"])
-def test_an_empty_mask_draws_nothing_and_zeroes_nothing(mask_frac):
-    frames = np.random.default_rng(0).standard_normal((3, 6, 8))
-    streams = substreams(1, "b", np.arange(3))
-    views = draw_pairs(6, 8, PairMode.SEQ_SEQ_OVERLAP, 2, streams, mask_frac)
-    for view in views:
-        assert view.mask is None and view.width == 0  # int(0.12 * 8) = 0
-        assert np.array_equal(pooled_view(frames, view),
-                              _added_in_order(frames[np.arange(3)[:, None], view.frames]))
-    # only the frame indices were drawn: the streams continue from there
-    want = []
-    for r in range(3):
-        rng = substream(1, "b", r)
-        rng.integers([3, 3]), rng.integers([3, 3])
-        want.append(rng.integers(1000))
-    assert np.array_equal(streams.integers(1000), want)
-
-
-def test_pooled_view_masks_a_contiguous_block_shared_across_frames():
-    # positive frames: a block coordinate left unmasked in any one frame
-    # would pool above zero, and one masked outside the block would pool
-    # below the unmasked view's value
-    x = np.random.default_rng(8).uniform(1.0, 2.0, (5, 3, 8))
-    original = x.copy()
-    anchor, guidance = draw_pairs(3, 8, PairMode.SEQ_SEQ_OVERLAP, 3,
-                                  substreams(0, "m", np.arange(5)), mask_frac=0.5)
-    for view in (anchor, guidance):
-        out = pooled_view(x, view)
-        unmasked = _added_in_order(x[np.arange(5)[:, None], view.frames])
-        assert view.width == 4  # int(0.5 * 8) coordinates
-        for row, plain, start in zip(out, unmasked, view.mask):
-            zeros = np.flatnonzero(row == 0.0)
-            assert np.array_equal(zeros, np.arange(start, start + 4))
-            kept = np.setdiff1d(np.arange(8), zeros)
-            assert np.array_equal(row[kept], plain[kept])
-    assert np.array_equal(x, original)  # the frames are not written
 
 
 @pytest.mark.parametrize("mode", list(PairMode))
 def test_pooled_view_of_reordered_videos_equals_the_reordered_pooled_view(mode):
     frames = np.random.default_rng(2).standard_normal((6, 12, 5))
-    views = draw_pairs(12, 5, mode, 3, substreams(4, "pick", np.arange(6)), mask_frac=0.4)
+    views = draw_pairs(12, mode, 3, substreams(4, "pick", np.arange(6)))
     order = np.array([4, 1, 5, 0, 3, 2])
     for view in views:
-        assert np.array_equal(pooled_view(frames[order], view.rows(order)),
+        assert np.array_equal(pooled_view(frames[order], view[order]),
                               pooled_view(frames, view)[order])
-        assert np.array_equal(pooled_view(frames[2:5], view.rows(slice(2, 5))),
+        assert np.array_equal(pooled_view(frames[2:5], view[2:5]),
                               pooled_view(frames, view)[2:5])
 
 
-@pytest.mark.parametrize("mask_frac", [0.0, 0.25])
 @pytest.mark.parametrize("mode", list(PairMode))
-def test_pooled_view_is_gather_then_pool(mode, mask_frac):
+def test_pooled_view_is_gather_then_pool(mode):
     # the trainer's shapes: 32 frames of 16 coordinates, 4 segments; each
-    # row pools the bits of its gathered, masked frames
+    # row pools the bits of its gathered frames
     frames = np.random.default_rng(12).standard_normal((40, 32, 16))
-    views = draw_pairs(32, 16, mode, 4, substreams(6, "pool", np.arange(40)), mask_frac)
+    views = draw_pairs(32, mode, 4, substreams(6, "pool", np.arange(40)))
     for view in views:
-        assert (view.mask is None) == (mask_frac == 0)
         assert np.array_equal(pooled_view(frames, view), _gather_then_pool(frames, view))
+
+
+@pytest.mark.parametrize("mode", list(PairMode))
+def test_pooled_view_does_not_write_its_frames(mode):
+    # read-only frames, so a write would raise: both drawn views, and the
+    # whole-video view that evaluation pools
+    frames = np.random.default_rng(3).standard_normal((5, 12, 4))
+    original = frames.copy()
+    frames.setflags(write=False)
+    views = (*draw_pairs(12, mode, 3, substreams(0, "w", np.arange(5))),
+             np.broadcast_to(np.arange(12), (5, 12)))
+    for view in views:
+        assert np.array_equal(pooled_view(frames, view), _gather_then_pool(original, view))
+    assert np.array_equal(frames, original)
+
+
+@pytest.mark.parametrize("shape", [(1, 2), (7, 2), (6, 0)],
+                         ids=["one-row", "extra-row", "no-column"])
+def test_pooled_view_takes_one_row_of_frame_indices_per_video(shape):
+    # a one-row view would otherwise broadcast over every video
+    with pytest.raises(ValueError, match=rf"6 videos.*shape \({shape[0]}, {shape[1]}\)"):
+        pooled_view(np.zeros((6, 4, 2)), np.zeros(shape, dtype=np.int64))
 
 
 @pytest.mark.parametrize("shape", [(7, 33, 1), (3, 100, 1), (1, 200, 1), (4, 9, 2), (3, 5, 16),
@@ -288,34 +255,34 @@ def test_pair_mode_config_names():
 
 
 def test_img_img_single_distinct_frames():
-    anchor, guidance = draw_pairs(8, 4, PairMode.IMG_IMG, 4, substreams(np.arange(200), "ii"))
-    assert anchor.frames.shape == guidance.frames.shape == (200, 1)
-    assert (anchor.frames != guidance.frames).all()
+    anchor, guidance = draw_pairs(8, PairMode.IMG_IMG, 4, substreams(np.arange(200), "ii"))
+    assert anchor.shape == guidance.shape == (200, 1)
+    assert (anchor != guidance).all()
     for view in (anchor, guidance):
         assert pooled_view(_ramp(8, batch=200), view).shape == (200, 4)
 
 
 def test_img_seq_shapes():
-    anchor, guidance = draw_pairs(8, 4, PairMode.IMG_SEQ, 4, substreams(0, "is"))
-    assert anchor.frames.shape == (1, 4)
-    assert guidance.frames.shape == (1, 1)
+    anchor, guidance = draw_pairs(8, PairMode.IMG_SEQ, 4, substreams(0, "is"))
+    assert anchor.shape == (1, 4)
+    assert guidance.shape == (1, 1)
     for view in (anchor, guidance):
         assert pooled_view(_ramp(8), view).shape == (1, 4)
 
 
 def test_seq_seq_overlap_draws_from_full_window():
-    anchor, guidance = draw_pairs(8, 4, PairMode.SEQ_SEQ_OVERLAP, 2, substreams(0, "so"))
+    views = draw_pairs(8, PairMode.SEQ_SEQ_OVERLAP, 2, substreams(0, "so"))
     bounds = segment_bounds(8, 2)
-    for view in (anchor, guidance):
-        for i, (lo, hi) in zip(view.frames[0], bounds):
+    for view in views:
+        for i, (lo, hi) in zip(view[0], bounds):
             assert lo <= i < hi
 
 
 def test_seq_seq_disjoint_halves():
-    anchor, guidance = draw_pairs(8, 4, PairMode.SEQ_SEQ_DISJOINT, 2,
+    anchor, guidance = draw_pairs(8, PairMode.SEQ_SEQ_DISJOINT, 2,
                                   substreams(np.arange(200), "sd"))
-    assert (anchor.frames < 4).all()
-    assert (guidance.frames >= 4).all()
+    assert (anchor < 4).all()
+    assert (guidance >= 4).all()
 
 
 def test_pairs_deterministic_given_stream():
@@ -329,9 +296,9 @@ def test_pairs_deterministic_given_stream():
 def test_draw_pairs_rejects_bad_inputs():
     stream = substreams(0, "bad")
     with pytest.raises(ValueError):
-        draw_pairs(1, 4, PairMode.IMG_IMG, 1, stream)
+        draw_pairs(1, PairMode.IMG_IMG, 1, stream)
     for mode in (PairMode.IMG_SEQ, PairMode.SEQ_SEQ_OVERLAP):
         with pytest.raises(ValueError):
-            draw_pairs(3, 4, mode, 4, stream)
+            draw_pairs(3, mode, 4, stream)
     with pytest.raises(ValueError):
-        draw_pairs(7, 4, PairMode.SEQ_SEQ_DISJOINT, 4, stream)
+        draw_pairs(7, PairMode.SEQ_SEQ_DISJOINT, 4, stream)

@@ -17,7 +17,8 @@ from dtg.losses import (ContrastiveOutcome, FusionLevel, WeightScheme, contrasti
 from dtg.model import (StudentEncoder, build_bank, build_head, build_student,
                        forward_batch, load_student, save_student)
 from dtg.numerics import FieldError, finite_diff_check
-from dtg.sampling import PairMode, draw_pairs, pooled_view
+from dtg.presets import reference_bank, reference_corpus, reference_train_config
+from dtg.sampling import PairMode, draw_pairs
 from dtg.seeding import substreams
 from dtg.trainer import (NumericAbortError, ParamLayout, TrainConfig, lr_at, pretrain,
                          report_to_dict, sgd_step, train_joint, write_report)
@@ -188,6 +189,19 @@ def test_disjoint_pairs_need_segments_within_half_a_video():
     with pytest.raises(ValueError, match="seq-seq-disjoint"):
         train_joint(cfg, corpus, _bank(corpus))
     pretrain(dataclasses.replace(cfg, segments=4), corpus, _bank(corpus))
+
+
+def test_img_img_is_not_held_to_segments():
+    # img-img draws one frame per view and never reads segments: a 3-frame
+    # corpus trains under the default 4 segments, the bits of segments 1
+    corpus = reference_corpus(0, frames_per_video=3)
+    bank = reference_bank(corpus)
+    cfg = reference_train_config(0, epochs=2, milestones=(), pair_mode=PairMode.IMG_IMG)
+    assert cfg.segments == TrainConfig().segments > corpus.spec.frames_per_video
+    enc, report = pretrain(cfg, corpus, bank)
+    one_enc, one_report = pretrain(dataclasses.replace(cfg, segments=1), corpus, bank)
+    assert _flat(enc, None) == _flat(one_enc, None)
+    assert report_to_dict(report) == report_to_dict(one_report)
 
 
 def test_teacher_dimension_must_match_student():
@@ -461,26 +475,26 @@ def test_train_joint_never_builds_the_probabilities(monkeypatch):
 
 # --- recorded runs ---
 
-# sha256 of short runs on 20 videos with mask 0.25, taken as
-# scripts/artifact_digests.py takes its lines: every pair mode with 1 teacher,
-# 4 teachers under online1 with batch 7 (batches straddle the window of K = 8
-# negatives), joint training, and a 5-epoch run whose pairs are drawn in
-# chunks of 2, 2 and 1 epochs.  A changed pair, step or loss changes them.
+# sha256 of short runs on 20 videos, taken as scripts/artifact_digests.py
+# takes its lines: every pair mode with 1 teacher, 4 teachers under online1
+# with batch 7 (batches straddle the window of K = 8 negatives), joint
+# training, and a 5-epoch run whose pairs are drawn in chunks of 2, 2 and 1
+# epochs.  A changed pair, step or loss changes them.
 RECORDED_DIGESTS = {
     "1t-img-img":
-        "d4bee25b62775c6979b86580f99d3fcec2787ff185c51ce2a72e05247ad45119",
+        "ec7aef9dbb0cfc4721ab67434812d7ec6ca9be71716a82b8cd72d54e417c6f97",
     "1t-img-seq":
-        "c2a2cfee8d078f1f7e66af435bd3d8ded93cbb0a564893f7331111bb315e6468",
+        "eebd2803eff0da23406362649d9d2aef5bdb6503e31bb686b815ac3d46d38946",
     "1t-seq-seq-overlap":
-        "b04fe1771efe23b18377b560a0ae5c3cda96b8304089d91429d0697ca70439e3",
+        "193f19e8c3f7f8ded0126a0a702a3e5c12c0dac52e893bc07139facb2fb160ee",
     "1t-seq-seq-disjoint":
-        "467a6e7de403107c9dea7c0777b2e483693e9184d47d30a953a9c7c02b83e1e1",
+        "2c88ea7b8718626cd66924d097b0a970f02f07522c6d3a7329d23b9741fd9d12",
     "4t-online1-b7":
-        "cc279a9269b27193c50a929d9d306cd504f8420b055b635a2415ba68cd76a039",
+        "38e71d6b7a4516cfe7a4782c9648bf8cd3f0c82339c61f0b5dfaae99895c1750",
     "joint":
-        "02d0098d201411bd35ee716539142b8390e21562495412728c3cacebc240c8da",
+        "6b36c0610f532a9bda7b6b5b537baafdbd089d3edd47c5a7717387b071923e81",
     "chunked-5-epochs":
-        "62384db0dcc29df4001a37f6a1aa38ab1989da2808b851ceb144e5db317a6aba",
+        "19dc4e07480857b692df9ce749ab9c6819b9efb611b603145d7324439c2ffa57",
 }
 
 
@@ -495,7 +509,7 @@ def _run_digest(enc, head, report) -> str:
 
 def _recorded_case(case: str) -> str:
     corpus = _corpus(videos_per_class=10)
-    kw = dict(epochs=3, K=8, milestones=(2,), mask_frac=0.25)
+    kw = dict(epochs=3, K=8, milestones=(2,))
     bank = _bank(corpus)
     if case == "joint":
         (enc, head), report = train_joint(_config(**kw), corpus, bank)
@@ -534,7 +548,7 @@ def test_train_state_is_all_that_carries_between_epochs(joint, split, deep):
     # NaN), or from a deep copy, trains the bits of the unbroken run; the
     # first state is poisoned, so the rest cannot read it
     corpus = _corpus(videos_per_class=10)
-    kw = dict(epochs=4, K=8, milestones=(2,), mask_frac=0.25)
+    kw = dict(epochs=4, K=8, milestones=(2,))
     if joint:
         bank, head = _bank(corpus), build_head(6, corpus.spec.num_classes, 0)
         cfg = _config(**kw)
@@ -545,7 +559,7 @@ def test_train_state_is_all_that_carries_between_epochs(joint, split, deep):
         enc, report = pretrain(cfg, corpus, bank)
         want_head = None
     state = trainer.start_state(cfg, corpus, bank, build_student(8, 8, 6, 0), head)
-    draws = list(trainer._pair_draws(cfg, *corpus.frames().shape[1:], corpus.ids()))
+    draws = list(trainer._pair_draws(cfg, corpus.spec.frames_per_video, corpus.ids()))
     records = [trainer.run_epoch(cfg, corpus, bank, state, d) for d in draws[:split]]
     if deep:
         rest = copy.deepcopy(state)
@@ -639,37 +653,28 @@ def _count_substreams(monkeypatch):
 def test_chunked_draws_equal_per_epoch_draw_pairs(monkeypatch, ids, epochs_per_chunk,
                                                   budget):
     """Epoch e's draws are draw_pairs' with the epoch's own substreams,
-    index for index and mask for mask, however the run is chunked; ids of
-    two 32-bit words and gaps between ids change nothing."""
+    index for index, however the run is chunked; ids of two 32-bit words and
+    gaps between ids change nothing."""
     ids = WIDE_IDS if ids == "wide" else _split_half_ids()
-    V, L, D, epochs = len(ids), 8, 8, 5
-    # distinct frames, so two different picks pool to different views
-    frames = np.random.default_rng(5).standard_normal((V, L, D))
+    V, L, epochs = len(ids), 8, 5
     monkeypatch.setattr(trainer, "_PAIR_ROWS", budget(V))
     calls = _count_substreams(monkeypatch)
     chunks = range(0, epochs, epochs_per_chunk)
     for mode in PairMode:
-        for mask_frac in (0.0, 0.3):
-            cfg = _config(epochs=epochs, pair_mode=mode, mask_frac=mask_frac, segments=3,
-                          seed=2 ** 40 + 9)
-            calls.clear()
-            draws = list(trainer._pair_draws(cfg, L, D, ids))
-            assert calls == [V * min(epochs_per_chunk, epochs - e) for e in chunks]
-            assert len(draws) == epochs
-            for epoch, views in enumerate(draws):
-                want = draw_pairs(L, D, mode, 3, substreams(cfg.seed, "pair", ids, epoch),
-                                  mask_frac)
-                for got, exp in zip(views, want):
-                    assert np.array_equal(got.frames, exp.frames), (mode, mask_frac, epoch)
-                    assert (got.mask is None) == (exp.mask is None) == (mask_frac == 0)
-                    assert got.mask is None or np.array_equal(got.mask, exp.mask)
-                for got, exp in zip(views, want):
-                    assert np.array_equal(pooled_view(frames, got), pooled_view(frames, exp))
+        cfg = _config(epochs=epochs, pair_mode=mode, segments=3, seed=2 ** 40 + 9)
+        calls.clear()
+        draws = list(trainer._pair_draws(cfg, L, ids))
+        assert calls == [V * min(epochs_per_chunk, epochs - e) for e in chunks]
+        assert len(draws) == epochs
+        for epoch, views in enumerate(draws):
+            want = draw_pairs(L, mode, 3, substreams(cfg.seed, "pair", ids, epoch))
+            for got, exp in zip(views, want):
+                assert np.array_equal(got, exp), (mode, epoch)
 
 
 def test_no_epochs_draw_no_pairs(monkeypatch):
     calls = _count_substreams(monkeypatch)
-    assert list(trainer._pair_draws(_config(epochs=0), 8, 8, np.arange(10))) == []
+    assert list(trainer._pair_draws(_config(epochs=0), 8, np.arange(10))) == []
     assert calls == []
 
 
@@ -677,8 +682,8 @@ def test_a_chunk_of_draws_stays_within_a_few_mb():
     # 60 epochs of 2,000 videos would be 120,000 rows; a chunk holds 8 epochs
     # of them, and its transient memory does not grow with the epoch count
     def peak(epochs):
-        cfg = TrainConfig(epochs=epochs, milestones=(), mask_frac=0.25)
-        draws = trainer._pair_draws(cfg, 16, 16, np.arange(2000))
+        cfg = TrainConfig(epochs=epochs, milestones=())
+        draws = trainer._pair_draws(cfg, 16, np.arange(2000))
         tracemalloc.start()
         try:
             next(draws)
