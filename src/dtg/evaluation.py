@@ -188,8 +188,9 @@ def knn_top1(features: np.ndarray, labels: np.ndarray, k: int) -> float:
     A block falls back to its full rows, ``_KNN_SELECT_ROWS`` at a time, when
     the table would be wider than a strip: k above about N / 64, or heavy
     ties (collapsed features, where every similarity ties, are the worst
-    case).  The same rule then picks the neighbours, and ``_votes`` counts
-    them: the votes are exact integer counts on either path.  Nothing but
+    case).  The same rule then picks the neighbours as a mask on the rows,
+    and ``_mask_votes`` counts them class by class, without listing their
+    columns: the votes are exact integer counts on either path.  Nothing but
     the block products rounds, so the neighbours, ties included, and the
     value keep their bits for a given ``_KNN_ROWS``.  Labels are compacted to the present classes first, so
     sparse ids cost nothing."""
@@ -198,6 +199,9 @@ def knn_top1(features: np.ndarray, labels: np.ndarray, k: int) -> float:
     # compact ids: votes land only on present classes, in the same order
     classes, y = np.unique(_class_labels(labels, m), return_inverse=True)
     n_cls = classes.size
+    # the columns class by class, and where each class begins among them
+    by_class = np.argsort(y, kind="stable")
+    starts = np.searchsorted(y[by_class], np.arange(n_cls))
     if not 1 <= k < m:
         raise ValueError(f"k must satisfy 1 <= k < {m}, got {k}")
     u = _pow2_scaled(x)
@@ -217,7 +221,7 @@ def knn_top1(features: np.ndarray, labels: np.ndarray, k: int) -> float:
             votes = _votes(cols, y, k, n_cls)
         else:  # large k or heavy ties: the full rows, a few at a time
             votes = np.concatenate([
-                _votes(np.flatnonzero(_first_k(sims[i:i + _KNN_SELECT_ROWS], k)) % m, y, k, n_cls)
+                _mask_votes(_first_k(sims[i:i + _KNN_SELECT_ROWS], k), by_class, starts)
                 for i in range(0, rb, _KNN_SELECT_ROWS)])
         # argmax breaks vote ties low
         correct += int(np.count_nonzero(votes.argmax(axis=1) == y[r0:r0 + rb]))
@@ -230,6 +234,15 @@ def _votes(cols: np.ndarray, y: np.ndarray, k: int, n_cls: int) -> np.ndarray:
     rows = len(cols) // k
     return np.bincount(np.repeat(np.arange(rows) * n_cls, k) + y[cols],
                        minlength=rows * n_cls).reshape(rows, n_cls)
+
+
+def _mask_votes(keep: np.ndarray, by_class: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """(rows, n_cls) counts of the True columns of each row of the mask
+    ``keep`` per class: its columns taken class by class (``by_class``),
+    one (rows,) byte row per column, and each class's run added up from its
+    start (``starts``, strictly increasing: every class is present)."""
+    per_column = np.take(keep.T, by_class, axis=0).view(np.uint8)
+    return np.add.reduceat(per_column, starts, axis=0, dtype=np.intp).T
 
 
 def _strip_neighbours(sims: np.ndarray, k: int) -> np.ndarray | None:

@@ -23,6 +23,17 @@ per-row coefficients, whose queue terms are one stacked product too.  The
 probabilities exp(logits - m) / total are built only when
 ``ContrastiveOutcome.probs`` is read, which training never does.  The same
 inputs in the same order give the same bits in any memory layout.
+
+A caller that scores many batches can hand ``contrastive_batch`` a
+workspace, ``work``: a C-ordered float64 array of the logits' shape, which
+then holds the logits in place of a new array.  ``shifted_exp`` (and
+``probs``, derived from it) then lives in ``work``, and the next call that
+takes the same workspace overwrites it; ``loss``, ``grad_anchor``,
+``weights``, ``pos_sims``, ``teacher_losses`` and ``total`` are always new
+arrays.  Under loss fusion the negatives are read where they lie, not
+copied, when each teacher's (K, d) block is C-ordered float64, as a window
+on a FIFO queue of rows is; any other layout is copied first.  Either way
+the bits are the same.
 """
 
 from __future__ import annotations
@@ -116,7 +127,8 @@ class ContrastiveOutcome:
     shifted_exp: np.ndarray               # exp(logits - m) per scored positive, column 0
                                           # the positive, then its queue:
                                           # (B, N, 1 + K) loss fusion,
-                                          # (B, 1, 1 + N*K) feature fusion
+                                          # (B, 1, 1 + N*K) feature fusion;
+                                          # the caller's ``work`` when given
     total: np.ndarray                     # the row sums of shifted_exp, last axis kept
 
     @cached_property
@@ -129,7 +141,8 @@ class ContrastiveOutcome:
 def contrastive_batch(anchors: np.ndarray, positives: np.ndarray, negatives: np.ndarray,
                       tau: float, scheme: WeightScheme,
                       fusion: FusionLevel = FusionLevel.LOSS,
-                      accuracies=None) -> ContrastiveOutcome:
+                      accuracies=None, *, work: np.ndarray | None = None
+                      ) -> ContrastiveOutcome:
     """Multi-teacher contrastive loss of every anchor in a batch and the exact
     gradient of each anchor's loss with respect to that anchor.
 
@@ -149,22 +162,44 @@ def contrastive_batch(anchors: np.ndarray, positives: np.ndarray, negatives: np.
 
     The same inputs in the same order give the same bits in any memory
     layout.  Reordering the negatives may change the last bit of the loss.
+
+    ``work``, if given, is a workspace for the (B, M, 1 + Q) logits (M, Q =
+    N, K under loss fusion; 1, N*K under feature fusion): a C-ordered,
+    writeable float64 array of exactly that shape that overlaps no input.
+    The logits are written there, and the outcome's ``shifted_exp`` is
+    ``work`` itself, valid until the next call that writes it; the other
+    fields are new arrays.  A ``work`` of another shape, dtype or order
+    raises ValueError before anything is written.
     """
     if not 0 < tau < np.inf:
         raise ValueError(f"temperature must be positive and finite, got {tau}")
     inv_tau = 1.0 / float(tau)
     if inv_tau == np.inf:
         raise ValueError(f"temperature must have a finite reciprocal, got {tau}")
-    # C-ordered operands: the einsums and matmuls round by their strides
+    loss_fusion = fusion is FusionLevel.LOSS
+    # C-ordered operands: the einsums and matmuls round by their strides.
+    # The negatives' matmuls take one teacher's (K, d) block at a time, so
+    # under loss fusion C-ordered blocks are enough
     a = np.ascontiguousarray(anchors, dtype=np.float64)
     pos = np.ascontiguousarray(positives, dtype=np.float64)
-    neg = np.ascontiguousarray(negatives, dtype=np.float64)
+    neg = negatives
+    if not (loss_fusion and _c_ordered_blocks(neg)):
+        neg = np.ascontiguousarray(neg, dtype=np.float64)
     if neg.ndim != 3:
         raise ValueError(f"negatives must be (N, K, d), got shape {neg.shape}")
     n_teachers, k, dim = neg.shape
     if a.ndim != 2 or a.shape[1] != dim or pos.shape != (n_teachers, len(a), dim):
         raise ValueError("positives, negatives and anchors disagree on shape")
     b = len(a)
+    shape = logits_shape(b, n_teachers, k, fusion)
+    if work is None:
+        logits = np.empty(shape)
+    elif (not isinstance(work, np.ndarray) or work.shape != shape or work.dtype != np.float64
+          or not (work.flags.c_contiguous and work.flags.writeable)):
+        raise ValueError(f"work must be a writeable C-ordered float64 array of shape {shape}, "
+                         f"got {_describe(work)}")
+    else:
+        logits = work
 
     # Score each anchor against M positives, each with its own queue of Q
     # rows, and mix the M losses: the N teachers (Q = K) under loss fusion,
@@ -172,10 +207,8 @@ def contrastive_batch(anchors: np.ndarray, positives: np.ndarray, negatives: np.
     # fusion.  Column 0 of each logit row is the scored positive; one stacked
     # product writes each teacher's similarities, scaled through the anchors,
     # straight into their columns, by the BLAS call its queue alone would take.
-    loss_fusion = fusion is FusionLevel.LOSS
     queue = neg if loss_fusion else neg.reshape(1, -1, dim)   # (M, Q, d)
     a_tau = a * inv_tau
-    logits = np.empty((b, len(queue), 1 + queue.shape[1]))
     neg_logits = logits[..., 1:].reshape(b, n_teachers, k)   # a view in both layouts
     np.matmul(a_tau, neg.transpose(0, 2, 1), out=neg_logits.transpose(1, 0, 2))
     pos_sims = np.einsum("nbd,bd->bn", pos, a)
@@ -225,6 +258,31 @@ def contrastive_batch(anchors: np.ndarray, positives: np.ndarray, negatives: np.
         grad = grad + np.einsum("bn,nbd->bd", weights * c, pos)
     teacher_losses = losses if loss_fusion else None
     return ContrastiveOutcome(loss, grad, weights, pos_sims, teacher_losses, shifted_exp, total)
+
+
+def logits_shape(b: int, n_teachers: int, k: int, fusion: FusionLevel) -> tuple[int, int, int]:
+    """The (B, M, 1 + Q) shape of ``contrastive_batch``'s logits for B
+    anchors, N teachers and K negatives per teacher: M, Q = N, K under loss
+    fusion and 1, N*K under feature fusion."""
+    if fusion is FusionLevel.LOSS:
+        return b, n_teachers, 1 + k
+    return b, 1, 1 + n_teachers * k
+
+
+def _c_ordered_blocks(x) -> bool:
+    """Whether ``x`` is an (N, K, d) float64 array whose (K, d) blocks are
+    each C-ordered, whatever the stride between blocks."""
+    return (isinstance(x, np.ndarray) and x.dtype == np.float64 and x.ndim == 3
+            and x.flags.aligned and x.strides[1:] == (x.shape[2] * x.itemsize, x.itemsize))
+
+
+def _describe(x) -> str:
+    """What a rejected workspace is, for its error message."""
+    if not isinstance(x, np.ndarray):
+        return type(x).__name__
+    order = "C-ordered" if x.flags.c_contiguous else "not C-ordered"
+    writeable = "" if x.flags.writeable else "read-only "
+    return f"a {writeable}{order} {x.dtype} array of shape {x.shape}"
 
 
 def cross_entropy_batch(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:

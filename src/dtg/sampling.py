@@ -89,11 +89,15 @@ def pooled_view(frames: np.ndarray, view: np.ndarray) -> np.ndarray:
     pools alone, so a batch pools as its rows would one at a time; a view of
     frames 0..L-1 in every row pools whole videos.  ``frames`` is not
     written.  ValueError unless ``view`` is 2-D with V rows and at least one
-    column."""
+    column, and every index lies in [0, L): the frames are taken from one
+    flat stack, where an index out of range would pool another video's."""
     num_videos, length, dim = frames.shape
     if view.ndim != 2 or view.shape[0] != num_videos or view.shape[1] < 1:
         raise ValueError(f"a view of {num_videos} videos is a ({num_videos}, T) array of "
                          f"frame indices with T >= 1, got shape {view.shape}")
+    if view.size and not (0 <= view.min() and view.max() < length):
+        raise ValueError(f"frame indices must lie in [0, {length}), got "
+                         f"[{view.min()}, {view.max()}]")
     flat = frames.reshape(num_videos * length, dim)   # frame f of video v is row v * L + f
     starts = np.arange(0, num_videos * length, length)
     segments = view.shape[1]

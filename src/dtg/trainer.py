@@ -17,10 +17,12 @@ A step's negatives are the last K guidance rows fed before it, oldest first
 K rows and whose other V columns take this epoch's rows in visiting order.
 The batch at offset b0 takes columns [K + b0, K + b0 + B) as positives and
 [b0, b0 + K) as negatives, a slice, not a gather.  Until K rows have been fed
-(b0 < K in the first epoch) the loss and the update are skipped.  Per-sample
-randomness is keyed by (seed, video_id, epoch), so a video's pair depends
-neither on its batch nor on the model, and ``_pair_draws`` draws the pairs of
-a chunk of whole epochs in one call.
+(b0 < K in the first epoch) the loss and the update are skipped.  Every
+step's loss writes its logits into one workspace that ``run_epoch`` makes
+per epoch, and under loss fusion reads its negatives window in place.
+Per-sample randomness is keyed by (seed, video_id, epoch), so a video's pair
+depends neither on its batch nor on the model, and ``_pair_draws`` draws the
+pairs of a chunk of whole epochs in one call.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .losses import (
     WeightScheme,
     contrastive_batch,
     cross_entropy_batch,
+    logits_shape,
 )
 from .model import (
     ClassifierHead,
@@ -321,6 +324,10 @@ def run_epoch(config: TrainConfig, corpus: Corpus, bank: TeacherBank, state: Tra
     visited_anchors = np.take(pooled_view(frames_all, anchor_view), order, axis=0)
     ct_sum, count, weights = 0.0, 0, []
     ce_sum = 0.0 if head is not None else None
+    # every step's logits go into the first rows of one workspace; a step
+    # reads only the fresh fields of its outcome, not shifted_exp
+    work = np.empty(logits_shape(min(config.batch_size, V), len(stream), K,
+                                 config.fusion_level))
     for b0 in range(0, V, config.batch_size):
         if epoch == 0 and b0 < K:
             continue  # cold start: until K rows have been fed there is no loss and no update
@@ -329,7 +336,7 @@ def run_epoch(config: TrainConfig, corpus: Corpus, bank: TeacherBank, state: Tra
         feats, cache = forward_batch(enc, batch_anchors)
         out = contrastive_batch(feats, stream[:, K + b0:K + b0 + n], stream[:, b0:b0 + K],
                                 config.tau, config.weight_scheme, config.fusion_level,
-                                accuracies=config.offline_accuracies)
+                                accuracies=config.offline_accuracies, work=work[:n])
         # the sum and the division np.mean would compute
         loss_sum = float(np.add.reduce(out.loss))
         ct_loss = loss_sum / n

@@ -80,9 +80,10 @@ def unit_rows(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
 def record_windows(monkeypatch) -> dict[str, list]:
     """Patch ``dtg.trainer`` so each later run logs its epoch orders
     ("orders"), every teacher's guidance per epoch, teacher-minor
-    ("guidance"), and a copy of each loss call's (positives, negatives)
-    ("calls").  Clear the lists between runs."""
-    log = {"orders": [], "guidance": [], "calls": []}
+    ("guidance"), a copy of each loss call's (positives, negatives)
+    ("calls"), and each loss call's epoch with the ``work`` it was handed,
+    not a copy ("works").  Clear the lists between runs."""
+    log = {"orders": [], "guidance": [], "calls": [], "works": []}
 
     class _Recorded:
         def __init__(self, gen):
@@ -100,6 +101,7 @@ def record_windows(monkeypatch) -> dict[str, list]:
     def batch(anchors, positives, negatives, *args, **kw):
         # copies: the trainer's views are overwritten by later epochs
         log["calls"].append((np.array(positives), np.array(negatives)))
+        log["works"].append((len(log["orders"]) - 1, kw.get("work")))
         return contrastive_batch(anchors, positives, negatives, *args, **kw)
 
     monkeypatch.setattr(trainer, "substream", lambda *key: _Recorded(substream(*key)))

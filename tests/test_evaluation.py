@@ -419,6 +419,21 @@ def test_knn_block_with_one_collapsed_tie_row_matches_stable_argsort_reference(k
     assert knn_tables == [True, False, True]
 
 
+def test_knn_full_rows_count_votes_as_the_stable_argsort_reference(knn_tables):
+    # the full rows count their votes class by class over the mask of their
+    # neighbours, on distinct and on all-tied similarities, with a few
+    # classes and with many
+    rng = np.random.default_rng(26)
+    m = 2 * evaluation._KNN_ROWS + 37
+    for feats in (_sign_rows(rng, m, dim=1024), np.ones((m, 16))):
+        for n_cls in (3, 41):
+            labels = rng.integers(0, n_cls, m)
+            for k in (9, 40, m // 2, m - 1):
+                knn_tables.clear()
+                assert knn_top1(feats, labels, k) == _knn_top1_stable_argsort(feats, labels, k)
+                assert knn_tables and not any(knn_tables)
+
+
 @pytest.mark.parametrize("offset", [-1, 1])
 def test_knn_around_one_block_matches_stable_argsort_reference(offset, knn_tables):
     # a strip is 31 or 32 columns wide, so only k <= 3 can take the table,

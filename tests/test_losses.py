@@ -366,22 +366,61 @@ def test_batch_outputs_ignore_the_positives_memory_layout(scheme, fusion):
 def test_batch_outputs_ignore_every_inputs_memory_layout(scheme, fusion):
     # the trainer's shape, with positives and negatives as windows on one
     # stream and strided anchors; each input in turn is replaced by a
-    # contiguous and by a Fortran-ordered copy of the same values
+    # contiguous and by a Fortran-ordered copy of the same values.  Each
+    # call runs with and without the trainer's workspace, at a full batch
+    # (all of it) and a partial one (its first rows)
     rng = np.random.default_rng(18)
     b, n, k, d = 64, 4, 256, 16
     acc = (0.4, 0.3, 0.2, 0.1)
     stream = unit_rows(rng, n * (k + 2 * b), d).reshape(n, k + 2 * b, d)
     spaced = unit_rows(rng, 2 * b, d)
-    for offset in (0, b // 2, b):
-        views = (spaced[::2], stream[:, k + offset:k + offset + b], stream[:, offset:offset + k])
+    m, q = (n, k) if fusion is FusionLevel.LOSS else (1, n * k)
+    work = np.full((b, m, 1 + q), np.nan)
+    for offset, rows in [(0, b), (b // 2, b), (b, b), (b // 2, b // 2 + 1)]:
+        views = (spaced[:2 * rows:2], stream[:, k + offset:k + offset + rows],
+                 stream[:, offset:offset + k])
         base = contrastive_batch(*views, 0.07, scheme, fusion, accuracies=acc)
+        base.probs  # cached, so vars(base) holds it too
         for i in range(3):
             for layout in (np.ascontiguousarray, np.asfortranarray):
                 args = list(views)
                 args[i] = layout(args[i])
-                out = contrastive_batch(*args, 0.07, scheme, fusion, accuracies=acc)
-                for name, value in vars(base).items():
-                    assert np.array_equal(value, getattr(out, name)), (offset, i, layout, name)
+                for kw in ({}, {"work": work[:rows]}):
+                    out = contrastive_batch(*args, 0.07, scheme, fusion, accuracies=acc, **kw)
+                    if kw:
+                        assert out.shifted_exp is kw["work"]
+                    for name, value in vars(base).items():
+                        assert np.array_equal(value, getattr(out, name)), (offset, rows, i,
+                                                                            layout, kw, name)
+
+
+@pytest.mark.parametrize("fusion", list(FusionLevel))
+def test_batch_rejects_a_workspace_of_another_shape_dtype_or_order(fusion):
+    # each bad workspace raises before the loss writes anything into it
+    rng = np.random.default_rng(19)
+    b, n, k, d = 5, 3, 7, 4
+    inputs = _batch_instance(rng, b, n, k, d)
+    m, q = (n, k) if fusion is FusionLevel.LOSS else (1, n * k)
+    shape = (b, m, 1 + q)
+    read_only = np.full(shape, 7.0)
+    read_only.setflags(write=False)
+    bad = {
+        "more rows": np.full((b + 1, m, 1 + q), 7.0),
+        "fewer rows": np.full((b - 1, m, 1 + q), 7.0),
+        "fewer columns": np.full((b, m, q), 7.0),
+        "other fusion": np.full((b, n, 1 + k) if m == 1 else (b, 1, 1 + n * k), 7.0),
+        "flat": np.full(b * m * (1 + q), 7.0),
+        "float32": np.full(shape, 7.0, dtype=np.float32),
+        "Fortran order": np.asfortranarray(np.full(shape, 7.0)),
+        "strided": np.full((b, m, 2 * (1 + q)), 7.0)[..., ::2],
+        "read-only": read_only,
+        "list": np.full(shape, 7.0).tolist(),
+    }
+    for name, work in bad.items():
+        before = np.array(work)
+        with pytest.raises(ValueError, match=rf"^work must be .* of shape \({b}, {m}, {1 + q}\)"):
+            contrastive_batch(*inputs, 0.07, UNIFORM, fusion, work=work)
+        assert np.array_equal(np.array(work), before), name
 
 
 @pytest.mark.parametrize("scheme", list(WeightScheme))

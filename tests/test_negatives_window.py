@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from dtg import trainer
 from dtg.corpus import CorpusSpec, generate_corpus
-from dtg.losses import WeightScheme, contrastive_batch
+from dtg.losses import FusionLevel, WeightScheme, contrastive_batch
 from dtg.model import TeacherBank, build_bank
 from dtg.numerics import DegenerateInputError, FieldError
 from dtg.trainer import TrainConfig, pretrain
@@ -21,7 +21,7 @@ from conftest import check_against_list_model, list_model, record_windows, unit_
 
 
 def _pretrain(log, videos, batch, k, epochs=2, teachers=1, embed_dim=2, seed=0,
-              bias=None):
+              bias=None, fusion=FusionLevel.LOSS):
     corpus = generate_corpus(CorpusSpec(1, videos, 4, 3, 2, seed=videos))
     bank = build_bank(corpus, (0.9, 0.6, 0.3, 0.1)[:teachers], embed_dim, seeds=(7,) * teachers)
     if bias is not None:
@@ -29,7 +29,7 @@ def _pretrain(log, videos, batch, k, epochs=2, teachers=1, embed_dim=2, seed=0,
     for entries in log.values():
         entries.clear()
     return pretrain(TrainConfig(epochs=epochs, batch_size=batch, K=k, d=2, h=3, segments=2,
-                                milestones=(), seed=seed), corpus, bank)
+                                milestones=(), seed=seed, fusion_level=fusion), corpus, bank)
 
 
 def test_fifo_eviction_order(monkeypatch):
@@ -102,6 +102,24 @@ def test_snapshot_immutable_under_later_enqueues(monkeypatch):
     monkeypatch.setattr(trainer, "contrastive_batch", guarded)
     _pretrain(log, videos=11, batch=3, k=4, epochs=3, teachers=2)
     assert check_against_list_model(log, 3, 4) == 3 * 4 - 2
+
+
+@pytest.mark.parametrize("fusion", list(FusionLevel))
+def test_each_epoch_scores_its_steps_in_one_workspace(monkeypatch, fusion):
+    """Every loss call of an epoch writes its logits into one buffer, the
+    epoch's last, short batch too: the first rows of a (B, M, 1 + Q)
+    array, M and Q being N and K under loss fusion, 1 and N*K under
+    feature fusion."""
+    log = record_windows(monkeypatch)
+    _pretrain(log, videos=11, batch=3, k=4, epochs=3, teachers=2, fusion=fusion)
+    m, q = (2, 4) if fusion is FusionLevel.LOSS else (1, 8)
+    assert [e for e, _ in log["works"]] == [0] * 2 + [1] * 4 + [2] * 4
+    assert [len(w) for _, w in log["works"]] == [3, 2] + [3, 3, 3, 2] * 2
+    for epoch in range(3):
+        works = [w for e, w in log["works"] if e == epoch]
+        for work in works:
+            assert work.shape[1:] == (m, 1 + q)
+            assert np.shares_memory(work, works[0]), epoch
 
 
 def test_dimension_mismatch_rejected(monkeypatch):

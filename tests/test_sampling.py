@@ -219,6 +219,16 @@ def test_pooled_view_takes_one_row_of_frame_indices_per_video(shape):
         pooled_view(np.zeros((6, 4, 2)), np.zeros(shape, dtype=np.int64))
 
 
+@pytest.mark.parametrize("index", [4, -1], ids=["past-the-end", "negative"])
+def test_pooled_view_rejects_a_frame_index_outside_the_video(index):
+    # from the flat stack, index 4 in row 0 would be x[1, 0] and -1 would be x[5, 3]
+    frames = np.arange(6 * 4 * 2, dtype=np.float64).reshape(6, 4, 2)
+    view = np.zeros((6, 2), dtype=np.int64)
+    view[0, 1] = index
+    with pytest.raises(ValueError, match=rf"\[0, 4\), got \[{min(index, 0)}, {max(index, 0)}\]"):
+        pooled_view(frames, view)
+
+
 @pytest.mark.parametrize("shape", [(7, 33, 1), (3, 100, 1), (1, 200, 1), (4, 9, 2), (3, 5, 16),
                                    (6, 1, 4), (6, 1, 3)])
 def test_whole_videos_add_the_frames_in_order_then_divide(shape):
