@@ -7,11 +7,11 @@ Subcommands:
     probe        evaluate a checkpoint: linear probe, kNN, overlap, 2D map
     report       aggregate several run directories into mean/std rows
 
-Exit codes: 0 success, 2 bad or missing config, 3 I/O or file-format
-failure, 4 numeric abort.  Every artifact embeds the resolved config and
-seed.  A command creates its output directory only once its inputs have
-loaded and its training or evaluation has finished, so a run that fails
-before then leaves no directory behind.
+Exit codes: 0 success, 2 bad or missing config or one too large to
+allocate, 3 I/O or file-format failure, 4 numeric abort.  Every artifact
+embeds the resolved config and seed.  A command creates its output
+directory only once its inputs have loaded and its training or evaluation
+has finished, so a run that fails before then leaves no directory behind.
 
 Every file is written through ``binio.write_file``, to a temporary name
 and then moved into place, so each file is either whole or untouched.  A
@@ -276,14 +276,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        return _fail(str(exc), 2)
     except (NumericAbortError, DegenerateInputError) as exc:
         return _fail(f"numeric abort: {exc}", 4)
     except (FormatError, OSError) as exc:
         return _fail(str(exc), 3)
-    except ValueError as exc:
+    except ValueError as exc:  # a ConfigError or FieldError too
         return _fail(str(exc), 2)
+    except MemoryError as exc:  # numpy refused an array the config sized
+        return _fail(f"out of memory: {exc}", 2)
 
 
 if __name__ == "__main__":

@@ -16,10 +16,10 @@ import numpy as np
 
 from .binio import write_csv
 from .corpus import Corpus, stratified_split
-from .losses import _cross_entropy_grad
+from .losses import cross_entropy_grad
 from .model import StudentEncoder, TeacherBank, forward_batch, teacher_features
-from .numerics import (DegenerateInputError, as_matrix, check_fields, declared,
-                       is_integer_array, one_hot)
+from .numerics import (DegenerateInputError, as_matrix, check_fields, class_ids, declared,
+                       one_hot, unit_rows)
 from .sampling import PairMode, draw_pairs, pooled_view
 from .seeding import substreams
 
@@ -84,16 +84,6 @@ def teacher_view_accuracies(corpus: Corpus, bank: TeacherBank,
     return tuple(knn_top1(feats, y, _VIEW_K) for feats in guidance)
 
 
-def _class_labels(labels, rows: int) -> np.ndarray:
-    """``labels`` as class ids: one per feature row, each a non-negative integer."""
-    y = np.asarray(labels)
-    if y.shape != (rows,):
-        raise ValueError("need one label per feature row")
-    if not is_integer_array(y) or y.min() < 0:
-        raise ValueError("labels must be non-negative integers")
-    return y
-
-
 def linear_probe(features: np.ndarray, labels: np.ndarray, split_frac: float = 0.8,
                  config: ProbeConfig = ProbeConfig()) -> ProbeResult:
     """Affine classifier on frozen features: full-batch gradient descent from
@@ -106,7 +96,7 @@ def linear_probe(features: np.ndarray, labels: np.ndarray, split_frac: float = 0
     before training (``config`` checks itself when it is made); each epoch's
     gradient is then ``cross_entropy_batch``'s bit for bit."""
     x = as_matrix(features, "features")
-    y = _class_labels(labels, x.shape[0])
+    y = class_ids(labels, x.shape[0])
     top = int(y.max())
     if top >= x.shape[0]:
         raise ValueError(f"label id {top} is not below the number of feature rows "
@@ -142,7 +132,7 @@ def _fit_probe(xt: np.ndarray, yt: np.ndarray, n_cls: int, epochs: int,
                 z += b
                 if not np.isfinite(z).all():
                     raise FloatingPointError
-                _cross_entropy_grad(z, onehot, g)
+                cross_entropy_grad(z, onehot, g)
                 w -= lr * (g.T @ xt)
                 b -= lr * g.sum(axis=0)
     except FloatingPointError:
@@ -164,10 +154,12 @@ def _pow2_scaled(x: np.ndarray) -> np.ndarray:
 
 def knn_top1(features: np.ndarray, labels: np.ndarray, k: int) -> float:
     """Leave-one-out k-nearest-neighbor accuracy under cosine similarity.
-    Labels are non-negative integer class ids; vote ties resolve to the
-    smallest.  Ties at the k-th neighbour are broken on the similarities as
-    BLAS rounds them in each row block, so another block layout may pick
-    another tied neighbour; same-seed reruns stay byte-identical.
+    Labels are ``numerics.class_ids``; vote ties resolve to the smallest.
+    Rows go through ``_pow2_scaled``, then ``numerics.unit_rows``, which
+    rejects a row of norm <= ``EPS_NORM`` there, as training does.  Ties at
+    the k-th neighbour are broken on the similarities as BLAS rounds them in
+    each row block, so another block layout may pick another tied
+    neighbour; same-seed reruns stay byte-identical.
 
     The similarities come ``_KNN_ROWS`` rows at a time, one BLAS product per
     block into a buffer made once.  Each row's neighbours are the first k of
@@ -192,23 +184,19 @@ def knn_top1(features: np.ndarray, labels: np.ndarray, k: int) -> float:
     and ``_mask_votes`` counts them class by class, without listing their
     columns: the votes are exact integer counts on either path.  Nothing but
     the block products rounds, so the neighbours, ties included, and the
-    value keep their bits for a given ``_KNN_ROWS``.  Labels are compacted to the present classes first, so
-    sparse ids cost nothing."""
+    value keep their bits for a given ``_KNN_ROWS``.  Labels are compacted to
+    the present classes first, so sparse ids cost nothing."""
     x = as_matrix(features, "features")
     m = x.shape[0]
     # compact ids: votes land only on present classes, in the same order
-    classes, y = np.unique(_class_labels(labels, m), return_inverse=True)
+    classes, y = np.unique(class_ids(labels, m), return_inverse=True)
     n_cls = classes.size
     # the columns class by class, and where each class begins among them
     by_class = np.argsort(y, kind="stable")
     starts = np.searchsorted(y[by_class], np.arange(n_cls))
     if not 1 <= k < m:
         raise ValueError(f"k must satisfy 1 <= k < {m}, got {k}")
-    u = _pow2_scaled(x)
-    norms = np.linalg.norm(u, axis=1, keepdims=True)
-    if np.any(norms == 0):
-        raise DegenerateInputError("zero-norm feature row")
-    u /= norms
+    u = unit_rows(_pow2_scaled(x), "feature row")[0]
     buf = np.empty((min(_KNN_ROWS, m), m))
     correct = 0
     for r0 in range(0, m, _KNN_ROWS):
@@ -311,7 +299,7 @@ def class_overlap(features: np.ndarray, labels: np.ndarray) -> float:
     the same bits in any memory layout and on every rerun; another
     ``_OVERLAP_ROWS`` may change the last bits."""
     x = _pow2_scaled(as_matrix(features, "features"))
-    y = _class_labels(labels, x.shape[0])
+    y = class_ids(labels, x.shape[0])
     classes, counts = np.unique(y, return_counts=True)
     if classes.size < 2:
         raise ValueError("need at least 2 classes")

@@ -44,7 +44,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .numerics import as_matrix, as_vector, is_integer_array, one_hot, softmax, unit_rows
+from .numerics import as_matrix, as_vector, class_ids, one_hot, softmax, unit_rows
 
 
 class WeightScheme(Enum):
@@ -286,20 +286,19 @@ def _describe(x) -> str:
 
 
 def cross_entropy_batch(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy over a batch and the gradient of that mean."""
+    """Mean cross-entropy over a batch and the gradient of that mean; the
+    labels are ``numerics.class_ids``, each below the number of classes."""
     z = as_matrix(logits, "logits")
-    y = np.asarray(labels)
-    if y.shape != (z.shape[0],) or not is_integer_array(y):
-        raise ValueError("labels must be one integer per row of logits")
-    if np.any((y < 0) | (y >= z.shape[1])):
-        raise ValueError("label out of range")
+    y = class_ids(labels, z.shape[0])
+    if np.any(y >= z.shape[1]):
+        raise ValueError(f"label {y.max()} out of range for {z.shape[1]} classes")
     grad = np.empty_like(z)  # z's memory layout, which orders the row sums
-    lse = _cross_entropy_grad(z, one_hot(y, z.shape[1]), grad)
+    lse = cross_entropy_grad(z, one_hot(y, z.shape[1]), grad)
     loss = float((lse[:, 0] - z[np.arange(z.shape[0]), y]).mean())
     return loss, grad
 
 
-def _cross_entropy_grad(z: np.ndarray, onehot: np.ndarray, out: np.ndarray) -> np.ndarray:
+def cross_entropy_grad(z: np.ndarray, onehot: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The one softmax cross-entropy kernel: writes the gradient of the mean
     loss over the rows of the logits ``z`` (n, C), ``softmax(z) - onehot``
     over n, into ``out`` and returns the (n, 1) log-sum-exp of each row.

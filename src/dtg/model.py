@@ -55,9 +55,13 @@ def build_student(frame_dim: int, hidden_dim: int, embed_dim: int, seed: int) ->
     if min(frame_dim, hidden_dim, embed_dim) < 1:
         raise ValueError("all dimensions must be >= 1")
     rng = substream(seed, "student-init")
-    return StudentEncoder(*_affine(rng, hidden_dim, frame_dim),
-                          *_affine(rng, hidden_dim, hidden_dim),
-                          *_affine(rng, embed_dim, hidden_dim))
+    return StudentEncoder(*(p for layer in _layers(frame_dim, hidden_dim, embed_dim)
+                            for p in _affine(rng, *layer)))
+
+
+def _layers(frame_dim: int, hidden_dim: int, embed_dim: int) -> list[tuple[int, int]]:
+    """(fan_out, fan_in) of the student's layers i = 1, 2, 3: Wi, then bi (fan_out,)."""
+    return [(hidden_dim, frame_dim), (hidden_dim, hidden_dim), (embed_dim, hidden_dim)]
 
 
 def _affine(rng: np.random.Generator, fan_out: int, fan_in: int):
@@ -236,14 +240,8 @@ def load_student(path) -> tuple[StudentEncoder, ClassifierHead | None]:
     dim, hidden, embed = r.unpack("<3I")
     if 0 in (dim, hidden, embed):
         raise FormatError(f"checkpoint has a zero dimension: (D, h, d) = {(dim, hidden, embed)}")
-    enc = StudentEncoder(
-        W1=r.array((hidden, dim)),
-        b1=r.array((hidden,)),
-        W2=r.array((hidden, hidden)),
-        b2=r.array((hidden,)),
-        W3=r.array((embed, hidden)),
-        b3=r.array((embed,)),
-    )
+    enc = StudentEncoder(*(r.array(shape) for fan_out, fan_in in _layers(dim, hidden, embed)
+                           for shape in ((fan_out, fan_in), (fan_out,))))
     head = None
     if r.unpack("<B")[0]:
         (classes,) = r.unpack("<I")

@@ -51,10 +51,17 @@ def all_finite(a: np.ndarray) -> bool:
     return a.size == 0 or bool(np.isfinite(a.min()) and np.isfinite(a.max()))
 
 
-def is_integer_array(a: np.ndarray) -> bool:
-    """Whether ``a`` holds integers by dtype, the rule for class labels: a
-    float array of whole numbers is not, and neither is a bool array."""
-    return np.issubdtype(a.dtype, np.integer)
+def class_ids(labels, rows: int) -> np.ndarray:
+    """``labels`` as class ids: a (rows,) array of non-negative integers by
+    dtype (whole floats and bools are not), or ValueError."""
+    y = np.asarray(labels)
+    if y.shape != (rows,):
+        raise ValueError(f"labels must be one class id per row, a ({rows},) array, "
+                         f"got shape {y.shape}")
+    if not np.issubdtype(y.dtype, np.integer) or np.any(y < 0):
+        raise ValueError(f"labels must be non-negative integer class ids, got {y.dtype} "
+                         f"labels down to {y.min()}")
+    return y
 
 
 def one_hot(labels: np.ndarray, n: int) -> np.ndarray:

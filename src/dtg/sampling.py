@@ -2,7 +2,8 @@
 
 Both views of a pair come from the same video and differ by which frames
 were sampled: each view draws one uniformly random frame per temporal
-segment of its window (TSN sampling).  Four input modes are supported:
+segment of its window (TSN sampling).  Four input modes are supported, each
+defined once, windows and img-img's two-frame rule, by ``pair_windows``:
 
   img-img           two distinct single frames
   img-seq           a T-segment anchor sequence plus a single guidance frame
@@ -47,6 +48,23 @@ def segment_bounds(num_frames: int, segments: int) -> list[tuple[int, int]]:
     ]
 
 
+def pair_windows(num_frames: int, mode: PairMode, segments: int
+                 ) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
+    """The (lo, hi, T) windows of the anchor and the guidance view: each view
+    draws one frame from each of the T ``segment_bounds`` of frames [lo, hi),
+    which rejects a T above hi - lo.  img-img reads no ``segments`` and needs 2
+    frames, for two distinct ones; ValueError for fewer."""
+    if mode is PairMode.IMG_IMG and num_frames < 2:
+        raise ValueError("img-img draws two distinct frames of a video: it needs at least "
+                         f"2 frames, got {num_frames}")
+    half = num_frames // 2
+    return {PairMode.IMG_IMG: ((0, num_frames, 1), (0, num_frames, 1)),
+            PairMode.IMG_SEQ: ((0, num_frames, segments), (0, num_frames, 1)),
+            PairMode.SEQ_SEQ_OVERLAP: ((0, num_frames, segments),) * 2,
+            PairMode.SEQ_SEQ_DISJOINT: ((0, half, segments), (half, num_frames, segments)),
+            }[mode]
+
+
 def _window(lo: int, hi: int, segments: int) -> tuple[np.ndarray, np.ndarray]:
     """Start and width of each segment of the frame window [lo, hi)."""
     bounds = np.array(segment_bounds(hi - lo, segments))
@@ -57,24 +75,11 @@ def draw_pairs(num_frames: int, mode: PairMode, segments: int, streams: Substrea
                ) -> tuple[np.ndarray, np.ndarray]:
     """The (anchor, guidance) views of one pair per row of ``streams``, for
     videos of ``num_frames`` frames: each an (R, T) int64 array of frame
-    indices.  Row r takes, from its own stream and in this order: the
-    anchor's frames, then the guidance's frames (img-img's one guidance frame
-    distinct from the anchor's)."""
-    if mode is PairMode.IMG_IMG:
-        if num_frames < 2:
-            raise ValueError("img-img needs at least 2 frames")
-        anchor_win = guide_win = _window(0, num_frames, 1)
-    elif mode is PairMode.IMG_SEQ:
-        anchor_win, guide_win = _window(0, num_frames, segments), _window(0, num_frames, 1)
-    elif mode is PairMode.SEQ_SEQ_OVERLAP:
-        anchor_win = guide_win = _window(0, num_frames, segments)
-    elif mode is PairMode.SEQ_SEQ_DISJOINT:
-        half = num_frames // 2
-        anchor_win, guide_win = _window(0, half, segments), _window(half, num_frames, segments)
-    else:
-        raise ValueError(f"unknown pair mode {mode!r}")
-
-    (a_lo, a_width), (g_lo, g_width) = anchor_win, guide_win
+    indices, one per segment of its ``pair_windows`` window.  Row r draws
+    from its own stream the anchor's frames, then the guidance's (img-img's
+    one frame distinct from the anchor's)."""
+    (a_lo, a_width), (g_lo, g_width) = (_window(*w)
+                                        for w in pair_windows(num_frames, mode, segments))
     anchor = a_lo + streams.integers(a_width)
     if mode is PairMode.IMG_IMG:
         j = streams.integers(num_frames - 1)[:, None]

@@ -57,7 +57,7 @@ from .model import (
     teacher_features,
 )
 from .numerics import FieldError, check_fields, check_value, declared
-from .sampling import PairMode, draw_pairs, pooled_view
+from .sampling import PairMode, draw_pairs, pair_windows, pooled_view, segment_bounds
 from .seeding import substream, substreams
 
 
@@ -197,26 +197,26 @@ def sgd_step(params: np.ndarray, grads: np.ndarray, velocity: np.ndarray, lr: fl
 
 def _validate_run(config: TrainConfig, corpus: Corpus, bank: TeacherBank) -> None:
     """The rules that relate the config to the corpus and the teachers; each
-    message starts with the config key it names, as ``FieldError``'s do."""
+    message starts with the config key it names, as ``FieldError``'s do.  A
+    pair geometry fails exactly where ``draw_pairs`` would: ``pair_windows``
+    and ``segment_bounds`` hold the rules."""
     # The first warm step of every epoch after the first takes all K negatives
     # from the previous epoch's tail, so an epoch must feed more than K rows.
     if config.K >= corpus.num_videos:
         raise FieldError("train.K", f"queue capacity {config.K} must be smaller than the "
                                     f"number of training videos ({corpus.num_videos})")
-    if config.pair_mode is PairMode.IMG_IMG:  # one frame per view: segments is not read
-        if corpus.spec.frames_per_video < 2:
-            raise FieldError("train.pair_mode / corpus.frames_per_video",
-                             "img-img draws two distinct frames of a video: frames_per_video "
-                             f"must be at least 2, got {corpus.spec.frames_per_video}")
-    elif corpus.spec.frames_per_video < config.segments:
-        raise FieldError("train.segments / corpus.frames_per_video",
-                         f"segments exceed frames per video ({config.segments} > "
-                         f"{corpus.spec.frames_per_video})")
-    half = corpus.spec.frames_per_video // 2
-    if config.pair_mode is PairMode.SEQ_SEQ_DISJOINT and config.segments > half:
-        raise FieldError("train.segments / corpus.frames_per_video",
-                         f"seq-seq-disjoint draws each view from half a video: segments "
-                         f"{config.segments} exceed frames_per_video // 2 = {half}")
+    frames = corpus.spec.frames_per_video
+    try:
+        windows = pair_windows(frames, config.pair_mode, config.segments)
+    except ValueError as exc:
+        raise FieldError("train.pair_mode / corpus.frames_per_video", str(exc)) from exc
+    for lo, hi, segments in windows:
+        try:
+            segment_bounds(hi - lo, segments)
+        except ValueError as exc:
+            raise FieldError("train.segments / corpus.frames_per_video",
+                             f"{config.pair_mode.value} draws from frames [{lo}, {hi}) of "
+                             f"frames_per_video = {frames}: {exc}") from exc
     if bank.embed_dim != config.d:
         raise FieldError("train.d", f"teacher dimension {bank.embed_dim} differs from the "
                                     f"student's d = {config.d}")

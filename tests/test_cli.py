@@ -160,6 +160,22 @@ def test_corpus_dependent_eval_rule_exits_2_before_features(tmp_path, capsys, mo
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("command, section, key, value", [
+    ("gen-data", "corpus", "frame_dim", 10 ** 7),  # a 728 TiB Haar basis
+    ("pretrain", "train", "h", 10 ** 13),          # 582 TiB of first-layer weights
+], ids=["gen-data-frame_dim", "pretrain-h"])
+def test_config_too_large_to_allocate_exits_2(tmp_path, capsys, command, section, key, value):
+    # each array is larger than a 48-bit address space (256 TiB): no process
+    # can map it, so numpy's allocation fails before any memory is touched,
+    # whatever the overcommit setting
+    doc = _config_doc(tmp_path / "run")
+    doc[section][key] = value
+    assert main([command, "--config", _write_config(tmp_path, doc), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: ") and "TiB" in err and err.count("\n") == 1
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("key, train, teachers, extra_dim", [
     ("train.d", {}, [{"rho": 0.9}], 1),
     ("train.offline_accuracies", {"weight_scheme": "offline"},

@@ -465,12 +465,24 @@ def test_knn_on_sparse_label_ids_equals_compact_ids():
 def test_knn_rejects_labels_that_are_not_non_negative_integers(metric):
     rng = np.random.default_rng(17)
     feats = rng.standard_normal((2 * evaluation._KNN_ROWS + 3, 4))
-    labels = np.arange(feats.shape[0]) % 3
-    for bad in (labels - 1, labels + 0.0):
-        with pytest.raises(ValueError, match="labels must be non-negative integers"):
+    n = feats.shape[0]
+    labels = np.arange(n) % 3
+    for bad, got in ((labels - 1, "int64 labels down to -1"),
+                     (labels + 0.0, r"float64 labels down to 0\.0")):
+        with pytest.raises(ValueError, match="labels must be non-negative integer class ids, "
+                                             f"got {got}$"):
             metric(feats, bad)
-    with pytest.raises(ValueError, match="need one label per feature row"):
+    with pytest.raises(ValueError, match=rf"labels must be one class id per row, a \({n},\) "
+                                         rf"array, got shape \({n - 1},\)$"):
         metric(feats, labels[:-1])
+
+
+def test_knn_rejects_a_row_of_norm_at_most_eps_norm():
+    # not only an exact zero: after the power-of-two scaling (here by 1/2) a
+    # row of norm 1e-13 sits below EPS_NORM, where the training step rejects it
+    feats = np.vstack([np.eye(4), [1e-13, 0.0, 0.0, 0.0]])
+    with pytest.raises(DegenerateInputError, match="feature row has near-zero norm 5.000e-14"):
+        knn_top1(feats, np.array([0, 1, 0, 1, 0]), 2)
 
 
 def test_knn_validates_k():

@@ -686,11 +686,14 @@ def test_cross_entropy_label_out_of_range():
         cross_entropy_batch(np.zeros((1, 3)), np.array([-1]))
 
 
-@pytest.mark.parametrize("labels", [np.array([0.0, 1.0]), np.array([False, True]),
-                                    np.array([[0], [1]]), np.array([0])],
-                         ids=["float", "bool", "column", "short"])
-def test_cross_entropy_rejects_labels_that_are_not_one_integer_per_row(labels):
-    with pytest.raises(ValueError, match="labels must be one integer per row of logits"):
+@pytest.mark.parametrize("labels, message", [
+    (np.array([0.0, 1.0]), r"non-negative integer class ids, got float64 labels down to 0\.0$"),
+    (np.array([False, True]), "non-negative integer class ids, got bool labels down to False$"),
+    (np.array([[0], [1]]), r"one class id per row, a \(2,\) array, got shape \(2, 1\)$"),
+    (np.array([0]), r"one class id per row, a \(2,\) array, got shape \(1,\)$"),
+], ids=["float", "bool", "column", "short"])
+def test_cross_entropy_rejects_labels_that_are_not_one_integer_per_row(labels, message):
+    with pytest.raises(ValueError, match="^labels must be " + message):
         cross_entropy_batch(np.zeros((2, 3)), labels)
 
 

@@ -8,6 +8,8 @@ program calls instead.  And every module-level function or class of the
 package must be referenced by some code at all, tests included: a
 definition nothing names is dead.  So is a config field that the program
 never reads as an attribute outside its class: a knob whose code is gone.
+No module of the package imports an underscore name from another: a name
+two modules share is public.
 """
 
 import ast
@@ -107,6 +109,29 @@ def test_every_config_field_is_read_by_the_program():
                          for attr, enclosing in reads)]
     assert not unread, "config fields that src/dtg, scripts and perfbench never read: " + \
         ", ".join(unread)
+
+
+def _private_imports(tree) -> list[str]:
+    """``module.name`` of every underscore name the module ``tree`` imports
+    from a sibling module of the package."""
+    return [f"{node.module}.{alias.name}" for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.level > 0 or (node.module or "").split(".")[0] == "dtg")
+            for alias in node.names if alias.name.startswith("_")]
+
+
+def test_no_module_imports_another_modules_private_names():
+    found = {path.name: _private_imports(ast.parse(path.read_text(), str(path)))
+             for path in sorted((ROOT / "src/dtg").glob("*.py"))}
+    found = {name: names for name, names in found.items() if names}
+    assert not found, "private names imported from a sibling module: " + \
+        "; ".join(f"{name}: {', '.join(names)}" for name, names in found.items())
+
+
+def test_a_private_import_is_found():
+    source = ast.parse("from .losses import _kernel, public\nfrom dtg.model import _x\n"
+                       "from . import losses\nimport numpy as _np\n")
+    assert _private_imports(source) == ["losses._kernel", "dtg.model._x"]
 
 
 def test_a_wrapper_reached_only_from_unused_code_is_unused():

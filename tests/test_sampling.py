@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dtg.sampling import PairMode, draw_pairs, pooled_view, segment_bounds
+from dtg.sampling import PairMode, draw_pairs, pair_windows, pooled_view, segment_bounds
 from dtg.seeding import substream, substreams
 
 from conftest import whole_videos
@@ -58,6 +58,11 @@ WINDOWS_16_4 = {
     PairMode.SEQ_SEQ_OVERLAP: ((0, 16, 4), (0, 16, 4)),
     PairMode.SEQ_SEQ_DISJOINT: ((0, 8, 4), (8, 16, 4)),
 }
+
+
+@pytest.mark.parametrize("mode", list(PairMode))
+def test_pair_windows_are_the_recorded_windows(mode):
+    assert pair_windows(16, mode, 4) == WINDOWS_16_4[mode]
 
 
 def _widths(lo, hi, segments):

@@ -183,12 +183,41 @@ def test_k_must_be_below_video_count():
 def test_disjoint_pairs_need_segments_within_half_a_video():
     corpus = _corpus()  # 8 frames: each view draws from a 4-frame half
     cfg = _config(pair_mode=PairMode.SEQ_SEQ_DISJOINT, segments=5)
-    with pytest.raises(ValueError, match=r"seq-seq-disjoint .* segments 5 exceed "
-                                         r"frames_per_video // 2 = 4"):
+    with pytest.raises(ValueError, match=r"seq-seq-disjoint draws from frames \[0, 4\) of "
+                                         r"frames_per_video = 8: need 1 <= segments <= "
+                                         r"frames, got 5 of 4"):
         pretrain(cfg, corpus, _bank(corpus))
     with pytest.raises(ValueError, match="seq-seq-disjoint"):
         train_joint(cfg, corpus, _bank(corpus))
     pretrain(dataclasses.replace(cfg, segments=4), corpus, _bank(corpus))
+
+
+@pytest.mark.parametrize("mode", list(PairMode))
+def test_run_check_rejects_exactly_the_geometries_the_sampler_rejects(mode):
+    # no training: the config check against draw_pairs on the same videos
+    seen = set()
+    for frames in range(1, 13):
+        spec = CorpusSpec(num_classes=2, videos_per_class=3, frames_per_video=frames,
+                          frame_dim=4, signal_dim=2)
+        corpus = generate_corpus(spec)
+        bank = _bank(corpus)
+        for segments in range(1, 9):
+            try:
+                draw_pairs(frames, mode, segments, substreams(0, "geometry", np.arange(2)))
+                drawn = True
+            except ValueError:
+                drawn = False
+            try:
+                trainer._validate_run(_config(pair_mode=mode, segments=segments), corpus, bank)
+                accepted = True
+            except FieldError as err:
+                assert mode.value in str(err) and str(err).startswith(
+                    ("train.segments / corpus.frames_per_video ",
+                     "train.pair_mode / corpus.frames_per_video "))
+                accepted = False
+            assert accepted == drawn, (frames, segments)
+            seen.add(drawn)
+    assert seen == {True, False}
 
 
 def test_img_img_is_not_held_to_segments():
