@@ -17,20 +17,20 @@ Studies (each a table of arms in ``dtg.presets.STUDIES``):
                  configuration, each probed
 
 Prints one line per seed and arm, then each arm's mean +/- std over the
-seeds.  With --out it writes one CSV row per seed and arm: seed, arm, then
-the study's columns; a column an arm lacks is an empty cell.
+seeds: the sample std (ddof 1), 0.0 for a single seed, as ``dtg report``
+writes it.  With --out it writes one CSV row per seed and arm: seed, arm,
+then the study's columns; a column an arm lacks is an empty cell.
 """
 
 import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from dtg import presets
 from dtg.binio import write_csv
+from dtg.numerics import mean_std
 
 
 def main(argv=None) -> int:
@@ -48,9 +48,9 @@ def main(argv=None) -> int:
         print(f"seed {row['seed']} {row['arm']:>16}: {cols}")
     for arm in presets.STUDIES[args.study].arms:
         mine = [r for r in rows if r["arm"] == arm]
-        cols = {k: [r[k] for r in mine] for k in list(mine[0])[2:]}
-        print(f"{arm:>16}: " + "  ".join(f"{k} {np.mean(v):.4f} +/- {np.std(v):.4f}"
-                                         for k, v in cols.items()))
+        stats = {k: mean_std([r[k] for r in mine]) for k in list(mine[0])[2:]}
+        print(f"{arm:>16}: " + "  ".join(f"{k} {mean:.4f} +/- {std:.4f}"
+                                         for k, (mean, std) in stats.items()))
     if args.out:
         header = list(dict.fromkeys(k for row in rows for k in row))
         write_csv(args.out, [header, *([row.get(k) for k in header] for row in rows)])

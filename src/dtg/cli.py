@@ -42,7 +42,7 @@ from .evaluation import (
     write_projection_csv,
 )
 from .model import TeacherBank, build_bank, build_student, load_student, save_student
-from .numerics import DegenerateInputError, FieldError
+from .numerics import DegenerateInputError, FieldError, check_value, mean_std
 from .trainer import NumericAbortError, pretrain, train_joint, write_report
 
 
@@ -184,8 +184,10 @@ def _json_object(path: Path) -> dict:
 
 
 def _number(value, path: Path, key: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise FormatError(f"{path}: {key} must be a number, got {value!r}")
+    try:
+        check_value(key, value, {"kind": float})  # a finite number that fits a float
+    except FieldError as exc:
+        raise FormatError(f"{path}: {exc}") from None
     return float(value)
 
 
@@ -221,9 +223,8 @@ def cmd_report(args) -> int:
     if not per_metric:
         return _fail("no metrics found in the given run directories", 3)
     for metric in sorted(per_metric):
-        values = np.array(per_metric[metric])
-        std = float(values.std(ddof=1)) if values.size > 1 else 0.0
-        rows.append((metric, float(values.mean()), std, values.size))
+        values = per_metric[metric]
+        rows.append((metric, *mean_std(values), len(values)))
     write_csv(Path(args.out or ".") / "summary.csv", [("metric", "mean", "std", "n"), *rows],
               comment="runs=" + ";".join(str(Path(r)) for r in args.runs))
     for metric, mean, std, n in rows:

@@ -13,21 +13,18 @@ itself; ``online1`` is differentiable in the anchor, so its fused gradient
 carries an extra softmax term, while ``online2`` uses ranks and is
 piecewise constant.
 
-``contrastive_batch`` makes one (B, M, 1 + Q) array, one row per anchor
-and scored positive.  The anchors are scaled by 1/tau once, so one stacked
-product writes all N queues' logits, already divided by the temperature,
-straight into its queue columns.  With m the row max, the array is then
-turned into exp(logits - m) in place and ``total`` is its row sum; the loss
-is m + log(total) - logits[..., 0], and 1/total goes into the gradient's
-per-row coefficients, whose queue terms are one stacked product too.  The
-probabilities exp(logits - m) / total are built only when
-``ContrastiveOutcome.probs`` is read, which training never does.  The same
-inputs in the same order give the same bits in any memory layout.
+``contrastive_batch`` writes one (B, M, 1 + Q) array of logits, one row
+per anchor and scored positive, into the caller's workspace ``work``.  The
+anchors are scaled by 1/tau once, so one stacked product writes all N
+queues' logits, already divided by the temperature, straight into its queue
+columns.  With m the row max, the array is then turned into exp(logits - m)
+in place and ``total`` is its row sum; the loss is m + log(total) -
+logits[..., 0], and 1/total goes into the gradient's per-row coefficients,
+whose queue terms are one stacked product too.  The probabilities are never
+formed.  The same inputs in the same order give the same bits in any memory
+layout.
 
-A caller that scores many batches can hand ``contrastive_batch`` a
-workspace, ``work``: a C-ordered float64 array of the logits' shape, which
-then holds the logits in place of a new array.  ``shifted_exp`` (and
-``probs``, derived from it) then lives in ``work``, and the next call that
+The outcome's ``shifted_exp`` is ``work`` itself, and the next call that
 takes the same workspace overwrites it; ``loss``, ``grad_anchor``,
 ``weights``, ``pos_sims``, ``teacher_losses`` and ``total`` are always new
 arrays.  Under loss fusion the negatives are read where they lie, not
@@ -40,7 +37,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
@@ -117,7 +113,9 @@ def teacher_weights(scheme: WeightScheme, num_teachers: int, *,
 
 @dataclass(frozen=True)
 class ContrastiveOutcome:
-    """Result of ``contrastive_batch``; row b of every field belongs to anchor b."""
+    """Result of ``contrastive_batch``; row b of every field belongs to anchor b.
+    Each scored positive's softmax over (it, its queue) is
+    ``shifted_exp / total``."""
 
     loss: np.ndarray                      # (B,)
     grad_anchor: np.ndarray               # (B, d)
@@ -128,21 +126,14 @@ class ContrastiveOutcome:
                                           # the positive, then its queue:
                                           # (B, N, 1 + K) loss fusion,
                                           # (B, 1, 1 + N*K) feature fusion;
-                                          # the caller's ``work`` when given
+                                          # the caller's ``work``
     total: np.ndarray                     # the row sums of shifted_exp, last axis kept
-
-    @cached_property
-    def probs(self) -> np.ndarray:
-        """Per scored positive, the softmax over (it, its queue),
-        ``shifted_exp / total``: the same bits in any input memory layout."""
-        return self.shifted_exp / self.total
 
 
 def contrastive_batch(anchors: np.ndarray, positives: np.ndarray, negatives: np.ndarray,
                       tau: float, scheme: WeightScheme,
                       fusion: FusionLevel = FusionLevel.LOSS,
-                      accuracies=None, *, work: np.ndarray | None = None
-                      ) -> ContrastiveOutcome:
+                      accuracies=None, *, work: np.ndarray) -> ContrastiveOutcome:
     """Multi-teacher contrastive loss of every anchor in a batch and the exact
     gradient of each anchor's loss with respect to that anchor.
 
@@ -163,13 +154,13 @@ def contrastive_batch(anchors: np.ndarray, positives: np.ndarray, negatives: np.
     The same inputs in the same order give the same bits in any memory
     layout.  Reordering the negatives may change the last bit of the loss.
 
-    ``work``, if given, is a workspace for the (B, M, 1 + Q) logits (M, Q =
-    N, K under loss fusion; 1, N*K under feature fusion): a C-ordered,
-    writeable float64 array of exactly that shape that overlaps no input.
-    The logits are written there, and the outcome's ``shifted_exp`` is
-    ``work`` itself, valid until the next call that writes it; the other
-    fields are new arrays.  A ``work`` of another shape, dtype or order
-    raises ValueError before anything is written.
+    ``work`` is the workspace for the (B, M, 1 + Q) logits (M, Q = N, K
+    under loss fusion; 1, N*K under feature fusion; ``logits_shape``): a
+    C-ordered, writeable float64 array of exactly that shape that overlaps
+    no input.  The logits are written there, and the outcome's
+    ``shifted_exp`` is ``work`` itself, valid until the next call that
+    writes it; the other fields are new arrays.  A ``work`` of another
+    shape, dtype or order raises ValueError before anything is written.
     """
     if not 0 < tau < np.inf:
         raise ValueError(f"temperature must be positive and finite, got {tau}")
@@ -192,14 +183,11 @@ def contrastive_batch(anchors: np.ndarray, positives: np.ndarray, negatives: np.
         raise ValueError("positives, negatives and anchors disagree on shape")
     b = len(a)
     shape = logits_shape(b, n_teachers, k, fusion)
-    if work is None:
-        logits = np.empty(shape)
-    elif (not isinstance(work, np.ndarray) or work.shape != shape or work.dtype != np.float64
-          or not (work.flags.c_contiguous and work.flags.writeable)):
+    if (not isinstance(work, np.ndarray) or work.shape != shape or work.dtype != np.float64
+            or not (work.flags.c_contiguous and work.flags.writeable)):
         raise ValueError(f"work must be a writeable C-ordered float64 array of shape {shape}, "
                          f"got {_describe(work)}")
-    else:
-        logits = work
+    logits = work
 
     # Score each anchor against M positives, each with its own queue of Q
     # rows, and mix the M losses: the N teachers (Q = K) under loss fusion,

@@ -94,14 +94,10 @@ def forward_batch(enc: StudentEncoder, pooled: np.ndarray):
 
 
 def backward_batch(enc: StudentEncoder, cache, d_out: np.ndarray,
-                   grads: dict[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
-    """Hand-derived reverse pass; returns gradients summed over the batch.
-
-    They are written into ``grads`` (one array per name of
-    ``enc.parameters()``, each overwritten whole), or into fresh arrays if it
-    is None."""
-    if grads is None:
-        grads = {name: np.empty_like(p) for name, p in enc.parameters()}
+                   grads: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Hand-derived reverse pass: writes the gradients summed over the batch
+    into ``grads``, one array per name of ``enc.parameters()``, each
+    overwritten whole, and returns ``grads``."""
     x, z1, a1, z2, a2, out, norms = cache
     # through y = z / |z|:  dz = (dy - (dy . y) y) / |z|
     dz3 = d_out * out

@@ -51,6 +51,13 @@ def all_finite(a: np.ndarray) -> bool:
     return a.size == 0 or bool(np.isfinite(a.min()) and np.isfinite(a.max()))
 
 
+def mean_std(values) -> tuple[float, float]:
+    """The mean of ``values`` and their sample standard deviation (ddof 1),
+    which is 0.0 for a single value."""
+    v = np.asarray(values, dtype=np.float64)
+    return float(v.mean()), (float(v.std(ddof=1)) if v.size > 1 else 0.0)
+
+
 def class_ids(labels, rows: int) -> np.ndarray:
     """``labels`` as class ids: a (rows,) array of non-negative integers by
     dtype (whole floats and bools are not), or ValueError."""

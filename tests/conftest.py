@@ -1,5 +1,6 @@
 import ctypes
 import dataclasses
+import importlib.util
 import struct
 from pathlib import Path
 
@@ -9,10 +10,38 @@ import pytest
 from dtg import trainer
 from dtg.binio import CHECKSUM_SIZE, RecordWriter, checksum
 from dtg.corpus import CORPUS_HEADER, CorpusSpec, generate_corpus
-from dtg.losses import contrastive_batch
-from dtg.model import CHECKPOINT_HEADER, build_bank, teacher_features
+from dtg.losses import ContrastiveOutcome, FusionLevel, contrastive_batch, logits_shape
+from dtg.model import (CHECKPOINT_HEADER, StudentEncoder, backward_batch, build_bank,
+                       teacher_features)
 from dtg.sampling import pooled_view
 from dtg.seeding import substream
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def script(name: str):
+    """``scripts/<name>.py``, loaded as a module."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def contrastive(anchors, positives, negatives, tau, scheme, fusion=FusionLevel.LOSS,
+                accuracies=None) -> ContrastiveOutcome:
+    """``contrastive_batch`` into a new NaN-filled workspace of its logits'
+    shape, so an entry the loss leaves unwritten shows."""
+    work = np.full(logits_shape(len(anchors), *np.shape(negatives)[:2], fusion), np.nan)
+    return contrastive_batch(anchors, positives, negatives, tau, scheme, fusion, accuracies,
+                             work=work)
+
+
+def backward(enc: StudentEncoder, cache, d_out: np.ndarray) -> dict[str, np.ndarray]:
+    """``backward_batch`` into new NaN-filled gradient arrays, so an entry
+    the pass leaves unwritten shows."""
+    grads = {name: np.full_like(p, np.nan) for name, p in enc.parameters()}
+    return backward_batch(enc, cache, d_out, grads)
 
 
 @pytest.fixture(scope="session")

@@ -16,16 +16,15 @@ import pytest
 
 from dtg.cli import main as cli_main
 from dtg.corpus import CorpusSpec, generate_corpus
-from dtg.losses import (FusionLevel, WeightScheme, contrastive_batch,
-                        cross_entropy_batch, teacher_weights)
-from dtg.model import StudentEncoder, backward_batch, build_bank, build_student, forward_batch
+from dtg.losses import FusionLevel, WeightScheme, cross_entropy_batch, teacher_weights
+from dtg.model import StudentEncoder, build_bank, build_student, forward_batch
 from dtg.numerics import finite_diff_check
 from dtg.presets import pretrain_and_probe, reference_bank, reference_train_config, study
 from dtg.sampling import PairMode, draw_pairs
 from dtg.seeding import substreams
 from dtg.trainer import TrainConfig, pretrain
 
-from conftest import check_against_list_model, record_windows, unit_rows
+from conftest import backward, check_against_list_model, contrastive, record_windows, unit_rows
 
 SEEDS = (0, 1, 2, 3, 4)
 
@@ -55,9 +54,9 @@ def test_c01_gradient_correctness():
         for k in (1, 8, 64):
             for _ in range(6):
                 a, pos, negs = _nce_instance(rng, d, k)
-                r = contrastive_batch(a, pos, negs, 0.07, UNIFORM)
+                r = contrastive(a, pos, negs, 0.07, UNIFORM)
                 rep = finite_diff_check(
-                    lambda p: contrastive_batch(p["a"], pos, negs, 0.07, UNIFORM).loss[0],
+                    lambda p: contrastive(p["a"], pos, negs, 0.07, UNIFORM).loss[0],
                     {"a": a}, {"a": r.grad_anchor})
                 worst = max(worst, rep.max_rel_error)
                 checks += 1
@@ -72,10 +71,9 @@ def test_c01_gradient_correctness():
                         pos = unit_rows(rng, 3, d)[:, None]
                         negs = np.stack([unit_rows(rng, k, d) for _ in range(3)])
                         acc = tuple(rng.uniform(0.1, 1.0, 3))
-                        out = contrastive_batch(a, pos, negs, 0.07, scheme,
-                                                fusion, accuracies=acc)
+                        out = contrastive(a, pos, negs, 0.07, scheme, fusion, accuracies=acc)
                         rep = finite_diff_check(
-                            lambda p: contrastive_batch(
+                            lambda p: contrastive(
                                 p["a"], pos, negs, 0.07, scheme, fusion,
                                 accuracies=acc).loss[0],
                             {"a": a}, {"a": out.grad_anchor})
@@ -106,7 +104,7 @@ def test_c01_gradient_correctness():
         # one call per row scores each anchor alone, as the checks above do; a
         # (2, d) product can round a row apart from it in the last bit
         def row_losses(feats):
-            return [contrastive_batch(feats[j:j + 1], pos[:, j:j + 1], negs, 0.07, UNIFORM)
+            return [contrastive(feats[j:j + 1], pos[:, j:j + 1], negs, 0.07, UNIFORM)
                     for j in range(2)]
 
         def loss_of(params):
@@ -117,7 +115,7 @@ def test_c01_gradient_correctness():
         params = {f: getattr(enc, f) for f in fields}
         feats, cache = forward_batch(enc, pooled)
         d_feats = np.concatenate([out.grad_anchor for out in row_losses(feats)])
-        grads = backward_batch(enc, cache, d_feats)
+        grads = backward(enc, cache, d_feats)
         rep = finite_diff_check(loss_of, params, grads)
         worst = max(worst, rep.max_rel_error)
         checks += 1
@@ -133,18 +131,18 @@ def test_c02_closed_form_loss_values():
     worst_uniform = 0.0
     for k in range(1, 65):
         v = np.ones((1, 3)) / np.sqrt(3)
-        r = contrastive_batch(v, v[None], np.tile(v, (1, k, 1)), 0.37, UNIFORM)
+        r = contrastive(v, v[None], np.tile(v, (1, k, 1)), 0.37, UNIFORM)
         worst_uniform = max(worst_uniform, abs(r.loss[0] - math.log(k + 1)))
 
     a = np.array([[1.0, 0.0]])
-    err1 = abs(contrastive_batch(a, a[None], np.array([[[0.0, 1.0]]]), 1.0, UNIFORM).loss[0]
+    err1 = abs(contrastive(a, a[None], np.array([[[0.0, 1.0]]]), 1.0, UNIFORM).loss[0]
                - 0.3132616875182228)
     a3 = np.array([[1.0, 0.0, 0.0]])
     pos = np.array([[[0.9, math.sqrt(1 - 0.81), 0.0]]])
     negs = np.array([[[0.1, 0.0, math.sqrt(0.99)],
                       [-0.2, 0.0, math.sqrt(0.96)],
                       [0.0, 0.0, 1.0]]])
-    err2 = abs(contrastive_batch(a3, pos, negs, 0.07, UNIFORM).loss[0]
+    err2 = abs(contrastive(a3, pos, negs, 0.07, UNIFORM).loss[0]
                - 1.3637236044903298e-05)
 
     _verdict("criterion 2 (closed forms)",
@@ -190,12 +188,12 @@ def test_c04_two_force_property():
         d = (4, 8, 32)[i % 3]
         k = int(rng.integers(1, 33))
         a, pos, negs = _nce_instance(rng, d, k)
-        r = contrastive_batch(a, pos, negs, 0.2, UNIFORM)
-        probs = r.probs[0, 0]
+        r = contrastive(a, pos, negs, 0.2, UNIFORM)
+        probs = (r.shifted_exp / r.total)[0, 0]
         if probs[0] < 1.0 and (probs[1:] > 0.0).all():
             two_force += 1
         stepped = a - 1e-4 * r.grad_anchor
-        if contrastive_batch(stepped, pos, negs, 0.2, UNIFORM).loss[0] < r.loss[0]:
+        if contrastive(stepped, pos, negs, 0.2, UNIFORM).loss[0] < r.loss[0]:
             decreases += 1
     _verdict("criterion 4 (two forces)",
              two_force == n_inst and decreases >= 999,

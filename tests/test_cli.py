@@ -613,3 +613,23 @@ def test_report_corrupt_run_file_exits_3(tmp_path, capsys, fname, text):
     (run / fname).write_text(text)
     assert main(["report", "--runs", str(run), "--out", str(tmp_path), "--quiet"]) == 3
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# JSON tokens Python's json reads as numbers that no mean can take: NaN,
+# the infinities, and an integer beyond the float range
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400],
+                         ids=["nan", "inf", "-inf", "huge-int"])
+@pytest.mark.parametrize("fname, key, text", [
+    ("probe.json", "top1", '{"knn_top1": 0.5, "top1": %s}'),
+    ("report.json", "contrastive_loss",
+     '{"epochs": [{"contrastive_loss": 1.0}, {"contrastive_loss": %s, "ce_loss": null}]}'),
+], ids=["probe", "report-last-epoch"])
+def test_report_rejects_a_metric_that_is_not_a_finite_float(tmp_path, capsys, fname, key,
+                                                             text, token):
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / fname).write_text(text % token)
+    assert main(["report", "--runs", str(run), "--out", str(tmp_path), "--quiet"]) == 3
+    assert capsys.readouterr().err.startswith(
+        f"error: {run / fname}: {key} must be a finite number, got ")
+    assert not (tmp_path / "summary.csv").exists()

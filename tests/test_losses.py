@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dtg import numerics
-from dtg.losses import (ContrastiveOutcome, FusionLevel, WeightScheme,
-                        contrastive_batch, cross_entropy_batch, teacher_weights)
+from dtg.losses import (ContrastiveOutcome, FusionLevel, WeightScheme, contrastive_batch,
+                        cross_entropy_batch, logits_shape, teacher_weights)
 from dtg.numerics import finite_diff_check
 
-from conftest import platform_note, unit_rows
+from conftest import contrastive, platform_note, unit_rows
 
 # scalar oracles, high-precision evaluation of the closed forms
 LOSS_TAU1 = 0.3132616875182228          # ln(1 + e^-1)
@@ -45,7 +45,7 @@ def test_info_nce_uniform_logits_is_log_k_plus_1():
     d = 4
     v = np.ones((1, d)) / np.sqrt(d)
     negs = np.tile(v, (1, 3, 1))
-    r = contrastive_batch(v, v[None], negs, 0.5, UNIFORM)
+    r = contrastive(v, v[None], negs, 0.5, UNIFORM)
     assert abs(r.loss[0] - math.log(4)) < 1e-12
 
 
@@ -54,7 +54,7 @@ def test_info_nce_scalar_oracle_tau1():
     a = np.array([[1.0, 0.0]])
     pos = np.array([[[1.0, 0.0]]])
     negs = np.array([[[0.0, 1.0]]])
-    r = contrastive_batch(a, pos, negs, 1.0, UNIFORM)
+    r = contrastive(a, pos, negs, 1.0, UNIFORM)
     assert abs(r.loss[0] - LOSS_TAU1) < 1e-9
 
 
@@ -67,22 +67,22 @@ def test_info_nce_scalar_oracle_tau007():
         [-0.2, 0.0, math.sqrt(1 - 0.04)],
         [0.0, 0.0, 1.0],
     ]])
-    r = contrastive_batch(a, pos, negs, 0.07, UNIFORM)
+    r = contrastive(a, pos, negs, 0.07, UNIFORM)
     assert abs(r.loss[0] - LOSS_TAU007) < 1e-9
 
 
 def test_info_nce_rejects_bad_tau():
     a, pos, negs = _instance(np.random.default_rng(0), 4, 2)
     with pytest.raises(ValueError):
-        contrastive_batch(a, pos, negs, 0.0, UNIFORM)
+        contrastive(a, pos, negs, 0.0, UNIFORM)
     with pytest.raises(ValueError):
-        contrastive_batch(a, pos, negs, -1.0, UNIFORM)
+        contrastive(a, pos, negs, -1.0, UNIFORM)
     for tau in (np.nan, np.inf):
         with pytest.raises(ValueError, match="temperature must be positive and finite"):
-            contrastive_batch(a, pos, negs, tau, UNIFORM)
+            contrastive(a, pos, negs, tau, UNIFORM)
     # positive and finite, but subnormal: 1/tau overflows
     with pytest.raises(ValueError, match="temperature must have a finite reciprocal"):
-        contrastive_batch(a, pos, negs, 1e-310, UNIFORM)
+        contrastive(a, pos, negs, 1e-310, UNIFORM)
 
 
 def _assert_close_to_rounding(out, base, what):
@@ -94,13 +94,13 @@ def test_info_nce_shuffled_negatives_agree_to_rounding():
     # the same inputs give the same bits; a reordered queue only rounds differently
     rng = np.random.default_rng(1)
     a, pos, negs = _instance(rng, 6, 8)
-    base = contrastive_batch(a, pos, negs, 0.07, UNIFORM)
-    again = contrastive_batch(a, pos, negs, 0.07, UNIFORM)
+    base = contrastive(a, pos, negs, 0.07, UNIFORM)
+    again = contrastive(a, pos, negs, 0.07, UNIFORM)
     for name, value in vars(base).items():
         assert np.array_equal(value, getattr(again, name)), name
     for _ in range(20):
         perm = rng.permutation(8)
-        _assert_close_to_rounding(contrastive_batch(a, pos, negs[:, perm], 0.07, UNIFORM),
+        _assert_close_to_rounding(contrastive(a, pos, negs[:, perm], 0.07, UNIFORM),
                                   base, perm)
     # the batched loss under every scheme and fusion level, each teacher's
     # queue shuffled independently
@@ -108,8 +108,8 @@ def test_info_nce_shuffled_negatives_agree_to_rounding():
     for scheme in WeightScheme:
         for fusion in FusionLevel:
             def batch_outcome(q):
-                return contrastive_batch(anchors, positives, q, 0.07, scheme, fusion,
-                                         accuracies=(0.5, 0.3, 0.2))
+                return contrastive(anchors, positives, q, 0.07, scheme, fusion,
+                                   accuracies=(0.5, 0.3, 0.2))
             base = batch_outcome(queues)
             for _ in range(20):
                 shuffled = np.stack([q[rng.permutation(8)] for q in queues])
@@ -122,7 +122,7 @@ def test_info_nce_monotone_in_positive_similarity():
     for s in np.linspace(-0.9, 0.9, 19):
         a = np.array([[1.0, 0.0, 0.0]])
         pos = np.array([[[s, math.sqrt(1 - s * s), 0.0]]])
-        loss = contrastive_batch(a, pos, negs, 0.1, UNIFORM).loss[0]
+        loss = contrastive(a, pos, negs, 0.1, UNIFORM).loss[0]
         assert loss < prev
         prev = loss
 
@@ -131,9 +131,9 @@ def test_info_nce_gradient_finite_diff():
     rng = np.random.default_rng(2)
     for d, k in ((4, 1), (8, 8), (32, 64)):
         a, pos, negs = _instance(rng, d, k)
-        r = contrastive_batch(a, pos, negs, 0.07, UNIFORM)
+        r = contrastive(a, pos, negs, 0.07, UNIFORM)
         rep = finite_diff_check(
-            lambda p: contrastive_batch(p["a"], pos, negs, 0.07, UNIFORM).loss[0],
+            lambda p: contrastive(p["a"], pos, negs, 0.07, UNIFORM).loss[0],
             {"a": a}, {"a": r.grad_anchor})
         assert rep.max_rel_error < 1e-5
 
@@ -141,10 +141,10 @@ def test_info_nce_gradient_finite_diff():
 def test_two_force_decomposition():
     rng = np.random.default_rng(3)
     a, pos, negs = _instance(rng, 5, 4)
-    r = contrastive_batch(a, pos, negs, 0.2, UNIFORM)
+    r = contrastive(a, pos, negs, 0.2, UNIFORM)
     # -grad = ((1 - p0) pos - sum p_i n_i) / tau: attraction to the positive,
     # repulsion from every negative
-    probs = r.probs[0, 0]
+    probs = (r.shifted_exp / r.total)[0, 0]
     assert probs[0] < 1.0
     assert (probs[1:] > 0.0).all()
     recon = ((probs[0] - 1.0) * pos[0, 0] + probs[1:] @ negs[0]) / 0.2
@@ -154,9 +154,9 @@ def test_two_force_decomposition():
 def test_one_gradient_step_decreases_loss():
     rng = np.random.default_rng(4)
     a, pos, negs = _instance(rng, 8, 16)
-    r = contrastive_batch(a, pos, negs, 0.07, UNIFORM)
+    r = contrastive(a, pos, negs, 0.07, UNIFORM)
     stepped = a - 1e-4 * r.grad_anchor
-    assert contrastive_batch(stepped, pos, negs, 0.07, UNIFORM).loss[0] < r.loss[0]
+    assert contrastive(stepped, pos, negs, 0.07, UNIFORM).loss[0] < r.loss[0]
 
 
 # --- weighting schemes ---
@@ -260,9 +260,9 @@ def _fused_instance(rng, n, k, d):
 def test_fused_single_teacher_matches_info_nce():
     rng = np.random.default_rng(5)
     a, pos, negs = _fused_instance(rng, 1, 6, 5)
-    single = contrastive_batch(a, pos, negs, 0.07, UNIFORM)
+    single = contrastive(a, pos, negs, 0.07, UNIFORM)
     for fusion in FusionLevel:
-        out = contrastive_batch(a, pos, negs, 0.07, UNIFORM, fusion)
+        out = contrastive(a, pos, negs, 0.07, UNIFORM, fusion)
         assert abs(out.loss[0] - single.loss[0]) < 1e-12
         assert np.allclose(out.grad_anchor, single.grad_anchor, atol=1e-12)
 
@@ -272,18 +272,18 @@ def test_fused_identical_teachers_collapse_to_single():
     a, pos, negs = _fused_instance(rng, 1, 6, 5)
     pos2 = np.concatenate([pos, pos])
     negs2 = np.concatenate([negs, negs])
-    single = contrastive_batch(a, pos, negs, 0.07, UNIFORM).loss[0]
-    out = contrastive_batch(a, pos2, negs2, 0.07, UNIFORM, FusionLevel.LOSS)
+    single = contrastive(a, pos, negs, 0.07, UNIFORM).loss[0]
+    out = contrastive(a, pos2, negs2, 0.07, UNIFORM, FusionLevel.LOSS)
     assert abs(out.loss[0] - single) < 1e-12
 
 
 def test_fused_offline_is_weighted_sum():
     rng = np.random.default_rng(7)
     a, pos, negs = _fused_instance(rng, 2, 4, 6)
-    l0 = contrastive_batch(a, pos[:1], negs[:1], 0.1, UNIFORM).loss[0]
-    l1 = contrastive_batch(a, pos[1:], negs[1:], 0.1, UNIFORM).loss[0]
-    out = contrastive_batch(a, pos, negs, 0.1, WeightScheme.OFFLINE,
-                            FusionLevel.LOSS, accuracies=(0.7, 0.3))
+    l0 = contrastive(a, pos[:1], negs[:1], 0.1, UNIFORM).loss[0]
+    l1 = contrastive(a, pos[1:], negs[1:], 0.1, UNIFORM).loss[0]
+    out = contrastive(a, pos, negs, 0.1, WeightScheme.OFFLINE,
+                      FusionLevel.LOSS, accuracies=(0.7, 0.3))
     assert abs(out.loss[0] - (0.7 * l0 + 0.3 * l1)) < 1e-12
     assert np.allclose(out.weights[0], (0.7, 0.3))
     assert np.allclose(out.teacher_losses[0], (l0, l1))
@@ -292,7 +292,7 @@ def test_fused_offline_is_weighted_sum():
 def test_fused_outcome_reports_pos_sims():
     rng = np.random.default_rng(8)
     a, pos, negs = _fused_instance(rng, 3, 4, 6)
-    out = contrastive_batch(a, pos, negs, 0.1, UNIFORM)
+    out = contrastive(a, pos, negs, 0.1, UNIFORM)
     assert np.allclose(out.pos_sims[0], pos[:, 0] @ a[0], atol=1e-15)
     assert abs(out.weights.sum() - 1.0) < 1e-12
 
@@ -300,10 +300,10 @@ def test_fused_outcome_reports_pos_sims():
 def test_fused_feature_level_uses_pooled_negatives():
     rng = np.random.default_rng(9)
     a, pos, negs = _fused_instance(rng, 2, 4, 6)
-    out = contrastive_batch(a, pos, negs, 0.1, UNIFORM, FusionLevel.FEATURE)
+    out = contrastive(a, pos, negs, 0.1, UNIFORM, FusionLevel.FEATURE)
     fused_pos = 0.5 * pos[0] + 0.5 * pos[1]
     fused_pos /= np.linalg.norm(fused_pos)
-    expect = contrastive_batch(a, fused_pos[None], negs.reshape(1, 8, 6), 0.1, UNIFORM)
+    expect = contrastive(a, fused_pos[None], negs.reshape(1, 8, 6), 0.1, UNIFORM)
     assert abs(out.loss[0] - expect.loss[0]) < 1e-12
     assert out.teacher_losses is None
 
@@ -316,10 +316,10 @@ def test_fused_gradient_finite_diff(scheme, fusion):
     acc = (0.5, 0.3, 0.2)
 
     def loss_of(p):
-        return contrastive_batch(p["a"], pos, negs, 0.07, scheme, fusion,
-                                 accuracies=acc).loss[0]
+        return contrastive(p["a"], pos, negs, 0.07, scheme, fusion,
+                           accuracies=acc).loss[0]
 
-    out = contrastive_batch(a, pos, negs, 0.07, scheme, fusion, accuracies=acc)
+    out = contrastive(a, pos, negs, 0.07, scheme, fusion, accuracies=acc)
     rep = finite_diff_check(loss_of, {"a": a}, {"a": out.grad_anchor})
     assert rep.max_rel_error < 1e-5, f"{scheme} {fusion}: {rep.max_rel_error}"
 
@@ -329,11 +329,11 @@ def test_fused_gradient_finite_diff(scheme, fusion):
 def test_batch_rows_match_single_anchor(scheme, fusion):
     anchors, positives, negs = _batch_instance(np.random.default_rng(14), 7, 3, 5, 6)
     acc = (0.5, 0.3, 0.2)
-    out = contrastive_batch(anchors, positives, negs, 0.07, scheme, fusion, accuracies=acc)
+    out = contrastive(anchors, positives, negs, 0.07, scheme, fusion, accuracies=acc)
     assert out.loss.shape == (7,) and out.grad_anchor.shape == (7, 6)
     for i in range(7):
-        one = contrastive_batch(anchors[i:i + 1], positives[:, i:i + 1], negs, 0.07,
-                                scheme, fusion, accuracies=acc)
+        one = contrastive(anchors[i:i + 1], positives[:, i:i + 1], negs, 0.07,
+                          scheme, fusion, accuracies=acc)
         assert abs(out.loss[i] - one.loss[0]) < 1e-12
         assert np.allclose(out.grad_anchor[i], one.grad_anchor[0], rtol=0, atol=1e-12)
         assert np.allclose(out.weights[i], one.weights[0], rtol=0, atol=1e-12)
@@ -350,12 +350,12 @@ def test_batch_outputs_ignore_the_positives_memory_layout(scheme, fusion):
         layouts = (positives,                       # C-ordered (N, B, d)
                    np.ascontiguousarray(positives.transpose(1, 0, 2)).transpose(1, 0, 2),
                    np.asfortranarray(positives))    # the middle one is a batch-major view
-        outs = [contrastive_batch(anchors, p, negs, 0.07, scheme, fusion, accuracies=acc)
+        outs = [contrastive(anchors, p, negs, 0.07, scheme, fusion, accuracies=acc)
                 for p in layouts]
         # the trainer's: both are windows on one (N, K + B, d) stream
         stream = np.concatenate((negs, positives), axis=1)
-        outs.append(contrastive_batch(anchors, stream[:, 256:], stream[:, :256], 0.07,
-                                      scheme, fusion, accuracies=acc))
+        outs.append(contrastive(anchors, stream[:, 256:], stream[:, :256], 0.07,
+                                scheme, fusion, accuracies=acc))
         for other in outs[1:]:
             for name, value in vars(outs[0]).items():
                 assert np.array_equal(value, getattr(other, name)), name   # None == None
@@ -367,31 +367,31 @@ def test_batch_outputs_ignore_every_inputs_memory_layout(scheme, fusion):
     # the trainer's shape, with positives and negatives as windows on one
     # stream and strided anchors; each input in turn is replaced by a
     # contiguous and by a Fortran-ordered copy of the same values.  Each
-    # call runs with and without the trainer's workspace, at a full batch
-    # (all of it) and a partial one (its first rows)
+    # call runs in a new workspace and in the trainer's, one NaN-filled
+    # workspace reused by every call, at a full batch (all of it) and a
+    # partial one (its first rows)
     rng = np.random.default_rng(18)
     b, n, k, d = 64, 4, 256, 16
     acc = (0.4, 0.3, 0.2, 0.1)
     stream = unit_rows(rng, n * (k + 2 * b), d).reshape(n, k + 2 * b, d)
     spaced = unit_rows(rng, 2 * b, d)
-    m, q = (n, k) if fusion is FusionLevel.LOSS else (1, n * k)
-    work = np.full((b, m, 1 + q), np.nan)
+    work = np.full(logits_shape(b, n, k, fusion), np.nan)
     for offset, rows in [(0, b), (b // 2, b), (b, b), (b // 2, b // 2 + 1)]:
         views = (spaced[:2 * rows:2], stream[:, k + offset:k + offset + rows],
                  stream[:, offset:offset + k])
-        base = contrastive_batch(*views, 0.07, scheme, fusion, accuracies=acc)
-        base.probs  # cached, so vars(base) holds it too
+        base = contrastive(*views, 0.07, scheme, fusion, accuracies=acc)
         for i in range(3):
             for layout in (np.ascontiguousarray, np.asfortranarray):
                 args = list(views)
                 args[i] = layout(args[i])
-                for kw in ({}, {"work": work[:rows]}):
-                    out = contrastive_batch(*args, 0.07, scheme, fusion, accuracies=acc, **kw)
-                    if kw:
-                        assert out.shifted_exp is kw["work"]
+                fresh = contrastive(*args, 0.07, scheme, fusion, accuracies=acc)
+                view = work[:rows]
+                reused = contrastive_batch(*args, 0.07, scheme, fusion, acc, work=view)
+                assert reused.shifted_exp is view
+                for out in (fresh, reused):
                     for name, value in vars(base).items():
                         assert np.array_equal(value, getattr(out, name)), (offset, rows, i,
-                                                                            layout, kw, name)
+                                                                            layout, name)
 
 
 @pytest.mark.parametrize("fusion", list(FusionLevel))
@@ -427,17 +427,29 @@ def test_batch_rejects_a_workspace_of_another_shape_dtype_or_order(fusion):
 @pytest.mark.parametrize("fusion", list(FusionLevel))
 def test_batch_outcome_shares_no_memory_with_its_inputs(scheme, fusion):
     # the trainer passes windows on a buffer it overwrites every epoch, so no
-    # field may be a view of them; N = 1 makes both windows C-contiguous
+    # field may be a view of them; N = 1 makes both windows C-contiguous.
+    # The workspace, which the next step overwrites, holds shifted_exp alone
     rng = np.random.default_rng(17)
     k, b, d = 5, 4, 6
     for n in (1, 3):
         stream = unit_rows(rng, n * (k + 2 * b), d).reshape(n, k + 2 * b, d)
         positives, negs = stream[:, k + b:], stream[:, b:b + k]
+        work = np.empty(logits_shape(b, n, k, fusion))
         out = contrastive_batch(unit_rows(rng, b, d), positives, negs, 0.07, scheme, fusion,
-                                accuracies=tuple(rng.uniform(0.1, 1.0, n)))
+                                tuple(rng.uniform(0.1, 1.0, n)), work=work)
         for name, value in vars(out).items():
             for given in (positives, negs):
                 assert value is None or not np.shares_memory(value, given), name
+            in_work = value is not None and np.shares_memory(value, work)
+            assert in_work == (name == "shifted_exp"), name
+
+
+def test_batch_takes_its_workspace_from_the_caller():
+    # one path, the trainer's: no call allocates the logits
+    a = np.eye(1, 6)
+    with pytest.raises(TypeError, match="work"):
+        contrastive_batch(a, a[None], a[None], 0.1, UNIFORM)
+    assert not hasattr(ContrastiveOutcome, "probs")
 
 
 def _trainer_windows(rng, b=64, n=4, k=256, d=16):
@@ -505,8 +517,9 @@ def test_batch_matches_the_two_exp_reference(scheme, fusion):
     acc = (0.4, 0.3, 0.2, 0.1)
     for _ in range(3):
         args = _trainer_windows(rng)
-        out = contrastive_batch(*args, 0.07, scheme, fusion, accuracies=acc)
+        out = contrastive(*args, 0.07, scheme, fusion, accuracies=acc)
         ref = _two_exp_reference(*args, 0.07, scheme, fusion, acc)
+        probs, ref_probs = out.shifted_exp / out.total, ref.shifted_exp / ref.total
         for name in ("loss", "weights", "pos_sims", "teacher_losses"):
             value, expected = getattr(out, name), getattr(ref, name)
             if expected is None:
@@ -514,18 +527,19 @@ def test_batch_matches_the_two_exp_reference(scheme, fusion):
             else:
                 assert value.shape == expected.shape, name
                 assert np.allclose(value, expected, rtol=1e-14, atol=0), name
-        assert out.probs.shape == ref.probs.shape
-        assert np.allclose(out.probs, ref.probs, rtol=1e-13, atol=0)
-        assert np.all(np.abs(out.probs.sum(axis=-1) - 1.0) <= 1e-14)
+        assert probs.shape == ref_probs.shape
+        assert np.allclose(probs, ref_probs, rtol=1e-13, atol=0)
+        assert np.all(np.abs(probs.sum(axis=-1) - 1.0) <= 1e-14)
         scale = np.abs(ref.grad_anchor).max(axis=1, keepdims=True)
         assert np.all(np.abs(out.grad_anchor - ref.grad_anchor) <= 1e-13 * scale)
 
 
 def _outcome_digest(out: ContrastiveOutcome) -> str:
-    """sha256 over every field of ``out`` and its probabilities: each one's
-    name, shape and little-endian float64 bytes, in field order."""
+    """sha256 over every field of ``out`` and its probabilities
+    ``shifted_exp / total``, named "probs": each one's name, shape and
+    little-endian float64 bytes, in field order."""
     h = hashlib.sha256()
-    for name, value in (*vars(out).items(), ("probs", out.probs)):
+    for name, value in (*vars(out).items(), ("probs", out.shifted_exp / out.total)):
         if value is None:
             h.update(f"{name} None\n".encode())
         else:
@@ -611,8 +625,8 @@ def test_batch_outcomes_are_the_recorded_bits(case):
     n, b = int(n[1:]), int(b[1:])
     args = _trainer_windows(np.random.default_rng([n, b]), b=b, n=n)
     acc = (0.4, 0.3, 0.2, 0.1)[:n]
-    out = contrastive_batch(*args, 0.07, WeightScheme(scheme), FusionLevel(fusion),
-                            accuracies=acc)
+    out = contrastive(*args, 0.07, WeightScheme(scheme), FusionLevel(fusion),
+                      accuracies=acc)
     assert _outcome_digest(out) == RECORDED_OUTCOMES[case], platform_note()
 
 
@@ -627,7 +641,7 @@ def test_batch_peak_memory_is_at_most_two_logit_arrays(scheme, fusion):
     logit_bytes = 8 * b * (n * (1 + k) if fusion is FusionLevel.LOSS else 1 + n * k)
 
     def call():
-        return contrastive_batch(*args, 0.07, scheme, fusion, accuracies=(0.4, 0.3, 0.2, 0.1))
+        return contrastive(*args, 0.07, scheme, fusion, accuracies=(0.4, 0.3, 0.2, 0.1))
 
     call()
     tracemalloc.start()
@@ -648,10 +662,10 @@ def test_batch_gradient_finite_diff(scheme, fusion):
     acc = (0.5, 0.3, 0.2)
 
     def loss_of(p):
-        return contrastive_batch(p["a"], positives, negs, 0.07, scheme, fusion,
-                                 accuracies=acc).loss.sum()
+        return contrastive(p["a"], positives, negs, 0.07, scheme, fusion,
+                           accuracies=acc).loss.sum()
 
-    out = contrastive_batch(anchors, positives, negs, 0.07, scheme, fusion, accuracies=acc)
+    out = contrastive(anchors, positives, negs, 0.07, scheme, fusion, accuracies=acc)
     rep = finite_diff_check(loss_of, {"a": anchors}, {"a": out.grad_anchor})
     assert rep.max_rel_error < 1e-5, f"{scheme} {fusion}: {rep.max_rel_error}"
 
@@ -660,9 +674,9 @@ def test_fused_shape_validation():
     rng = np.random.default_rng(11)
     a, pos, negs = _fused_instance(rng, 2, 4, 6)
     with pytest.raises(ValueError):
-        contrastive_batch(a, pos[:1], negs, 0.1, UNIFORM)
+        contrastive(a, pos[:1], negs, 0.1, UNIFORM)
     with pytest.raises(ValueError):
-        contrastive_batch(a, pos, negs[:, :, :5], 0.1, UNIFORM)
+        contrastive(a, pos, negs[:, :, :5], 0.1, UNIFORM)
 
 
 # --- cross-entropy and the joint objective ---

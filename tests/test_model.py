@@ -12,7 +12,7 @@ from dtg.model import (CHECKPOINT_HEADER, ClassifierHead, StudentEncoder, Teache
 from dtg.numerics import DegenerateInputError, finite_diff_check, unit_rows
 from dtg.evaluation import knn_top1
 
-from conftest import checkpoint_record, whole_videos
+from conftest import backward, checkpoint_record, whole_videos
 
 
 def _params(enc: StudentEncoder) -> int:
@@ -82,16 +82,16 @@ def test_forward_backward_matches_finite_differences():
 
     params = {f: getattr(enc, f) for f in ("W1", "b1", "W2", "b2", "W3", "b3")}
     out, cache = forward_batch(enc, pooled)
-    grads = backward_batch(enc, cache, 2.0 * (out - target))
+    grads = backward(enc, cache, 2.0 * (out - target))
     report = finite_diff_check(loss_of, params, grads)
     assert report.max_rel_error < 1e-5
 
 
 @pytest.mark.parametrize("n", [64, 52])  # a full batch, and the reference run's last
-def test_run_buffers_match_the_allocating_path(n):
+def test_run_buffers_match_separate_gradient_arrays(n):
     # the trainer's shape: B 64, D 16, h 32, d 16; two steps whose gradients
-    # go into views of one flat vector made once, each against fresh arrays,
-    # bit for bit
+    # go into views of one flat vector made once, each against new separate
+    # arrays, bit for bit
     enc = build_student(16, 32, 16, seed=5)
     rng = np.random.default_rng(6)
     flat = np.empty(sum(p.size for _, p in enc.parameters()))
@@ -102,7 +102,7 @@ def test_run_buffers_match_the_allocating_path(n):
     for _ in range(2):
         pooled, d_out = rng.standard_normal((n, 16)), rng.standard_normal((n, 16))
         out, cache = forward_batch(enc, pooled)
-        want_grads = backward_batch(enc, cache, d_out)
+        want_grads = backward(enc, cache, d_out)
         flat.fill(np.nan)  # every view must be overwritten whole
         got = backward_batch(enc, cache, d_out, grads)
         assert got is grads and not np.isnan(flat).any()
@@ -112,6 +112,14 @@ def test_run_buffers_match_the_allocating_path(n):
     for out, then in kept:  # a later call leaves earlier features alone
         assert np.array_equal(out, then)
     assert not np.shares_memory(kept[0][0], kept[1][0])
+
+
+def test_backward_takes_its_gradient_arrays_from_the_caller():
+    # one path, the trainer's: no call allocates the gradients
+    enc = build_student(6, 4, 3, seed=0)
+    _, cache = forward_batch(enc, np.eye(1, 6))
+    with pytest.raises(TypeError, match="grads"):
+        backward_batch(enc, cache, np.ones((1, 3)))
 
 
 @pytest.mark.parametrize("shape, message", [

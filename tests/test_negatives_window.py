@@ -11,12 +11,13 @@ from hypothesis import given, settings, strategies as st
 
 from dtg import trainer
 from dtg.corpus import CorpusSpec, generate_corpus
-from dtg.losses import FusionLevel, WeightScheme, contrastive_batch
+from dtg.losses import FusionLevel, WeightScheme
 from dtg.model import TeacherBank, build_bank
 from dtg.numerics import DegenerateInputError, FieldError
 from dtg.trainer import TrainConfig, pretrain
 
-from conftest import check_against_list_model, list_model, record_windows, unit_rows
+from conftest import (check_against_list_model, contrastive, list_model, record_windows,
+                      unit_rows)
 
 
 
@@ -184,5 +185,5 @@ def test_stacked_queue_rejects_other_shapes(shape):
     rng = np.random.default_rng(0)
     anchors, positives = unit_rows(rng, 4, 3), unit_rows(rng, 8, 3).reshape(2, 4, 3)
     with pytest.raises(ValueError, match=r"negatives must be \(N, K, d\)|disagree on shape"):
-        contrastive_batch(anchors, positives, np.ones(shape) / np.sqrt(shape[-1]), 0.07,
-                          WeightScheme.UNIFORM)
+        contrastive(anchors, positives, np.ones(shape) / np.sqrt(shape[-1]), 0.07,
+                    WeightScheme.UNIFORM)

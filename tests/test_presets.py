@@ -1,7 +1,5 @@
 import csv
 import dataclasses
-import importlib.util
-from pathlib import Path
 
 import numpy as np
 
@@ -12,7 +10,7 @@ from dtg.corpus import generate_corpus
 from dtg.losses import WeightScheme
 from dtg.sampling import PairMode
 
-EXPERIMENTS = Path(__file__).resolve().parents[1] / "scripts" / "experiments.py"
+from conftest import script
 
 
 def test_reference_spec_dimensions():
@@ -98,16 +96,9 @@ def test_studies_table():
     assert STUDIES["input-modes"].arms == {m.value: {"pair_mode": m} for m in PairMode}
 
 
-def _driver():
-    spec = importlib.util.spec_from_file_location("experiments", EXPERIMENTS)
-    driver = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(driver)
-    return driver
-
-
 def test_experiments_driver_writes_the_presets_results(tmp_path, capsys):
     out = tmp_path / "joint.csv"
-    assert _driver().main(["joint", "--seeds", "0", "--out", str(out)]) == 0
+    assert script("experiments").main(["joint", "--seeds", "0", "--out", str(out)]) == 0
     assert capsys.readouterr().out.endswith(f"wrote {out}\n")
     header, *rows = csv.reader(out.read_text().splitlines())
     assert header == ["seed", "arm", "overlap", "top1"]
@@ -119,9 +110,30 @@ def test_experiments_driver_writes_the_presets_results(tmp_path, capsys):
         assert [float(v) for v in cells] == list(held_out_columns(setup, cfg).values()), arm
 
 
+def test_experiments_driver_prints_the_sample_std(monkeypatch, capsys):
+    # fixed rows in place of the study's training; the std is dtg report's:
+    # ddof 1, and 0.0 for one seed, with no warning
+    rows = [{"seed": seed, "arm": arm, "overlap": overlap, "top1": top1}
+            for seed, arm, overlap, top1 in ((0, "joint", 0.25, 0.5), (0, "ce", 0.5, 0.5),
+                                             (1, "joint", 0.75, 1.0), (1, "ce", 0.5, 0.25))]
+    driver = script("experiments")
+    monkeypatch.setattr(driver.presets, "study",
+                        lambda name, seeds: [r for r in rows if r["seed"] in seeds])
+    assert driver.main(["joint", "--seeds", "0", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "           joint: overlap 0.5000 +/- 0.3536  top1 0.7500 +/- 0.3536",
+        "              ce: overlap 0.5000 +/- 0.0000  top1 0.3750 +/- 0.1768",
+    ]
+    assert driver.main(["joint", "--seeds", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "           joint: overlap 0.7500 +/- 0.0000  top1 1.0000 +/- 0.0000",
+        "              ce: overlap 0.5000 +/- 0.0000  top1 0.2500 +/- 0.0000",
+    ]
+
+
 def test_experiments_driver_leaves_a_column_an_arm_lacks_empty(tmp_path):
     out = tmp_path / "ssl.csv"
-    assert _driver().main(["ssl-vs-random", "--seeds", "0", "--out", str(out)]) == 0
+    assert script("experiments").main(["ssl-vs-random", "--seeds", "0", "--out", str(out)]) == 0
     header, pretrained, random = csv.reader(out.read_text().splitlines())
     assert header == ["seed", "arm", "top1", "w0"]
     assert pretrained[3] == "1.0"  # one teacher takes all the weight

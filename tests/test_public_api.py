@@ -7,7 +7,9 @@ A wrapper kept alive for tests alone fails here; test the function the
 program calls instead.  And every module-level function or class of the
 package must be referenced by some code at all, tests included: a
 definition nothing names is dead.  So is a config field that the program
-never reads as an attribute outside its class: a knob whose code is gone.
+never reads as an attribute outside its class: a knob whose code is gone,
+and a method or property of a package class that the program never calls
+or reads outside its own definition.
 No module of the package imports an underscore name from another: a name
 two modules share is public.
 """
@@ -109,6 +111,29 @@ def test_every_config_field_is_read_by_the_program():
                          for attr, enclosing in reads)]
     assert not unread, "config fields that src/dtg, scripts and perfbench never read: " + \
         ", ".join(unread)
+
+
+def _members() -> dict[str, str]:
+    """Name -> ``Class.name (file)`` of every method and property defined in
+    a class of the package, dunder methods (which Python calls) aside; a use
+    is found by name, as for module-level definitions."""
+    found = {}
+    for path in sorted((ROOT / "src/dtg").glob("*.py")):
+        for cls in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(cls, ast.ClassDef):
+                for node in cls.body:
+                    if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            and not (node.name.startswith("__") and node.name.endswith("__"))):
+                        found.setdefault(node.name, f"{cls.name}.{node.name} ({path.name})")
+    return found
+
+
+def test_every_class_member_is_used_by_the_program():
+    members = _members()
+    program = [ast.parse(path.read_text(), str(path)) for path in PROGRAM]
+    unused = _unused(set(members), _references(program))
+    assert not unused, "methods and properties src/dtg, scripts and perfbench never use: " + \
+        ", ".join(members[name] for name in sorted(unused))
 
 
 def _private_imports(tree) -> list[str]:

@@ -1,7 +1,6 @@
 import copy
 import csv
 import dataclasses
-import hashlib
 import json
 import re
 import tracemalloc
@@ -12,8 +11,7 @@ import pytest
 from dtg import trainer
 from dtg.corpus import CorpusSpec, generate_corpus, split_videos
 from dtg.evaluation import video_features
-from dtg.losses import (ContrastiveOutcome, FusionLevel, WeightScheme, contrastive_batch,
-                        cross_entropy_batch)
+from dtg.losses import FusionLevel, WeightScheme, contrastive_batch, cross_entropy_batch
 from dtg.model import (StudentEncoder, build_bank, build_head, build_student,
                        forward_batch, load_student, save_student)
 from dtg.numerics import FieldError, finite_diff_check
@@ -23,7 +21,7 @@ from dtg.seeding import substreams
 from dtg.trainer import (NumericAbortError, ParamLayout, TrainConfig, lr_at, pretrain,
                          report_to_dict, sgd_step, train_joint, write_report)
 
-from conftest import platform_note
+from conftest import platform_note, script
 
 
 def _corpus(seed=21, videos_per_class=5):
@@ -471,37 +469,6 @@ def test_applied_gradient_matches_finite_differences(monkeypatch, joint):
     assert rep.max_rel_error < 1e-6, rep.per_param_errors
 
 
-# --- what training never builds ---
-
-def _forbid_probs(monkeypatch):
-    """Make reading ``ContrastiveOutcome.probs`` fail: normalising a whole
-    (B, M, 1 + Q) array is a pass over the logits that the loop never needs."""
-    def unread(self):
-        raise AssertionError("training built ContrastiveOutcome.probs")
-    monkeypatch.setattr(ContrastiveOutcome, "probs", property(unread))
-    a = np.eye(1, 6)
-    with pytest.raises(AssertionError, match="built ContrastiveOutcome.probs"):
-        contrastive_batch(a, a[None], a[None], 0.1, WeightScheme.UNIFORM).probs
-
-
-@pytest.mark.parametrize("scheme", list(WeightScheme))
-@pytest.mark.parametrize("fusion", list(FusionLevel))
-def test_pretrain_never_builds_the_probabilities(monkeypatch, scheme, fusion):
-    _forbid_probs(monkeypatch)
-    corpus = _corpus()
-    cfg = _config(epochs=2, weight_scheme=scheme, fusion_level=fusion,
-                  offline_accuracies=(0.6, 0.4) if scheme is WeightScheme.OFFLINE else None)
-    _, report = pretrain(cfg, corpus, _bank(corpus, rhos=(0.9, 0.3)))
-    assert report.records[-1].contrastive_loss is not None
-
-
-def test_train_joint_never_builds_the_probabilities(monkeypatch):
-    _forbid_probs(monkeypatch)
-    corpus = _corpus()
-    _, report = train_joint(_config(epochs=2), corpus, _bank(corpus, rhos=(0.9, 0.3)))
-    assert report.records[-1].contrastive_loss is not None
-
-
 # --- recorded runs ---
 
 # sha256 of short runs on 20 videos, taken as scripts/artifact_digests.py
@@ -527,13 +494,8 @@ RECORDED_DIGESTS = {
 }
 
 
-def _run_digest(enc, head, report) -> str:
-    h = hashlib.sha256()
-    for name, p in enc.parameters() + (head.parameters() if head is not None else []):
-        h.update(f"{name} {p.shape}\n".encode())
-        h.update(np.ascontiguousarray(p, "<f8").tobytes())
-    h.update(json.dumps(report_to_dict(report), sort_keys=True).encode())
-    return h.hexdigest()
+# the run digest of scripts/artifact_digests.py, so both record runs one way
+_run_digest = script("artifact_digests").digest
 
 
 def _recorded_case(case: str) -> str:
