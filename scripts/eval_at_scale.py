@@ -3,14 +3,16 @@
 For each N, builds N random 16-dimensional features (seed 0) over 10 equal
 classes and runs knn_top1 (k = 5), class_overlap and linear_probe (a half
 split and the default ProbeConfig, as perfbench's evaluation runs it; its
-value is the held-out top-1) on them.  The three metrics run round-robin,
-eleven rounds, so that drift in the machine's speed reaches all of them
-alike; each line prints a metric's median wall time with its quartiles,
-the tracemalloc peak of one further run and the metric's value by
-``repr``.  tracemalloc counts numpy's array buffers, so the peak is what
-the metric itself holds.  Values are printed in full so that
-two checkouts' outputs can be diffed for bit-identical results.  The
-reference corpus has 500 videos, so N = 5000 is 10x.
+value is the whole ProbeResult, held-out top-1 and per-class accuracies) on
+them.  The three metrics run round-robin, eleven rounds, so that drift in
+the machine's speed reaches all of them alike; each line prints a metric's
+median wall time with its quartiles, the tracemalloc peak of one further
+run and the metric's value by ``repr``.  tracemalloc counts numpy's array
+buffers, so the peak is what the metric itself holds.  Values are printed
+in full so that two checkouts' outputs can be diffed for bit-identical
+results; the probe's per-class accuracies show a moved prediction that
+top-1 alone could hide.  The reference corpus has 500 videos, so N = 5000
+is 10x.
 """
 
 import argparse
@@ -59,7 +61,7 @@ def main() -> int:
         metrics = {
             "knn_top1": lambda: knn_top1(feats, labels, K),
             "class_overlap": lambda: class_overlap(feats, labels),
-            "linear_probe": lambda: linear_probe(feats, labels, SPLIT, ProbeConfig()).top1,
+            "linear_probe": lambda: linear_probe(feats, labels, SPLIT, ProbeConfig()),
         }
         times = {name: [] for name in metrics}
         for _ in range(REPEATS):

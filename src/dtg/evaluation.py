@@ -93,8 +93,12 @@ def linear_probe(features: np.ndarray, labels: np.ndarray, split_frac: float = 0
     id absent from the labels stays a softmax class; so every id must lie
     below the number of feature rows, or ValueError before anything is
     allocated.  The features, the labels and the split are checked once,
-    before training (``config`` checks itself when it is made); each epoch's
-    gradient is then ``cross_entropy_batch``'s bit for bit."""
+    before training (``config`` checks itself when it is made).  The fit
+    runs class-major through ``losses.cross_entropy_grad``, the kernel that
+    ``cross_entropy_batch`` shares, so its sums run in another order than a
+    row-major loop over ``cross_entropy_batch`` would take: the weights
+    differ from that loop's in the last bits (about 1e-15 of the largest
+    weight), and a prediction can move only on such a near tie."""
     x = as_matrix(features, "features")
     y = class_ids(labels, x.shape[0])
     top = int(y.max())
@@ -115,26 +119,31 @@ def _fit_probe(xt: np.ndarray, yt: np.ndarray, n_cls: int, epochs: int,
                lr: float) -> tuple[np.ndarray, np.ndarray]:
     """Weights (n_cls, D) and bias (n_cls,) of ``epochs`` full-batch gradient
     steps from zero on the finite features ``xt`` (n, D) and their labels
-    ``yt``, integers in [0, n_cls).  The logits and the gradient live in two
-    buffers made once.  An overflow, or non-finite logits, raise
-    ``DegenerateInputError`` naming the features' largest magnitude, at the
-    epoch that makes them: the fixed step is not scale invariant, so
+    ``yt``, integers in [0, n_cls).  The fit runs class-major: the logits,
+    the gradient and the one-hot are (n_cls, n) buffers made once, so every
+    reduction and broadcast runs along the n-long axis.  ``xt`` is taken
+    C-ordered once, with one C-ordered (D, n) transpose, so the features'
+    layout does not change the bits.  An overflow, or non-finite logits,
+    raise ``DegenerateInputError`` naming the features' largest magnitude,
+    at the epoch that makes them: the fixed step is not scale invariant, so
     features far from unit scale can diverge."""
+    xt = np.ascontiguousarray(xt)
+    x_cols = np.ascontiguousarray(xt.T)
     w = np.zeros((n_cls, xt.shape[1]))
     b = np.zeros(n_cls)
-    z = np.empty((xt.shape[0], n_cls))
+    z = np.empty((n_cls, xt.shape[0]))
     g = np.empty_like(z)
-    onehot = one_hot(yt, n_cls)
+    onehot = np.ascontiguousarray(one_hot(yt, n_cls).T)
     try:
         with np.errstate(over="raise", invalid="raise"):
             for _ in range(epochs):
-                np.matmul(xt, w.T, out=z)
-                z += b
+                np.matmul(w, x_cols, out=z)
+                z += b[:, None]
                 if not np.isfinite(z).all():
                     raise FloatingPointError
                 cross_entropy_grad(z, onehot, g)
-                w -= lr * (g.T @ xt)
-                b -= lr * g.sum(axis=0)
+                w -= lr * (g @ xt)
+                b -= lr * g.sum(axis=1)
     except FloatingPointError:
         raise DegenerateInputError(
             "logits contains a non-finite entry (features of largest magnitude "

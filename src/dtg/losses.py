@@ -275,36 +275,43 @@ def _describe(x) -> str:
 
 def cross_entropy_batch(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean cross-entropy over a batch and the gradient of that mean; the
-    labels are ``numerics.class_ids``, each below the number of classes."""
+    labels are ``numerics.class_ids``, each below the number of classes.
+    The (n, C) logits, one-hot and gradient go to ``cross_entropy_grad``
+    as their class-major (C, n) transposes, views on which numpy still adds
+    each row's classes in the order of a row sum."""
     z = as_matrix(logits, "logits")
     y = class_ids(labels, z.shape[0])
     if np.any(y >= z.shape[1]):
         raise ValueError(f"label {y.max()} out of range for {z.shape[1]} classes")
     grad = np.empty_like(z)  # z's memory layout, which orders the row sums
-    lse = cross_entropy_grad(z, one_hot(y, z.shape[1]), grad)
-    loss = float((lse[:, 0] - z[np.arange(z.shape[0]), y]).mean())
+    lse = cross_entropy_grad(z.T, one_hot(y, z.shape[1]).T, grad.T)
+    loss = float((lse - z[np.arange(z.shape[0]), y]).mean())
     return loss, grad
 
 
 def cross_entropy_grad(z: np.ndarray, onehot: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The one softmax cross-entropy kernel: writes the gradient of the mean
-    loss over the rows of the logits ``z`` (n, C), ``softmax(z) - onehot``
-    over n, into ``out`` and returns the (n, 1) log-sum-exp of each row.
+    """The one softmax cross-entropy kernel, class axis first: writes the
+    gradient of the mean loss over the n columns of the logits ``z`` (C, n),
+    ``softmax(z) - onehot`` over n with the softmax taken down each column,
+    into ``out`` and returns the (n,) log-sum-exp of each column.
 
-    ``onehot`` is the (n, C) ``numerics.one_hot`` of the labels.  Nothing
-    is checked: the caller vouches for a finite ``z``, a valid ``onehot``
-    and an ``out`` of ``z``'s shape that is not ``z``.
+    ``onehot`` is the (C, n) transpose of ``numerics.one_hot`` of the
+    labels.  Nothing is checked: the caller vouches for a finite ``z``, a
+    valid ``onehot`` and an ``out`` of ``z``'s shape that is not ``z``.
+    Every reduction runs over axis 0, so the order of each column's sum is
+    numpy's for the layout the caller gives: a C-ordered (C, n) array adds
+    the classes row by row, along the long axis, and the transpose of a
+    C-ordered (n, C) array adds them as that array's row sum would.
     Subtracting the one-hot adds 0.0 to every unlabelled entry, which
     leaves it unchanged, so the result is bit for bit ``exp(z - lse)`` with
     1.0 taken off at each label, then divided by n."""
     # the max shift keeps every exp in range.  A max is exact in any order
-    # (only a zero's sign may differ, which exp(z - m) and m + log(sum), a
-    # sum >= 1, both drop), so it is taken over the long rows of a
-    # class-major copy
-    m = np.ascontiguousarray(z.T).max(axis=0)[:, None]
+    # and layout (only a zero's sign may differ, which exp(z - m) and
+    # m + log(sum), a sum >= 1, both drop)
+    m = z.max(axis=0)
     np.exp(np.subtract(z, m, out=out), out=out)
-    lse = m + np.log(out.sum(axis=1, keepdims=True))
+    lse = m + np.log(out.sum(axis=0))
     np.exp(np.subtract(z, lse, out=out), out=out)
     out -= onehot
-    out /= z.shape[0]
+    out /= z.shape[1]
     return lse

@@ -7,15 +7,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dtg import evaluation
+from dtg import evaluation, presets
 from dtg.corpus import CorpusSpec, generate_corpus
 from dtg.evaluation import (ProbeConfig, class_overlap, knn_top1, linear_probe,
                             project_2d, stratified_split,
                             teacher_view_accuracies, video_features,
                             write_projection_csv)
-from dtg.losses import cross_entropy_batch
+from dtg.losses import WeightScheme, cross_entropy_batch
 from dtg.model import build_bank, build_student, forward_batch, teacher_features
 from dtg.numerics import DegenerateInputError, FieldError
+from dtg.trainer import pretrain
 
 from conftest import whole_videos
 
@@ -111,13 +112,34 @@ def _reference_cross_entropy(z, y):
 
 
 def _reference_fit(xt, yt, n_cls, epochs, lr):
-    """The probe's training loop before it was fused, kept verbatim."""
+    """The probe's row-major training loop before it was fused, kept
+    verbatim."""
     w = np.zeros((n_cls, xt.shape[1]))
     b = np.zeros(n_cls)
     for _ in range(epochs):
         _, d_logits = _reference_cross_entropy(xt @ w.T + b, yt)
         w -= lr * (d_logits.T @ xt)
         b -= lr * d_logits.sum(axis=0)
+    return w, b
+
+
+def _class_major_fit(xt, yt, n_cls, epochs, lr):
+    """The probe's class-major training loop written out: (C, n) logits,
+    every reduction over the classes down axis 0, C-ordered features."""
+    x = np.ascontiguousarray(xt)
+    x_cols = np.ascontiguousarray(x.T)
+    n = x.shape[0]
+    onehot = np.zeros((n_cls, n))
+    onehot[yt, np.arange(n)] = 1.0
+    w = np.zeros((n_cls, x.shape[1]))
+    b = np.zeros(n_cls)
+    for _ in range(epochs):
+        z = w @ x_cols + b[:, None]
+        m = z.max(axis=0)
+        lse = m + np.log(np.exp(z - m).sum(axis=0))
+        d_logits = (np.exp(z - lse) - onehot) / n
+        w -= lr * (d_logits @ x)
+        b -= lr * d_logits.sum(axis=1)
     return w, b
 
 
@@ -131,7 +153,9 @@ def _layouts(x):
 @pytest.mark.parametrize("n_cls", [2, 7, 8, 9, 10, 17])
 @pytest.mark.parametrize("absent", [False, True], ids=["all-ids", "absent-id"])
 def test_probe_fit_equals_reference_loop_bit_for_bit(n_cls, absent):
-    # with an absent id, n_cls classes are spread over ids 0, 2, ..., n_cls
+    # with an absent id, n_cls classes are spread over ids 0, 2, ..., n_cls.
+    # The fit is the class-major loop's bit for bit in every layout, and the
+    # row-major loop's within 1e-13 of that loop's largest |w| or |b|
     rng = np.random.default_rng(n_cls)
     ids = np.delete(np.arange(n_cls + 1), 1) if absent else np.arange(n_cls)
     size = int(ids.max()) + 1
@@ -139,16 +163,45 @@ def test_probe_fit_equals_reference_loop_bit_for_bit(n_cls, absent):
     feats = rng.standard_normal((labels.size, 5)) * 2.0
     for frac in (0.2, 0.8):
         tr, te = stratified_split(labels, frac, seed=3)
-        for name, xt in _layouts(feats[tr]).items():
-            for epochs in (0, 1, 30):
-                want = _reference_fit(xt, labels[tr], size, epochs, 0.5)
-                got = evaluation._fit_probe(xt, labels[tr], size, epochs, 0.5)
+        for epochs in (0, 1, 30):
+            fits = {}
+            for name, xt in _layouts(feats[tr]).items():
+                want = _class_major_fit(xt, labels[tr], size, epochs, 0.5)
+                got = fits[name] = evaluation._fit_probe(xt, labels[tr], size, epochs, 0.5)
                 assert np.array_equal(got[0], want[0]), (frac, name, epochs)
                 assert np.array_equal(got[1], want[1]), (frac, name, epochs)
+                row_w, row_b = _reference_fit(xt, labels[tr], size, epochs, 0.5)
+                scale = max(np.abs(row_w).max(), np.abs(row_b).max())
+                assert np.abs(got[0] - row_w).max() <= 1e-13 * scale, (frac, name, epochs)
+                assert np.abs(got[1] - row_b).max() <= 1e-13 * scale, (frac, name, epochs)
+            for name in ("F", "strided"):
+                assert np.array_equal(fits[name][0], fits["C"][0]), (frac, name, epochs)
+                assert np.array_equal(fits[name][1], fits["C"][1]), (frac, name, epochs)
         w, b = _reference_fit(feats[tr], labels[tr], size, 30, 0.5)
         top1 = float((np.argmax(feats[te] @ w.T + b, axis=1) == labels[te]).mean())
         assert linear_probe(feats, labels, frac, ProbeConfig(epochs=30, lr=0.5,
                                                              seed=3)).top1 == top1
+
+
+def test_probe_predicts_as_the_row_major_fit_on_trained_features():
+    # short seed-0 reference pretrains, as perfbench evaluates them: on each
+    # half split the class-major fit predicts what the row-major loop's
+    # weights predict, class by class
+    corpus = presets.reference_corpus(0)
+    labels = corpus.labels()
+    for bank, scheme in ((presets.reference_bank(corpus), WeightScheme.UNIFORM),
+                         (presets.four_teacher_bank(corpus), WeightScheme.ONLINE1)):
+        cfg = presets.reference_train_config(0, epochs=10, milestones=(),
+                                             weight_scheme=scheme)
+        feats = video_features(pretrain(cfg, corpus, bank)[0], corpus)
+        for seed in range(5):
+            result = linear_probe(feats, labels, 0.5, ProbeConfig(seed=seed))
+            tr, te = stratified_split(labels, 0.5, seed)
+            w, b = _reference_fit(feats[tr], labels[tr], 10, 100, 0.01)
+            correct = np.argmax(feats[te] @ w.T + b, axis=1) == labels[te]
+            assert result.top1 == float(correct.mean()), (scheme, seed)
+            assert result.per_class == tuple(float(correct[labels[te] == c].mean())
+                                             for c in range(10)), (scheme, seed)
 
 
 def test_probe_rejects_label_ids_past_the_rows_before_allocating():
@@ -641,7 +694,7 @@ def test_eval_at_scale_script_prints_the_metrics_of_direct_calls():
     expected = {
         "knn_top1": knn_top1(feats, labels, 5),
         "class_overlap": class_overlap(feats, labels),
-        "linear_probe": linear_probe(feats, labels, 0.5, ProbeConfig()).top1,
+        "linear_probe": linear_probe(feats, labels, 0.5, ProbeConfig()),
     }
     assert len(lines) == 3
     for line, (name, value) in zip(lines, expected.items()):
